@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes bench-serve bench-sim fuzz
+.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes fuzz
 
 build:
 	$(GO) build ./...
@@ -47,14 +47,6 @@ bench-trees:
 # ensembles, and network forward passes on serving-sized batches.
 bench-lanes:
 	$(GO) test -run='^$$' -bench='BenchmarkLane' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
-
-bench-serve:
-	sh scripts/serve_bench.sh
-
-# Collection throughput: compiled cell evaluators vs the pre-rewrite
-# reference substrate, serial and parallel, into BENCH_sim.json.
-bench-sim:
-	sh scripts/sim_bench.sh
 
 fuzz:
 	$(GO) test ./internal/profile/ -fuzz FuzzDatasetRoundTrip -fuzztime 30s

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -17,9 +16,8 @@ import (
 )
 
 // LoadgenResult is one load-generation run's record: what was driven and
-// what came back, in the shape BENCH_serve.json accumulates.
+// what came back.
 type LoadgenResult struct {
-	Label    string `json:"label"`
 	URL      string `json:"url"`
 	Clients  int    `json:"clients"`
 	Requests int    `json:"requests"`
@@ -36,12 +34,10 @@ type LoadgenResult struct {
 
 // cmdLoadgen hammers a running prediction server with concurrent clients
 // cycling through classic stencil shapes on every catalog GPU, then
-// reports exact latency quantiles and throughput. With -out, the result
-// is appended to a JSON array file so successive runs (serial baseline
-// vs coalesced, rising concurrency) accumulate into one benchmark
-// record. -distinct swaps the shape cycle for per-request unique
-// stencils so server-side dedup and the sim memo cache cannot collapse
-// the stream — the honest workload for comparing inference lanes.
+// reports exact latency quantiles and throughput as one JSON line — a
+// smoke-drill driver; measurements belong to `go run ./bench`. -distinct
+// swaps the shape cycle for per-request unique stencils so server-side
+// dedup and the sim memo cache cannot collapse the stream.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	url := fs.String("url", "http://127.0.0.1:8080", "base URL of a running 'stencilmart serve'")
@@ -51,8 +47,6 @@ func cmdLoadgen(args []string) error {
 		"comma-separated classic stencil names to cycle through")
 	distinct := fs.Bool("distinct", false, "make every request a unique stencil (defeats server-side dedup and sim-cache reuse)")
 	lane := fs.String("lane", "", "route requests down this inference lane (f32, f64); empty = server default")
-	label := fs.String("label", "", "label recorded with the result")
-	out := fs.String("out", "", "append the result to this JSON array file")
 	failOnError := fs.Bool("fail-on-error", false, "exit nonzero if any request fails")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-request client timeout")
 	if err := fs.Parse(args); err != nil {
@@ -158,7 +152,6 @@ func cmdLoadgen(args []string) error {
 		return float64(latencies[idx].Nanoseconds()) / 1e6
 	}
 	res := LoadgenResult{
-		Label:      *label,
 		URL:        *url,
 		Clients:    *clients,
 		Requests:   total,
@@ -175,12 +168,6 @@ func cmdLoadgen(args []string) error {
 		return err
 	}
 	fmt.Println(string(line))
-	if *out != "" {
-		if err := appendResult(*out, res); err != nil {
-			return err
-		}
-		fmt.Printf("appended to %s\n", *out)
-	}
 	if failed > 0 {
 		fmt.Printf("loadgen: %d/%d requests failed (first: %v)\n", failed, total, firstErr)
 		if *failOnError {
@@ -248,21 +235,4 @@ func distinctBodies(total int) ([]string, error) {
 		bodies[k] = string(body)
 	}
 	return bodies, nil
-}
-
-// appendResult appends one run to a JSON array file, creating it when
-// missing, so the benchmark record stays a single valid JSON document.
-func appendResult(path string, res LoadgenResult) error {
-	var runs []LoadgenResult
-	if data, err := os.ReadFile(path); err == nil && len(data) > 0 {
-		if err := json.Unmarshal(data, &runs); err != nil {
-			return fmt.Errorf("loadgen: %s is not a JSON array of results: %w", path, err)
-		}
-	}
-	runs = append(runs, res)
-	data, err := json.MarshalIndent(runs, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

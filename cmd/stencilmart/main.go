@@ -13,10 +13,9 @@
 //	stencilmart predict    -dataset dataset.json -stencil star2d2r -gpu V100
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
 //	stencilmart serve      -model model.ckpt -addr :8080 [-batch-window 500us -batch-size 32 -lane f32]
-//	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 32 -n 50 [-distinct -lane f32] [-out BENCH_serve.json]
+//	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 32 -n 50 [-distinct -lane f32]
 //	stencilmart rent       -dataset dataset.json -dims 2 [-cost]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
-//	stencilmart simbench   -out BENCH_sim.json [-preset default]
 //	stencilmart experiment -id fig9 [-preset paper]
 //	stencilmart experiment -id all
 package main
@@ -71,8 +70,6 @@ func main() {
 		err = cmdRent(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
-	case "simbench":
-		err = cmdSimBench(os.Args[2:])
 	case "codegen":
 		err = cmdCodegen(os.Args[2:])
 	case "tune":
@@ -105,7 +102,6 @@ commands:
   loadgen     drive a running server with concurrent clients and report latency quantiles
   rent        run the cloud-rental advisor (pure performance or cost)
   simulate    run one kernel configuration on the simulated GPU
-  simbench    measure collection throughput: compiled evaluators vs the pre-rewrite path
   codegen     emit the CUDA kernel source for a stencil under an OC
   tune        search an OC's parameter space (random or genetic)
   experiment  regenerate a paper table/figure (table1-3, fig1-4, fig9-15, scale, all)

@@ -22,7 +22,7 @@ var (
 	ckptErr  error
 )
 
-func ckptFramework(t *testing.T) *Framework {
+func ckptFramework(t testing.TB) *Framework {
 	t.Helper()
 	ckptOnce.Do(func() {
 		ckptInst, ckptErr = Build(context.Background(), SmokeConfig())

@@ -59,18 +59,6 @@ func (k ClassifierKind) String() string {
 // ClassifierKinds lists all mechanisms in report order.
 var ClassifierKinds = []ClassifierKind{ClassConvNet, ClassFcNet, ClassGBDT}
 
-// classEncode encodes one stencil for a mechanism.
-func classEncode(kind ClassifierKind, s stencil.Stencil) []float64 {
-	switch kind {
-	case ClassGBDT:
-		return classFeatureRow(s)
-	case ClassConvNet:
-		return classTensorRow(s)
-	default:
-		return classMixedRow(s)
-	}
-}
-
 // classInput builds the corpus-index encoder for a mechanism.
 func (f *Framework) classInput(kind ClassifierKind) func(si int) []float64 {
 	return func(si int) []float64 { return classEncode(kind, f.Dataset.Stencils[si]) }

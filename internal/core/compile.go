@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/ml"
@@ -10,114 +9,16 @@ import (
 	"stencilmart/internal/ml/tree"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/stencil"
-	"stencilmart/internal/tensor"
 )
 
-// This file builds the float32 inference lane over a trained framework:
-// every checkpointed model compiles once — tree ensembles quantize into
-// SoA flat-node arrays, networks snapshot into f32 forward passes — and
-// the row encoders gain allocation-free Into variants writing into arena
-// scratch. Features are computed in float64 exactly as the reference
-// lane computes them (including input scaling), then converted once per
+// This file builds the float32 inference lane's models over a trained
+// framework: every checkpointed model compiles once — tree ensembles
+// quantize into SoA flat-node arrays, networks snapshot into f32 forward
+// passes. Features are computed in float64 by the one set of row encoders
+// (features.go, including input scaling), then converted once per
 // element, so the only f64→f32 rounding in the whole pipeline happens at
 // compile time (weights) and at the row boundary (inputs) — never
 // twice.
-
-// classWidth is the classifier input width for a mechanism and
-// dimensionality.
-func classWidth(kind ClassifierKind, dims int) int {
-	switch kind {
-	case ClassGBDT:
-		return tensor.NumFeatures
-	case ClassConvNet:
-		return tensor.VolumeLen(dims)
-	default:
-		return tensor.VolumeLen(dims) + tensor.NumFeatures
-	}
-}
-
-// classRowInto is classEncode writing into dst (classWidth wide) without
-// allocating. The stencil must already be validated — the serving path
-// admits before encoding.
-func classRowInto(kind ClassifierKind, s stencil.Stencil, dst []float64) {
-	switch kind {
-	case ClassGBDT:
-		tensor.FeaturesInto(s, dst)
-	case ClassConvNet:
-		if err := tensor.AssignInto(s, dst); err != nil {
-			panic(err)
-		}
-	default:
-		vol := tensor.VolumeLen(s.Dims)
-		if err := tensor.AssignInto(s, dst[:vol]); err != nil {
-			panic(err)
-		}
-		tensor.FeaturesInto(s, dst[vol:])
-	}
-}
-
-// regTailRowInto is regTailRow writing into dst (regTailWidth wide)
-// without allocating; every arithmetic expression matches the reference
-// encoder operation for operation, so the float64 values are identical.
-func regTailRowInto(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, dst []float64) {
-	nf := len(opt.FlagNames)
-	np := len(opt.ParamFeatureNames)
-	ng := len(gpu.FeatureNames)
-	oc.FlagVectorInto(dst[:nf])
-	p.EncodeInto(dst[nf : nf+np])
-	arch.FeaturesInto(dst[nf+np : nf+np+ng])
-
-	order := float64(s.Order())
-	cover := math.Log2(float64(maxi(p.Merge, 1)) * float64(maxi(p.Unroll, 1)) * float64(maxi(p.StreamTile, 1)))
-	haloX := order / float64(p.BlockX)
-	haloY := order / float64(p.BlockY*maxi(p.Merge, 1))
-	bmX := 0.0
-	if oc.Has(opt.BM) && p.MergeDim == 1 {
-		bmX = float64(p.Merge)
-	}
-	stX := 0.0
-	if oc.Has(opt.ST) && p.StreamDim == 1 {
-		stX = 1
-	}
-	lines := float64(stencil.LineCount(s))
-	streamDim := p.StreamDim
-	if streamDim == 0 {
-		streamDim = 3
-	}
-	planeLines := float64(stencil.PlaneLineCount(s, streamDim))
-	tbHalo := 0.0
-	if oc.Has(opt.TB) {
-		tbHalo = order * float64(p.TBDepth)
-	}
-	tail := dst[nf+np+ng:]
-	tail[0], tail[1], tail[2], tail[3] = cover, haloX, haloY, bmX
-	tail[4], tail[5], tail[6], tail[7] = stX, lines, planeLines, tbHalo
-}
-
-// regWidthFor is the regressor input width for a mechanism and
-// dimensionality.
-func regWidthFor(kind RegressorKind, dims int) int {
-	if kind.usesTensor() {
-		return tensor.VolumeLen(dims) + regTailWidth
-	}
-	return tensor.NumFeatures + regTailWidth
-}
-
-// regRowInto is regFeatureRow/regTensorRow writing into dst
-// (regWidthFor wide) without allocating.
-func regRowInto(kind RegressorKind, s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, dst []float64) {
-	var head int
-	if kind.usesTensor() {
-		head = tensor.VolumeLen(s.Dims)
-		if err := tensor.AssignInto(s, dst[:head]); err != nil {
-			panic(err)
-		}
-	} else {
-		head = tensor.NumFeatures
-		tensor.FeaturesInto(s, dst[:head])
-	}
-	regTailRowInto(s, oc, p, arch, dst[head:])
-}
 
 // CompiledRegressorF32 couples a compiled f32 regressor with the input
 // scaling and target inversion of its float64 source.
@@ -129,7 +30,7 @@ type CompiledRegressorF32 struct {
 }
 
 // encodeRowF32 builds one scaled f32 input row: features encode in f64
-// scratch exactly as the reference lane, scaling divides in f64, and the
+// scratch by the reference lane's encoder, scaling divides in f64, and the
 // result converts element-wise — one rounding, at the boundary.
 func (r *CompiledRegressorF32) encodeRowF32(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, scratch []float64, dst []float32) {
 	regRowInto(r.kind, s, oc, p, arch, scratch)
@@ -166,19 +67,6 @@ type CompiledTrained struct {
 	RegressorKind  RegressorKind
 	classifiers    map[string]map[int]ml.ClassifierF32
 	regressors     map[int]*CompiledRegressorF32
-}
-
-// classifierFor mirrors Trained.classifierFor over the compiled set.
-func (ct *CompiledTrained) classifierFor(archName string, dims int) (ml.ClassifierF32, error) {
-	byDims, ok := ct.classifiers[archName]
-	if !ok {
-		return nil, fmt.Errorf("core: no trained classifier for GPU %q", archName)
-	}
-	cls, ok := byDims[dims]
-	if !ok {
-		return nil, fmt.Errorf("core: no trained %d-D classifier for GPU %q", dims, archName)
-	}
-	return cls, nil
 }
 
 // compileClassifierF32 quantizes one trained classifier.

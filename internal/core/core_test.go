@@ -270,13 +270,13 @@ func TestFeatureRowWidths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := regFeatureRow(s, oc, p, arch)
+	row := regRow(RegGB, s, oc, p, arch)
 	wantTail := regTailWidth
-	if len(row) != len(classFeatureRow(s))+wantTail {
+	if len(row) != len(classEncode(ClassGBDT, s))+wantTail {
 		t.Errorf("feature row width %d", len(row))
 	}
-	trow := regTensorRow(s, oc, p, arch)
-	if len(trow) != len(classTensorRow(s))+wantTail {
+	trow := regRow(RegConvMLP, s, oc, p, arch)
+	if len(trow) != len(classEncode(ClassConvNet, s))+wantTail {
 		t.Errorf("tensor row width %d", len(trow))
 	}
 }

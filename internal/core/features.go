@@ -10,38 +10,63 @@ import (
 	"stencilmart/internal/tensor"
 )
 
-// classFeatureRow returns the Table II feature vector for a stencil — the
-// GBDT classifier input.
-func classFeatureRow(s stencil.Stencil) []float64 {
-	return tensor.Features(s)
+// classWidth is the classifier input width for a mechanism and
+// dimensionality.
+func classWidth(kind ClassifierKind, dims int) int {
+	switch kind {
+	case ClassGBDT:
+		return tensor.NumFeatures
+	case ClassConvNet:
+		return tensor.VolumeLen(dims)
+	default:
+		return tensor.VolumeLen(dims) + tensor.NumFeatures
+	}
 }
 
-// classTensorRow returns the flattened assigned tensor — the ConvNet
-// input.
-func classTensorRow(s stencil.Stencil) []float64 {
-	return tensor.MustAssign(s).Data
+// classRowInto encodes one stencil for a mechanism into dst (classWidth
+// wide) without allocating: the Table II feature vector for GBDT, the
+// flattened assigned tensor for ConvNet, tensor followed by features for
+// FcNet. It panics on an invalid stencil — serving admits before
+// encoding, and corpus stencils are valid by construction.
+func classRowInto(kind ClassifierKind, s stencil.Stencil, dst []float64) {
+	switch kind {
+	case ClassGBDT:
+		tensor.FeaturesInto(s, dst)
+	case ClassConvNet:
+		if err := tensor.AssignInto(s, dst); err != nil {
+			panic(err)
+		}
+	default:
+		vol := tensor.VolumeLen(s.Dims)
+		if err := tensor.AssignInto(s, dst[:vol]); err != nil {
+			panic(err)
+		}
+		tensor.FeaturesInto(s, dst[vol:])
+	}
 }
 
-// classMixedRow returns tensor followed by features — the FcNet input.
-func classMixedRow(s stencil.Stencil) []float64 {
-	t := classTensorRow(s)
-	f := classFeatureRow(s)
-	out := make([]float64, 0, len(t)+len(f))
-	out = append(out, t...)
-	return append(out, f...)
+// classEncode is classRowInto into a fresh row.
+func classEncode(kind ClassifierKind, s stencil.Stencil) []float64 {
+	row := make([]float64, classWidth(kind, s.Dims))
+	classRowInto(kind, s, row)
+	return row
 }
 
-// regTailRow encodes the non-stencil part of a regression input: OC
-// flags, the log2/enum-encoded parameter setting, the GPU hardware
-// characteristics (Sec. IV-E), and a block of engineered interaction
-// features. The interactions mirror the first-order structure of stencil
-// kernels — per-thread coverage, tile halo ratios, coalescing breakers,
-// per-line footprint — and are the kind of feature engineering the paper
-// cites as standard practice for regression tasks (Sec. IV-C, [28]).
-func regTailRow(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) []float64 {
-	out := oc.FlagVector()
-	out = append(out, p.Encode()...)
-	out = append(out, arch.Features()...)
+// regTailRowInto encodes the non-stencil part of a regression input into
+// dst (regTailWidth wide): OC flags, the log2/enum-encoded parameter
+// setting, the GPU hardware characteristics (Sec. IV-E), and a block of
+// engineered interaction features. The interactions mirror the
+// first-order structure of stencil kernels — per-thread coverage, tile
+// halo ratios, coalescing breakers, per-line footprint — and are the kind
+// of feature engineering the paper cites as standard practice for
+// regression tasks (Sec. IV-C, [28]).
+func regTailRowInto(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, dst []float64) {
+	nf := len(opt.FlagNames)
+	np := len(opt.ParamFeatureNames)
+	ng := len(gpu.FeatureNames)
+	oc.FlagVectorInto(dst[:nf])
+	p.EncodeInto(dst[nf : nf+np])
+	arch.FeaturesInto(dst[nf+np : nf+np+ng])
 
 	order := float64(s.Order())
 	cover := math.Log2(float64(maxi(p.Merge, 1)) * float64(maxi(p.Unroll, 1)) * float64(maxi(p.StreamTile, 1)))
@@ -65,7 +90,9 @@ func regTailRow(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) []fl
 	if oc.Has(opt.TB) {
 		tbHalo = order * float64(p.TBDepth)
 	}
-	return append(out, cover, haloX, haloY, bmX, stX, lines, planeLines, tbHalo)
+	tail := dst[nf+np+ng:]
+	tail[0], tail[1], tail[2], tail[3] = cover, haloX, haloY, bmX
+	tail[4], tail[5], tail[6], tail[7] = stX, lines, planeLines, tbHalo
 }
 
 // regInteractionNames lists the engineered tail features in order.
@@ -73,7 +100,7 @@ var regInteractionNames = []string{
 	"log2Cover", "haloX", "haloY", "bmXMerge", "streamX", "lines", "planeLines", "tbHalo",
 }
 
-// regTailWidth is the width of regTailRow.
+// regTailWidth is the width of regTailRowInto's output.
 var regTailWidth = len(opt.FlagNames) + len(opt.ParamFeatureNames) + len(gpu.FeatureNames) + len(regInteractionNames)
 
 func maxi(a, b int) int {
@@ -83,18 +110,37 @@ func maxi(a, b int) int {
 	return b
 }
 
-// regFeatureRow is the MLP/GBRegressor input: Table II stencil features
-// followed by the tail.
-func regFeatureRow(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) []float64 {
-	out := classFeatureRow(s)
-	return append(out, regTailRow(s, oc, p, arch)...)
+// regWidthFor is the regressor input width for a mechanism and
+// dimensionality.
+func regWidthFor(kind RegressorKind, dims int) int {
+	if kind.usesTensor() {
+		return tensor.VolumeLen(dims) + regTailWidth
+	}
+	return tensor.NumFeatures + regTailWidth
 }
 
-// regTensorRow is the ConvMLP input: assigned tensor followed by the
-// tail.
-func regTensorRow(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) []float64 {
-	out := classTensorRow(s)
-	return append(out, regTailRow(s, oc, p, arch)...)
+// regRowInto encodes one regression input into dst (regWidthFor wide)
+// without allocating: the assigned tensor (ConvMLP) or the Table II
+// features (MLP, GBRegressor), followed by the tail.
+func regRowInto(kind RegressorKind, s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, dst []float64) {
+	var head int
+	if kind.usesTensor() {
+		head = tensor.VolumeLen(s.Dims)
+		if err := tensor.AssignInto(s, dst[:head]); err != nil {
+			panic(err)
+		}
+	} else {
+		head = tensor.NumFeatures
+		tensor.FeaturesInto(s, dst[:head])
+	}
+	regTailRowInto(s, oc, p, arch, dst[head:])
+}
+
+// regRow is regRowInto into a fresh row.
+func regRow(kind RegressorKind, s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) []float64 {
+	row := make([]float64, regWidthFor(kind, s.Dims))
+	regRowInto(kind, s, oc, p, arch, row)
+	return row
 }
 
 // regTarget converts an instance time to the training target. Regressors
@@ -106,16 +152,12 @@ func regTarget(seconds float64) float64 { return math.Log2(seconds) }
 func regInvert(target float64) float64 { return math.Exp2(target) }
 
 // instanceRow builds the regression input row for a profiled instance.
-func (f *Framework) instanceRow(in profile.Instance, tensorInput bool) ([]float64, error) {
+func (f *Framework) instanceRow(kind RegressorKind, in profile.Instance) ([]float64, error) {
 	_, arch, err := f.ArchByName(in.Arch)
 	if err != nil {
 		return nil, err
 	}
-	s := f.Dataset.Stencils[in.StencilIdx]
-	if tensorInput {
-		return regTensorRow(s, in.OC, in.Params, arch), nil
-	}
-	return regFeatureRow(s, in.OC, in.Params, arch), nil
+	return regRow(kind, f.Dataset.Stencils[in.StencilIdx], in.OC, in.Params, arch), nil
 }
 
 // columnScaler rescales feature columns to [0, 1] by the training maxima

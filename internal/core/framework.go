@@ -20,7 +20,7 @@ type Framework struct {
 	Grouping merge.Grouping
 	Model    *sim.Model
 	// Trained holds the deployed full-corpus models after TrainAll or
-	// LoadFramework; nil until then. See checkpoint.go.
+	// LoadFramework; nil until then. See train.go.
 	Trained *Trained
 
 	// compiled caches the f32 inference lane built by CompiledF32 for the

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"math/rand"
 
+	"stencilmart/internal/gpu"
 	"stencilmart/internal/ml"
 	"stencilmart/internal/ml/nn"
 	"stencilmart/internal/ml/tree"
+	"stencilmart/internal/opt"
 	"stencilmart/internal/par"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/stats"
+	"stencilmart/internal/stencil"
 )
 
 // RegressorKind selects one of the paper's performance-prediction
@@ -109,7 +112,7 @@ func (f *Framework) TrainRegressor(kind RegressorKind, dims int, instances []pro
 	x := make([][]float64, len(instances))
 	y := make([]float64, len(instances))
 	for i, in := range instances {
-		row, err := f.instanceRow(in, kind.usesTensor())
+		row, err := f.instanceRow(kind, in)
 		if err != nil {
 			return nil, err
 		}
@@ -148,20 +151,48 @@ func (t *TrainedRegressor) PredictSeconds(in profile.Instance) (float64, error) 
 func (t *TrainedRegressor) PredictSecondsBatch(ins []profile.Instance) ([]float64, error) {
 	rows := make([][]float64, len(ins))
 	for i, in := range ins {
-		row, err := t.f.instanceRow(in, t.kind.usesTensor())
+		row, err := t.f.instanceRow(t.kind, in)
 		if err != nil {
 			return nil, err
 		}
 		rows[i] = t.xScale.apply(row)
 	}
 	vals := ml.PredictValueAll(t.model, rows)
+	t.invertSeconds(vals)
+	return vals, nil
+}
+
+// PredictStencilSeconds predicts execution times for one (stencil, OC,
+// params) triple on every given architecture in a single batched forward
+// pass — the cross-GPU query behind the rent advisor. Rows build directly
+// from the stencil, so unseen stencils (not in the training dataset) are
+// first-class inputs.
+func (t *TrainedRegressor) PredictStencilSeconds(s stencil.Stencil, oc opt.Opt, p opt.Params, archs []gpu.Arch) []float64 {
+	rows := t.stencilRows(s, oc, p, archs)
+	vals := ml.PredictValueAll(t.model, rows)
+	t.invertSeconds(vals)
+	return vals
+}
+
+// stencilRows encodes and scales the regressor inputs for one (stencil,
+// OC, params) triple on every given architecture.
+func (t *TrainedRegressor) stencilRows(s stencil.Stencil, oc opt.Opt, p opt.Params, archs []gpu.Arch) [][]float64 {
+	rows := make([][]float64, len(archs))
+	for i, a := range archs {
+		rows[i] = t.xScale.apply(regRow(t.kind, s, oc, p, a))
+	}
+	return rows
+}
+
+// invertSeconds converts raw model outputs to seconds in place, undoing
+// target scaling and the log2 transform.
+func (t *TrainedRegressor) invertSeconds(vals []float64) {
 	for i, v := range vals {
 		if t.kind.usesScaling() {
 			v = t.yScale.invert(v)
 		}
 		vals[i] = regInvert(v)
 	}
-	return vals, nil
 }
 
 // RegressorMAPE runs the k-fold protocol for one mechanism over the

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +89,32 @@ func TestPredictPanicRecovered(t *testing.T) {
 	rec3, out3 := postPredict(t, h, `{"stencil":"star2d1r","gpu":"V100"}`)
 	if rec3.Code != http.StatusOK {
 		t.Fatalf("predict after recovery gave %d (%v)", rec3.Code, out3)
+	}
+}
+
+// TestPredictStatusIgnoresErrorText: the 400 class is decided by the
+// pipeline's ErrBadRequest marker, not by words in the error text. A
+// server-side failure on a stencil the client named "unknown7pt" embeds
+// that name in its message and must still be a 500, on the f64 lane (a
+// stubbed tuning failure) as on any other; a real admission failure on
+// the same stencil stays a 400.
+func TestPredictStatusIgnoresErrorText(t *testing.T) {
+	s := hardenedServer(t, Options{})
+	h := s.Handler()
+	body := func(gpu string) string {
+		return `{"name":"unknown7pt","dims":2,"points":[[0,0,0],[1,0,0],[-1,0,0]],"gpu":"` + gpu + `"}`
+	}
+	s.setPredict(serialStub(func(arch string, st stencil.Stencil) (*core.ServePrediction, error) {
+		return nil, fmt.Errorf("core: no runnable OC for %s on %s", st.Name, arch)
+	}))
+	rec, out := postPredict(t, h, body("V100"))
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("tuning failure on stencil %q gave %d (%v), want 500", "unknown7pt", rec.Code, out)
+	}
+	s.setPredict(nil)
+	rec, out = postPredict(t, h, body("H100"))
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown GPU gave %d (%v), want 400", rec.Code, out)
 	}
 }
 

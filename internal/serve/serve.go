@@ -21,7 +21,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +52,7 @@ const MaxRequestBytes = 1 << 20
 // Lane selects which numeric inference path scores a request: the
 // float64 reference pipeline or the compiled float32 hot path (quantized
 // SoA tree traversal / f32 GEMM over arena scratch). Decisions agree
-// away from documented ties; see DESIGN.md §11 for the tolerance
+// away from documented ties; see DESIGN.md §12 for the tolerance
 // contract.
 type Lane string
 
@@ -853,11 +852,9 @@ func predictStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, errBreakerOpen):
 		return http.StatusServiceUnavailable
-	case strings.HasPrefix(err.Error(), "internal error"):
-		return http.StatusInternalServerError
-	case strings.Contains(err.Error(), "unknown"),
-		strings.Contains(err.Error(), "not in dataset"),
-		strings.Contains(err.Error(), "no trained"):
+	case errors.Is(err, core.ErrBadRequest):
+		// Decided by the pipeline's admission marker, never by error
+		// text: server-side failures embed the client-chosen stencil name.
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

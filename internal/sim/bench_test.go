@@ -111,7 +111,7 @@ func BenchmarkEvaluatorEvalWarm(b *testing.B) {
 
 // BenchmarkReferenceRunCold and BenchmarkReferenceRunWarm are the
 // pre-rewrite baseline under the same sample mixes — the denominator of
-// the speedups recorded in BENCH_sim.json.
+// the PR 10 speedups quoted in EXPERIMENTS.md.
 func BenchmarkReferenceRunCold(b *testing.B) {
 	w, arch := benchCell()
 	ref := NewReference()
