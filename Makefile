@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes fuzz
+.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -50,3 +50,10 @@ bench-lanes:
 
 fuzz:
 	$(GO) test ./internal/profile/ -fuzz FuzzDatasetRoundTrip -fuzztime 30s
+
+# Five-second runs of the checkpoint fuzz targets (check.sh runs this).
+# Minimising a megabyte-sized interesting input would eat the whole
+# budget, hence -fuzzminimizetime 1x.
+fuzz-smoke:
+	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzPersistRead -fuzztime 5s
+	$(GO) test ./internal/core/ -run='^$$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x

@@ -68,14 +68,14 @@ func (s shardState) String() string {
 
 // shardInfo is the coordinator-side state of one shard.
 type shardInfo struct {
-	id       int
-	cells    []int
-	state    shardState
-	worker   string
-	attempt  int
-	expiry   time.Time
-	done     int // cells reported durable by the current attempt
-	paths    []string
+	id      int
+	cells   []int
+	state   shardState
+	worker  string
+	attempt int
+	expiry  time.Time
+	done    int // cells reported durable by the current attempt
+	paths   []string
 }
 
 // workerInfo aggregates per-worker progress and fault counters.

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"stencilmart/internal/merge"
 	"stencilmart/internal/ml"
@@ -20,9 +17,12 @@ import (
 // CheckpointKind and CheckpointVersion frame the framework checkpoint in
 // the persist envelope. Version bumps whenever the payload schema below
 // changes incompatibly (see the persist package's versioning policy).
+// Version 2 is the framed envelope with the dataset's instances and every
+// tree's nodes stored as columns; version-1 files are refused, not
+// migrated (retrain, or rebuild the dataset from its journal).
 const (
 	CheckpointKind    = "stencilmart-framework"
-	CheckpointVersion = 1
+	CheckpointVersion = 2
 )
 
 // ParseClassifierKind resolves a mechanism name (GBDT, ConvNet, FcNet).
@@ -81,10 +81,10 @@ type schemaEntry struct {
 	RegWidth   int `json:"reg_width"`
 }
 
-// checkpointPayload is the version-1 framework checkpoint schema.
+// checkpointPayload is the version-2 framework checkpoint schema.
 type checkpointPayload struct {
 	Config         Config            `json:"config"`
-	Dataset        json.RawMessage   `json:"dataset"`
+	Dataset        profile.Wire      `json:"dataset"`
 	Grouping       merge.Grouping    `json:"grouping"`
 	Schema         []schemaEntry     `json:"schema"`
 	ClassifierKind string            `json:"classifier_kind"`
@@ -139,13 +139,9 @@ func (f *Framework) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var dsBuf bytes.Buffer
-	if err := f.Dataset.WriteJSON(&dsBuf); err != nil {
-		return err
-	}
 	payload := checkpointPayload{
 		Config:         f.Cfg,
-		Dataset:        dsBuf.Bytes(),
+		Dataset:        f.Dataset.Wire(),
 		Grouping:       f.Grouping,
 		Schema:         f.featureSchema(tr.ClassifierKind, tr.RegressorKind),
 		ClassifierKind: tr.ClassifierKind.String(),
@@ -184,6 +180,9 @@ func (f *Framework) Save(w io.Writer) error {
 	}
 	return persist.Write(w, CheckpointKind, CheckpointVersion, payload)
 }
+
+// SaveFile checkpoints the framework to a file atomically.
+func (f *Framework) SaveFile(path string) error { return persist.WriteFile(path, f.Save) }
 
 // restoreClassifier rehydrates one classifier, validating that the stored
 // model matches the declared mechanism and the grouping's class count.
@@ -275,7 +274,7 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 	if err := persist.Read(r, CheckpointKind, CheckpointVersion, &payload); err != nil {
 		return nil, err
 	}
-	ds, err := profile.ReadJSON(bytes.NewReader(payload.Dataset))
+	ds, err := payload.Dataset.Dataset()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
 	}
@@ -361,24 +360,6 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 	}
 	f.Trained = tr
 	return f, nil
-}
-
-// SaveFile checkpoints the framework to a file atomically: the envelope
-// lands in a temporary sibling and renames into place.
-func (f *Framework) SaveFile(path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := f.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // LoadFrameworkFile rehydrates a checkpoint from disk.

@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"stencilmart/internal/ml"
+	"stencilmart/internal/ml/tree"
 	"stencilmart/internal/persist"
+	"stencilmart/internal/profile"
 	"stencilmart/internal/stencil"
 )
 
@@ -60,11 +63,103 @@ func ckptSameBitsSlice(a, b []float64) bool {
 	return true
 }
 
+// reloaded sends a trained framework through Save → LoadFramework.
+func reloaded(t testing.TB, fw *Framework) *Framework {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := fw.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := LoadFramework(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lf
+}
+
+// sameDatasetBits fails unless b holds a's stencils, archs, profiles and
+// instances with every time bit for bit — crashed results' NaNs included.
+func sameDatasetBits(t *testing.T, a, b *profile.Dataset) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Stencils, b.Stencils) || !reflect.DeepEqual(a.Archs, b.Archs) {
+		t.Fatal("stencils or archs drift after reload")
+	}
+	if len(a.Profiles) != len(b.Profiles) || len(a.Instances) != len(b.Instances) {
+		t.Fatalf("dataset shape drift: %d/%d profile rows, %d/%d instances", len(a.Profiles), len(b.Profiles), len(a.Instances), len(b.Instances))
+	}
+	crashed := 0
+	for ai := range a.Profiles {
+		if len(a.Profiles[ai]) != len(b.Profiles[ai]) {
+			t.Fatalf("arch %d: %d/%d profiles", ai, len(a.Profiles[ai]), len(b.Profiles[ai]))
+		}
+		for si, pa := range a.Profiles[ai] {
+			pb := b.Profiles[ai][si]
+			if pa.StencilIdx != pb.StencilIdx || pa.Arch != pb.Arch || pa.BestOC != pb.BestOC || !ckptSameBits(pa.BestTime, pb.BestTime) || len(pa.Results) != len(pb.Results) {
+				t.Fatalf("profile %d/%d drift:\n%+v\n%+v", ai, si, pa, pb)
+			}
+			for ci, ra := range pa.Results {
+				rb := pb.Results[ci]
+				if ra.OC != rb.OC || ra.Crashed != rb.Crashed || ra.Params != rb.Params || !ckptSameBits(ra.Time, rb.Time) {
+					t.Fatalf("profile %d/%d result %d drift: %+v vs %+v", ai, si, ci, ra, rb)
+				}
+				if ra.Crashed && math.IsNaN(ra.Time) {
+					crashed++
+				}
+			}
+		}
+	}
+	if crashed == 0 {
+		t.Error("smoke dataset has no crashed (NaN) result; the NaN round trip went unchecked")
+	}
+	for i, ia := range a.Instances {
+		ib := b.Instances[i]
+		if ia.StencilIdx != ib.StencilIdx || ia.OC != ib.OC || ia.Params != ib.Params || ia.Arch != ib.Arch || !ckptSameBits(ia.Time, ib.Time) {
+			t.Fatalf("instance %d drift: %+v vs %+v", i, ia, ib)
+		}
+	}
+}
+
+// sameTreeBits compares two flattened trees column by column.
+func sameTreeBits(t *testing.T, where string, a, b tree.FlatTree) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Feature, b.Feature) || !reflect.DeepEqual(a.Left, b.Left) || !reflect.DeepEqual(a.Right, b.Right) ||
+		!ckptSameBitsSlice(a.Threshold, b.Threshold) || !ckptSameBitsSlice(a.Value, b.Value) || !ckptSameBitsSlice(a.Gain, b.Gain) {
+		t.Fatalf("%s: tree nodes drift after reload", where)
+	}
+}
+
+// sameModelBits compares every node field of every tree in a fitted
+// ensemble with its reloaded twin; network models are covered by the
+// serving comparison (their weight blocks load verbatim or not at all).
+func sameModelBits(t *testing.T, where string, a, b any) {
+	t.Helper()
+	switch ma := a.(type) {
+	case *tree.GBDT:
+		sa, sb := ma.State(), b.(*tree.GBDT).State()
+		if sa.Classes != sb.Classes || !ckptSameBitsSlice(sa.Prior, sb.Prior) || sa.Config != sb.Config || len(sa.Trees) != len(sb.Trees) {
+			t.Fatalf("%s: GBDT state drift", where)
+		}
+		for r := range sa.Trees {
+			for c := range sa.Trees[r] {
+				sameTreeBits(t, fmt.Sprintf("%s round %d class %d", where, r, c), sa.Trees[r][c], sb.Trees[r][c])
+			}
+		}
+	case *tree.GBRegressor:
+		sa, sb := ma.State(), b.(*tree.GBRegressor).State()
+		if !ckptSameBits(sa.Base, sb.Base) || sa.Config != sb.Config || len(sa.Trees) != len(sb.Trees) {
+			t.Fatalf("%s: GBRegressor state drift", where)
+		}
+		for i := range sa.Trees {
+			sameTreeBits(t, fmt.Sprintf("%s tree %d", where, i), sa.Trees[i], sb.Trees[i])
+		}
+	}
+}
+
 // TestSaveLoadBitwiseIdentical is the differential round-trip check the
 // checkpoint format promises: for every classifier and regressor
-// mechanism, a saved-then-loaded framework must reproduce the full
-// serving path — class, probabilities, tuned parameters, and cross-GPU
-// times — bitwise.
+// mechanism, a saved-then-loaded framework holds the same dataset and
+// tree nodes bit for bit and reproduces the full serving path — class,
+// probabilities, tuned parameters, and cross-GPU times — bitwise.
 func TestSaveLoadBitwiseIdentical(t *testing.T) {
 	fw := ckptFramework(t)
 	pairs := []struct {
@@ -80,13 +175,15 @@ func TestSaveLoadBitwiseIdentical(t *testing.T) {
 			if err := fw.TrainAll(context.Background(), pair.ck, pair.rk); err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := fw.Save(&buf); err != nil {
-				t.Fatal(err)
+			lf := reloaded(t, fw)
+			sameDatasetBits(t, fw.Dataset, lf.Dataset)
+			for arch, byDims := range fw.Trained.Classifiers {
+				for dims, cls := range byDims {
+					sameModelBits(t, fmt.Sprintf("%s/%d-D classifier", arch, dims), cls, lf.Trained.Classifiers[arch][dims])
+				}
 			}
-			lf, err := LoadFramework(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			for dims, reg := range fw.Trained.Regressors {
+				sameModelBits(t, fmt.Sprintf("%d-D regressor", dims), reg.model, lf.Trained.Regressors[dims].model)
 			}
 			for _, s := range ckptProbes() {
 				for _, a := range fw.Dataset.Archs {
@@ -166,10 +263,10 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 		{
 			name: "gbdt tree child out of bounds",
 			mutate: func(p *checkpointPayload) {
-				nodes := p.Classifiers[0].Model.GBDT.Trees[0][0]
-				for i := range nodes {
-					if nodes[i].Left >= 0 {
-						nodes[i].Left = len(nodes) + 7
+				ft := p.Classifiers[0].Model.GBDT.Trees[0][0]
+				for i := range ft.Left {
+					if ft.Left[i] >= 0 {
+						ft.Left[i] = len(ft.Left) + 7
 						return
 					}
 				}
@@ -198,11 +295,34 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 			want:   "duplicate",
 		},
 		{
-			name: "dataset corrupted",
+			name: "gbdt tree columns ragged",
 			mutate: func(p *checkpointPayload) {
-				p.Dataset = json.RawMessage(`[1,2,3]`)
+				ft := &p.Classifiers[0].Model.GBDT.Trees[0][0]
+				ft.Gain = ft.Gain[:len(ft.Gain)-1]
 			},
-			want: "dataset",
+			want: "ragged",
+		},
+		{
+			name:   "dataset corrupted",
+			mutate: func(p *checkpointPayload) { p.Dataset = profile.Wire{Archs: []string{"NoSuchGPU"}} },
+			want:   "dataset",
+		},
+		{
+			name:   "dataset instance columns ragged",
+			mutate: func(p *checkpointPayload) { p.Dataset.Instances.Time = p.Dataset.Instances.Time[1:] },
+			want:   "dataset: profile: ragged instance columns",
+		},
+		{
+			name: "dataset params not ten per instance",
+			mutate: func(p *checkpointPayload) {
+				p.Dataset.Instances.Params = p.Dataset.Instances.Params[:len(p.Dataset.Instances.Params)-3]
+			},
+			want: "dataset: profile: ragged instance columns",
+		},
+		{
+			name:   "dataset arch index out of range",
+			mutate: func(p *checkpointPayload) { p.Dataset.Instances.Arch[5] = len(p.Dataset.Archs) },
+			want:   "dataset: profile: instance 5 has arch index",
 		},
 	}
 	for _, tc := range cases {
@@ -311,14 +431,7 @@ func TestSaveLoadBatchedTreePredictions(t *testing.T) {
 	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := fw.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lf, err := LoadFramework(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	lf := reloaded(t, fw)
 
 	for arch, byDims := range fw.Trained.Classifiers {
 		for dims, cls := range byDims {

@@ -66,8 +66,10 @@ func outcomeDigest(t testing.TB, o ServeOutcome) string {
 }
 
 // serveGoldenDigests trains each mechanism pair on the shared smoke
-// framework and digests goldenRequests through both lanes.
-func serveGoldenDigests(t testing.TB, fw *Framework) map[string][]string {
+// framework and digests goldenRequests through both lanes of the
+// framework serving returns for it (the trained one itself, or its
+// checkpoint read back).
+func serveGoldenDigests(t testing.TB, trained *Framework, serving func(*Framework) *Framework) map[string][]string {
 	t.Helper()
 	pairs := []struct {
 		ck ClassifierKind
@@ -78,9 +80,10 @@ func serveGoldenDigests(t testing.TB, fw *Framework) map[string][]string {
 	}
 	out := make(map[string][]string)
 	for _, pair := range pairs {
-		if err := fw.TrainAll(context.Background(), pair.ck, pair.rk); err != nil {
+		if err := trained.TrainAll(context.Background(), pair.ck, pair.rk); err != nil {
 			t.Fatal(err)
 		}
+		fw := serving(trained)
 		reqs := goldenRequests(t, fw)
 		name := pair.ck.String() + "_" + pair.rk.String()
 		for lane, outs := range map[string][]ServeOutcome{
@@ -100,7 +103,10 @@ func serveGoldenDigests(t testing.TB, fw *Framework) map[string][]string {
 
 // TestServeGoldenCrossCommit asserts that every response body and error
 // text the pipeline produces today hashes to what the pre-unification
-// pipeline produced.
+// pipeline produced — from the framework as trained, and from the same
+// framework after Save → LoadFramework, so "loaded predicts bitwise what
+// trained predicts" is pinned against the recorded digests and not only
+// against itself.
 func TestServeGoldenCrossCommit(t *testing.T) {
 	raw, err := os.ReadFile(serveGoldenPath)
 	if err != nil {
@@ -114,19 +120,24 @@ func TestServeGoldenCrossCommit(t *testing.T) {
 		t.Skipf("golden recorded on %s, running on %s", golden.GOARCH, runtime.GOARCH)
 	}
 	fw := ckptFramework(t)
-	got := serveGoldenDigests(t, fw)
-	if len(got) != len(golden.Digests) {
-		t.Fatalf("golden covers %d framework/lane cells, this run %d", len(golden.Digests), len(got))
-	}
 	reqs := goldenRequests(t, fw)
-	for cell, want := range golden.Digests {
-		if len(got[cell]) != len(want) {
-			t.Fatalf("%s: golden has %d digests, this run %d", cell, len(want), len(got[cell]))
+	for name, serving := range map[string]func(*Framework) *Framework{
+		"trained":  func(f *Framework) *Framework { return f },
+		"reloaded": func(f *Framework) *Framework { return reloaded(t, f) },
+	} {
+		got := serveGoldenDigests(t, fw, serving)
+		if len(got) != len(golden.Digests) {
+			t.Fatalf("%s: golden covers %d framework/lane cells, this run %d", name, len(golden.Digests), len(got))
 		}
-		for i := range want {
-			if got[cell][i] != want[i] {
-				t.Errorf("%s: request %d (%s on %s) digest %s, recorded %s",
-					cell, i, reqs[i].Stencil.Name, reqs[i].GPU, got[cell][i], want[i])
+		for cell, want := range golden.Digests {
+			if len(got[cell]) != len(want) {
+				t.Fatalf("%s %s: golden has %d digests, this run %d", name, cell, len(want), len(got[cell]))
+			}
+			for i := range want {
+				if got[cell][i] != want[i] {
+					t.Errorf("%s %s: request %d (%s on %s) digest %s, recorded %s",
+						name, cell, i, reqs[i].Stencil.Name, reqs[i].GPU, got[cell][i], want[i])
+				}
 			}
 		}
 	}

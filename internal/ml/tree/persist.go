@@ -1,81 +1,88 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
 
-// FlatNode is one serialized tree node. Nodes flatten in preorder into an
-// array; Left and Right index that array and are -1 for leaves. The flat
-// form keeps checkpoints free of pointer cycles and lets reconstruction
-// validate structure (bounds, acyclicity, full coverage) before any
-// prediction runs.
-type FlatNode struct {
+	"stencilmart/internal/persist"
+)
+
+// FlatTree is one serialized tree: its nodes in preorder as parallel
+// columns, row i of every column being node i. The flat form keeps
+// checkpoints free of pointer cycles and lets reconstruction validate
+// structure (bounds, acyclicity, full coverage) before any prediction
+// runs; columns keep a node to a few bytes and decode without reflection.
+type FlatTree struct {
 	// Feature is the split feature index, or -1 for a leaf.
-	Feature int `json:"f"`
+	Feature persist.Ints `json:"f"`
 	// Threshold is the split threshold (unused for leaves).
-	Threshold float64 `json:"t"`
+	Threshold persist.Floats `json:"t"`
 	// Value is the leaf prediction (unused for internal nodes).
-	Value float64 `json:"v"`
-	// Gain is the split gain at internal nodes (feeds FeatureImportance);
-	// omitted from JSON when zero, so checkpoints written before the field
-	// existed load unchanged and the format version stays 1.
-	Gain float64 `json:"g,omitempty"`
-	// Left and Right index the node array; -1 for leaves.
-	Left  int `json:"l"`
-	Right int `json:"r"`
+	Value persist.Floats `json:"v"`
+	// Gain is the split gain at internal nodes (feeds FeatureImportance).
+	Gain persist.Floats `json:"g"`
+	// Left and Right index the node columns; -1 for leaves.
+	Left  persist.Ints `json:"l"`
+	Right persist.Ints `json:"r"`
 }
 
-// Flatten serializes the tree into preorder flat nodes.
-func (t *Tree) Flatten() []FlatNode {
-	var out []FlatNode
-	var walk func(n *node) int
-	walk = func(n *node) int {
-		at := len(out)
-		out = append(out, FlatNode{Feature: n.feature, Threshold: n.threshold, Value: n.value, Gain: n.gain, Left: -1, Right: -1})
-		if n.feature >= 0 {
-			out[at].Left = walk(n.left)
-			out[at].Right = walk(n.right)
-		}
-		return at
+const maxFlatDepth = 256
+
+// Flatten serializes the tree into preorder node columns.
+func (t *Tree) Flatten() FlatTree {
+	var out FlatTree
+	for _, n := range t.flat.nodes {
+		out.Feature = append(out.Feature, int(n.feature))
+		out.Threshold = append(out.Threshold, n.thr)
+		out.Value = append(out.Value, n.value)
+		out.Gain = append(out.Gain, n.gain)
+		out.Left = append(out.Left, int(n.left))
+		out.Right = append(out.Right, int(n.right))
 	}
-	walk(t.root)
 	return out
 }
 
-// TreeFromFlat rebuilds a tree from flat nodes, validating structure:
-// child indices must stay in bounds, every node must be referenced at
-// most once (no sharing, no cycles), and internal nodes need both
-// children. A corrupt node array fails here rather than mispredicting.
-func TreeFromFlat(nodes []FlatNode) (*Tree, error) {
-	if len(nodes) == 0 {
+// TreeFromFlat rebuilds a tree from node columns, validating structure:
+// the columns must be equally long, child indices must stay in bounds,
+// every node must be referenced at most once (no sharing, no cycles), and
+// internal nodes need both children, no deeper than maxFlatDepth (fitted
+// trees stop at TreeConfig.MaxDepth; the bound keeps a hostile chain of
+// nodes from exhausting the stack). A corrupt tree fails here rather than
+// mispredicting.
+func TreeFromFlat(ft FlatTree) (*Tree, error) {
+	n := len(ft.Feature)
+	if n == 0 {
 		return nil, fmt.Errorf("tree: empty node array")
 	}
-	used := make([]bool, len(nodes))
-	var build func(i int) (*node, error)
-	build = func(i int) (*node, error) {
-		if i < 0 || i >= len(nodes) {
-			return nil, fmt.Errorf("tree: node index %d outside [0,%d)", i, len(nodes))
+	if len(ft.Threshold) != n || len(ft.Value) != n || len(ft.Gain) != n || len(ft.Left) != n || len(ft.Right) != n {
+		return nil, fmt.Errorf("tree: ragged node columns: %d f, %d t, %d v, %d g, %d l, %d r", n, len(ft.Threshold), len(ft.Value), len(ft.Gain), len(ft.Left), len(ft.Right))
+	}
+	used := make([]bool, n)
+	var build func(i, depth int) (*node, error)
+	build = func(i, depth int) (*node, error) {
+		if i < 0 || i >= n || depth > maxFlatDepth {
+			return nil, fmt.Errorf("tree: node index %d outside [0,%d) or deeper than %d", i, n, maxFlatDepth)
 		}
 		if used[i] {
 			return nil, fmt.Errorf("tree: node %d referenced twice", i)
 		}
 		used[i] = true
-		fn := nodes[i]
-		n := &node{feature: fn.Feature, threshold: fn.Threshold, value: fn.Value, gain: fn.Gain}
-		if fn.Feature < 0 {
-			if fn.Left != -1 || fn.Right != -1 {
+		nd := &node{feature: ft.Feature[i], threshold: ft.Threshold[i], value: ft.Value[i], gain: ft.Gain[i]}
+		if nd.feature < 0 {
+			if ft.Left[i] != -1 || ft.Right[i] != -1 {
 				return nil, fmt.Errorf("tree: leaf %d has children", i)
 			}
-			return n, nil
+			return nd, nil
 		}
 		var err error
-		if n.left, err = build(fn.Left); err != nil {
+		if nd.left, err = build(ft.Left[i], depth+1); err != nil {
 			return nil, err
 		}
-		if n.right, err = build(fn.Right); err != nil {
+		if nd.right, err = build(ft.Right[i], depth+1); err != nil {
 			return nil, err
 		}
-		return n, nil
+		return nd, nil
 	}
-	root, err := build(0)
+	root, err := build(0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -91,9 +98,9 @@ func TreeFromFlat(nodes []FlatNode) (*Tree, error) {
 
 // GBRegressorState is the serializable form of a fitted GBRegressor.
 type GBRegressorState struct {
-	Config BoostConfig  `json:"config"`
-	Base   float64      `json:"base"`
-	Trees  [][]FlatNode `json:"trees"`
+	Config BoostConfig `json:"config"`
+	Base   float64     `json:"base"`
+	Trees  []FlatTree  `json:"trees"`
 }
 
 // State snapshots a fitted regressor.
@@ -122,17 +129,17 @@ func GBRegressorFromState(st GBRegressorState) (*GBRegressor, error) {
 
 // GBDTState is the serializable form of a fitted GBDT classifier.
 type GBDTState struct {
-	Config  BoostConfig    `json:"config"`
-	Classes int            `json:"classes"`
-	Prior   []float64      `json:"prior"`
-	Trees   [][][]FlatNode `json:"trees"` // [round][class]
+	Config  BoostConfig  `json:"config"`
+	Classes int          `json:"classes"`
+	Prior   []float64    `json:"prior"`
+	Trees   [][]FlatTree `json:"trees"` // [round][class]
 }
 
 // State snapshots a fitted classifier.
 func (g *GBDT) State() GBDTState {
 	st := GBDTState{Config: g.cfg, Classes: g.classes, Prior: g.prior}
 	for _, round := range g.trees {
-		var r [][]FlatNode
+		var r []FlatTree
 		for _, t := range round {
 			r = append(r, t.Flatten())
 		}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"stencilmart/internal/persist"
 )
 
 // TestGBDTStateRoundTripBatch round-trips a histogram-trained classifier
@@ -87,26 +89,73 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	}
 }
 
-// TestFlatNodeGainBackwardCompat: node arrays written before the Gain
-// field existed (no "g" key) must still load, with zero gains.
-func TestFlatNodeGainBackwardCompat(t *testing.T) {
-	blob := []byte(`[{"f":0,"t":0.5,"v":0,"l":1,"r":2},{"f":-1,"t":0,"v":1,"l":-1,"r":-1},{"f":-1,"t":0,"v":2,"l":-1,"r":-1}]`)
-	var nodes []FlatNode
-	if err := json.Unmarshal(blob, &nodes); err != nil {
-		t.Fatal(err)
+// stump is a three-node tree: split on feature 0 at 0.5, leaves 1 and 2.
+func stump() FlatTree {
+	return FlatTree{
+		Feature: persist.Ints{0, -1, -1}, Threshold: persist.Floats{0.5, 0, 0}, Value: persist.Floats{0, 1, 2},
+		Gain: persist.Floats{3, 0, 0}, Left: persist.Ints{1, -1, -1}, Right: persist.Ints{2, -1, -1},
 	}
-	tr, err := TreeFromFlat(nodes)
+}
+
+// chain is a right-leaning tree of the given depth: node 2i splits into
+// leaf 2i+1 and node 2i+2, the last node being a leaf.
+func chain(depth int) FlatTree {
+	var ft FlatTree
+	for i := 0; i < depth; i++ {
+		ft.Feature = append(ft.Feature, 0, -1)
+		ft.Left = append(ft.Left, 2*i+1, -1)
+		ft.Right = append(ft.Right, 2*i+2, -1)
+	}
+	ft.Feature, ft.Left, ft.Right = append(ft.Feature, -1), append(ft.Left, -1), append(ft.Right, -1)
+	ft.Threshold = make(persist.Floats, len(ft.Feature))
+	ft.Value, ft.Gain = ft.Threshold, ft.Threshold
+	return ft
+}
+
+// TestTreeFromFlatColumns: node columns written as JSON rebuild a tree
+// that predicts from them, and every structural defect a corrupt file
+// can carry is refused before any prediction runs.
+func TestTreeFromFlatColumns(t *testing.T) {
+	blob, err := json.Marshal(stump())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict([]float64{0.2}); got != 1 {
-		t.Errorf("left leaf = %v, want 1", got)
+	if want := `{"f":[0,-1,-1],"t":[0.5,0,0],"v":[0,1,2],"g":[3,0,0],"l":[1,-1,-1],"r":[2,-1,-1]}`; string(blob) != want {
+		t.Fatalf("wire form %s, want %s", blob, want)
 	}
-	if got := tr.Predict([]float64{0.9}); got != 2 {
-		t.Errorf("right leaf = %v, want 2", got)
+	var ft FlatTree
+	if err := json.Unmarshal(blob, &ft); err != nil {
+		t.Fatal(err)
 	}
-	out := tr.PredictBatch([][]float64{{0.2}, {0.9}}, nil)
-	if out[0] != 1 || out[1] != 2 {
-		t.Errorf("batch after legacy load = %v, want [1 2]", out)
+	tr, err := TreeFromFlat(ft)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := tr.PredictBatch([][]float64{{0.2}, {0.9}}, nil); out[0] != 1 || out[1] != 2 || tr.Predict([]float64{0.2}) != 1 {
+		t.Errorf("stump predicts %v, want [1 2]", out)
+	}
+
+	cases := map[string]func(*FlatTree){
+		"empty":               func(ft *FlatTree) { *ft = FlatTree{} },
+		"ragged threshold":    func(ft *FlatTree) { ft.Threshold = ft.Threshold[:2] },
+		"ragged gain":         func(ft *FlatTree) { ft.Gain = nil },
+		"ragged right":        func(ft *FlatTree) { ft.Right = append(ft.Right, -1) },
+		"child out of bounds": func(ft *FlatTree) { ft.Left[0] = 3 },
+		"negative child":      func(ft *FlatTree) { ft.Right[0] = -1 },
+		"cycle":               func(ft *FlatTree) { ft.Feature[1], ft.Left[1], ft.Right[1] = 0, 0, 2 },
+		"shared child":        func(ft *FlatTree) { ft.Right[0] = 1 },
+		"leaf with children":  func(ft *FlatTree) { ft.Left[2] = 1 },
+		"unreachable node":    func(ft *FlatTree) { ft.Feature[0], ft.Left[0], ft.Right[0] = -1, -1, -1 },
+	}
+	if _, err := TreeFromFlat(chain(maxFlatDepth)); err != nil {
+		t.Errorf("chain of depth %d refused: %v", maxFlatDepth, err)
+	}
+	cases["deeper than any fitted tree"] = func(ft *FlatTree) { *ft = chain(maxFlatDepth + 1) }
+	for name, corrupt := range cases {
+		ft := stump()
+		corrupt(&ft)
+		if _, err := TreeFromFlat(ft); err == nil {
+			t.Errorf("%s: corrupt tree rebuilt cleanly", name)
+		}
 	}
 }

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -120,34 +123,138 @@ func TestGarbageFailsCorrupt(t *testing.T) {
 }
 
 func TestPayloadTypeMismatchFails(t *testing.T) {
-	// A decodable envelope whose payload does not match the target type
-	// must fail as corrupt, not partially populate.
-	env := envelope{Magic: Magic, Kind: "test-kind", Version: 1, Payload: json.RawMessage(`{"count":"not-a-number"}`)}
-	env.Checksum = checksum(env.Payload)
-	raw, err := json.Marshal(env)
-	if err != nil {
+	// A well-framed, correctly checksummed payload that does not match the
+	// target type must fail as corrupt, not partially populate.
+	var buf bytes.Buffer
+	if err := Write(&buf, "test-kind", 1, json.RawMessage(`{"count":"not-a-number"}`)); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
-	if err := Read(bytes.NewReader(raw), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+	if err := Read(&buf, "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("type mismatch gave %v, want ErrCorrupt", err)
 	}
+}
+
+// reframe rewrites the header's declared payload length, leaving the
+// payload bytes and checksum alone.
+func reframe(t *testing.T, raw []byte, declared string) []byte {
+	t.Helper()
+	nl := bytes.IndexByte(raw, '\n')
+	var h header
+	if err := json.Unmarshal(raw[:nl], &h); err != nil {
+		t.Fatal(err)
+	}
+	old := []byte(fmt.Sprintf(`"bytes":%d`, h.Bytes))
+	out := bytes.Replace(raw, old, []byte(`"bytes":`+declared), 1)
+	if bytes.Equal(out, raw) {
+		t.Fatal("declared length not found in header")
+	}
+	return out
+}
+
+// TestFrameBoundsAreCorrupt pins the frame's own checks: nothing may
+// follow the declared payload, the declared length must be sane and
+// honest, and the header line is short. Each failed at the parent commit,
+// where the decoder stopped after the first JSON value and buffered
+// whatever it was given.
+func TestFrameBoundsAreCorrupt(t *testing.T) {
+	raw := encode(t, "test-kind", 1)
+	cases := map[string][]byte{
+		"trailing garbage":  append(append([]byte(nil), raw...), "GARBAGE{{{"...),
+		"trailing newline":  append(append([]byte(nil), raw...), '\n'),
+		"negative length":   reframe(t, raw, "-1"),
+		"length over cap":   reframe(t, raw, fmt.Sprint(int64(maxPayloadBytes)+1)),
+		"length past EOF":   reframe(t, raw, fmt.Sprint(maxPayloadBytes)),
+		"length too short":  reframe(t, raw, "5"),
+		"fractional length": reframe(t, raw, "1.5"),
+		"long header":       append(bytes.Repeat([]byte(" "), maxHeaderBytes), raw...),
+		"header only":       raw[:bytes.IndexByte(raw, '\n')+1],
+	}
+	for name, data := range cases {
+		var got payload
+		if err := Read(bytes.NewReader(data), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s gave %v, want ErrCorrupt", name, err)
+		}
+	}
+	// A header that lies about a gigabyte must not cost a gigabyte: memory
+	// follows the bytes that arrive.
+	lying := reframe(t, raw, fmt.Sprint(maxPayloadBytes))
+	var got payload
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = Read(bytes.NewReader(lying), "test-kind", 1, &got)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+		t.Errorf("lying header made Read allocate %d bytes for a %d-byte file", grew, len(lying))
+	}
+}
+
+// TestHeaderRejectsBeforePayload: magic, kind and version are refused
+// from the header line alone — the payload is never read.
+func TestHeaderRejectsBeforePayload(t *testing.T) {
+	raw := encode(t, "test-kind", 1)
+	head := raw[:bytes.IndexByte(raw, '\n')+1]
+	var got payload
+	var ve *VersionError
+	if err := Read(io.MultiReader(bytes.NewReader(head), failReader{t}), "test-kind", 2, &got); !errors.As(err, &ve) {
+		t.Fatalf("version mismatch gave %v, want *VersionError", err)
+	}
+	var ke *KindError
+	if err := Read(io.MultiReader(bytes.NewReader(head), failReader{t}), "other", 1, &got); !errors.As(err, &ke) {
+		t.Fatalf("kind mismatch gave %v, want *KindError", err)
+	}
+}
+
+// TestVersion1FileRefusedByVersion: the pre-framing format was a single
+// JSON object with the payload inline. Such a file is not read, but it is
+// refused as the wrong version (or kind), not as garbage.
+func TestVersion1FileRefusedByVersion(t *testing.T) {
+	v1 := fmt.Sprintf(`{"magic":%q,"kind":"test-kind","version":1,"checksum":"00","payload":{"name":%q}}`+"\n",
+		Magic, strings.Repeat("x", 2*maxHeaderBytes))
+	var got payload
+	var ve *VersionError
+	if err := Read(strings.NewReader(v1), "test-kind", 2, &got); !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
+		t.Fatalf("version-1 file gave %v, want *VersionError 1 -> 2", err)
+	}
+	var ke *KindError
+	if err := Read(strings.NewReader(v1), "other-kind", 2, &got); !errors.As(err, &ke) {
+		t.Fatalf("version-1 file of another kind gave %v, want *KindError", err)
+	}
+	if err := Read(strings.NewReader(v1), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("version-1 layout claiming the current version gave %v, want ErrCorrupt", err)
+	}
+}
+
+type failReader struct{ t *testing.T }
+
+func (f failReader) Read([]byte) (int, error) {
+	f.t.Error("payload read before the header was accepted")
+	return 0, io.EOF
 }
 
 func TestWriteFileAtomicAndReadable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "probe.ckpt")
-	if err := WriteFile(path, "test-kind", 1, testPayload()); err != nil {
+	if err := WriteFile(path, func(w io.Writer) error { return Write(w, "test-kind", 1, testPayload()) }); err != nil {
 		t.Fatal(err)
 	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
 	var got payload
-	if err := ReadFile(path, "test-kind", 1, &got); err != nil {
+	if err := Read(f, "test-kind", 1, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != "probe" || got.Count != 3 {
 		t.Fatalf("file round trip got %+v", got)
 	}
-	// No temp droppings left behind.
+	// A failed write leaves neither the destination nor a temporary behind.
+	failed := errors.New("disk on fire")
+	if err := WriteFile(filepath.Join(dir, "never.ckpt"), func(io.Writer) error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("failed write gave %v", err)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)

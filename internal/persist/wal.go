@@ -2,7 +2,6 @@ package persist
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,13 +15,21 @@ import (
 //	header line: {"magic", "kind", "version", "checksum", "payload": meta}
 //	record line: {"checksum": sha256(payload), "payload": {...}}
 //
-// The header reuses the checkpoint envelope, so magic/kind/version
-// verification and its error classes are shared. Each record carries its
-// own payload checksum; a record is appended with one Write call ending
-// in '\n', so a crash mid-append leaves at most one partial final line.
+// The header carries the checkpoint identity, so magic/kind/version
+// verification and its error classes are shared with checkpoints. Each
+// record carries its own payload checksum; a record is appended with one
+// Write call ending in '\n', so a crash mid-append leaves at most one
+// partial final line.
 // Replay verifies records in order and stops at the first damaged one,
 // reporting the byte offset of the good prefix — the caller truncates
 // there and re-does only the damaged tail.
+
+// walHeader is the log's first line: the checkpoint identity with the
+// meta payload inline, so the whole header stays one line.
+type walHeader struct {
+	identity
+	Payload json.RawMessage `json:"payload"`
+}
 
 // walRecord frames one appended payload.
 type walRecord struct {
@@ -92,24 +99,23 @@ func ReadWAL(path, kind string, version int) (*WALReplay, error) {
 
 // createWAL starts a fresh log with a header line.
 func createWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, error) {
-	var buf bytes.Buffer
-	if err := Write(&buf, kind, version, meta); err != nil {
-		return nil, nil, err
+	raw, err := json.Marshal(meta)
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: marshal %s wal meta: %w", kind, err)
+	}
+	line, err := json.Marshal(walHeader{identity{Magic, kind, version, checksum(raw)}, raw})
+	if err != nil {
+		return nil, nil, fmt.Errorf("persist: frame %s wal header: %w", kind, err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
+	if _, err := f.Write(append(line, '\n')); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	raw, err := json.Marshal(meta)
-	if err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -131,11 +137,17 @@ func replayWAL(path, kind string, version int) (*WALReplay, int64, error) {
 		// A log without even a complete header line is corrupt outright.
 		return nil, 0, fmt.Errorf("%w: wal header: truncated", ErrCorrupt)
 	}
-	var meta json.RawMessage
-	if err := Read(bytes.NewReader(header), kind, version, &meta); err != nil {
+	var h walHeader
+	if err := json.Unmarshal(header, &h); err != nil {
+		return nil, 0, fmt.Errorf("%w: wal header: %v", ErrCorrupt, err)
+	}
+	if err := h.check(kind, version); err != nil {
 		return nil, 0, err
 	}
-	replay := &WALReplay{Meta: meta}
+	if checksum(h.Payload) != h.Checksum {
+		return nil, 0, ErrChecksum
+	}
+	replay := &WALReplay{Meta: h.Payload}
 	good := int64(len(header))
 
 	for {

@@ -10,6 +10,7 @@ import (
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
+	"stencilmart/internal/persist"
 	"stencilmart/internal/stencil"
 )
 
@@ -176,14 +177,16 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// datasetJSON is the serialization schema. Stencil points flatten into
-// triplets; architectures serialize by name and are rehydrated from the
-// catalog so microarchitectural constants stay in code.
-type datasetJSON struct {
-	Stencils []stencilJSON `json:"stencils"`
-	Archs    []string      `json:"archs"`
-	Profiles [][]Profile   `json:"profiles"`
-	Inst     []Instance    `json:"instances"`
+// Wire is the dataset's serialization schema, shared by WriteJSON/ReadJSON
+// and the framework checkpoint, which embeds it as a typed field. Stencil
+// points flatten into triplets; architectures serialize by name and are
+// rehydrated from the catalog so microarchitectural constants stay in
+// code; the instance list, the bulk of the bytes, is stored as columns.
+type Wire struct {
+	Stencils  []stencilJSON   `json:"stencils"`
+	Archs     []string        `json:"archs"`
+	Profiles  [][]Profile     `json:"profiles"`
+	Instances instanceColumns `json:"instances"`
 }
 
 type stencilJSON struct {
@@ -192,9 +195,23 @@ type stencilJSON struct {
 	Points []int  `json:"points"` // dx,dy,dz triplets
 }
 
-// WriteJSON serializes the dataset.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	out := datasetJSON{Profiles: d.Profiles, Inst: d.Instances}
+// instanceColumns holds the instance list as parallel arrays: row i of
+// every column is instance i.
+type instanceColumns struct {
+	Stencil persist.Ints   `json:"stencil"`
+	OC      persist.Ints   `json:"oc"`
+	Arch    persist.Ints   `json:"arch"` // index into Wire.Archs
+	Time    persist.Floats `json:"time"`
+	Params  persist.Ints   `json:"params"` // paramCols per instance, opt.Params field order
+}
+
+const paramCols = 10
+
+// Wire renders the dataset in its serialization schema. An instance whose
+// arch is not in the dataset's list (Validate refuses it) is written with
+// index -1, which no reader accepts.
+func (d *Dataset) Wire() Wire {
+	out := Wire{Profiles: d.Profiles}
 	for _, s := range d.Stencils {
 		sj := stencilJSON{Name: s.Name, Dims: s.Dims}
 		for _, p := range s.Points {
@@ -202,21 +219,30 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 		}
 		out.Stencils = append(out.Stencils, sj)
 	}
-	for _, a := range d.Archs {
+	archIdx := make(map[string]int, len(d.Archs))
+	for i, a := range d.Archs {
 		out.Archs = append(out.Archs, a.Name)
+		archIdx[a.Name] = i + 1 // so a missing name reads as 0
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	n := len(d.Instances)
+	c := instanceColumns{Stencil: make(persist.Ints, n), OC: make(persist.Ints, n), Arch: make(persist.Ints, n),
+		Time: make(persist.Floats, n), Params: make(persist.Ints, 0, n*paramCols)}
+	for i, in := range d.Instances {
+		c.Stencil[i], c.OC[i], c.Arch[i], c.Time[i] = in.StencilIdx, int(in.OC), archIdx[in.Arch]-1, in.Time
+		p, smem := in.Params, 0
+		if p.UseSmem {
+			smem = 1
+		}
+		c.Params = append(c.Params, p.BlockX, p.BlockY, p.Merge, p.MergeDim, p.StreamTile, p.StreamDim, p.Unroll, smem, p.TBDepth, p.PrefetchDepth)
+	}
+	out.Instances = c
+	return out
 }
 
-// ReadJSON deserializes and validates a dataset.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var in datasetJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("profile: decode dataset: %w", err)
-	}
-	d := &Dataset{Profiles: in.Profiles, Instances: in.Inst}
-	for _, sj := range in.Stencils {
+// Dataset rehydrates and validates the dataset a Wire describes.
+func (w *Wire) Dataset() (*Dataset, error) {
+	d := &Dataset{Profiles: w.Profiles}
+	for _, sj := range w.Stencils {
 		if len(sj.Points)%3 != 0 {
 			return nil, fmt.Errorf("profile: stencil %q has %d point coords", sj.Name, len(sj.Points))
 		}
@@ -230,17 +256,46 @@ func ReadJSON(r io.Reader) (*Dataset, error) {
 		}
 		d.Stencils = append(d.Stencils, s)
 	}
-	for _, name := range in.Archs {
+	for _, name := range w.Archs {
 		a, err := gpu.ByName(name)
 		if err != nil {
 			return nil, err
 		}
 		d.Archs = append(d.Archs, a)
 	}
+	c := w.Instances
+	n := len(c.Stencil)
+	if len(c.OC) != n || len(c.Arch) != n || len(c.Time) != n || len(c.Params) != n*paramCols {
+		return nil, fmt.Errorf("profile: ragged instance columns: %d stencil, %d oc, %d arch, %d time, %d params (%d each)", n, len(c.OC), len(c.Arch), len(c.Time), len(c.Params), paramCols)
+	}
+	d.Instances = make([]Instance, n)
+	for i := range d.Instances {
+		p := c.Params[i*paramCols : (i+1)*paramCols]
+		if c.Arch[i] < 0 || c.Arch[i] >= len(d.Archs) || c.OC[i] < 0 || c.OC[i] > math.MaxUint8 || (p[7] != 0 && p[7] != 1) {
+			return nil, fmt.Errorf("profile: instance %d has arch index %d, OC %d or useSmem %d out of range", i, c.Arch[i], c.OC[i], p[7])
+		}
+		d.Instances[i] = Instance{StencilIdx: c.Stencil[i], OC: opt.Opt(c.OC[i]), Arch: d.Archs[c.Arch[i]].Name, Time: c.Time[i],
+			Params: opt.Params{BlockX: p[0], BlockY: p[1], Merge: p[2], MergeDim: p[3], StreamTile: p[4], StreamDim: p[5],
+				Unroll: p[6], UseSmem: p[7] == 1, TBDepth: p[8], PrefetchDepth: p[9]}}
+	}
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	return d, nil
+}
+
+// WriteJSON serializes the dataset.
+func (d *Dataset) WriteJSON(w io.Writer) error {
+	return json.NewEncoder(w).Encode(d.Wire())
+}
+
+// ReadJSON deserializes and validates a dataset.
+func ReadJSON(r io.Reader) (*Dataset, error) {
+	var in Wire
+	if err := json.NewDecoder(r).Decode(&in); err != nil {
+		return nil, fmt.Errorf("profile: decode dataset: %w", err)
+	}
+	return in.Dataset()
 }
 
 // Folds splits n items into k cross-validation folds of near-equal size

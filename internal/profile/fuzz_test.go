@@ -28,7 +28,7 @@ func validDatasetBytes(t testing.TB) []byte {
 func FuzzDatasetRoundTrip(f *testing.F) {
 	f.Add(validDatasetBytes(f))
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"stencils":[],"archs":[],"profiles":[],"instances":[]}`))
+	f.Add([]byte(`{"stencils":[],"archs":[],"profiles":[],"instances":{}}`))
 	f.Add([]byte(`{"stencils":[{"name":"x","dims":2,"points":[0,0,0]}],"archs":["V100"]}`))
 	f.Add([]byte(`{"archs":["NoSuchGPU"]}`))
 	f.Add([]byte(`[1,2,3]`))
@@ -40,9 +40,19 @@ func FuzzDatasetRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"stencils":[{"name":"x","dims":2,"points":[0,0,0,1,0,0]}],"archs":["V100"],` +
 		`"profiles":[[{"StencilIdx":0,"Arch":"V100","Results":[{"oc":0,"time":1e999,"params":{}}]}]]}`))
 	f.Add([]byte(`{"stencils":[{"name":"x","dims":2,"points":[0,0,0,1,0,0]}],"archs":["V100"],` +
-		`"profiles":[],"instances":[{"StencilIdx":0,"OC":0,"Arch":"V100","Time":1e999}]}`))
+		`"profiles":[],"instances":{"stencil":[0],"oc":[0],"arch":[0],"time":[1e999],"params":[0,0,0,0,0,0,0,0,0,0]}}`))
 	f.Add([]byte(`{"stencils":[{"name":"x","dims":2,"points":[0,0,0,1,0,0]}],"archs":["V100"],` +
-		`"profiles":[],"instances":[{"StencilIdx":0,"OC":0,"Arch":"V100","Time":-1}]}`))
+		`"profiles":[],"instances":{"stencil":[0],"oc":[0],"arch":[0],"time":[-1],"params":[0,0,0,0,0,0,0,0,0,0]}}`))
+	// Column-level damage: ragged columns, an arch index past the arch
+	// list, params not ten per instance, a NaN spelled as a string.
+	for _, inst := range []string{
+		`{"stencil":[0,0],"oc":[0],"arch":[0],"time":[1],"params":[0,0,0,0,0,0,0,0,0,0]}`,
+		`{"stencil":[0],"oc":[0],"arch":[1],"time":[1],"params":[0,0,0,0,0,0,0,0,0,0]}`,
+		`{"stencil":[0],"oc":[0],"arch":[0],"time":[1],"params":[0,0,0,0,0,0,0]}`,
+		`{"stencil":[0],"oc":[0],"arch":[0],"time":["NaN"],"params":[0,0,0,0,0,0,0,0,0,0]}`,
+	} {
+		f.Add([]byte(`{"stencils":[{"name":"x","dims":2,"points":[0,0,0,1,0,0]}],"archs":["V100"],"profiles":[],"instances":` + inst + `}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := profile.ReadJSON(bytes.NewReader(data))
 		if err != nil {

@@ -377,9 +377,9 @@ func TestResumeStatsDamagedTailWithDuplicates(t *testing.T) {
 	}
 	// Rebuild as: header, r0..r4, dup(r2), r5, r6, then a half-written r7.
 	var out [][]byte
-	out = append(out, lines[:6]...)   // header + r0..r4
-	out = append(out, lines[3])       // duplicate of cell 2
-	out = append(out, lines[6:8]...)  // r5, r6
+	out = append(out, lines[:6]...)    // header + r0..r4
+	out = append(out, lines[3])        // duplicate of cell 2
+	out = append(out, lines[6:8]...)   // r5, r6
 	tail := lines[8][:len(lines[8])/2] // r7 cut mid-line
 	out = append(out, tail)
 	writeJournalLines(t, path, out)

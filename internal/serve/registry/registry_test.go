@@ -3,8 +3,8 @@ package registry
 import (
 	"errors"
 	"os"
-	"runtime"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"

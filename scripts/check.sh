@@ -12,6 +12,14 @@ go build ./...
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
+
 echo "== go test (shuffled) =="
 # -shuffle=on randomizes test and subtest order: tests that secretly
 # depend on a sibling's side effects fail here instead of in CI later.
@@ -35,14 +43,26 @@ echo "== bench smoke (race) =="
 # cleanly, without paying for a full benchmark run.
 go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/
 
-echo "== bench smoke (collect_mem, serve_hot) =="
-# One second each of the repo benchmark's collection and hot-serving
-# workloads. Every workload verifies each answer it times (dataset
-# digest, response bodies), so this step fails on a wrong prediction or
-# dataset, not just on a crash. Numbers are not compared here — the
+echo "== fuzz smoke (checkpoint envelope + loader) =="
+# Five seconds each: the seeds (valid, truncated, lying length, trailing
+# bytes; ragged columns, bad indices, NaN as a string) plus whatever the
+# mutator reaches. Typed error or success, never a panic. (Same two
+# commands as `make fuzz-smoke`; minimising a megabyte-sized interesting
+# input would eat the loader's whole budget, hence -fuzzminimizetime 1x.)
+go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
+go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
+
+echo "== bench smoke (collect_mem, serve_hot, train_ckpt) =="
+# One second each of the repo benchmark's collection, hot-serving and
+# train-to-checkpoint workloads. Every workload verifies each answer it
+# times (dataset digest, response bodies; train_ckpt asks a server
+# started from each cycle's checkpoint 40 probes and compares them with
+# the framework trained in memory, so a lossy checkpoint codec fails
+# here), so this step fails on a wrong prediction or dataset, not just
+# on a crash. Numbers are not compared here — the
 # baseline lives in bench/BASELINE.json. A single-workload run exits 0
 # whenever it printed a result, so the verdict is read from that result.
-for w in collect_mem serve_hot; do
+for w in collect_mem serve_hot train_ckpt; do
     result="$(go run ./bench -workload "$w" -seconds 1 | tail -n 1)"
     echo "$w: $result"
     case "$result" in
