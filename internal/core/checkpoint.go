@@ -185,14 +185,15 @@ func (f *Framework) Save(w io.Writer) error {
 func (f *Framework) SaveFile(path string) error { return persist.WriteFile(path, f.Save) }
 
 // restoreClassifier rehydrates one classifier, validating that the stored
-// model matches the declared mechanism and the grouping's class count.
-func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier) (ml.Classifier, error) {
+// model matches the declared mechanism, the grouping's class count and
+// the schema's row width.
+func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier, classWidth int) (ml.Classifier, error) {
 	classes := f.Grouping.NumClasses()
 	if ck == ClassGBDT {
 		if sc.Model.Kind != "gbdt" || sc.Model.GBDT == nil {
 			return nil, fmt.Errorf("core: %s/%d-D classifier holds %q state, want gbdt", sc.Arch, sc.Dims, sc.Model.Kind)
 		}
-		g, err := tree.GBDTFromState(*sc.Model.GBDT)
+		g, err := tree.GBDTFromState(*sc.Model.GBDT, classWidth)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d-D classifier: %w", sc.Arch, sc.Dims, err)
 		}
@@ -238,7 +239,7 @@ func (f *Framework) restoreRegressor(rk RegressorKind, sr savedRegressor, regWid
 		if sr.Model.Kind != "gbreg" || sr.Model.GBReg == nil {
 			return nil, fmt.Errorf("core: %d-D regressor holds %q state, want gbreg", sr.Dims, sr.Model.Kind)
 		}
-		g, err := tree.GBRegressorFromState(*sr.Model.GBReg)
+		g, err := tree.GBRegressorFromState(*sr.Model.GBReg, regWidth)
 		if err != nil {
 			return nil, fmt.Errorf("core: %d-D regressor: %w", sr.Dims, err)
 		}
@@ -300,13 +301,13 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 	if len(schema) != len(payload.Schema) {
 		return nil, fmt.Errorf("core: checkpoint schema covers %d dims, this build has %d", len(payload.Schema), len(schema))
 	}
-	regWidth := make(map[int]int)
+	widths := make(map[int]schemaEntry)
 	for i, e := range schema {
 		if payload.Schema[i] != e {
 			return nil, fmt.Errorf("core: feature schema mismatch for %d-D: checkpoint %+v, this build %+v",
 				e.Dims, payload.Schema[i], e)
 		}
-		regWidth[e.Dims] = e.RegWidth
+		widths[e.Dims] = e
 	}
 
 	tr := &Trained{
@@ -319,7 +320,11 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 		if _, err := ds.ArchIndex(sc.Arch); err != nil {
 			return nil, err
 		}
-		cls, err := f.restoreClassifier(ck, sc)
+		w, ok := widths[sc.Dims]
+		if !ok {
+			return nil, fmt.Errorf("core: checkpoint classifier for unknown dims %d", sc.Dims)
+		}
+		cls, err := f.restoreClassifier(ck, sc, w.ClassWidth)
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +337,11 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 		tr.Classifiers[sc.Arch][sc.Dims] = cls
 	}
 	for _, sr := range payload.Regressors {
-		w, ok := regWidth[sr.Dims]
+		w, ok := widths[sr.Dims]
 		if !ok {
 			return nil, fmt.Errorf("core: checkpoint regressor for unknown dims %d", sr.Dims)
 		}
-		reg, err := f.restoreRegressor(rk, sr, w)
+		reg, err := f.restoreRegressor(rk, sr, w.RegWidth)
 		if err != nil {
 			return nil, err
 		}

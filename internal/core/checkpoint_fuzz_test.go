@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"stencilmart/internal/opt"
 	"stencilmart/internal/persist"
 )
 
@@ -16,7 +17,9 @@ import (
 // seeds are a smoke-preset checkpoint and the column-level damage a
 // hand-edited or hostile file carries. Whatever the payload, the loader
 // returns a framework or an error, never panics, and allocates in
-// proportion to the input; a framework it accepts saves again.
+// proportion to the input; a framework it accepts saves again and
+// scores the probe stencils on its models directly (no panic recovery in
+// between), so a tree that loads but indexes past its rows fails here.
 func FuzzLoadFramework(f *testing.F) {
 	fw := ckptFramework(f)
 	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
@@ -45,6 +48,10 @@ func FuzzLoadFramework(f *testing.F) {
 	f.Add(mutated(func(p *checkpointPayload) { p.Dataset.Instances.Params = p.Dataset.Instances.Params[:25] }))
 	f.Add(mutated(func(p *checkpointPayload) { p.Regressors[0].Model.GBReg.Trees[0].Right[0] = 1 << 40 }))
 	f.Add(mutated(func(p *checkpointPayload) { p.Classifiers[0].Model.GBDT.Trees[0][0].Value = nil }))
+	f.Add(mutated(func(p *checkpointPayload) { setSplitFeature(f, &p.Classifiers[0].Model.GBDT.Trees[0][0], 1<<32) }))
+	f.Add(mutated(func(p *checkpointPayload) {
+		setSplitFeature(f, &p.Regressors[0].Model.GBReg.Trees[0], 7+p.Schema[0].RegWidth)
+	}))
 	f.Add(bytes.Replace(valid, []byte(`"time":[`), []byte(`"time":["NaN",`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"t":[`), []byte(`"t":["Inf",`), 1))
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -72,6 +79,14 @@ func FuzzLoadFramework(f *testing.F) {
 		}
 		if err := lf.Save(&bytes.Buffer{}); err != nil {
 			t.Fatalf("loaded framework does not save: %v", err)
+		}
+		for _, s := range ckptProbes() {
+			for _, a := range lf.Dataset.Archs {
+				lf.PredictClassTrained(a.Name, s)
+			}
+			if reg, ok := lf.Trained.Regressors[s.Dims]; ok {
+				reg.PredictStencilSeconds(s, opt.Opt(0), opt.Params{}, lf.Dataset.Archs)
+			}
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"stencilmart/internal/ml"
 	"stencilmart/internal/ml/tree"
 	"stencilmart/internal/persist"
 	"stencilmart/internal/profile"
@@ -237,6 +236,18 @@ func tamperCheckpoint(t *testing.T, fw *Framework, mutate func(*checkpointPayloa
 	return out.Bytes()
 }
 
+// setSplitFeature points the tree's first internal node at feature f.
+func setSplitFeature(t testing.TB, ft *tree.FlatTree, f int) {
+	t.Helper()
+	for i := range ft.Feature {
+		if ft.Feature[i] >= 0 {
+			ft.Feature[i] = f
+			return
+		}
+	}
+	t.Fatal("no internal node to corrupt")
+}
+
 func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 	fw := ckptFramework(t)
 	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
@@ -273,6 +284,27 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 				t.Fatal("no internal node to corrupt")
 			},
 			want: "outside",
+		},
+		{
+			// Truncated to feature 0 by an int32 index, this misrouted rows.
+			name: "gbdt tree feature past the int32 range",
+			mutate: func(p *checkpointPayload) {
+				setSplitFeature(t, &p.Classifiers[0].Model.GBDT.Trees[0][0], 1<<32)
+			},
+			want: "has feature 4294967296",
+		},
+		{
+			// Loaded cleanly, this indexed past the row on first predict.
+			name: "gbreg tree feature past the schema's row width",
+			mutate: func(p *checkpointPayload) {
+				setSplitFeature(t, &p.Regressors[0].Model.GBReg.Trees[0], p.Schema[0].RegWidth)
+			},
+			want: "rows have",
+		},
+		{
+			name:   "classifier for dims the schema does not cover",
+			mutate: func(p *checkpointPayload) { p.Classifiers[0].Dims = 9 },
+			want:   "unknown dims 9",
 		},
 		{
 			name:   "classifier kind/state disagreement",
@@ -425,7 +457,7 @@ func TestServeRequiresTraining(t *testing.T) {
 // to the tree ensembles' batched entry points: after Save → LoadFramework
 // the GBDT classifier's PredictProbaBatch and the GBRegressor-backed
 // batch regression must be bitwise identical to the original models' —
-// and to their own row-at-a-time paths.
+// and to their own batches of one.
 func TestSaveLoadBatchedTreePredictions(t *testing.T) {
 	fw := ckptFramework(t)
 	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
@@ -435,14 +467,7 @@ func TestSaveLoadBatchedTreePredictions(t *testing.T) {
 
 	for arch, byDims := range fw.Trained.Classifiers {
 		for dims, cls := range byDims {
-			bc, ok := cls.(ml.BatchClassifier)
-			if !ok {
-				t.Fatalf("%s/%dD: trained GBDT does not implement BatchClassifier", arch, dims)
-			}
-			lbc, ok := lf.Trained.Classifiers[arch][dims].(ml.BatchClassifier)
-			if !ok {
-				t.Fatalf("%s/%dD: loaded GBDT does not implement BatchClassifier", arch, dims)
-			}
+			lcls := lf.Trained.Classifiers[arch][dims]
 			var rows [][]float64
 			for _, s := range ckptProbes() {
 				if s.Dims == dims {
@@ -452,23 +477,20 @@ func TestSaveLoadBatchedTreePredictions(t *testing.T) {
 			if len(rows) == 0 {
 				continue
 			}
-			orig := bc.PredictProbaBatch(rows)
-			loaded := lbc.PredictProbaBatch(rows)
+			orig := cls.PredictProbaBatch(rows)
+			loaded := lcls.PredictProbaBatch(rows)
 			for i := range rows {
 				if !ckptSameBitsSlice(orig[i], loaded[i]) {
 					t.Fatalf("%s/%dD row %d: batch proba drift after reload: %v vs %v", arch, dims, i, orig[i], loaded[i])
 				}
-				if !ckptSameBitsSlice(orig[i], cls.PredictProba(rows[i])) {
-					t.Fatalf("%s/%dD row %d: batch proba differs from single-row path", arch, dims, i)
+				if !ckptSameBitsSlice(orig[i], cls.PredictProbaBatch(rows[i : i+1])[0]) {
+					t.Fatalf("%s/%dD row %d: batch proba differs from a batch of one", arch, dims, i)
 				}
 			}
 		}
 	}
 
 	for dims, reg := range fw.Trained.Regressors {
-		if _, ok := reg.model.(ml.BatchRegressor); !ok {
-			t.Fatalf("%dD: trained GBRegressor does not implement BatchRegressor", dims)
-		}
 		ins := fw.dimsInstances(dims)
 		if len(ins) > 32 {
 			ins = ins[:32]

@@ -133,7 +133,7 @@ func (f *Framework) ClassifierAccuracy(kind ClassifierKind, archName string, dim
 			return 0, err
 		}
 		truth := f.classLabels(archIdx, testIdx)
-		probas := ml.PredictProbaAll(cls, encodeAll(enc, testIdx))
+		probas := cls.PredictProbaBatch(encodeAll(enc, testIdx))
 		pred := make([]int, len(testIdx))
 		for i := range testIdx {
 			pred[i] = ml.ArgMax(probas[i])
@@ -144,6 +144,11 @@ func (f *Framework) ClassifierAccuracy(kind ClassifierKind, archName string, dim
 		return 0, err
 	}
 	return stats.Mean(accs), nil
+}
+
+// probaOne scores a single row: a batch of one.
+func probaOne(cls ml.Classifier, row []float64) []float64 {
+	return cls.PredictProbaBatch([][]float64{row})[0]
 }
 
 // encodeAll encodes every corpus index into a row set, the unit the
@@ -294,7 +299,7 @@ func (f *Framework) SpeedupVsBaseline(kind ClassifierKind, archName string, dims
 		}
 		reps := f.contextReps(archIdx, trainIdx, 2)
 		// One batched forward scores the whole held-out fold before tuning.
-		probas := ml.PredictProbaAll(cls, encodeAll(enc, testIdx))
+		probas := cls.PredictProbaBatch(encodeAll(enc, testIdx))
 		var ratios []float64
 		for ti, si := range testIdx {
 			w := sim.DefaultWorkload(f.Dataset.Stencils[si])
@@ -342,7 +347,7 @@ func (f *Framework) PredictBestOC(kind ClassifierKind, archName string, sidx int
 	if err != nil {
 		return 0, err
 	}
-	class := cls.PredictClass(enc(sidx))
+	class := ml.ArgMax(probaOne(cls, enc(sidx)))
 	return f.Grouping.RepOC(class), nil
 }
 
@@ -365,6 +370,6 @@ func (f *Framework) PredictBestOCForStencil(kind ClassifierKind, archName string
 	if err != nil {
 		return 0, err
 	}
-	class := cls.PredictClass(classEncode(kind, s))
+	class := ml.ArgMax(probaOne(cls, classEncode(kind, s)))
 	return f.Grouping.RepOC(class), nil
 }

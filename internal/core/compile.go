@@ -13,12 +13,12 @@ import (
 
 // This file builds the float32 inference lane's models over a trained
 // framework: every checkpointed model compiles once — tree ensembles
-// quantize into SoA flat-node arrays, networks snapshot into f32 forward
-// passes. Features are computed in float64 by the one set of row encoders
-// (features.go, including input scaling), then converted once per
-// element, so the only f64→f32 rounding in the whole pipeline happens at
-// compile time (weights) and at the row boundary (inputs) — never
-// twice.
+// round their threshold and leaf columns to float32, networks snapshot
+// into f32 forward passes. Features are computed in float64 by the one
+// set of row encoders (features.go, including input scaling), then
+// converted once per element, so the only f64→f32 rounding in the whole
+// pipeline happens at compile time (weights) and at the row boundary
+// (inputs) — never twice.
 
 // CompiledRegressorF32 couples a compiled f32 regressor with the input
 // scaling and target inversion of its float64 source.

@@ -247,7 +247,7 @@ func TestPredictedTimeFallsBackOnCrashes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, si := range trainIdx {
-		tm := fw.predictedTime(cls.PredictProba(enc(si)), archIdx, si)
+		tm := fw.predictedTime(probaOne(cls, enc(si)), archIdx, si)
 		anyAlive := false
 		for c := 0; c < fw.Grouping.NumClasses(); c++ {
 			if !fw.Dataset.Profiles[archIdx][si].Results[fw.Grouping.Reps[c]].Crashed {

@@ -58,7 +58,7 @@ func (l *laneF64) classify(cls ml.Classifier, items []*serveItem) (err error) {
 	for i, it := range items {
 		rows[i] = classEncode(l.tr.ClassifierKind, it.req.Stencil)
 	}
-	probas := ml.PredictProbaAll(cls, rows)
+	probas := cls.PredictProbaBatch(rows)
 	if len(probas) != len(rows) {
 		return fmt.Errorf("core: batched classify returned %d rows for %d", len(probas), len(rows))
 	}
@@ -70,7 +70,7 @@ func (l *laneF64) classify(cls ml.Classifier, items []*serveItem) (err error) {
 
 func (l *laneF64) classifyOne(cls ml.Classifier, it *serveItem) (err error) {
 	defer recoverAs(&err, "classify")
-	proba := cls.PredictProba(classEncode(l.tr.ClassifierKind, it.req.Stencil))
+	proba := probaOne(cls, classEncode(l.tr.ClassifierKind, it.req.Stencil))
 	it.class, it.proba = ml.ArgMax(proba), proba
 	return nil
 }
@@ -84,7 +84,7 @@ func (l *laneF64) regress(reg *TrainedRegressor, items []*serveItem) (err error)
 	for _, it := range items {
 		rows = append(rows, reg.stencilRows(it.req.Stencil, it.oc, it.tuned.Params, l.archs)...)
 	}
-	vals := ml.PredictValueAll(reg.model, rows)
+	vals := reg.model.PredictValueBatch(rows)
 	if len(vals) != len(rows) {
 		return fmt.Errorf("core: batched regression returned %d values for %d rows", len(vals), len(rows))
 	}
@@ -164,7 +164,7 @@ func (l *laneF32) classify(cls ml.ClassifierF32, items []*serveItem) (err error)
 		for k, v := range row {
 			it.proba[k] = float64(v)
 		}
-		it.class = ml.ArgMaxF32(row)
+		it.class = ml.ArgMax(row)
 	}
 	return nil
 }

@@ -157,7 +157,7 @@ func (t *TrainedRegressor) PredictSecondsBatch(ins []profile.Instance) ([]float6
 		}
 		rows[i] = t.xScale.apply(row)
 	}
-	vals := ml.PredictValueAll(t.model, rows)
+	vals := t.model.PredictValueBatch(rows)
 	t.invertSeconds(vals)
 	return vals, nil
 }
@@ -169,7 +169,7 @@ func (t *TrainedRegressor) PredictSecondsBatch(ins []profile.Instance) ([]float6
 // first-class inputs.
 func (t *TrainedRegressor) PredictStencilSeconds(s stencil.Stencil, oc opt.Opt, p opt.Params, archs []gpu.Arch) []float64 {
 	rows := t.stencilRows(s, oc, p, archs)
-	vals := ml.PredictValueAll(t.model, rows)
+	vals := t.model.PredictValueBatch(rows)
 	t.invertSeconds(vals)
 	return vals
 }

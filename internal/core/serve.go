@@ -466,7 +466,6 @@ func (f *Framework) PredictClassTrained(archName string, s stencil.Stencil) (int
 	if err != nil {
 		return 0, nil, err
 	}
-	row := classEncode(tr.ClassifierKind, s)
-	proba := ml.PredictProbaAll(cls, [][]float64{row})[0]
+	proba := probaOne(cls, classEncode(tr.ClassifierKind, s))
 	return ml.ArgMax(proba), proba, nil
 }

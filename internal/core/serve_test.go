@@ -335,24 +335,13 @@ func rowsEqual[T float32 | float64](a, b []T) bool {
 func (p *panickyClassifier) FitClassifier(x [][]float64, y []int, k int) error {
 	return p.inner.FitClassifier(x, y, k)
 }
-func (p *panickyClassifier) PredictClass(row []float64) int { return p.inner.PredictClass(row) }
-func (p *panickyClassifier) PredictProba(row []float64) []float64 {
-	if rowsEqual(row, p.poison) {
-		panic("poisoned row")
-	}
-	return p.inner.PredictProba(row)
-}
 func (p *panickyClassifier) PredictProbaBatch(rows [][]float64) [][]float64 {
 	for _, r := range rows {
 		if rowsEqual(r, p.poison) {
 			panic("poisoned batch")
 		}
 	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = p.inner.PredictProba(r)
-	}
-	return out
+	return p.inner.PredictProbaBatch(rows)
 }
 
 // panickyClassifierF32 is panickyClassifier for a compiled model, whose
@@ -383,12 +372,11 @@ type panickyRegressor struct {
 func (p *panickyRegressor) FitRegressor(x [][]float64, y []float64) error {
 	return p.inner.FitRegressor(x, y)
 }
-func (p *panickyRegressor) PredictValue(row []float64) float64 { return p.inner.PredictValue(row) }
 func (p *panickyRegressor) PredictValueBatch(rows [][]float64) []float64 {
 	if len(rows) > p.rowsCap {
 		panic("batch too large")
 	}
-	return ml.PredictValueAll(p.inner, rows)
+	return p.inner.PredictValueBatch(rows)
 }
 
 type panickyRegressorF32 struct {

@@ -3,41 +3,27 @@
 // the framework trains for OC selection and performance prediction.
 package ml
 
-// Classifier predicts a class label from a feature vector.
+import "math"
+
+// Classifier predicts class probabilities from feature vectors. Batch is
+// the interface: the nn models run a row set through one batched forward
+// and the tree ensembles stream every row through each tree while its
+// columns are cache-hot, so a single row is a batch of one.
 type Classifier interface {
 	// FitClassifier trains on rows X with integer labels y in
 	// [0, numClasses).
 	FitClassifier(x [][]float64, y []int, numClasses int) error
-	// PredictClass returns the most probable class for one row.
-	PredictClass(row []float64) int
-	// PredictProba returns the per-class probabilities for one row.
-	PredictProba(row []float64) []float64
-}
-
-// Regressor predicts a scalar from a feature vector.
-type Regressor interface {
-	// FitRegressor trains on rows X with targets y.
-	FitRegressor(x [][]float64, y []float64) error
-	// PredictValue returns the prediction for one row.
-	PredictValue(row []float64) float64
-}
-
-// BatchClassifier is implemented by classifiers that can score many rows
-// in one pass: the nn models run the whole set through a single batched
-// forward, and the tree ensembles stream every row through each tree's
-// flat node array while it is cache-hot. Callers should go through
-// PredictProbaAll, which falls back to row-at-a-time prediction for
-// models without the fast path.
-type BatchClassifier interface {
-	Classifier
-	// PredictProbaBatch returns per-class probabilities for every row.
+	// PredictProbaBatch returns per-class probabilities for every row
+	// (nil for no rows); ArgMax of a row is its predicted class.
 	PredictProbaBatch(rows [][]float64) [][]float64
 }
 
-// BatchRegressor is the regression analogue of BatchClassifier.
-type BatchRegressor interface {
-	Regressor
-	// PredictValueBatch returns the prediction for every row.
+// Regressor predicts a scalar from feature vectors.
+type Regressor interface {
+	// FitRegressor trains on rows X with targets y.
+	FitRegressor(x [][]float64, y []float64) error
+	// PredictValueBatch returns the prediction for every row (nil for no
+	// rows).
 	PredictValueBatch(rows [][]float64) []float64
 }
 
@@ -61,8 +47,18 @@ type RegressorF32 interface {
 	PredictValueBatchF32(rows [][]float32, out []float32)
 }
 
-// ArgMaxF32 is ArgMax over a float32 probability row (first wins ties).
-func ArgMaxF32(p []float32) int {
+// Rows slices a flat row-major block into its rows of width k; appending
+// to one row cannot reach the next.
+func Rows(flat []float64, k int) [][]float64 {
+	rows := make([][]float64, len(flat)/k)
+	for i := range rows {
+		rows[i] = flat[i*k : (i+1)*k : (i+1)*k]
+	}
+	return rows
+}
+
+// ArgMax returns the index of the largest probability (first wins ties).
+func ArgMax[T float32 | float64](p []T) int {
 	best := 0
 	for k := range p {
 		if p[k] > p[best] {
@@ -72,46 +68,25 @@ func ArgMaxF32(p []float32) int {
 	return best
 }
 
-// PredictProbaAll scores every row, using the batched path when the
-// classifier provides one.
-func PredictProbaAll(c Classifier, rows [][]float64) [][]float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	if bc, ok := c.(BatchClassifier); ok {
-		return bc.PredictProbaBatch(rows)
-	}
-	out := make([][]float64, len(rows))
-	for i, r := range rows {
-		out[i] = c.PredictProba(r)
-	}
-	return out
-}
-
-// PredictValueAll evaluates every row, using the batched path when the
-// regressor provides one.
-func PredictValueAll(r Regressor, rows [][]float64) []float64 {
-	if len(rows) == 0 {
-		return nil
-	}
-	if br, ok := r.(BatchRegressor); ok {
-		return br.PredictValueBatch(rows)
-	}
-	out := make([]float64, len(rows))
-	for i, row := range rows {
-		out[i] = r.PredictValue(row)
-	}
-	return out
-}
-
-// ArgMax returns the index of the largest probability (first wins ties),
-// matching the tie-break every PredictClass implementation uses.
-func ArgMax(p []float64) int {
-	best := 0
-	for k := range p {
-		if p[k] > p[best] {
-			best = k
+// Softmax writes softmax(scores) into dst, which may be scores itself.
+// Every model in both numeric formats goes through this one operation
+// sequence (max-shift, exponentiate and sum in index order, divide), so
+// training, float64 inference and float32 inference cannot drift apart.
+// The exponential is evaluated in float64 — the stdlib has no float32
+// math.Exp — and rounded once on the way back.
+func Softmax[T float32 | float64](dst, scores []T) {
+	maxv := scores[0]
+	for _, s := range scores[1:] {
+		if s > maxv {
+			maxv = s
 		}
 	}
-	return best
+	var sum T
+	for i, s := range scores {
+		dst[i] = T(math.Exp(float64(s - maxv)))
+		sum += dst[i]
+	}
+	for i := range dst {
+		dst[i] /= sum
+	}
 }

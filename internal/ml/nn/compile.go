@@ -2,9 +2,9 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"stencilmart/internal/linalg"
+	"stencilmart/internal/ml"
 )
 
 // This file is the float32 inference lane of the neural networks: a
@@ -254,27 +254,7 @@ func (c *CompiledClassifier) PredictProbaBatchF32(rows [][]float32, out []float3
 		panic(fmt.Sprintf("nn: f32 classifier emits %d scores for %d classes", scores.Cols, c.classes))
 	}
 	for i := range rows {
-		softmaxF32Into(out[i*c.classes:(i+1)*c.classes], scores.Row(i))
-	}
-}
-
-// softmaxF32Into is softmaxInto's operation sequence in float32; the
-// exponential is evaluated in float64 (no f32 math.Exp in the stdlib)
-// and rounded once on the way back.
-func softmaxF32Into(dst, scores []float32) {
-	maxv := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxv {
-			maxv = s
-		}
-	}
-	var sum float32
-	for i, s := range scores {
-		dst[i] = float32(math.Exp(float64(s - maxv)))
-		sum += dst[i]
-	}
-	for i := range dst {
-		dst[i] /= sum
+		ml.Softmax(out[i*c.classes:(i+1)*c.classes], scores.Row(i))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"stencilmart/internal/linalg"
+	"stencilmart/internal/ml"
 	"stencilmart/internal/par"
 )
 
@@ -123,31 +124,6 @@ func (c *TrainConfig) setDefaults() {
 	}
 }
 
-// softmaxInto writes softmax probabilities for one score row into dst.
-func softmaxInto(dst, scores []float64) {
-	maxv := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxv {
-			maxv = s
-		}
-	}
-	var sum float64
-	for i, s := range scores {
-		dst[i] = math.Exp(s - maxv)
-		sum += dst[i]
-	}
-	for i := range dst {
-		dst[i] /= sum
-	}
-}
-
-// softmaxRow returns softmax probabilities for one score row.
-func softmaxRow(scores []float64) []float64 {
-	out := make([]float64, len(scores))
-	softmaxInto(out, scores)
-	return out
-}
-
 // trainLoop is the shared minibatch loop; lossGrad writes the output
 // gradients for a batch of outputs and target indices into grad. The
 // batch and gradient matrices are reused across steps, so once every
@@ -179,9 +155,9 @@ func trainLoop(net *Network, x [][]float64, cfg TrainConfig,
 }
 
 // Classifier wraps a network with a softmax cross-entropy head; it
-// implements ml.Classifier and ml.BatchClassifier. One Classifier must
-// not be used from multiple goroutines concurrently (forward scratch is
-// shared); distinct instances are independent.
+// implements ml.Classifier. One Classifier must not be used from
+// multiple goroutines concurrently (forward scratch is shared); distinct
+// instances are independent.
 type Classifier struct {
 	Net     *Network
 	Cfg     TrainConfig
@@ -202,7 +178,7 @@ func (c *Classifier) FitClassifier(x [][]float64, y []int, numClasses int) error
 		scale := 1 / float64(out.Rows)
 		for i := 0; i < out.Rows; i++ {
 			g := grad.Row(i)
-			softmaxInto(g, out.Row(i))
+			ml.Softmax(g, out.Row(i))
 			for k := range g {
 				g[k] *= scale
 			}
@@ -212,41 +188,25 @@ func (c *Classifier) FitClassifier(x [][]float64, y []int, numClasses int) error
 	return nil
 }
 
-// PredictProbaBatch implements ml.BatchClassifier: one forward pass for
-// the whole row set.
+// PredictProbaBatch implements ml.Classifier: one forward pass for the
+// whole row set, then a softmax per row. The rows of the result share
+// one backing array.
 func (c *Classifier) PredictProbaBatch(rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil
 	}
 	c.in = packAll(c.in, rows)
 	out := c.Net.Forward(c.in)
-	probs := make([][]float64, out.Rows)
+	probs := ml.Rows(make([]float64, out.Rows*out.Cols), out.Cols)
 	for i := range probs {
-		probs[i] = softmaxRow(out.Row(i))
+		ml.Softmax(probs[i], out.Row(i))
 	}
 	return probs
 }
 
-// PredictProba implements ml.Classifier.
-func (c *Classifier) PredictProba(row []float64) []float64 {
-	return c.PredictProbaBatch([][]float64{row})[0]
-}
-
-// PredictClass implements ml.Classifier.
-func (c *Classifier) PredictClass(row []float64) int {
-	p := c.PredictProba(row)
-	best := 0
-	for k := range p {
-		if p[k] > p[best] {
-			best = k
-		}
-	}
-	return best
-}
-
 // Regressor wraps a network with an MSE head; the final layer must output
-// one value. It implements ml.Regressor and ml.BatchRegressor. Like
-// Classifier, one instance is not safe for concurrent use.
+// one value. It implements ml.Regressor. Like Classifier, one instance is
+// not safe for concurrent use.
 type Regressor struct {
 	Net *Network
 	Cfg TrainConfig
@@ -267,8 +227,8 @@ func (r *Regressor) FitRegressor(x [][]float64, y []float64) error {
 	return nil
 }
 
-// PredictValueBatch implements ml.BatchRegressor: one forward pass for
-// the whole row set.
+// PredictValueBatch implements ml.Regressor: one forward pass for the
+// whole row set.
 func (r *Regressor) PredictValueBatch(rows [][]float64) []float64 {
 	if len(rows) == 0 {
 		return nil
@@ -280,9 +240,4 @@ func (r *Regressor) PredictValueBatch(rows [][]float64) []float64 {
 		vals[i] = out.Row(i)[0]
 	}
 	return vals
-}
-
-// PredictValue implements ml.Regressor.
-func (r *Regressor) PredictValue(row []float64) float64 {
-	return r.PredictValueBatch([][]float64{row})[0]
 }

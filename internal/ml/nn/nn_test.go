@@ -1,12 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"stencilmart/internal/linalg"
+	"stencilmart/internal/ml"
 	"stencilmart/internal/tensor"
+	"stencilmart/internal/testutil"
 )
 
 // row1 wraps a single sample as a 1-row batch matrix.
@@ -141,15 +144,16 @@ func TestClassifierLearnsBlobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits := 0
+	probas := cls.PredictProbaBatch(x)
 	for i := range x {
-		if cls.PredictClass(x[i]) == y[i] {
+		if ml.ArgMax(probas[i]) == y[i] {
 			hits++
 		}
 	}
 	if acc := float64(hits) / float64(len(x)); acc < 0.95 {
 		t.Errorf("FcNet blob accuracy %.3f < 0.95", acc)
 	}
-	p := cls.PredictProba(x[0])
+	p := probas[0]
 	var sum float64
 	for _, v := range p {
 		sum += v
@@ -159,6 +163,9 @@ func TestClassifierLearnsBlobs(t *testing.T) {
 	}
 }
 
+// TestBatchPredictionsMatchSingle: for each network model type a batch
+// of N is N batches of one, bitwise, at GOMAXPROCS 1 and 4 (a batch of N
+// crosses the parallel row and GEMM-tile gates a batch of one does not).
 func TestBatchPredictionsMatchSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	var x [][]float64
@@ -176,15 +183,6 @@ func TestBatchPredictionsMatchSingle(t *testing.T) {
 	if err := cls.FitClassifier(x, yc, 2); err != nil {
 		t.Fatal(err)
 	}
-	batch := cls.PredictProbaBatch(x)
-	for i := range x {
-		single := cls.PredictProba(x[i])
-		for k := range single {
-			if batch[i][k] != single[k] {
-				t.Fatalf("proba[%d][%d]: batch %g vs single %g", i, k, batch[i][k], single[k])
-			}
-		}
-	}
 	reg, err := NewMLP(3, 1, 8, TrainConfig{Epochs: 5, Batch: 16, Seed: 2}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -192,17 +190,36 @@ func TestBatchPredictionsMatchSingle(t *testing.T) {
 	if err := reg.FitRegressor(x, yr); err != nil {
 		t.Fatal(err)
 	}
-	vals := reg.PredictValueBatch(x)
-	for i := range x {
-		if single := reg.PredictValue(x[i]); vals[i] != single {
-			t.Fatalf("value[%d]: batch %g vs single %g", i, vals[i], single)
+	// Each model scores a row set into one flat vector per row.
+	models := map[string]func(rows [][]float64) [][]float64{
+		"classifier": cls.PredictProbaBatch,
+		"regressor": func(rows [][]float64) [][]float64 {
+			var out [][]float64
+			for _, v := range reg.PredictValueBatch(rows) {
+				out = append(out, []float64{v})
+			}
+			return out
+		},
+	}
+	for name, score := range models {
+		for _, procs := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/procs%d", name, procs), func(t *testing.T) {
+				testutil.WithGOMAXPROCS(t, procs, func() {
+					batch := score(x)
+					for i := range x {
+						single := score(x[i : i+1])[0]
+						for k := range single {
+							if math.Float64bits(batch[i][k]) != math.Float64bits(single[k]) {
+								t.Fatalf("row %d slot %d: batch %g vs single %g", i, k, batch[i][k], single[k])
+							}
+						}
+					}
+					if got := score(nil); got != nil {
+						t.Errorf("empty batch scored %v", got)
+					}
+				})
+			})
 		}
-	}
-	if got := cls.PredictProbaBatch(nil); got != nil {
-		t.Errorf("empty batch probas = %v", got)
-	}
-	if got := reg.PredictValueBatch(nil); got != nil {
-		t.Errorf("empty batch values = %v", got)
 	}
 }
 
@@ -223,8 +240,8 @@ func TestMLPRegressionLearnsLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mse float64
-	for i := range x {
-		d := mlp.PredictValue(x[i]) - y[i]
+	for i, v := range mlp.PredictValueBatch(x) {
+		d := v - y[i]
 		mse += d * d
 	}
 	mse /= float64(len(x))
@@ -256,8 +273,8 @@ func TestConvNetShapeAndTraining(t *testing.T) {
 	if err := cls.FitClassifier(x, y, 4); err != nil {
 		t.Fatal(err)
 	}
-	if got := cls.PredictClass(x[0]); got < 0 || got > 3 {
-		t.Errorf("class %d out of range", got)
+	if p := cls.PredictProbaBatch(x[:1])[0]; len(p) != 4 {
+		t.Errorf("ConvNet scored %d classes, want 4", len(p))
 	}
 }
 
@@ -281,7 +298,7 @@ func TestConvMLPForwardBackward(t *testing.T) {
 	if err := reg.FitRegressor(x, y); err != nil {
 		t.Fatal(err)
 	}
-	v := reg.PredictValue(x[0])
+	v := reg.PredictValueBatch(x[:1])[0]
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		t.Errorf("ConvMLP prediction %g", v)
 	}

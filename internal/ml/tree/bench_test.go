@@ -64,15 +64,15 @@ func BenchmarkTreePredictBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("tree/row-at-a-time", func(b *testing.B) {
+	b.Run("tree/batches-of-one", func(b *testing.B) {
 		b.ReportAllocs()
-		var sink float64
+		out := make([]float64, 1)
 		for i := 0; i < b.N; i++ {
-			for _, row := range x {
-				sink += tr.Predict(row)
+			for j := range x {
+				out = tr.PredictBatch(x[j:j+1], out)
 			}
 		}
-		_ = sink
+		_ = out
 	})
 	b.Run("tree/batched", func(b *testing.B) {
 		b.ReportAllocs()
@@ -84,17 +84,17 @@ func BenchmarkTreePredictBatch(b *testing.B) {
 	})
 
 	// The ensemble paths are where batching pays: one score/softmax
-	// buffer per batch instead of per row, and every tree's node array
+	// buffer per batch instead of per row, and every tree's columns
 	// streamed over all rows while hot.
 	g := NewGBDT(BoostConfig{Rounds: 15, Seed: 7, Tree: TreeConfig{MaxDepth: 6}})
 	if err := g.FitClassifier(x, yc, 5); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("gbdt/row-at-a-time", func(b *testing.B) {
+	b.Run("gbdt/batches-of-one", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			for _, row := range x {
-				_ = g.PredictProba(row)
+			for j := range x {
+				_ = g.PredictProbaBatch(x[j : j+1])
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 
+	"stencilmart/internal/ml"
 	"stencilmart/internal/par"
 )
 
@@ -18,7 +19,7 @@ const parRowThreshold = 256
 
 // batchChunk is the rows-per-job granularity for parallel batched
 // prediction updates: chunks own disjoint sub-slices of the prediction
-// and routing-scratch arrays.
+// array.
 const batchChunk = 512
 
 // BoostConfig controls gradient boosting for both the classifier and the
@@ -73,15 +74,14 @@ func ensembleHistIndex(x [][]float64, cfg TreeConfig) *histIndex {
 // GBRegressor is a gradient-boosted regression ensemble with squared
 // loss — the stand-in for the paper's XGBoost GBRegressor.
 type GBRegressor struct {
-	cfg   BoostConfig
-	base  float64
-	trees []*Tree
+	cfg BoostConfig
+	ens ensemble[float64] // init is the one base value (the target mean)
 }
 
 // NewGBRegressor returns an unfitted regressor.
 func NewGBRegressor(cfg BoostConfig) *GBRegressor {
 	cfg.setDefaults()
-	return &GBRegressor{cfg: cfg}
+	return &GBRegressor{cfg: cfg, ens: ensemble[float64]{init: []float64{0}, lr: cfg.LearningRate}}
 }
 
 // FitRegressor implements ml.Regressor. Inputs containing NaN or ±Inf
@@ -97,19 +97,17 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(g.cfg.Seed + 1))
-	g.base = 0
+	base := 0.0
 	for _, v := range y {
-		g.base += v
+		base += v
 	}
-	g.base /= float64(len(y))
+	base /= float64(len(y))
+	g.ens = ensemble[float64]{init: []float64{base}, lr: g.cfg.LearningRate}
 
 	hi := ensembleHistIndex(x, g.cfg.Tree)
 	pred := make([]float64, len(y))
-	for i := range pred {
-		pred[i] = g.base
-	}
+	g.ens.scoreInto(x, pred)
 	resid := make([]float64, len(y))
-	g.trees = g.trees[:0]
 	for round := 0; round < g.cfg.Rounds; round++ {
 		for i := range y {
 			resid[i] = y[i] - pred[i]
@@ -119,19 +117,19 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 		if err != nil {
 			return err
 		}
-		g.trees = append(g.trees, t)
-		applyTree(pred, x, t, g.cfg.LearningRate)
+		g.ens.trees = append(g.ens.trees, t)
+		applyTree(pred, x, &t, g.cfg.LearningRate)
 	}
 	return nil
 }
 
-// applyTree adds lr * t(x[i]) to pred[i] for every row via the batched
-// flat-tree traversal, in parallel chunks for large batches. Each chunk
-// owns a disjoint sub-slice of pred, so the result is identical to the
-// serial loop under any GOMAXPROCS.
-func applyTree(pred []float64, x [][]float64, t *Tree, lr float64) {
+// applyTree adds lr * t(x[i]) to pred[i] for every row, in parallel
+// chunks for large batches. Each chunk owns a disjoint sub-slice of
+// pred, so the result is identical to the serial loop under any
+// GOMAXPROCS.
+func applyTree(pred []float64, x [][]float64, t *nodes[float64], lr float64) {
 	if len(pred) < parRowThreshold {
-		t.accumBatch(x, pred, lr)
+		t.addTo(x, pred, 1, lr)
 		return
 	}
 	chunks := (len(pred) + batchChunk - 1) / batchChunk
@@ -141,54 +139,31 @@ func applyTree(pred []float64, x [][]float64, t *Tree, lr float64) {
 		if hi > len(pred) {
 			hi = len(pred)
 		}
-		t.accumBatch(x[lo:hi], pred[lo:hi], lr)
+		t.addTo(x[lo:hi], pred[lo:hi], 1, lr)
 		return nil
 	})
 }
 
-// PredictValue implements ml.Regressor.
-func (g *GBRegressor) PredictValue(row []float64) float64 {
-	out := g.base
-	for _, t := range g.trees {
-		out += g.cfg.LearningRate * t.Predict(row)
-	}
-	return out
-}
-
-// PredictBatch evaluates every row in one pass per tree, reusing one
-// routing-scratch slice across the ensemble. Each row's result is
-// bitwise identical to PredictValue on that row: trees accumulate in the
-// same ascending order with the same per-row operations.
-func (g *GBRegressor) PredictBatch(rows [][]float64) []float64 {
+// PredictValueBatch implements ml.Regressor: one pass per tree over the
+// whole batch.
+func (g *GBRegressor) PredictValueBatch(rows [][]float64) []float64 {
 	if len(rows) == 0 {
 		return nil
 	}
 	out := make([]float64, len(rows))
-	for i := range out {
-		out[i] = g.base
-	}
-	for _, t := range g.trees {
-		t.accumBatch(rows, out, g.cfg.LearningRate)
-	}
+	g.ens.scoreInto(rows, out)
 	return out
 }
 
-// PredictValueBatch implements ml.BatchRegressor.
-func (g *GBRegressor) PredictValueBatch(rows [][]float64) []float64 {
-	return g.PredictBatch(rows)
-}
-
 // NumTrees returns the fitted ensemble size.
-func (g *GBRegressor) NumTrees() int { return len(g.trees) }
+func (g *GBRegressor) NumTrees() int { return len(g.ens.trees) }
 
 // GBDT is a gradient-boosted multiclass classifier with softmax loss —
 // the stand-in for the paper's XGBoost GBDT. Each round fits one tree per
 // class to the softmax gradient with Newton leaf values.
 type GBDT struct {
-	cfg     BoostConfig
-	classes int
-	prior   []float64
-	trees   [][]*Tree // [round][class]
+	cfg BoostConfig
+	ens ensemble[float64] // init holds the class log-priors
 }
 
 // NewGBDT returns an unfitted classifier.
@@ -215,32 +190,31 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 		return err
 	}
 	rng := rand.New(rand.NewSource(g.cfg.Seed + 2))
-	g.classes = numClasses
 
 	// Log-prior initialization.
 	counts := make([]float64, numClasses)
 	for _, l := range y {
 		counts[l]++
 	}
-	g.prior = make([]float64, numClasses)
-	for k := range g.prior {
-		g.prior[k] = math.Log((counts[k] + 1) / float64(len(y)+numClasses))
+	prior := make([]float64, numClasses)
+	for k := range prior {
+		prior[k] = math.Log((counts[k] + 1) / float64(len(y)+numClasses))
 	}
+	g.ens = ensemble[float64]{init: prior, lr: g.cfg.LearningRate}
 
 	hi := ensembleHistIndex(x, g.cfg.Tree)
 	n := len(x)
-	scores := make([][]float64, n)
-	for i := range scores {
-		scores[i] = append([]float64(nil), g.prior...)
-	}
-	g.trees = g.trees[:0]
+	// scores and probs are flat row-major n x numClasses, like every
+	// batch the ensemble scores.
+	scores := make([]float64, n*numClasses)
+	g.ens.scoreInto(x, scores)
+	probs := make([]float64, n*numClasses)
 	kf := float64(numClasses-1) / float64(numClasses)
 
 	for round := 0; round < g.cfg.Rounds; round++ {
-		roundTrees := make([]*Tree, numClasses)
-		probs := make([][]float64, n)
-		for i := range scores {
-			probs[i] = softmax(scores[i])
+		roundTrees := make([]nodes[float64], numClasses)
+		for i := 0; i < len(scores); i += numClasses {
+			ml.Softmax(probs[i:i+numClasses], scores[i:i+numClasses])
 		}
 		idx := sampleRows(n, g.cfg.Subsample, rng)
 		// Per-class trees fit in parallel: grad/hess derive from the
@@ -255,7 +229,7 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 				if y[i] == k {
 					yk = 1
 				}
-				p := probs[i][k]
+				p := probs[i*numClasses+k]
 				grad[i] = (yk - p) * kf
 				hess[i] = p * (1 - p) * kf
 			}
@@ -264,11 +238,7 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 				return err
 			}
 			roundTrees[k] = t
-			col := make([]float64, n)
-			t.predictInto(x, col)
-			for i := range scores {
-				scores[i][k] += g.cfg.LearningRate * col[i]
-			}
+			t.addTo(x, scores[k:], numClasses, g.cfg.LearningRate)
 			return nil
 		}); err != nil {
 			var errs par.Errors
@@ -277,99 +247,22 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 			}
 			return err
 		}
-		g.trees = append(g.trees, roundTrees)
+		g.ens.trees = append(g.ens.trees, roundTrees...)
 	}
 	return nil
 }
 
-// PredictProba implements ml.Classifier.
-func (g *GBDT) PredictProba(row []float64) []float64 {
-	scores := append([]float64(nil), g.prior...)
-	for _, round := range g.trees {
-		for k, t := range round {
-			scores[k] += g.cfg.LearningRate * t.Predict(row)
-		}
-	}
-	return softmax(scores)
-}
-
-// PredictProbaBatch implements ml.BatchClassifier: one level-order pass
-// per (round, class) tree over the whole batch. Each row's probabilities
-// are bitwise identical to PredictProba on that row — trees accumulate
-// in the same (round ascending, class ascending) order and
-// softmaxInPlace performs the same operations as softmax.
+// PredictProbaBatch implements ml.Classifier: one pass per (round,
+// class) tree over the whole batch, then a softmax per row. The rows of
+// the result share one backing array.
 func (g *GBDT) PredictProbaBatch(rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil
 	}
-	out := make([][]float64, len(rows))
-	for i := range out {
-		out[i] = append([]float64(nil), g.prior...)
-	}
-	col := make([]float64, len(rows))
-	for _, round := range g.trees {
-		for k, t := range round {
-			t.predictInto(rows, col)
-			for i := range out {
-				out[i][k] += g.cfg.LearningRate * col[i]
-			}
-		}
-	}
-	for i := range out {
-		softmaxInPlace(out[i])
-	}
-	return out
-}
-
-// PredictClass implements ml.Classifier.
-func (g *GBDT) PredictClass(row []float64) int {
-	p := g.PredictProba(row)
-	best := 0
-	for k := range p {
-		if p[k] > p[best] {
-			best = k
-		}
-	}
-	return best
+	flat := make([]float64, len(rows)*len(g.ens.init))
+	g.ens.probaInto(rows, flat)
+	return ml.Rows(flat, len(g.ens.init))
 }
 
 // NumClasses returns the number of classes fitted.
-func (g *GBDT) NumClasses() int { return g.classes }
-
-func softmax(scores []float64) []float64 {
-	out := make([]float64, len(scores))
-	maxv := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxv {
-			maxv = s
-		}
-	}
-	var sum float64
-	for i, s := range scores {
-		out[i] = math.Exp(s - maxv)
-		sum += out[i]
-	}
-	for i := range out {
-		out[i] /= sum
-	}
-	return out
-}
-
-// softmaxInPlace overwrites scores with softmax(scores), performing the
-// exact operation sequence of softmax so results are bitwise identical.
-func softmaxInPlace(scores []float64) {
-	maxv := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxv {
-			maxv = s
-		}
-	}
-	var sum float64
-	for i, s := range scores {
-		scores[i] = math.Exp(s - maxv)
-		sum += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= sum
-	}
-}
+func (g *GBDT) NumClasses() int { return len(g.ens.init) }

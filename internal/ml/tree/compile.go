@@ -1,193 +1,83 @@
 package tree
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // This file is the float32 inference lane of the tree ensembles: fitted
 // GBDT/GBRegressor models compile once (at checkpoint load / registry
-// publish time) into structure-of-arrays node storage — separate feature,
-// threshold and child slices instead of per-node structs — and score
-// batches into caller-provided buffers with zero heap allocations.
-// Quantization happens exactly once, at compile time: every threshold and
-// leaf value (plus the prior and learning rate) is rounded to the nearest
-// float32. Traversal then compares float32 features against float32
-// thresholds with the same `<= goes left` rule as the float64 lane, so a
-// row can only route differently when a feature lands within half a
-// float32 ULP of a threshold — the tie band the serving-lane differential
-// suite bounds with its epsilon policy.
+// publish time) into the same ensemble form in float32 and score batches
+// into caller-provided buffers with zero heap allocations. Quantization
+// happens exactly once, at compile time: every threshold and leaf value
+// (plus the prior and learning rate) is rounded to the nearest float32.
+// Descent, accumulation order and softmax are the float64 lane's own
+// code instantiated at float32.
 
-// soaForest holds the concatenated flat nodes of many trees in
-// structure-of-arrays form. Child indices are absolute into the shared
-// arrays, so descent is plain index arithmetic over four dense slices —
-// no pointer chasing, and the two-destination step below compiles to a
-// conditional move on amd64.
-type soaForest struct {
-	feature []int32 // split feature; < 0 for leaves
-	left    []int32
-	right   []int32
-	thr     []float32
-	leaf    []float32
-	roots   []int32 // root node index of each tree, in append order
-}
-
-// addTree appends one fitted tree's preorder flat nodes, rebasing child
-// indices onto the shared arrays.
-func (f *soaForest) addTree(t *Tree) {
-	base := int32(len(f.feature))
-	f.roots = append(f.roots, base)
-	for _, n := range t.flat.nodes {
-		l, r := n.left, n.right
-		if l >= 0 {
-			l += base
-		}
-		if r >= 0 {
-			r += base
-		}
-		f.feature = append(f.feature, n.feature)
-		f.left = append(f.left, l)
-		f.right = append(f.right, r)
-		f.thr = append(f.thr, float32(n.thr))
-		f.leaf = append(f.leaf, float32(n.value))
+// toF32 rounds one float64 column to a fresh float32 column.
+func toF32(col []float64) []float32 {
+	out := make([]float32, len(col))
+	for i, v := range col {
+		out[i] = float32(v)
 	}
+	return out
 }
 
-// leafValue descends one row from the given tree's root. The branch-free
-// select (`pick left, overwrite with right`) keeps the hot loop's only
-// unpredictable branch out of the instruction stream.
-func (f *soaForest) leafValue(tree int, row []float32) float32 {
-	p := f.roots[tree]
-	for {
-		ft := f.feature[p]
-		if ft < 0 {
-			return f.leaf[p]
-		}
-		next := f.left[p]
-		if row[ft] > f.thr[p] {
-			next = f.right[p]
-		}
-		p = next
+// quantize rounds the ensemble's numeric columns to float32. The index
+// columns are shared with the source, which never writes them again.
+func quantize(e *ensemble[float64]) ensemble[float32] {
+	q := ensemble[float32]{trees: make([]nodes[float32], len(e.trees)), init: toF32(e.init), lr: float32(e.lr)}
+	for i := range e.trees {
+		t := &e.trees[i]
+		q.trees[i] = nodes[float32]{feature: t.feature, left: t.left, right: t.right, thr: toF32(t.thr), value: toF32(t.value)}
 	}
+	return q
 }
-
-func (f *soaForest) numTrees() int { return len(f.roots) }
 
 // CompiledEnsemble is the float32 inference form of a fitted GBRegressor.
 type CompiledEnsemble struct {
-	forest soaForest
-	base   float32
-	lr     float32
+	ens ensemble[float32]
 }
 
-// Compile quantizes the fitted ensemble into its float32 SoA inference
-// form. The receiver is unchanged and stays the float64 reference lane.
+// Compile quantizes the fitted ensemble into its float32 inference form.
+// The receiver is unchanged and stays the float64 reference lane.
 func (g *GBRegressor) Compile() (*CompiledEnsemble, error) {
-	if len(g.trees) == 0 {
+	if len(g.ens.trees) == 0 {
 		return nil, fmt.Errorf("tree: compile of unfitted GBRegressor")
 	}
-	c := &CompiledEnsemble{base: float32(g.base), lr: float32(g.cfg.LearningRate)}
-	for _, t := range g.trees {
-		c.forest.addTree(t)
-	}
-	return c, nil
+	return &CompiledEnsemble{quantize(&g.ens)}, nil
 }
 
 // NumTrees returns the compiled ensemble size.
-func (c *CompiledEnsemble) NumTrees() int { return c.forest.numTrees() }
+func (c *CompiledEnsemble) NumTrees() int { return len(c.ens.trees) }
 
-// PredictValueBatchF32 implements ml.RegressorF32: out[i] accumulates
-// base plus lr-scaled leaf values tree by tree in ascending order — the
-// float64 PredictBatch schedule evaluated in float32. It allocates
-// nothing.
+// PredictValueBatchF32 implements ml.RegressorF32. It allocates nothing.
 func (c *CompiledEnsemble) PredictValueBatchF32(rows [][]float32, out []float32) {
 	if len(out) != len(rows) {
 		panic(fmt.Sprintf("tree: f32 regression out %d, want %d", len(out), len(rows)))
 	}
-	for i := range out {
-		out[i] = c.base
-	}
-	for t := 0; t < c.forest.numTrees(); t++ {
-		for i, row := range rows {
-			out[i] += c.lr * c.forest.leafValue(t, row)
-		}
-	}
+	c.ens.scoreInto(rows, out)
 }
 
-// CompiledGBDT is the float32 inference form of a fitted GBDT. Trees are
-// stored flat in (round ascending, class ascending) order, replicating
-// the float64 accumulation schedule.
+// CompiledGBDT is the float32 inference form of a fitted GBDT.
 type CompiledGBDT struct {
-	forest  soaForest
-	classes int
-	prior   []float32
-	lr      float32
+	ens ensemble[float32]
 }
 
-// Compile quantizes the fitted classifier into its float32 SoA inference
+// Compile quantizes the fitted classifier into its float32 inference
 // form. The receiver is unchanged and stays the float64 reference lane.
 func (g *GBDT) Compile() (*CompiledGBDT, error) {
-	if len(g.trees) == 0 || g.classes < 2 {
+	if len(g.ens.trees) == 0 {
 		return nil, fmt.Errorf("tree: compile of unfitted GBDT")
 	}
-	c := &CompiledGBDT{classes: g.classes, lr: float32(g.cfg.LearningRate)}
-	c.prior = make([]float32, g.classes)
-	for k, v := range g.prior {
-		c.prior[k] = float32(v)
-	}
-	for _, round := range g.trees {
-		if len(round) != g.classes {
-			return nil, fmt.Errorf("tree: round has %d trees for %d classes", len(round), g.classes)
-		}
-		for _, t := range round {
-			c.forest.addTree(t)
-		}
-	}
-	return c, nil
+	return &CompiledGBDT{quantize(&g.ens)}, nil
 }
 
 // Classes implements ml.ClassifierF32.
-func (c *CompiledGBDT) Classes() int { return c.classes }
+func (c *CompiledGBDT) Classes() int { return len(c.ens.init) }
 
-// PredictProbaBatchF32 implements ml.ClassifierF32: scores start at the
-// quantized prior, every (round, class) tree adds its lr-scaled leaf in
-// the float64 lane's order, and each row finishes with an in-place
-// softmax. out is flat row-major len(rows)*Classes(). It allocates
-// nothing.
+// PredictProbaBatchF32 implements ml.ClassifierF32; out is flat
+// row-major len(rows)*Classes(). It allocates nothing.
 func (c *CompiledGBDT) PredictProbaBatchF32(rows [][]float32, out []float32) {
-	if len(out) != len(rows)*c.classes {
-		panic(fmt.Sprintf("tree: f32 proba out %d, want %d", len(out), len(rows)*c.classes))
+	if len(out) != len(rows)*c.Classes() {
+		panic(fmt.Sprintf("tree: f32 proba out %d, want %d", len(out), len(rows)*c.Classes()))
 	}
-	for i := range rows {
-		copy(out[i*c.classes:(i+1)*c.classes], c.prior)
-	}
-	for t := 0; t < c.forest.numTrees(); t++ {
-		k := t % c.classes
-		for i, row := range rows {
-			out[i*c.classes+k] += c.lr * c.forest.leafValue(t, row)
-		}
-	}
-	for i := range rows {
-		softmaxF32InPlace(out[i*c.classes : (i+1)*c.classes])
-	}
-}
-
-// softmaxF32InPlace is softmaxInPlace's operation sequence in float32;
-// the exponential itself is evaluated in float64 (math.Exp has no f32
-// counterpart in the stdlib) and rounded once on the way back.
-func softmaxF32InPlace(scores []float32) {
-	maxv := scores[0]
-	for _, s := range scores[1:] {
-		if s > maxv {
-			maxv = s
-		}
-	}
-	var sum float32
-	for i, s := range scores {
-		scores[i] = float32(math.Exp(float64(s - maxv)))
-		sum += scores[i]
-	}
-	for i := range scores {
-		scores[i] /= sum
-	}
+	c.ens.probaInto(rows, out)
 }

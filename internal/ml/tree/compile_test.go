@@ -20,8 +20,8 @@ func rowsToF32(rows [][]float64) [][]float32 {
 }
 
 // TestCompiledEnsembleMatchesF64 holds the differential contract of the
-// regression lane: the quantized SoA traversal must reproduce the
-// float64 ensemble within a tight relative tolerance — the only error
+// regression lane: the quantized ensemble must reproduce the float64
+// ensemble within a tight relative tolerance — the only error
 // sources are one f32 rounding per threshold/leaf/input and the f32
 // accumulation order.
 func TestCompiledEnsembleMatchesF64(t *testing.T) {
@@ -161,7 +161,7 @@ func TestAllocGateTreeF32(t *testing.T) {
 }
 
 // BenchmarkLaneTreeScore compares the float64 reference ensembles
-// against their compiled SoA f32 forms on a serving-sized batch — the
+// against their compiled f32 forms on a serving-sized batch — the
 // `make bench-lanes` microbenchmark pair for the tree side.
 func BenchmarkLaneTreeScore(b *testing.B) {
 	const classes = 5

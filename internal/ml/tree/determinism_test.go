@@ -32,11 +32,7 @@ func fitGBDT(t *testing.T, x [][]float64, y []int, classes int) [][]float64 {
 	if err := g.FitClassifier(x, y, classes); err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]float64, len(x))
-	for i := range x {
-		out[i] = g.PredictProba(x[i])
-	}
-	return out
+	return g.PredictProbaBatch(x)
 }
 
 // TestGBDTDeterministicUnderGOMAXPROCS is the differential check for the
@@ -73,11 +69,7 @@ func TestGBRegressorDeterministicUnderGOMAXPROCS(t *testing.T) {
 		if err := g.FitRegressor(x, y); err != nil {
 			t.Fatal(err)
 		}
-		out := make([]float64, rows)
-		for i := range x {
-			out[i] = g.PredictValue(x[i])
-		}
-		return out
+		return g.PredictValueBatch(x)
 	}
 	var serial, parallel []float64
 	testutil.WithGOMAXPROCS(t, 1, func() { serial = fit() })

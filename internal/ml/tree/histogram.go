@@ -156,10 +156,11 @@ type histBuilder struct {
 	scratch []int32
 	cand    []histCand
 	pool    *nodeHist
+	out     nodes[float64]
 }
 
 // fitHistogram grows a tree over the idx rows using histogram splits.
-func fitHistogram(hi *histIndex, y, h []float64, idx []int, cfg TreeConfig) *node {
+func fitHistogram(hi *histIndex, y, h []float64, idx []int, cfg TreeConfig) nodes[float64] {
 	hb := &histBuilder{
 		hi: hi, y: y, h: h, cfg: cfg,
 		rows:    make([]int32, len(idx)),
@@ -169,7 +170,8 @@ func fitHistogram(hi *histIndex, y, h []float64, idx []int, cfg TreeConfig) *nod
 	for i, v := range idx {
 		hb.rows[i] = int32(v)
 	}
-	return hb.build(0, len(idx), 0, nil)
+	hb.build(0, len(idx), 0, nil)
+	return hb.out
 }
 
 func (hb *histBuilder) alloc() *nodeHist {
@@ -318,11 +320,13 @@ func (hb *histBuilder) partition(lo, hi, feat, bin int) int {
 	return lo + len(left)
 }
 
-func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) *node {
+// build appends the subtree over rows[lo:hi] in preorder and returns its
+// root's index.
+func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) int32 {
 	seg := hb.rows[lo:hi]
 	if depth >= hb.cfg.MaxDepth || len(seg) < 2*hb.cfg.MinLeaf {
 		hb.release(nh)
-		return &node{feature: -1, value: hb.leafValue(seg)}
+		return hb.out.push(-1, 0, hb.leafValue(seg), 0)
 	}
 	if nh == nil {
 		nh = hb.alloc()
@@ -331,7 +335,7 @@ func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) *node {
 	feat, bin, thr, gain, ok := hb.bestSplit(nh, len(seg))
 	if !ok {
 		hb.release(nh)
-		return &node{feature: -1, value: hb.leafValue(seg)}
+		return hb.out.push(-1, 0, hb.leafValue(seg), 0)
 	}
 	mid := hb.partition(lo, hi, feat, bin)
 	needL := depth+1 < hb.cfg.MaxDepth && mid-lo >= 2*hb.cfg.MinLeaf
@@ -363,8 +367,9 @@ func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) *node {
 	} else {
 		hb.release(nh)
 	}
-	nd := &node{feature: feat, threshold: thr, gain: gain}
-	nd.left = hb.build(lo, mid, depth+1, lh)
-	nd.right = hb.build(mid, hi, depth+1, rh)
-	return nd
+	at := hb.out.push(feat, thr, 0, gain)
+	l := hb.build(lo, mid, depth+1, lh)
+	r := hb.build(mid, hi, depth+1, rh)
+	hb.out.left[at], hb.out.right[at] = l, r
+	return at
 }

@@ -9,11 +9,12 @@ import (
 	"stencilmart/internal/ml"
 )
 
-// The batch entry points must satisfy the ml batch interfaces so core's
-// CV and serving paths pick them up automatically.
+// The ensembles are the ml models core trains and serves, in both lanes.
 var (
-	_ ml.BatchClassifier = (*GBDT)(nil)
-	_ ml.BatchRegressor  = (*GBRegressor)(nil)
+	_ ml.Classifier    = (*GBDT)(nil)
+	_ ml.Regressor     = (*GBRegressor)(nil)
+	_ ml.ClassifierF32 = (*CompiledGBDT)(nil)
+	_ ml.RegressorF32  = (*CompiledEnsemble)(nil)
 )
 
 func TestSplitModeString(t *testing.T) {
@@ -64,13 +65,14 @@ func TestHistogramMatchesExactOnQuantizedData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th.NumLeaves() != te.NumLeaves() {
-		t.Fatalf("leaf counts differ: histogram %d, exact %d", th.NumLeaves(), te.NumLeaves())
+	_, lh := shape(th.Flatten(), 0)
+	if _, le := shape(te.Flatten(), 0); lh != le {
+		t.Fatalf("leaf counts differ: histogram %d, exact %d", lh, le)
 	}
-	for i, row := range x {
-		ph, pe := th.Predict(row), te.Predict(row)
-		if math.Abs(ph-pe) > 1e-9 {
-			t.Fatalf("row %d: histogram %v != exact %v", i, ph, pe)
+	ph, pe := th.PredictBatch(x, nil), te.PredictBatch(x, nil)
+	for i := range x {
+		if math.Abs(ph[i]-pe[i]) > 1e-9 {
+			t.Fatalf("row %d: histogram %v != exact %v", i, ph[i], pe[i])
 		}
 	}
 }
@@ -191,7 +193,7 @@ func cvMAPE(t *testing.T, x [][]float64, y []float64, mode SplitMode) float64 {
 		if err := g.FitRegressor(trX, trY); err != nil {
 			t.Fatal(err)
 		}
-		preds := g.PredictBatch(teX)
+		preds := g.PredictValueBatch(teX)
 		for i := range teX {
 			sum += math.Abs(preds[i]-teY[i]) / math.Abs(teY[i])
 			n++
@@ -349,7 +351,7 @@ func TestMaxBinsClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Depth() < 1 {
+	if depth, _ := shape(tr.Flatten(), 0); depth < 1 {
 		t.Error("2-bin tree grew no splits")
 	}
 }

@@ -1,24 +1,23 @@
 package tree
 
-// addGains accumulates each internal node's split gain into the slot of
-// its split feature, growing gains as needed, and returns the (possibly
-// reallocated) slice.
-func (t *Tree) addGains(gains []float64) []float64 {
-	for _, nd := range t.flat.nodes {
-		if nd.feature < 0 {
-			continue
+// featureImportance accumulates each internal node's split gain into
+// the slot of its split feature across every tree, normalized to sum to
+// 1 (left untouched when the total gain is zero, e.g. an all-leaf
+// ensemble).
+func (e *ensemble[T]) featureImportance() []float64 {
+	var gains []float64
+	for t := range e.trees {
+		n := &e.trees[t]
+		for i, f := range n.feature {
+			if f < 0 {
+				continue
+			}
+			for int(f) >= len(gains) {
+				gains = append(gains, 0)
+			}
+			gains[f] += n.gain[i]
 		}
-		for int(nd.feature) >= len(gains) {
-			gains = append(gains, 0)
-		}
-		gains[nd.feature] += nd.gain
 	}
-	return gains
-}
-
-// normalizeGains scales gains to sum to 1 (left untouched when the total
-// gain is zero, e.g. an all-leaf ensemble).
-func normalizeGains(gains []float64) []float64 {
 	var total float64
 	for _, g := range gains {
 		total += g
@@ -36,22 +35,8 @@ func normalizeGains(gains []float64) []float64 {
 // reports. Index i is feature i's share of the total gain; the slice is
 // as long as the highest feature any tree split on, plus one. Returns
 // nil for an unfitted ensemble.
-func (g *GBRegressor) FeatureImportance() []float64 {
-	var gains []float64
-	for _, t := range g.trees {
-		gains = t.addGains(gains)
-	}
-	return normalizeGains(gains)
-}
+func (g *GBRegressor) FeatureImportance() []float64 { return g.ens.featureImportance() }
 
 // FeatureImportance returns the normalized total split gain per feature
 // across every (round, class) tree. See GBRegressor.FeatureImportance.
-func (g *GBDT) FeatureImportance() []float64 {
-	var gains []float64
-	for _, round := range g.trees {
-		for _, t := range round {
-			gains = t.addGains(gains)
-		}
-	}
-	return normalizeGains(gains)
-}
+func (g *GBDT) FeatureImportance() []float64 { return g.ens.featureImportance() }

@@ -2,15 +2,17 @@ package tree
 
 import (
 	"fmt"
+	"math"
 
 	"stencilmart/internal/persist"
 )
 
 // FlatTree is one serialized tree: its nodes in preorder as parallel
-// columns, row i of every column being node i. The flat form keeps
-// checkpoints free of pointer cycles and lets reconstruction validate
-// structure (bounds, acyclicity, full coverage) before any prediction
-// runs; columns keep a node to a few bytes and decode without reflection.
+// columns, row i of every column being node i — the in-memory layout
+// (nodes.go) in wire types. Child indices, not nesting, let
+// reconstruction validate structure (bounds, acyclicity, full coverage)
+// before any prediction runs; columns keep a node to a few bytes and
+// decode without reflection.
 type FlatTree struct {
 	// Feature is the split feature index, or -1 for a leaf.
 	Feature persist.Ints `json:"f"`
@@ -27,73 +29,100 @@ type FlatTree struct {
 
 const maxFlatDepth = 256
 
-// Flatten serializes the tree into preorder node columns.
-func (t *Tree) Flatten() FlatTree {
-	var out FlatTree
-	for _, n := range t.flat.nodes {
-		out.Feature = append(out.Feature, int(n.feature))
-		out.Threshold = append(out.Threshold, n.thr)
-		out.Value = append(out.Value, n.value)
-		out.Gain = append(out.Gain, n.gain)
-		out.Left = append(out.Left, int(n.left))
-		out.Right = append(out.Right, int(n.right))
+// Flatten serializes the tree: the node columns, copied into wire types.
+func (t *Tree) Flatten() FlatTree { return flatten(&t.nodes) }
+
+func flatten(n *nodes[float64]) FlatTree {
+	widen := func(col []int32) persist.Ints {
+		out := make(persist.Ints, len(col))
+		for i, v := range col {
+			out[i] = int(v)
+		}
+		return out
 	}
-	return out
+	return FlatTree{
+		Feature:   widen(n.feature),
+		Threshold: append(persist.Floats(nil), n.thr...),
+		Value:     append(persist.Floats(nil), n.value...),
+		Gain:      append(persist.Floats(nil), n.gain...),
+		Left:      widen(n.left),
+		Right:     widen(n.right),
+	}
 }
 
-// TreeFromFlat rebuilds a tree from node columns, validating structure:
-// the columns must be equally long, child indices must stay in bounds,
-// every node must be referenced at most once (no sharing, no cycles), and
-// internal nodes need both children, no deeper than maxFlatDepth (fitted
-// trees stop at TreeConfig.MaxDepth; the bound keeps a hostile chain of
-// nodes from exhausting the stack). A corrupt tree fails here rather than
-// mispredicting.
-func TreeFromFlat(ft FlatTree) (*Tree, error) {
-	n := len(ft.Feature)
-	if n == 0 {
-		return nil, fmt.Errorf("tree: empty node array")
-	}
-	if len(ft.Threshold) != n || len(ft.Value) != n || len(ft.Gain) != n || len(ft.Left) != n || len(ft.Right) != n {
-		return nil, fmt.Errorf("tree: ragged node columns: %d f, %d t, %d v, %d g, %d l, %d r", n, len(ft.Threshold), len(ft.Value), len(ft.Gain), len(ft.Left), len(ft.Right))
-	}
-	used := make([]bool, n)
-	var build func(i, depth int) (*node, error)
-	build = func(i, depth int) (*node, error) {
-		if i < 0 || i >= n || depth > maxFlatDepth {
-			return nil, fmt.Errorf("tree: node index %d outside [0,%d) or deeper than %d", i, n, maxFlatDepth)
-		}
-		if used[i] {
-			return nil, fmt.Errorf("tree: node %d referenced twice", i)
-		}
-		used[i] = true
-		nd := &node{feature: ft.Feature[i], threshold: ft.Threshold[i], value: ft.Value[i], gain: ft.Gain[i]}
-		if nd.feature < 0 {
-			if ft.Left[i] != -1 || ft.Right[i] != -1 {
-				return nil, fmt.Errorf("tree: leaf %d has children", i)
-			}
-			return nd, nil
-		}
-		var err error
-		if nd.left, err = build(ft.Left[i], depth+1); err != nil {
-			return nil, err
-		}
-		if nd.right, err = build(ft.Right[i], depth+1); err != nil {
-			return nil, err
-		}
-		return nd, nil
-	}
-	root, err := build(0, 0)
+// TreeFromFlat rebuilds a tree from node columns for rows of the given
+// width, validating before copying: the columns must be equally long,
+// every split feature must index a row (< width) and fit the in-memory
+// index type, child indices must stay in bounds, every node must be
+// referenced exactly once (no sharing, no cycles, no orphans), internal
+// nodes need both children and leaves none, no deeper than maxFlatDepth
+// (fitted trees stop at TreeConfig.MaxDepth; the bound keeps a hostile
+// chain of nodes from exhausting the stack). A corrupt tree fails here
+// rather than mispredicting or indexing past a row.
+func TreeFromFlat(ft FlatTree, width int) (*Tree, error) {
+	n, err := nodesFromFlat(ft, width)
 	if err != nil {
 		return nil, err
 	}
+	return &Tree{n}, nil
+}
+
+func nodesFromFlat(ft FlatTree, width int) (nodes[float64], error) {
+	var out nodes[float64]
+	n := len(ft.Feature)
+	if n == 0 {
+		return out, fmt.Errorf("tree: empty node array")
+	}
+	if len(ft.Threshold) != n || len(ft.Value) != n || len(ft.Gain) != n || len(ft.Left) != n || len(ft.Right) != n {
+		return out, fmt.Errorf("tree: ragged node columns: %d f, %d t, %d v, %d g, %d l, %d r", n, len(ft.Threshold), len(ft.Value), len(ft.Gain), len(ft.Left), len(ft.Right))
+	}
+	if n > math.MaxInt32 {
+		return out, fmt.Errorf("tree: %d nodes exceed the int32 index range", n)
+	}
+	used := make([]bool, n)
+	var visit func(i, depth int) error
+	visit = func(i, depth int) error {
+		if i < 0 || i >= n || depth > maxFlatDepth {
+			return fmt.Errorf("tree: node index %d outside [0,%d) or deeper than %d", i, n, maxFlatDepth)
+		}
+		if used[i] {
+			return fmt.Errorf("tree: node %d referenced twice", i)
+		}
+		used[i] = true
+		f := ft.Feature[i]
+		if f >= width || f != int(int32(f)) {
+			return fmt.Errorf("tree: node %d has feature %d: rows have %d, and indices are int32", i, f, width)
+		}
+		if f < 0 {
+			if ft.Left[i] != -1 || ft.Right[i] != -1 {
+				return fmt.Errorf("tree: leaf %d has children", i)
+			}
+			return nil
+		}
+		if err := visit(ft.Left[i], depth+1); err != nil {
+			return err
+		}
+		return visit(ft.Right[i], depth+1)
+	}
+	if err := visit(0, 0); err != nil {
+		return out, err
+	}
 	for i, u := range used {
 		if !u {
-			return nil, fmt.Errorf("tree: node %d unreachable from root", i)
+			return out, fmt.Errorf("tree: node %d unreachable from root", i)
 		}
 	}
-	t := &Tree{root: root}
-	t.finalize()
-	return t, nil
+	narrow := func(col persist.Ints) []int32 {
+		out := make([]int32, n)
+		for i, v := range col {
+			out[i] = int32(v)
+		}
+		return out
+	}
+	return nodes[float64]{
+		feature: narrow(ft.Feature), left: narrow(ft.Left), right: narrow(ft.Right),
+		thr: append([]float64(nil), ft.Threshold...), value: append([]float64(nil), ft.Value...), gain: append([]float64(nil), ft.Gain...),
+	}, nil
 }
 
 // GBRegressorState is the serializable form of a fitted GBRegressor.
@@ -105,24 +134,25 @@ type GBRegressorState struct {
 
 // State snapshots a fitted regressor.
 func (g *GBRegressor) State() GBRegressorState {
-	st := GBRegressorState{Config: g.cfg, Base: g.base}
-	for _, t := range g.trees {
-		st.Trees = append(st.Trees, t.Flatten())
+	st := GBRegressorState{Config: g.cfg, Base: g.ens.init[0]}
+	for i := range g.ens.trees {
+		st.Trees = append(st.Trees, flatten(&g.ens.trees[i]))
 	}
 	return st
 }
 
-// GBRegressorFromState rehydrates a regressor, validating every tree.
-// The stored config is used verbatim (it was normalized at fit time), so
-// predictions are bitwise identical to the snapshotted model's.
-func GBRegressorFromState(st GBRegressorState) (*GBRegressor, error) {
-	g := &GBRegressor{cfg: st.Config, base: st.Base}
-	for i, fn := range st.Trees {
-		t, err := TreeFromFlat(fn)
+// GBRegressorFromState rehydrates a regressor that scores rows of the
+// given width, validating every tree. The stored config is used verbatim
+// (it was normalized at fit time), so predictions are bitwise identical
+// to the snapshotted model's.
+func GBRegressorFromState(st GBRegressorState, width int) (*GBRegressor, error) {
+	g := &GBRegressor{cfg: st.Config, ens: ensemble[float64]{init: []float64{st.Base}, lr: st.Config.LearningRate}}
+	for i, ft := range st.Trees {
+		t, err := nodesFromFlat(ft, width)
 		if err != nil {
 			return nil, fmt.Errorf("tree: GBRegressor tree %d: %w", i, err)
 		}
-		g.trees = append(g.trees, t)
+		g.ens.trees = append(g.ens.trees, t)
 	}
 	return g, nil
 }
@@ -137,41 +167,40 @@ type GBDTState struct {
 
 // State snapshots a fitted classifier.
 func (g *GBDT) State() GBDTState {
-	st := GBDTState{Config: g.cfg, Classes: g.classes, Prior: g.prior}
-	for _, round := range g.trees {
-		var r []FlatTree
-		for _, t := range round {
-			r = append(r, t.Flatten())
+	k := len(g.ens.init)
+	st := GBDTState{Config: g.cfg, Classes: k, Prior: g.ens.init}
+	for i := range g.ens.trees {
+		if i%k == 0 {
+			st.Trees = append(st.Trees, nil)
 		}
-		st.Trees = append(st.Trees, r)
+		st.Trees[i/k] = append(st.Trees[i/k], flatten(&g.ens.trees[i]))
 	}
 	return st
 }
 
-// GBDTFromState rehydrates a classifier, validating the class/prior/tree
-// shape agreement so a payload whose ensemble disagrees with its declared
-// class count errors instead of mispredicting.
-func GBDTFromState(st GBDTState) (*GBDT, error) {
+// GBDTFromState rehydrates a classifier that scores rows of the given
+// width, validating the class/prior/tree shape agreement so a payload
+// whose ensemble disagrees with its declared class count errors instead
+// of mispredicting.
+func GBDTFromState(st GBDTState, width int) (*GBDT, error) {
 	if st.Classes < 2 {
 		return nil, fmt.Errorf("tree: GBDT state with %d classes", st.Classes)
 	}
 	if len(st.Prior) != st.Classes {
 		return nil, fmt.Errorf("tree: GBDT state has %d priors for %d classes", len(st.Prior), st.Classes)
 	}
-	g := &GBDT{cfg: st.Config, classes: st.Classes, prior: st.Prior}
+	g := &GBDT{cfg: st.Config, ens: ensemble[float64]{init: st.Prior, lr: st.Config.LearningRate}}
 	for ri, round := range st.Trees {
 		if len(round) != st.Classes {
 			return nil, fmt.Errorf("tree: GBDT round %d has %d trees for %d classes", ri, len(round), st.Classes)
 		}
-		var r []*Tree
-		for ci, fn := range round {
-			t, err := TreeFromFlat(fn)
+		for ci, ft := range round {
+			t, err := nodesFromFlat(ft, width)
 			if err != nil {
 				return nil, fmt.Errorf("tree: GBDT round %d class %d: %w", ri, ci, err)
 			}
-			r = append(r, t)
+			g.ens.trees = append(g.ens.trees, t)
 		}
-		g.trees = append(g.trees, r)
 	}
 	return g, nil
 }

@@ -27,7 +27,7 @@ func TestGBDTStateRoundTripBatch(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := GBDTFromState(st)
+	g2, err := GBDTFromState(st, len(x[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,12 +70,12 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := GBRegressorFromState(st)
+	g2, err := GBRegressorFromState(st, len(x[0]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := g.PredictBatch(x)
-	got := g2.PredictBatch(x)
+	want := g.PredictValueBatch(x)
+	got := g2.PredictValueBatch(x)
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("row %d: %v != %v after round trip", i, want[i], got[i])
@@ -127,11 +127,11 @@ func TestTreeFromFlatColumns(t *testing.T) {
 	if err := json.Unmarshal(blob, &ft); err != nil {
 		t.Fatal(err)
 	}
-	tr, err := TreeFromFlat(ft)
+	tr, err := TreeFromFlat(ft, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := tr.PredictBatch([][]float64{{0.2}, {0.9}}, nil); out[0] != 1 || out[1] != 2 || tr.Predict([]float64{0.2}) != 1 {
+	if out := tr.PredictBatch([][]float64{{0.2}, {0.9}}, nil); out[0] != 1 || out[1] != 2 {
 		t.Errorf("stump predicts %v, want [1 2]", out)
 	}
 
@@ -146,15 +146,20 @@ func TestTreeFromFlatColumns(t *testing.T) {
 		"shared child":        func(ft *FlatTree) { ft.Right[0] = 1 },
 		"leaf with children":  func(ft *FlatTree) { ft.Left[2] = 1 },
 		"unreachable node":    func(ft *FlatTree) { ft.Feature[0], ft.Left[0], ft.Right[0] = -1, -1, -1 },
+		// Narrowed to int32 this was feature 0: loaded, then misrouted.
+		"feature past int32": func(ft *FlatTree) { ft.Feature[0] = 1 << 32 },
+		// Loaded, then indexed past the row on the first prediction.
+		"feature past the row width": func(ft *FlatTree) { ft.Feature[0] = 7 },
+		"leaf marker past int32":     func(ft *FlatTree) { ft.Feature[1] = -1 << 40 },
 	}
-	if _, err := TreeFromFlat(chain(maxFlatDepth)); err != nil {
+	if _, err := TreeFromFlat(chain(maxFlatDepth), 2); err != nil {
 		t.Errorf("chain of depth %d refused: %v", maxFlatDepth, err)
 	}
 	cases["deeper than any fitted tree"] = func(ft *FlatTree) { *ft = chain(maxFlatDepth + 1) }
 	for name, corrupt := range cases {
 		ft := stump()
 		corrupt(&ft)
-		if _, err := TreeFromFlat(ft); err == nil {
+		if _, err := TreeFromFlat(ft, 2); err == nil {
 			t.Errorf("%s: corrupt tree rebuilt cleanly", name)
 		}
 	}

@@ -8,6 +8,7 @@
 // per-bin gradient histograms, and the exact-greedy splitter below
 // re-sorts the node's rows per feature per node — kept as the reference
 // oracle the differential suite compares the histogram path against.
+// Both append the nodes they decide straight to the tree's columns.
 package tree
 
 import (
@@ -17,21 +18,11 @@ import (
 	"sort"
 )
 
-// node is one regression-tree node; leaves have feature == -1.
-type node struct {
-	feature     int
-	threshold   float64
-	value       float64
-	gain        float64 // split gain at internal nodes; feeds FeatureImportance
-	left, right *node
-}
-
-// Tree is a fitted CART regression tree. Alongside the pointer form it
-// carries a flat preorder node array (built once at fit/load time) that
-// the batched traversal in predict.go descends without pointer chasing.
+// Tree is a fitted CART regression tree: its nodes as parallel preorder
+// columns (nodes.go), the one form fitting appends to, prediction
+// descends, Compile quantizes and the checkpoint copies.
 type Tree struct {
-	root *node
-	flat flatTree
+	nodes[float64]
 }
 
 // SplitMode selects the split-finding backbone.
@@ -144,36 +135,35 @@ func FitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig) (*Tree, e
 		return nil, err
 	}
 	cfg.setDefaults()
-	return fitTree(x, y, h, idx, cfg, nil)
+	n, err := fitTree(x, y, h, idx, cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &Tree{n}, nil
 }
 
 // fitTree is the unvalidated core of FitTree: cfg must be normalized and
 // x/y/h finite. The ensembles validate once up front and pass a prebuilt
 // histogram index so the per-feature binning sort is paid once per
 // ensemble fit instead of once per tree.
-func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hi *histIndex) (*Tree, error) {
+func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hi *histIndex) (nodes[float64], error) {
 	if len(x) == 0 || len(y) != len(x) {
-		return nil, fmt.Errorf("tree: %d rows, %d targets", len(x), len(y))
+		return nodes[float64]{}, fmt.Errorf("tree: %d rows, %d targets", len(x), len(y))
 	}
 	if h != nil && len(h) != len(x) {
-		return nil, fmt.Errorf("tree: %d rows, %d hessians", len(x), len(h))
+		return nodes[float64]{}, fmt.Errorf("tree: %d rows, %d hessians", len(x), len(h))
 	}
 	if len(idx) == 0 {
-		return nil, fmt.Errorf("tree: empty index set")
+		return nodes[float64]{}, fmt.Errorf("tree: empty index set")
 	}
-	var root *node
 	if cfg.Mode == SplitHistogram {
 		if hi == nil {
 			hi = buildHistIndex(x, cfg.MaxBins)
 		}
-		root = fitHistogram(hi, y, h, idx, cfg)
-	} else {
-		b := &exactBuilder{x: x, y: y, h: h, cfg: cfg}
-		root = b.fit(idx)
+		return fitHistogram(hi, y, h, idx, cfg), nil
 	}
-	t := &Tree{root: root}
-	t.finalize()
-	return t, nil
+	b := &exactBuilder{x: x, y: y, h: h, cfg: cfg}
+	return b.fit(idx), nil
 }
 
 // exactBuilder grows a tree with exact-greedy splits: every node
@@ -188,13 +178,15 @@ type exactBuilder struct {
 	rows []int
 	ord  []int
 	tmp  []int
+	out  nodes[float64]
 }
 
-func (b *exactBuilder) fit(idx []int) *node {
+func (b *exactBuilder) fit(idx []int) nodes[float64] {
 	b.rows = append([]int(nil), idx...)
 	b.ord = make([]int, len(idx))
 	b.tmp = make([]int, 0, len(idx))
-	return b.build(0, len(idx), 0)
+	b.build(0, len(idx), 0)
+	return b.out
 }
 
 // leafValue returns sum(g)/sum(h) (Newton step) or the mean when
@@ -215,23 +207,23 @@ func (b *exactBuilder) leafValue(seg []int) float64 {
 // impurity is the weighted sum of squares proxy: -(sum g)^2 / sum h.
 func gainTerm(sg, sh float64) float64 { return sg * sg / (sh + 1e-9) }
 
-func (b *exactBuilder) build(lo, hi, depth int) *node {
+// build appends the subtree over rows[lo:hi] in preorder and returns its
+// root's index.
+func (b *exactBuilder) build(lo, hi, depth int) int32 {
 	seg := b.rows[lo:hi]
 	if depth >= b.cfg.MaxDepth || len(seg) < 2*b.cfg.MinLeaf {
-		return &node{feature: -1, value: b.leafValue(seg)}
+		return b.out.push(-1, 0, b.leafValue(seg), 0)
 	}
 	feat, thr, gain, ok := b.bestSplit(seg)
 	if !ok {
-		return &node{feature: -1, value: b.leafValue(seg)}
+		return b.out.push(-1, 0, b.leafValue(seg), 0)
 	}
 	mid := b.partition(lo, hi, feat, thr)
-	return &node{
-		feature:   feat,
-		threshold: thr,
-		gain:      gain,
-		left:      b.build(lo, mid, depth+1),
-		right:     b.build(mid, hi, depth+1),
-	}
+	at := b.out.push(feat, thr, 0, gain)
+	l := b.build(lo, mid, depth+1)
+	r := b.build(mid, hi, depth+1)
+	b.out.left[at], b.out.right[at] = l, r
+	return at
 }
 
 // partition stably splits rows[lo:hi] around the threshold: rows going
@@ -296,41 +288,4 @@ func (b *exactBuilder) weight(i int) float64 {
 		return b.h[i]
 	}
 	return 1
-}
-
-// Predict evaluates the tree on one row.
-func (t *Tree) Predict(row []float64) float64 {
-	n := t.root
-	for n.feature >= 0 {
-		if row[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
-}
-
-// Depth returns the tree depth (leaf-only tree has depth 0).
-func (t *Tree) Depth() int { return depth(t.root) }
-
-func depth(n *node) int {
-	if n == nil || n.feature < 0 {
-		return 0
-	}
-	l, r := depth(n.left), depth(n.right)
-	return 1 + int(math.Max(float64(l), float64(r)))
-}
-
-// NumLeaves returns the number of leaves.
-func (t *Tree) NumLeaves() int { return leaves(t.root) }
-
-func leaves(n *node) int {
-	if n == nil {
-		return 0
-	}
-	if n.feature < 0 {
-		return 1
-	}
-	return leaves(n.left) + leaves(n.right)
 }

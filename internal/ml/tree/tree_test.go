@@ -2,10 +2,14 @@ package tree
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"stencilmart/internal/ml"
+	"stencilmart/internal/testutil"
 )
 
 func allIdx(n int) []int {
@@ -14,6 +18,45 @@ func allIdx(n int) []int {
 		idx[i] = i
 	}
 	return idx
+}
+
+// walk is the traversal oracle: a recursive descent over the tree's wire
+// columns in numeric format T, rounding each threshold and leaf as
+// Compile does. visit, when set, sees every split on the row's path.
+func walk[T float32 | float64](ft FlatTree, i int, row []T, visit func(feature int, thr float64)) T {
+	f := ft.Feature[i]
+	if f < 0 {
+		return T(ft.Value[i])
+	}
+	if visit != nil {
+		visit(f, ft.Threshold[i])
+	}
+	if row[f] <= T(ft.Threshold[i]) {
+		return walk(ft, ft.Left[i], row, visit)
+	}
+	return walk(ft, ft.Right[i], row, visit)
+}
+
+// predictOne scores a single row: a batch of one.
+func predictOne(tr *Tree, row []float64) float64 { return tr.PredictBatch([][]float64{row}, nil)[0] }
+
+// shape returns the depth (0 for a lone leaf) and leaf count below node i.
+func shape(ft FlatTree, i int) (depth, leaves int) {
+	if ft.Feature[i] < 0 {
+		return 0, 1
+	}
+	ld, ll := shape(ft, ft.Left[i])
+	rd, rl := shape(ft, ft.Right[i])
+	return 1 + max(ld, rd), ll + rl
+}
+
+// atProcs runs f as a subtest under GOMAXPROCS 1 and 4.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			testutil.WithGOMAXPROCS(t, procs, func() { f(t) })
+		})
+	}
 }
 
 func TestFitTreeStepFunction(t *testing.T) {
@@ -33,14 +76,14 @@ func TestFitTreeStepFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Predict([]float64{0.1, 0.5}); math.Abs(got) > 1e-9 {
+	if got := predictOne(tr, []float64{0.1, 0.5}); math.Abs(got) > 1e-9 {
 		t.Errorf("low side = %g, want 0", got)
 	}
-	if got := tr.Predict([]float64{0.9, 0.5}); math.Abs(got-1) > 1e-9 {
+	if got := predictOne(tr, []float64{0.9, 0.5}); math.Abs(got-1) > 1e-9 {
 		t.Errorf("high side = %g, want 1", got)
 	}
-	if tr.Depth() < 1 || tr.NumLeaves() < 2 {
-		t.Errorf("degenerate tree: depth=%d leaves=%d", tr.Depth(), tr.NumLeaves())
+	if depth, leaves := shape(tr.Flatten(), 0); depth < 1 || leaves < 2 {
+		t.Errorf("degenerate tree: depth=%d leaves=%d", depth, leaves)
 	}
 }
 
@@ -51,10 +94,10 @@ func TestFitTreeConstantTarget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumLeaves() != 1 {
-		t.Errorf("constant target grew %d leaves", tr.NumLeaves())
+	if _, leaves := shape(tr.Flatten(), 0); leaves != 1 {
+		t.Errorf("constant target grew %d leaves", leaves)
 	}
-	if got := tr.Predict([]float64{2.5}); math.Abs(got-7) > 1e-6 {
+	if got := predictOne(tr, []float64{2.5}); math.Abs(got-7) > 1e-6 {
 		t.Errorf("predict = %g, want 7", got)
 	}
 }
@@ -88,8 +131,8 @@ func TestTreeRespectsMaxDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Depth() > d {
-			t.Errorf("depth %d exceeds max %d", tr.Depth(), d)
+		if depth, _ := shape(tr.Flatten(), 0); depth > d {
+			t.Errorf("depth %d exceeds max %d", depth, d)
 		}
 	}
 }
@@ -116,8 +159,8 @@ func TestGBRegressorFitsSmoothFunction(t *testing.T) {
 		mean += v
 	}
 	mean /= float64(len(y))
-	for i, row := range x {
-		d := g.PredictValue(row) - y[i]
+	for i, v := range g.PredictValueBatch(x) {
+		d := v - y[i]
 		sse += d * d
 		sst += (y[i] - mean) * (y[i] - mean)
 	}
@@ -156,15 +199,16 @@ func TestGBDTSeparableClasses(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits := 0
-	for i, row := range x {
-		if g.PredictClass(row) == y[i] {
+	probas := g.PredictProbaBatch(x)
+	for i := range x {
+		if ml.ArgMax(probas[i]) == y[i] {
 			hits++
 		}
 	}
 	if acc := float64(hits) / float64(len(x)); acc < 0.95 {
 		t.Errorf("training accuracy %.3f, want >= 0.95", acc)
 	}
-	p := g.PredictProba(x[0])
+	p := probas[0]
 	var sum float64
 	for _, v := range p {
 		if v < 0 || v > 1 {
@@ -193,23 +237,6 @@ func TestGBDTErrors(t *testing.T) {
 	}
 }
 
-func TestSoftmaxStable(t *testing.T) {
-	p := softmax([]float64{1000, 1001, 999})
-	var sum float64
-	for _, v := range p {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("softmax overflow: %v", p)
-		}
-		sum += v
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("softmax sums to %g", sum)
-	}
-	if p[1] < p[0] || p[1] < p[2] {
-		t.Errorf("softmax ordering wrong: %v", p)
-	}
-}
-
 // Property: tree predictions are always one of the leaf values — i.e.
 // bounded by [min(y), max(y)] for unweighted fits.
 func TestQuickTreePredictionBounds(t *testing.T) {
@@ -230,7 +257,7 @@ func TestQuickTreePredictionBounds(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 20; i++ {
-			p := tr.Predict([]float64{rng.Float64() * 2, rng.Float64() * 2})
+			p := predictOne(tr, []float64{rng.Float64() * 2, rng.Float64() * 2})
 			if p < lo-1e-9 || p > hi+1e-9 {
 				return false
 			}
@@ -305,6 +332,19 @@ func randMatrix(seed int64, rows, cols int) [][]float64 {
 	return x
 }
 
+// ulp32 is the spacing of float32 values at v.
+func ulp32(v float64) float64 {
+	f := float32(math.Abs(v))
+	return float64(math.Nextafter32(f, float32(math.Inf(1))) - f)
+}
+
+// TestTreePredictBatchMatchesPredict is the traversal differential: the
+// one generic descent against the recursive walk above, over the same
+// columns, on 1k random rows plus rows placed one float64 step either
+// side of the root threshold. Float64 must agree bitwise. Float32
+// descent must agree bitwise with the float32 walk, and with the float64
+// answer wherever no split on the row's path has its feature within one
+// float32 ULP of the threshold — the documented tie band.
 func TestTreePredictBatchMatchesPredict(t *testing.T) {
 	for _, mode := range []SplitMode{SplitHistogram, SplitExact} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -317,12 +357,41 @@ func TestTreePredictBatchMatchesPredict(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			q := randMatrix(12, 100, 5)
+			ft := tr.Flatten()
+			q := randMatrix(12, 1000, 5)
+			for _, to := range []float64{math.Inf(-1), math.Inf(1)} {
+				edge := append([]float64(nil), q[0]...)
+				edge[ft.Feature[0]] = math.Nextafter(ft.Threshold[0], to)
+				q = append(q, edge)
+			}
+			q32 := rowsToF32(q)
+			lane32 := quantize(&ensemble[float64]{trees: []nodes[float64]{tr.nodes}, init: []float64{0}, lr: 1}).trees[0]
+
 			got := tr.PredictBatch(q, nil)
+			offBand := 0
 			for i, row := range q {
-				if math.Float64bits(got[i]) != math.Float64bits(tr.Predict(row)) {
-					t.Fatalf("row %d: batch %v != single %v", i, got[i], tr.Predict(row))
+				want := walk(ft, 0, row, nil)
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("row %d: descent %v != walk %v", i, got[i], want)
 				}
+				got32 := lane32.leaf(q32[i])
+				if want32 := walk(ft, 0, q32[i], nil); math.Float32bits(got32) != math.Float32bits(want32) {
+					t.Fatalf("row %d: f32 descent %v != f32 walk %v", i, got32, want32)
+				}
+				if got32 == float32(want) {
+					continue
+				}
+				offBand++
+				inBand := false
+				walk(ft, 0, row, func(f int, thr float64) {
+					inBand = inBand || math.Abs(row[f]-thr) <= ulp32(thr)
+				})
+				if !inBand {
+					t.Fatalf("row %d: f32 leaf %v, f64 leaf %v, and no split within a float32 ULP", i, got32, want)
+				}
+			}
+			if offBand == 0 {
+				t.Error("no row routed differently in float32: the edge rows should")
 			}
 			// out reuse: a slice with capacity is reused, not reallocated.
 			buf := make([]float64, 0, len(q))
@@ -334,6 +403,8 @@ func TestTreePredictBatchMatchesPredict(t *testing.T) {
 	}
 }
 
+// TestGBDTBatchMatchesSingle: a batch of N is N batches of one, bitwise,
+// at GOMAXPROCS 1 and 4.
 func TestGBDTBatchMatchesSingle(t *testing.T) {
 	const classes = 4
 	x, y := synthClassData(250, 6, classes)
@@ -341,20 +412,23 @@ func TestGBDTBatchMatchesSingle(t *testing.T) {
 	if err := g.FitClassifier(x, y, classes); err != nil {
 		t.Fatal(err)
 	}
-	batch := g.PredictProbaBatch(x)
-	for i, row := range x {
-		single := g.PredictProba(row)
-		for k := range single {
-			if math.Float64bits(batch[i][k]) != math.Float64bits(single[k]) {
-				t.Fatalf("row %d class %d: batch %v != single %v", i, k, batch[i][k], single[k])
+	atProcs(t, func(t *testing.T) {
+		batch := g.PredictProbaBatch(x)
+		for i := range x {
+			single := g.PredictProbaBatch(x[i : i+1])[0]
+			for k := range single {
+				if math.Float64bits(batch[i][k]) != math.Float64bits(single[k]) {
+					t.Fatalf("row %d class %d: batch %v != single %v", i, k, batch[i][k], single[k])
+				}
 			}
 		}
-	}
-	if g.PredictProbaBatch(nil) != nil {
-		t.Error("empty batch should return nil")
-	}
+		if g.PredictProbaBatch(nil) != nil {
+			t.Error("empty batch should return nil")
+		}
+	})
 }
 
+// TestGBRegressorBatchMatchesSingle is the regression analogue.
 func TestGBRegressorBatchMatchesSingle(t *testing.T) {
 	x := randMatrix(21, 300, 4)
 	y := make([]float64, len(x))
@@ -365,19 +439,15 @@ func TestGBRegressorBatchMatchesSingle(t *testing.T) {
 	if err := g.FitRegressor(x, y); err != nil {
 		t.Fatal(err)
 	}
-	batch := g.PredictBatch(x)
-	for i, row := range x {
-		if math.Float64bits(batch[i]) != math.Float64bits(g.PredictValue(row)) {
-			t.Fatalf("row %d: batch %v != single %v", i, batch[i], g.PredictValue(row))
+	atProcs(t, func(t *testing.T) {
+		batch := g.PredictValueBatch(x)
+		for i := range x {
+			if single := g.PredictValueBatch(x[i : i+1])[0]; math.Float64bits(batch[i]) != math.Float64bits(single) {
+				t.Fatalf("row %d: batch %v != single %v", i, batch[i], single)
+			}
 		}
-	}
-	if g.PredictBatch(nil) != nil {
-		t.Error("empty batch should return nil")
-	}
-	vb := g.PredictValueBatch(x[:7])
-	for i := range vb {
-		if math.Float64bits(vb[i]) != math.Float64bits(batch[i]) {
-			t.Fatalf("PredictValueBatch row %d differs from PredictBatch", i)
+		if g.PredictValueBatch(nil) != nil {
+			t.Error("empty batch should return nil")
 		}
-	}
+	})
 }

@@ -51,7 +51,7 @@ const MaxRequestBytes = 1 << 20
 
 // Lane selects which numeric inference path scores a request: the
 // float64 reference pipeline or the compiled float32 hot path (quantized
-// SoA tree traversal / f32 GEMM over arena scratch). Decisions agree
+// tree columns / f32 GEMM over arena scratch). Decisions agree
 // away from documented ties; see DESIGN.md §12 for the tolerance
 // contract.
 type Lane string

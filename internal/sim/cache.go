@@ -75,8 +75,8 @@ type evalKey struct {
 	cell   uint32
 }
 
-// hash mixes the key into a well-distributed uint64 (the 64-bit
-// finalizer from MurmurHash3, seeded with the cell id so samples of
+// hash mixes the key into a well-distributed uint64 (MurmurHash3's
+// 64-bit final mix, seeded with the cell id so samples of
 // different cells land on different shards).
 func (k evalKey) hash() uint64 {
 	h := k.sample ^ (uint64(k.cell)+1)*0x9E3779B97F4A7C15

@@ -52,9 +52,10 @@ echo "== fuzz smoke (checkpoint envelope + loader) =="
 go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
 go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
 
-echo "== bench smoke (collect_mem, serve_hot, train_ckpt) =="
-# One second each of the repo benchmark's collection, hot-serving and
-# train-to-checkpoint workloads. Every workload verifies each answer it
+echo "== bench smoke (collect_mem, serve_hot, serve_distinct_nn, train_ckpt) =="
+# One second each of the four workloads BENCHMARK.json gates: collection,
+# hot tree serving, never-repeated requests on the f32 network lane, and
+# train-to-checkpoint. Every workload verifies each answer it
 # times (dataset digest, response bodies; train_ckpt asks a server
 # started from each cycle's checkpoint 40 probes and compares them with
 # the framework trained in memory, so a lossy checkpoint codec fails
@@ -62,7 +63,7 @@ echo "== bench smoke (collect_mem, serve_hot, train_ckpt) =="
 # on a crash. Numbers are not compared here — the
 # baseline lives in bench/BASELINE.json. A single-workload run exits 0
 # whenever it printed a result, so the verdict is read from that result.
-for w in collect_mem serve_hot train_ckpt; do
+for w in collect_mem serve_hot serve_distinct_nn train_ckpt; do
     result="$(go run ./bench -workload "$w" -seconds 1 | tail -n 1)"
     echo "$w: $result"
     case "$result" in
