@@ -55,6 +55,28 @@ func BenchmarkIm2col3D(b *testing.B) {
 	col := New(s.OutSpatial(), s.KernelLen())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Im2col(x, col, 0)
+		Im2col(s, x, col, 0)
+	}
+}
+
+// BenchmarkLaneGemm compares the f64 serving-shape GEMM against the f32
+// lane on the dense shapes the compiled networks hit (small batch, wide
+// k) — the `make bench-lanes` microbenchmark pair. Both run the serial
+// entry point, as the f32 lane does.
+func BenchmarkLaneGemm(b *testing.B) {
+	b.Run("f64", benchLaneGemm[float64])
+	b.Run("f32", benchLaneGemm[float32])
+}
+
+func benchLaneGemm[T Float](b *testing.B) {
+	rng := rand.New(rand.NewSource(21))
+	const m, k, n = 32, 729, 64
+	a := randomMat[T](m, k, rng)
+	w := randomMat[T](k, n, rng)
+	c := Resize[T](nil, m, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Gemm(c, a, w, 1)
 	}
 }

@@ -46,7 +46,7 @@ func (s ConvShape) KernelLen() int { return s.InC * s.KD * s.KH * s.KW }
 // columns): row m holds the input patch under output point m, so
 // output = weights · colᵀ. The innermost kx run is a contiguous copy
 // from the input row.
-func (s ConvShape) Im2col(x []float64, col *Matrix, rowOff int) {
+func Im2col[T Float](s ConvShape, x []T, col *Mat[T], rowOff int) {
 	if len(x) != s.InLen() {
 		panic(fmt.Sprintf("linalg: im2col input %d, want %d", len(x), s.InLen()))
 	}
@@ -79,7 +79,7 @@ func (s ConvShape) Im2col(x []float64, col *Matrix, rowOff int) {
 // [rowOff, rowOff+OutSpatial) of col back onto the flat input gradient
 // dx (len InLen), which the caller must have zeroed. It is the exact
 // adjoint of Im2col.
-func (s ConvShape) Col2im(col *Matrix, rowOff int, dx []float64) {
+func Col2im[T Float](s ConvShape, col *Mat[T], rowOff int, dx []T) {
 	if len(dx) != s.InLen() {
 		panic(fmt.Sprintf("linalg: col2im output %d, want %d", len(dx), s.InLen()))
 	}

@@ -4,12 +4,18 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"stencilmart/internal/testutil"
 )
 
-func randomMatrix(rows, cols int, rng *rand.Rand) *Matrix {
-	m := New(rows, cols)
+// The kernels exist once, generic over the element type, so every check
+// below that is not about training-only code is one helper run at
+// float64 and at float32.
+
+func randomMat[T Float](rows, cols int, rng *rand.Rand) *Mat[T] {
+	m := Resize[T](nil, rows, cols)
 	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
+		m.Data[i] = T(rng.NormFloat64())
 		if rng.Intn(5) == 0 {
 			m.Data[i] = 0 // exercise the zero-skip path
 		}
@@ -17,12 +23,19 @@ func randomMatrix(rows, cols int, rng *rand.Rand) *Matrix {
 	return m
 }
 
-// naiveGemm is the textbook triple loop the kernels are checked against.
-func naiveGemm(a, b *Matrix) *Matrix {
-	c := New(a.Rows, b.Cols)
+func randomMatrix(rows, cols int, rng *rand.Rand) *Matrix {
+	return randomMat[float64](rows, cols, rng)
+}
+
+// naiveGemm is the textbook triple loop the kernels are checked
+// against. It accumulates in T in the kernels' ascending-k order, so at
+// float32 (as at float64) the kernel's only freedom is the kBlock
+// panelling — still the same addition sequence per output element.
+func naiveGemm[T Float](a, b *Mat[T]) *Mat[T] {
+	c := Resize[T](nil, a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
-			var s float64
+			var s T
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
@@ -32,18 +45,18 @@ func naiveGemm(a, b *Matrix) *Matrix {
 	return c
 }
 
-func maxAbsDiff(a, b *Matrix) float64 {
+func maxAbsDiff[T Float](a, b *Mat[T]) float64 {
 	worst := 0.0
 	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > worst {
+		if d := math.Abs(float64(a.Data[i] - b.Data[i])); d > worst {
 			worst = d
 		}
 	}
 	return worst
 }
 
-func transpose(m *Matrix) *Matrix {
-	t := New(m.Cols, m.Rows)
+func transpose[T Float](m *Mat[T]) *Mat[T] {
+	t := Resize[T](nil, m.Cols, m.Rows)
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
 			t.Data[j*t.Cols+i] = m.At(i, j)
@@ -52,36 +65,42 @@ func transpose(m *Matrix) *Matrix {
 	return t
 }
 
-func TestGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+func testGemmMatchesNaive[T Float](t *testing.T, seed int64, tol float64) {
+	rng := rand.New(rand.NewSource(seed))
 	// Shapes straddle the rowTile and kBlock boundaries.
 	for _, sh := range [][3]int{{1, 1, 1}, {3, 5, 2}, {31, 7, 33}, {32, 300, 17}, {70, 257, 40}} {
-		a := randomMatrix(sh[0], sh[1], rng)
-		b := randomMatrix(sh[1], sh[2], rng)
-		c := New(sh[0], sh[2])
+		a := randomMat[T](sh[0], sh[1], rng)
+		b := randomMat[T](sh[1], sh[2], rng)
+		c := Resize[T](nil, sh[0], sh[2])
 		// Pre-fill c with garbage: Gemm overwrites.
 		for i := range c.Data {
 			c.Data[i] = 99
 		}
 		Gemm(c, a, b, 0)
-		if d := maxAbsDiff(c, naiveGemm(a, b)); d > 1e-12 {
+		if d := maxAbsDiff(c, naiveGemm(a, b)); d > tol {
 			t.Errorf("Gemm %v: max diff %g", sh, d)
 		}
 	}
 }
 
-func TestGemmNTMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
+func TestGemmMatchesNaive(t *testing.T)    { testGemmMatchesNaive[float64](t, 1, 1e-12) }
+func TestGemmF32MatchesNaive(t *testing.T) { testGemmMatchesNaive[float32](t, 11, 0) }
+
+func testGemmNTMatchesNaive[T Float](t *testing.T, seed int64, tol float64) {
+	rng := rand.New(rand.NewSource(seed))
 	for _, sh := range [][3]int{{1, 1, 1}, {5, 3, 4}, {33, 40, 31}, {64, 257, 9}} {
-		a := randomMatrix(sh[0], sh[1], rng)
-		b := randomMatrix(sh[2], sh[1], rng)
-		c := New(sh[0], sh[2])
+		a := randomMat[T](sh[0], sh[1], rng)
+		b := randomMat[T](sh[2], sh[1], rng)
+		c := Resize[T](nil, sh[0], sh[2])
 		GemmNT(c, a, b, 0)
-		if d := maxAbsDiff(c, naiveGemm(a, transpose(b))); d > 1e-12 {
+		if d := maxAbsDiff(c, naiveGemm(a, transpose(b))); d > tol {
 			t.Errorf("GemmNT %v: max diff %g", sh, d)
 		}
 	}
 }
+
+func TestGemmNTMatchesNaive(t *testing.T)    { testGemmNTMatchesNaive[float64](t, 2, 1e-12) }
+func TestGemmNTF32MatchesNaive(t *testing.T) { testGemmNTMatchesNaive[float32](t, 12, 0) }
 
 func TestGemmTNAccMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -120,12 +139,12 @@ func TestAddColSums(t *testing.T) {
 	}
 }
 
-func TestResizeReusesBacking(t *testing.T) {
-	m := New(8, 8)
+func testResizeReusesBacking[T Float](t *testing.T) {
+	m := Resize[T](nil, 8, 8)
 	p := &m.Data[0]
-	m = Resize(m, 4, 6)
-	if m.Rows != 4 || m.Cols != 6 || len(m.Data) != 24 {
-		t.Fatalf("resize shape %dx%d len %d", m.Rows, m.Cols, len(m.Data))
+	m2 := Resize(m, 4, 6)
+	if m2 != m || m.Rows != 4 || m.Cols != 6 || len(m.Data) != 24 {
+		t.Fatalf("resize shape %dx%d len %d (same matrix: %v)", m.Rows, m.Cols, len(m.Data), m2 == m)
 	}
 	if &m.Data[0] != p {
 		t.Error("shrinking resize reallocated")
@@ -134,10 +153,13 @@ func TestResizeReusesBacking(t *testing.T) {
 	if len(m.Data) != 400 {
 		t.Fatalf("growing resize len %d", len(m.Data))
 	}
-	if got := Resize(nil, 2, 3); got.Rows != 2 || got.Cols != 3 {
-		t.Fatalf("nil resize %dx%d", got.Rows, got.Cols)
+	if got := Resize[T](nil, 2, 3); got.Rows != 2 || got.Cols != 3 || len(got.Data) != 6 {
+		t.Fatalf("nil resize %dx%d len %d", got.Rows, got.Cols, len(got.Data))
 	}
 }
+
+func TestResizeReusesBacking(t *testing.T) { testResizeReusesBacking[float64](t) }
+func TestResizeF32Reuse(t *testing.T)      { testResizeReusesBacking[float32](t) }
 
 func TestFromRows(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
@@ -168,21 +190,24 @@ func convShapes(rng *rand.Rand) []ConvShape {
 	return shapes
 }
 
-func TestIm2colGemmMatchesDirectConv(t *testing.T) {
+// testIm2colGemmMatchesDirectConv lowers a convolution to Im2col +
+// GemmNT at element type T and checks it against the direct 7-deep loop,
+// also evaluated in T.
+func testIm2colGemmMatchesDirectConv[T Float](t *testing.T, tol float64) {
 	rng := rand.New(rand.NewSource(5))
 	for _, s := range convShapes(rng) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		outC := 1 + rng.Intn(4)
-		x := make([]float64, s.InLen())
+		x := make([]T, s.InLen())
 		for i := range x {
-			x[i] = rng.NormFloat64()
+			x[i] = T(rng.NormFloat64())
 		}
-		w := randomMatrix(outC, s.KernelLen(), rng)
-		col := New(s.OutSpatial(), s.KernelLen())
-		s.Im2col(x, col, 0)
-		got := New(s.OutSpatial(), outC)
+		w := randomMat[T](outC, s.KernelLen(), rng)
+		col := Resize[T](nil, s.OutSpatial(), s.KernelLen())
+		Im2col(s, x, col, 0)
+		got := Resize[T](nil, s.OutSpatial(), outC)
 		GemmNT(got, col, w, 0)
 
 		od, oh, ow := s.OutDims()
@@ -191,7 +216,7 @@ func TestIm2colGemmMatchesDirectConv(t *testing.T) {
 			for z := 0; z < od; z++ {
 				for y := 0; y < oh; y++ {
 					for xx := 0; xx < ow; xx++ {
-						var want float64
+						var want T
 						for ic := 0; ic < s.InC; ic++ {
 							for kz := 0; kz < s.KD; kz++ {
 								for ky := 0; ky < s.KH; ky++ {
@@ -203,12 +228,50 @@ func TestIm2colGemmMatchesDirectConv(t *testing.T) {
 								}
 							}
 						}
-						if math.Abs(got.At(m, oc)-want) > 1e-9 {
+						if math.Abs(float64(got.At(m, oc)-want)) > tol {
 							t.Fatalf("shape %+v oc %d m %d: got %g want %g", s, oc, m, got.At(m, oc), want)
 						}
 						m++
 					}
 				}
+			}
+		}
+	}
+}
+
+func TestIm2colGemmMatchesDirectConv(t *testing.T) {
+	t.Run("f64", func(t *testing.T) { testIm2colGemmMatchesDirectConv[float64](t, 1e-9) })
+	t.Run("f32", func(t *testing.T) { testIm2colGemmMatchesDirectConv[float32](t, 1e-4) })
+}
+
+// TestIm2colF32MatchesF64 lowers the same input at both element types:
+// the f32 column matrix must equal the f64 one element for element
+// (inputs are exactly representable, so the comparison is exact).
+func TestIm2colF32MatchesF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, shape := range []ConvShape{
+		{InC: 1, D: 1, H: 9, W: 9, KD: 1, KH: 3, KW: 3},
+		{InC: 4, D: 1, H: 7, W: 7, KD: 1, KH: 3, KW: 3},
+		{InC: 2, D: 5, H: 5, W: 5, KD: 3, KH: 3, KW: 3},
+	} {
+		if err := shape.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		x64 := make([]float64, shape.InLen())
+		x32 := make([]float32, shape.InLen())
+		for i := range x64 {
+			v := float64(rng.Intn(64)) / 8 // exactly representable in f32
+			x64[i] = v
+			x32[i] = float32(v)
+		}
+		m := shape.OutSpatial()
+		col64 := New(m, shape.KernelLen())
+		col32 := NewF32(m, shape.KernelLen())
+		Im2col(shape, x64, col64, 0)
+		Im2col(shape, x32, col32, 0)
+		for i := range col64.Data {
+			if float64(col32.Data[i]) != col64.Data[i] {
+				t.Fatalf("shape %+v: col[%d] f32 %g vs f64 %g", shape, i, col32.Data[i], col64.Data[i])
 			}
 		}
 	}
@@ -225,13 +288,13 @@ func TestCol2imIsAdjointOfIm2col(t *testing.T) {
 		}
 		g := randomMatrix(s.OutSpatial(), s.KernelLen(), rng)
 		col := New(s.OutSpatial(), s.KernelLen())
-		s.Im2col(x, col, 0)
+		Im2col(s, x, col, 0)
 		var lhs float64
 		for i := range col.Data {
 			lhs += col.Data[i] * g.Data[i]
 		}
 		dx := make([]float64, s.InLen())
-		s.Col2im(g, 0, dx)
+		Col2im(s, g, 0, dx)
 		var rhs float64
 		for i := range x {
 			rhs += x[i] * dx[i]
@@ -248,5 +311,75 @@ func TestConvShapeValidate(t *testing.T) {
 	}
 	if err := (ConvShape{InC: 0, D: 1, H: 3, W: 3, KD: 1, KH: 1, KW: 1}).Validate(); err == nil {
 		t.Error("zero channels accepted")
+	}
+}
+
+// testAllocGate pins the zero-allocation contract of the serial entry
+// points: once output buffers exist, Gemm / GemmNT at workers 1,
+// GemmNTF32's body and Im2col must not touch the heap — at any
+// GOMAXPROCS, because workers == 1 never reaches the pool.
+func testAllocGate[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	a := randomMat[T](48, 300, rng)
+	b := randomMat[T](300, 24, rng)
+	bt := randomMat[T](24, 300, rng)
+	c := Resize[T](nil, 48, 24)
+	if n := testing.AllocsPerRun(20, func() { Gemm(c, a, b, 1) }); n != 0 {
+		t.Errorf("Gemm allocs/op = %g, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { GemmNT(c, a, bt, 1) }); n != 0 {
+		t.Errorf("GemmNT allocs/op = %g, want 0", n)
+	}
+	shape := ConvShape{InC: 1, D: 1, H: 9, W: 9, KD: 1, KH: 3, KW: 3}
+	x := make([]T, shape.InLen())
+	col := Resize[T](nil, shape.OutSpatial(), shape.KernelLen())
+	if n := testing.AllocsPerRun(20, func() { Im2col(shape, x, col, 0) }); n != 0 {
+		t.Errorf("Im2col allocs/op = %g, want 0", n)
+	}
+}
+
+func TestAllocGateLinalgF64(t *testing.T) { testAllocGate[float64](t) }
+func TestAllocGateLinalgF32(t *testing.T) { testAllocGate[float32](t) }
+
+// TestSerialEntryMatchesTileParallel pins that the serial entry point
+// (workers 1, and GemmNTF32, which bench/ calls) and the tile-parallel
+// one (workers 0) are the same loop: bitwise-equal outputs at both
+// element types, with one proc and with four.
+func TestSerialEntryMatchesTileParallel(t *testing.T) {
+	t.Run("f64", testSerialEntryMatchesTileParallel[float64])
+	t.Run("f32", testSerialEntryMatchesTileParallel[float32])
+}
+
+func testSerialEntryMatchesTileParallel[T Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	// 67 and 128 rows are several tiles; 300 columns cross a k panel.
+	for _, sh := range [][3]int{{5, 9, 4}, {67, 300, 33}, {128, 64, 96}} {
+		a := randomMat[T](sh[0], sh[1], rng)
+		b := randomMat[T](sh[1], sh[2], rng)
+		bt := transpose(b)
+		serial, serialNT := Resize[T](nil, sh[0], sh[2]), Resize[T](nil, sh[0], sh[2])
+		Gemm(serial, a, b, 1)
+		GemmNT(serialNT, a, bt, 1)
+		for _, procs := range []int{1, 4} {
+			testutil.WithGOMAXPROCS(t, procs, func() {
+				tiled, tiledNT := Resize[T](nil, sh[0], sh[2]), Resize[T](nil, sh[0], sh[2])
+				Gemm(tiled, a, b, 0)
+				GemmNT(tiledNT, a, bt, 0)
+				if d := maxAbsDiff(serial, tiled); d != 0 {
+					t.Errorf("Gemm %v procs %d: serial vs tiled differ by %g", sh, procs, d)
+				}
+				if d := maxAbsDiff(serialNT, tiledNT); d != 0 {
+					t.Errorf("GemmNT %v procs %d: serial vs tiled differ by %g", sh, procs, d)
+				}
+			})
+		}
+	}
+	// GemmNTF32 is the named serial entry point.
+	a, bt := randomMat[float32](67, 300, rng), randomMat[float32](33, 300, rng)
+	named, tiled := NewF32(67, 33), NewF32(67, 33)
+	GemmNTF32(named, a, bt)
+	GemmNT(tiled, a, bt, 0)
+	if d := maxAbsDiff(named, tiled); d != 0 {
+		t.Errorf("GemmNTF32 vs GemmNT(workers 0) differ by %g", d)
 	}
 }

@@ -110,7 +110,7 @@ func benchConvForward(b *testing.B, dims, batch int, naive bool) {
 				referenceConvForward(c, x.Row(r))
 			}
 		} else {
-			c.Forward(x)
+			c.forward(x, 0)
 		}
 	}
 }

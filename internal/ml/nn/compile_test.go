@@ -155,32 +155,61 @@ func TestCompiledRegressorMatchesF64(t *testing.T) {
 // TestCompiledBatchInvariance pins row independence of the compiled
 // forward: a row scores bitwise the same alone and inside a batch (the
 // property the serving lane's dedup and GOMAXPROCS stability rely on).
+// ConvNet covers the conv stack, ConvMLP the two-branch split/concat.
 func TestCompiledBatchInvariance(t *testing.T) {
-	const classes = 4
-	x, y := benchClassData(24, tensor.Side*tensor.Side, classes, 33)
-	cls, err := NewConvNet(2, classes, TrainConfig{Epochs: 2, Batch: 8, LR: 2e-3, Seed: 1}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cls.FitClassifier(x, y, classes); err != nil {
-		t.Fatal(err)
-	}
-	c, err := cls.CompileF32()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := rowsToF32(x)
-	batch := make([]float32, len(rows)*classes)
-	c.PredictProbaBatchF32(rows, batch)
-	single := make([]float32, classes)
-	for i := range rows {
-		c.PredictProbaBatchF32(rows[i:i+1], single)
-		for k := range single {
-			if single[k] != batch[i*classes+k] {
-				t.Fatalf("row %d class %d: alone %g vs batched %g", i, k, single[k], batch[i*classes+k])
+	cfg := TrainConfig{Epochs: 2, Batch: 8, LR: 2e-3, Seed: 1}
+	t.Run("convnet", func(t *testing.T) {
+		const classes = 4
+		x, y := benchClassData(24, tensor.Side*tensor.Side, classes, 33)
+		cls, err := NewConvNet(2, classes, cfg, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cls.FitClassifier(x, y, classes); err != nil {
+			t.Fatal(err)
+		}
+		c, err := cls.CompileF32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rowsToF32(x)
+		batch := make([]float32, len(rows)*classes)
+		c.PredictProbaBatchF32(rows, batch)
+		single := make([]float32, classes)
+		for i := range rows {
+			c.PredictProbaBatchF32(rows[i:i+1], single)
+			for k := range single {
+				if single[k] != batch[i*classes+k] {
+					t.Fatalf("row %d class %d: alone %g vs batched %g", i, k, single[k], batch[i*classes+k])
+				}
 			}
 		}
-	}
+	})
+	t.Run("convmlp", func(t *testing.T) {
+		const featDim = 28
+		x, y := benchRegData(24, tensor.Side*tensor.Side+featDim, 38)
+		reg, err := NewConvMLP(2, featDim, cfg, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.FitRegressor(x, y); err != nil {
+			t.Fatal(err)
+		}
+		c, err := reg.CompileF32()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rowsToF32(x)
+		batch := make([]float32, len(rows))
+		c.PredictValueBatchF32(rows, batch)
+		single := make([]float32, 1)
+		for i := range rows {
+			c.PredictValueBatchF32(rows[i:i+1], single)
+			if single[0] != batch[i] {
+				t.Fatalf("row %d: alone %g vs batched %g", i, single[0], batch[i])
+			}
+		}
+	})
 }
 
 // TestAllocGateNNF32 pins the zero-allocation contract of the compiled

@@ -7,50 +7,36 @@ import (
 	"stencilmart/internal/linalg"
 )
 
+// The training layers: each embeds its forward body from forward.go at
+// float64 — the weight views alias the Param blocks Adam updates in
+// place — and adds the parameters' gradient accumulators, the backward
+// pass and its scratch.
+
 // Dense is a fully connected layer: out = x*W + b, one GEMM per
 // direction. The weight block is viewed as an (in x out) matrix; the
 // backward pass computes input gradients with GemmNT and accumulates
 // weight gradients with GemmTNAcc — both bitwise deterministic at any
 // worker count.
 type Dense struct {
-	in, out int
-	w, b    *Param
-	lastX   *linalg.Matrix
-	act, dx *linalg.Matrix // reusable output / input-gradient scratch
+	dense[float64]
+	w, b  *Param
+	lastX *linalg.Matrix
+	dx    *linalg.Matrix // reusable input-gradient scratch
 }
 
 // NewDense builds a dense layer with He initialization.
 func NewDense(in, out int, rng *rand.Rand) *Dense {
-	d := &Dense{in: in, out: out, w: newParam(in * out), b: newParam(out)}
+	d := &Dense{w: newParam(in * out), b: newParam(out)}
+	d.dense = newDenseForward(in, out, d.w.W, d.b.W)
 	heInit(d.w.W, in, rng)
 	return d
 }
 
-// wMat views the weight block as an (in x out) matrix.
-func (d *Dense) wMat() *linalg.Matrix {
-	return &linalg.Matrix{Rows: d.in, Cols: d.out, Data: d.w.W}
-}
-
-// wGradMat views the weight gradient as an (in x out) matrix.
-func (d *Dense) wGradMat() *linalg.Matrix {
-	return &linalg.Matrix{Rows: d.in, Cols: d.out, Data: d.w.G}
-}
-
-// Forward implements Layer.
-func (d *Dense) Forward(x *linalg.Matrix) *linalg.Matrix {
-	if x.Cols != d.in {
-		panic(fmt.Sprintf("nn: dense expects width %d, got %d", d.in, x.Cols))
-	}
+// forward implements Layer, keeping the input for Backward's weight
+// gradient.
+func (d *Dense) forward(x *linalg.Matrix, workers int) *linalg.Matrix {
 	d.lastX = x
-	d.act = linalg.Resize(d.act, x.Rows, d.out)
-	linalg.Gemm(d.act, x, d.wMat(), 0)
-	parallelFor(x.Rows, func(i int) {
-		o := d.act.Row(i)
-		for k, b := range d.b.W {
-			o[k] += b
-		}
-	})
-	return d.act
+	return d.dense.forward(x, workers)
 }
 
 // Backward implements Layer.
@@ -59,8 +45,8 @@ func (d *Dense) Backward(grad *linalg.Matrix) *linalg.Matrix {
 		panic(fmt.Sprintf("nn: dense gradient width %d, want %d", grad.Cols, d.out))
 	}
 	d.dx = linalg.Resize(d.dx, grad.Rows, d.in)
-	linalg.GemmNT(d.dx, grad, d.wMat(), 0)
-	linalg.GemmTNAcc(d.wGradMat(), d.lastX, grad, 0)
+	linalg.GemmNT(d.dx, grad, d.wMat, 0)
+	linalg.GemmTNAcc(&linalg.Matrix{Rows: d.in, Cols: d.out, Data: d.w.G}, d.lastX, grad, 0)
 	linalg.AddColSums(d.b.G, grad, 0)
 	return d.dx
 }
@@ -68,82 +54,39 @@ func (d *Dense) Backward(grad *linalg.Matrix) *linalg.Matrix {
 // Params implements Layer.
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 
-// OutDim implements Layer.
-func (d *Dense) OutDim(int) int { return d.out }
-
-// ReLU is the rectified linear activation. Its mask and output buffers
-// persist across steps.
+// ReLU is the rectified linear activation. Backward gates the gradient
+// on the forward activations: an output is positive exactly where the
+// input was.
 type ReLU struct {
-	mask    []bool
-	act, dx *linalg.Matrix
+	relu[float64]
+	dx *linalg.Matrix
 }
 
 // NewReLU returns a ReLU layer.
 func NewReLU() *ReLU { return &ReLU{} }
 
-// Forward implements Layer.
-func (r *ReLU) Forward(x *linalg.Matrix) *linalg.Matrix {
-	n := len(x.Data)
-	r.act = linalg.Resize(r.act, x.Rows, x.Cols)
-	if cap(r.mask) < n {
-		r.mask = make([]bool, n)
-	}
-	r.mask = r.mask[:n]
-	parallelFor(x.Rows, func(i int) {
-		lo, hi := i*x.Cols, (i+1)*x.Cols
-		src, dst, mask := x.Data[lo:hi], r.act.Data[lo:hi], r.mask[lo:hi]
-		for j, v := range src {
-			if v > 0 {
-				dst[j], mask[j] = v, true
-			} else {
-				dst[j], mask[j] = 0, false
-			}
-		}
-	})
-	return r.act
-}
-
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *linalg.Matrix) *linalg.Matrix {
 	r.dx = linalg.Resize(r.dx, grad.Rows, grad.Cols)
-	parallelFor(grad.Rows, func(i int) {
-		lo, hi := i*grad.Cols, (i+1)*grad.Cols
-		src, dst, mask := grad.Data[lo:hi], r.dx.Data[lo:hi], r.mask[lo:hi]
-		for j, v := range src {
-			if mask[j] {
-				dst[j] = v
-			} else {
-				dst[j] = 0
-			}
-		}
-	})
+	linalg.ForRows(grad.Rows, 0, gate[float64]{r.dx, grad, r.act})
 	return r.dx
 }
 
 // Params implements Layer.
 func (r *ReLU) Params() []*Param { return nil }
 
-// OutDim implements Layer.
-func (r *ReLU) OutDim(in int) int { return in }
-
 // Conv is a valid-padding, stride-1 convolution over a (C, D, H, W)
 // volume; D == 1 with KD == 1 yields the 2-D case. Rows are flattened in
-// C-major, then D, H, W order. The layer runs as im2col + GEMM: Forward
-// lowers the whole batch into one patch matrix (kept for the backward
-// pass) and multiplies it against the weight matrix; Backward recovers
-// input gradients through one GEMM plus col2im and weight gradients
-// through a single GemmTNAcc over the saved patch matrix.
+// C-major, then D, H, W order. Forward lowers the whole batch into one
+// patch matrix (kept for the backward pass) and multiplies it against
+// the weight matrix; Backward recovers input gradients through one GEMM
+// plus col2im and weight gradients through a single GemmTNAcc over the
+// saved patch matrix.
 type Conv struct {
-	inC, outC  int
-	shape      linalg.ConvShape
-	od, oh, ow int
-	m, k       int    // output points per channel / patch width
-	weight     *Param // [outC][inC][kd][kh][kw]
-	bias       *Param
+	conv[float64]
+	weight *Param // [outC][inC][kd][kh][kw]
+	bias   *Param
 
-	col     *linalg.Matrix // (n*m x k) patch matrix from the last Forward
-	prod    *linalg.Matrix // (n*m x outC) forward GEMM product
-	act     *linalg.Matrix // (n x outC*m) channel-major activations
 	gcols   *linalg.Matrix // (n*m x outC) transposed output gradients
 	colGrad *linalg.Matrix // (n*m x k) patch-space input gradients
 	dx      *linalg.Matrix // (n x inLen) input gradients
@@ -164,81 +107,46 @@ func newConv(inC, outC, d, h, w, kd, kh, kw int, rng *rand.Rand) *Conv {
 	if err := shape.Validate(); err != nil {
 		panic(fmt.Sprintf("nn: conv kernel %dx%dx%d larger than input %dx%dx%d", kd, kh, kw, d, h, w))
 	}
-	od, oh, ow := shape.OutDims()
-	c := &Conv{
-		inC: inC, outC: outC, shape: shape,
-		od: od, oh: oh, ow: ow,
-		m: shape.OutSpatial(), k: shape.KernelLen(),
-		weight: newParam(outC * shape.KernelLen()),
-		bias:   newParam(outC),
-	}
+	c := &Conv{weight: newParam(outC * shape.KernelLen()), bias: newParam(outC)}
+	c.conv = newConvForward(outC, shape, c.weight.W, c.bias.W)
 	heInit(c.weight.W, shape.KernelLen(), rng)
 	return c
 }
 
-func (c *Conv) inIdx(ch, z, y, x int) int {
-	return ((ch*c.shape.D+z)*c.shape.H+y)*c.shape.W + x
-}
-
-func (c *Conv) outIdx(ch, z, y, x int) int {
-	return ((ch*c.od+z)*c.oh+y)*c.ow + x
-}
-
-func (c *Conv) wIdx(oc, ic, kz, ky, kx int) int {
-	return (((oc*c.inC+ic)*c.shape.KD+kz)*c.shape.KH+ky)*c.shape.KW + kx
-}
-
-// wMat views the weight block as an (outC x patch) matrix — the same
-// column order Im2col produces.
-func (c *Conv) wMat() *linalg.Matrix {
-	return &linalg.Matrix{Rows: c.outC, Cols: c.k, Data: c.weight.W}
-}
-
-// wGradMat views the weight gradient as an (outC x patch) matrix.
-func (c *Conv) wGradMat() *linalg.Matrix {
-	return &linalg.Matrix{Rows: c.outC, Cols: c.k, Data: c.weight.G}
-}
-
-// Forward implements Layer.
-func (c *Conv) Forward(x *linalg.Matrix) *linalg.Matrix {
-	if x.Cols != c.shape.InLen() {
-		panic(fmt.Sprintf("nn: conv expects width %d, got %d", c.shape.InLen(), x.Cols))
-	}
-	n := x.Rows
-	c.col = linalg.Resize(c.col, n*c.m, c.k)
-	parallelFor(n, func(i int) {
-		c.shape.Im2col(x.Row(i), c.col, i*c.m)
-	})
-	c.prod = linalg.Resize(c.prod, n*c.m, c.outC)
-	linalg.GemmNT(c.prod, c.col, c.wMat(), 0)
-	// Transpose each sample's (m x outC) product block to the
-	// channel-major activation layout, adding the bias.
-	c.act = linalg.Resize(c.act, n, c.outC*c.m)
-	parallelFor(n, func(i int) {
-		o := c.act.Row(i)
-		block := c.prod.Data[i*c.m*c.outC : (i+1)*c.m*c.outC]
-		for oc := 0; oc < c.outC; oc++ {
-			b := c.bias.W[oc]
-			dst := o[oc*c.m : (oc+1)*c.m]
-			for m := range dst {
-				dst[m] = block[m*c.outC+oc] + b
-			}
-		}
-	})
-	return c.act
-}
-
 // Backward implements Layer.
 func (c *Conv) Backward(grad *linalg.Matrix) *linalg.Matrix {
-	if grad.Cols != c.outC*c.m {
-		panic(fmt.Sprintf("nn: conv gradient width %d, want %d", grad.Cols, c.outC*c.m))
+	if grad.Cols != c.outWidth() {
+		panic(fmt.Sprintf("nn: conv gradient width %d, want %d", grad.Cols, c.outWidth()))
 	}
 	n := grad.Rows
 	// Transpose gradients to (n*m x outC) — the layout every GEMM below
 	// consumes.
 	c.gcols = linalg.Resize(c.gcols, n*c.m, c.outC)
-	parallelFor(n, func(i int) {
-		g := grad.Row(i)
+	linalg.ForRows(n, 0, convGradCols{c, grad})
+	// Input gradients: patch-space gradients in one GEMM, scattered back
+	// per sample by the im2col adjoint.
+	c.colGrad = linalg.Resize(c.colGrad, n*c.m, c.k)
+	linalg.Gemm(c.colGrad, c.gcols, c.wMat, 0)
+	c.dx = linalg.Resize(c.dx, n, c.shape.InLen())
+	linalg.ForRows(n, 0, convScatter{c})
+	// Parameter gradients: one GEMM over the saved patch matrix plus a
+	// column-sum reduction, both accumulating deterministically.
+	linalg.GemmTNAcc(&linalg.Matrix{Rows: c.outC, Cols: c.k, Data: c.weight.G}, c.gcols, c.col, 0)
+	linalg.AddColSums(c.bias.G, c.gcols, 0)
+	return c.dx
+}
+
+// convGradCols is convEmit's inverse on gradients: each sample's
+// channel-major gradient row becomes an (m x outC) block of c.gcols.
+type convGradCols struct {
+	c    *Conv
+	grad *linalg.Matrix
+}
+
+func (k convGradCols) Rows(lo, hi int) {
+	c := k.c
+	for i := lo; i < hi; i++ {
+		g := k.grad.Row(i)
 		block := c.gcols.Data[i*c.m*c.outC : (i+1)*c.m*c.outC]
 		for oc := 0; oc < c.outC; oc++ {
 			src := g[oc*c.m : (oc+1)*c.m]
@@ -246,28 +154,21 @@ func (c *Conv) Backward(grad *linalg.Matrix) *linalg.Matrix {
 				block[m*c.outC+oc] = v
 			}
 		}
-	})
-	// Input gradients: patch-space gradients in one GEMM, scattered back
-	// per sample by the im2col adjoint.
-	c.colGrad = linalg.Resize(c.colGrad, n*c.m, c.k)
-	linalg.Gemm(c.colGrad, c.gcols, c.wMat(), 0)
-	c.dx = linalg.Resize(c.dx, n, c.shape.InLen())
-	parallelFor(n, func(i int) {
+	}
+}
+
+// convScatter is convLower's adjoint: each sample's patch-space
+// gradient rows scatter-add onto its zeroed row of c.dx.
+type convScatter struct{ c *Conv }
+
+func (k convScatter) Rows(lo, hi int) {
+	c := k.c
+	for i := lo; i < hi; i++ {
 		dxi := c.dx.Row(i)
-		for j := range dxi {
-			dxi[j] = 0
-		}
-		c.shape.Col2im(c.colGrad, i*c.m, dxi)
-	})
-	// Parameter gradients: one GEMM over the saved patch matrix plus a
-	// column-sum reduction, both accumulating deterministically.
-	linalg.GemmTNAcc(c.wGradMat(), c.gcols, c.col, 0)
-	linalg.AddColSums(c.bias.G, c.gcols, 0)
-	return c.dx
+		clear(dxi)
+		linalg.Col2im(c.shape, c.colGrad, i*c.m, dxi)
+	}
 }
 
 // Params implements Layer.
 func (c *Conv) Params() []*Param { return []*Param{c.weight, c.bias} }
-
-// OutDim implements Layer.
-func (c *Conv) OutDim(int) int { return c.outC * c.m }

@@ -14,62 +14,28 @@ import (
 // concatenates the outputs — the ConvMLP merge of Fig. 8. Split and
 // concat buffers are layer scratch, reused across steps.
 type TwoBranch struct {
-	splitAt int
-	a, b    *Network
-	aOut    int
+	twoBranch[float64, *Network]
+	aOut int
 
-	xa, xb  *linalg.Matrix // branch inputs
-	ga, gb  *linalg.Matrix // branch output gradients
-	act, dx *linalg.Matrix // concatenated output / input gradient
+	ga, gb, dx *linalg.Matrix // branch output gradients / input gradient
 }
 
 // NewTwoBranch builds the layer; aOut is branch A's flat output width.
 func NewTwoBranch(splitAt int, a, b *Network, aOut int) *TwoBranch {
-	return &TwoBranch{splitAt: splitAt, a: a, b: b, aOut: aOut}
+	return &TwoBranch{twoBranch: twoBranch[float64, *Network]{splitAt: splitAt, a: a, b: b}, aOut: aOut}
 }
 
-// Forward implements Layer.
-func (t *TwoBranch) Forward(x *linalg.Matrix) *linalg.Matrix {
-	if x.Cols < t.splitAt {
-		panic(fmt.Sprintf("nn: two-branch expects >= %d features, got %d", t.splitAt, x.Cols))
-	}
-	n := x.Rows
-	t.xa = linalg.Resize(t.xa, n, t.splitAt)
-	t.xb = linalg.Resize(t.xb, n, x.Cols-t.splitAt)
-	parallelFor(n, func(i int) {
-		row := x.Row(i)
-		copy(t.xa.Row(i), row[:t.splitAt])
-		copy(t.xb.Row(i), row[t.splitAt:])
-	})
-	oa := t.a.Forward(t.xa)
-	ob := t.b.Forward(t.xb)
-	t.act = linalg.Resize(t.act, n, oa.Cols+ob.Cols)
-	parallelFor(n, func(i int) {
-		o := t.act.Row(i)
-		copy(o, oa.Row(i))
-		copy(o[oa.Cols:], ob.Row(i))
-	})
-	return t.act
-}
-
-// Backward implements Layer.
+// Backward implements Layer: the forward pass's split and concat, on
+// gradients.
 func (t *TwoBranch) Backward(grad *linalg.Matrix) *linalg.Matrix {
 	n := grad.Rows
 	t.ga = linalg.Resize(t.ga, n, t.aOut)
 	t.gb = linalg.Resize(t.gb, n, grad.Cols-t.aOut)
-	parallelFor(n, func(i int) {
-		g := grad.Row(i)
-		copy(t.ga.Row(i), g[:t.aOut])
-		copy(t.gb.Row(i), g[t.aOut:])
-	})
+	linalg.ForRows(n, 0, splitCols[float64]{grad, t.ga, t.gb})
 	da := t.a.Backward(t.ga)
 	db := t.b.Backward(t.gb)
 	t.dx = linalg.Resize(t.dx, n, da.Cols+db.Cols)
-	parallelFor(n, func(i int) {
-		o := t.dx.Row(i)
-		copy(o, da.Row(i))
-		copy(o[da.Cols:], db.Row(i))
-	})
+	linalg.ForRows(n, 0, concatCols[float64]{t.dx, da, db})
 	return t.dx
 }
 
@@ -78,25 +44,20 @@ func (t *TwoBranch) Params() []*Param {
 	return append(t.a.Params(), t.b.Params()...)
 }
 
-// OutDim implements Layer.
-func (t *TwoBranch) OutDim(in int) int {
-	return t.aOut + (in - t.splitAt) // identity-width branch B by default
-}
-
 // convStack builds the two-convolution feature extractor over the
-// assigned tensor (Figs. 7 and 8): 3^d kernels, 8 then 16 filters.
+// assigned tensor (Figs. 7 and 8): 3^d kernels, 8 then 16 filters. It
+// returns the stack and its flat output width.
 func convStack(dims int, rng *rand.Rand) (*Network, int) {
 	side := tensor.Side
+	var c1, c2 *Conv
 	if dims == 2 {
-		c1 := NewConv2D(1, 8, side, side, 3, rng)
-		c2 := NewConv2D(8, 16, side-2, side-2, 3, rng)
-		out := c2.OutDim(0)
-		return NewNetwork(c1, NewReLU(), c2, NewReLU()), out
+		c1 = NewConv2D(1, 8, side, side, 3, rng)
+		c2 = NewConv2D(8, 16, side-2, side-2, 3, rng)
+	} else {
+		c1 = NewConv3D(1, 8, side, side, side, 3, rng)
+		c2 = NewConv3D(8, 16, side-2, side-2, side-2, 3, rng)
 	}
-	c1 := NewConv3D(1, 8, side, side, side, 3, rng)
-	c2 := NewConv3D(8, 16, side-2, side-2, side-2, 3, rng)
-	out := c2.OutDim(0)
-	return NewNetwork(c1, NewReLU(), c2, NewReLU()), out
+	return NewNetwork(c1, NewReLU(), c2, NewReLU()), c2.outWidth()
 }
 
 // NewConvNet builds the paper's ConvNet classifier (Fig. 7): two

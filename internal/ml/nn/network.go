@@ -65,11 +65,12 @@ type Network struct {
 // NewNetwork builds a sequential network.
 func NewNetwork(layers ...Layer) *Network { return &Network{layers: layers} }
 
-// Forward runs the batch through every layer. The result is scratch
-// owned by the final layer (or x itself for an empty network).
-func (n *Network) Forward(x *linalg.Matrix) *linalg.Matrix {
+// forward runs the batch through every layer; workers 0 is the shared
+// pool. The result is scratch owned by the final layer (or x itself for
+// an empty network).
+func (n *Network) forward(x *linalg.Matrix, workers int) *linalg.Matrix {
 	for _, l := range n.layers {
-		x = l.Forward(x)
+		x = l.forward(x, workers)
 	}
 	return x
 }
@@ -134,7 +135,7 @@ func trainLoop(net *Network, x [][]float64, cfg TrainConfig,
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	adam := NewAdam(net.Params(), cfg.LR)
 	n := len(x)
-	width := len(x[0])
+	rows := make([][]float64, 0, cfg.Batch)
 	var batch, grad *linalg.Matrix
 	for e := 0; e < cfg.Epochs; e++ {
 		perm := rng.Perm(n)
@@ -144,8 +145,12 @@ func trainLoop(net *Network, x [][]float64, cfg TrainConfig,
 				hi = n
 			}
 			idx := perm[lo:hi]
-			batch = packRows(batch, x, idx, width)
-			out := net.Forward(batch)
+			rows = rows[:0]
+			for _, p := range idx {
+				rows = append(rows, x[p])
+			}
+			batch = packAll(batch, rows)
+			out := net.forward(batch, 0)
 			grad = linalg.Resize(grad, out.Rows, out.Cols)
 			lossGrad(out, idx, grad)
 			net.Backward(grad)
@@ -196,7 +201,7 @@ func (c *Classifier) PredictProbaBatch(rows [][]float64) [][]float64 {
 		return nil
 	}
 	c.in = packAll(c.in, rows)
-	out := c.Net.Forward(c.in)
+	out := c.Net.forward(c.in, 0)
 	probs := ml.Rows(make([]float64, out.Rows*out.Cols), out.Cols)
 	for i := range probs {
 		ml.Softmax(probs[i], out.Row(i))
@@ -234,7 +239,7 @@ func (r *Regressor) PredictValueBatch(rows [][]float64) []float64 {
 		return nil
 	}
 	r.in = packAll(r.in, rows)
-	out := r.Net.Forward(r.in)
+	out := r.Net.forward(r.in, 0)
 	vals := make([]float64, out.Rows)
 	for i := range vals {
 		vals[i] = out.Row(i)[0]

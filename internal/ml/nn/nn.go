@@ -5,25 +5,26 @@
 // architectures: ConvNet and FcNet (classification, Sec. IV-D), MLP and
 // ConvMLP (regression, Sec. IV-E).
 //
-// Batches are flat row-major linalg.Matrix values and the heavy layers
+// Batches are flat row-major linalg.Mat values and the heavy layers
 // (Dense, Conv) lower onto the internal/linalg GEMM kernels: convolutions
 // run as im2col + GEMM and every layer reuses per-layer scratch buffers
 // across steps, so a training step allocates nothing proportional to the
-// batch once buffers are warm. All parallelism — GEMM tiles, per-row
-// transforms, Adam parameter blocks — preserves the pipeline's bitwise
-// determinism contract: each output element is produced by exactly one
-// worker with a fixed accumulation order. A trained model's Forward /
-// Predict paths share those scratch buffers, so one model must not be
-// called from multiple goroutines concurrently (distinct models are
-// independent, which is how the CV folds parallelize).
+// batch once buffers are warm. Each layer kind's forward pass is written
+// once, generic over the element type (forward.go): training and the
+// float64 lane run it at float64, the compiled f32 serving lane
+// (compile.go) runs the same body at float32 over weights rounded once.
+// All parallelism — GEMM tiles, per-row kernels through linalg.ForRows,
+// Adam parameter blocks — preserves the pipeline's bitwise determinism
+// contract: each output element is produced by exactly one worker with a
+// fixed accumulation order. A trained model's Forward / Predict paths
+// share those scratch buffers, so one model must not be called from
+// multiple goroutines concurrently (distinct models are independent,
+// which is how the CV folds parallelize).
 package nn
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"stencilmart/internal/linalg"
 )
@@ -49,16 +50,17 @@ func (p *Param) zeroGrad() {
 // matrices (one row per sample). Returned matrices are layer-owned
 // scratch, valid until the next call on the same layer.
 type Layer interface {
-	// Forward consumes a batch and returns the activations, caching
-	// whatever Backward needs.
-	Forward(x *linalg.Matrix) *linalg.Matrix
+	// forward is the layer kind's shared body (forward.go) at float64;
+	// it leaves behind whatever Backward needs.
+	layer[float64]
+	// quantized is the same body at float32 over the layer's weights
+	// rounded once (compile.go).
+	quantized() layer[float32]
 	// Backward consumes dLoss/dOut, accumulates parameter gradients, and
 	// returns dLoss/dIn.
 	Backward(grad *linalg.Matrix) *linalg.Matrix
 	// Params returns the trainable parameters (nil for stateless layers).
 	Params() []*Param
-	// OutDim returns the flat output width given the input width.
-	OutDim(in int) int
 }
 
 // heInit fills a weight slice with He-normal values for fanIn inputs.
@@ -70,62 +72,4 @@ func heInit(w []float64, fanIn int, rng *rand.Rand) {
 	for i := range w {
 		w[i] = rng.NormFloat64() * std
 	}
-}
-
-// packRows copies the selected corpus rows into the reusable batch
-// matrix, validating widths.
-func packRows(dst *linalg.Matrix, x [][]float64, idx []int, width int) *linalg.Matrix {
-	dst = linalg.Resize(dst, len(idx), width)
-	for i, p := range idx {
-		if len(x[p]) != width {
-			panic(fmt.Sprintf("nn: row %d width %d, want %d", p, len(x[p]), width))
-		}
-		copy(dst.Row(i), x[p])
-	}
-	return dst
-}
-
-// packAll copies every row into the reusable batch matrix.
-func packAll(dst *linalg.Matrix, rows [][]float64) *linalg.Matrix {
-	dst = linalg.Resize(dst, len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != dst.Cols {
-			panic(fmt.Sprintf("nn: row %d width %d, want %d", i, len(r), dst.Cols))
-		}
-		copy(dst.Row(i), r)
-	}
-	return dst
-}
-
-// parallelFor runs f over [0, n) split across GOMAXPROCS goroutines; it
-// falls back to a serial loop for small n. Each index is processed by
-// exactly one goroutine, so writes partitioned by index stay
-// deterministic.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < 4 || workers < 2 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		go func(lo int) {
-			defer wg.Done()
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				f(i)
-			}
-		}(w * chunk)
-	}
-	wg.Wait()
 }

@@ -22,14 +22,14 @@ func row1(x []float64) *linalg.Matrix {
 func numericGradCheck(t *testing.T, layer Layer, in []float64, tol float64) {
 	t.Helper()
 	forward := func(x []float64) float64 {
-		out := layer.Forward(row1(x)).Row(0)
+		out := layer.forward(row1(x), 0).Row(0)
 		var s float64
 		for _, v := range out {
 			s += v * v / 2
 		}
 		return s
 	}
-	out := layer.Forward(row1(in)).Row(0)
+	out := layer.forward(row1(in), 0).Row(0)
 	grad := make([]float64, len(out))
 	copy(grad, out) // dL/dout = out
 	analytic := append([]float64(nil), layer.Backward(row1(grad)).Row(0)...)
@@ -81,7 +81,7 @@ func TestConv3DGradCheck(t *testing.T) {
 
 func TestReLUForwardBackward(t *testing.T) {
 	r := NewReLU()
-	out := r.Forward(row1([]float64{-1, 0, 2}))
+	out := r.forward(row1([]float64{-1, 0, 2}), 0)
 	if out.At(0, 0) != 0 || out.At(0, 1) != 0 || out.At(0, 2) != 2 {
 		t.Errorf("ReLU forward = %v", out.Row(0))
 	}
@@ -97,7 +97,7 @@ func TestDenseWeightGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	d := NewDense(2, 2, rng)
 	x := []float64{3, -2}
-	d.Forward(row1(x))
+	d.forward(row1(x), 0)
 	d.Backward(row1([]float64{1, 10}))
 	wantW := []float64{3, 30, -2, -20}
 	for i, w := range wantW {
@@ -309,7 +309,7 @@ func TestTwoBranchSplitsAndConcats(t *testing.T) {
 	a := NewNetwork(NewDense(2, 3, rng))
 	b := NewNetwork() // identity
 	tb := NewTwoBranch(2, a, b, 3)
-	out := tb.Forward(row1([]float64{1, 2, 9, 8}))
+	out := tb.forward(row1([]float64{1, 2, 9, 8}), 0)
 	if out.Cols != 5 {
 		t.Fatalf("two-branch output width %d, want 5", out.Cols)
 	}
@@ -322,6 +322,63 @@ func TestTwoBranchSplitsAndConcats(t *testing.T) {
 	}
 	if grads.At(0, 2) != 7 || grads.At(0, 3) != 6 {
 		t.Errorf("identity grads mangled: %v", grads.Row(0))
+	}
+}
+
+// TestBuildersForwardWidths runs a batch through every builder's network
+// (2-D and 3-D) layer by layer: each layer must emit the width the next
+// one was constructed for, and the last one the width of its head —
+// classes for the classifiers, one for the regressors. ConvMLP is the
+// case a width computed per layer got wrong: its two-branch layer emits
+// convOut+32 columns (branch B is Dense(featDim, 32), not the identity).
+func TestBuildersForwardWidths(t *testing.T) {
+	const classes, featDim = 5, 7
+	cfg := TrainConfig{}
+	side2 := tensor.Side * tensor.Side
+	side3 := side2 * tensor.Side
+	cls := func(c *Classifier, err error) *Network {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Net
+	}
+	reg := func(r *Regressor, err error) *Network {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Net
+	}
+	for _, tc := range []struct {
+		name    string
+		net     *Network
+		in, out int
+	}{
+		{"convnet2d", cls(NewConvNet(2, classes, cfg, 1)), side2, classes},
+		{"convnet3d", cls(NewConvNet(3, classes, cfg, 2)), side3, classes},
+		{"fcnet", cls(NewFcNet(side2+featDim, classes, 2, 16, cfg, 3)), side2 + featDim, classes},
+		{"mlp", reg(NewMLP(featDim, 2, 16, cfg, 4)), featDim, 1},
+		{"convmlp2d", reg(NewConvMLP(2, featDim, cfg, 5)), side2 + featDim, 1},
+		{"convmlp3d", reg(NewConvMLP(3, featDim, cfg, 6)), side3 + featDim, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			x := randMatrix(3, tc.in, rand.New(rand.NewSource(7)))
+			for i, l := range tc.net.layers {
+				switch next := l.(type) {
+				case *Dense:
+					if x.Cols != next.in {
+						t.Fatalf("layer %d: dense built for width %d receives %d", i, next.in, x.Cols)
+					}
+				case *Conv:
+					if x.Cols != next.shape.InLen() {
+						t.Fatalf("layer %d: conv built for width %d receives %d", i, next.shape.InLen(), x.Cols)
+					}
+				}
+				x = l.forward(x, 0)
+			}
+			if x.Rows != 3 || x.Cols != tc.out {
+				t.Fatalf("network emits %dx%d, want 3x%d", x.Rows, x.Cols, tc.out)
+			}
+		})
 	}
 }
 

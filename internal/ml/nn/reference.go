@@ -7,15 +7,32 @@ package nn
 // 1e-9 on randomized shapes, and the naive benchmarks measure the
 // speedup the lowering buys.
 
+// The oracle's flat indices: inputs and outputs are channel-major
+// volumes, weights are [outC][inC][kd][kh][kw].
+
+func (c *Conv) inIdx(ch, z, y, x int) int {
+	return ((ch*c.shape.D+z)*c.shape.H+y)*c.shape.W + x
+}
+
+func (c *Conv) outIdx(ch, z, y, x int) int {
+	od, oh, ow := c.shape.OutDims()
+	return ((ch*od+z)*oh+y)*ow + x
+}
+
+func (c *Conv) wIdx(oc, ic, kz, ky, kx int) int {
+	return (((oc*c.shape.InC+ic)*c.shape.KD+kz)*c.shape.KH+ky)*c.shape.KW + kx
+}
+
 // referenceConvForward computes one sample's direct convolution.
 func referenceConvForward(c *Conv, row []float64) []float64 {
-	o := make([]float64, c.outC*c.od*c.oh*c.ow)
+	od, oh, ow := c.shape.OutDims()
+	o := make([]float64, c.outWidth())
 	for oc := 0; oc < c.outC; oc++ {
-		for z := 0; z < c.od; z++ {
-			for y := 0; y < c.oh; y++ {
-				for xx := 0; xx < c.ow; xx++ {
+		for z := 0; z < od; z++ {
+			for y := 0; y < oh; y++ {
+				for xx := 0; xx < ow; xx++ {
 					acc := c.bias.W[oc]
-					for ic := 0; ic < c.inC; ic++ {
+					for ic := 0; ic < c.shape.InC; ic++ {
 						for kz := 0; kz < c.shape.KD; kz++ {
 							for ky := 0; ky < c.shape.KH; ky++ {
 								for kx := 0; kx < c.shape.KW; kx++ {
@@ -36,17 +53,18 @@ func referenceConvForward(c *Conv, row []float64) []float64 {
 // referenceConvBackward computes one sample's direct input gradient and
 // accumulates the weight/bias gradients into wGrad and bGrad.
 func referenceConvBackward(c *Conv, row, g []float64, wGrad, bGrad []float64) []float64 {
+	od, oh, ow := c.shape.OutDims()
 	dx := make([]float64, c.shape.InLen())
 	for oc := 0; oc < c.outC; oc++ {
-		for z := 0; z < c.od; z++ {
-			for y := 0; y < c.oh; y++ {
-				for xx := 0; xx < c.ow; xx++ {
+		for z := 0; z < od; z++ {
+			for y := 0; y < oh; y++ {
+				for xx := 0; xx < ow; xx++ {
 					gv := g[c.outIdx(oc, z, y, xx)]
 					if gv == 0 {
 						continue
 					}
 					bGrad[oc] += gv
-					for ic := 0; ic < c.inC; ic++ {
+					for ic := 0; ic < c.shape.InC; ic++ {
 						for kz := 0; kz < c.shape.KD; kz++ {
 							for ky := 0; ky < c.shape.KH; ky++ {
 								for kx := 0; kx < c.shape.KW; kx++ {

@@ -71,8 +71,8 @@ func TestConvMatchesReference(t *testing.T) {
 				x.Data[i] = 0
 			}
 		}
-		out := c.Forward(x)
-		grad := randMatrix(n, c.OutDim(0), rng)
+		out := c.forward(x, 0)
+		grad := randMatrix(n, c.outWidth(), rng)
 		dx := c.Backward(grad)
 
 		wantW := make([]float64, len(c.weight.G))
@@ -113,7 +113,7 @@ func TestDenseMatchesReference(t *testing.T) {
 				x.Data[i] = 0
 			}
 		}
-		act := d.Forward(x)
+		act := d.forward(x, 0)
 		grad := randMatrix(n, out, rng)
 		dx := d.Backward(grad)
 

@@ -33,8 +33,14 @@ echo "== alloc gate (f32 lane + sim evaluator) =="
 # arena-backed serving encode path (f32 lane), and the simulator's
 # compiled per-sample evaluation path — warm cache hits and
 # cache-disabled evaluations alike. AllocsPerRun is meaningless under
-# -race, so this is a separate plain run.
-go test -run AllocGate ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/ ./internal/core/ ./internal/sim/
+# -race, so this is a separate plain run. It runs at one proc and at
+# four: the f32 network lane shares its forward pass with the f64 side,
+# which may dispatch to the pool, and a stray workers=0 on the lane
+# allocates only where the pool would really fan out — a single-proc
+# host alone would pass it silently.
+for procs in 1 4; do
+    GOMAXPROCS=$procs go test -count=1 -run AllocGate ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/ ./internal/core/ ./internal/sim/
+done
 
 echo "== bench smoke (race) =="
 # One iteration of every kernel/training benchmark under the race
