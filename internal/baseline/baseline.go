@@ -44,8 +44,8 @@ type Strategy interface {
 }
 
 // searchOC draws up to budget samples for one OC and returns the best.
-// The cell's compiled evaluator is resolved once; the sample loop is
-// allocation-free on warm cache.
+// The cell's compiled evaluator is resolved once per search; a stencil's
+// later searches find the cell again, so they run on its sample memo.
 func searchOC(m *sim.Model, w sim.Workload, arch gpu.Arch, oc opt.Opt, budget int, rng *rand.Rand) (Result, bool) {
 	res := Result{OC: oc}
 	eval := m.CellFn(w, arch)

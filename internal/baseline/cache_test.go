@@ -23,10 +23,12 @@ func tuneCorpus(t testing.TB, m *sim.Model, arch gpu.Arch) {
 	}
 }
 
-// TestBaselineTuningHitsCache asserts the memo cache actually absorbs
-// repeated work in the equal-budget baseline comparison: running the same
-// tuning twice must produce hits the second time (the ISSUE's hit-rate
-// acceptance criterion).
+// TestBaselineTuningHitsCache asserts the sample memo absorbs repeated
+// work in the equal-budget baseline comparison. The first pass meets each
+// cell for the first time (its opening search is priced memo-free, the
+// strategies' later searches find the cell again and start filling its
+// memo), the second pass fills in what the first priced memo-free, and an
+// identical third pass is answered from the memo entirely.
 func TestBaselineTuningHitsCache(t *testing.T) {
 	m := sim.New()
 	arch, err := gpu.ByName("P100")
@@ -35,42 +37,31 @@ func TestBaselineTuningHitsCache(t *testing.T) {
 	}
 	tuneCorpus(t, m, arch)
 	tuneCorpus(t, m, arch)
+	filled := m.CacheStats()
+	tuneCorpus(t, m, arch)
 	st := m.CacheStats()
-	if st.Hits == 0 {
-		t.Fatalf("no cache hits after repeated equal-budget tuning: %+v", st)
+	if st.Misses != filled.Misses || st.Entries != filled.Entries {
+		t.Fatalf("third identical tuning pass still missed: %+v -> %+v", filled, st)
 	}
-	if st.HitRate() <= 0 {
-		t.Fatalf("hit rate %v, want > 0 (%+v)", st.HitRate(), st)
+	if st.Hits == filled.Hits {
+		t.Fatalf("no memo hits on the third identical tuning pass: %+v", st)
 	}
 }
 
 // BenchmarkBaselineTuneCached measures the equal-budget comparison with
-// the memo cache warm, reporting the achieved hit rate.
+// every cell's memo full, reporting the achieved hit rate.
 func BenchmarkBaselineTuneCached(b *testing.B) {
 	m := sim.New()
 	arch, err := gpu.ByName("P100")
 	if err != nil {
 		b.Fatal(err)
 	}
-	tuneCorpus(b, m, arch) // warm
+	tuneCorpus(b, m, arch) // first lookups
+	tuneCorpus(b, m, arch) // fill
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tuneCorpus(b, m, arch)
 	}
 	b.StopTimer()
 	b.ReportMetric(m.CacheStats().HitRate(), "hit-rate")
-}
-
-// BenchmarkBaselineTuneUncached is the same workload with the cache off —
-// the before side of the EXPERIMENTS.md comparison.
-func BenchmarkBaselineTuneUncached(b *testing.B) {
-	m := sim.New()
-	m.DisableCache()
-	arch, err := gpu.ByName("P100")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		tuneCorpus(b, m, arch)
-	}
 }

@@ -287,9 +287,9 @@ func (f *Framework) SpeedupVsBaseline(kind ClassifierKind, archName string, dims
 	if err != nil {
 		return 0, err
 	}
-	// Per-fold tuning shares f.Model across goroutines: the simulator's
-	// memo cache is sharded, and identical (stencil, OC, params, arch)
-	// cells price identically whether cached or recomputed, so ratios
+	// Per-fold tuning shares f.Model across goroutines: the simulator is
+	// safe for concurrent use, and identical (stencil, OC, params, arch)
+	// cells price identically whether memoized or recomputed, so ratios
 	// match the serial loop exactly; fold order is restored on merge.
 	perFold, err := par.Map(context.Background(), len(folds), 0, func(fi int) ([]float64, error) {
 		trainIdx, testIdx := trainTestSplit(folds, fi)
@@ -326,29 +326,6 @@ func (f *Framework) SpeedupVsBaseline(kind ClassifierKind, archName string, dims
 		return 0, fmt.Errorf("core: no comparable stencils for %s vs %s", kind, strat.Name())
 	}
 	return stats.GeoMean(ratios)
-}
-
-// PredictBestOC trains on the full corpus of the stencil's dimensionality
-// (minus the stencil itself) and predicts the best OC for a corpus
-// stencil on the named GPU.
-func (f *Framework) PredictBestOC(kind ClassifierKind, archName string, sidx int) (opt.Opt, error) {
-	archIdx, _, err := f.ArchByName(archName)
-	if err != nil {
-		return 0, err
-	}
-	s := f.Dataset.Stencils[sidx]
-	var trainIdx []int
-	for _, si := range f.StencilIndices(s.Dims) {
-		if si != sidx {
-			trainIdx = append(trainIdx, si)
-		}
-	}
-	cls, enc, err := f.TrainClassifier(kind, archIdx, s.Dims, trainIdx, f.Cfg.Seed)
-	if err != nil {
-		return 0, err
-	}
-	class := ml.ArgMax(probaOne(cls, enc(sidx)))
-	return f.Grouping.RepOC(class), nil
 }
 
 // PredictBestOCForStencil trains on the whole corpus of the stencil's

@@ -354,7 +354,8 @@ func (f *Framework) tuneServeItems(ctx context.Context, items []*serveItem) {
 }
 
 // requestSeed derives a deterministic tuning seed from the request so
-// identical requests tune identically (and hit the sim memo cache).
+// identical requests tune identically (and, from the cell's second
+// request on, out of its sim memo).
 func requestSeed(base int64, archName string, s stencil.Stencil) int64 {
 	h := fnv.New64a()
 	io.WriteString(h, archName)
@@ -368,8 +369,8 @@ func requestSeed(base int64, archName string, s stencil.Stencil) int64 {
 // tuneForClass tunes the representative OC of the most probable class on
 // the target GPU, falling back through the class order when every sampled
 // setting of a representative crashes. The tuning seed derives from the
-// request, so identical requests tune identically (and hit the sim memo
-// cache) no matter which batch or goroutine carries them.
+// request, so identical requests tune identically (and hit the cell's sim
+// memo) no matter which batch or goroutine carries them.
 func (f *Framework) tuneForClass(archName string, s stencil.Stencil, arch gpu.Arch, proba []float64) (opt.Opt, tuner.Result, error) {
 	w := sim.DefaultWorkload(s)
 	seed := requestSeed(f.Cfg.Seed, archName, s)

@@ -20,19 +20,18 @@ import (
 // to one trained on the compiled-evaluator collection, at GOMAXPROCS 1
 // and 4. Together with the tuner and per-run differentials this pins the
 // whole predict path: classification inputs, tuned OC and params, and
-// batched regressor outputs all carry pre-rewrite bits.
+// batched regressor outputs all carry pre-rewrite bits. One model carries
+// the three compiled collections and each probe is served three times, so
+// both legs see their cells at the first lookup, with the memo filling,
+// and answering from it.
 func TestServePredictMatchesReferenceSubstrate(t *testing.T) {
 	corpus := testutil.SmallCorpus(t)
 	archs := gpu.Catalog()[:2]
 
+	model := sim.New()
 	collect := func(runner sim.Runner) *profile.Dataset {
 		t.Helper()
-		p := &profile.Profiler{SamplesPerOC: 3, Seed: 21, Workers: 0}
-		if runner != nil {
-			p.Runner = runner
-		} else {
-			p.Model = sim.New()
-		}
+		p := &profile.Profiler{Model: model, Runner: runner, SamplesPerOC: 3, Seed: 21, Workers: 0}
 		d, err := p.Collect(context.Background(), corpus, archs)
 		if err != nil {
 			t.Fatalf("Collect: %v", err)
@@ -55,22 +54,32 @@ func TestServePredictMatchesReferenceSubstrate(t *testing.T) {
 		}
 		var out bytes.Buffer
 		for _, s := range probes {
-			pred, err := fw.ServePredict(archs[0].Name, s)
-			if err != nil {
-				t.Fatalf("ServePredict(%s): %v", s.Name, err)
+			var first []byte
+			for _, state := range []string{"first lookup", "memo filling", "memo hitting"} {
+				pred, err := fw.ServePredict(archs[0].Name, s)
+				if err != nil {
+					t.Fatalf("ServePredict(%s): %v", s.Name, err)
+				}
+				raw, err := json.Marshal(pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = raw
+				}
+				testutil.AssertSameBytes(t, "ServePredict("+s.Name+") "+state, first, raw)
 			}
-			raw, err := json.Marshal(pred)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out.Write(raw)
+			out.Write(first)
 			out.WriteByte('\n')
+		}
+		if st := fw.Model.CacheStats(); st.Hits == 0 {
+			t.Fatalf("repeated probes never hit the sim memo: %+v", st)
 		}
 		return out.Bytes()
 	}
 
 	oracle := serve(collect(sim.NewReference()))
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 4, 1} {
 		testutil.WithGOMAXPROCS(t, procs, func() {
 			testutil.AssertSameBytes(t, "ServePredict compiled vs reference substrate",
 				oracle, serve(collect(nil)))

@@ -17,11 +17,9 @@
 package fault
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"stencilmart/internal/gpu"
@@ -171,16 +169,9 @@ func (s Stats) Total() uint64 {
 type Injector struct {
 	cfg  Config
 	next sim.Runner
-
-	mu    sync.Mutex
-	sites map[uint64]*siteState
+	led  *ledger
 
 	attempts, transients, panics, nans, infs, spikes atomic.Uint64
-}
-
-type siteState struct {
-	attempt int // attempts observed so far
-	faults  int // faults already injected at this site
 }
 
 // Wrap returns an injector around next. It panics on an invalid config —
@@ -193,17 +184,15 @@ func Wrap(next sim.Runner, cfg Config) *Injector {
 	if next == nil {
 		panic("fault: nil runner")
 	}
-	return &Injector{cfg: cfg, next: next, sites: make(map[uint64]*siteState)}
+	return &Injector{cfg: cfg, next: next, led: newLedger(cfg.Seed, cfg.budget(),
+		cfg.PanicRate, cfg.TransientRate, cfg.NaNRate, cfg.InfRate, cfg.SpikeRate)}
 }
 
 // Stats snapshots the injection counters.
 func (in *Injector) Stats() Stats {
-	in.mu.Lock()
-	sites := uint64(len(in.sites))
-	in.mu.Unlock()
 	return Stats{
 		Attempts:   in.attempts.Load(),
-		Sites:      sites,
+		Sites:      in.led.seen(),
 		Transients: in.transients.Load(),
 		Panics:     in.panics.Load(),
 		NaNs:       in.nans.Load(),
@@ -212,72 +201,15 @@ func (in *Injector) Stats() Stats {
 	}
 }
 
-// outcome is one attempt's injected fault class.
-type outcome int
-
+// The ledger's fault classes of one attempt, in the order Wrap lists the
+// rates; 0 is a clean attempt.
 const (
-	ok outcome = iota
-	injectPanic
+	injectPanic = iota + 1
 	injectTransient
 	injectNaN
 	injectInf
 	injectSpike
 )
-
-// begin records one attempt at the site and returns the attempt number
-// and whether the site's fault budget still has room.
-func (in *Injector) begin(site uint64) (attempt int, budgetLeft bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	st := in.sites[site]
-	if st == nil {
-		st = &siteState{}
-		in.sites[site] = st
-	}
-	attempt = st.attempt
-	st.attempt++
-	return attempt, st.faults < in.cfg.budget()
-}
-
-// spend consumes one unit of the site's fault budget.
-func (in *Injector) spend(site uint64) {
-	in.mu.Lock()
-	in.sites[site].faults++
-	in.mu.Unlock()
-}
-
-// decide maps (seed, site, attempt) to a fault class by hashing into a
-// uniform draw on [0, 1) and partitioning by the configured rates.
-func (in *Injector) decide(site uint64, attempt int) outcome {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(in.cfg.Seed))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], site)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	// 53 mantissa bits of the hash give a uniform draw in [0, 1).
-	u := float64(h.Sum64()>>11) / (1 << 53)
-
-	c := in.cfg
-	for _, class := range []struct {
-		rate float64
-		out  outcome
-	}{
-		{c.PanicRate, injectPanic},
-		{c.TransientRate, injectTransient},
-		{c.NaNRate, injectNaN},
-		{c.InfRate, injectInf},
-		{c.SpikeRate, injectSpike},
-	} {
-		if u < class.rate {
-			return class.out
-		}
-		u -= class.rate
-	}
-	return ok
-}
 
 // siteID hashes the canonical run key of one measurement cell.
 func siteID(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) uint64 {
@@ -293,19 +225,15 @@ func siteID(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) uint64 {
 func (in *Injector) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
 	in.attempts.Add(1)
 	site := siteID(w, oc, p, arch)
-	attempt, budgetLeft := in.begin(site)
-	out := ok
-	if budgetLeft {
-		out = in.decide(site, attempt)
-	}
+	attempt, out := in.led.begin(site)
 
 	switch out {
 	case injectPanic:
-		in.spend(site)
+		in.led.spend(site)
 		in.panics.Add(1)
 		panic(InjectedPanic{Site: site, Attempt: attempt})
 	case injectTransient:
-		in.spend(site)
+		in.led.spend(site)
 		in.transients.Add(1)
 		return sim.Result{}, &TransientError{Site: site, Attempt: attempt}
 	}
@@ -316,15 +244,15 @@ func (in *Injector) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch)
 	}
 	switch out {
 	case injectNaN:
-		in.spend(site)
+		in.led.spend(site)
 		in.nans.Add(1)
 		r.Time = math.NaN()
 	case injectInf:
-		in.spend(site)
+		in.led.spend(site)
 		in.infs.Add(1)
 		r.Time = math.Inf(1)
 	case injectSpike:
-		in.spend(site)
+		in.led.spend(site)
 		in.spikes.Add(1)
 		r.Time *= in.cfg.spikeFactor()
 	}

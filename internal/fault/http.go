@@ -2,7 +2,6 @@ package fault
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -149,9 +148,9 @@ func (s HTTPStats) Total() uint64 {
 // sequentially.
 type HTTPInjector struct {
 	cfg HTTPConfig
+	led *ledger
 
 	mu         sync.Mutex
-	sites      map[uint64]*siteState
 	scoreSites map[string]int
 
 	requests, latencies, resets, truncates, scorePanics atomic.Uint64
@@ -166,19 +165,16 @@ func NewHTTPInjector(cfg HTTPConfig) *HTTPInjector {
 	}
 	return &HTTPInjector{
 		cfg:        cfg,
-		sites:      make(map[uint64]*siteState),
+		led:        newLedger(cfg.Seed, cfg.budget(), cfg.LatencyRate, cfg.ResetRate, cfg.TruncateRate),
 		scoreSites: make(map[string]int),
 	}
 }
 
 // Stats snapshots the injection counters.
 func (in *HTTPInjector) Stats() HTTPStats {
-	in.mu.Lock()
-	sites := uint64(len(in.sites))
-	in.mu.Unlock()
 	return HTTPStats{
 		Requests:    in.requests.Load(),
-		Sites:       sites,
+		Sites:       in.led.seen(),
 		Latencies:   in.latencies.Load(),
 		Resets:      in.resets.Load(),
 		Truncates:   in.truncates.Load(),
@@ -186,19 +182,22 @@ func (in *HTTPInjector) Stats() HTTPStats {
 	}
 }
 
-// httpOutcome is one request attempt's injected fault class.
+// httpOutcome is one request attempt's injected fault class: the ledger's
+// classes in the order NewHTTPInjector lists the rates; 0 is a clean
+// attempt.
 type httpOutcome int
 
 const (
-	httpOK httpOutcome = iota
-	injectLatency
+	injectLatency httpOutcome = iota + 1
 	injectReset
 	injectTruncate
 )
 
-// siteOf canonicalizes a request's identity — method, path, and body —
-// into a site ID. The body is consumed and restored, so the wrapped
-// handler reads it untouched.
+// siteOf canonicalizes a request's identity — method, path, and the first
+// MiB of the body — into a site ID. What it read of the body is put back
+// in front of the rest, so the wrapped handler reads the whole body
+// untouched (and a body past the handler's size limit is still refused
+// as too large, not cut to fit).
 func (in *HTTPInjector) siteOf(r *http.Request) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, r.Method)
@@ -206,64 +205,20 @@ func (in *HTTPInjector) siteOf(r *http.Request) uint64 {
 	io.WriteString(h, r.URL.Path)
 	h.Write([]byte{0})
 	if r.Body != nil && r.Body != http.NoBody {
-		body, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		r.Body.Close()
-		h.Write(body)
-		r.Body = io.NopCloser(bytes.NewReader(body))
+		head, _ := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+		h.Write(head)
+		r.Body = struct {
+			io.Reader
+			io.Closer
+		}{io.MultiReader(bytes.NewReader(head), r.Body), r.Body}
 	}
 	return h.Sum64()
-}
-
-// beginHTTP records one attempt at the site and returns the attempt
-// number and whether the budget still has room; spendHTTP consumes one
-// unit of it.
-func (in *HTTPInjector) beginHTTP(site uint64) (attempt int, budgetLeft bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	st := in.sites[site]
-	if st == nil {
-		st = &siteState{}
-		in.sites[site] = st
-	}
-	attempt = st.attempt
-	st.attempt++
-	return attempt, st.faults < in.cfg.budget()
-}
-
-func (in *HTTPInjector) spendHTTP(site uint64) {
-	in.mu.Lock()
-	in.sites[site].faults++
-	in.mu.Unlock()
 }
 
 // decideHTTP maps (seed, site, attempt) to a fault class, drawing and
 // partitioning exactly like the sim injector.
 func (in *HTTPInjector) decideHTTP(site uint64, attempt int) httpOutcome {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(in.cfg.Seed))
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], site)
-	h.Write(b[:])
-	binary.LittleEndian.PutUint64(b[:], uint64(attempt))
-	h.Write(b[:])
-	u := float64(h.Sum64()>>11) / (1 << 53)
-
-	c := in.cfg
-	for _, class := range []struct {
-		rate float64
-		out  httpOutcome
-	}{
-		{c.LatencyRate, injectLatency},
-		{c.ResetRate, injectReset},
-		{c.TruncateRate, injectTruncate},
-	} {
-		if u < class.rate {
-			return class.out
-		}
-		u -= class.rate
-	}
-	return httpOK
+	return httpOutcome(in.led.decide(site, attempt))
 }
 
 // Middleware wraps next with connection-level chaos. It must sit outside
@@ -275,23 +230,19 @@ func (in *HTTPInjector) Middleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		in.requests.Add(1)
 		site := in.siteOf(r)
-		attempt, budgetLeft := in.beginHTTP(site)
-		out := httpOK
-		if budgetLeft {
-			out = in.decideHTTP(site, attempt)
-		}
-		switch out {
+		_, class := in.led.begin(site)
+		switch httpOutcome(class) {
 		case injectLatency:
-			in.spendHTTP(site)
+			in.led.spend(site)
 			in.latencies.Add(1)
 			time.Sleep(in.cfg.latencySpike())
 			next.ServeHTTP(w, r)
 		case injectReset:
-			in.spendHTTP(site)
+			in.led.spend(site)
 			in.resets.Add(1)
 			panic(http.ErrAbortHandler)
 		case injectTruncate:
-			in.spendHTTP(site)
+			in.led.spend(site)
 			in.truncates.Add(1)
 			tw := &truncatingWriter{ResponseWriter: w, keep: in.cfg.truncateBytes()}
 			next.ServeHTTP(tw, r)

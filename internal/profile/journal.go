@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"stencilmart/internal/gpu"
-	"stencilmart/internal/par"
 	"stencilmart/internal/persist"
 	"stencilmart/internal/stencil"
 )
@@ -189,25 +188,14 @@ func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []s
 	remaining := cells.missing()
 	stats.Measured = len(remaining)
 
-	p.model() // resolve the lazy model before workers race to do it
-	err = par.ForEach(ctx, len(remaining), p.Workers, func(j int) error {
-		i := remaining[j]
-		prof, inst, err := p.profileCell(ctx, i, stencils, archs)
-		if err != nil {
-			return err
-		}
-		c := &journalCell{Index: i, Profile: prof, Instances: inst}
+	err = p.measureCells(ctx, stencils, archs, remaining, func(c *journalCell) error {
 		if err := wal.Append(c); err != nil {
 			return err
 		}
-		done[i] = c
+		done[c.Index] = c
 		return nil
 	})
 	if err != nil {
-		var errs par.Errors
-		if errors.As(err, &errs) {
-			return nil, stats, errs.First()
-		}
 		return nil, stats, err
 	}
 
@@ -215,9 +203,9 @@ func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []s
 }
 
 // assembleDataset lays completed cells into a dataset in cell-index
-// order — the same order Collect uses, so resumed or merged datasets
-// are byte-identical to an uninterrupted serial run. Every entry of
-// done must be non-nil.
+// order, whichever way they were collected, so in-memory, resumed and
+// merged datasets are byte-identical to an uninterrupted serial run.
+// Every entry of done must be non-nil.
 func assembleDataset(stencils []stencil.Stencil, archs []gpu.Arch, done []*journalCell) *Dataset {
 	d := &Dataset{Stencils: stencils}
 	d.Archs = append(d.Archs, archs...)
@@ -226,6 +214,11 @@ func assembleDataset(stencils []stencil.Stencil, archs []gpu.Arch, done []*journ
 	for ai := range archs {
 		d.Profiles[ai] = make([]Profile, nS)
 	}
+	total := 0
+	for _, c := range done {
+		total += len(c.Instances)
+	}
+	d.Instances = make([]Instance, 0, total)
 	for i, c := range done {
 		d.Profiles[i/nS][i%nS] = c.Profile
 		d.Instances = append(d.Instances, c.Instances...)

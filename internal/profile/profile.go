@@ -248,14 +248,36 @@ func (p *Profiler) profileCell(ctx context.Context, i int, stencils []stencil.St
 	return p.ProfileOne(ctx, i%nS, stencils[i%nS], archs[i/nS])
 }
 
+// measureCells is the one collection loop: it profiles the listed cells
+// in parallel on the shared par worker pool and hands each finished cell
+// to sink on the goroutine that measured it, so sink must be safe for
+// concurrent use. Every listed cell is attempted even when others fail;
+// the error returned is the one the serial loop would have hit first.
+func (p *Profiler) measureCells(ctx context.Context, stencils []stencil.Stencil, archs []gpu.Arch, indices []int, sink func(*journalCell) error) error {
+	p.model() // resolve the lazy model before workers race to do it
+	err := par.ForEach(ctx, len(indices), p.Workers, func(j int) error {
+		i := indices[j]
+		prof, inst, err := p.profileCell(ctx, i, stencils, archs)
+		if err != nil {
+			return err
+		}
+		return sink(&journalCell{Index: i, Profile: prof, Instances: inst})
+	})
+	var errs par.Errors
+	if errors.As(err, &errs) {
+		return errs.First()
+	}
+	return err
+}
+
 // Collect profiles the full corpus on every architecture, in parallel
-// across (stencil, architecture) cells on the shared par worker pool,
-// and assembles the dataset. Each cell derives its own rng from Seed and
-// results are collected in cell-index order, so the dataset is
-// byte-identical for any worker count (the serial reference is
-// Workers == 1) — the property the differential suite enforces.
-// Cancelling ctx stops dispatch after in-flight cells finish; for a
-// collection that survives kills, see CollectJournal.
+// across (stencil, architecture) cells, and assembles the dataset. Each
+// cell derives its own rng from Seed and results are laid out in
+// cell-index order, so the dataset is byte-identical for any worker
+// count (the serial reference is Workers == 1) — the property the
+// differential suite enforces. Cancelling ctx stops dispatch after
+// in-flight cells finish; for a collection that survives kills, see
+// CollectJournal.
 func (p *Profiler) Collect(ctx context.Context, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -263,44 +285,15 @@ func (p *Profiler) Collect(ctx context.Context, stencils []stencil.Stencil, arch
 	if len(stencils) == 0 || len(archs) == 0 {
 		return nil, fmt.Errorf("profile: empty corpus (%d stencils, %d archs)", len(stencils), len(archs))
 	}
-	p.model() // resolve the lazy model before workers race to do it
-	d := &Dataset{Stencils: stencils, Archs: make([]gpu.Arch, len(archs))}
-	copy(d.Archs, archs)
-	d.Profiles = make([][]Profile, len(archs))
-	for ai := range archs {
-		d.Profiles[ai] = make([]Profile, len(stencils))
-	}
-
-	type cell struct {
-		prof Profile
-		inst []Instance
-	}
-	nS := len(stencils)
-	cells, err := par.Map(ctx, len(archs)*nS, p.Workers, func(i int) (cell, error) {
-		prof, inst, err := p.profileCell(ctx, i, stencils, archs)
-		if err != nil {
-			return cell{}, err
-		}
-		return cell{prof: prof, inst: inst}, nil
+	cells := newCellSet(len(archs) * len(stencils)) // nothing replayed: every cell is missing
+	err := p.measureCells(ctx, stencils, archs, cells.missing(), func(c *journalCell) error {
+		cells.done[c.Index] = c
+		return nil
 	})
 	if err != nil {
-		var errs par.Errors
-		if errors.As(err, &errs) {
-			// The serial loop would have surfaced the lowest-index failure.
-			return nil, errs.First()
-		}
 		return nil, err
 	}
-	total := 0
-	for _, c := range cells {
-		total += len(c.inst)
-	}
-	d.Instances = make([]Instance, 0, total)
-	for i, c := range cells {
-		d.Profiles[i/nS][i%nS] = c.prof
-		d.Instances = append(d.Instances, c.inst...)
-	}
-	return d, nil
+	return assembleDataset(stencils, archs, cells.done), nil
 }
 
 // cellSeed derives a deterministic seed for one (stencil, arch, OC) cell.

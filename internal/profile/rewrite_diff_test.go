@@ -15,11 +15,11 @@ import (
 
 // The rewrite differential: the compiled-evaluator substrate must be
 // invisible at dataset granularity. A collection measured on
-// sim.NewReference() — the pre-rewrite path kept verbatim: per-call
-// validation, string-keyed map cache, noise from scratch — is the oracle;
-// collections on the default compiled Model must reproduce its bytes
-// exactly, serial and parallel, journaled and not, chaos-injected and
-// clean.
+// sim.NewReference() — per-call validation, nothing precomputed, nothing
+// memoized, noise from scratch — is the oracle; collections on the
+// default compiled Model must reproduce its bytes exactly, serial and
+// parallel, journaled and not, chaos-injected and clean, and whether the
+// model meets the cells for the first time or answers from their memos.
 
 // referenceCollect collects the suite corpus on the pre-rewrite path.
 func referenceCollect(t testing.TB, workers int) []byte {
@@ -38,10 +38,9 @@ func referenceCollect(t testing.TB, workers int) []byte {
 }
 
 // compiledCollect collects the same corpus on the compiled Model path.
-func compiledCollect(t testing.TB, workers int) []byte {
+func compiledCollect(t testing.TB, m *sim.Model, workers int) []byte {
 	t.Helper()
-	p := profile.NewProfiler(4, testutil.CorpusSeed+1)
-	p.Workers = workers
+	p := &profile.Profiler{Model: m, SamplesPerOC: 4, Seed: testutil.CorpusSeed + 1, Workers: workers}
 	d, err := p.Collect(context.Background(), testutil.SmallCorpus(t), testutil.AllArchs(t))
 	if err != nil {
 		t.Fatalf("compiled Collect (workers=%d): %v", workers, err)
@@ -55,8 +54,20 @@ func TestCollectMatchesReference(t *testing.T) {
 	oracle := referenceCollect(t, 1)
 	for _, procs := range []int{1, 4} {
 		testutil.WithGOMAXPROCS(t, procs, func() {
-			testutil.AssertSameBytes(t, "compiled serial vs reference", oracle, compiledCollect(t, 1))
-			testutil.AssertSameBytes(t, "compiled parallel vs reference", oracle, compiledCollect(t, 0))
+			testutil.AssertSameBytes(t, "compiled serial vs reference", oracle, compiledCollect(t, sim.New(), 1))
+			// One model, three passes: every cell at its first lookup (the
+			// memo untouched), then filling its memo, then all hits.
+			m := sim.New()
+			testutil.AssertSameBytes(t, "compiled parallel vs reference", oracle, compiledCollect(t, m, 0))
+			if st := m.CacheStats(); st != (sim.CacheStats{}) {
+				t.Fatalf("a first collection pass touched the memo: %+v", st)
+			}
+			testutil.AssertSameBytes(t, "memo filling vs reference", oracle, compiledCollect(t, m, 0))
+			filled := m.CacheStats()
+			testutil.AssertSameBytes(t, "memo hitting vs reference", oracle, compiledCollect(t, m, 0))
+			if st := m.CacheStats(); st.Misses != filled.Misses || st.Hits == filled.Hits {
+				t.Fatalf("third identical collection pass was not all hits: %+v -> %+v", filled, st)
+			}
 		})
 	}
 	// And the reference path itself is scheduling-invariant, so the oracle

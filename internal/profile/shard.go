@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"stencilmart/internal/gpu"
-	"stencilmart/internal/par"
 	"stencilmart/internal/persist"
 	"stencilmart/internal/stencil"
 )
@@ -95,26 +94,16 @@ func (p *Profiler) CollectShard(ctx context.Context, path string, stencils []ste
 	}
 	stats.Measured = len(remaining)
 
-	p.model() // resolve the lazy model before workers race to do it
-	err = par.ForEach(ctx, len(remaining), p.Workers, func(j int) error {
-		i := remaining[j]
-		prof, inst, err := p.profileCell(ctx, i, stencils, archs)
-		if err != nil {
-			return err
-		}
-		if err := wal.Append(&journalCell{Index: i, Profile: prof, Instances: inst}); err != nil {
+	err = p.measureCells(ctx, stencils, archs, remaining, func(c *journalCell) error {
+		if err := wal.Append(c); err != nil {
 			return err
 		}
 		if onCell != nil {
-			onCell(i)
+			onCell(c.Index)
 		}
 		return nil
 	})
 	if err != nil {
-		var errs par.Errors
-		if errors.As(err, &errs) {
-			return stats, errs.First()
-		}
 		return stats, err
 	}
 	return stats, nil

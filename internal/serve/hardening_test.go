@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"stencilmart/internal/core"
+	"stencilmart/internal/fault"
 	"stencilmart/internal/stencil"
 )
 
@@ -159,22 +160,31 @@ func TestPredictLoadShed(t *testing.T) {
 }
 
 // TestPredictOversizeBody: a body past MaxRequestBytes gets 413 with a
-// JSON error, counted, without disturbing the other fault counters.
+// JSON error, counted, without disturbing the other fault counters —
+// also behind the chaos middleware, which reads the first MiB of every
+// body to name its site and must hand the handler all of it (it once
+// passed on only what it had read, and the body arrived exactly at the
+// limit: 400, uncounted).
 func TestPredictOversizeBody(t *testing.T) {
-	s := hardenedServer(t, Options{})
-	h := s.Handler()
-	body := `{"stencil":"` + strings.Repeat("x", MaxRequestBytes) + `","gpu":"V100"}`
-	rec, out := postPredict(t, h, body)
-	if rec.Code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversize body gave %d (%v), want 413", rec.Code, out)
-	}
-	msg, _ := out["error"].(string)
-	if !strings.Contains(msg, "bytes") {
-		t.Fatalf("413 body %v does not state the limit", out)
-	}
-	st := statsOf(t, h)
-	if st.Faults != (FaultSnapshot{OversizeRequests: 1}) {
-		t.Fatalf("faults %+v, want only one oversize request", st.Faults)
+	chaos := fault.NewHTTPInjector(fault.HTTPConfig{Seed: 1}) // no fault ever fires
+	for name, opts := range map[string]Options{
+		"bare":             {},
+		"chaos middleware": {Middleware: chaos.Middleware},
+	} {
+		h := hardenedServer(t, opts).Handler()
+		body := `{"stencil":"` + strings.Repeat("x", MaxRequestBytes) + `","gpu":"V100"}`
+		rec, out := postPredict(t, h, body)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversize body gave %d (%v), want 413", name, rec.Code, out)
+		}
+		msg, _ := out["error"].(string)
+		if !strings.Contains(msg, "bytes") {
+			t.Fatalf("%s: 413 body %v does not state the limit", name, out)
+		}
+		st := statsOf(t, h)
+		if st.Faults != (FaultSnapshot{OversizeRequests: 1}) {
+			t.Fatalf("%s: faults %+v, want only one oversize request", name, st.Faults)
+		}
 	}
 }
 

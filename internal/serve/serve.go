@@ -636,7 +636,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatsResponse is the /statsz body: the sim memo-cache counters,
+// StatsResponse is the /statsz body: the sim sample-memo counters,
 // per-endpoint latency aggregates, coalescing behavior, and the model
 // registry's live versions.
 type StatsResponse struct {
@@ -677,7 +677,10 @@ type FaultSnapshot struct {
 	DegradedRequests uint64 `json:"degraded_requests"`
 }
 
-// SimCacheSnapshot reports the simulator memoization counters.
+// SimCacheSnapshot reports the simulator's sample-memo counters: lookups
+// made on cells the server has been asked about before (a cell's first
+// request is priced memo-free and counts as neither hit nor miss), the
+// samples those cells hold, and the samples dropped by table resets.
 type SimCacheSnapshot struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`

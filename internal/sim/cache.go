@@ -3,51 +3,44 @@ package sim
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"stencilmart/internal/opt"
 )
 
 // The model is a deterministic oracle: the same canonical
 // (stencil pattern, workload extents, OC, params, arch) cell always
-// prices to the same Result (or the same crash). Profiling, the
-// baselines and the tuners keep re-evaluating identical cells — random
-// parameter search over small power-of-two spaces collides constantly,
-// and the equal-budget comparisons re-price the very points profiling
-// already visited — so evaluations are memoized.
+// prices to the same Result (or the same crash), so an evaluation can be
+// memoized without changing any dataset, label or prediction. Whether it
+// is worth memoizing depends on the traffic. Collection draws every
+// sample independently from the OC's parameter space and visits each
+// cell once, so inside one pass a sample almost never repeats (1.8% on
+// the default corpus) and a memo only costs a miss and an insert per
+// evaluation. A served request that comes back is the opposite: its
+// tuning seed derives from the request, so it re-prices exactly the
+// samples it priced before.
 //
-// The cache is a sharded, fixed-size open-addressed table keyed on a
-// comparable packed struct: the compiled evaluator's cell id plus the
-// (OC, params) sample packed into one uint64 (see packSample). Lookups
-// hash with an inline integer mix — no per-lookup hasher object, no key
-// string, no allocation of any kind — and inserts into a full probe
-// window overwrite in place, so there is no map-iteration eviction and
-// memory stays flat under corpus-scale sweeps. Sharding keeps concurrent
-// profiling workers off a single lock.
-//
-// Caching is invisible to results by construction (values are exact
-// first-computation bits and the model is deterministic), so eviction
-// policy only affects the hit rate, never any dataset, label or
-// prediction.
+// The rule follows what the code can see: a compiled cell memoizes its
+// samples only once Model.Evaluator finds it in the evaluator table
+// again. The first lookup of a cell prices every sample directly and
+// touches no counter; from the second lookup on the cell keeps a plain
+// map from packed (OC, params) sample (see packSample) to cacheEntry
+// under its own mutex. The map belongs to the CellEvaluator and goes
+// when the evaluator table resets, which it does wholesale when it holds
+// maxEvaluators cells or maxMemoSamples memoized samples in total.
 
-// DefaultCacheEntries is the total entry bound of a Model's cache.
-const DefaultCacheEntries = 1 << 16
+// maxMemoSamples bounds the samples memoized across all cells of the
+// evaluator table; the table resets at the next lookup that finds it
+// full, so the overshoot is what the lookups already in flight evaluate.
+const maxMemoSamples = 1 << 16
 
-// cacheShards is the shard count; a power of two so the hash maps to a
-// shard with a mask.
-const cacheShards = 64
-
-// probeWindow bounds the linear-probe distance of one lookup; an insert
-// that finds the whole window occupied overwrites its first slot.
-const probeWindow = 8
-
-// CacheStats is a snapshot of a model cache's counters.
+// CacheStats is a snapshot of a model's sample-memo counters.
 type CacheStats struct {
-	// Hits and Misses count lookups since the cache was created.
+	// Hits and Misses count memo lookups since the model was created;
+	// evaluations of a cell on its first lookup count as neither.
 	Hits, Misses uint64
-	// Evictions counts entries dropped to respect the size bound.
+	// Evictions counts memoized samples dropped by evaluator-table resets.
 	Evictions uint64
-	// Entries is the current number of cached evaluations.
+	// Entries is the number of samples memoized in the live table.
 	Entries int
 }
 
@@ -67,30 +60,9 @@ type cacheEntry struct {
 	err error
 }
 
-// evalKey identifies one memoized evaluation: the compiled cell
-// (evaluator) id and the packed (OC, params) sample. Comparable, 16
-// bytes, no pointers.
-type evalKey struct {
-	sample uint64
-	cell   uint32
-}
-
-// hash mixes the key into a well-distributed uint64 (MurmurHash3's
-// 64-bit final mix, seeded with the cell id so samples of
-// different cells land on different shards).
-func (k evalKey) hash() uint64 {
-	h := k.sample ^ (uint64(k.cell)+1)*0x9E3779B97F4A7C15
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	h *= 0xC4CEB9FE1A85EC53
-	h ^= h >> 33
-	return h
-}
-
 // packSample packs a validated (OC, params) pair into one uint64, or
 // reports that the pair is outside the canonical encoding (in which case
-// the caller bypasses the cache and computes directly — never a wrong
+// the caller bypasses the memo and computes directly — never a wrong
 // result, only a forgone memoization).
 //
 // Layout, low to high: OC bitmask (8 bits, values < 64); then the six
@@ -140,113 +112,8 @@ func pow2Code(v int) (int, bool) {
 	return bits.TrailingZeros64(uint64(v)) + 1, true
 }
 
-// cacheSlot is one open-addressed table slot.
-type cacheSlot struct {
-	key  evalKey
-	ent  cacheEntry
-	used bool
-}
-
-type cacheShard struct {
-	mu    sync.Mutex
-	slots []cacheSlot // power-of-two length, preallocated
-}
-
-// runCache is the sharded, fixed-size open-addressed memoization table.
-type runCache struct {
-	hits, misses, evictRun atomic.Uint64
-	entries                atomic.Int64
-	shards                 [cacheShards]cacheShard
-}
-
-func newRunCache(capacity int) *runCache {
-	if capacity < 1 {
-		capacity = DefaultCacheEntries
-	}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	// Round the per-shard slot count up to a power of two so probe
-	// positions mask instead of mod.
-	slots := 1
-	for slots < per {
-		slots <<= 1
-	}
-	c := &runCache{}
-	for i := range c.shards {
-		c.shards[i].slots = make([]cacheSlot, slots)
-	}
-	return c
-}
-
-// probe computes the shard and first slot index for a key hash.
-func (c *runCache) probe(h uint64) (*cacheShard, uint64) {
-	return &c.shards[h&(cacheShards-1)], h >> 6
-}
-
-func (c *runCache) get(key evalKey) (cacheEntry, bool) {
-	s, start := c.probe(key.hash())
-	mask := uint64(len(s.slots) - 1)
-	window := probeWindow
-	if window > len(s.slots) {
-		window = len(s.slots)
-	}
-	s.mu.Lock()
-	for i := 0; i < window; i++ {
-		sl := &s.slots[(start+uint64(i))&mask]
-		if !sl.used {
-			break
-		}
-		if sl.key == key {
-			e := sl.ent
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return e, true
-		}
-	}
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return cacheEntry{}, false
-}
-
-func (c *runCache) put(key evalKey, e cacheEntry) {
-	s, start := c.probe(key.hash())
-	mask := uint64(len(s.slots) - 1)
-	window := probeWindow
-	if window > len(s.slots) {
-		window = len(s.slots)
-	}
-	s.mu.Lock()
-	for i := 0; i < window; i++ {
-		sl := &s.slots[(start+uint64(i))&mask]
-		if !sl.used {
-			sl.key, sl.ent, sl.used = key, e, true
-			s.mu.Unlock()
-			c.entries.Add(1)
-			return
-		}
-		if sl.key == key {
-			s.mu.Unlock()
-			return
-		}
-	}
-	// Window full: overwrite the first probed slot in place. The evicted
-	// value was a deterministic function of its key, so the choice
-	// affects only the hit rate — never a computed result.
-	sl := &s.slots[start&mask]
-	sl.key, sl.ent = key, e
-	s.mu.Unlock()
-	c.evictRun.Add(1)
-}
-
-// stats snapshots the counters. Entries is maintained atomically on
-// insert, so polling from /statsz is O(1) — no lock sweep over shards.
-func (c *runCache) stats() CacheStats {
-	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictRun.Load(),
-		Entries:   int(c.entries.Load()),
-	}
+// sampleMemo is one revisited cell's memo: packed sample -> outcome.
+type sampleMemo struct {
+	mu sync.Mutex
+	m  map[uint64]cacheEntry
 }

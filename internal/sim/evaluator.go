@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"math"
+	"sync/atomic"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
@@ -15,16 +16,24 @@ import (
 // the per-OC noise projections against the reference corpus, the per-OC
 // FNV prefix of the measurement-noise key — so the per-sample hot loop
 // does only the resource/time arithmetic plus precomputed-table noise
-// lookups. Warm evaluations perform zero allocations (enforced by the
-// AllocsPerRun gate in check.sh).
+// lookups. Pricing a sample and answering one from the memo both perform
+// zero allocations (enforced by the AllocsPerRun gate in check.sh).
 //
 // Evaluators are obtained from Model.Evaluator (or implicitly through
 // Model.Run / Model.CellFn) and are safe for concurrent use; results are
-// bitwise-identical to the pre-rewrite Reference path, a property the
-// differential suite asserts per run and per collected dataset.
+// bitwise-identical to the Reference oracle, a property the differential
+// suite asserts per run and per collected dataset, whether or not the
+// cell is memoizing.
 type CellEvaluator struct {
-	m    *Model
-	id   uint32
+	m *Model
+	// table is the evaluator table the cell is registered in: memoized
+	// samples count against that table, so a cell still held after a
+	// reset no longer shows in CacheStats.
+	table *evalTable
+	// memo is nil until Model.Evaluator finds the cell in its table
+	// again; see cache.go for why.
+	memo atomic.Pointer[sampleMemo]
+
 	w    Workload
 	arch gpu.Arch
 	dims int
@@ -57,41 +66,72 @@ type EvalFn func(oc opt.Opt, p opt.Params) (Result, error)
 // maxEvaluators bounds the per-model compiled-evaluator table; real
 // collections hold stencils x architectures evaluators, far below it.
 // On overflow the table resets wholesale — recompilation is microseconds
-// and ids stay unique, so stale run-cache entries simply never hit again.
+// and every cell's memo goes with its evaluator.
 const maxEvaluators = 4096
 
+// evalTable is one generation of a model's compiled cells, with the
+// count of samples their memos hold.
+type evalTable struct {
+	cells   map[string]*CellEvaluator
+	samples atomic.Int64
+}
+
+func newEvalTable() *evalTable {
+	return &evalTable{cells: make(map[string]*CellEvaluator)}
+}
+
+// reset replaces the table; whatever its cells had memoized is evicted.
+// The caller holds evalMu.
+func (m *Model) reset() {
+	m.evictions.Add(uint64(m.table.samples.Load()))
+	m.table = newEvalTable()
+}
+
+// revisit returns the registered evaluator of the cell with its memo
+// switched on, or nil when the table does not hold the cell. The caller
+// holds evalMu.
+func (m *Model) revisit(key string) *CellEvaluator {
+	ev := m.table.cells[key]
+	if ev != nil && ev.memo.Load() == nil {
+		ev.memo.Store(&sampleMemo{m: make(map[uint64]cacheEntry)})
+	}
+	return ev
+}
+
 // Evaluator returns the compiled evaluator for the cell, compiling and
-// caching it on first use. The workload is validated here, once per
-// cell — never again per sample.
+// registering it on first use; a cell found registered starts memoizing
+// its samples. The workload is validated here, once per cell — never
+// again per sample.
 func (m *Model) Evaluator(w Workload, arch gpu.Arch) (*CellEvaluator, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
 	key := compileKey(w, arch)
 	m.evalMu.Lock()
-	if ev, ok := m.evals[key]; ok {
-		m.evalMu.Unlock()
+	if m.table.samples.Load() >= maxMemoSamples {
+		m.reset()
+	}
+	ev := m.revisit(key)
+	m.evalMu.Unlock()
+	if ev != nil {
 		return ev, nil
 	}
-	m.evalMu.Unlock()
 
-	ev := m.compile(w, arch)
+	ev = m.compile(w, arch)
 
 	m.evalMu.Lock()
-	if cur, ok := m.evals[key]; ok {
+	defer m.evalMu.Unlock()
+	if cur := m.revisit(key); cur != nil {
 		// A concurrent compile of the same cell won; every evaluator of a
 		// cell computes identical bits, so either is correct — keep the
-		// registered one so the cell id (and run-cache keys) stay stable.
-		ev = cur
-	} else {
-		if m.evals == nil || len(m.evals) >= maxEvaluators {
-			m.evals = make(map[string]*CellEvaluator)
-		}
-		m.nextCell++
-		ev.id = m.nextCell
-		m.evals[key] = ev
+		// registered one, which two callers have now asked for.
+		return cur, nil
 	}
-	m.evalMu.Unlock()
+	if len(m.table.cells) >= maxEvaluators {
+		m.reset()
+	}
+	ev.table = m.table
+	m.table.cells[key] = ev
 	return ev, nil
 }
 
@@ -109,7 +149,7 @@ func (m *Model) CellFn(w Workload, arch gpu.Arch) EvalFn {
 // compileKey canonicalizes the cell identity: access pattern, grid
 // extents, time steps, and the full architecture spec digest. Stencil
 // names are deliberately absent — renamed but identical cells share one
-// evaluator, exactly as they shared cache entries before.
+// evaluator, and with it one memo.
 func compileKey(w Workload, arch gpu.Arch) string {
 	ak := archKey(arch)
 	b := make([]byte, 0, 1+3*len(w.S.Points)+4*4+len(ak))
@@ -150,9 +190,10 @@ func (m *Model) compile(w Workload, arch gpu.Arch) *CellEvaluator {
 	return e
 }
 
-// Eval prices one (OC, params) sample of the compiled cell. It returns
-// ErrCrash or ErrInvalidConfig (wrapped) when the kernel cannot run,
-// with the same validation order and error text as the reference path.
+// Eval prices one (OC, params) sample of the compiled cell, from the
+// cell's memo once it has one. It returns ErrCrash or ErrInvalidConfig
+// (wrapped) when the kernel cannot run, with the same validation order
+// and error text as the reference path.
 func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	if err := oc.ValidationError(); err != nil {
 		return Result{}, err
@@ -160,29 +201,40 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	if err := p.Validate(oc, e.dims); err != nil {
 		return Result{}, err
 	}
-
-	var key evalKey
-	cache := e.m.cache
+	memo := e.memo.Load()
+	if memo == nil {
+		return e.price(oc, p)
+	}
 	sample, packable := packSample(oc, p)
 	if !packable {
 		// Outside the canonical packing (degenerate-but-valid values such
-		// as a negative Merge without BM/CM): compute directly, uncached.
-		cache = nil
+		// as a negative Merge without BM/CM): compute directly.
+		return e.price(oc, p)
 	}
-	if cache != nil {
-		key = evalKey{sample: sample, cell: e.id}
-		if ent, ok := cache.get(key); ok {
-			return ent.res, ent.err
-		}
+	memo.mu.Lock()
+	ent, hit := memo.m[sample]
+	memo.mu.Unlock()
+	if hit {
+		e.m.hits.Add(1)
+		return ent.res, ent.err
 	}
+	e.m.misses.Add(1)
+	// Crashes are deterministic per cell and re-sampled by every repeat
+	// of a search, so the error is memoized like a result.
+	ent.res, ent.err = e.price(oc, p)
+	memo.mu.Lock()
+	if _, raced := memo.m[sample]; !raced {
+		memo.m[sample] = ent
+		e.table.samples.Add(1)
+	}
+	memo.mu.Unlock()
+	return ent.res, ent.err
+}
 
+// price is the pricing body: resources, occupancy, time terms, noise.
+func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
 	res := resourceUsage(e.w, oc, p, e.arch)
 	if err := res.check(e.arch, e.w, oc, p); err != nil {
-		// Crashes are deterministic per cell and re-sampled constantly by
-		// equal-budget searches, so they are worth memoizing too.
-		if cache != nil {
-			cache.put(key, cacheEntry{err: err})
-		}
 		return Result{}, err
 	}
 
@@ -201,9 +253,6 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	}
 	base := t.compute + t.memory + t.sync + t.launch
 	r.Time = base * e.noiseFactor(oc, p)
-	if cache != nil {
-		cache.put(key, cacheEntry{res: r})
-	}
 	return r, nil
 }
 

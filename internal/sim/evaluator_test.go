@@ -23,30 +23,38 @@ func diffStencils(t *testing.T) []stencil.Stencil {
 
 // TestEvaluatorMatchesReference is the per-run differential: for every
 // catalog architecture, every valid OC and a spread of sampled settings,
-// the compiled evaluator must reproduce the pre-rewrite Reference path
-// bit for bit — Result fields compared as exact float bits, errors
-// compared by sentinel and text.
+// the compiled evaluator must reproduce the Reference oracle bit for bit
+// — Result fields compared as exact float bits, errors compared by
+// sentinel and text — in each state a cell can be in: at its first
+// lookup (no memo), while its memo fills, and answering from the memo.
 func TestEvaluatorMatchesReference(t *testing.T) {
 	m := New()
 	ref := NewReference()
-	rng := rand.New(rand.NewSource(20260808))
 	for _, s := range diffStencils(t) {
 		w := DefaultWorkload(s)
+		samples := distinctSamples(s.Dims, 6, 20260808)
 		for _, arch := range gpu.Catalog() {
 			ev, err := m.Evaluator(w, arch)
 			if err != nil {
 				t.Fatalf("%s on %s: compile: %v", s.Name, arch.Name, err)
 			}
-			for _, oc := range opt.Combinations() {
-				for k := 0; k < 6; k++ {
-					p := opt.Sample(oc, s.Dims, rng)
-					got, gotErr := ev.Eval(oc, p)
-					want, wantErr := ref.Run(w, oc, p, arch)
-					assertSameOutcome(t, s.Name, arch.Name, oc, got, gotErr, want, wantErr)
-					// And through the compatibility wrapper.
-					got2, gotErr2 := m.Run(w, oc, p, arch)
-					assertSameOutcome(t, s.Name, arch.Name, oc, got2, gotErr2, want, wantErr)
+			before := m.CacheStats()
+			// First lookup; then through the compatibility wrapper, whose
+			// lookups find the cell again and fill its memo; then hits.
+			for _, eval := range []EvalFn{
+				ev.Eval,
+				func(oc opt.Opt, p opt.Params) (Result, error) { return m.Run(w, oc, p, arch) },
+				ev.Eval,
+			} {
+				for _, sm := range samples {
+					got, gotErr := eval(sm.oc, sm.p)
+					want, wantErr := ref.Run(w, sm.oc, sm.p, arch)
+					assertSameOutcome(t, s.Name, arch.Name, sm.oc, got, gotErr, want, wantErr)
 				}
+			}
+			after := m.CacheStats()
+			if n := uint64(len(samples)); after.Misses-before.Misses != n || after.Hits-before.Hits != n {
+				t.Fatalf("%s on %s: %d samples went through the three states as %+v -> %+v", s.Name, arch.Name, n, before, after)
 			}
 		}
 	}
@@ -201,8 +209,6 @@ func TestPackSampleRejectsNonCanonical(t *testing.T) {
 func TestInlineGaussMatchesReference(t *testing.T) {
 	m := New()
 	ref := NewReference()
-	ref.DisableCache()
-	m.DisableCache()
 	arch, err := gpu.ByName("2080Ti")
 	if err != nil {
 		t.Fatal(err)
@@ -225,9 +231,9 @@ func TestInlineGaussMatchesReference(t *testing.T) {
 }
 
 // TestAllocGateEvaluator is the zero-allocation contract of the compiled
-// per-sample path, enforced by check.sh: warm cache hits, cold cache
-// misses, and cache-disabled direct evaluations must all run the sample
-// loop without a single heap allocation.
+// per-sample path, enforced by check.sh: pricing a sample on a cell's
+// first lookup and answering one from a revisited cell's memo must both
+// run the sample loop without a single heap allocation.
 func TestAllocGateEvaluator(t *testing.T) {
 	arch, err := gpu.ByName("V100")
 	if err != nil {
@@ -239,48 +245,39 @@ func TestAllocGateEvaluator(t *testing.T) {
 
 	// A spread of non-crashing samples: sampled settings under BASE and ST
 	// on a mid-order star never exceed V100 resources.
-	type sample struct {
-		oc opt.Opt
-		p  opt.Params
-	}
-	var samples []sample
+	var samples []ocSample
 	for _, oc := range []opt.Opt{0, opt.ST, opt.BM, opt.ST | opt.PR} {
 		for k := 0; k < 8; k++ {
-			samples = append(samples, sample{oc: oc, p: opt.Sample(oc, s.Dims, rng)})
+			samples = append(samples, ocSample{oc: oc, p: opt.Sample(oc, s.Dims, rng)})
 		}
 	}
 
 	m := New()
-	ev, err := m.Evaluator(w, arch)
-	if err != nil {
-		t.Fatal(err)
+	gate := func(label string, ev *CellEvaluator) {
+		t.Helper()
+		i := 0
+		if got := testing.AllocsPerRun(200, func() {
+			sm := samples[i%len(samples)]
+			i++
+			ev.Eval(sm.oc, sm.p)
+		}); got != 0 {
+			t.Errorf("%s Eval allocates %v allocs/op, want 0", label, got)
+		}
 	}
-	for _, sm := range samples { // warm the cache; skip crashing samples
+	gate("first-lookup", mustEvaluator(t, m, w, arch))
+	if st := m.CacheStats(); st != (CacheStats{}) {
+		t.Fatalf("first-lookup gate ran against the memo: %+v", st)
+	}
+
+	ev := mustEvaluator(t, m, w, arch)
+	for _, sm := range samples { // fill the memo
 		if _, err := ev.Eval(sm.oc, sm.p); err != nil {
 			t.Fatalf("alloc-gate sample crashed (%s %+v): %v", sm.oc, sm.p, err)
 		}
 	}
-	i := 0
-	if got := testing.AllocsPerRun(200, func() {
-		sm := samples[i%len(samples)]
-		i++
-		ev.Eval(sm.oc, sm.p)
-	}); got != 0 {
-		t.Errorf("warm cache-hit Eval allocates %v allocs/op, want 0", got)
-	}
-
-	plain := New()
-	plain.DisableCache()
-	evPlain, err := plain.Evaluator(w, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	i = 0
-	if got := testing.AllocsPerRun(200, func() {
-		sm := samples[i%len(samples)]
-		i++
-		evPlain.Eval(sm.oc, sm.p)
-	}); got != 0 {
-		t.Errorf("cache-disabled Eval allocates %v allocs/op, want 0", got)
+	misses := m.CacheStats().Misses
+	gate("memo-hit", ev)
+	if st := m.CacheStats(); st.Misses != misses || st.Hits == 0 {
+		t.Fatalf("memo-hit gate missed: %+v", st)
 	}
 }

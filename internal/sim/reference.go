@@ -2,46 +2,29 @@ package sim
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
 )
 
-// Reference is the pre-rewrite evaluation path, preserved verbatim: full
-// per-call validation, the string-keyed sharded map cache, a fresh noise
-// projection per run. It exists so the compiled CellEvaluator path can be
-// proven invisible — the differential suite asserts Model and Reference
-// produce bitwise-identical Results, datasets and serve outputs — and so
-// the collection-throughput benchmarks have an honest pre-rewrite
-// baseline (cache included) to measure speedups against.
+// Reference is the oracle the compiled path is proven against: the
+// pricing body with nothing precomputed and nothing remembered — full
+// per-call validation, footprint geometry and every noise projection
+// recomputed per run. The differential suite asserts Model and Reference
+// produce bitwise-identical Results, datasets and serve outputs, and the
+// collection-throughput benchmarks use it as the uncompiled baseline.
 type Reference struct {
 	noise NoiseConfig
-	cache *legacyCache
 }
 
-// NewReference returns the pre-rewrite oracle with the default noise
-// configuration and a string-keyed memoization cache of
-// DefaultCacheEntries evaluations, exactly as Model.Run shipped before
-// evaluator compilation.
+// NewReference returns the oracle with the default noise configuration.
 func NewReference() *Reference {
-	return &Reference{noise: DefaultNoise(), cache: newLegacyCache(DefaultCacheEntries)}
+	return &Reference{noise: DefaultNoise()}
 }
 
-// NewReferenceWithNoise returns the pre-rewrite oracle with a custom
-// noise configuration.
-func NewReferenceWithNoise(n NoiseConfig) *Reference {
-	return &Reference{noise: n, cache: newLegacyCache(DefaultCacheEntries)}
-}
-
-// DisableCache removes the memoization cache; every Run recomputes.
-func (m *Reference) DisableCache() { m.cache = nil }
-
-// Run is the pre-rewrite Model.Run, byte for byte: validate everything,
-// consult the string-keyed cache, price the cell, layer noise computed
+// Run validates everything, prices the cell and layers noise computed
 // from scratch. *Reference implements Runner.
 func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Result, error) {
 	if err := w.Validate(); err != nil {
@@ -54,21 +37,8 @@ func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Re
 		return Result{}, err
 	}
 
-	var key string
-	if m.cache != nil {
-		key = runKey(w, oc, p, arch)
-		if e, ok := m.cache.get(key); ok {
-			return e.res, e.err
-		}
-	}
-
 	res := resourceUsage(w, oc, p, arch)
 	if err := res.check(arch, w, oc, p); err != nil {
-		// Crashes are deterministic per cell and re-sampled constantly by
-		// equal-budget searches, so they are worth memoizing too.
-		if m.cache != nil {
-			m.cache.put(key, cacheEntry{err: err})
-		}
 		return Result{}, err
 	}
 
@@ -87,80 +57,10 @@ func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Re
 	}
 	base := t.compute + t.memory + t.sync + t.launch
 	r.Time = base * m.noise.factor(w.S, oc, p, arch)
-	if m.cache != nil {
-		m.cache.put(key, cacheEntry{res: r})
-	}
 	return r, nil
 }
 
 var _ Runner = (*Reference)(nil)
-
-// legacyShard and legacyCache are the pre-rewrite sharded map cache:
-// string keys, one map per shard, an fnv.New32a hasher allocated per
-// lookup, arbitrary map-iteration eviction. Kept only behind Reference.
-type legacyShard struct {
-	mu sync.Mutex
-	m  map[string]cacheEntry
-}
-
-type legacyCache struct {
-	perShard               int
-	hits, misses, evictRun atomic.Uint64
-	shards                 [cacheShards]legacyShard
-}
-
-func newLegacyCache(capacity int) *legacyCache {
-	if capacity < 1 {
-		capacity = DefaultCacheEntries
-	}
-	per := capacity / cacheShards
-	if per < 1 {
-		per = 1
-	}
-	c := &legacyCache{perShard: per}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]cacheEntry)
-	}
-	return c
-}
-
-func (c *legacyCache) shard(key string) *legacyShard {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return &c.shards[h.Sum32()&(cacheShards-1)]
-}
-
-func (c *legacyCache) get(key string) (cacheEntry, bool) {
-	s := c.shard(key)
-	s.mu.Lock()
-	e, ok := s.m[key]
-	s.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	return e, ok
-}
-
-func (c *legacyCache) put(key string, e cacheEntry) {
-	s := c.shard(key)
-	s.mu.Lock()
-	if _, ok := s.m[key]; !ok {
-		if len(s.m) >= c.perShard {
-			// Evict an arbitrary entry (map iteration order). Values are
-			// deterministic functions of their keys, so eviction choice
-			// affects only the hit rate — never a computed result.
-			for k := range s.m {
-				delete(s.m, k)
-				c.evictRun.Add(1)
-				break
-			}
-		}
-		s.m[key] = e
-	}
-	s.mu.Unlock()
-}
 
 // archKeys caches the per-architecture key segment: gpu.Arch is a
 // comparable value struct, so identical specs share one digest and a
@@ -193,9 +93,9 @@ func archKey(a gpu.Arch) string {
 // runKey canonicalizes one evaluation cell. Unlike the noise paramsKey
 // (whose byte truncation only perturbs noise), every field here is
 // encoded collision-free: a key collision would return a wrong result.
-// It remains the canonical per-site identity for wrappers that need
-// stable string keys (the deterministic fault injector via RunKey); the
-// run cache itself now keys on the packed evalKey.
+// It is the canonical per-site identity for wrappers that need stable
+// string keys (the deterministic fault injector via RunKey); the sample
+// memo keys on packSample within a cell.
 func runKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
 	ak := archKey(arch)
 	b := make([]byte, 0, 1+3*len(w.S.Points)+4*4+1+2*10+1+len(ak))

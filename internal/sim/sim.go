@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
@@ -104,61 +105,60 @@ type Result struct {
 }
 
 // Model evaluates workloads on simulated architectures. The zero value is
-// not usable; construct with New. Models are safe for concurrent use:
-// the memoization cache is sharded and the noise tables are lock-free.
+// not usable; construct with New. Models are safe for concurrent use: one
+// mutex guards the evaluator table, each memoizing cell has its own, and
+// the noise tables are lock-free.
 //
 // Evaluation compiles: the first touch of a (workload, stencil, arch)
 // cell builds a CellEvaluator holding every sample-invariant precompute,
 // and Run dispatches through it. Hot consumers skip even that dispatch by
 // holding the evaluator (Model.Evaluator / Model.CellFn) across their
-// sample loops.
+// sample loops. The evaluator table is the model's one bounded structure:
+// a cell that is looked up again memoizes its samples (cache.go), and the
+// table, memos included, resets wholesale when it is full.
 type Model struct {
 	noise NoiseConfig
-	cache *runCache
 
-	// evalMu guards the compiled-evaluator table and the cell id counter.
-	evalMu   sync.Mutex
-	evals    map[string]*CellEvaluator
-	nextCell uint32
+	// evalMu guards table: the pointer and the cells map behind it.
+	evalMu sync.Mutex
+	table  *evalTable
+
+	hits, misses, evictions atomic.Uint64
 }
 
-// New returns a model with the default noise configuration and a
-// memoization cache of DefaultCacheEntries evaluations.
-func New() *Model {
-	return &Model{noise: DefaultNoise(), cache: newRunCache(DefaultCacheEntries)}
-}
+// New returns a model with the default noise configuration.
+func New() *Model { return NewWithNoise(DefaultNoise()) }
 
 // NewWithNoise returns a model with a custom noise configuration; used by
 // the noise-ablation benchmarks.
 func NewWithNoise(n NoiseConfig) *Model {
-	return &Model{noise: n, cache: newRunCache(DefaultCacheEntries)}
+	return &Model{noise: n, table: newEvalTable()}
 }
 
-// EnableCache (re)installs a memoization cache bounded to roughly
-// capacity entries, resetting the previous contents and counters.
-// capacity < 1 selects DefaultCacheEntries.
-func (m *Model) EnableCache(capacity int) { m.cache = newRunCache(capacity) }
-
-// DisableCache removes the memoization cache; every Run recomputes.
-func (m *Model) DisableCache() { m.cache = nil }
-
-// CacheStats returns a snapshot of the memoization counters; the zero
-// CacheStats when the cache is disabled.
+// CacheStats returns a snapshot of the sample-memo counters. It reads
+// four counters, so polling it from /statsz costs the same whatever the
+// table holds; Entries and Evictions are read under the table's lock, so
+// a reset shows in both or in neither.
 func (m *Model) CacheStats() CacheStats {
-	if m.cache == nil {
-		return CacheStats{}
+	m.evalMu.Lock()
+	entries, evictions := m.table.samples.Load(), m.evictions.Load()
+	m.evalMu.Unlock()
+	return CacheStats{
+		Hits:      m.hits.Load(),
+		Misses:    m.misses.Load(),
+		Evictions: evictions,
+		Entries:   int(entries),
 	}
-	return m.cache.stats()
 }
 
 // Run simulates the workload under the OC and parameter setting on the
 // architecture. It returns ErrCrash or ErrInvalidConfig (wrapped) when the
 // kernel cannot run.
 //
-// Run is the compatibility entry point: it compiles (and caches) the
+// Run is the compatibility entry point: it compiles (and registers) the
 // cell's evaluator on first touch and dispatches the sample through it.
-// Results are bitwise-identical to the pre-rewrite path (see Reference
-// and the differential suite). Sample loops over a fixed cell should
+// Results are bitwise-identical to the Reference oracle (see the
+// differential suite). Sample loops over a fixed cell should
 // hold Model.Evaluator / Model.CellFn instead and skip the per-call cell
 // resolution entirely.
 func (m *Model) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Result, error) {

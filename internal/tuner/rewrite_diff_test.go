@@ -36,24 +36,44 @@ func referenceRandomTune(ref *sim.Reference, w sim.Workload, oc opt.Opt, arch gp
 // TestRandomTuneMatchesReference: tuning through the compiled evaluator
 // returns bitwise-identical winners to the pre-rewrite search — the
 // serve-path tuner (core.ServePredict drives tuner.Random) cannot drift.
+// Each search runs three times on the one model, so it is compared with
+// the cell at its first lookup, with its memo filling, and on the third,
+// identical search answered from the memo alone.
 func TestRandomTuneMatchesReference(t *testing.T) {
-	m := sim.New()
+	const budget = 24
 	ref := sim.NewReference()
 	for _, s := range []stencil.Stencil{stencil.Star(2, 2), stencil.Box(3, 1), stencil.Star(3, 4)} {
 		w := sim.DefaultWorkload(s)
 		for _, arch := range gpu.Catalog() {
 			for _, oc := range []opt.Opt{0, opt.ST, opt.ST | opt.TB, opt.BM | opt.TB, opt.ST | opt.RT | opt.PR} {
 				seed := int64(1000*int(oc) + len(s.Name))
-				got, err := (Random{}).Tune(m, w, oc, arch, 24, seed)
-				want, ok := referenceRandomTune(ref, w, oc, arch, 24, seed)
-				if (err == nil) != ok {
-					t.Fatalf("%s %s on %s: outcome disagreement: err=%v ok=%v", s.Name, oc, arch.Name, err, ok)
-				}
-				if !ok {
-					continue
-				}
-				if math.Float64bits(got.Time) != math.Float64bits(want.Time) || got.Params != want.Params || got.Evaluations != want.Evaluations {
-					t.Fatalf("%s %s on %s: tuned result differs:\n compiled  %+v\n reference %+v", s.Name, oc, arch.Name, got, want)
+				want, ok := referenceRandomTune(ref, w, oc, arch, budget, seed)
+				m := sim.New() // per search: each cell starts at its first lookup
+				for _, state := range []string{"first lookup", "memo filling", "memo hitting"} {
+					before := m.CacheStats()
+					got, err := (Random{}).Tune(m, w, oc, arch, budget, seed)
+					if (err == nil) != ok {
+						t.Fatalf("%s %s on %s (%s): outcome disagreement: err=%v ok=%v", s.Name, oc, arch.Name, state, err, ok)
+					}
+					if ok && (math.Float64bits(got.Time) != math.Float64bits(want.Time) || got.Params != want.Params || got.Evaluations != want.Evaluations) {
+						t.Fatalf("%s %s on %s (%s): tuned result differs:\n compiled  %+v\n reference %+v", s.Name, oc, arch.Name, state, got, want)
+					}
+					after := m.CacheStats()
+					lookups := (after.Hits - before.Hits) + (after.Misses - before.Misses)
+					switch state {
+					case "first lookup":
+						if after != (sim.CacheStats{}) {
+							t.Fatalf("%s %s on %s: first search touched the memo: %+v", s.Name, oc, arch.Name, after)
+						}
+					case "memo filling":
+						if lookups != budget || after.Misses == 0 {
+							t.Fatalf("%s %s on %s: second search made %d memo lookups: %+v", s.Name, oc, arch.Name, lookups, after)
+						}
+					case "memo hitting":
+						if after.Hits-before.Hits != budget {
+							t.Fatalf("%s %s on %s: third identical search was not all hits: %+v -> %+v", s.Name, oc, arch.Name, before, after)
+						}
+					}
 				}
 			}
 		}

@@ -31,8 +31,10 @@ go test -race ./...
 echo "== alloc gate (f32 lane + sim evaluator) =="
 # The zero-allocation contracts: compiled tree/network scoring and the
 # arena-backed serving encode path (f32 lane), and the simulator's
-# compiled per-sample evaluation path — warm cache hits and
-# cache-disabled evaluations alike. AllocsPerRun is meaningless under
+# compiled per-sample evaluation path on both of its branches — pricing
+# a sample on a cell's first lookup (what collection runs) and answering
+# one from a revisited cell's memo (what a repeated request runs), both
+# in TestAllocGateEvaluator. AllocsPerRun is meaningless under
 # -race, so this is a separate plain run. It runs at one proc and at
 # four: the f32 network lane shares its forward pass with the f64 side,
 # which may dispatch to the pool, and a stray workers=0 on the lane
@@ -69,6 +71,10 @@ echo "== bench smoke (collect_mem, serve_hot, serve_distinct_nn, train_ckpt) =="
 # on a crash. Numbers are not compared here — the
 # baseline lives in bench/BASELINE.json. A single-workload run exits 0
 # whenever it printed a result, so the verdict is read from that result.
+# "failed":0 on serve_hot and serve_distinct_nn is also the gate on the
+# sim memo rule (a cell memoizes from its second lookup): the harness
+# counts a failed operation unless the hot stream hit the memo on >= 0.99
+# of its lookups and the never-repeated stream on <= 0.05.
 for w in collect_mem serve_hot serve_distinct_nn train_ckpt; do
     result="$(go run ./bench -workload "$w" -seconds 1 | tail -n 1)"
     echo "$w: $result"
