@@ -12,7 +12,7 @@
 //	stencilmart train      -dataset dataset.json -out model.ckpt
 //	stencilmart predict    -dataset dataset.json -stencil star2d2r -gpu V100
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
-//	stencilmart serve      -model model.ckpt -addr :8080 [-batch-window 500us -batch-size 32 -lane f32]
+//	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
 //	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 32 -n 50 [-distinct -lane f32]
 //	stencilmart rent       -dataset dataset.json -dims 2 [-cost]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
@@ -334,7 +334,6 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "per-request prediction timeout")
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /predict requests admitted before shedding with 503")
-	batchWindow := fs.Duration("batch-window", serve.DefaultBatchWindow, "how long a batch waits for more requests after its first (negative = no waiting)")
 	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max requests coalesced into one model call (1 = serial baseline)")
 	laneName := fs.String("lane", "f64", "default inference lane (f32, f64); requests override with ?lane=")
 	breakerThreshold := fs.Int("breaker-threshold", serve.DefaultBreakerThreshold, "consecutive scoring failures that trip a (version, lane) circuit breaker")
@@ -355,7 +354,6 @@ func cmdServe(args []string) error {
 	opts := serve.Options{
 		Timeout:          *timeout,
 		MaxInFlight:      *maxInFlight,
-		BatchWindow:      *batchWindow,
 		BatchSize:        *batchSize,
 		Lane:             lane,
 		BreakerThreshold: *breakerThreshold,

@@ -5,9 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math"
-	"strings"
+	"strconv"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/ml"
@@ -164,6 +163,7 @@ type serveItem struct {
 	primary *serveItem
 
 	arch  gpu.Arch
+	seed  int64 // tuning seed, from the request's identity
 	class int
 	proba []float64
 	oc    opt.Opt
@@ -226,6 +226,7 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 	regs := make([]R, len(reqs))
 	seen := make(map[string]*serveItem, len(reqs))
 	var primaries, dups []*serveItem
+	var key []byte // one buffer for every request's identity bytes
 	for i, req := range reqs {
 		it := &items[i]
 		*it = serveItem{idx: i, req: req, out: &outs[i]}
@@ -241,13 +242,13 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 			continue
 		}
 		it.arch = arch
-		k := serveKey(req)
-		if p, ok := seen[k]; ok {
+		key, it.seed = serveIdentity(key[:0], f.Cfg.Seed, req)
+		if p, ok := seen[string(key)]; ok {
 			it.primary = p
 			dups = append(dups, it)
 			continue
 		}
-		seen[k] = it
+		seen[string(key)] = it
 		primaries = append(primaries, it)
 	}
 
@@ -280,19 +281,36 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 	return outs
 }
 
-// serveKey canonicalizes a request's full identity — target GPU plus the
-// stencil's name, dimensionality, and exact point set — the inputs the
-// serving pipeline is a deterministic function of.
-func serveKey(r ServeRequest) string {
-	var b strings.Builder
-	b.WriteString(r.GPU)
-	b.WriteByte(0)
-	b.WriteString(r.Stencil.Name)
-	fmt.Fprintf(&b, "\x00%d", r.Stencil.Dims)
+// serveIdentity spells a request's full identity into b — target GPU,
+// stencil name, dimensionality and exact point set, the inputs the
+// serving pipeline is a deterministic function of — as
+// "GPU\x00name\x00dims|dx,dy,dz|…", the batch's dedup key. The same pass
+// derives the request's tuning seed, so identical requests tune
+// identically (and, from the cell's second request on, out of its sim
+// memo): FNV-1a over GPU, name and the point spelling — the key without
+// its separators and dims, the bytes the seed has always covered, so
+// every served body is unchanged.
+func serveIdentity(b []byte, base int64, r ServeRequest) (key []byte, seed int64) {
+	h := fnv.New64a()
+	b = append(b, r.GPU...)
+	h.Write(b)
+	b = append(b, 0)
+	n := len(b)
+	b = append(b, r.Stencil.Name...)
+	h.Write(b[n:])
+	b = append(b, 0)
+	b = strconv.AppendInt(b, int64(r.Stencil.Dims), 10)
+	n = len(b)
 	for _, p := range r.Stencil.Points {
-		fmt.Fprintf(&b, "|%d,%d,%d", p.Dx, p.Dy, p.Dz)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(p.Dx), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.Dy), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, int64(p.Dz), 10)
 	}
-	return b.String()
+	h.Write(b[n:])
+	return b, base + int64(h.Sum64()&0x7fffffff)
 }
 
 // scoreGroups is the model-call scaffold both scoring stages share: live
@@ -342,7 +360,7 @@ func (f *Framework) tuneServeItems(ctx context.Context, items []*serveItem) {
 	todo := live(items)
 	tune := func(it *serveItem) (err error) {
 		defer recoverAs(&err, "tuning")
-		it.oc, it.tuned, err = f.tuneForClass(it.req.GPU, it.req.Stencil, it.arch, it.proba)
+		it.oc, it.tuned, err = f.tuneForClass(it.req.GPU, it.req.Stencil, it.arch, it.proba, it.seed)
 		return err
 	}
 	_ = par.ForEach(ctx, len(todo), 0, func(i int) error {
@@ -353,27 +371,14 @@ func (f *Framework) tuneServeItems(ctx context.Context, items []*serveItem) {
 	})
 }
 
-// requestSeed derives a deterministic tuning seed from the request so
-// identical requests tune identically (and, from the cell's second
-// request on, out of its sim memo).
-func requestSeed(base int64, archName string, s stencil.Stencil) int64 {
-	h := fnv.New64a()
-	io.WriteString(h, archName)
-	io.WriteString(h, s.Name)
-	for _, p := range s.Points {
-		fmt.Fprintf(h, "|%d,%d,%d", p.Dx, p.Dy, p.Dz)
-	}
-	return base + int64(h.Sum64()&0x7fffffff)
-}
-
 // tuneForClass tunes the representative OC of the most probable class on
 // the target GPU, falling back through the class order when every sampled
 // setting of a representative crashes. The tuning seed derives from the
-// request, so identical requests tune identically (and hit the cell's sim
-// memo) no matter which batch or goroutine carries them.
-func (f *Framework) tuneForClass(archName string, s stencil.Stencil, arch gpu.Arch, proba []float64) (opt.Opt, tuner.Result, error) {
+// request (serveIdentity), so identical requests tune identically (and
+// hit the cell's sim memo) no matter which batch or goroutine carries
+// them.
+func (f *Framework) tuneForClass(archName string, s stencil.Stencil, arch gpu.Arch, proba []float64, seed int64) (opt.Opt, tuner.Result, error) {
 	w := sim.DefaultWorkload(s)
-	seed := requestSeed(f.Cfg.Seed, archName, s)
 	for _, c := range classOrder(proba) {
 		oc := f.Grouping.RepOC(c)
 		res, err := (tuner.Random{}).Tune(f.Model, w, oc, arch, f.Cfg.SamplesPerOC, seed)

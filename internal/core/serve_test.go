@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"io"
 	"math"
 	"strings"
 	"sync/atomic"
@@ -42,7 +44,7 @@ func serveOracle(fw *Framework, req ServeRequest) ServeOutcome {
 	if !ok {
 		return fail(fmt.Errorf("core: no trained %d-D regressor", req.Stencil.Dims))
 	}
-	oc, best, err := fw.tuneForClass(req.GPU, req.Stencil, arch, proba)
+	oc, best, err := fw.tuneForClass(req.GPU, req.Stencil, arch, proba, oracleSeed(fw.Cfg.Seed, req))
 	if err != nil {
 		return fail(err)
 	}
@@ -64,6 +66,44 @@ func serveOracle(fw *Framework, req ServeRequest) ServeOutcome {
 		PredictedSeconds: times,
 		Advice:           rentAdvice(req.GPU, archs, times),
 	}}
+}
+
+// oracleSeed is the tuning seed written the way every golden was
+// recorded — fmt over an FNV stream — so the differential tests hold the
+// pipeline's byte-built seed to the same bits.
+func oracleSeed(base int64, req ServeRequest) int64 {
+	h := fnv.New64a()
+	io.WriteString(h, req.GPU)
+	io.WriteString(h, req.Stencil.Name)
+	for _, p := range req.Stencil.Points {
+		fmt.Fprintf(h, "|%d,%d,%d", p.Dx, p.Dy, p.Dz)
+	}
+	return base + int64(h.Sum64()&0x7fffffff)
+}
+
+// TestServeIdentitySeedMatchesOracle pins the byte-built identity to the
+// fmt-built seed directly (negative and multi-digit offsets included), and
+// checks the key separates what the seed's unseparated bytes conflate.
+func TestServeIdentitySeedMatchesOracle(t *testing.T) {
+	reqs := []ServeRequest{
+		{GPU: "V100", Stencil: stencil.Star(2, 1)},
+		{GPU: "A100", Stencil: stencil.Box(3, 2)},
+		{GPU: "2080Ti", Stencil: stencil.Stencil{Name: "far", Dims: 3, Points: []stencil.Point{{Dx: -12, Dy: 0, Dz: 105}, {Dx: 7, Dy: -3, Dz: 0}}}},
+		{GPU: "", Stencil: stencil.Stencil{}},
+	}
+	var key []byte
+	for _, req := range reqs {
+		var seed int64
+		key, seed = serveIdentity(key[:0], 42, req)
+		if want := oracleSeed(42, req); seed != want {
+			t.Errorf("%s on %s: seed %d, want %d (key %q)", req.Stencil.Name, req.GPU, seed, want, key)
+		}
+	}
+	a, seedA := serveIdentity(nil, 0, ServeRequest{GPU: "A1", Stencil: stencil.Stencil{Name: "00x", Dims: 2}})
+	b, seedB := serveIdentity(nil, 0, ServeRequest{GPU: "A100", Stencil: stencil.Stencil{Name: "x", Dims: 2}})
+	if seedA != seedB || string(a) == string(b) {
+		t.Errorf("keys %q / %q, seeds %d / %d: want distinct keys under one seed", a, b, seedA, seedB)
+	}
 }
 
 // --- the lane table ---------------------------------------------------------
@@ -760,7 +800,7 @@ func TestAllocGateCoreScoringF32(t *testing.T) {
 	it := &serveItem{req: ServeRequest{GPU: name, Stencil: probe}, arch: arch}
 	proba := make([]float64, fw.Grouping.NumClasses())
 	proba[0] = 1
-	if it.oc, it.tuned, err = fw.tuneForClass(name, probe, arch, proba); err != nil {
+	if it.oc, it.tuned, err = fw.tuneForClass(name, probe, arch, proba, oracleSeed(fw.Cfg.Seed, it.req)); err != nil {
 		t.Fatal(err)
 	}
 	items := []*serveItem{it}

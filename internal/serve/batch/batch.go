@@ -1,16 +1,21 @@
 // Package batch implements the request-coalescing front of the serving
-// tier: concurrent callers hand their requests to a Coalescer, which
-// collects them for up to a configurable window (or until a batch fills)
-// and scores the whole batch through one model call, fanning the results
-// back out to the waiting callers. The structure follows the per-GPU
-// command-queue + dispatcher idiom — one admission front feeding one
-// serialized execution lane — so models whose inference path reuses
-// scratch buffers (the nn forwards) stay correct without a global lock,
-// while the batched entry points (PredictProbaBatch / PredictValueBatch)
-// amortize per-call overhead across every waiter in the batch.
+// tier: concurrent callers queue their requests on a Coalescer, whose one
+// lane goroutine pulls — sleep until a call is queued, take whatever is
+// queued at that moment up to MaxBatch, score the lot through one model
+// call, fan the results back out, repeat. A lone request on an idle lane
+// is scored at once; while the lane is busy arrivals pile up in the
+// admission queue and become the next batch by themselves, so batches
+// grow exactly when load makes batching pay. The structure follows the
+// per-GPU command-queue + dispatcher idiom — one admission front feeding
+// one serialized execution lane, the queue draining at the lane's pace —
+// so models whose inference path reuses scratch buffers (the nn forwards)
+// stay correct without a global lock, while the batched entry points
+// (PredictProbaBatch / PredictValueBatch) amortize per-call overhead
+// across every waiter in the batch.
 //
-// The clock is injectable, so tests drive window expiry deterministically
-// instead of sleeping.
+// Nothing in the package waits on time, so tests shape batches by holding
+// a score function shut and watching Stats.Queued. The queue itself is
+// unbounded: the caller bounds what it submits (serve's in-flight cap).
 package batch
 
 import (
@@ -24,32 +29,6 @@ import (
 
 // ErrClosed is returned by Do once the coalescer has been closed.
 var ErrClosed = errors.New("batch: coalescer closed")
-
-// Timer is the waitable half of an injectable clock.
-type Timer interface {
-	// C fires once when the timer expires.
-	C() <-chan time.Time
-	// Stop releases the timer; the channel may or may not have fired.
-	Stop() bool
-}
-
-// Clock creates timers. The zero configuration uses the real time
-// package; tests substitute a fake to control window expiry exactly.
-type Clock interface {
-	NewTimer(d time.Duration) Timer
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (r realTimer) C() <-chan time.Time { return r.t.C }
-func (r realTimer) Stop() bool          { return r.t.Stop() }
-
-type realClock struct{}
-
-func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
-
-// RealClock returns the wall-clock Clock used when Options.Clock is nil.
-func RealClock() Clock { return realClock{} }
 
 // Outcome is one request's result: a value or an error, never both.
 type Outcome[R any] struct {
@@ -67,19 +46,16 @@ type ScoreFunc[Q, R any] func(reqs []Q) []Outcome[R]
 
 // Options tunes a Coalescer.
 type Options[Q any] struct {
-	// Window is how long the collector waits for more requests after the
-	// first one arrives before flushing a partial batch. Zero or negative
-	// means no waiting: a batch is whatever is already queued.
+	// Window is ignored: the lane never waits for batchmates. The field
+	// stays only so bench/layers_serve.go, which a PR claiming a gain may
+	// not edit, keeps compiling; ROADMAP item 2 lists its removal.
 	Window time.Duration
-	// MaxBatch flushes a batch at this many requests regardless of the
-	// window. Values < 1 mean 1 (no coalescing; requests score one at a
-	// time through the same serialized lane).
+	// MaxBatch caps a batch. Values < 1 mean 1 (no coalescing; requests
+	// score one at a time through the same serialized lane).
 	MaxBatch int
-	// Clock drives window expiry; nil uses real time.
-	Clock Clock
 	// OnDrop is called for every request the coalescer fails without
-	// scoring (closed before collection). Callers use it to release
-	// per-request resources. May be nil.
+	// scoring (rejected at admission, or still queued at Close). Callers
+	// use it to release per-request resources. May be nil.
 	OnDrop func(req Q)
 }
 
@@ -88,14 +64,18 @@ type Stats struct {
 	// Batches and Requests count scored batches and the requests in them.
 	Batches  uint64 `json:"batches"`
 	Requests uint64 `json:"requests"`
-	// SizeFlushes, WindowFlushes, and CloseFlushes split Batches by what
-	// triggered the flush: MaxBatch saturation, window expiry (or a
-	// no-wait drain), or shutdown.
+	// SizeFlushes counts the batches that filled to MaxBatch;
+	// WindowFlushes counts every batch that took less — what was queued
+	// when the lane went idle. (No window exists; the name is the one
+	// bench/layers_serve.go reads, kept until ROADMAP item 2's benchmark
+	// follow-up renames it.)
 	SizeFlushes   uint64 `json:"size_flushes"`
 	WindowFlushes uint64 `json:"window_flushes"`
-	CloseFlushes  uint64 `json:"close_flushes"`
-	// Dropped counts requests failed without scoring (closed).
+	// Dropped counts requests failed without scoring.
 	Dropped uint64 `json:"dropped"`
+	// Queued is the lane's backlog right now: requests submitted and not
+	// yet taken into a batch or dropped.
+	Queued int `json:"queued"`
 	// MaxBatch is the largest batch scored so far.
 	MaxBatch int `json:"max_batch"`
 	// AvgBatch is Requests / Batches.
@@ -104,48 +84,41 @@ type Stats struct {
 
 type call[Q, R any] struct {
 	req  Q
-	done chan Outcome[R] // buffered(1): the scorer never blocks on an abandoned waiter
+	done chan Outcome[R] // buffered(1): neither the lane nor Close blocks on an abandoned waiter
 }
 
-// Coalescer is the admission front plus one serialized scoring lane.
+// Coalescer is the admission queue plus the one serialized scoring lane
+// that drains it.
 type Coalescer[Q, R any] struct {
 	opts  Options[Q]
 	score ScoreFunc[Q, R]
 
-	in      chan *call[Q, R]
-	scoreCh chan []*call[Q, R]
-	closed  chan struct{}
-	once    sync.Once
-	wg      sync.WaitGroup
+	// mu orders every Do against Close: a call is either queued before
+	// Close empties the queue or sees closed, so each is answered exactly
+	// once. work wakes the lane when a call is queued or closed is set.
+	mu     sync.Mutex
+	work   sync.Cond
+	queue  []*call[Q, R]
+	closed bool
+	exited chan struct{} // closed by the lane on its way out
 
-	batches, requests         atomic.Uint64
-	sizeFl, windowFl, closeFl atomic.Uint64
-	dropped                   atomic.Uint64
-	maxBatch                  atomic.Int64
+	// Written by the lane alone, except dropped.
+	batches, requests atomic.Uint64
+	sizeFl, partialFl atomic.Uint64
+	dropped           atomic.Uint64
+	maxBatch          atomic.Int64
 }
 
-// New starts a coalescer: a collector goroutine forming batches and a
-// scorer goroutine running them through score, one at a time. Close it
+// New starts a coalescer: one lane goroutine that forms batches from
+// what is queued and runs them through score, one at a time. Close it
 // when done.
 func New[Q, R any](opts Options[Q], score ScoreFunc[Q, R]) *Coalescer[Q, R] {
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = 1
 	}
-	if opts.Clock == nil {
-		opts.Clock = RealClock()
-	}
-	c := &Coalescer[Q, R]{
-		opts:  opts,
-		score: score,
-		// The admission buffer lets a full batch queue up while the
-		// previous one scores, overlapping collection with execution.
-		in:      make(chan *call[Q, R], opts.MaxBatch),
-		scoreCh: make(chan []*call[Q, R], 1),
-		closed:  make(chan struct{}),
-	}
-	c.wg.Add(2)
-	go c.collect()
-	go c.run()
+	c := &Coalescer[Q, R]{opts: opts, score: score, exited: make(chan struct{})}
+	c.work.L = &c.mu
+	go c.lane()
 	return c
 }
 
@@ -156,31 +129,22 @@ func New[Q, R any](opts Options[Q], score ScoreFunc[Q, R]) *Coalescer[Q, R] {
 func (c *Coalescer[Q, R]) Do(ctx context.Context, req Q) (R, error) {
 	var zero R
 	// Admission check: a request whose context is already cancelled or past
-	// its deadline must not consume a batch slot — the enqueue select below
-	// could otherwise win against the done channel and score work nobody
+	// its deadline must not consume a batch slot and score work nobody
 	// will read.
 	if err := ctx.Err(); err != nil {
 		c.drop(req)
 		return zero, err
 	}
-	// Fail fast once closed; without this check the send below could race
-	// a concurrent Close and win the select against the closed channel.
-	select {
-	case <-c.closed:
-		c.drop(req)
-		return zero, ErrClosed
-	default:
-	}
 	cl := &call[Q, R]{req: req, done: make(chan Outcome[R], 1)}
-	select {
-	case c.in <- cl:
-	case <-c.closed:
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
 		c.drop(req)
 		return zero, ErrClosed
-	case <-ctx.Done():
-		c.drop(req)
-		return zero, ctx.Err()
 	}
+	c.queue = append(c.queue, cl)
+	c.mu.Unlock()
+	c.work.Signal()
 	select {
 	case out := <-cl.done:
 		return out.Value, out.Err
@@ -189,26 +153,35 @@ func (c *Coalescer[Q, R]) Do(ctx context.Context, req Q) (R, error) {
 	}
 }
 
-// Close stops admission, flushes and scores everything already submitted,
-// and waits for both goroutines to exit. Requests that never reached a
-// batch fail with ErrClosed (and OnDrop). Safe to call more than once.
+// Close stops admission, fails everything still queued with ErrClosed
+// (and OnDrop), lets the batch being scored finish, and waits for the
+// lane goroutine to exit. Safe to call more than once.
 func (c *Coalescer[Q, R]) Close() {
-	c.once.Do(func() { close(c.closed) })
-	c.wg.Wait()
-	// A Do racing Close may have enqueued after the collector drained;
-	// fail any such straggler now.
-	c.drainIn()
+	c.mu.Lock()
+	c.closed = true
+	pending := c.queue
+	c.queue = nil
+	c.mu.Unlock()
+	c.work.Signal()
+	for _, cl := range pending {
+		c.drop(cl.req)
+		cl.done <- Outcome[R]{Err: ErrClosed}
+	}
+	<-c.exited
 }
 
 // Stats snapshots the coalescing counters.
 func (c *Coalescer[Q, R]) Stats() Stats {
+	c.mu.Lock()
+	queued := len(c.queue)
+	c.mu.Unlock()
 	s := Stats{
 		Batches:       c.batches.Load(),
 		Requests:      c.requests.Load(),
 		SizeFlushes:   c.sizeFl.Load(),
-		WindowFlushes: c.windowFl.Load(),
-		CloseFlushes:  c.closeFl.Load(),
+		WindowFlushes: c.partialFl.Load(),
 		Dropped:       c.dropped.Load(),
+		Queued:        queued,
 		MaxBatch:      int(c.maxBatch.Load()),
 	}
 	if s.Batches > 0 {
@@ -217,90 +190,39 @@ func (c *Coalescer[Q, R]) Stats() Stats {
 	return s
 }
 
-// collect forms batches: take the first waiting request, then gather more
-// until the batch fills, the window expires, or the coalescer closes.
-func (c *Coalescer[Q, R]) collect() {
-	defer c.wg.Done()
-	defer close(c.scoreCh)
+// lane is the execution lane: sleep until something is queued, take what
+// is queued now up to MaxBatch, score it, fan the results back to the
+// waiters, repeat. It never waits for a batch to grow — an idle lane's
+// expected wait is zero — and a busy one finds the next batch already
+// queued behind it.
+func (c *Coalescer[Q, R]) lane() {
+	defer close(c.exited)
 	for {
-		var first *call[Q, R]
-		select {
-		case first = <-c.in:
-		case <-c.closed:
-			c.drainIn()
+		c.mu.Lock()
+		for len(c.queue) == 0 && !c.closed {
+			c.work.Wait()
+		}
+		if c.closed { // Close emptied the queue
+			c.mu.Unlock()
 			return
 		}
-		batch := []*call[Q, R]{first}
-		closing := false
-		switch {
-		case c.opts.MaxBatch <= 1:
-			c.sizeFl.Add(1)
-		case c.opts.Window > 0:
-			timer := c.opts.Clock.NewTimer(c.opts.Window)
-		fill:
-			for len(batch) < c.opts.MaxBatch {
-				select {
-				case cl := <-c.in:
-					batch = append(batch, cl)
-				case <-timer.C():
-					c.windowFl.Add(1)
-					break fill
-				case <-c.closed:
-					closing = true
-					c.closeFl.Add(1)
-					break fill
-				}
-			}
-			timer.Stop()
-			if len(batch) == c.opts.MaxBatch {
-				c.sizeFl.Add(1)
-			}
-		default:
-			// No window: drain whatever is already queued.
-		drain:
-			for len(batch) < c.opts.MaxBatch {
-				select {
-				case cl := <-c.in:
-					batch = append(batch, cl)
-				default:
-					break drain
-				}
-			}
-			if len(batch) == c.opts.MaxBatch {
-				c.sizeFl.Add(1)
-			} else {
-				c.windowFl.Add(1)
-			}
-		}
-		c.batches.Add(1)
-		c.requests.Add(uint64(len(batch)))
-		for {
-			cur := c.maxBatch.Load()
-			if int64(len(batch)) <= cur || c.maxBatch.CompareAndSwap(cur, int64(len(batch))) {
-				break
-			}
-		}
-		// The scorer drains scoreCh until it closes, so this send always
-		// completes even during shutdown.
-		c.scoreCh <- batch
-		if closing {
-			c.drainIn()
-			return
-		}
-		select {
-		case <-c.closed:
-			c.drainIn()
-			return
-		default:
-		}
-	}
-}
+		n := min(len(c.queue), c.opts.MaxBatch)
+		batch := append([]*call[Q, R](nil), c.queue[:n]...)
+		rest := copy(c.queue, c.queue[n:])
+		// A finished call must not pin its request (in serve, a model
+		// lease) from the queue's spare capacity.
+		clear(c.queue[rest:])
+		c.queue = c.queue[:rest]
+		c.mu.Unlock()
 
-// run is the execution lane: one batch at a time through the score
-// function, results fanned back to the waiters.
-func (c *Coalescer[Q, R]) run() {
-	defer c.wg.Done()
-	for batch := range c.scoreCh {
+		c.batches.Add(1)
+		c.requests.Add(uint64(n))
+		if n == c.opts.MaxBatch {
+			c.sizeFl.Add(1)
+		} else {
+			c.partialFl.Add(1)
+		}
+		c.maxBatch.Store(max(c.maxBatch.Load(), int64(n)))
 		outs := c.safeScore(batch)
 		for i, cl := range batch {
 			cl.done <- outs[i]
@@ -343,18 +265,5 @@ func (c *Coalescer[Q, R]) drop(req Q) {
 	c.dropped.Add(1)
 	if c.opts.OnDrop != nil {
 		c.opts.OnDrop(req)
-	}
-}
-
-// drainIn fails everything still queued for admission.
-func (c *Coalescer[Q, R]) drainIn() {
-	for {
-		select {
-		case cl := <-c.in:
-			c.drop(cl.req)
-			cl.done <- Outcome[R]{Err: ErrClosed}
-		default:
-			return
-		}
 	}
 }

@@ -78,7 +78,6 @@ func TestChaosServeDifferential(t *testing.T) {
 					ScorePanicSite:  "f64/v1",
 				})
 				s, err := NewWithOptions(fw, Options{
-					BatchWindow: 200 * time.Microsecond,
 					BatchSize:   batchSize,
 					MaxInFlight: 4 * len(bodies),
 					ScoreFaults: inj,
@@ -189,7 +188,6 @@ func TestBreakerTripFallbackRecovery(t *testing.T) {
 		ScorePanicSite:  "f32/v1",
 	})
 	s, err := NewWithOptions(fw, Options{
-		BatchWindow:     -1,
 		BreakerCooldown: cooldown,
 		ScoreFaults:     inj,
 	})
@@ -300,7 +298,7 @@ func TestBreakerVersionFallbackAndRetire(t *testing.T) {
 	}
 
 	const cooldown = 100 * time.Millisecond
-	s, err := NewWithOptions(fw, Options{BatchWindow: -1, BreakerCooldown: cooldown})
+	s, err := NewWithOptions(fw, Options{BreakerCooldown: cooldown})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +372,7 @@ func TestBreakerVersionFallbackAndRetire(t *testing.T) {
 // deadline budget already spent is answered 504 before it takes a batch
 // slot or a model lease; malformed budgets are 400s.
 func TestDeadlineExpiredRejectedAtAdmission(t *testing.T) {
-	s := hardenedServer(t, Options{BatchWindow: -1})
+	s := hardenedServer(t, Options{})
 	h := s.Handler()
 
 	post := func(deadline string) *httptest.ResponseRecorder {
@@ -418,7 +416,7 @@ func TestDeadlineExpiredRejectedAtAdmission(t *testing.T) {
 // model call — the model lease it held is released and the prediction
 // path never sees its GPU.
 func TestDeadlineExpiresInQueue(t *testing.T) {
-	s := hardenedServer(t, Options{BatchWindow: -1, Timeout: 10 * time.Second})
+	s := hardenedServer(t, Options{Timeout: 10 * time.Second})
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	release := make(chan struct{})
@@ -497,7 +495,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // writes the body without one, and Go's sniffer would otherwise serve it
 // as text/plain.
 func TestTimeoutBodyContentType(t *testing.T) {
-	s := hardenedServer(t, Options{Timeout: 30 * time.Millisecond, BatchWindow: -1})
+	s := hardenedServer(t, Options{Timeout: 30 * time.Millisecond})
 	release := make(chan struct{})
 	t.Cleanup(func() { close(release) })
 	s.setPredict(serialStub(func(arch string, st stencil.Stencil) (*core.ServePrediction, error) {

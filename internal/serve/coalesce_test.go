@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,27 +12,46 @@ import (
 	"testing"
 	"time"
 
-	"stencilmart/internal/serve/batch"
+	"stencilmart/internal/core"
 	"stencilmart/internal/testutil"
 )
 
-// neverClock's timers never fire: under it, batches can only flush on
-// MaxBatch saturation, making batch composition deterministic for the
-// differential test regardless of scheduling.
-type neverClock struct{}
-
-type neverTimer struct{ ch chan time.Time }
-
-func (neverClock) NewTimer(time.Duration) batch.Timer { return neverTimer{make(chan time.Time)} }
-func (t neverTimer) C() <-chan time.Time              { return t.ch }
-func (neverTimer) Stop() bool                         { return true }
+// holdLane keeps the server's scoring lane busy until the returned
+// release is called: it swaps in a predict function whose first call
+// blocks, sends body through it as a plug request, and returns once that
+// request's batch is inside the lane. Everything submitted from then on
+// queues behind it, so the test — not the scheduler — decides what the
+// next batches contain by waiting on the coalescer's Queued gauge.
+func holdLane(t *testing.T, s *Server, h http.Handler, body string) (release func()) {
+	t.Helper()
+	entered, gate := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.setPredict(func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome {
+		once.Do(func() { close(entered); <-gate })
+		return fw.ServePredictBatch(ctx, reqs)
+	})
+	plugged := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		plugged <- rec.Code
+	}()
+	<-entered
+	return func() {
+		close(gate)
+		if code := <-plugged; code != http.StatusOK {
+			t.Errorf("plug request gave %d", code)
+		}
+	}
+}
 
 // diffBodies builds M = shapes x GPUs distinct request bodies, M a
-// multiple of the batch size so saturation alone flushes every batch.
+// multiple of the differential test's batch size and equal to the
+// default one.
 func diffBodies(t *testing.T) []string {
 	t.Helper()
 	fw := testServer(t).fw
-	shapes := []string{"star2d1r", "star2d2r", "box2d1r", "star3d1r", "star3d2r", "box3d1r"}
+	shapes := []string{"star2d1r", "star2d2r", "star2d3r", "box2d1r", "box2d2r", "star3d1r", "star3d2r", "box3d1r"}
 	var bodies []string
 	for _, sh := range shapes {
 		for _, a := range fw.Dataset.Archs {
@@ -42,11 +61,34 @@ func diffBodies(t *testing.T) []string {
 	return bodies
 }
 
+// postAll sends every body at once through h and returns the statuses and
+// response bodies, index-aligned. ready, when non-nil, runs once all the
+// requests are on their way and before any result is awaited.
+func postAll(h http.Handler, bodies []string, ready func()) ([]int, [][]byte) {
+	got := make([][]byte, len(bodies))
+	codes := make([]int, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body string) {
+			defer wg.Done()
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+			codes[i], got[i] = rec.Code, rec.Body.Bytes()
+		}(i, body)
+	}
+	if ready != nil {
+		ready()
+	}
+	wg.Wait()
+	return codes, got
+}
+
 // TestCoalescedDifferential is the serving tier's determinism proof: M
 // concurrent clients through the coalescing server must receive bodies
 // byte-identical to serial Framework.ServePredict calls, at any
-// GOMAXPROCS. Batches flush purely on saturation (the fake clock never
-// fires), so requests provably coalesce — this is not the serial lane in
+// GOMAXPROCS. The lane is held until all M are queued, so they provably
+// coalesce into M/batchSize full batches — this is not the serial lane in
 // disguise.
 func TestCoalescedDifferential(t *testing.T) {
 	fw := testServer(t).fw
@@ -55,59 +97,23 @@ func TestCoalescedDifferential(t *testing.T) {
 	if len(bodies)%batchSize != 0 {
 		t.Fatalf("%d bodies not a multiple of batch size %d", len(bodies), batchSize)
 	}
-
-	// Serial ground truth, encoded exactly as the handler encodes.
-	want := make(map[string][]byte, len(bodies))
-	for _, body := range bodies {
-		var req PredictRequest
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			t.Fatal(err)
-		}
-		st, err := stencilFromRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred, err := fw.ServePredict(req.GPU, st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(pred); err != nil {
-			t.Fatal(err)
-		}
-		want[body] = buf.Bytes()
-	}
+	want := serialWant(t, bodies) // serial ground truth, encoded exactly as the handler encodes
 
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS%d", procs), func(t *testing.T) {
 			testutil.WithGOMAXPROCS(t, procs, func() {
-				s, err := NewWithOptions(fw, Options{
-					BatchWindow: time.Minute, // irrelevant: the clock never fires
-					BatchSize:   batchSize,
-					Clock:       neverClock{},
-					MaxInFlight: len(bodies),
-				})
+				s, err := NewWithOptions(fw, Options{BatchSize: batchSize, MaxInFlight: len(bodies) + 1})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
 				h := s.Handler()
 
-				got := make([][]byte, len(bodies))
-				codes := make([]int, len(bodies))
-				var wg sync.WaitGroup
-				for i, body := range bodies {
-					wg.Add(1)
-					go func(i int, body string) {
-						defer wg.Done()
-						rec := httptest.NewRecorder()
-						req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
-						h.ServeHTTP(rec, req)
-						codes[i], got[i] = rec.Code, rec.Body.Bytes()
-					}(i, body)
-				}
-				wg.Wait()
-
+				release := holdLane(t, s, h, bodies[0])
+				codes, got := postAll(h, bodies, func() {
+					waitFor(t, func() bool { return s.co.Stats().Queued == len(bodies) })
+					release()
+				})
 				for i, body := range bodies {
 					if codes[i] != http.StatusOK {
 						t.Fatalf("request %q gave %d: %s", body, codes[i], got[i])
@@ -116,9 +122,9 @@ func TestCoalescedDifferential(t *testing.T) {
 				}
 
 				st := s.co.Stats()
-				wantBatches := uint64(len(bodies) / batchSize)
-				if st.Batches != wantBatches || st.SizeFlushes != wantBatches {
-					t.Fatalf("batch stats %+v, want %d saturation flushes", st, wantBatches)
+				full := uint64(len(bodies) / batchSize)
+				if st.Batches != full+1 || st.SizeFlushes != full || st.Requests != uint64(len(bodies))+1 {
+					t.Fatalf("batch stats %+v, want the plug and %d saturation flushes", st, full)
 				}
 				if st.MaxBatch != batchSize {
 					t.Fatalf("max batch %d, want %d", st.MaxBatch, batchSize)
@@ -128,10 +134,83 @@ func TestCoalescedDifferential(t *testing.T) {
 	}
 }
 
+// TestBatchesFormUnderLoad keeps PR 6's load shape honest now that no
+// window holds a batch open: 32 concurrent distinct requests against a
+// lane whose model call takes real time must coalesce by themselves
+// (arrivals queue behind the busy lane), where MaxBatch 1 scores them in
+// 32 calls — and both must answer every request with the serial bytes.
+func TestBatchesFormUnderLoad(t *testing.T) {
+	fw := testServer(t).fw
+	bodies := diffBodies(t)
+	want := serialWant(t, bodies)
+	for _, batchSize := range []int{1, DefaultBatchSize} {
+		s, err := NewWithOptions(fw, Options{BatchSize: batchSize, MaxInFlight: len(bodies)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.setPredict(func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome {
+			time.Sleep(200 * time.Microsecond) // a model call's fixed cost: the lane stays busy while others arrive
+			return fw.ServePredictBatch(ctx, reqs)
+		})
+		codes, got := postAll(s.Handler(), bodies, nil)
+		s.Close()
+		for i, body := range bodies {
+			if codes[i] != http.StatusOK {
+				t.Fatalf("batch size %d: request %q gave %d: %s", batchSize, body, codes[i], got[i])
+			}
+			testutil.AssertSameBytes(t, body, want[body], got[i])
+		}
+		st := s.co.Stats()
+		if st.Requests != uint64(len(bodies)) || st.Dropped != 0 {
+			t.Fatalf("batch size %d: stats %+v, want %d scored requests", batchSize, st, len(bodies))
+		}
+		if batchSize == 1 && st.AvgBatch != 1 {
+			t.Fatalf("serial lane avg batch %g, want 1", st.AvgBatch)
+		}
+		if batchSize > 1 && st.AvgBatch <= 1 { // i.e. fewer model calls than the serial lane's 32
+			t.Fatalf("no batch formed under 32 concurrent clients: stats %+v", st)
+		}
+	}
+}
+
+// TestCloseAnswersAndReleasesEveryRequest: /predict racing Server.Close
+// must answer every request (200, or 503 once closed) and release every
+// model lease, so retiring the version afterwards does not hang — a job
+// admitted as the lane exited used to keep its lease for good.
+func TestCloseAnswersAndReleasesEveryRequest(t *testing.T) {
+	fw := testServer(t).fw
+	bodies := diffBodies(t)[:8]
+	for iter := 0; iter < 40; iter++ {
+		s, err := NewWithOptions(fw, Options{BatchSize: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes, got := postAll(s.Handler(), bodies, s.Close)
+		for i, code := range codes {
+			if code != http.StatusOK && code != http.StatusServiceUnavailable {
+				t.Fatalf("iteration %d: request %q gave %d: %s", iter, bodies[i], code, got[i])
+			}
+		}
+		if _, err := s.Registry().Publish(fw); err != nil { // v2, so v1 can retire
+			t.Fatal(err)
+		}
+		retired := make(chan error, 1)
+		go func() { retired <- s.Registry().Retire("v1") }()
+		select {
+		case err := <-retired:
+			if err != nil {
+				t.Fatalf("iteration %d: retire: %v", iter, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("iteration %d: Retire hangs after Close: versions %+v", iter, s.Registry().Versions())
+		}
+	}
+}
+
 // TestModelVersionPinning: ?model=vN routes to that version, unknown
 // versions 404, and /modelz lists what is live.
 func TestModelVersionPinning(t *testing.T) {
-	s := hardenedServer(t, Options{BatchWindow: -1})
+	s := hardenedServer(t, Options{})
 	if _, err := s.Registry().Publish(s.fw); err != nil { // v2, same models
 		t.Fatal(err)
 	}
@@ -183,7 +262,6 @@ func TestModelSwapUnderLoad(t *testing.T) {
 	}
 
 	s, err := NewWithOptions(fw, Options{
-		BatchWindow: 200 * time.Microsecond,
 		BatchSize:   8,
 		MaxInFlight: 128,
 	})

@@ -34,14 +34,17 @@ import (
 const DefaultTimeout = 30 * time.Second
 
 // DefaultMaxInFlight bounds concurrently admitted /predict requests;
-// excess load is shed with 503 instead of queueing without bound. With
-// coalescing, admitted requests wait in batches rather than on a mutex
-// convoy, so the cap sits well above the old serialized default.
+// excess load is shed with 503 instead of queueing without bound.
+// Admitted requests queue behind the scoring lane and become its next
+// batches; this cap is what bounds that queue (the coalescer's own is
+// unbounded), so it sits above one full batch.
 const DefaultMaxInFlight = 64
 
-// DefaultBatchWindow is how long the coalescer waits for batchmates
-// after the first request of a batch arrives.
-const DefaultBatchWindow = 500 * time.Microsecond
+// DefaultBatchWindow is vestigial: the coalescer has no window (the lane
+// scores what is queued the moment it goes idle). The name stays, at
+// zero, only because bench/layers_serve.go reads it and a PR claiming a
+// gain may not edit bench/; ROADMAP item 2 lists its removal.
+const DefaultBatchWindow time.Duration = 0
 
 // DefaultBatchSize caps a coalesced batch.
 const DefaultBatchSize = 32
@@ -82,16 +85,10 @@ type Options struct {
 	// MaxInFlight bounds admitted /predict requests (DefaultMaxInFlight
 	// if 0); requests beyond it are shed with 503 + Retry-After.
 	MaxInFlight int
-	// BatchWindow is the coalescing window (DefaultBatchWindow if 0,
-	// negative for no waiting: a batch is whatever is queued).
-	BatchWindow time.Duration
 	// BatchSize caps a coalesced batch (DefaultBatchSize if 0); 1 scores
 	// requests one at a time through the same serialized lane — the
 	// baseline the bench harness compares against.
 	BatchSize int
-	// Clock drives the coalescing window; nil uses real time. Tests
-	// inject a fake to flush batches deterministically.
-	Clock batch.Clock
 	// Lane is the default inference lane for requests that don't pin one
 	// with ?lane= (LaneF64 if empty).
 	Lane Lane
@@ -279,9 +276,6 @@ func NewWithRegistry(reg *registry.Registry, opts Options) (*Server, error) {
 	if opts.MaxInFlight <= 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
-	if opts.BatchWindow == 0 {
-		opts.BatchWindow = DefaultBatchWindow
-	}
 	if opts.BatchSize == 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
@@ -303,9 +297,7 @@ func NewWithRegistry(reg *registry.Registry, opts Options) (*Server, error) {
 	}
 	s.setPredict(nil)
 	s.co = batch.New(batch.Options[predictJob]{
-		Window:   opts.BatchWindow,
 		MaxBatch: opts.BatchSize,
-		Clock:    opts.Clock,
 		// A job dropped before scoring still holds its model lease.
 		OnDrop: func(j predictJob) { j.h.Release() },
 	}, s.scoreBatch)
@@ -326,7 +318,7 @@ func (s *Server) setPredict(fn predictBatchFn) {
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Close drains the coalescing lane: queued requests fail with 503 and
-// the scorer goroutines exit. The HTTP handler stays mounted but sheds
+// the lane goroutine exits. The HTTP handler stays mounted but sheds
 // everything; use it at process shutdown.
 func (s *Server) Close() { s.co.Close() }
 
@@ -935,8 +927,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// ?lane=f32|f64 overrides the server's default inference lane.
+	query := r.URL.Query()
 	lane := s.lane
-	if q := r.URL.Query().Get("lane"); q != "" {
+	if q := query.Get("lane"); q != "" {
 		lane, err = ParseLane(q)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
@@ -949,7 +942,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// job through the coalescer and is released after scoring, so a
 	// hot-swap can never free a version out from under an in-flight
 	// batch.
-	h, err := s.reg.Acquire(r.URL.Query().Get("model"))
+	h, err := s.reg.Acquire(query.Get("model"))
 	if err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, registry.ErrUnknownVersion) || errors.Is(err, registry.ErrRetiring) {

@@ -51,6 +51,11 @@ echo "== bench smoke (race) =="
 # cleanly, without paying for a full benchmark run.
 go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/
 
+echo "== coalescer Do x Close (race, repeated) =="
+# Every call submitted while the coalescer closes is answered exactly once
+# and promptly; the interleaving that used to strand one is rare per run.
+go test -race -count=20 -run 'Close' ./internal/serve/batch/
+
 echo "== fuzz smoke (checkpoint envelope + loader) =="
 # Five seconds each: the seeds (valid, truncated, lying length, trailing
 # bytes; ragged columns, bad indices, NaN as a string) plus whatever the
