@@ -95,9 +95,12 @@ func (m *Mat[T]) Clone() *Mat[T] {
 // kBlock panels the shared operand so a tile's working set stays
 // cache-resident while every element still accumulates in ascending k
 // order (panels advance in order and each element is owned by one tile).
+// ntTile is gemmNT's register tile, in output columns; the kernel body
+// is written out for exactly that many accumulators (see GemmNT).
 const (
 	rowTile = 32
 	kBlock  = 256
+	ntTile  = 4
 )
 
 // RowKernel is work over an output whose rows are independent: Rows
@@ -110,11 +113,13 @@ type RowKernel interface{ Rows(lo, hi int) }
 // pool; workers <= 0 means GOMAXPROCS (par.Workers semantics). workers
 // == 1 is the serial entry point: the whole range runs inline on the
 // caller's goroutine and nothing is handed to the pool, which is what
-// the f32 serving lane passes — its batches are small (a serving flush
-// is tens of rows), request-level parallelism already fills the cores,
-// and an inline call over caller-owned buffers keeps the warm scoring
-// path at zero heap allocations. Each row belongs to exactly one range,
-// so the result is bitwise the same either way.
+// the f32 serving lane passes. One lane goroutine scores every request
+// in turn, and a request is a handful of rows — a kernel call there is
+// tens of microseconds, the order of the pool's own handoff and wake-up
+// — so fanning out would add latency, and an inline call over
+// caller-owned buffers is what keeps the warm scoring path at zero heap
+// allocations. Each row belongs to exactly one range, so the result is
+// bitwise the same either way.
 func forRanges[K RowKernel](n, step, workers int, k K) {
 	if workers == 1 || n <= step {
 		k.Rows(0, n)
@@ -185,9 +190,23 @@ func (g gemmNT[T]) Rows(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		ci := c[i*n : (i+1)*n]
 		ai := a[i*kk : (i+1)*kk]
-		for j := range ci {
-			bj := b[j*kk : (j+1)*kk]
-			bj = bj[:len(ai)]
+		j := 0
+		for ; j+ntTile <= n; j += ntTile {
+			b0 := b[j*kk : (j+1)*kk][:len(ai)]
+			b1 := b[(j+1)*kk : (j+2)*kk][:len(ai)]
+			b2 := b[(j+2)*kk : (j+3)*kk][:len(ai)]
+			b3 := b[(j+3)*kk : (j+4)*kk][:len(ai)]
+			var s0, s1, s2, s3 T
+			for k, v := range ai {
+				s0 += v * b0[k]
+				s1 += v * b1[k]
+				s2 += v * b2[k]
+				s3 += v * b3[k]
+			}
+			ci[j], ci[j+1], ci[j+2], ci[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			bj := b[j*kk : (j+1)*kk][:len(ai)]
 			var s T
 			for k, v := range ai {
 				s += v * bj[k]
@@ -199,7 +218,13 @@ func (g gemmNT[T]) Rows(lo, hi int) {
 
 // GemmNT computes c = a·bᵀ for a (m x k), b (n x k), c (m x n): every
 // output element is a dot product of an a-row and a b-row, both
-// contiguous, accumulated in ascending k order.
+// contiguous, accumulated in ascending k order. One dot product is one
+// dependent add chain — a multiply-add per add latency — so the kernel
+// computes ntTile adjacent columns per pass over the a-row: their chains
+// overlap and each a value is loaded once for all of them (the bound
+// becomes ntTile per add latency, or the scalar issue rate; DESIGN.md
+// §12). Each element still sums its own products alone, in ascending k,
+// so the tile changes the speed and not one bit of the result.
 func GemmNT[T Float](c, a, b *Mat[T], workers int) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: gemmNT shape (%dx%d)·(%dx%d)ᵀ->(%dx%d)",

@@ -86,21 +86,39 @@ func testGemmMatchesNaive[T Float](t *testing.T, seed int64, tol float64) {
 func TestGemmMatchesNaive(t *testing.T)    { testGemmMatchesNaive[float64](t, 1, 1e-12) }
 func TestGemmF32MatchesNaive(t *testing.T) { testGemmMatchesNaive[float32](t, 11, 0) }
 
-func testGemmNTMatchesNaive[T Float](t *testing.T, seed int64, tol float64) {
+// testGemmNTMatchesNaive holds GemmNT to the ascending-k oracle exactly:
+// the register tile computes ntTile columns per pass, but each element
+// still sums its own products in order, so no tolerance is owed at
+// either element type. The shapes cover every column remainder
+// (n % ntTile), fewer columns than a tile, one row, and k of 0 and 1;
+// workers 0 and 1 are the tile-parallel and the serial entry.
+func testGemmNTMatchesNaive[T Float](t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
-	for _, sh := range [][3]int{{1, 1, 1}, {5, 3, 4}, {33, 40, 31}, {64, 257, 9}} {
+	for _, sh := range [][3]int{
+		{1, 1, 1}, {5, 3, 4}, {33, 40, 31}, {64, 257, 9},
+		{7, 19, 8}, {7, 19, 5}, {7, 19, 6}, {7, 19, 7},
+		{3, 11, 1}, {3, 11, 2}, {3, 11, 3},
+		{1, 216, 16}, {1, 27, 11}, {6, 0, 5}, {6, 1, 5}, {40, 1, 4},
+	} {
 		a := randomMat[T](sh[0], sh[1], rng)
 		b := randomMat[T](sh[2], sh[1], rng)
-		c := Resize[T](nil, sh[0], sh[2])
-		GemmNT(c, a, b, 0)
-		if d := maxAbsDiff(c, naiveGemm(a, transpose(b))); d > tol {
-			t.Errorf("GemmNT %v: max diff %g", sh, d)
+		want := naiveGemm(a, transpose(b))
+		for _, workers := range []int{0, 1} {
+			c := Resize[T](nil, sh[0], sh[2])
+			// Pre-fill c with garbage: GemmNT overwrites.
+			for i := range c.Data {
+				c.Data[i] = 99
+			}
+			GemmNT(c, a, b, workers)
+			if d := maxAbsDiff(c, want); d != 0 {
+				t.Errorf("GemmNT %v workers %d: max diff %g, want exactly 0", sh, workers, d)
+			}
 		}
 	}
 }
 
-func TestGemmNTMatchesNaive(t *testing.T)    { testGemmNTMatchesNaive[float64](t, 2, 1e-12) }
-func TestGemmNTF32MatchesNaive(t *testing.T) { testGemmNTMatchesNaive[float32](t, 12, 0) }
+func TestGemmNTMatchesNaive(t *testing.T)    { testGemmNTMatchesNaive[float64](t, 2) }
+func TestGemmNTF32MatchesNaive(t *testing.T) { testGemmNTMatchesNaive[float32](t, 12) }
 
 func TestGemmTNAccMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -352,8 +370,10 @@ func TestSerialEntryMatchesTileParallel(t *testing.T) {
 
 func testSerialEntryMatchesTileParallel[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
-	// 67 and 128 rows are several tiles; 300 columns cross a k panel.
-	for _, sh := range [][3]int{{5, 9, 4}, {67, 300, 33}, {128, 64, 96}} {
+	// 67 and 128 rows are several tiles; 300 columns cross a k panel;
+	// 4, 33, 96, 6, 3 and 7 output columns leave GemmNT's register tile
+	// every remainder, and fewer columns than one tile.
+	for _, sh := range [][3]int{{5, 9, 4}, {67, 300, 33}, {128, 64, 96}, {70, 27, 6}, {40, 1, 3}, {33, 0, 7}} {
 		a := randomMat[T](sh[0], sh[1], rng)
 		b := randomMat[T](sh[1], sh[2], rng)
 		bt := transpose(b)

@@ -17,9 +17,10 @@ import (
 // safe for concurrent use on one instance.
 
 // laneWorkers is the workers argument of every f32 forward: the serving
-// lane scores small batches from many request goroutines at once, so a
-// forward pass stays on its caller's goroutine — nothing is handed to
-// the pool and a warm pass allocates nothing.
+// tier's one lane goroutine scores a few rows at a time, kernel calls
+// tens of microseconds long, so a forward pass stays on that goroutine —
+// nothing is handed to the pool (linalg's forRanges says why) and a warm
+// pass allocates nothing.
 const laneWorkers = 1
 
 // quantize converts one float64 weight block to a fresh float32 slice.

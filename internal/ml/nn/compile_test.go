@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"stencilmart/internal/tensor"
@@ -212,6 +213,145 @@ func TestCompiledBatchInvariance(t *testing.T) {
 	})
 }
 
+// trainedConvMLP2D returns a small trained ConvMLP with its compiled form.
+func trainedConvMLP2D(t *testing.T, featDim int, seed int64) (*Regressor, *CompiledRegressor) {
+	x, y := benchRegData(24, tensor.Side*tensor.Side+featDim, seed)
+	reg, err := NewConvMLP(2, featDim, TrainConfig{Epochs: 2, Batch: 8, LR: 1e-3, Seed: 1}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.FitRegressor(x, y); err != nil {
+		t.Fatal(err)
+	}
+	c, err := reg.CompileF32()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg, c
+}
+
+// loweredRows is how many patch rows the compiled ConvMLP's first
+// convolution lowered on its last forward, in samples: the number of
+// rows that really went through the conv stack.
+func loweredRows(t *testing.T, c *CompiledRegressor) int {
+	conv1 := c.net[0].(*twoBranch[float32, stack[float32]]).a[0].(*conv[float32])
+	if conv1.col.Rows%conv1.m != 0 {
+		t.Fatalf("conv lowered %d patch rows, not a multiple of %d", conv1.col.Rows, conv1.m)
+	}
+	return conv1.col.Rows / conv1.m
+}
+
+// TestCompiledTwoBranchFoldsSharedHead is the fold's contract on the
+// inference forward: consecutive rows with a bit-identical tensor head go
+// through the conv stack once (read off the conv layer's lowered row
+// count, so it proves the fold happened and not only that answers
+// agree), and every row still scores bitwise what it scores alone, on
+// the compiled f32 form and on the float64 lane alike.
+func TestCompiledTwoBranchFoldsSharedHead(t *testing.T) {
+	const featDim = 6
+	const head = tensor.Side * tensor.Side
+	reg, c := trainedConvMLP2D(t, featDim, 44)
+	rng := rand.New(rand.NewSource(45))
+	mkHead := func() []float32 {
+		h := make([]float32, head)
+		for i := range h {
+			if rng.Intn(3) == 0 {
+				h[i] = 1
+			}
+		}
+		return h
+	}
+	row := func(h []float32) []float32 {
+		r := append([]float32(nil), h...)
+		for i := 0; i < featDim; i++ {
+			r = append(r, float32(rng.NormFloat64()))
+		}
+		return r
+	}
+	alone := func(r []float32) float32 {
+		out := make([]float32, 1)
+		c.PredictValueBatchF32([][]float32{r}, out)
+		return out[0]
+	}
+	score := func(rows [][]float32) []float32 {
+		out := make([]float32, len(rows))
+		c.PredictValueBatchF32(rows, out)
+		return out
+	}
+	sameAsAlone := func(name string, rows [][]float32, got []float32) {
+		t.Helper()
+		for i, r := range rows {
+			want := alone(r)
+			if math.Float32bits(got[i]) != math.Float32bits(want) {
+				t.Errorf("%s row %d: batched %g vs alone %g", name, i, got[i], want)
+			}
+		}
+	}
+
+	a, b := mkHead(), mkHead()
+	rows := [][]float32{row(a), row(a), row(a), row(a), row(b), row(a)}
+	got := score(rows)
+	if n := loweredRows(t, c); n != 3 {
+		t.Errorf("[A A A A B A] put %d rows through the conv stack, want 3 runs", n)
+	}
+	sameAsAlone("shared head", rows, got)
+
+	// A batch with no runs folds nothing, and the one after a folded
+	// batch is not served from its scratch.
+	distinct := [][]float32{row(b), row(a), row(b), row(mkHead())}
+	got = score(distinct)
+	if n := loweredRows(t, c); n != len(distinct) {
+		t.Errorf("distinct heads put %d rows through the conv stack, want %d", n, len(distinct))
+	}
+	sameAsAlone("distinct heads", distinct, got)
+
+	// Heads that are equal as numbers, or nearly equal, are not the same
+	// bits: none of these pairs may fold.
+	lastDiffers := append([]float32(nil), a...)
+	lastDiffers[head-1]++
+	negZero := append([]float32(nil), a...)
+	posZero := append([]float32(nil), a...)
+	negZero[3], posZero[3] = float32(math.Copysign(0, -1)), 0
+	nan := append([]float32(nil), a...)
+	nan[5] = float32(math.NaN())
+	for _, tc := range []struct {
+		name string
+		x, y []float32
+	}{
+		{"last element", a, lastDiffers},
+		{"-0 vs +0", negZero, posZero},
+		{"NaN", nan, nan},
+	} {
+		pair := [][]float32{row(tc.x), row(tc.y)}
+		got := score(pair)
+		if n := loweredRows(t, c); n != 2 {
+			t.Errorf("%s: %d rows through the conv stack, want 2 (no fold)", tc.name, n)
+		}
+		if tc.name != "NaN" {
+			sameAsAlone(tc.name, pair, got)
+		}
+	}
+
+	// The f64 lane runs the same forward body and folds the same way.
+	rows64 := make([][]float64, len(rows))
+	for i, r := range rows {
+		rows64[i] = make([]float64, len(r))
+		for j, v := range r {
+			rows64[i][j] = float64(v)
+		}
+	}
+	got64 := reg.PredictValueBatch(rows64)
+	conv1 := reg.Net.layers[0].(*TwoBranch).a.layers[0].(*Conv)
+	if conv1.col.Rows != 3*conv1.m {
+		t.Errorf("f64 lane lowered %d patch rows for [A A A A B A], want 3 runs x %d", conv1.col.Rows, conv1.m)
+	}
+	for i, r := range rows64 {
+		if want := reg.PredictValueBatch([][]float64{r})[0]; math.Float64bits(got64[i]) != math.Float64bits(want) {
+			t.Errorf("f64 row %d: batched %g vs alone %g", i, got64[i], want)
+		}
+	}
+}
+
 // TestAllocGateNNF32 pins the zero-allocation contract of the compiled
 // forward passes once layer scratch is warm.
 func TestAllocGateNNF32(t *testing.T) {
@@ -254,6 +394,29 @@ func TestAllocGateNNF32(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { cr.PredictValueBatchF32(rrows, vout) }); n != 0 {
 		t.Errorf("CompiledRegressor allocs/op = %g, want 0", n)
 	}
+
+	// What a request is: one tensor head under four tails, folded.
+	shared := sharedHeadRows(rrows, tensor.Side*tensor.Side, 4)
+	sout := make([]float32, len(shared))
+	cr.PredictValueBatchF32(shared, sout)
+	if n := loweredRows(t, cr); n != 1 {
+		t.Fatalf("one head x four tails put %d rows through the conv stack, want 1", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { cr.PredictValueBatchF32(shared, sout) }); n != 0 {
+		t.Errorf("CompiledRegressor shared-head allocs/op = %g, want 0", n)
+	}
+}
+
+// sharedHeadRows returns n copies of rows[:n] that all carry rows[0]'s
+// first head values — one stencil's tensor under n different tails, the
+// batch the cross-GPU regressor is handed per request.
+func sharedHeadRows(rows [][]float32, head, n int) [][]float32 {
+	out := make([][]float32, n)
+	for i := range out {
+		out[i] = append([]float32(nil), rows[i]...)
+		copy(out[i][:head], rows[0][:head])
+	}
+	return out
 }
 
 // BenchmarkLaneNNScore compares the float64 reference networks against
@@ -309,14 +472,19 @@ func BenchmarkLaneNNScore(b *testing.B) {
 			_ = reg.PredictValueBatch(xr)
 		}
 	})
-	b.Run("convmlp3d/f32", func(b *testing.B) {
-		b.ReportAllocs()
-		rows := rowsToF32(xr)
-		out := make([]float32, len(rows))
-		cr.PredictValueBatchF32(rows, out)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	benchF32 := func(rows [][]float32) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			out := make([]float32, len(rows))
 			cr.PredictValueBatchF32(rows, out)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cr.PredictValueBatchF32(rows, out)
+			}
 		}
-	})
+	}
+	b.Run("convmlp3d/f32", benchF32(rowsToF32(xr)))
+	// The serving shape: one request's rows, one tensor head under four
+	// catalog-GPU tails.
+	b.Run("convmlp3d/f32/shared4", benchF32(sharedHeadRows(rowsToF32(xr), tensor.Side*tensor.Side*tensor.Side, 4)))
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"stencilmart/internal/linalg"
 )
@@ -171,11 +172,18 @@ func (k convEmit[T]) Rows(lo, hi int) {
 
 // twoBranch routes the first splitAt columns through branch a and the
 // rest through branch b, then concatenates the outputs — the ConvMLP
-// merge of Fig. 8.
+// merge of Fig. 8. A run of consecutive rows whose first splitAt values
+// are the same bits goes through branch a as one row: the cross-GPU
+// regressor scores one tuned stencil per catalog GPU, so a request's
+// rows share their tensor. Rows score independently, so each still gets
+// what it would alone. perRow turns the fold off — trainLoop sets it,
+// because Backward reads branch a's per-row scratch.
 type twoBranch[T linalg.Float, B layer[T]] struct {
 	splitAt int
+	perRow  bool
 	a, b    B
 
+	at          []int // at[i]: the row of branch a's batch that row i reads
 	xa, xb, act *linalg.Mat[T]
 }
 
@@ -184,35 +192,65 @@ func (t *twoBranch[T, B]) forward(x *linalg.Mat[T], workers int) *linalg.Mat[T] 
 		panic(fmt.Sprintf("nn: two-branch expects >= %d features, got %d", t.splitAt, x.Cols))
 	}
 	n := x.Rows
-	t.xa = linalg.Resize(t.xa, n, t.splitAt)
+	t.at = t.at[:0]
+	runs := 0
+	for i := 0; i < n; i++ {
+		if i == 0 || t.perRow || !sameBits(x.Row(i)[:t.splitAt], x.Row(i - 1)[:t.splitAt]) {
+			runs++
+		}
+		t.at = append(t.at, runs-1)
+	}
+	t.xa = linalg.Resize(t.xa, runs, t.splitAt)
 	t.xb = linalg.Resize(t.xb, n, x.Cols-t.splitAt)
-	linalg.ForRows(n, workers, splitCols[T]{x, t.xa, t.xb})
+	linalg.ForRows(n, workers, splitCols[T]{x, t.xa, t.xb, t.at})
 	oa := t.a.forward(t.xa, workers)
 	ob := t.b.forward(t.xb, workers)
 	t.act = linalg.Resize(t.act, n, oa.Cols+ob.Cols)
-	linalg.ForRows(n, workers, concatCols[T]{t.act, oa, ob})
+	linalg.ForRows(n, workers, concatCols[T]{t.act, oa, ob, t.at})
 	return t.act
 }
 
+// sameBits reports whether a and b hold the same bit patterns, NaN-free:
+// -0 and +0 differ, and a NaN equals nothing, itself included.
+func sameBits[T linalg.Float](a, b []T) bool {
+	for k, v := range a {
+		w := b[k]
+		if v != w || v == 0 && math.Signbit(float64(v)) != math.Signbit(float64(w)) {
+			return false
+		}
+	}
+	return true
+}
+
 // splitCols copies each row of src into a (the first a.Cols columns)
-// and b (the rest).
-type splitCols[T linalg.Float] struct{ src, a, b *linalg.Mat[T] }
+// and b (the rest). Row i's head belongs in a's row at[i]; the first row
+// of a run writes it.
+type splitCols[T linalg.Float] struct {
+	src, a, b *linalg.Mat[T]
+	at        []int
+}
 
 func (k splitCols[T]) Rows(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		row := k.src.Row(i)
-		copy(k.a.Row(i), row[:k.a.Cols])
+		if i == 0 || k.at[i] != k.at[i-1] {
+			copy(k.a.Row(k.at[i]), row[:k.a.Cols])
+		}
 		copy(k.b.Row(i), row[k.a.Cols:])
 	}
 }
 
-// concatCols is splitCols' inverse: dst's rows are a's then b's.
-type concatCols[T linalg.Float] struct{ dst, a, b *linalg.Mat[T] }
+// concatCols is splitCols' inverse: dst's row i is a's row at[i], then
+// b's row i.
+type concatCols[T linalg.Float] struct {
+	dst, a, b *linalg.Mat[T]
+	at        []int
+}
 
 func (k concatCols[T]) Rows(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		o := k.dst.Row(i)
-		copy(o, k.a.Row(i))
+		copy(o, k.a.Row(k.at[i]))
 		copy(o[k.a.Cols:], k.b.Row(i))
 	}
 }

@@ -26,16 +26,20 @@ func NewTwoBranch(splitAt int, a, b *Network, aOut int) *TwoBranch {
 }
 
 // Backward implements Layer: the forward pass's split and concat, on
-// gradients.
+// gradients — with its row map t.at, the identity after a per-row
+// forward, which is the only kind Backward can follow.
 func (t *TwoBranch) Backward(grad *linalg.Matrix) *linalg.Matrix {
 	n := grad.Rows
+	if t.xa.Rows != n {
+		panic(fmt.Sprintf("nn: two-branch Backward over %d rows after a forward that folded them into %d", n, t.xa.Rows))
+	}
 	t.ga = linalg.Resize(t.ga, n, t.aOut)
 	t.gb = linalg.Resize(t.gb, n, grad.Cols-t.aOut)
-	linalg.ForRows(n, 0, splitCols[float64]{grad, t.ga, t.gb})
+	linalg.ForRows(n, 0, splitCols[float64]{grad, t.ga, t.gb, t.at})
 	da := t.a.Backward(t.ga)
 	db := t.b.Backward(t.gb)
 	t.dx = linalg.Resize(t.dx, n, da.Cols+db.Cols)
-	linalg.ForRows(n, 0, concatCols[float64]{t.dx, da, db})
+	linalg.ForRows(n, 0, concatCols[float64]{t.dx, da, db, t.at})
 	return t.dx
 }
 

@@ -83,6 +83,16 @@ func (n *Network) Backward(grad *linalg.Matrix) *linalg.Matrix {
 	return grad
 }
 
+// training switches the network's two-branch layers between the per-row
+// forward Backward needs and the inference one, which folds shared heads.
+func (n *Network) training(on bool) {
+	for _, l := range n.layers {
+		if t, ok := l.(*TwoBranch); ok {
+			t.perRow = on
+		}
+	}
+}
+
 // Params collects all trainable parameters.
 func (n *Network) Params() []*Param {
 	var out []*Param
@@ -132,6 +142,8 @@ func (c *TrainConfig) setDefaults() {
 func trainLoop(net *Network, x [][]float64, cfg TrainConfig,
 	lossGrad func(out *linalg.Matrix, batchIdx []int, grad *linalg.Matrix)) {
 	cfg.setDefaults()
+	net.training(true)
+	defer net.training(false)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	adam := NewAdam(net.Params(), cfg.LR)
 	n := len(x)

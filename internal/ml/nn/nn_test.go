@@ -325,6 +325,90 @@ func TestTwoBranchSplitsAndConcats(t *testing.T) {
 	}
 }
 
+// TestTrainingStepKeepsDuplicateRowsApart pins that the shared-head fold
+// never reaches training. A step as trainLoop runs it (per-row forward
+// at workers 0, then Backward) over a minibatch whose adjacent rows
+// repeat a head, or a whole row, lowers every row and produces the
+// per-row reference oracle's activations and gradients; trainLoop itself
+// runs that forward and leaves the network folding again; and Backward
+// refuses to follow a forward that folded, because the per-row scratch
+// it reads is not there.
+func TestTrainingStepKeepsDuplicateRowsApart(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const tol = 1e-9
+	c := newConv(1, 3, 1, 5, 5, 1, 3, 3, rng)
+	d := NewDense(4, 2, rng)
+	head, aOut := c.shape.InLen(), c.outWidth()
+	tb := NewTwoBranch(head, NewNetwork(c), NewNetwork(d), aOut)
+	net := NewNetwork(tb)
+
+	// Rows 0-1 are one row twice, 2-3 share a head under different
+	// tails, 4 is on its own.
+	x := randMatrix(5, head+d.in, rng)
+	copy(x.Row(1), x.Row(0))
+	copy(x.Row(3)[:head], x.Row(2)[:head])
+	net.training(true)
+	out := net.forward(x, 0)
+	if c.col.Rows != x.Rows*c.m {
+		t.Fatalf("training forward lowered %d patch rows for %d rows, want %d", c.col.Rows, x.Rows, x.Rows*c.m)
+	}
+	grad := randMatrix(x.Rows, aOut+d.out, rng)
+	dx := net.Backward(grad)
+
+	wantCW, wantCB := make([]float64, len(c.weight.G)), make([]float64, len(c.bias.G))
+	wantDW, wantDB := make([]float64, len(d.w.G)), make([]float64, len(d.b.G))
+	for i := 0; i < x.Rows; i++ {
+		xa, xb := x.Row(i)[:head], x.Row(i)[head:]
+		want := append(referenceConvForward(c, xa), referenceDenseForward(d, xb)...)
+		if diff := maxAbsDiff(out.Row(i), want); diff > tol {
+			t.Errorf("forward row %d off by %g", i, diff)
+		}
+		g := grad.Row(i)
+		wantDx := append(referenceConvBackward(c, xa, g[:aOut], wantCW, wantCB),
+			referenceDenseBackward(d, xb, g[aOut:], wantDW, wantDB)...)
+		if diff := maxAbsDiff(dx.Row(i), wantDx); diff > tol {
+			t.Errorf("input grad row %d off by %g", i, diff)
+		}
+	}
+	for name, pair := range map[string][2][]float64{
+		"conv weight": {c.weight.G, wantCW}, "conv bias": {c.bias.G, wantCB},
+		"dense weight": {d.w.G, wantDW}, "dense bias": {d.b.G, wantDB},
+	} {
+		if diff := maxAbsDiff(pair[0], pair[1]); diff > tol {
+			t.Errorf("%s grads off by %g", name, diff)
+		}
+	}
+
+	// trainLoop: every row carries row 0's head, so whatever the shuffle
+	// does, duplicates are adjacent in the minibatch.
+	rows := make([][]float64, x.Rows)
+	for i := range rows {
+		rows[i] = x.Row(i)
+		copy(rows[i][:head], x.Row(0)[:head])
+	}
+	steps := 0
+	trainLoop(net, rows, TrainConfig{Epochs: 2, Batch: len(rows)}, func(out *linalg.Matrix, _ []int, grad *linalg.Matrix) {
+		steps++
+		if c.col.Rows != out.Rows*c.m {
+			t.Errorf("trainLoop step %d lowered %d patch rows for %d rows, want %d", steps, c.col.Rows, out.Rows, out.Rows*c.m)
+		}
+		copy(grad.Data, out.Data)
+	})
+	if steps != 2 {
+		t.Fatalf("trainLoop ran %d steps, want 2", steps)
+	}
+	net.forward(x, 0) // x's rows are `rows`: one head
+	if c.col.Rows != c.m {
+		t.Errorf("inference forward after trainLoop lowered %d patch rows, want one row's %d", c.col.Rows, c.m)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Backward followed a folded forward")
+		}
+	}()
+	net.Backward(grad)
+}
+
 // TestBuildersForwardWidths runs a batch through every builder's network
 // (2-D and 3-D) layer by layer: each layer must emit the width the next
 // one was constructed for, and the last one the width of its head —
