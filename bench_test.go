@@ -233,6 +233,7 @@ func BenchmarkProfileOneStencil(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := stencil.Cross(3, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := profilerForBench(int64(i))

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"stencilmart/internal/gpu"
+	"stencilmart/internal/lazyrand"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/sim"
 )
@@ -77,7 +78,7 @@ func (AN5D) Tune(m *sim.Model, w sim.Workload, arch gpu.Arch, budget int, seed i
 	if budget < 1 {
 		return Result{}, fmt.Errorf("baseline: AN5D budget %d < 1", budget)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(lazyrand.NewSource(seed))
 	res, ok := searchOC(m, w, arch, opt.ST|opt.TB, budget, rng)
 	if ok {
 		return res, nil
@@ -114,7 +115,7 @@ func (Artemis) Tune(m *sim.Model, w sim.Workload, arch gpu.Arch, budget int, see
 	if budget < 1 {
 		return Result{}, fmt.Errorf("baseline: Artemis budget %d < 1", budget)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(lazyrand.NewSource(seed))
 	spent := 0
 
 	// Phase 1: tune the high-impact base optimization (streaming).

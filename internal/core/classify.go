@@ -9,6 +9,7 @@ import (
 
 	"stencilmart/internal/baseline"
 	"stencilmart/internal/gpu"
+	"stencilmart/internal/lazyrand"
 	"stencilmart/internal/ml"
 	"stencilmart/internal/ml/nn"
 	"stencilmart/internal/ml/tree"
@@ -255,11 +256,12 @@ func (f *Framework) searchPredicted(proba []float64, archIdx, si int, arch gpu.A
 	w := sim.DefaultWorkload(f.Dataset.Stencils[si])
 	eval := f.Model.CellFn(w, arch)
 	best := math.Inf(1)
+	rng := rand.New(lazyrand.NewSource(0))
 	for rank, oc := range ocs {
 		if splits[rank] < 1 {
 			continue
 		}
-		rng := rand.New(rand.NewSource(f.Cfg.Seed + int64(si)*131 + int64(archIdx)*7 + int64(rank)))
+		rng.Seed(f.Cfg.Seed + int64(si)*131 + int64(archIdx)*7 + int64(rank))
 		for i := 0; i < splits[rank]; i++ {
 			p := opt.Sample(oc, w.S.Dims, rng)
 			r, err := eval(oc, p)

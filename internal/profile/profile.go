@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"stencilmart/internal/gpu"
+	"stencilmart/internal/lazyrand"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/par"
 	"stencilmart/internal/sim"
@@ -195,10 +196,11 @@ func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Ste
 	// no-crash case so the append loop never regrows.
 	instances := make([]Instance, 0, len(combos)*p.SamplesPerOC)
 	found := false
-	// One rng reused across OCs: re-seeding replays the exact stream a
-	// fresh rand.New(rand.NewSource(seed)) would produce, without
-	// allocating (and zeroing) a 5-KiB generator state per OC.
-	rng := rand.New(rand.NewSource(1))
+	// One rng re-seeded per OC. Each stream is bit for bit the one
+	// rand.New(rand.NewSource(cellSeed)) would produce — the dataset is
+	// those bits — but the source builds register words as an OC's ~100
+	// draws first read them, so a re-seed costs nothing.
+	rng := rand.New(lazyrand.NewSource(0))
 	for ci, oc := range combos {
 		rng.Seed(cellSeed(p.Seed, stencilIdx, arch.Name, ci))
 		res := OCResult{OC: oc, Time: math.NaN(), Crashed: true}

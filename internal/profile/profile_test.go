@@ -3,12 +3,15 @@ package profile
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"stencilmart/internal/fault"
 	"stencilmart/internal/gen"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
+	"stencilmart/internal/sim"
 	"stencilmart/internal/stencil"
 )
 
@@ -275,4 +278,68 @@ func TestValidateRejectsInfiniteResultTime(t *testing.T) {
 	if err := d.Validate(); err == nil {
 		t.Fatal("dataset with +Inf best time validated cleanly")
 	}
+}
+
+// TestAllocGateProfileOne is the allocation contract of the collection
+// sample loop, enforced by check.sh. A sample a hard resource limit
+// rejects costs the one typed error value — a second allocation means
+// the message is being formatted for a loop that never reads it — and
+// the loop still classifies it as an ordinary, permanent profiling
+// outcome. A whole cell on a fresh simulator stays under 450
+// allocations (965 before the typed errors): about 90 are the sample
+// loop's — the rejected samples' errors, the rows, the rng — and 316
+// are sim.compile's 31 projections, which EXPERIMENTS.md "Sample loop
+// (PR 20)" measures at 45 once the stencil is embedded once and which
+// wait there for a benchmark whose never-repeated pool can take the
+// faster cold tune.
+func TestAllocGateProfileOne(t *testing.T) {
+	ctx := context.Background()
+	v100, err := gpu.ByName("V100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := []struct {
+		s    stencil.Stencil
+		oc   opt.Opt
+		p    opt.Params
+		kind error
+	}{
+		{stencil.Box(3, 4), opt.TB, opt.Params{BlockX: 32, BlockY: 8, Merge: 1, Unroll: 1, TBDepth: 2}, sim.ErrInvalidConfig},
+		{stencil.Box(2, 4), opt.TB | opt.BM, opt.Params{BlockX: 32, BlockY: 4, Merge: 8, MergeDim: 2, Unroll: 1, TBDepth: 4}, sim.ErrCrash},
+	}
+	for _, c := range rejected {
+		p := NewProfiler(12, 1)
+		eval := p.cellFn(sim.DefaultWorkload(c.s), v100)
+		var got error
+		var fatal bool
+		allocs := testing.AllocsPerRun(200, func() {
+			_, got = p.measure(ctx, eval, c.oc, c.p)
+			fatal = cellFailure(got)
+		})
+		if !errors.Is(got, c.kind) {
+			t.Fatalf("%s %s: got %v, want %v", c.s.Name, c.oc, got, c.kind)
+		}
+		if allocs > 1 {
+			t.Errorf("%s %s: a rejected sample allocates %v, want at most the error value", c.s.Name, c.oc, allocs)
+		}
+		if fault.IsTransient(got) || fatal {
+			t.Errorf("%s %s: limit error classified transient=%v cellFailure=%v, want a skipped sample",
+				c.s.Name, c.oc, fault.IsTransient(got), fatal)
+		}
+	}
+
+	a100, err := gpu.ByName("A100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stencil.Cross(3, 2)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := NewProfiler(12, 1).ProfileOne(ctx, 0, s, a100); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 450 {
+		t.Errorf("ProfileOne of %s on A100 allocates %v, want <= 450", s.Name, allocs)
+	}
+	t.Logf("ProfileOne allocations: %v", allocs)
 }

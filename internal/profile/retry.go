@@ -191,10 +191,14 @@ func (p *Profiler) measure(ctx context.Context, eval sim.EvalFn, oc opt.Opt, par
 // simulator outcomes (crashes, invalid settings) are ordinary profiling
 // results the sample loop skips.
 func cellFailure(err error) bool {
-	var give *GiveUpError
-	return errors.As(err, &give) ||
-		errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded)
+	// A walk down the chain, not errors.As: As wants the address of a
+	// target, which escapes — an allocation per rejected sample.
+	for e := err; e != nil; e = errors.Unwrap(e) {
+		if _, ok := e.(*GiveUpError); ok {
+			return true
+		}
+	}
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 func finite(v float64) bool {

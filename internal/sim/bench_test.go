@@ -96,3 +96,20 @@ func BenchmarkReferenceRun(b *testing.B) {
 		ref.Run(w, sm.oc, sm.p, arch)
 	}
 }
+
+var compiledSink *CellEvaluator
+
+// BenchmarkCompileCell is what a cell's first lookup pays before its
+// first sample: geometry and 31 projections, each embedding the stencil
+// again and hashing eight Gaussians (the key statistics are warm, as they
+// are for all but the first few cells of a process).
+func BenchmarkCompileCell(b *testing.B) {
+	w, arch := benchCell()
+	m := New()
+	compiledSink = m.compile(w, arch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		compiledSink = m.compile(w, arch)
+	}
+}

@@ -12,12 +12,14 @@ import (
 // CellEvaluator is the compiled evaluation path for one
 // (workload, stencil, architecture) cell. Construction precomputes
 // everything invariant across the thousands of (OC, params) samples a
-// cell evaluates — workload validation, the stencil's footprint geometry,
-// the per-OC noise projections against the reference corpus, the per-OC
-// FNV prefix of the measurement-noise key — so the per-sample hot loop
-// does only the resource/time arithmetic plus precomputed-table noise
-// lookups. Pricing a sample and answering one from the memo both perform
-// zero allocations (enforced by the AllocsPerRun gate in check.sh).
+// cell evaluates — workload validation, the stencil's footprint geometry
+// and order, the per-OC noise projections against the reference corpus,
+// the per-OC FNV prefix of the measurement-noise key — so the per-sample
+// hot loop does only the resource/time arithmetic plus precomputed-table
+// noise lookups. Pricing a sample that runs and answering one from the
+// memo perform zero allocations; a sample a hard limit rejects allocates
+// its error value and nothing else (both enforced by AllocsPerRun gates
+// in check.sh).
 //
 // Evaluators are obtained from Model.Evaluator (or implicitly through
 // Model.Run / Model.CellFn) and are safe for concurrent use; results are
@@ -233,8 +235,8 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 
 // price is the pricing body: resources, occupancy, time terms, noise.
 func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
-	res := resourceUsage(e.w, oc, p, e.arch)
-	if err := res.check(e.arch, e.w, oc, p); err != nil {
+	res := resourceUsage(e.w, oc, p, e.arch, e.g.order)
+	if err := res.check(e.arch, e.w, oc); err != nil {
 		return Result{}, err
 	}
 

@@ -281,3 +281,54 @@ func TestAllocGateEvaluator(t *testing.T) {
 		t.Fatalf("memo-hit gate missed: %+v", st)
 	}
 }
+
+// TestLimitErrorsPinned pins the two hard-limit rejections to the text
+// fmt.Errorf("%w: ...") produced before they became typed errors that
+// format on demand: byte-equal messages, ErrInvalidConfig / ErrCrash
+// reachable through errors.Is, the same text from the oracle and the
+// compiled cell, and the memo's hit path handing back the very error the
+// miss stored.
+func TestLimitErrorsPinned(t *testing.T) {
+	arch := cacheArch(t) // V100
+	cases := []struct {
+		name string
+		s    stencil.Stencil
+		oc   opt.Opt
+		p    opt.Params
+		kind error
+		text string
+	}{
+		{"smem overflow", stencil.Box(3, 4), opt.TB,
+			opt.Params{BlockX: 32, BlockY: 8, Merge: 1, Unroll: 1, TBDepth: 2},
+			ErrInvalidConfig,
+			"sim: parameter setting exceeds hardware limits: TB needs 306.0 KiB shared memory, V100 has 96 KiB per SM"},
+		{"register crash", stencil.Box(2, 4), opt.TB | opt.BM,
+			opt.Params{BlockX: 32, BlockY: 4, Merge: 8, MergeDim: 2, Unroll: 1, TBDepth: 4},
+			ErrCrash,
+			"sim: kernel crash (intra-SM resource spilling): TB_BM demands 1447 registers/thread on V100 (stencil box2d4r)"},
+	}
+	for _, c := range cases {
+		w := DefaultWorkload(c.s)
+		_, refErr := NewReference().Run(w, c.oc, c.p, arch)
+		m := New()
+		_, firstErr := mustEvaluator(t, m, w, arch).Eval(c.oc, c.p)
+		ev := mustEvaluator(t, m, w, arch) // second lookup: memoizing
+		_, missErr := ev.Eval(c.oc, c.p)
+		_, hitErr := ev.Eval(c.oc, c.p)
+		if st := m.CacheStats(); st.Misses != 1 || st.Hits != 1 {
+			t.Fatalf("%s: memo saw %+v, want one miss then one hit", c.name, st)
+		}
+		for i, err := range []error{refErr, firstErr, missErr, hitErr} {
+			label := [...]string{"reference", "first lookup", "memo miss", "memo hit"}[i]
+			if err == nil || err.Error() != c.text {
+				t.Errorf("%s, %s: got %q, want %q", c.name, label, err, c.text)
+			}
+			if !errors.Is(err, c.kind) || errors.Is(err, ErrCrash) != (c.kind == ErrCrash) {
+				t.Errorf("%s, %s: errors.Is misclassifies %v", c.name, label, err)
+			}
+		}
+		if hitErr != missErr {
+			t.Errorf("%s: memo hit returned a different error value than the miss stored", c.name)
+		}
+	}
+}

@@ -37,13 +37,14 @@ func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Re
 		return Result{}, err
 	}
 
-	res := resourceUsage(w, oc, p, arch)
-	if err := res.check(arch, w, oc, p); err != nil {
+	g := stencilGeom(w.S)
+	res := resourceUsage(w, oc, p, arch, g.order)
+	if err := res.check(arch, w, oc); err != nil {
 		return Result{}, err
 	}
 
 	occ := occupancy(res, p, arch)
-	t := timeBreakdown(w, oc, p, arch, res, occ, stencilGeom(w.S))
+	t := timeBreakdown(w, oc, p, arch, res, occ, g)
 
 	r := Result{
 		Compute:        t.compute,

@@ -39,11 +39,11 @@ const (
 	unrollRegCost    = 0.30 // fraction of per-point state duplicated per unroll
 )
 
-// resourceUsage models register and shared-memory demand.
-func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) resources {
+// resourceUsage models register and shared-memory demand. r is the
+// stencil's order, a cell invariant the caller holds (geom.order).
+func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, r float64) resources {
 	s := w.S
 	n := math.Min(float64(s.NumPoints()), livePointCap)
-	r := float64(s.Order())
 
 	// Per-point register state: operands kept live while accumulating,
 	// saturating at the compiler's live-value window.
@@ -90,7 +90,7 @@ func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) resource
 	res := resources{
 		regs:            regs,
 		threadsPerBlock: p.BlockX * p.BlockY,
-		smemBytes:       smemDemand(w, oc, p),
+		smemBytes:       smemDemand(w, oc, p, r),
 	}
 	limit := float64(arch.MaxRegsPerThread)
 	if regs > limit {
@@ -100,9 +100,8 @@ func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) resource
 }
 
 // smemDemand models the per-block shared memory footprint in bytes.
-func smemDemand(w Workload, oc opt.Opt, p opt.Params) float64 {
+func smemDemand(w Workload, oc opt.Opt, p opt.Params, r float64) float64 {
 	s := w.S
-	r := float64(s.Order())
 	const elem = 8.0 // double precision
 
 	switch {
@@ -135,17 +134,41 @@ func smemDemand(w Workload, oc opt.Opt, p opt.Params) float64 {
 	}
 }
 
+// limitError is a sample rejected by a hard resource limit. Random search
+// rejects samples by the thousand and reads almost none of the messages,
+// so the error carries the numbers and formats them only in Error.
+type limitError struct {
+	kind    error // ErrInvalidConfig (shared memory) or ErrCrash (registers)
+	oc      opt.Opt
+	demand  float64 // KiB of shared memory per block, or registers per thread
+	arch    string
+	smemKB  int    // the architecture's limit, for the shared-memory message
+	stencil string // for the crash message
+}
+
+func (e *limitError) Error() string {
+	if e.kind == ErrInvalidConfig {
+		return fmt.Sprintf("%v: %s needs %.1f KiB shared memory, %s has %d KiB per SM",
+			e.kind, e.oc, e.demand, e.arch, e.smemKB)
+	}
+	return fmt.Sprintf("%v: %s demands %.0f registers/thread on %s (stencil %s)",
+		e.kind, e.oc, e.demand, e.arch, e.stencil)
+}
+
+// Unwrap exposes ErrInvalidConfig or ErrCrash to errors.Is.
+func (e *limitError) Unwrap() error { return e.kind }
+
 // check enforces hard resource limits: shared-memory overflow invalidates
 // the setting, and register demand far beyond the spill ceiling crashes
 // the kernel (the paper's "OC crashes under certain stencils" cases).
-func (res resources) check(arch gpu.Arch, w Workload, oc opt.Opt, p opt.Params) error {
+func (res resources) check(arch gpu.Arch, w Workload, oc opt.Opt) error {
 	if res.smemBytes > float64(arch.SmemPerSMKB)*1024 {
-		return fmt.Errorf("%w: %s needs %.1f KiB shared memory, %s has %d KiB per SM",
-			ErrInvalidConfig, oc, res.smemBytes/1024, arch.Name, arch.SmemPerSMKB)
+		return &limitError{kind: ErrInvalidConfig, oc: oc, demand: res.smemBytes / 1024,
+			arch: arch.Name, smemKB: arch.SmemPerSMKB}
 	}
 	if res.regs > 1.6*float64(arch.MaxRegsPerThread) {
-		return fmt.Errorf("%w: %s demands %.0f registers/thread on %s (stencil %s)",
-			ErrCrash, oc, res.regs, arch.Name, w.S.Name)
+		return &limitError{kind: ErrCrash, oc: oc, demand: res.regs,
+			arch: arch.Name, stencil: w.S.Name}
 	}
 	return nil
 }

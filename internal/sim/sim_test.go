@@ -171,8 +171,9 @@ func TestRetimingRelievesRegisterPressure(t *testing.T) {
 	w := DefaultWorkload(stencil.Box(3, 4))
 	p := stParams()
 	p.StreamDim = 3
-	without := resourceUsage(w, opt.ST, p, v100(t))
-	with := resourceUsage(w, opt.ST|opt.RT, p, v100(t))
+	r := float64(w.S.Order())
+	without := resourceUsage(w, opt.ST, p, v100(t), r)
+	with := resourceUsage(w, opt.ST|opt.RT, p, v100(t), r)
 	if with.regs >= without.regs {
 		t.Errorf("RT regs %.1f >= plain ST regs %.1f", with.regs, without.regs)
 	}

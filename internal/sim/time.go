@@ -124,16 +124,18 @@ func planeLineCount(s stencil.Stencil, streamDim int) int {
 }
 
 // geom is the stencil's footprint geometry, precomputed once per cell by
-// the compiled evaluator (and on the fly by the reference path) so
-// timeBreakdown never rescans the point set per sample. plane is indexed
-// by the 1-based streaming dimension; index 0 is unused.
+// the compiled evaluator (and on the fly by the reference path) so the
+// pricing body never rescans the point set per sample. plane is indexed
+// by the 1-based streaming dimension; index 0 is unused. order is the
+// stencil's order as the float the arithmetic uses.
 type geom struct {
 	line  int
 	plane [4]int
+	order float64
 }
 
 func stencilGeom(s stencil.Stencil) geom {
-	g := geom{line: lineCount(s)}
+	g := geom{line: lineCount(s), order: float64(s.Order())}
 	for d := 1; d <= 3; d++ {
 		g.plane[d] = planeLineCount(s, d)
 	}
@@ -147,7 +149,7 @@ func stencilGeom(s stencil.Stencil) geom {
 func timeBreakdown(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, res resources, occ float64, g geom) breakdown {
 	s := w.S
 	points := w.Points()
-	r := float64(s.Order())
+	r := g.order
 	n := float64(s.NumPoints())
 	tb := 1.0
 	if oc.Has(opt.TB) {

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"stencilmart/internal/gpu"
+	"stencilmart/internal/lazyrand"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/sim"
 )
@@ -46,7 +47,7 @@ func (Random) Tune(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, budg
 	if budget < 1 {
 		return Result{}, fmt.Errorf("tuner: random budget %d < 1", budget)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(lazyrand.NewSource(seed))
 	eval := m.CellFn(w, arch)
 	best := Result{Time: math.Inf(1)}
 	for i := 0; i < budget; i++ {
@@ -118,7 +119,7 @@ func (g Genetic) Tune(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, b
 	if elite >= pop {
 		elite = pop - 1
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(lazyrand.NewSource(seed))
 
 	evals := 0
 	eval := m.CellFn(w, arch)

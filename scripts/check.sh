@@ -28,28 +28,32 @@ go test -shuffle=on ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== alloc gate (f32 lane + sim evaluator) =="
+echo "== alloc gate (f32 lane + sim evaluator + collection sample loop) =="
 # The zero-allocation contracts: compiled tree/network scoring and the
 # arena-backed serving encode path (f32 lane), and the simulator's
 # compiled per-sample evaluation path on both of its branches — pricing
 # a sample on a cell's first lookup (what collection runs) and answering
 # one from a revisited cell's memo (what a repeated request runs), both
-# in TestAllocGateEvaluator. AllocsPerRun is meaningless under
+# in TestAllocGateEvaluator. TestAllocGateProfileOne bounds collection:
+# a sample a hard limit rejects allocates its typed error and nothing
+# else, and a whole cell on a fresh simulator stays under 450
+# allocations. AllocsPerRun is meaningless under
 # -race, so this is a separate plain run. It runs at one proc and at
 # four: the f32 network lane shares its forward pass with the f64 side,
 # which may dispatch to the pool, and a stray workers=0 on the lane
 # allocates only where the pool would really fan out — a single-proc
 # host alone would pass it silently.
 for procs in 1 4; do
-    GOMAXPROCS=$procs go test -count=1 -run AllocGate ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/ ./internal/core/ ./internal/sim/
+    GOMAXPROCS=$procs go test -count=1 -run AllocGate ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/ ./internal/core/ ./internal/sim/ ./internal/profile/
 done
 
 echo "== bench smoke (race) =="
 # One iteration of every kernel/training benchmark under the race
 # detector: proves the GEMM backbone, the nn layers, the histogram
 # tree trainer, and the request coalescer execute their parallel paths
-# cleanly, without paying for a full benchmark run.
-go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/
+# cleanly, without paying for a full benchmark run; lazyrand rides along
+# so its library-vs-lazy benchmark cannot rot.
+go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/
 
 echo "== coalescer Do x Close (race, repeated) =="
 # Every call submitted while the coalescer closes is answered exactly once
