@@ -40,8 +40,10 @@ bench:
 bench-kernels:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/linalg/ ./internal/ml/nn/
 
+# At one proc and at two: a tree fit is serial by design, and one that is
+# slower with a second core (false sharing) should show every time.
 bench-trees:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/ml/tree/
+	$(GO) test -run='^$$' -bench=. -benchmem -cpu 1,2 ./internal/ml/tree/
 
 # f64 reference vs compiled f32 lane, side by side: GEMM, tree
 # ensembles, and network forward passes on serving-sized batches.

@@ -63,23 +63,28 @@ type TrainedRegressor struct {
 }
 
 // dimsInstances returns the regression instances whose stencil has the
-// given dimensionality, subsampled to MaxRegressionInstances.
+// given dimensionality, subsampled to MaxRegressionInstances. It selects
+// by index and copies only the rows it keeps: the default corpus matches
+// some 43,000 instances to keep 6,000.
 func (f *Framework) dimsInstances(dims int) []profile.Instance {
-	var out []profile.Instance
-	for _, in := range f.Dataset.Instances {
-		if f.Dataset.Stencils[in.StencilIdx].Dims == dims {
-			out = append(out, in)
+	all := f.Dataset.Instances
+	var keep []int
+	for i := range all {
+		if f.Dataset.Stencils[all[i].StencilIdx].Dims == dims {
+			keep = append(keep, i)
 		}
 	}
-	limit := f.Cfg.MaxRegressionInstances
-	if limit > 0 && len(out) > limit {
+	if limit := f.Cfg.MaxRegressionInstances; limit > 0 && len(keep) > limit {
 		rng := rand.New(rand.NewSource(f.Cfg.Seed + 31))
-		perm := rng.Perm(len(out))
-		sub := make([]profile.Instance, limit)
-		for i := 0; i < limit; i++ {
-			sub[i] = out[perm[i]]
+		perm := rng.Perm(len(keep))[:limit]
+		for i, p := range perm {
+			perm[i] = keep[p]
 		}
-		out = sub
+		keep = perm
+	}
+	out := make([]profile.Instance, len(keep))
+	for i, at := range keep {
+		out[i] = all[at]
 	}
 	return out
 }

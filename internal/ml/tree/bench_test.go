@@ -56,6 +56,49 @@ func BenchmarkGBRegressorTrain(b *testing.B) {
 			}
 		}
 	})
+	// The product's regime, the opposite of the 12 x 256-bin case above:
+	// the default preset's regression matrix (6,000 x 44, a median of five
+	// bins per column) at its tree shape, cut to 20 rounds so the race
+	// smoke stays quick. Run with -cpu 1,2: a fit must not get slower
+	// when it is given a second core.
+	px, pyv, _ := binnedData(42, 6000, pipelineBins, 2)
+	b.Run("pipeline", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g := NewGBRegressor(BoostConfig{Rounds: 20, Subsample: 0.8, Seed: 7, Tree: TreeConfig{MaxDepth: 7, MinLeaf: 3}})
+			if err := g.FitRegressor(px, pyv); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkHistAccumulate times the histogram pass alone on the
+// pipeline-shaped matrix, per bin update (one row's one feature): a
+// round's root node (a 0.8 subsample in shuffled order) and a deep
+// child's few rows, where the pass is mostly cache misses on codes.
+func BenchmarkHistAccumulate(b *testing.B) {
+	x, yv, _ := binnedData(42, 6000, pipelineBins, 2)
+	hb := newHistBuilder(buildHistIndex(x, maxHistBins), TreeConfig{})
+	hb.y = yv
+	perm := rand.New(rand.NewSource(1)).Perm(len(x))
+	for _, c := range []struct {
+		name string
+		rows int
+	}{{"root", 4800}, {"small-child", 150}} {
+		b.Run(c.name, func(b *testing.B) {
+			seg := make([]int32, c.rows)
+			for i := range seg {
+				seg[i] = int32(perm[i])
+			}
+			nh := hb.alloc()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				hb.accumulate(nh, seg)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.rows*hb.hi.nf), "ns/update")
+		})
+	}
 }
 
 func BenchmarkTreePredictBatch(b *testing.B) {

@@ -11,17 +11,6 @@ import (
 	"stencilmart/internal/par"
 )
 
-// parRowThreshold is the row count below which per-row prediction
-// updates run serially; pool dispatch overhead dominates under it.
-// Either path writes each row's slot independently, so the choice never
-// changes the fitted model.
-const parRowThreshold = 256
-
-// batchChunk is the rows-per-job granularity for parallel batched
-// prediction updates: chunks own disjoint sub-slices of the prediction
-// array.
-const batchChunk = 512
-
 // BoostConfig controls gradient boosting for both the classifier and the
 // regressor.
 type BoostConfig struct {
@@ -64,6 +53,8 @@ func sampleRows(n int, frac float64, rng *rand.Rand) []int {
 // ensembleHistIndex builds the shared histogram index for an ensemble
 // fit, or nil in exact mode. Bins depend only on x — not on gradients or
 // the per-round subsample — so one index serves every round and class.
+// A tree fit itself is serial: an ensemble's parallelism is this binning
+// and, in GBDT, a round's independent class trees.
 func ensembleHistIndex(x [][]float64, cfg TreeConfig) *histIndex {
 	if cfg.Mode != SplitHistogram {
 		return nil
@@ -104,7 +95,7 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 	base /= float64(len(y))
 	g.ens = ensemble[float64]{init: []float64{base}, lr: g.cfg.LearningRate}
 
-	hi := ensembleHistIndex(x, g.cfg.Tree)
+	hb := newHistBuilder(ensembleHistIndex(x, g.cfg.Tree), g.cfg.Tree)
 	pred := make([]float64, len(y))
 	g.ens.scoreInto(x, pred)
 	resid := make([]float64, len(y))
@@ -113,35 +104,14 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 			resid[i] = y[i] - pred[i]
 		}
 		idx := sampleRows(len(y), g.cfg.Subsample, rng)
-		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hi)
+		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hb)
 		if err != nil {
 			return err
 		}
 		g.ens.trees = append(g.ens.trees, t)
-		applyTree(pred, x, &t, g.cfg.LearningRate)
+		t.addTo(x, pred, 1, g.cfg.LearningRate)
 	}
 	return nil
-}
-
-// applyTree adds lr * t(x[i]) to pred[i] for every row, in parallel
-// chunks for large batches. Each chunk owns a disjoint sub-slice of
-// pred, so the result is identical to the serial loop under any
-// GOMAXPROCS.
-func applyTree(pred []float64, x [][]float64, t *nodes[float64], lr float64) {
-	if len(pred) < parRowThreshold {
-		t.addTo(x, pred, 1, lr)
-		return
-	}
-	chunks := (len(pred) + batchChunk - 1) / batchChunk
-	par.ForEach(context.Background(), chunks, 0, func(c int) error {
-		lo := c * batchChunk
-		hi := lo + batchChunk
-		if hi > len(pred) {
-			hi = len(pred)
-		}
-		t.addTo(x[lo:hi], pred[lo:hi], 1, lr)
-		return nil
-	})
 }
 
 // PredictValueBatch implements ml.Regressor: one pass per tree over the
@@ -204,6 +174,13 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 
 	hi := ensembleHistIndex(x, g.cfg.Tree)
 	n := len(x)
+	// Each class slot keeps its builder and gradient buffers for the
+	// whole fit.
+	hbs := make([]*histBuilder, numClasses)
+	for k := range hbs {
+		hbs[k] = newHistBuilder(hi, g.cfg.Tree)
+	}
+	grads, hesses := make([]float64, n*numClasses), make([]float64, n*numClasses)
 	// scores and probs are flat row-major n x numClasses, like every
 	// batch the ensemble scores.
 	scores := make([]float64, n*numClasses)
@@ -222,8 +199,7 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 		// roundTrees slot, and the score update touches only column k, so
 		// the fitted ensemble is identical to the serial class loop.
 		if err := par.ForEach(context.Background(), numClasses, 0, func(k int) error {
-			grad := make([]float64, n)
-			hess := make([]float64, n)
+			grad, hess := grads[k*n:(k+1)*n], hesses[k*n:(k+1)*n]
 			for i := range x {
 				yk := 0.0
 				if y[i] == k {
@@ -233,7 +209,7 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 				grad[i] = (yk - p) * kf
 				hess[i] = p * (1 - p) * kf
 			}
-			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hi)
+			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hbs[k])
 			if err != nil {
 				return err
 			}

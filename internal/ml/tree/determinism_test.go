@@ -3,14 +3,14 @@ package tree
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"stencilmart/internal/testutil"
 )
 
-// synthClassData builds a deterministic multiclass dataset with enough
-// rows to exercise the parallel row-update path.
+// synthClassData builds a deterministic multiclass dataset.
 func synthClassData(rows, cols, classes int) ([][]float64, []int) {
 	rng := rand.New(rand.NewSource(99))
 	x := make([][]float64, rows)
@@ -54,70 +54,55 @@ func TestGBDTDeterministicUnderGOMAXPROCS(t *testing.T) {
 }
 
 // TestGBRegressorDeterministicUnderGOMAXPROCS does the same for the
-// regressor's parallel prediction updates (rows > parRowThreshold).
+// regressor, whose tree fits are serial: the one thing that fans out is
+// the per-feature binning of the shared index, and the fitted state must
+// not depend on how many workers binned it.
 func TestGBRegressorDeterministicUnderGOMAXPROCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	rows := parRowThreshold * 2
-	x := make([][]float64, rows)
-	y := make([]float64, rows)
-	for i := range x {
-		x[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		y[i] = x[i][0]*2 - x[i][1] + 0.1*rng.NormFloat64()
-	}
-	fit := func() []float64 {
+	x, y, _ := binnedData(17, 512, []int{0, 0, 0, 9, 2, 1, 33, 0}, 2)
+	fit := func() string {
 		g := NewGBRegressor(BoostConfig{Rounds: 20, Seed: 9})
 		if err := g.FitRegressor(x, y); err != nil {
 			t.Fatal(err)
 		}
-		return g.PredictValueBatch(x)
+		return stateDigest(t, g.State())
 	}
-	var serial, parallel []float64
+	var serial, parallel string
 	testutil.WithGOMAXPROCS(t, 1, func() { serial = fit() })
-	testutil.WithGOMAXPROCS(t, runtime.NumCPU(), func() { parallel = fit() })
-	for i := range serial {
-		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
-			t.Fatalf("row %d: serial %v != parallel %v", i, serial[i], parallel[i])
-		}
+	testutil.WithGOMAXPROCS(t, 4, func() { parallel = fit() })
+	if serial != parallel {
+		t.Fatalf("fitted state differs: one proc %s, four %s", serial, parallel)
 	}
 }
 
-// TestHistogramFitDeterministicUnderGOMAXPROCS targets the tree-level
-// parallelism directly: the dataset is large enough that binning,
-// histogram accumulation, and the split scan all cross their parallel
-// gates (rows*features >= histParallelMin and total bins >=
-// histParallelMin/4), and the fitted tree's predictions must be bitwise
-// identical between one proc and all of them.
+// TestHistogramFitDeterministicUnderGOMAXPROCS targets a single tree fit:
+// binning sorts features on the pool into per-feature columns and
+// transposes them afterwards, so the index — codes, bin counts,
+// thresholds — and the tree grown on it with real hessians must be
+// bitwise identical between one proc and four.
 func TestHistogramFitDeterministicUnderGOMAXPROCS(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const rows, cols = 1000, 12
-	x := make([][]float64, rows)
+	x := randMatrix(23, rows, cols)
 	y := make([]float64, rows)
 	h := make([]float64, rows)
 	for i := range x {
-		x[i] = make([]float64, cols)
-		for j := range x[i] {
-			x[i][j] = rng.NormFloat64()
-		}
 		y[i] = x[i][0] - x[i][1]*x[i][2] + 0.1*rng.NormFloat64()
 		h[i] = 0.5 + rng.Float64()
 	}
-	if rows*cols < histParallelMin {
-		t.Fatalf("dataset too small to cross the parallel gate: %d < %d", rows*cols, histParallelMin)
-	}
-	idx := make([]int, 0, rows)
-	for i := 0; i < rows; i++ {
-		idx = append(idx, i)
-	}
-	fit := func() []float64 {
-		tr, err := FitTree(x, y, h, idx, TreeConfig{MaxDepth: 7, MinLeaf: 2})
+	fit := func() (*histIndex, []float64) {
+		tr, err := FitTree(x, y, h, allIdx(rows), TreeConfig{MaxDepth: 7, MinLeaf: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tr.PredictBatch(x, nil)
+		return buildHistIndex(x, maxHistBins), tr.PredictBatch(x, nil)
 	}
+	var serialHI, parallelHI *histIndex
 	var serial, parallel []float64
-	testutil.WithGOMAXPROCS(t, 1, func() { serial = fit() })
-	testutil.WithGOMAXPROCS(t, runtime.NumCPU(), func() { parallel = fit() })
+	testutil.WithGOMAXPROCS(t, 1, func() { serialHI, serial = fit() })
+	testutil.WithGOMAXPROCS(t, 4, func() { parallelHI, parallel = fit() })
+	if !reflect.DeepEqual(serialHI, parallelHI) {
+		t.Fatal("histogram index differs between one proc and four")
+	}
 	for i := range serial {
 		if math.Float64bits(serial[i]) != math.Float64bits(parallel[i]) {
 			t.Fatalf("row %d: serial %v != parallel %v", i, serial[i], parallel[i])

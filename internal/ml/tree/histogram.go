@@ -3,17 +3,11 @@ package tree
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"stencilmart/internal/par"
 )
-
-// histParallelMin is the work floor (rows x features touched) below
-// which histogram building runs serially; pool dispatch overhead
-// dominates under it. Either path accumulates each feature's bins in row
-// order and reduces split candidates in ascending feature order, so the
-// threshold never changes the fitted tree — only how fast it fits.
-const histParallelMin = 1 << 13
 
 // histIndex is the per-fit binned form of a feature matrix: every
 // (row, feature) cell quantized to a uint8 quantile-bin code, plus the
@@ -23,28 +17,33 @@ const histParallelMin = 1 << 13
 // depends only on x, so a boosting ensemble builds it once and shares it
 // across every round and class.
 type histIndex struct {
-	n, nf   int
+	nf      int         // features per row
 	nbins   []int       // bins per feature (<= maxHistBins)
 	offsets []int       // histogram offset per feature (prefix sums of nbins)
 	total   int         // sum of nbins
 	thr     [][]float64 // thr[f][b]: threshold separating bin b from b+1
-	codes   []uint8     // column-major: codes[f*n+i] is row i's bin on feature f
+	// codes is row-major, codes[i*nf+f] being row i's bin on feature f: a
+	// node's histogram is built a row at a time (accumulate), and a row's
+	// nf codes are then one contiguous read.
+	codes []uint8
 }
 
 // buildHistIndex bins every feature of x into at most maxBins quantile
-// bins. Features bin independently (each owns its codes column and thr
-// slice), so large matrices fan the per-feature sorts out on the shared
-// pool without affecting the result.
+// bins. Features bin independently — a sort each — so they fan out on
+// the shared pool without affecting the result; each worker writes its
+// own contiguous column, and the row-major transpose happens afterwards
+// on one goroutine, so workers never interleave bytes of a cache line.
 func buildHistIndex(x [][]float64, maxBins int) *histIndex {
 	n, nf := len(x), len(x[0])
 	hi := &histIndex{
-		n: n, nf: nf,
+		nf:      nf,
 		nbins:   make([]int, nf),
 		offsets: make([]int, nf),
 		thr:     make([][]float64, nf),
 		codes:   make([]uint8, n*nf),
 	}
-	bin := func(f int) {
+	cols := make([]uint8, n*nf)
+	par.ForEach(context.Background(), nf, 0, func(f int) error {
 		col := make([]float64, n)
 		for i, row := range x {
 			col[i] = row[f]
@@ -53,21 +52,18 @@ func buildHistIndex(x [][]float64, maxBins int) *histIndex {
 		uppers, thr := binEdges(col, maxBins)
 		hi.nbins[f] = len(uppers)
 		hi.thr[f] = thr
-		codes := hi.codes[f*n : (f+1)*n]
+		codes := cols[f*n : (f+1)*n]
 		for i, row := range x {
 			codes[i] = uint8(sort.SearchFloat64s(uppers, row[f]))
 		}
-	}
-	if n*nf >= histParallelMin {
-		par.ForEach(context.Background(), nf, 0, func(f int) error { bin(f); return nil })
-	} else {
-		for f := 0; f < nf; f++ {
-			bin(f)
-		}
-	}
+		return nil
+	})
 	for f := 0; f < nf; f++ {
 		hi.offsets[f] = hi.total
 		hi.total += hi.nbins[f]
+		for i, c := range cols[f*n : (f+1)*n] {
+			hi.codes[i*nf+f] = c
+		}
 	}
 	return hi
 }
@@ -78,8 +74,8 @@ func buildHistIndex(x [][]float64, maxBins int) *histIndex {
 // exactly the boundaries exact greedy would. Otherwise bins cut at
 // equal-population quantiles, deduplicated so a heavily repeated value
 // occupies a single bin. Thresholds sit midway between a bin's upper
-// bound and the next value actually present, mirroring exact greedy's
-// between-values cuts.
+// bound and the next value actually present (midpoint), mirroring exact
+// greedy's between-values cuts.
 func binEdges(col []float64, maxBins int) (uppers, thr []float64) {
 	n := len(col)
 	distinct := 1
@@ -111,90 +107,96 @@ func binEdges(col []float64, maxBins int) (uppers, thr []float64) {
 	thr = make([]float64, len(uppers)-1)
 	for b := range thr {
 		next := col[sort.SearchFloat64s(col, math.Nextafter(uppers[b], math.Inf(1)))]
-		thr[b] = (uppers[b] + next) / 2
+		thr[b] = midpoint(uppers[b], next)
 	}
 	return uppers, thr
 }
 
-// nodeHist is one node's per-(feature, bin) gradient/hessian/count
-// histogram, flat across features at histIndex offsets. Released
-// histograms chain through next for reuse by later nodes, so a whole
-// tree allocates only as many histograms as its deepest
-// parent-plus-sibling chain.
-type nodeHist struct {
-	g, h []float64
-	cnt  []int32
-	next *nodeHist
+// histBin is one (feature, bin) cell of a node's histogram: gradient
+// sum, hessian sum and row count side by side, so an update touches one
+// cache line. With unit hessians (h == nil: every regression fit) the
+// hessian sum is the row count, and accumulate leaves h at zero; read it
+// through histBuilder.hess.
+type histBin struct {
+	g, h float64
+	cnt  int32
 }
+
+// nodeHist is one node's histogram, flat across features at histIndex
+// offsets.
+type nodeHist []histBin
 
 // subtract turns nh into (nh - o) elementwise — the sibling-subtraction
 // trick: a child's histogram is its parent's minus its sibling's.
-func (nh *nodeHist) subtract(o *nodeHist) {
-	for i := range nh.g {
-		nh.g[i] -= o.g[i]
-		nh.h[i] -= o.h[i]
-		nh.cnt[i] -= o.cnt[i]
+func (nh nodeHist) subtract(o nodeHist) {
+	for i := range nh {
+		nh[i].g -= o[i].g
+		nh[i].h -= o[i].h
+		nh[i].cnt -= o[i].cnt
 	}
 }
 
-// histCand is one feature's best split candidate within a node.
-type histCand struct {
-	gain float64
-	bin  int
-	ok   bool
-}
-
-// histBuilder grows one tree on a prebuilt histIndex. The node's row set
-// lives in rows, partitioned in place per node with scratch staging the
-// right-going rows — the same reusable-segment scheme as exactBuilder,
-// so no per-node index slices are grown.
+// histBuilder grows trees on a prebuilt histIndex, one at a time; an
+// ensemble fit keeps one for all its rounds (one per class slot in GBDT),
+// so a tree allocates nothing beyond the columns fit returns. The
+// node's row set lives in rows, partitioned in place per node with
+// scratch staging the right-going rows — the same reusable-segment scheme
+// as exactBuilder. Released histograms stack up in free for later nodes,
+// so a fit allocates only as many as its deepest parent-plus-sibling
+// chain.
 type histBuilder struct {
 	hi      *histIndex
-	y, h    []float64
 	cfg     TreeConfig
+	y, h    []float64
 	rows    []int32
 	scratch []int32
-	cand    []histCand
-	pool    *nodeHist
+	free    []nodeHist
 	out     nodes[float64]
 }
 
-// fitHistogram grows a tree over the idx rows using histogram splits.
-func fitHistogram(hi *histIndex, y, h []float64, idx []int, cfg TreeConfig) nodes[float64] {
-	hb := &histBuilder{
-		hi: hi, y: y, h: h, cfg: cfg,
-		rows:    make([]int32, len(idx)),
-		scratch: make([]int32, 0, len(idx)),
-		cand:    make([]histCand, hi.nf),
+// newHistBuilder returns a builder over hi, or nil for a nil index (an
+// exact-mode ensemble has neither).
+func newHistBuilder(hi *histIndex, cfg TreeConfig) *histBuilder {
+	if hi == nil {
+		return nil
 	}
-	for i, v := range idx {
-		hb.rows[i] = int32(v)
-	}
-	hb.build(0, len(idx), 0, nil)
-	return hb.out
+	return &histBuilder{hi: hi, cfg: cfg}
 }
 
-func (hb *histBuilder) alloc() *nodeHist {
-	if nh := hb.pool; nh != nil {
-		hb.pool = nh.next
-		for i := range nh.g {
-			nh.g[i], nh.h[i], nh.cnt[i] = 0, 0, 0
-		}
+// fit grows a tree over the idx rows using histogram splits. The tree is
+// built in the builder's own columns and returned as an exact-size copy.
+func (hb *histBuilder) fit(y, h []float64, idx []int) nodes[float64] {
+	hb.y, hb.h = y, h
+	hb.rows = hb.rows[:0]
+	for _, v := range idx {
+		hb.rows = append(hb.rows, int32(v))
+	}
+	if cap(hb.scratch) < len(idx) {
+		hb.scratch = make([]int32, len(idx))
+	}
+	o := &hb.out
+	o.feature, o.left, o.right, o.thr, o.value, o.gain = o.feature[:0], o.left[:0], o.right[:0], o.thr[:0], o.value[:0], o.gain[:0]
+	hb.build(0, len(idx), 0, nil)
+	return nodes[float64]{
+		feature: slices.Clone(o.feature), left: slices.Clone(o.left), right: slices.Clone(o.right),
+		thr: slices.Clone(o.thr), value: slices.Clone(o.value), gain: slices.Clone(o.gain),
+	}
+}
+
+func (hb *histBuilder) alloc() nodeHist {
+	if n := len(hb.free); n > 0 {
+		nh := hb.free[n-1]
+		hb.free = hb.free[:n-1]
+		clear(nh)
 		return nh
 	}
-	return &nodeHist{
-		g:   make([]float64, hb.hi.total),
-		h:   make([]float64, hb.hi.total),
-		cnt: make([]int32, hb.hi.total),
-	}
+	return make(nodeHist, hb.hi.total)
 }
 
-func (hb *histBuilder) release(nh *nodeHist) {
-	if nh == nil {
-		return
+func (hb *histBuilder) release(nh nodeHist) {
+	if nh != nil {
+		hb.free = append(hb.free, nh)
 	}
-	nh.next = hb.pool
-	hb.pool = nh
 }
 
 func (hb *histBuilder) leafValue(seg []int32) float64 {
@@ -210,88 +212,77 @@ func (hb *histBuilder) leafValue(seg []int32) float64 {
 	return sg / (sh + 1e-9)
 }
 
-// accumulate fills nh with seg's per-bin gradient/hessian/count sums.
-// Each feature owns the disjoint [offsets[f], offsets[f]+nbins[f])
-// region and accumulates rows in seg order, so fanning features out on
-// the pool is bitwise identical to the serial loop at any GOMAXPROCS.
-func (hb *histBuilder) accumulate(nh *nodeHist, seg []int32) {
-	if len(seg)*hb.hi.nf >= histParallelMin {
-		par.ForEach(context.Background(), hb.hi.nf, 0, func(f int) error {
-			hb.accumFeature(nh, seg, f)
-			return nil
-		})
-		return
-	}
-	for f := 0; f < hb.hi.nf; f++ {
-		hb.accumFeature(nh, seg, f)
+// accumulate adds seg's rows into nh, one row at a time: the row's
+// gradient is loaded once and added into one cell per feature — nf
+// independent read-modify-writes, where a feature-at-a-time loop over
+// few-bin columns chains every update behind the previous one's store.
+// Each cell still sums its rows in seg order, so the histogram is bit
+// for bit the column-wise one. One goroutine builds it: features' cell
+// regions are a few dozen bytes and share cache lines, so fanning them
+// out made a fit slower on two cores than on one.
+func (hb *histBuilder) accumulate(nh nodeHist, seg []int32) {
+	offsets := hb.hi.offsets
+	nf := len(offsets)
+	for _, i := range seg {
+		codes := hb.hi.codes[int(i)*nf:][:nf]
+		y := hb.y[i]
+		if hb.h == nil {
+			for f, off := range offsets {
+				cell := &nh[off+int(codes[f])]
+				cell.g += y
+				cell.cnt++
+			}
+			continue
+		}
+		h := hb.h[i]
+		for f, off := range offsets {
+			cell := &nh[off+int(codes[f])]
+			cell.g += y
+			cell.h += h
+			cell.cnt++
+		}
 	}
 }
 
-func (hb *histBuilder) accumFeature(nh *nodeHist, seg []int32, f int) {
-	off := hb.hi.offsets[f]
-	codes := hb.hi.codes[f*hb.hi.n : (f+1)*hb.hi.n]
-	if hb.h != nil {
-		for _, i := range seg {
-			b := off + int(codes[i])
-			nh.g[b] += hb.y[i]
-			nh.h[b] += hb.h[i]
-			nh.cnt[b]++
-		}
-	} else {
-		for _, i := range seg {
-			b := off + int(codes[i])
-			nh.g[b] += hb.y[i]
-			nh.h[b]++
-			nh.cnt[b]++
-		}
+// hess is a cell's hessian sum. Unit hessians sum to the row count
+// exactly (integers far below 2^53, through sibling subtraction too).
+func (hb *histBuilder) hess(c *histBin) float64 {
+	if hb.h == nil {
+		return float64(c.cnt)
 	}
+	return c.h
 }
 
 // bestSplit scans every feature's histogram for the gain-maximizing bin
-// boundary. Features scan independently into their own cand slot and a
-// serial ascending-feature reduction picks the winner (strict >, so ties
-// break to the lowest feature and bin), making the chosen split a pure
-// function of the histogram regardless of worker count.
-func (hb *histBuilder) bestSplit(nh *nodeHist, nRows int) (feat, bin int, thr, gain float64, ok bool) {
+// boundary, features and bins ascending; strict > breaks ties to the
+// lowest feature and bin.
+func (hb *histBuilder) bestSplit(nh nodeHist, nRows int) (feat, bin int, thr, gain float64, ok bool) {
 	var totG, totH float64
-	off0 := hb.hi.offsets[0]
-	for b := 0; b < hb.hi.nbins[0]; b++ {
-		totG += nh.g[off0+b]
-		totH += nh.h[off0+b]
+	for b := range nh[:hb.hi.nbins[0]] {
+		totG += nh[b].g
+		totH += hb.hess(&nh[b])
 	}
 	parent := gainTerm(totG, totH)
-	scan := func(f int) {
-		off, nb := hb.hi.offsets[f], hb.hi.nbins[f]
-		c := histCand{gain: 1e-12}
+	gain = 1e-12
+	for f, off := range hb.hi.offsets {
 		var lg, lh float64
 		ln := 0
-		for b := 0; b < nb-1; b++ {
-			lg += nh.g[off+b]
-			lh += nh.h[off+b]
-			ln += int(nh.cnt[off+b])
+		cells := nh[off : off+hb.hi.nbins[f]-1] // the last bin has no boundary after it
+		for b := range cells {
+			c := &cells[b]
+			lg += c.g
+			lh += hb.hess(c)
+			ln += int(c.cnt)
 			// An empty bin repeats the previous boundary's partition.
-			if nh.cnt[off+b] == 0 {
+			if c.cnt == 0 {
 				continue
 			}
 			if ln < hb.cfg.MinLeaf || nRows-ln < hb.cfg.MinLeaf {
 				continue
 			}
-			if g := gainTerm(lg, lh) + gainTerm(totG-lg, totH-lh) - parent; g > c.gain {
-				c.gain, c.bin, c.ok = g, b, true
+			if g := gainTerm(lg, lh) + gainTerm(totG-lg, totH-lh) - parent; g > gain {
+				feat, bin, gain, ok = f, b, g, true
 			}
-		}
-		hb.cand[f] = c
-	}
-	if hb.hi.total >= histParallelMin/4 {
-		par.ForEach(context.Background(), hb.hi.nf, 0, func(f int) error { scan(f); return nil })
-	} else {
-		for f := 0; f < hb.hi.nf; f++ {
-			scan(f)
-		}
-	}
-	for f, c := range hb.cand {
-		if c.ok && (!ok || c.gain > gain) {
-			feat, bin, gain, ok = f, c.bin, c.gain, true
 		}
 	}
 	if ok {
@@ -304,25 +295,29 @@ func (hb *histBuilder) bestSplit(nh *nodeHist, nRows int) (feat, bin int, thr, g
 // codes <= bin compact to the front in place, the rest stage through
 // scratch. Stability keeps child row order equal to parent row order,
 // which is what makes every downstream accumulation order-deterministic.
+// Which side a row takes is close to a coin flip, so the loop stores the
+// row on both sides and advances one of them rather than branch on it.
 func (hb *histBuilder) partition(lo, hi, feat, bin int) int {
-	codes := hb.hi.codes[feat*hb.hi.n : (feat+1)*hb.hi.n]
-	left := hb.rows[lo:lo]
-	rest := hb.scratch[:0]
-	for _, i := range hb.rows[lo:hi] {
-		if int(codes[i]) <= bin {
-			left = append(left, i)
-		} else {
-			rest = append(rest, i)
+	nf := hb.hi.nf
+	seg := hb.rows[lo:hi]
+	rest := hb.scratch[:len(seg)]
+	nl, nr := 0, 0
+	for _, i := range seg {
+		seg[nl], rest[nr] = i, i
+		right := 0
+		if int(hb.hi.codes[int(i)*nf+feat]) > bin {
+			right = 1
 		}
+		nl += 1 - right
+		nr += right
 	}
-	hb.scratch = rest
-	copy(hb.rows[lo+len(left):hi], rest)
-	return lo + len(left)
+	copy(seg[nl:], rest[:nr])
+	return lo + nl
 }
 
 // build appends the subtree over rows[lo:hi] in preorder and returns its
 // root's index.
-func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) int32 {
+func (hb *histBuilder) build(lo, hi, depth int, nh nodeHist) int32 {
 	seg := hb.rows[lo:hi]
 	if depth >= hb.cfg.MaxDepth || len(seg) < 2*hb.cfg.MinLeaf {
 		hb.release(nh)
@@ -340,7 +335,7 @@ func (hb *histBuilder) build(lo, hi, depth int, nh *nodeHist) int32 {
 	mid := hb.partition(lo, hi, feat, bin)
 	needL := depth+1 < hb.cfg.MaxDepth && mid-lo >= 2*hb.cfg.MinLeaf
 	needR := depth+1 < hb.cfg.MaxDepth && hi-mid >= 2*hb.cfg.MinLeaf
-	var lh, rh *nodeHist
+	var lh, rh nodeHist
 	if needL || needR {
 		// Sibling subtraction: accumulate the smaller child directly and
 		// derive the larger as parent − smaller, reusing the parent's

@@ -81,8 +81,8 @@ func TestBuildHistIndexProperties(t *testing.T) {
 	x := randMatrix(41, 600, 5)
 	const maxBins = 32
 	hi := buildHistIndex(x, maxBins)
-	if hi.n != 600 || hi.nf != 5 {
-		t.Fatalf("index shape %dx%d", hi.n, hi.nf)
+	if len(hi.codes) != 600*5 || hi.nf != 5 {
+		t.Fatalf("index holds %d codes in rows of %d, want 600 rows of 5", len(hi.codes), hi.nf)
 	}
 	for f := 0; f < hi.nf; f++ {
 		if hi.nbins[f] < 1 || hi.nbins[f] > maxBins {
@@ -94,8 +94,8 @@ func TestBuildHistIndexProperties(t *testing.T) {
 		if !sort.Float64sAreSorted(hi.thr[f]) {
 			t.Errorf("feature %d thresholds not ascending", f)
 		}
-		codes := hi.codes[f*hi.n : (f+1)*hi.n]
-		for i, c := range codes {
+		for i := range x {
+			c := hi.codes[i*hi.nf+f]
 			if int(c) >= hi.nbins[f] {
 				t.Fatalf("feature %d row %d: code %d out of %d bins", f, i, c, hi.nbins[f])
 			}
@@ -116,6 +116,52 @@ func TestBuildHistIndexConstantFeature(t *testing.T) {
 	hi := buildHistIndex(x, 8)
 	if hi.nbins[1] != 1 || len(hi.thr[1]) != 0 {
 		t.Errorf("constant feature: %d bins, %d thresholds", hi.nbins[1], len(hi.thr[1]))
+	}
+}
+
+// TestSplitBetweenAdjacentDoubles: the midpoint of two neighbouring
+// doubles whose lower one has an odd mantissa rounds onto the upper one,
+// and a threshold equal to the upper value sends its rows left at predict
+// time after training put them right. Thresholds must stay below the next
+// value, so every training row descends to the leaf it was counted in.
+func TestSplitBetweenAdjacentDoubles(t *testing.T) {
+	a := math.Nextafter(1, 2)
+	b := math.Nextafter(a, 2)
+	if (a+b)/2 != b {
+		t.Fatalf("(a+b)/2 = %v does not round onto b = %v: the case is gone", (a+b)/2, b)
+	}
+	var x [][]float64
+	var y []float64
+	for i := 0; i < 8; i++ {
+		x, y = append(x, []float64{a}, []float64{b}), append(y, 0, 10)
+	}
+	for _, mode := range []SplitMode{SplitHistogram, SplitExact} {
+		tr, err := FitTree(x, y, nil, allIdx(len(x)), TreeConfig{MaxDepth: 3, Mode: mode})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, leaves := shape(tr.Flatten(), 0); leaves != 2 {
+			t.Errorf("%s: %d leaves for a two-valued column, want 2", mode, leaves)
+		}
+		for i, p := range tr.PredictBatch(x, nil) {
+			if math.Abs(p-y[i]) > 1e-6 {
+				t.Errorf("%s: training row %d (x=%v) predicts %v, its leaf learned %v", mode, i, x[i][0], p, y[i])
+			}
+		}
+	}
+
+	vals := []float64{1}
+	for len(vals) < 40 {
+		vals = append(vals, math.Nextafter(vals[len(vals)-1], 2))
+	}
+	col := make([][]float64, len(vals))
+	for i, v := range vals {
+		col[i] = []float64{v}
+	}
+	for b, thr := range buildHistIndex(col, maxHistBins).thr[0] {
+		if thr < vals[b] || thr >= vals[b+1] {
+			t.Errorf("thr[%d] = %v outside [%v, %v)", b, thr, vals[b], vals[b+1])
+		}
 	}
 }
 

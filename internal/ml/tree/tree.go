@@ -143,10 +143,11 @@ func FitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig) (*Tree, e
 }
 
 // fitTree is the unvalidated core of FitTree: cfg must be normalized and
-// x/y/h finite. The ensembles validate once up front and pass a prebuilt
-// histogram index so the per-feature binning sort is paid once per
-// ensemble fit instead of once per tree.
-func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hi *histIndex) (nodes[float64], error) {
+// x/y/h finite. The ensembles validate once up front and pass the
+// histogram builder they keep for the whole fit, so the per-feature
+// binning sort and the builder's buffers are paid once per ensemble fit
+// instead of once per tree.
+func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hb *histBuilder) (nodes[float64], error) {
 	if len(x) == 0 || len(y) != len(x) {
 		return nodes[float64]{}, fmt.Errorf("tree: %d rows, %d targets", len(x), len(y))
 	}
@@ -157,10 +158,10 @@ func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hi *histI
 		return nodes[float64]{}, fmt.Errorf("tree: empty index set")
 	}
 	if cfg.Mode == SplitHistogram {
-		if hi == nil {
-			hi = buildHistIndex(x, cfg.MaxBins)
+		if hb == nil {
+			hb = newHistBuilder(buildHistIndex(x, cfg.MaxBins), cfg)
 		}
-		return fitHistogram(hi, y, h, idx, cfg), nil
+		return hb.fit(y, h, idx), nil
 	}
 	b := &exactBuilder{x: x, y: y, h: h, cfg: cfg}
 	return b.fit(idx), nil
@@ -206,6 +207,17 @@ func (b *exactBuilder) leafValue(seg []int) float64 {
 
 // impurity is the weighted sum of squares proxy: -(sum g)^2 / sum h.
 func gainTerm(sg, sh float64) float64 { return sg * sg / (sh + 1e-9) }
+
+// midpoint is the split threshold between two neighbouring values of a
+// feature, lo < next: halfway, unless they are so close that the sum
+// rounds onto next. Rows equal to next train right of the split but
+// would then descend left of it (`<=`), so lo itself separates them.
+func midpoint(lo, next float64) float64 {
+	if m := (lo + next) / 2; m < next {
+		return m
+	}
+	return lo
+}
 
 // build appends the subtree over rows[lo:hi] in preorder and returns its
 // root's index.
@@ -275,7 +287,7 @@ func (b *exactBuilder) bestSplit(seg []int) (feat int, thr, gain float64, ok boo
 			if g > gain {
 				gain = g
 				feat = f
-				thr = (b.x[order[k]][f] + b.x[order[k+1]][f]) / 2
+				thr = midpoint(b.x[order[k]][f], b.x[order[k+1]][f])
 				ok = true
 			}
 		}
