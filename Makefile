@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes fuzz fuzz-smoke
+.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,12 @@ bench-trees:
 # ensembles, and network forward passes on serving-sized batches.
 bench-lanes:
 	$(GO) test -run='^$$' -bench='BenchmarkLane' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
+
+# Checkpoint save and load of the default preset's tree framework (time,
+# MB/s of file, bytes and allocations per operation) and the four column
+# loops under them (MB/s of decoded elements).
+bench-ckpt:
+	$(GO) test -run='^$$' -bench='Checkpoint|Columns' -benchmem ./internal/persist/ ./internal/core/
 
 fuzz:
 	$(GO) test ./internal/profile/ -fuzz FuzzDatasetRoundTrip -fuzztime 30s

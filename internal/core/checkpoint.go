@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"stencilmart/internal/merge"
@@ -15,14 +16,18 @@ import (
 )
 
 // CheckpointKind and CheckpointVersion frame the framework checkpoint in
-// the persist envelope. Version bumps whenever the payload schema below
-// changes incompatibly (see the persist package's versioning policy).
-// Version 2 is the framed envelope with the dataset's instances and every
-// tree's nodes stored as columns; version-1 files are refused, not
-// migrated (retrain, or rebuild the dataset from its journal).
+// the persist envelope. Version bumps whenever the manifest below or the
+// order of the columns changes incompatibly (see the persist package's
+// versioning policy). Version 3 keeps names, shapes and configuration in
+// a JSON manifest and every bulk number — the dataset's results and
+// instances, tree nodes, network weights — in the frame's binary column
+// section, written and read in one fixed order: dataset, then each
+// classifier, then each regressor, as the manifest lists them. Files of
+// versions 1 and 2 are refused from their header, not migrated (retrain
+// from the dataset file, or rebuild that from its journal).
 const (
 	CheckpointKind    = "stencilmart-framework"
-	CheckpointVersion = 2
+	CheckpointVersion = 3
 )
 
 // ParseClassifierKind resolves a mechanism name (GBDT, ConvNet, FcNet).
@@ -45,16 +50,14 @@ func ParseRegressorKind(name string) (RegressorKind, error) {
 	return 0, fmt.Errorf("core: unknown regressor %q (GBRegressor, MLP, ConvMLP)", name)
 }
 
-// savedModel is the tagged union of serialized model states. Exactly one
-// branch is set, named by Kind.
+// savedModel is the manifest entry of one model. Kind names what its
+// columns hold: "gbdt" or "gbreg", a tree ensemble whose manifest half is
+// Ensemble, or "nn", weight blocks alone — the architecture is rebuilt
+// deterministically from Config, so the checkpoint stays free of
+// layer-graph encodings.
 type savedModel struct {
-	Kind  string                 `json:"kind"` // "gbdt", "gbreg", or "nn"
-	GBDT  *tree.GBDTState        `json:"gbdt,omitempty"`
-	GBReg *tree.GBRegressorState `json:"gbreg,omitempty"`
-	// NN holds the flat weight blocks of a network model; the
-	// architecture itself is rebuilt deterministically from Config, so
-	// the checkpoint stays free of layer-graph encodings.
-	NN [][]float64 `json:"nn,omitempty"`
+	Kind     string              `json:"kind"`
+	Ensemble *tree.EnsembleState `json:"ensemble,omitempty"`
 }
 
 type savedClassifier struct {
@@ -81,10 +84,10 @@ type schemaEntry struct {
 	RegWidth   int `json:"reg_width"`
 }
 
-// checkpointPayload is the version-2 framework checkpoint schema.
-type checkpointPayload struct {
+// checkpointManifest is the JSON half of the version-3 checkpoint.
+type checkpointManifest struct {
 	Config         Config            `json:"config"`
-	Dataset        profile.Wire      `json:"dataset"`
+	Dataset        profile.Corpus    `json:"dataset"`
 	Grouping       merge.Grouping    `json:"grouping"`
 	Schema         []schemaEntry     `json:"schema"`
 	ClassifierKind string            `json:"classifier_kind"`
@@ -103,27 +106,30 @@ func (f *Framework) featureSchema(ck ClassifierKind, rk RegressorKind) []schemaE
 	return out
 }
 
-// snapshotClassifier serializes one fitted classifier.
-func snapshotClassifier(cls ml.Classifier) (savedModel, error) {
+// snapshotClassifier appends one fitted classifier's columns to cols and
+// returns its manifest entry.
+func snapshotClassifier(cls ml.Classifier, cols *persist.Columns) (savedModel, error) {
 	switch m := cls.(type) {
 	case *tree.GBDT:
-		st := m.State()
-		return savedModel{Kind: "gbdt", GBDT: &st}, nil
+		st := m.Snapshot(cols)
+		return savedModel{Kind: "gbdt", Ensemble: &st}, nil
 	case *nn.Classifier:
-		return savedModel{Kind: "nn", NN: m.Net.WeightSnapshot()}, nil
+		m.Net.AppendWeights(cols)
+		return savedModel{Kind: "nn"}, nil
 	default:
 		return savedModel{}, fmt.Errorf("core: classifier %T cannot be serialized", cls)
 	}
 }
 
-// snapshotRegressor serializes one fitted regressor model.
-func snapshotRegressor(reg ml.Regressor) (savedModel, error) {
+// snapshotRegressor does the same for one fitted regressor model.
+func snapshotRegressor(reg ml.Regressor, cols *persist.Columns) (savedModel, error) {
 	switch m := reg.(type) {
 	case *tree.GBRegressor:
-		st := m.State()
-		return savedModel{Kind: "gbreg", GBReg: &st}, nil
+		st := m.Snapshot(cols)
+		return savedModel{Kind: "gbreg", Ensemble: &st}, nil
 	case *nn.Regressor:
-		return savedModel{Kind: "nn", NN: m.Net.WeightSnapshot()}, nil
+		m.Net.AppendWeights(cols)
+		return savedModel{Kind: "nn"}, nil
 	default:
 		return savedModel{}, fmt.Errorf("core: regressor %T cannot be serialized", reg)
 	}
@@ -139,14 +145,17 @@ func (f *Framework) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	payload := checkpointPayload{
+	wire := f.Dataset.Wire()
+	manifest := checkpointManifest{
 		Config:         f.Cfg,
-		Dataset:        f.Dataset.Wire(),
+		Dataset:        wire.Corpus,
 		Grouping:       f.Grouping,
 		Schema:         f.featureSchema(tr.ClassifierKind, tr.RegressorKind),
 		ClassifierKind: tr.ClassifierKind.String(),
 		RegressorKind:  tr.RegressorKind.String(),
 	}
+	var cols persist.Columns
+	wire.AppendColumns(&cols)
 	// Serialize in deterministic order: dataset arch order, dims ascending.
 	for _, a := range f.Dataset.Archs {
 		for _, d := range f.trainDims() {
@@ -154,11 +163,11 @@ func (f *Framework) Save(w io.Writer) error {
 			if !ok {
 				return fmt.Errorf("core: trained set missing %d-D classifier for %s", d, a.Name)
 			}
-			sm, err := snapshotClassifier(cls)
+			sm, err := snapshotClassifier(cls, &cols)
 			if err != nil {
 				return err
 			}
-			payload.Classifiers = append(payload.Classifiers, savedClassifier{Arch: a.Name, Dims: d, Model: sm})
+			manifest.Classifiers = append(manifest.Classifiers, savedClassifier{Arch: a.Name, Dims: d, Model: sm})
 		}
 	}
 	for _, d := range f.trainDims() {
@@ -166,11 +175,11 @@ func (f *Framework) Save(w io.Writer) error {
 		if !ok {
 			return fmt.Errorf("core: trained set missing %d-D regressor", d)
 		}
-		sm, err := snapshotRegressor(reg.model)
+		sm, err := snapshotRegressor(reg.model, &cols)
 		if err != nil {
 			return err
 		}
-		payload.Regressors = append(payload.Regressors, savedRegressor{
+		manifest.Regressors = append(manifest.Regressors, savedRegressor{
 			Dims:   d,
 			XScale: reg.xScale.scale,
 			YMean:  reg.yScale.mean,
@@ -178,22 +187,23 @@ func (f *Framework) Save(w io.Writer) error {
 			Model:  sm,
 		})
 	}
-	return persist.Write(w, CheckpointKind, CheckpointVersion, payload)
+	return persist.Write(w, CheckpointKind, CheckpointVersion, manifest, &cols)
 }
 
 // SaveFile checkpoints the framework to a file atomically.
 func (f *Framework) SaveFile(path string) error { return persist.WriteFile(path, f.Save) }
 
-// restoreClassifier rehydrates one classifier, validating that the stored
-// model matches the declared mechanism, the grouping's class count and
-// the schema's row width.
-func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier, classWidth int) (ml.Classifier, error) {
+// restoreClassifier rehydrates one classifier from its manifest entry and
+// the next columns of cols, validating that the stored model matches the
+// declared mechanism, the grouping's class count and the schema's row
+// width.
+func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier, classWidth int, cols *persist.Columns) (ml.Classifier, error) {
 	classes := f.Grouping.NumClasses()
 	if ck == ClassGBDT {
-		if sc.Model.Kind != "gbdt" || sc.Model.GBDT == nil {
+		if sc.Model.Kind != "gbdt" || sc.Model.Ensemble == nil {
 			return nil, fmt.Errorf("core: %s/%d-D classifier holds %q state, want gbdt", sc.Arch, sc.Dims, sc.Model.Kind)
 		}
-		g, err := tree.GBDTFromState(*sc.Model.GBDT, classWidth)
+		g, err := tree.GBDTFromSnapshot(*sc.Model.Ensemble, cols, classWidth)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s/%d-D classifier: %w", sc.Arch, sc.Dims, err)
 		}
@@ -202,7 +212,7 @@ func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier, cla
 		}
 		return g, nil
 	}
-	if sc.Model.Kind != "nn" || sc.Model.NN == nil {
+	if sc.Model.Kind != "nn" {
 		return nil, fmt.Errorf("core: %s/%d-D classifier holds %q state, want nn", sc.Arch, sc.Dims, sc.Model.Kind)
 	}
 	archIdx, err := f.Dataset.ArchIndex(sc.Arch)
@@ -217,36 +227,52 @@ func (f *Framework) restoreClassifier(ck ClassifierKind, sc savedClassifier, cla
 	if !ok {
 		return nil, fmt.Errorf("core: %s rebuilt as %T, want *nn.Classifier", ck, cls)
 	}
-	if err := c.Net.LoadWeights(sc.Model.NN); err != nil {
+	if err := c.Net.ReadWeights(cols); err != nil {
 		return nil, fmt.Errorf("core: %s/%d-D classifier: %w", sc.Arch, sc.Dims, err)
 	}
 	c.SetClasses(classes)
 	return c, nil
 }
 
-// restoreRegressor rehydrates one regressor with its scalers.
-func (f *Framework) restoreRegressor(rk RegressorKind, sr savedRegressor, regWidth int) (*TrainedRegressor, error) {
-	tr := &TrainedRegressor{
-		kind:   rk,
-		f:      f,
-		xScale: columnScaler{scale: sr.XScale},
-		yScale: targetScaler{mean: sr.YMean, std: sr.YStd},
-	}
-	if rk.usesScaling() && len(sr.XScale) != regWidth {
-		return nil, fmt.Errorf("core: %d-D regressor has %d-column scaler, schema width is %d", sr.Dims, len(sr.XScale), regWidth)
+// positive reports whether v is what a fitted scaler divides by: finite
+// and above zero.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 0) }
+
+// restoreRegressor rehydrates one regressor with its scalers. A scaler is
+// state of the mechanisms that scale and of no other: one on a tree
+// regressor would be applied to every row it scores, so it is refused,
+// and a fitted one is finite and positive in every entry (NormalizeColumns
+// and fitTargetScaler see to it), so anything else is too.
+func (f *Framework) restoreRegressor(rk RegressorKind, sr savedRegressor, regWidth int, cols *persist.Columns) (*TrainedRegressor, error) {
+	tr := &TrainedRegressor{kind: rk, f: f}
+	if rk.usesScaling() {
+		if len(sr.XScale) != regWidth {
+			return nil, fmt.Errorf("core: %d-D regressor has %d-column scaler, schema width is %d", sr.Dims, len(sr.XScale), regWidth)
+		}
+		for j, v := range sr.XScale {
+			if !positive(v) {
+				return nil, fmt.Errorf("core: %d-D regressor scales column %d by %g", sr.Dims, j, v)
+			}
+		}
+		if !positive(sr.YStd) {
+			return nil, fmt.Errorf("core: %d-D regressor has target deviation %g", sr.Dims, sr.YStd)
+		}
+		tr.xScale, tr.yScale = columnScaler{scale: sr.XScale}, targetScaler{mean: sr.YMean, std: sr.YStd}
+	} else if len(sr.XScale) != 0 || sr.YMean != 0 || sr.YStd != 0 {
+		return nil, fmt.Errorf("core: %d-D %s regressor carries a scaler (%d columns, mean %g, deviation %g); the mechanism does not scale", sr.Dims, rk, len(sr.XScale), sr.YMean, sr.YStd)
 	}
 	if rk == RegGB {
-		if sr.Model.Kind != "gbreg" || sr.Model.GBReg == nil {
+		if sr.Model.Kind != "gbreg" || sr.Model.Ensemble == nil {
 			return nil, fmt.Errorf("core: %d-D regressor holds %q state, want gbreg", sr.Dims, sr.Model.Kind)
 		}
-		g, err := tree.GBRegressorFromState(*sr.Model.GBReg, regWidth)
+		g, err := tree.GBRegressorFromSnapshot(*sr.Model.Ensemble, cols, regWidth)
 		if err != nil {
 			return nil, fmt.Errorf("core: %d-D regressor: %w", sr.Dims, err)
 		}
 		tr.model = g
 		return tr, nil
 	}
-	if sr.Model.Kind != "nn" || sr.Model.NN == nil {
+	if sr.Model.Kind != "nn" {
 		return nil, fmt.Errorf("core: %d-D regressor holds %q state, want nn", sr.Dims, sr.Model.Kind)
 	}
 	model, err := f.newRegressor(rk, sr.Dims, regWidth, f.regressorSeed(sr.Dims))
@@ -257,7 +283,7 @@ func (f *Framework) restoreRegressor(rk RegressorKind, sr savedRegressor, regWid
 	if !ok {
 		return nil, fmt.Errorf("core: %s rebuilt as %T, want *nn.Regressor", rk, model)
 	}
-	if err := r.Net.LoadWeights(sr.Model.NN); err != nil {
+	if err := r.Net.ReadWeights(cols); err != nil {
 		return nil, fmt.Errorf("core: %d-D regressor: %w", sr.Dims, err)
 	}
 	tr.model = r
@@ -267,45 +293,51 @@ func (f *Framework) restoreRegressor(rk RegressorKind, sr savedRegressor, regWid
 // LoadFramework rehydrates a checkpointed framework: envelope checks
 // (magic, kind, version, checksum) happen first in the persist layer,
 // then the dataset, grouping, config, feature schema, and every model
-// shape are validated before any prediction can run. The returned
+// shape are validated before any prediction can run, the columns taken
+// in the order Save appended them and none left over. The returned
 // framework predicts bitwise identically to the one that saved the
 // checkpoint, without re-profiling or re-training.
 func LoadFramework(r io.Reader) (*Framework, error) {
-	var payload checkpointPayload
-	if err := persist.Read(r, CheckpointKind, CheckpointVersion, &payload); err != nil {
+	var manifest checkpointManifest
+	cols, err := persist.Read(r, CheckpointKind, CheckpointVersion, &manifest)
+	if err != nil {
 		return nil, err
 	}
-	ds, err := payload.Dataset.Dataset()
+	wire := profile.Wire{Corpus: manifest.Dataset}
+	if err := wire.ReadColumns(cols); err != nil {
+		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
+	}
+	ds, err := wire.Dataset()
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
 	}
-	if err := payload.Config.Validate(); err != nil {
+	if err := manifest.Config.Validate(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint config: %w", err)
 	}
-	if err := payload.Grouping.Validate(); err != nil {
+	if err := manifest.Grouping.Validate(); err != nil {
 		return nil, fmt.Errorf("core: checkpoint grouping: %w", err)
 	}
-	ck, err := ParseClassifierKind(payload.ClassifierKind)
+	ck, err := ParseClassifierKind(manifest.ClassifierKind)
 	if err != nil {
 		return nil, err
 	}
-	rk, err := ParseRegressorKind(payload.RegressorKind)
+	rk, err := ParseRegressorKind(manifest.RegressorKind)
 	if err != nil {
 		return nil, err
 	}
-	f := &Framework{Cfg: payload.Config, Dataset: ds, Grouping: payload.Grouping, Model: sim.New()}
+	f := &Framework{Cfg: manifest.Config, Dataset: ds, Grouping: manifest.Grouping, Model: sim.New()}
 
 	// The checkpoint's recorded feature widths must match this build's
 	// encoders exactly.
 	schema := f.featureSchema(ck, rk)
-	if len(schema) != len(payload.Schema) {
-		return nil, fmt.Errorf("core: checkpoint schema covers %d dims, this build has %d", len(payload.Schema), len(schema))
+	if len(schema) != len(manifest.Schema) {
+		return nil, fmt.Errorf("core: checkpoint schema covers %d dims, this build has %d", len(manifest.Schema), len(schema))
 	}
 	widths := make(map[int]schemaEntry)
 	for i, e := range schema {
-		if payload.Schema[i] != e {
+		if manifest.Schema[i] != e {
 			return nil, fmt.Errorf("core: feature schema mismatch for %d-D: checkpoint %+v, this build %+v",
-				e.Dims, payload.Schema[i], e)
+				e.Dims, manifest.Schema[i], e)
 		}
 		widths[e.Dims] = e
 	}
@@ -316,7 +348,7 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 		Classifiers:    make(map[string]map[int]ml.Classifier),
 		Regressors:     make(map[int]*TrainedRegressor),
 	}
-	for _, sc := range payload.Classifiers {
+	for _, sc := range manifest.Classifiers {
 		if _, err := ds.ArchIndex(sc.Arch); err != nil {
 			return nil, err
 		}
@@ -324,29 +356,29 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: checkpoint classifier for unknown dims %d", sc.Dims)
 		}
-		cls, err := f.restoreClassifier(ck, sc, w.ClassWidth)
+		if _, dup := tr.Classifiers[sc.Arch][sc.Dims]; dup {
+			return nil, fmt.Errorf("core: duplicate %d-D classifier for %s", sc.Dims, sc.Arch)
+		}
+		cls, err := f.restoreClassifier(ck, sc, w.ClassWidth, cols)
 		if err != nil {
 			return nil, err
 		}
 		if tr.Classifiers[sc.Arch] == nil {
 			tr.Classifiers[sc.Arch] = make(map[int]ml.Classifier)
 		}
-		if _, dup := tr.Classifiers[sc.Arch][sc.Dims]; dup {
-			return nil, fmt.Errorf("core: duplicate %d-D classifier for %s", sc.Dims, sc.Arch)
-		}
 		tr.Classifiers[sc.Arch][sc.Dims] = cls
 	}
-	for _, sr := range payload.Regressors {
+	for _, sr := range manifest.Regressors {
 		w, ok := widths[sr.Dims]
 		if !ok {
 			return nil, fmt.Errorf("core: checkpoint regressor for unknown dims %d", sr.Dims)
 		}
-		reg, err := f.restoreRegressor(rk, sr, w.RegWidth)
-		if err != nil {
-			return nil, err
-		}
 		if _, dup := tr.Regressors[sr.Dims]; dup {
 			return nil, fmt.Errorf("core: duplicate %d-D regressor", sr.Dims)
+		}
+		reg, err := f.restoreRegressor(rk, sr, w.RegWidth, cols)
+		if err != nil {
+			return nil, err
 		}
 		tr.Regressors[sr.Dims] = reg
 	}
@@ -362,6 +394,9 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 		if tr.Regressors[d] == nil {
 			return nil, fmt.Errorf("core: checkpoint missing %d-D regressor", d)
 		}
+	}
+	if err := cols.End(); err != nil {
+		return nil, err
 	}
 	f.Trained = tr
 	return f, nil

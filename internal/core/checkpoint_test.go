@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -215,33 +217,131 @@ func TestSaveLoadBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// tamperCheckpoint saves fw, applies mutate to the decoded payload, and
-// re-wraps it in a valid envelope (fresh checksum), so the failure under
-// test is the payload validation — not the checksum.
-func tamperCheckpoint(t *testing.T, fw *Framework, mutate func(*checkpointPayload)) []byte {
+// column is one decoded column of a checkpoint's binary section.
+type column struct {
+	float  bool
+	ints   []int64
+	floats []float64
+}
+
+// ckptParts is a checkpoint taken apart for tampering: the manifest and
+// the column section, column by column.
+type ckptParts struct {
+	m    checkpointManifest
+	cols []column
+}
+
+// Where Save puts what: the dataset's eleven columns, then six a tree for
+// every classifier in manifest order, then the regressors' (DESIGN §7).
+const (
+	colResultOC = iota
+	colResultCrashed
+	colResultTime
+	colResultParams
+	colBestOC
+	colBestTime
+	colInstStencil
+	colInstOC
+	colInstArch
+	colInstTime
+	colInstParams
+	colModels
+)
+
+// A tree's six columns, in the order they are written.
+const (
+	nodeFeature = iota
+	nodeThr
+	nodeValue
+	nodeGain
+	nodeLeft
+	nodeRight
+)
+
+// regressorCols returns the index of the first regressor's first column.
+func (p *ckptParts) regressorCols() int {
+	at := colModels
+	for _, sc := range p.m.Classifiers {
+		at += 6 * sc.Model.Ensemble.Trees
+	}
+	return at
+}
+
+// splitCheckpoint reads a saved checkpoint into its parts.
+func splitCheckpoint(t testing.TB, saved []byte) *ckptParts {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := fw.Save(&buf); err != nil {
+	var p ckptParts
+	cols, err := persist.Read(bytes.NewReader(saved), CheckpointKind, CheckpointVersion, &p.m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	var payload checkpointPayload
-	if err := persist.Read(bytes.NewReader(buf.Bytes()), CheckpointKind, CheckpointVersion, &payload); err != nil {
-		t.Fatal(err)
+	for len(cols.Bytes()) > 0 {
+		if cols.Bytes()[0] == 'f' {
+			p.cols = append(p.cols, column{float: true, floats: cols.ReadFloats()})
+		} else {
+			p.cols = append(p.cols, column{ints: persist.ReadInts[int64](cols)})
+		}
+		if err := cols.Err(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	mutate(&payload)
+	return &p
+}
+
+// encodeColumns spells a column section by hand, from the format's
+// description and not with the writer under test — which also lets a
+// test write what the writer refuses to (a NaN).
+func encodeColumns(cols []column) []byte {
+	var b []byte
+	for _, c := range cols {
+		if c.float {
+			b = binary.AppendUvarint(append(b, 'f'), uint64(len(c.floats)))
+			for _, v := range c.floats {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+			}
+			continue
+		}
+		b = binary.AppendUvarint(append(b, 'i'), uint64(len(c.ints)))
+		for _, v := range c.ints {
+			b = binary.AppendVarint(b, v) // zig-zag, as the format's integers are
+		}
+	}
+	return b
+}
+
+// frame wraps a manifest and a column section in a valid envelope (fresh
+// checksum), so a failure under test is the loader's validation — not
+// the checksum.
+func (p *ckptParts) frame(t testing.TB) []byte {
+	t.Helper()
 	var out bytes.Buffer
-	if err := persist.Write(&out, CheckpointKind, CheckpointVersion, payload); err != nil {
+	if err := persist.Write(&out, CheckpointKind, CheckpointVersion, p.m, persist.ColumnsOf(encodeColumns(p.cols))); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
 }
 
-// setSplitFeature points the tree's first internal node at feature f.
-func setSplitFeature(t testing.TB, ft *tree.FlatTree, f int) {
+// tamperCheckpoint saves fw, applies mutate to its parts and frames them
+// again.
+func tamperCheckpoint(t testing.TB, fw *Framework, mutate func(*ckptParts)) []byte {
 	t.Helper()
-	for i := range ft.Feature {
-		if ft.Feature[i] >= 0 {
-			ft.Feature[i] = f
+	var buf bytes.Buffer
+	if err := fw.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	p := splitCheckpoint(t, buf.Bytes())
+	mutate(p)
+	return p.frame(t)
+}
+
+// setSplitFeature points the first internal node of the tree whose
+// columns start at cols[at] at feature f.
+func setSplitFeature(t testing.TB, p *ckptParts, at int, f int64) {
+	t.Helper()
+	feature := p.cols[at+nodeFeature].ints
+	for i := range feature {
+		if feature[i] >= 0 {
+			feature[i] = f
 			return
 		}
 	}
@@ -253,31 +353,34 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
 		t.Fatal(err)
 	}
+	// An untouched split-and-frame round trip loads: the cases below fail
+	// for what they change, not for how the parts were put back together.
+	if _, err := LoadFramework(bytes.NewReader(tamperCheckpoint(t, fw, func(*ckptParts) {}))); err != nil {
+		t.Fatalf("checkpoint re-framed from its parts: %v", err)
+	}
 	cases := []struct {
-		name   string
-		mutate func(*checkpointPayload)
-		want   string
+		name    string
+		mutate  func(*ckptParts)
+		want    string
+		corrupt bool // the error must also be persist.ErrCorrupt
 	}{
 		{
 			name:   "schema width drift",
-			mutate: func(p *checkpointPayload) { p.Schema[0].ClassWidth++ },
+			mutate: func(p *ckptParts) { p.m.Schema[0].ClassWidth++ },
 			want:   "feature schema mismatch",
 		},
 		{
-			name: "gbdt round missing a class tree",
-			mutate: func(p *checkpointPayload) {
-				st := p.Classifiers[0].Model.GBDT
-				st.Trees[0] = st.Trees[0][:len(st.Trees[0])-1]
-			},
-			want: "trees",
+			name:   "gbdt round missing a class tree",
+			mutate: func(p *ckptParts) { p.m.Classifiers[0].Model.Ensemble.Trees-- },
+			want:   "trees",
 		},
 		{
 			name: "gbdt tree child out of bounds",
-			mutate: func(p *checkpointPayload) {
-				ft := p.Classifiers[0].Model.GBDT.Trees[0][0]
-				for i := range ft.Left {
-					if ft.Left[i] >= 0 {
-						ft.Left[i] = len(ft.Left) + 7
+			mutate: func(p *ckptParts) {
+				left := p.cols[colModels+nodeLeft].ints
+				for i := range left {
+					if left[i] >= 0 {
+						left[i] = int64(len(left) + 7)
 						return
 					}
 				}
@@ -287,74 +390,160 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 		},
 		{
 			// Truncated to feature 0 by an int32 index, this misrouted rows.
-			name: "gbdt tree feature past the int32 range",
-			mutate: func(p *checkpointPayload) {
-				setSplitFeature(t, &p.Classifiers[0].Model.GBDT.Trees[0][0], 1<<32)
-			},
-			want: "has feature 4294967296",
+			name:    "gbdt tree feature past the int32 range",
+			mutate:  func(p *ckptParts) { setSplitFeature(t, p, colModels, 1<<32) },
+			want:    "is 4294967296, outside the column's int32",
+			corrupt: true,
 		},
 		{
 			// Loaded cleanly, this indexed past the row on first predict.
-			name: "gbreg tree feature past the schema's row width",
-			mutate: func(p *checkpointPayload) {
-				setSplitFeature(t, &p.Regressors[0].Model.GBReg.Trees[0], p.Schema[0].RegWidth)
-			},
-			want: "rows have",
+			name:   "gbreg tree feature past the schema's row width",
+			mutate: func(p *ckptParts) { setSplitFeature(t, p, p.regressorCols(), int64(p.m.Schema[0].RegWidth)) },
+			want:   "rows have",
 		},
 		{
 			name:   "classifier for dims the schema does not cover",
-			mutate: func(p *checkpointPayload) { p.Classifiers[0].Dims = 9 },
+			mutate: func(p *ckptParts) { p.m.Classifiers[0].Dims = 9 },
 			want:   "unknown dims 9",
 		},
 		{
 			name:   "classifier kind/state disagreement",
-			mutate: func(p *checkpointPayload) { p.Classifiers[0].Model.Kind = "nn" },
+			mutate: func(p *ckptParts) { p.m.Classifiers[0].Model.Kind = "nn" },
 			want:   "want gbdt",
 		},
 		{
 			name:   "unknown classifier mechanism",
-			mutate: func(p *checkpointPayload) { p.ClassifierKind = "XGBoost" },
+			mutate: func(p *ckptParts) { p.m.ClassifierKind = "XGBoost" },
 			want:   "unknown classifier",
 		},
 		{
 			name:   "missing regressor",
-			mutate: func(p *checkpointPayload) { p.Regressors = p.Regressors[:1] },
+			mutate: func(p *ckptParts) { p.m.Regressors = p.m.Regressors[:1] },
 			want:   "missing",
 		},
 		{
 			name:   "duplicate classifier cell",
-			mutate: func(p *checkpointPayload) { p.Classifiers = append(p.Classifiers, p.Classifiers[0]) },
+			mutate: func(p *ckptParts) { p.m.Classifiers = append(p.m.Classifiers, p.m.Classifiers[0]) },
 			want:   "duplicate",
 		},
 		{
 			name: "gbdt tree columns ragged",
-			mutate: func(p *checkpointPayload) {
-				ft := &p.Classifiers[0].Model.GBDT.Trees[0][0]
-				ft.Gain = ft.Gain[:len(ft.Gain)-1]
+			mutate: func(p *ckptParts) {
+				gain := &p.cols[colModels+nodeGain]
+				gain.floats = gain.floats[:len(gain.floats)-1]
 			},
 			want: "ragged",
 		},
 		{
 			name:   "dataset corrupted",
-			mutate: func(p *checkpointPayload) { p.Dataset = profile.Wire{Archs: []string{"NoSuchGPU"}} },
+			mutate: func(p *ckptParts) { p.m.Dataset = profile.Corpus{Archs: []string{"NoSuchGPU"}} },
 			want:   "dataset",
 		},
 		{
 			name:   "dataset instance columns ragged",
-			mutate: func(p *checkpointPayload) { p.Dataset.Instances.Time = p.Dataset.Instances.Time[1:] },
+			mutate: func(p *ckptParts) { p.cols[colInstTime].floats = p.cols[colInstTime].floats[1:] },
 			want:   "dataset: profile: ragged instance columns",
 		},
 		{
 			name: "dataset params not ten per instance",
-			mutate: func(p *checkpointPayload) {
-				p.Dataset.Instances.Params = p.Dataset.Instances.Params[:len(p.Dataset.Instances.Params)-3]
+			mutate: func(p *ckptParts) {
+				p.cols[colInstParams].ints = p.cols[colInstParams].ints[:len(p.cols[colInstParams].ints)-3]
 			},
 			want: "dataset: profile: ragged instance columns",
 		},
 		{
 			name:   "dataset arch index out of range",
-			mutate: func(p *checkpointPayload) { p.Dataset.Instances.Arch[5] = len(p.Dataset.Archs) },
+			mutate: func(p *ckptParts) { p.cols[colInstArch].ints[5] = int64(len(p.m.Dataset.Archs)) },
 			want:   "dataset: profile: instance 5 has arch index",
+		},
+		{
+			name:   "dataset result columns ragged",
+			mutate: func(p *ckptParts) { p.cols[colResultTime].floats = p.cols[colResultTime].floats[1:] },
+			want:   "dataset: profile: ragged result columns",
+		},
+		{
+			name:   "dataset result params not ten per result",
+			mutate: func(p *ckptParts) { p.cols[colResultParams].ints = p.cols[colResultParams].ints[4:] },
+			want:   "dataset: profile: ragged result columns",
+		},
+		{
+			name:   "dataset crashed flag out of range",
+			mutate: func(p *ckptParts) { p.cols[colResultCrashed].ints[3] = 2 },
+			want:   "crashed flag 2",
+		},
+		{
+			name:    "dataset OC past a byte",
+			mutate:  func(p *ckptParts) { p.cols[colResultOC].ints[0] = 256 },
+			want:    "outside the column's opt.Opt",
+			corrupt: true,
+		},
+		{
+			// Loaded cleanly, and Labels() returned the edited class.
+			name: "dataset label contradicts its results",
+			mutate: func(p *ckptParts) {
+				for ci, crashed := range p.cols[colResultCrashed].ints[:30] {
+					if oc := p.cols[colResultOC].ints[ci]; crashed == 0 && oc != p.cols[colBestOC].ints[0] {
+						p.cols[colBestOC].ints[0], p.cols[colBestTime].floats[0] = oc, 123
+						return
+					}
+				}
+				t.Fatal("no second OC to relabel to")
+			},
+			want: "its results say",
+		},
+		{
+			name:    "NaN in an instance time",
+			mutate:  func(p *ckptParts) { p.cols[colInstTime].floats[2] = math.NaN() },
+			want:    "not finite",
+			corrupt: true,
+		},
+		{
+			name:    "infinity in a tree threshold",
+			mutate:  func(p *ckptParts) { p.cols[p.regressorCols()+nodeThr].floats[0] = math.Inf(1) },
+			want:    "not finite",
+			corrupt: true,
+		},
+		{
+			name: "float column where an int column is due",
+			mutate: func(p *ckptParts) {
+				p.cols[colModels+nodeLeft] = column{float: true, floats: make([]float64, len(p.cols[colModels+nodeLeft].ints))}
+			},
+			want:    `want a 'i' column`,
+			corrupt: true,
+		},
+		{
+			name:    "column after the last model",
+			mutate:  func(p *ckptParts) { p.cols = append(p.cols, column{}) },
+			want:    "follow the last column",
+			corrupt: true,
+		},
+		{
+			name:    "last tree's columns missing",
+			mutate:  func(p *ckptParts) { p.cols = p.cols[:len(p.cols)-6] },
+			want:    "want a 'i' column",
+			corrupt: true,
+		},
+		{
+			// Loaded cleanly; the first prediction indexed past the scaler.
+			name:   "tree regressor carries a one-column input scaler",
+			mutate: func(p *ckptParts) { p.m.Regressors[0].XScale = []float64{7} },
+			want:   "the mechanism does not scale",
+		},
+		{
+			// Loaded cleanly and answered 0.0252 s for the model's 0.0415 s.
+			name: "tree regressor carries a full-width input scaler",
+			mutate: func(p *ckptParts) {
+				p.m.Regressors[0].XScale = make([]float64, p.m.Schema[0].RegWidth)
+				for j := range p.m.Regressors[0].XScale {
+					p.m.Regressors[0].XScale[j] = 7
+				}
+			},
+			want: "the mechanism does not scale",
+		},
+		{
+			name:   "tree regressor carries a target scaler",
+			mutate: func(p *ckptParts) { p.m.Regressors[1].YMean, p.m.Regressors[1].YStd = -3, 2 },
+			want:   "the mechanism does not scale",
 		},
 	}
 	for _, tc := range cases {
@@ -364,16 +553,17 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 			if err == nil {
 				t.Fatal("tampered checkpoint loaded cleanly")
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not mention %q", err, tc.want)
+			if !strings.Contains(err.Error(), tc.want) || errors.Is(err, persist.ErrCorrupt) != tc.corrupt {
+				t.Fatalf("error %q does not mention %q, or ErrCorrupt is not %v", err, tc.want, tc.corrupt)
 			}
 		})
 	}
 }
 
 // TestLoadRejectsWrongNNShapes corrupts a network checkpoint's weight
-// blocks: a payload whose layer shapes disagree with the architecture
-// the config declares must fail at load, not mispredict.
+// blocks: a checkpoint whose layer shapes disagree with the architecture
+// the config declares must fail at load, not mispredict. A network's
+// blocks are the first columns after the dataset's, one each.
 func TestLoadRejectsWrongNNShapes(t *testing.T) {
 	fw := ckptFramework(t)
 	if err := fw.TrainAll(context.Background(), ClassConvNet, RegMLP); err != nil {
@@ -381,33 +571,46 @@ func TestLoadRejectsWrongNNShapes(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(*checkpointPayload)
+		mutate func(*ckptParts)
 	}{
 		{
 			name: "classifier block truncated",
-			mutate: func(p *checkpointPayload) {
-				nn := p.Classifiers[0].Model.NN
-				nn[0] = nn[0][:len(nn[0])-1]
+			mutate: func(p *ckptParts) {
+				block := &p.cols[colModels]
+				block.floats = block.floats[:len(block.floats)-1]
 			},
 		},
 		{
-			name: "classifier block count wrong",
-			mutate: func(p *checkpointPayload) {
-				p.Classifiers[0].Model.NN = p.Classifiers[0].Model.NN[:1]
-			},
+			name:   "classifier block count wrong",
+			mutate: func(p *ckptParts) { p.cols = append(p.cols[:colModels+1], p.cols[colModels+2:]...) },
 		},
 		{
 			name: "regressor block padded",
-			mutate: func(p *checkpointPayload) {
-				nn := p.Regressors[0].Model.NN
-				nn[len(nn)-1] = append(nn[len(nn)-1], 0.5)
+			mutate: func(p *ckptParts) {
+				last := &p.cols[len(p.cols)-1]
+				last.floats = append(last.floats, 0.5)
 			},
 		},
 		{
-			name: "regressor scaler width wrong",
-			mutate: func(p *checkpointPayload) {
-				p.Regressors[0].XScale = p.Regressors[0].XScale[:3]
-			},
+			name:   "regressor scaler width wrong",
+			mutate: func(p *ckptParts) { p.m.Regressors[0].XScale = p.m.Regressors[0].XScale[:3] },
+		},
+		{
+			// A zero divides every row it scales into infinities.
+			name:   "regressor scaler entry zero",
+			mutate: func(p *ckptParts) { p.m.Regressors[0].XScale[2] = 0 },
+		},
+		{
+			name:   "regressor scaler entry negative",
+			mutate: func(p *ckptParts) { p.m.Regressors[1].XScale[0] = -1 },
+		},
+		{
+			name:   "regressor target deviation zero",
+			mutate: func(p *ckptParts) { p.m.Regressors[0].YStd = 0 },
+		},
+		{
+			name:   "weight is NaN",
+			mutate: func(p *ckptParts) { p.cols[colModels].floats[0] = math.NaN() },
 		},
 	}
 	for _, tc := range cases {

@@ -1,37 +1,37 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
 
-// WeightSnapshot returns a deep copy of every trainable parameter block's
-// weights, in the network's canonical layer order. Together with the
-// builder arguments that shaped the network (recorded by the caller's
-// checkpoint), this is the full trained state: rebuilding the same
-// architecture and loading the snapshot reproduces predictions bitwise.
-func (n *Network) WeightSnapshot() [][]float64 {
-	params := n.Params()
-	out := make([][]float64, len(params))
-	for i, p := range params {
-		out[i] = append([]float64(nil), p.W...)
+	"stencilmart/internal/persist"
+)
+
+// AppendWeights appends every trainable parameter block's weights to c,
+// one float column a block in the network's canonical layer order.
+// Together with the builder arguments that shaped the network (recorded
+// by the caller's checkpoint), this is the full trained state: rebuilding
+// the same architecture and reading the columns back reproduces
+// predictions bitwise.
+func (n *Network) AppendWeights(c *persist.Columns) {
+	for _, p := range n.Params() {
+		c.AppendFloats(p.W)
 	}
-	return out
 }
 
-// LoadWeights copies the snapshot into the network's parameter blocks.
-// The block count and every block length must match the architecture
-// exactly; a payload whose layer shapes disagree with the declared
-// schema fails here, never producing a silently-wrong predictor.
-func (n *Network) LoadWeights(ws [][]float64) error {
-	params := n.Params()
-	if len(ws) != len(params) {
-		return fmt.Errorf("nn: snapshot has %d parameter blocks, network has %d", len(ws), len(params))
-	}
-	for i, p := range params {
-		if len(ws[i]) != len(p.W) {
-			return fmt.Errorf("nn: parameter block %d has %d weights, network layer expects %d", i, len(ws[i]), len(p.W))
+// ReadWeights fills the network's parameter blocks from the next columns
+// of c, one a block. Every column's length must match its block exactly;
+// a checkpoint whose layer shapes disagree with the declared schema fails
+// here, never producing a silently-wrong predictor.
+func (n *Network) ReadWeights(c *persist.Columns) error {
+	for i, p := range n.Params() {
+		w := c.ReadFloats()
+		if err := c.Err(); err != nil {
+			return fmt.Errorf("nn: parameter block %d: %w", i, err)
 		}
-	}
-	for i, p := range params {
-		copy(p.W, ws[i])
+		if len(w) != len(p.W) {
+			return fmt.Errorf("nn: parameter block %d has %d weights, network layer expects %d", i, len(w), len(p.W))
+		}
+		copy(p.W, w)
 	}
 	return nil
 }

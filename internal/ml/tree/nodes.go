@@ -6,9 +6,9 @@ import "stencilmart/internal/ml"
 // preorder, row i of every column being node i and node 0 the root. The
 // builders append to it as they recurse (node, left subtree, right
 // subtree), prediction descends it with plain index arithmetic, Compile
-// rounds thr and value to float32 and shares the index columns, and the
-// checkpoint's FlatTree is the same six columns in wire types. Columns
-// are never written after the tree is built.
+// rounds thr and value to float32 and shares the index columns, and a
+// checkpoint writes the six columns as they are and reads them back in
+// place (persist.go). Columns are never written after the tree is built.
 type nodes[T float32 | float64] struct {
 	feature     []int32 // split feature; < 0 for leaves
 	left, right []int32 // child rows; -1 for leaves

@@ -2,6 +2,7 @@ package tree
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
 
@@ -9,9 +10,10 @@ import (
 )
 
 // TestGBDTStateRoundTripBatch round-trips a histogram-trained classifier
-// through its JSON state and proves the rehydrated model's batched
-// predictions are bitwise identical — the PR 3 differential bar extended
-// to the batched entry points.
+// through its checkpoint state — manifest half as JSON, trees as columns —
+// and proves the rehydrated model's batched predictions are bitwise
+// identical — the PR 3 differential bar extended to the batched entry
+// points.
 func TestGBDTStateRoundTripBatch(t *testing.T) {
 	const classes = 4
 	x, y := synthClassData(200, 5, classes)
@@ -19,17 +21,14 @@ func TestGBDTStateRoundTripBatch(t *testing.T) {
 	if err := g.FitClassifier(x, y, classes); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(g.State())
-	if err != nil {
-		t.Fatal(err)
+	var cols persist.Columns
+	st := throughJSON(t, g.Snapshot(&cols))
+	g2, err := GBDTFromSnapshot(st, &cols, len(x[0]))
+	if err != nil || cols.End() != nil {
+		t.Fatal(err, cols.End())
 	}
-	var st GBDTState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := GBDTFromState(st, len(x[0]))
-	if err != nil {
-		t.Fatal(err)
+	if stateDigest(t, g.State()) != stateDigest(t, g2.State()) {
+		t.Fatal("rehydrated classifier's state differs")
 	}
 	want := g.PredictProbaBatch(x)
 	got := g2.PredictProbaBatch(x)
@@ -62,17 +61,14 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	if err := g.FitRegressor(x, y); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(g.State())
-	if err != nil {
-		t.Fatal(err)
+	var cols persist.Columns
+	st := throughJSON(t, g.Snapshot(&cols))
+	g2, err := GBRegressorFromSnapshot(st, &cols, len(x[0]))
+	if err != nil || cols.End() != nil {
+		t.Fatal(err, cols.End())
 	}
-	var st GBRegressorState
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := GBRegressorFromState(st, len(x[0]))
-	if err != nil {
-		t.Fatal(err)
+	if stateDigest(t, g.State()) != stateDigest(t, g2.State()) {
+		t.Fatal("rehydrated regressor's state differs")
 	}
 	want := g.PredictValueBatch(x)
 	got := g2.PredictValueBatch(x)
@@ -89,78 +85,139 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	}
 }
 
+// throughJSON sends an ensemble's manifest half through the encoding the
+// checkpoint manifest uses.
+func throughJSON(t *testing.T, st EnsembleState) EnsembleState {
+	t.Helper()
+	blob, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out EnsembleState
+	if err := json.Unmarshal(blob, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // stump is a three-node tree: split on feature 0 at 0.5, leaves 1 and 2.
-func stump() FlatTree {
-	return FlatTree{
-		Feature: persist.Ints{0, -1, -1}, Threshold: persist.Floats{0.5, 0, 0}, Value: persist.Floats{0, 1, 2},
-		Gain: persist.Floats{3, 0, 0}, Left: persist.Ints{1, -1, -1}, Right: persist.Ints{2, -1, -1},
+func stump() nodes[float64] {
+	return nodes[float64]{
+		feature: []int32{0, -1, -1}, thr: []float64{0.5, 0, 0}, value: []float64{0, 1, 2},
+		gain: []float64{3, 0, 0}, left: []int32{1, -1, -1}, right: []int32{2, -1, -1},
 	}
 }
 
 // chain is a right-leaning tree of the given depth: node 2i splits into
 // leaf 2i+1 and node 2i+2, the last node being a leaf.
-func chain(depth int) FlatTree {
-	var ft FlatTree
-	for i := 0; i < depth; i++ {
-		ft.Feature = append(ft.Feature, 0, -1)
-		ft.Left = append(ft.Left, 2*i+1, -1)
-		ft.Right = append(ft.Right, 2*i+2, -1)
+func chain(depth int) nodes[float64] {
+	var n nodes[float64]
+	for i := int32(0); int(i) < depth; i++ {
+		n.feature = append(n.feature, 0, -1)
+		n.left = append(n.left, 2*i+1, -1)
+		n.right = append(n.right, 2*i+2, -1)
 	}
-	ft.Feature, ft.Left, ft.Right = append(ft.Feature, -1), append(ft.Left, -1), append(ft.Right, -1)
-	ft.Threshold = make(persist.Floats, len(ft.Feature))
-	ft.Value, ft.Gain = ft.Threshold, ft.Threshold
-	return ft
+	n.feature, n.left, n.right = append(n.feature, -1), append(n.left, -1), append(n.right, -1)
+	n.thr = make([]float64, len(n.feature))
+	n.value, n.gain = n.thr, n.thr
+	return n
 }
 
-// TestTreeFromFlatColumns: node columns written as JSON rebuild a tree
-// that predicts from them, and every structural defect a corrupt file
-// can carry is refused before any prediction runs.
+// asRegressor reads the trees back as a one-base regressor scoring rows
+// two wide: the path a checkpoint's columns take.
+func asRegressor(trees ...nodes[float64]) (*GBRegressor, error) {
+	var cols persist.Columns
+	st := snapshot(BoostConfig{LearningRate: 1}, &ensemble[float64]{trees: trees, init: []float64{0}}, &cols)
+	g, err := GBRegressorFromSnapshot(st, &cols, 2)
+	if err == nil {
+		err = cols.End()
+	}
+	return g, err
+}
+
+// TestTreeFromFlatColumns: node columns written to a column section
+// rebuild a tree that predicts from them, and every structural defect a
+// corrupt file can carry is refused before any prediction runs.
 func TestTreeFromFlatColumns(t *testing.T) {
-	blob, err := json.Marshal(stump())
+	st := stump()
+	blob, err := json.Marshal(flatten(&st))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := `{"f":[0,-1,-1],"t":[0.5,0,0],"v":[0,1,2],"g":[3,0,0],"l":[1,-1,-1],"r":[2,-1,-1]}`; string(blob) != want {
-		t.Fatalf("wire form %s, want %s", blob, want)
+		t.Fatalf("state form %s, want %s", blob, want)
 	}
-	var ft FlatTree
-	if err := json.Unmarshal(blob, &ft); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := TreeFromFlat(ft, 2)
+	g, err := asRegressor(stump(), stump())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := tr.PredictBatch([][]float64{{0.2}, {0.9}}, nil); out[0] != 1 || out[1] != 2 {
-		t.Errorf("stump predicts %v, want [1 2]", out)
+	if out := g.PredictValueBatch([][]float64{{0.2, 0}, {0.9, 0}}); out[0] != 2 || out[1] != 4 {
+		t.Errorf("two stumps predict %v, want [2 4]", out)
 	}
 
-	cases := map[string]func(*FlatTree){
-		"empty":               func(ft *FlatTree) { *ft = FlatTree{} },
-		"ragged threshold":    func(ft *FlatTree) { ft.Threshold = ft.Threshold[:2] },
-		"ragged gain":         func(ft *FlatTree) { ft.Gain = nil },
-		"ragged right":        func(ft *FlatTree) { ft.Right = append(ft.Right, -1) },
-		"child out of bounds": func(ft *FlatTree) { ft.Left[0] = 3 },
-		"negative child":      func(ft *FlatTree) { ft.Right[0] = -1 },
-		"cycle":               func(ft *FlatTree) { ft.Feature[1], ft.Left[1], ft.Right[1] = 0, 0, 2 },
-		"shared child":        func(ft *FlatTree) { ft.Right[0] = 1 },
-		"leaf with children":  func(ft *FlatTree) { ft.Left[2] = 1 },
-		"unreachable node":    func(ft *FlatTree) { ft.Feature[0], ft.Left[0], ft.Right[0] = -1, -1, -1 },
-		// Narrowed to int32 this was feature 0: loaded, then misrouted.
-		"feature past int32": func(ft *FlatTree) { ft.Feature[0] = 1 << 32 },
+	cases := map[string]func(*nodes[float64]){
+		"empty":               func(n *nodes[float64]) { *n = nodes[float64]{} },
+		"ragged threshold":    func(n *nodes[float64]) { n.thr = n.thr[:2] },
+		"ragged gain":         func(n *nodes[float64]) { n.gain = nil },
+		"ragged right":        func(n *nodes[float64]) { n.right = append(n.right, -1) },
+		"child out of bounds": func(n *nodes[float64]) { n.left[0] = 3 },
+		"negative child":      func(n *nodes[float64]) { n.right[0] = -1 },
+		"cycle":               func(n *nodes[float64]) { n.feature[1], n.left[1], n.right[1] = 0, 0, 2 },
+		"shared child":        func(n *nodes[float64]) { n.right[0] = 1 },
+		"leaf with children":  func(n *nodes[float64]) { n.left[2] = 1 },
+		"unreachable node":    func(n *nodes[float64]) { n.feature[0], n.left[0], n.right[0] = -1, -1, -1 },
 		// Loaded, then indexed past the row on the first prediction.
-		"feature past the row width": func(ft *FlatTree) { ft.Feature[0] = 7 },
-		"leaf marker past int32":     func(ft *FlatTree) { ft.Feature[1] = -1 << 40 },
+		"feature past the row width": func(n *nodes[float64]) { n.feature[0] = 7 },
 	}
-	if _, err := TreeFromFlat(chain(maxFlatDepth), 2); err != nil {
+	if _, err := asRegressor(chain(maxFlatDepth)); err != nil {
 		t.Errorf("chain of depth %d refused: %v", maxFlatDepth, err)
 	}
-	cases["deeper than any fitted tree"] = func(ft *FlatTree) { *ft = chain(maxFlatDepth + 1) }
+	cases["deeper than any fitted tree"] = func(n *nodes[float64]) { *n = chain(maxFlatDepth + 1) }
 	for name, corrupt := range cases {
-		ft := stump()
-		corrupt(&ft)
-		if _, err := TreeFromFlat(ft, 2); err == nil {
+		n := stump()
+		corrupt(&n)
+		if _, err := asRegressor(stump(), n); err == nil {
 			t.Errorf("%s: corrupt tree rebuilt cleanly", name)
 		}
+	}
+
+	// What the in-memory index type cannot hold never reaches a node:
+	// narrowed to int32, feature 1<<32 was feature 0 — loaded, then
+	// misrouted. The column reader refuses the value itself.
+	wide := func(feature, left []int64) *persist.Columns {
+		var cols persist.Columns
+		good := stump()
+		persist.AppendInts(&cols, feature)
+		cols.AppendFloats(good.thr)
+		cols.AppendFloats(good.value)
+		cols.AppendFloats(good.gain)
+		persist.AppendInts(&cols, left)
+		persist.AppendInts(&cols, good.right)
+		return &cols
+	}
+	for name, cols := range map[string]*persist.Columns{
+		"as written":             wide([]int64{0, -1, -1}, []int64{1, -1, -1}),
+		"feature past int32":     wide([]int64{1 << 32, -1, -1}, []int64{1, -1, -1}),
+		"leaf marker past int32": wide([]int64{0, -1 << 40, -1}, []int64{1, -1, -1}),
+		"child past int32":       wide([]int64{0, -1, -1}, []int64{1 << 40, -1, -1}),
+	} {
+		_, err := GBRegressorFromSnapshot(EnsembleState{Init: []float64{0}, Trees: 1}, cols, 2)
+		if (name == "as written") != (err == nil) || err != nil && !errors.Is(err, persist.ErrCorrupt) {
+			t.Errorf("%s gave %v; want persist.ErrCorrupt unless as written", name, err)
+		}
+	}
+
+	// An ensemble's shape is checked against its manifest half.
+	var cols persist.Columns
+	three := snapshot(BoostConfig{}, &ensemble[float64]{trees: []nodes[float64]{stump(), stump(), stump()}, init: []float64{0, 0}}, &cols)
+	if _, err := GBDTFromSnapshot(three, &cols, 2); err == nil {
+		t.Error("three trees for two classes rebuilt a classifier")
+	}
+	if _, err := GBRegressorFromSnapshot(three, &cols, 2); err == nil {
+		t.Error("two base values rebuilt a regressor")
+	}
+	three.Trees = 4
+	if _, err := GBDTFromSnapshot(three, persist.ColumnsOf(cols.Bytes()), 2); !errors.Is(err, persist.ErrCorrupt) {
+		t.Errorf("a tree count past the columns gave %v, want persist.ErrCorrupt", err)
 	}
 }

@@ -23,13 +23,13 @@ func allIdx(n int) []int {
 // walk is the traversal oracle: a recursive descent over the tree's wire
 // columns in numeric format T, rounding each threshold and leaf as
 // Compile does. visit, when set, sees every split on the row's path.
-func walk[T float32 | float64](ft FlatTree, i int, row []T, visit func(feature int, thr float64)) T {
+func walk[T float32 | float64](ft FlatTree, i int32, row []T, visit func(feature int, thr float64)) T {
 	f := ft.Feature[i]
 	if f < 0 {
 		return T(ft.Value[i])
 	}
 	if visit != nil {
-		visit(f, ft.Threshold[i])
+		visit(int(f), ft.Threshold[i])
 	}
 	if row[f] <= T(ft.Threshold[i]) {
 		return walk(ft, ft.Left[i], row, visit)
@@ -41,7 +41,7 @@ func walk[T float32 | float64](ft FlatTree, i int, row []T, visit func(feature i
 func predictOne(tr *Tree, row []float64) float64 { return tr.PredictBatch([][]float64{row}, nil)[0] }
 
 // shape returns the depth (0 for a lone leaf) and leaf count below node i.
-func shape(ft FlatTree, i int) (depth, leaves int) {
+func shape(ft FlatTree, i int32) (depth, leaves int) {
 	if ft.Feature[i] < 0 {
 		return 0, 1
 	}

@@ -23,20 +23,38 @@ func testPayload() payload {
 	return payload{Name: "probe", Vals: []float64{1.5, -2.25, 0.0078125}, Count: 3}
 }
 
-func encode(t *testing.T, kind string, version int) []byte {
+// testColumns is the column section the test frames carry.
+func testColumns() *Columns {
+	var c Columns
+	c.AppendFloats([]float64{0.5, -1e300})
+	AppendInts(&c, []int32{-1, 0, 300})
+	return &c
+}
+
+func encode(t testing.TB, kind string, version int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, kind, version, testPayload()); err != nil {
+	if err := Write(&buf, kind, version, testPayload(), testColumns()); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
+// read is Read for the tests that only care how it fails.
+func read(r io.Reader, kind string, version int, out any) error {
+	_, err := Read(r, kind, version, out)
+	return err
+}
+
 func TestRoundTrip(t *testing.T) {
 	raw := encode(t, "test-kind", 3)
 	var got payload
-	if err := Read(bytes.NewReader(raw), "test-kind", 3, &got); err != nil {
+	cols, err := Read(bytes.NewReader(raw), "test-kind", 3, &got)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if f, i := cols.ReadFloats(), ReadInts[int32](cols); cols.End() != nil || len(f) != 2 || f[1] != -1e300 || len(i) != 3 || i[0] != -1 || i[2] != 300 {
+		t.Fatalf("columns read back as %v, %v, %v", f, i, cols.End())
 	}
 	want := testPayload()
 	if got.Name != want.Name || got.Count != want.Count || len(got.Vals) != len(want.Vals) {
@@ -53,7 +71,7 @@ func TestTruncatedFileFails(t *testing.T) {
 	raw := encode(t, "test-kind", 1)
 	for _, cut := range []int{0, 1, len(raw) / 2, len(raw) - 2} {
 		var got payload
-		err := Read(bytes.NewReader(raw[:cut]), "test-kind", 1, &got)
+		err := read(bytes.NewReader(raw[:cut]), "test-kind", 1, &got)
 		if err == nil {
 			t.Fatalf("truncation at %d/%d accepted", cut, len(raw))
 		}
@@ -63,7 +81,7 @@ func TestTruncatedFileFails(t *testing.T) {
 func TestBadMagicFails(t *testing.T) {
 	raw := bytes.Replace(encode(t, "test-kind", 1), []byte(Magic), []byte("not-a-checkpoint-nope"), 1)
 	var got payload
-	if err := Read(bytes.NewReader(raw), "test-kind", 1, &got); !errors.Is(err, ErrMagic) {
+	if err := read(bytes.NewReader(raw), "test-kind", 1, &got); !errors.Is(err, ErrMagic) {
 		t.Fatalf("bad magic gave %v, want ErrMagic", err)
 	}
 }
@@ -71,7 +89,7 @@ func TestBadMagicFails(t *testing.T) {
 func TestWrongVersionFails(t *testing.T) {
 	raw := encode(t, "test-kind", 1)
 	var got payload
-	err := Read(bytes.NewReader(raw), "test-kind", 2, &got)
+	err := read(bytes.NewReader(raw), "test-kind", 2, &got)
 	var ve *VersionError
 	if !errors.As(err, &ve) {
 		t.Fatalf("version mismatch gave %v, want *VersionError", err)
@@ -84,7 +102,7 @@ func TestWrongVersionFails(t *testing.T) {
 func TestWrongKindFails(t *testing.T) {
 	raw := encode(t, "dataset", 1)
 	var got payload
-	err := Read(bytes.NewReader(raw), "framework", 1, &got)
+	err := read(bytes.NewReader(raw), "framework", 1, &got)
 	var ke *KindError
 	if !errors.As(err, &ke) {
 		t.Fatalf("kind mismatch gave %v, want *KindError", err)
@@ -103,7 +121,7 @@ func TestTamperedPayloadFailsChecksum(t *testing.T) {
 		t.Fatal("tamper target not found")
 	}
 	var got payload
-	if err := Read(bytes.NewReader(tampered), "test-kind", 1, &got); !errors.Is(err, ErrChecksum) {
+	if err := read(bytes.NewReader(tampered), "test-kind", 1, &got); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("tampered payload gave %v, want ErrChecksum", err)
 	}
 }
@@ -111,13 +129,13 @@ func TestTamperedPayloadFailsChecksum(t *testing.T) {
 func TestGarbageFailsCorrupt(t *testing.T) {
 	for _, data := range [][]byte{[]byte("not json at all"), []byte(`[1,2,3]` + "garbage")} {
 		var got payload
-		err := Read(bytes.NewReader(data), "test-kind", 1, &got)
+		err := read(bytes.NewReader(data), "test-kind", 1, &got)
 		if err == nil {
 			t.Fatalf("garbage %q accepted", data)
 		}
 	}
 	var got payload
-	if err := Read(strings.NewReader("{{{"), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+	if err := read(strings.NewReader("{{{"), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("unparsable envelope gave %v, want ErrCorrupt", err)
 	}
 }
@@ -126,28 +144,28 @@ func TestPayloadTypeMismatchFails(t *testing.T) {
 	// A well-framed, correctly checksummed payload that does not match the
 	// target type must fail as corrupt, not partially populate.
 	var buf bytes.Buffer
-	if err := Write(&buf, "test-kind", 1, json.RawMessage(`{"count":"not-a-number"}`)); err != nil {
+	if err := Write(&buf, "test-kind", 1, json.RawMessage(`{"count":"not-a-number"}`), &Columns{}); err != nil {
 		t.Fatal(err)
 	}
 	var got payload
-	if err := Read(&buf, "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+	if err := read(&buf, "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("type mismatch gave %v, want ErrCorrupt", err)
 	}
 }
 
-// reframe rewrites the header's declared payload length, leaving the
-// payload bytes and checksum alone.
-func reframe(t *testing.T, raw []byte, declared string) []byte {
+// reframe rewrites one of the header's two declared lengths ("bytes" or
+// "columns"), leaving the payload bytes and checksum alone.
+func reframe(t testing.TB, raw []byte, field, declared string) []byte {
 	t.Helper()
 	nl := bytes.IndexByte(raw, '\n')
 	var h header
 	if err := json.Unmarshal(raw[:nl], &h); err != nil {
 		t.Fatal(err)
 	}
-	old := []byte(fmt.Sprintf(`"bytes":%d`, h.Bytes))
-	out := bytes.Replace(raw, old, []byte(`"bytes":`+declared), 1)
+	was := map[string]int64{"bytes": h.Bytes, "columns": h.Columns}[field]
+	out := bytes.Replace(raw, []byte(fmt.Sprintf(`"%s":%d`, field, was)), []byte(fmt.Sprintf(`"%s":%s`, field, declared)), 1)
 	if bytes.Equal(out, raw) {
-		t.Fatal("declared length not found in header")
+		t.Fatalf("declared %s not found in header", field)
 	}
 	return out
 }
@@ -162,27 +180,33 @@ func TestFrameBoundsAreCorrupt(t *testing.T) {
 	cases := map[string][]byte{
 		"trailing garbage":  append(append([]byte(nil), raw...), "GARBAGE{{{"...),
 		"trailing newline":  append(append([]byte(nil), raw...), '\n'),
-		"negative length":   reframe(t, raw, "-1"),
-		"length over cap":   reframe(t, raw, fmt.Sprint(int64(maxPayloadBytes)+1)),
-		"length past EOF":   reframe(t, raw, fmt.Sprint(maxPayloadBytes)),
-		"length too short":  reframe(t, raw, "5"),
-		"fractional length": reframe(t, raw, "1.5"),
-		"long header":       append(bytes.Repeat([]byte(" "), maxHeaderBytes), raw...),
-		"header only":       raw[:bytes.IndexByte(raw, '\n')+1],
+		"negative length":   reframe(t, raw, "bytes", "-1"),
+		"length over cap":   reframe(t, raw, "bytes", fmt.Sprint(int64(maxPayloadBytes)+1)),
+		"length past EOF":   reframe(t, raw, "bytes", fmt.Sprint(maxPayloadBytes)),
+		"length too short":  reframe(t, raw, "bytes", "5"),
+		"fractional length": reframe(t, raw, "bytes", "1.5"),
+		// The column section is the payload's tail: it cannot be longer
+		// than the payload, and one that starts inside the manifest leaves
+		// a manifest that no longer parses.
+		"negative columns":      reframe(t, raw, "columns", "-1"),
+		"columns over payload":  reframe(t, raw, "columns", fmt.Sprint(len(raw))),
+		"columns into manifest": reframe(t, raw, "columns", fmt.Sprint(len(testColumns().Bytes())+3)),
+		"long header":           append(bytes.Repeat([]byte(" "), maxHeaderBytes), raw...),
+		"header only":           raw[:bytes.IndexByte(raw, '\n')+1],
 	}
 	for name, data := range cases {
 		var got payload
-		if err := Read(bytes.NewReader(data), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+		if err := read(bytes.NewReader(data), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s gave %v, want ErrCorrupt", name, err)
 		}
 	}
 	// A header that lies about a gigabyte must not cost a gigabyte: memory
 	// follows the bytes that arrive.
-	lying := reframe(t, raw, fmt.Sprint(maxPayloadBytes))
+	lying := reframe(t, raw, "bytes", fmt.Sprint(maxPayloadBytes))
 	var got payload
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_ = Read(bytes.NewReader(lying), "test-kind", 1, &got)
+	_ = read(bytes.NewReader(lying), "test-kind", 1, &got)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
 		t.Errorf("lying header made Read allocate %d bytes for a %d-byte file", grew, len(lying))
@@ -196,12 +220,26 @@ func TestHeaderRejectsBeforePayload(t *testing.T) {
 	head := raw[:bytes.IndexByte(raw, '\n')+1]
 	var got payload
 	var ve *VersionError
-	if err := Read(io.MultiReader(bytes.NewReader(head), failReader{t}), "test-kind", 2, &got); !errors.As(err, &ve) {
+	if err := read(io.MultiReader(bytes.NewReader(head), failReader{t}), "test-kind", 2, &got); !errors.As(err, &ve) {
 		t.Fatalf("version mismatch gave %v, want *VersionError", err)
 	}
 	var ke *KindError
-	if err := Read(io.MultiReader(bytes.NewReader(head), failReader{t}), "other", 1, &got); !errors.As(err, &ke) {
+	if err := read(io.MultiReader(bytes.NewReader(head), failReader{t}), "other", 1, &got); !errors.As(err, &ke) {
 		t.Fatalf("kind mismatch gave %v, want *KindError", err)
+	}
+}
+
+// TestVersion2HeaderRefusedByVersion: a version-2 file is the same frame
+// without a column section. Its header line — this one is the parent
+// commit's `train` output on a `profile -seed 5` dataset, byte for byte — is refused as the wrong version before
+// a payload byte is read; no reader for it exists.
+func TestVersion2HeaderRefusedByVersion(t *testing.T) {
+	const v2 = `{"magic":"stencilmart-checkpoint","kind":"stencilmart-framework","version":2,"checksum":"92ce9597a518ac06fe4405efdf4f17650e0ec380c35851dba2f947f38ac37037","bytes":8600287}` + "\n"
+	var got payload
+	var ve *VersionError
+	err := read(io.MultiReader(strings.NewReader(v2), failReader{t}), "stencilmart-framework", 3, &got)
+	if !errors.As(err, &ve) || ve.Got != 2 || ve.Want != 3 {
+		t.Fatalf("version-2 header gave %v, want *VersionError 2 -> 3", err)
 	}
 }
 
@@ -213,14 +251,14 @@ func TestVersion1FileRefusedByVersion(t *testing.T) {
 		Magic, strings.Repeat("x", 2*maxHeaderBytes))
 	var got payload
 	var ve *VersionError
-	if err := Read(strings.NewReader(v1), "test-kind", 2, &got); !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
+	if err := read(strings.NewReader(v1), "test-kind", 2, &got); !errors.As(err, &ve) || ve.Got != 1 || ve.Want != 2 {
 		t.Fatalf("version-1 file gave %v, want *VersionError 1 -> 2", err)
 	}
 	var ke *KindError
-	if err := Read(strings.NewReader(v1), "other-kind", 2, &got); !errors.As(err, &ke) {
+	if err := read(strings.NewReader(v1), "other-kind", 2, &got); !errors.As(err, &ke) {
 		t.Fatalf("version-1 file of another kind gave %v, want *KindError", err)
 	}
-	if err := Read(strings.NewReader(v1), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
+	if err := read(strings.NewReader(v1), "test-kind", 1, &got); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("version-1 layout claiming the current version gave %v, want ErrCorrupt", err)
 	}
 }
@@ -235,7 +273,7 @@ func (f failReader) Read([]byte) (int, error) {
 func TestWriteFileAtomicAndReadable(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "probe.ckpt")
-	if err := WriteFile(path, func(w io.Writer) error { return Write(w, "test-kind", 1, testPayload()) }); err != nil {
+	if err := WriteFile(path, func(w io.Writer) error { return Write(w, "test-kind", 1, testPayload(), testColumns()) }); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -244,7 +282,7 @@ func TestWriteFileAtomicAndReadable(t *testing.T) {
 	}
 	defer f.Close()
 	var got payload
-	if err := Read(f, "test-kind", 1, &got); err != nil {
+	if err := read(f, "test-kind", 1, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got.Name != "probe" || got.Count != 3 {

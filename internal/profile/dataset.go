@@ -129,8 +129,8 @@ func (d *Dataset) Validate() error {
 				d.Archs[ai].Name, len(row), len(d.Stencils))
 		}
 		for si, p := range row {
-			if p.StencilIdx != si {
-				return fmt.Errorf("profile: arch %s profile %d indexes stencil %d", d.Archs[ai].Name, si, p.StencilIdx)
+			if p.StencilIdx != si || p.Arch != d.Archs[ai].Name {
+				return fmt.Errorf("profile: arch %s profile %d indexes stencil %d on %q", d.Archs[ai].Name, si, p.StencilIdx, p.Arch)
 			}
 			if len(p.Results) != opt.NumCombinations {
 				return fmt.Errorf("profile: arch %s stencil %d has %d OC results", d.Archs[ai].Name, si, len(p.Results))
@@ -149,8 +149,10 @@ func (d *Dataset) Validate() error {
 					return fmt.Errorf("profile: arch %s stencil %d OC %s has non-positive or non-finite time", d.Archs[ai].Name, si, res.OC)
 				}
 			}
-			if !p.BestOC.Valid() || p.BestTime <= 0 || math.IsNaN(p.BestTime) || math.IsInf(p.BestTime, 0) {
-				return fmt.Errorf("profile: arch %s stencil %d has invalid best OC/time", d.Archs[ai].Name, si)
+			// The label is a function of the results (checked above), so
+			// it cannot be edited on its own: Labels() is ground truth.
+			if oc, best, ok := bestResult(p.Results); !ok || p.BestOC != oc || math.Float64bits(p.BestTime) != math.Float64bits(best) {
+				return fmt.Errorf("profile: arch %s stencil %d has best OC/time %s/%g, its results say %s/%g", d.Archs[ai].Name, si, p.BestOC, p.BestTime, oc, best)
 			}
 		}
 	}
@@ -178,15 +180,22 @@ func (d *Dataset) Validate() error {
 }
 
 // Wire is the dataset's serialization schema, shared by WriteJSON/ReadJSON
-// and the framework checkpoint, which embeds it as a typed field. Stencil
-// points flatten into triplets; architectures serialize by name and are
-// rehydrated from the catalog so microarchitectural constants stay in
-// code; the instance list, the bulk of the bytes, is stored as columns.
+// and the framework checkpoint. A dataset file is the whole of it as
+// JSON, the instance list — the bulk of the bytes — as columns; a
+// checkpoint keeps the Corpus in its manifest and moves the numbers,
+// profiles and instances, into its binary section (AppendColumns).
 type Wire struct {
-	Stencils  []stencilJSON   `json:"stencils"`
-	Archs     []string        `json:"archs"`
+	Corpus
 	Profiles  [][]Profile     `json:"profiles"`
 	Instances instanceColumns `json:"instances"`
+}
+
+// Corpus names what was profiled and where. Stencil points flatten into
+// triplets; architectures serialize by name and are rehydrated from the
+// catalog so microarchitectural constants stay in code.
+type Corpus struct {
+	Stencils []stencilJSON `json:"stencils"`
+	Archs    []string      `json:"archs"`
 }
 
 type stencilJSON struct {
@@ -229,14 +238,102 @@ func (d *Dataset) Wire() Wire {
 		Time: make(persist.Floats, n), Params: make(persist.Ints, 0, n*paramCols)}
 	for i, in := range d.Instances {
 		c.Stencil[i], c.OC[i], c.Arch[i], c.Time[i] = in.StencilIdx, int(in.OC), archIdx[in.Arch]-1, in.Time
-		p, smem := in.Params, 0
-		if p.UseSmem {
-			smem = 1
-		}
-		c.Params = append(c.Params, p.BlockX, p.BlockY, p.Merge, p.MergeDim, p.StreamTile, p.StreamDim, p.Unroll, smem, p.TBDepth, p.PrefetchDepth)
+		c.Params = appendParams(c.Params, in.Params)
 	}
 	out.Instances = c
 	return out
+}
+
+// appendParams flattens p into paramCols integers, opt.Params field order.
+func appendParams(dst []int, p opt.Params) []int {
+	smem := 0
+	if p.UseSmem {
+		smem = 1
+	}
+	return append(dst, p.BlockX, p.BlockY, p.Merge, p.MergeDim, p.StreamTile, p.StreamDim, p.Unroll, smem, p.TBDepth, p.PrefetchDepth)
+}
+
+// paramsOf is appendParams' inverse; ok is false when useSmem is neither
+// 0 nor 1.
+func paramsOf(p []int) (_ opt.Params, ok bool) {
+	return opt.Params{BlockX: p[0], BlockY: p[1], Merge: p[2], MergeDim: p[3], StreamTile: p[4], StreamDim: p[5],
+		Unroll: p[6], UseSmem: p[7] == 1, TBDepth: p[8], PrefetchDepth: p[9]}, p[7] == 0 || p[7] == 1
+}
+
+// AppendColumns appends everything of the wire form but its Corpus: the
+// profiles, flattened arch-major into one row per (arch, stencil, OC)
+// result — OC, crashed flag, time (0 where crashed: a column holds no
+// NaN), paramCols params — then each profile's best OC and time, then the
+// five instance columns. A profile's stencil index and arch are its
+// position and are not stored.
+func (w *Wire) AppendColumns(c *persist.Columns) {
+	n := len(w.Archs) * len(w.Stencils) * opt.NumCombinations
+	ocs, crashed, times, params := make([]opt.Opt, 0, n), make([]uint8, 0, n), make([]float64, 0, n), make([]int, 0, n*paramCols)
+	var bestOC []opt.Opt
+	var bestTime []float64
+	for _, row := range w.Profiles {
+		for _, p := range row {
+			for _, r := range p.Results {
+				flag, t := uint8(0), r.Time
+				if r.Crashed {
+					flag, t = 1, 0
+				}
+				ocs, crashed, times, params = append(ocs, r.OC), append(crashed, flag), append(times, t), appendParams(params, r.Params)
+			}
+			bestOC, bestTime = append(bestOC, p.BestOC), append(bestTime, p.BestTime)
+		}
+	}
+	persist.AppendInts(c, ocs)
+	persist.AppendInts(c, crashed)
+	c.AppendFloats(times)
+	persist.AppendInts(c, params)
+	persist.AppendInts(c, bestOC)
+	c.AppendFloats(bestTime)
+	persist.AppendInts(c, w.Instances.Stencil)
+	persist.AppendInts(c, w.Instances.OC)
+	persist.AppendInts(c, w.Instances.Arch)
+	c.AppendFloats(w.Instances.Time)
+	persist.AppendInts(c, w.Instances.Params)
+}
+
+// ReadColumns is AppendColumns' inverse: it fills Profiles, shaped by the
+// Corpus already in w, and Instances from the next eleven columns of c.
+func (w *Wire) ReadColumns(c *persist.Columns) error {
+	ocs, crashed, times, params := persist.ReadInts[opt.Opt](c), persist.ReadInts[uint8](c), c.ReadFloats(), persist.ReadInts[int](c)
+	bestOC, bestTime := persist.ReadInts[opt.Opt](c), c.ReadFloats()
+	w.Instances = instanceColumns{Stencil: persist.ReadInts[int](c), OC: persist.ReadInts[int](c), Arch: persist.ReadInts[int](c),
+		Time: c.ReadFloats(), Params: persist.ReadInts[int](c)}
+	if err := c.Err(); err != nil {
+		return err
+	}
+	cells := len(w.Archs) * len(w.Stencils)
+	n := cells * opt.NumCombinations
+	if len(ocs) != n || len(crashed) != n || len(times) != n || len(params) != n*paramCols || len(bestOC) != cells || len(bestTime) != cells {
+		return fmt.Errorf("profile: ragged result columns for %d archs × %d stencils: %d oc, %d crashed, %d time, %d params (%d each), %d best oc, %d best time",
+			len(w.Archs), len(w.Stencils), len(ocs), len(crashed), len(times), len(params), paramCols, len(bestOC), len(bestTime))
+	}
+	results := make([]OCResult, n)
+	for i := range results {
+		p, ok := paramsOf(params[i*paramCols : (i+1)*paramCols])
+		if !ok || crashed[i] > 1 {
+			return fmt.Errorf("profile: result %d has crashed flag %d or useSmem %d out of range", i, crashed[i], params[i*paramCols+7])
+		}
+		results[i] = OCResult{OC: ocs[i], Time: times[i], Params: p}
+		if crashed[i] == 1 {
+			results[i].Crashed, results[i].Time = true, math.NaN()
+		}
+	}
+	w.Profiles = make([][]Profile, len(w.Archs))
+	for ai, arch := range w.Archs {
+		w.Profiles[ai] = make([]Profile, len(w.Stencils))
+		for si := range w.Profiles[ai] {
+			cell := ai*len(w.Stencils) + si
+			at := cell * opt.NumCombinations
+			w.Profiles[ai][si] = Profile{StencilIdx: si, Arch: arch, Results: results[at : at+opt.NumCombinations : at+opt.NumCombinations],
+				BestOC: bestOC[cell], BestTime: bestTime[cell]}
+		}
+	}
+	return nil
 }
 
 // Dataset rehydrates and validates the dataset a Wire describes.
@@ -270,13 +367,11 @@ func (w *Wire) Dataset() (*Dataset, error) {
 	}
 	d.Instances = make([]Instance, n)
 	for i := range d.Instances {
-		p := c.Params[i*paramCols : (i+1)*paramCols]
-		if c.Arch[i] < 0 || c.Arch[i] >= len(d.Archs) || c.OC[i] < 0 || c.OC[i] > math.MaxUint8 || (p[7] != 0 && p[7] != 1) {
-			return nil, fmt.Errorf("profile: instance %d has arch index %d, OC %d or useSmem %d out of range", i, c.Arch[i], c.OC[i], p[7])
+		p, ok := paramsOf(c.Params[i*paramCols : (i+1)*paramCols])
+		if c.Arch[i] < 0 || c.Arch[i] >= len(d.Archs) || c.OC[i] < 0 || c.OC[i] > math.MaxUint8 || !ok {
+			return nil, fmt.Errorf("profile: instance %d has arch index %d, OC %d or useSmem %d out of range", i, c.Arch[i], c.OC[i], c.Params[i*paramCols+7])
 		}
-		d.Instances[i] = Instance{StencilIdx: c.Stencil[i], OC: opt.Opt(c.OC[i]), Arch: d.Archs[c.Arch[i]].Name, Time: c.Time[i],
-			Params: opt.Params{BlockX: p[0], BlockY: p[1], Merge: p[2], MergeDim: p[3], StreamTile: p[4], StreamDim: p[5],
-				Unroll: p[6], UseSmem: p[7] == 1, TBDepth: p[8], PrefetchDepth: p[9]}}
+		d.Instances[i] = Instance{StencilIdx: c.Stencil[i], OC: opt.Opt(c.OC[i]), Arch: d.Archs[c.Arch[i]].Name, Time: c.Time[i], Params: p}
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -190,12 +190,10 @@ func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Ste
 		StencilIdx: stencilIdx,
 		Arch:       arch.Name,
 		Results:    make([]OCResult, len(combos)),
-		BestTime:   math.Inf(1),
 	}
 	// Every sample that measures cleanly becomes an instance; size for the
 	// no-crash case so the append loop never regrows.
 	instances := make([]Instance, 0, len(combos)*p.SamplesPerOC)
-	found := false
 	// One rng re-seeded per OC. Each stream is bit for bit the one
 	// rand.New(rand.NewSource(cellSeed)) would produce — the dataset is
 	// those bits — but the source builds register words as an OC's ~100
@@ -226,16 +224,25 @@ func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Ste
 			}
 		}
 		prof.Results[ci] = res
-		if !res.Crashed && res.Time < prof.BestTime {
-			prof.BestTime = res.Time
-			prof.BestOC = oc
-			found = true
-		}
 	}
-	if !found {
+	var found bool
+	if prof.BestOC, prof.BestTime, found = bestResult(prof.Results); !found {
 		return Profile{}, nil, fmt.Errorf("profile: stencil %q crashed under every OC on %s", s.Name, arch.Name)
 	}
 	return prof, instances, nil
+}
+
+// bestResult is a profile's label: the first result, in OC order, that did
+// not crash and whose time is strictly below every earlier one's. ok is
+// false when every OC crashed. Validate holds stored labels to it.
+func bestResult(results []OCResult) (oc opt.Opt, best float64, ok bool) {
+	best = math.Inf(1)
+	for _, r := range results {
+		if !r.Crashed && r.Time < best {
+			oc, best, ok = r.OC, r.Time, true
+		}
+	}
+	return oc, best, ok
 }
 
 // profileCell measures one (stencil, architecture) cell, applying the

@@ -280,6 +280,64 @@ func TestValidateRejectsInfiniteResultTime(t *testing.T) {
 	}
 }
 
+// TestValidateHoldsLabelsToResults: a profile's label is a function of
+// its results and its arch is its row's. A dataset file whose first
+// profile named another non-crashed OC with a best time of 123, or whose
+// second named another GPU, read back cleanly — and Labels(), the
+// classification ground truth, returned the edited class.
+func TestValidateHoldsLabelsToResults(t *testing.T) {
+	d := smallDataset(t)
+	for ai, row := range d.Profiles {
+		for si, p := range row {
+			if oc, best, ok := bestResult(p.Results); !ok || oc != p.BestOC || best != p.BestTime {
+				t.Fatalf("collected profile %d/%d is labelled %s/%g, its results say %s/%g", ai, si, p.BestOC, p.BestTime, oc, best)
+			}
+		}
+	}
+	reject := func(what string, edit func(p *Profile)) {
+		t.Helper()
+		p := &d.Profiles[0][0]
+		save := *p
+		p.Results = append([]OCResult(nil), p.Results...)
+		edit(p)
+		var file bytes.Buffer
+		err := d.WriteJSON(&file)
+		*p = save
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadJSON(&file); err == nil {
+			t.Errorf("a dataset file with %s read back cleanly", what)
+		}
+	}
+	// pair finds the best result and another that ran, by position.
+	pair := func(p *Profile) (best, other int) {
+		best, other = -1, -1
+		for ci, r := range p.Results {
+			if r.OC == p.BestOC {
+				best = ci
+			} else if !r.Crashed && other < 0 {
+				other = ci
+			}
+		}
+		if best < 0 || other < 0 {
+			t.Fatal("no second OC that ran")
+		}
+		return best, other
+	}
+	reject("a label naming a slower OC", func(p *Profile) { _, o := pair(p); p.BestOC, p.BestTime = p.Results[o].OC, 123 })
+	reject("a label naming a slower OC at its own time", func(p *Profile) { _, o := pair(p); p.BestOC, p.BestTime = p.Results[o].OC, p.Results[o].Time })
+	reject("the right OC at the wrong time", func(p *Profile) { p.BestTime = math.Nextafter(p.BestTime, 0) })
+	reject("a tie labelled with the later OC", func(p *Profile) {
+		b, o := pair(p)
+		p.Results[o].Time, p.BestOC = p.BestTime, p.Results[max(b, o)].OC
+	})
+	reject("another GPU's name on the profile", func(p *Profile) { p.Arch = d.Archs[1].Name })
+	if err := d.Validate(); err != nil {
+		t.Fatalf("the dataset the edits were undone on: %v", err)
+	}
+}
+
 // TestAllocGateProfileOne is the allocation contract of the collection
 // sample loop, enforced by check.sh. A sample a hard resource limit
 // rejects costs the one typed error value — a second allocation means

@@ -52,8 +52,11 @@ echo "== bench smoke (race) =="
 # detector: proves the GEMM backbone, the nn layers, the histogram
 # tree trainer, and the request coalescer execute their parallel paths
 # cleanly, without paying for a full benchmark run; lazyrand rides along
-# so its library-vs-lazy benchmark cannot rot.
-go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/
+# so its library-vs-lazy benchmark cannot rot, and the checkpoint codec's
+# (`make bench-ckpt`: persist's column loops, internal/core's save/load
+# pair) for the same reason.
+go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/
+go test -race -run='^$' -bench=Checkpoint -benchtime=1x ./internal/core/
 
 echo "== coalescer Do x Close (race, repeated) =="
 # Every call submitted while the coalescer closes is answered exactly once
@@ -61,11 +64,20 @@ echo "== coalescer Do x Close (race, repeated) =="
 go test -race -count=20 -run 'Close' ./internal/serve/batch/
 
 echo "== fuzz smoke (checkpoint envelope + loader) =="
-# Five seconds each: the seeds (valid, truncated, lying length, trailing
-# bytes; ragged columns, bad indices, NaN as a string) plus whatever the
-# mutator reaches. Typed error or success, never a panic. (Same two
-# commands as `make fuzz-smoke`; minimising a megabyte-sized interesting
-# input would eat the loader's whole budget, hence -fuzzminimizetime 1x.)
+# Five seconds each: the seeds plus whatever the mutator reaches. The
+# envelope's: valid, truncated header and payload, flipped manifest byte,
+# lying payload length, trailing bytes, wrong version and magic; lying
+# column-section length, lying column count, section cut mid-varint,
+# padded varint, NaN bits, flipped column byte. The loader's, as
+# (manifest, columns) framed afresh: valid; ragged instance and node
+# columns, arch index out of range, params not ten per instance, child
+# index 1<<40, feature 1<<32 and past the row width, 0x7ff8... in a time
+# and in a threshold, a float column where an int column is due, a scaler
+# on a tree regressor, an edited label, a count past the end. Typed
+# error or success, never a panic, allocation bounded by the input. (Same
+# two commands as `make fuzz-smoke`; minimising a megabyte-sized
+# interesting input would eat the loader's whole budget, hence
+# -fuzzminimizetime 1x.)
 go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
 go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
 
