@@ -50,18 +50,22 @@ bench-trees:
 bench-lanes:
 	$(GO) test -run='^$$' -bench='BenchmarkLane' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
 
-# Checkpoint save and load of the default preset's tree framework (time,
-# MB/s of file, bytes and allocations per operation) and the four column
-# loops under them (MB/s of decoded elements).
+# Checkpoint save and load of the default preset's tree framework and
+# write and read of its dataset file (time, MB/s of file, bytes and
+# allocations per operation), and the four column loops under them (MB/s
+# of decoded elements).
 bench-ckpt:
-	$(GO) test -run='^$$' -bench='Checkpoint|Columns' -benchmem ./internal/persist/ ./internal/core/
+	$(GO) test -run='^$$' -bench='Checkpoint|Columns|DatasetFile' -benchmem ./internal/persist/ ./internal/core/
 
 fuzz:
-	$(GO) test ./internal/profile/ -fuzz FuzzDatasetRoundTrip -fuzztime 30s
+	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 30s -fuzzminimizetime 1x
 
-# Five-second runs of the checkpoint fuzz targets (check.sh runs this).
+# Five-second runs of the four hostile-input fuzz targets: the frame, the
+# checkpoint loader, the dataset file, WAL records (check.sh runs these).
 # Minimising a megabyte-sized interesting input would eat the whole
 # budget, hence -fuzzminimizetime 1x.
 fuzz-smoke:
 	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzPersistRead -fuzztime 5s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzReadWAL -fuzztime 5s

@@ -190,8 +190,9 @@ func FromDataset(cfg Config, ds *Dataset) (*Framework, error) {
 	return core.FromDataset(cfg, ds, nil)
 }
 
-// ReadDataset deserializes a profiled dataset.
-func ReadDataset(r io.Reader) (*Dataset, error) { return profile.ReadJSON(r) }
+// ReadDataset deserializes a profiled dataset file (`stencilmart profile
+// -out`): a checksummed persist frame, refused whole if damaged.
+func ReadDataset(r io.Reader) (*Dataset, error) { return profile.Read(r) }
 
 // SmokeConfig returns the smallest useful preset — sized for CI smoke
 // tests of the train/checkpoint/serve path.

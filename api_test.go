@@ -112,7 +112,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	}
 	// Round-trip the dataset through the public serialization surface.
 	var buf bytes.Buffer
-	if err := fw.Dataset.WriteJSON(&buf); err != nil {
+	if err := fw.Dataset.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ds, err := stencilmart.ReadDataset(&buf)

@@ -55,7 +55,7 @@ run 'stencilmart campaign <subcommand> -h' for flags`)
 
 func cmdCampaignCoordinate(args []string) error {
 	fs := flag.NewFlagSet("campaign coordinate", flag.ExitOnError)
-	out := fs.String("out", "dataset.json", "output dataset path")
+	out := fs.String("out", "dataset.bin", "output dataset path")
 	dir := fs.String("dir", "", "campaign directory for shard journals (default <out>.campaign)")
 	preset := fs.String("preset", "default", "pipeline preset (default, paper, smoke)")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
@@ -136,12 +136,7 @@ func cmdCampaignCoordinate(args []string) error {
 		fmt.Printf("  re-dispatched %d expired leases\n", st.Redispatches)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ds.WriteJSON(f); err != nil {
+	if err := ds.WriteFile(*out); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s: %d stencils, %d instances\n", *out, len(ds.Stencils), len(ds.Instances))

@@ -6,15 +6,15 @@
 // Usage:
 //
 //	stencilmart gen        -dims 2 -n 10 -seed 1
-//	stencilmart profile    -out dataset.json [-preset paper]
-//	stencilmart campaign   coordinate -out dataset.json -shards 8 [-listen 127.0.0.1:8090]
+//	stencilmart profile    -out dataset.bin [-preset paper]
+//	stencilmart campaign   coordinate -out dataset.bin -shards 8 [-listen 127.0.0.1:8090]
 //	stencilmart campaign   work -join http://127.0.0.1:8090 [-id w1]
-//	stencilmart train      -dataset dataset.json -out model.ckpt
-//	stencilmart predict    -dataset dataset.json -stencil star2d2r -gpu V100
+//	stencilmart train      -dataset dataset.bin -out model.ckpt
+//	stencilmart predict    -dataset dataset.bin -stencil star2d2r -gpu V100
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
 //	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
 //	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 32 -n 50 [-distinct -lane f32]
-//	stencilmart rent       -dataset dataset.json -dims 2 [-cost]
+//	stencilmart rent       -dataset dataset.bin -dims 2 [-cost]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
 //	stencilmart experiment -id fig9 [-preset paper]
 //	stencilmart experiment -id all
@@ -183,7 +183,7 @@ func signalContext() (context.Context, context.CancelFunc) {
 
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	out := fs.String("out", "dataset.json", "output dataset path")
+	out := fs.String("out", "dataset.bin", "output dataset path")
 	preset := fs.String("preset", "default", "pipeline preset (default, paper)")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
 	journal := fs.String("journal", "", "collection journal path for crash/interrupt resume (default <out>.journal, \"off\" disables)")
@@ -242,12 +242,7 @@ func cmdProfile(args []string) error {
 		fmt.Printf("chaos: absorbed %d injected faults over %d attempts (%d transient, %d panics, %d non-finite, %d spikes)\n",
 			st.Total(), st.Attempts, st.Transients, st.Panics, st.NaNs+st.Infs, st.Spikes)
 	}
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := ds.WriteJSON(f); err != nil {
+	if err := ds.WriteFile(*out); err != nil {
 		return err
 	}
 	if jpath != "off" {
@@ -273,9 +268,9 @@ func loadFramework(ctx context.Context, path, preset string, seed int64) (*core.
 		return nil, err
 	}
 	defer f.Close()
-	ds, err := profile.ReadJSON(f)
+	ds, err := profile.Read(f)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset %s: %w (damaged, or not a dataset this build wrote; none is migrated — write a fresh one with `stencilmart profile`)", path, err)
 	}
 	return core.FromDataset(cfg, ds, nil)
 }

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"stencilmart/internal/core"
+	"stencilmart/internal/persist"
 )
 
 func TestConfigFromPreset(t *testing.T) {
@@ -42,5 +46,15 @@ func TestParseClassifier(t *testing.T) {
 	}
 	if _, err := parseClassifier("SVM"); err == nil {
 		t.Error("unknown classifier accepted")
+	}
+}
+
+// TestLoadFrameworkRefusesAJSONDataset: the JSON file an older build's
+// `profile` wrote is refused by the frame, not read and not migrated, and
+// the error (main prints it and exits 1) says what to run instead.
+func TestLoadFrameworkRefusesAJSONDataset(t *testing.T) {
+	_, err := loadFramework(context.Background(), "../../internal/profile/testdata/dataset_parent_8a94af0.json", "smoke", 7)
+	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "`stencilmart profile`") {
+		t.Fatalf("got %v, want persist.ErrCorrupt and a pointer to `stencilmart profile`", err)
 	}
 }

@@ -43,7 +43,7 @@ func serialBytes(t *testing.T, spec campaign.Spec) []byte {
 	if err != nil {
 		t.Fatalf("serial reference Collect: %v", err)
 	}
-	return testutil.DatasetJSON(t, ds)
+	return testutil.DatasetBytes(t, ds)
 }
 
 // newCampaign builds a coordinator over dir and serves its API from an
@@ -110,7 +110,7 @@ func TestCampaignMergedIdenticalToSerial(t *testing.T) {
 			if ms.Shards != 3 || ms.Cells != 8 || ms.Duplicates != 0 {
 				t.Fatalf("GOMAXPROCS %d: merge stats %+v", procs, ms)
 			}
-			testutil.AssertSameBytes(t, "campaign dataset", want, testutil.DatasetJSON(t, ds))
+			testutil.AssertSameBytes(t, "campaign dataset", want, testutil.DatasetBytes(t, ds))
 		})
 	}
 }
@@ -213,7 +213,7 @@ func TestCampaignKilledWorkerDifferential(t *testing.T) {
 	if ms.Duplicates < 1 {
 		t.Fatalf("merge stats %+v, want the victim's durable cell deduped", ms)
 	}
-	testutil.AssertSameBytes(t, "killed-worker campaign dataset", want, testutil.DatasetJSON(t, ds))
+	testutil.AssertSameBytes(t, "killed-worker campaign dataset", want, testutil.DatasetBytes(t, ds))
 }
 
 // TestCampaignResume: a campaign abandoned half-merged — one shard
@@ -262,7 +262,7 @@ func TestCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge of resumed campaign: %v", err)
 	}
-	testutil.AssertSameBytes(t, "resumed campaign dataset", want, testutil.DatasetJSON(t, ds))
+	testutil.AssertSameBytes(t, "resumed campaign dataset", want, testutil.DatasetBytes(t, ds))
 
 	// Campaign #3 over the finished directory is born complete.
 	c3, err := campaign.NewCoordinator(spec, campaign.Options{Dir: dir})
@@ -276,7 +276,7 @@ func TestCampaignResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merge of finished campaign: %v", err)
 	}
-	testutil.AssertSameBytes(t, "born-complete campaign dataset", want, testutil.DatasetJSON(t, ds3))
+	testutil.AssertSameBytes(t, "born-complete campaign dataset", want, testutil.DatasetBytes(t, ds3))
 }
 
 // TestCoordinatorServe: the Serve convenience (real TCP listener, merge
@@ -306,7 +306,7 @@ func TestCoordinatorServe(t *testing.T) {
 	if res.err != nil {
 		t.Fatalf("Serve: %v", res.err)
 	}
-	testutil.AssertSameBytes(t, "served campaign dataset", want, testutil.DatasetJSON(t, res.ds))
+	testutil.AssertSameBytes(t, "served campaign dataset", want, testutil.DatasetBytes(t, res.ds))
 }
 
 // TestCampaignRejectsForeignDirectory: a coordinator must refuse a
@@ -385,7 +385,7 @@ func TestCampaignAuthToken(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testutil.AssertSameBytes(t, "authed campaign merge", want, testutil.DatasetJSON(t, ds))
+	testutil.AssertSameBytes(t, "authed campaign merge", want, testutil.DatasetBytes(t, ds))
 	if got := c.Stats().Unauthorized; got != 2 {
 		t.Fatalf("unauthorized count drifted to %d during the authed run", got)
 	}

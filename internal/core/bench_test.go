@@ -6,6 +6,8 @@ import (
 	"io"
 	"runtime"
 	"testing"
+
+	"stencilmart/internal/profile"
 )
 
 // benchCheckpoint trains the default preset with GBDT + GBRegressor — the
@@ -48,6 +50,38 @@ func BenchmarkCheckpointLoad(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDatasetFile times the default preset's dataset file — what
+// `profile -out` writes and `train -dataset` reads — with every check on:
+// Validate, the checksum, the last column's End.
+func BenchmarkDatasetFile(b *testing.B) {
+	fw, err := Build(context.Background(), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := fw.Dataset.Write(&file); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Write", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := fw.Dataset.Write(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Read", func(b *testing.B) {
+		b.SetBytes(int64(file.Len()))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := profile.Read(bytes.NewReader(file.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestAllocGateCheckpointLoad bounds what a load allocates by the file it

@@ -145,17 +145,16 @@ func (f *Framework) Save(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	wire := f.Dataset.Wire()
 	manifest := checkpointManifest{
 		Config:         f.Cfg,
-		Dataset:        wire.Corpus,
+		Dataset:        f.Dataset.Corpus(),
 		Grouping:       f.Grouping,
 		Schema:         f.featureSchema(tr.ClassifierKind, tr.RegressorKind),
 		ClassifierKind: tr.ClassifierKind.String(),
 		RegressorKind:  tr.RegressorKind.String(),
 	}
 	var cols persist.Columns
-	wire.AppendColumns(&cols)
+	f.Dataset.AppendColumns(&cols)
 	// Serialize in deterministic order: dataset arch order, dims ascending.
 	for _, a := range f.Dataset.Archs {
 		for _, d := range f.trainDims() {
@@ -303,11 +302,7 @@ func LoadFramework(r io.Reader) (*Framework, error) {
 	if err != nil {
 		return nil, err
 	}
-	wire := profile.Wire{Corpus: manifest.Dataset}
-	if err := wire.ReadColumns(cols); err != nil {
-		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
-	}
-	ds, err := wire.Dataset()
+	ds, err := profile.ReadColumns(manifest.Dataset, cols)
 	if err != nil {
 		return nil, fmt.Errorf("core: checkpoint dataset: %w", err)
 	}

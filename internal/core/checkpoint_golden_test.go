@@ -13,6 +13,7 @@ import (
 
 	"stencilmart/internal/merge"
 	"stencilmart/internal/ml/tree"
+	"stencilmart/internal/opt"
 	"stencilmart/internal/persist"
 	"stencilmart/internal/profile"
 )
@@ -40,10 +41,38 @@ type checkpointGolden struct {
 }
 
 // The version-2 payload schema, kept as the golden's oracle: one JSON
-// document, the dataset as profile.Wire and every tree ensemble as the
-// State its package still reports. (Its network branch is not needed to
-// render the tree-model golden and is left out.)
+// document, the dataset in the wire form profile no longer has (wireV2, a
+// marshal-only copy: plain slices marshal to the bytes persist.Ints and
+// persist.Floats did) and every tree ensemble as the State its package
+// still reports. (Its network branch is not needed to render the
+// tree-model golden and is left out.)
 type (
+	// ocResultV2 is how version 2 spelled an OCResult: JSON has no NaN, so
+	// a crashed result carries no time.
+	ocResultV2 struct {
+		OC      opt.Opt    `json:"oc"`
+		Crashed bool       `json:"crashed,omitempty"`
+		Time    *float64   `json:"time,omitempty"`
+		Params  opt.Params `json:"params"`
+	}
+	profileV2 struct {
+		StencilIdx int
+		Arch       string
+		Results    []ocResultV2
+		BestOC     opt.Opt
+		BestTime   float64
+	}
+	wireV2 struct {
+		profile.Corpus
+		Profiles  [][]profileV2 `json:"profiles"`
+		Instances struct {
+			Stencil []int     `json:"stencil"`
+			OC      []int     `json:"oc"`
+			Arch    []int     `json:"arch"`
+			Time    []float64 `json:"time"`
+			Params  []int     `json:"params"`
+		} `json:"instances"`
+	}
 	savedModelV2 struct {
 		Kind  string                 `json:"kind"`
 		GBDT  *tree.GBDTState        `json:"gbdt,omitempty"`
@@ -63,7 +92,7 @@ type (
 	}
 	checkpointPayloadV2 struct {
 		Config         Config              `json:"config"`
-		Dataset        profile.Wire        `json:"dataset"`
+		Dataset        wireV2              `json:"dataset"`
 		Grouping       merge.Grouping      `json:"grouping"`
 		Schema         []schemaEntry       `json:"schema"`
 		ClassifierKind string              `json:"classifier_kind"`
@@ -73,6 +102,37 @@ type (
 	}
 )
 
+// renderWireV2 spells a dataset as version 2 did.
+func renderWireV2(d *profile.Dataset) wireV2 {
+	w := wireV2{Corpus: d.Corpus(), Profiles: make([][]profileV2, len(d.Profiles))}
+	for ai, row := range d.Profiles {
+		for _, p := range row {
+			pv := profileV2{StencilIdx: p.StencilIdx, Arch: p.Arch, BestOC: p.BestOC, BestTime: p.BestTime}
+			for _, r := range p.Results {
+				rv := ocResultV2{OC: r.OC, Crashed: r.Crashed, Params: r.Params}
+				if !r.Crashed {
+					rv.Time = &r.Time
+				}
+				pv.Results = append(pv.Results, rv)
+			}
+			w.Profiles[ai] = append(w.Profiles[ai], pv)
+		}
+	}
+	in := &w.Instances
+	in.Params = []int{} // an empty column marshalled as [], not null
+	for _, x := range d.Instances {
+		ai, _ := d.ArchIndex(x.Arch)
+		smem := 0
+		if x.Params.UseSmem {
+			smem = 1
+		}
+		in.Stencil, in.OC, in.Arch, in.Time = append(in.Stencil, x.StencilIdx), append(in.OC, int(x.OC)), append(in.Arch, ai), append(in.Time, x.Time)
+		in.Params = append(in.Params, x.Params.BlockX, x.Params.BlockY, x.Params.Merge, x.Params.MergeDim, x.Params.StreamTile, x.Params.StreamDim,
+			x.Params.Unroll, smem, x.Params.TBDepth, x.Params.PrefetchDepth)
+	}
+	return w
+}
+
 // renderV2 writes the version-2 file of a framework trained with GBDT +
 // GBRegressor: the header line with the payload's length, then the
 // payload, one JSON document.
@@ -80,7 +140,7 @@ func renderV2(t *testing.T, f *Framework) []byte {
 	t.Helper()
 	tr := f.Trained
 	payload := checkpointPayloadV2{
-		Config: f.Cfg, Dataset: f.Dataset.Wire(), Grouping: f.Grouping, Schema: f.featureSchema(tr.ClassifierKind, tr.RegressorKind),
+		Config: f.Cfg, Dataset: renderWireV2(f.Dataset), Grouping: f.Grouping, Schema: f.featureSchema(tr.ClassifierKind, tr.RegressorKind),
 		ClassifierKind: tr.ClassifierKind.String(), RegressorKind: tr.RegressorKind.String(),
 	}
 	for _, a := range f.Dataset.Archs {

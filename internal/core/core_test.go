@@ -77,18 +77,6 @@ func TestBuildProducesValidFramework(t *testing.T) {
 	}
 }
 
-func TestClassLabelsInRange(t *testing.T) {
-	fw := testFramework(t)
-	for ai := range fw.Dataset.Archs {
-		for _, si := range fw.StencilIndices(2) {
-			l := fw.ClassLabel(ai, si)
-			if l < 0 || l >= fw.Grouping.NumClasses() {
-				t.Fatalf("label %d out of range", l)
-			}
-		}
-	}
-}
-
 func TestClassifierAccuracyAllKinds(t *testing.T) {
 	fw := testFramework(t)
 	for _, kind := range ClassifierKinds {

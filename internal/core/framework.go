@@ -92,12 +92,6 @@ func (f *Framework) StencilIndices(dims int) []int {
 	return out
 }
 
-// ClassLabel returns the merged-class label of the best OC for stencil si
-// on architecture archIdx.
-func (f *Framework) ClassLabel(archIdx, si int) int {
-	return f.Grouping.GroupOf[f.Dataset.Labels(archIdx)[si]]
-}
-
 // classLabels returns merged-class labels for a set of stencil indices.
 func (f *Framework) classLabels(archIdx int, indices []int) []int {
 	all := f.Dataset.Labels(archIdx)

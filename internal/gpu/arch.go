@@ -114,16 +114,3 @@ func ByName(name string) (Arch, error) {
 	}
 	return Arch{}, fmt.Errorf("gpu: unknown architecture %q", name)
 }
-
-// Rentable returns the catalog entries with a cloud rental price, in
-// catalog order (P100, V100, A100) — the set compared in the paper's
-// cost-efficiency case study.
-func Rentable() []Arch {
-	var out []Arch
-	for _, a := range Catalog() {
-		if a.HasRental() {
-			out = append(out, a)
-		}
-	}
-	return out
-}

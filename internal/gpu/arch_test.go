@@ -39,21 +39,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestRentable(t *testing.T) {
-	r := Rentable()
-	if len(r) != 3 {
-		t.Fatalf("%d rentable GPUs, want 3", len(r))
-	}
-	for _, a := range r {
-		if !a.HasRental() {
-			t.Errorf("%s listed rentable without a price", a.Name)
-		}
-		if a.Name == "2080Ti" {
-			t.Error("2080Ti must not be rentable")
-		}
-	}
-}
-
 func TestFeaturesLayout(t *testing.T) {
 	a, _ := ByName("V100")
 	f := a.Features()

@@ -1,28 +1,32 @@
 package persist
 
 import (
-	"bufio"
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"sync"
 )
 
 // This file implements the append-only write-ahead log the resumable
-// profiling journal rides on. The format is line-oriented JSON:
+// profiling journal rides on. The format is one JSON header line, then
+// binary records laid end to end:
 //
 //	header line: {"magic", "kind", "version", "checksum", "payload": meta}
-//	record line: {"checksum": sha256(payload), "payload": {...}}
+//	record:      uvarint length | sha-256 of the payload | length payload bytes
 //
 // The header carries the checkpoint identity, so magic/kind/version
 // verification and its error classes are shared with checkpoints. Each
-// record carries its own payload checksum; a record is appended with one
-// Write call ending in '\n', so a crash mid-append leaves at most one
-// partial final line.
-// Replay verifies records in order and stops at the first damaged one,
-// reporting the byte offset of the good prefix — the caller truncates
-// there and re-does only the damaged tail.
+// record carries its own payload checksum and is appended with one Write
+// call, so a crash mid-append leaves at most one partial final record: a
+// length that runs past the end of the file, or bytes that do not hash to
+// the digest before them. Replay verifies records in order and stops at
+// the first damaged one, reporting the byte offset of the good prefix —
+// the caller truncates there and re-does only the damaged tail. A record
+// has no terminator to resynchronise on: everything behind a damaged
+// record is part of the tail.
 
 // walHeader is the log's first line: the checkpoint identity with the
 // meta payload inline, so the whole header stays one line.
@@ -31,29 +35,33 @@ type walHeader struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// walRecord frames one appended payload.
-type walRecord struct {
-	Checksum string          `json:"checksum"`
-	Payload  json.RawMessage `json:"payload"`
-}
-
 // WALReplay is what OpenWAL recovered from an existing log.
 type WALReplay struct {
 	// Meta is the header payload exactly as first written.
 	Meta json.RawMessage
-	// Records holds every intact record payload in append order.
-	Records []json.RawMessage
+	// Records holds every intact record payload in append order; they
+	// share the one buffer the log was read into.
+	Records [][]byte
 	// TruncatedBytes counts bytes dropped from a damaged tail (0 for a
 	// clean log).
 	TruncatedBytes int64
+}
+
+// walFile is what a WAL asks of its file; tests substitute one that fails.
+type walFile interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Truncate(size int64) error
+	Close() error
 }
 
 // WAL is an open, append-position write-ahead log. Append is safe for
 // concurrent use.
 type WAL struct {
 	mu   sync.Mutex
-	f    *os.File
-	path string
+	f    walFile
+	size int64 // the header and every acknowledged record end here
+	err  error // the first failed append; every later one is refused with it
 }
 
 // OpenWAL opens (or creates) the log at path. On creation the header is
@@ -71,12 +79,16 @@ func OpenWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, error)
 		return createWAL(path, kind, version, meta)
 	}
 
-	replay, goodBytes, err := replayWAL(path, kind, version)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	replay, good, err := replayWAL(raw, kind, version)
 	if err != nil {
 		return nil, nil, err
 	}
 	if replay.TruncatedBytes > 0 {
-		if err := os.Truncate(path, goodBytes); err != nil {
+		if err := os.Truncate(path, good); err != nil {
 			return nil, nil, fmt.Errorf("persist: truncate damaged wal tail: %w", err)
 		}
 	}
@@ -84,7 +96,7 @@ func OpenWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, error)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &WAL{f: f, path: path}, replay, nil
+	return &WAL{f: f, size: good}, replay, nil
 }
 
 // ReadWAL replays the log at path without opening it for append and
@@ -93,7 +105,11 @@ func OpenWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, error)
 // and record recovery match OpenWAL exactly; a damaged tail is reported
 // in TruncatedBytes but left on disk.
 func ReadWAL(path, kind string, version int) (*WALReplay, error) {
-	replay, _, err := replayWAL(path, kind, version)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	replay, _, err := replayWAL(raw, kind, version)
 	return replay, err
 }
 
@@ -107,11 +123,12 @@ func createWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, erro
 	if err != nil {
 		return nil, nil, fmt.Errorf("persist: frame %s wal header: %w", kind, err)
 	}
+	line = append(line, '\n')
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
+	if _, err := f.Write(line); err != nil {
 		f.Close()
 		return nil, nil, err
 	}
@@ -119,26 +136,20 @@ func createWAL(path, kind string, version int, meta any) (*WAL, *WALReplay, erro
 		f.Close()
 		return nil, nil, err
 	}
-	return &WAL{f: f, path: path}, &WALReplay{Meta: raw}, nil
+	return &WAL{f: f, size: int64(len(line))}, &WALReplay{Meta: raw}, nil
 }
 
-// replayWAL reads the header and every intact record, returning the byte
-// length of the good prefix.
-func replayWAL(path, kind string, version int) (*WALReplay, int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer f.Close()
-
-	r := bufio.NewReader(f)
-	header, err := r.ReadBytes('\n')
-	if err != nil {
+// replayWAL verifies the header of a log's bytes and takes every intact
+// record off them, returning the byte length of the good prefix. The
+// records alias raw: nothing is allocated for a length a record declares.
+func replayWAL(raw []byte, kind string, version int) (*WALReplay, int64, error) {
+	nl := bytes.IndexByte(raw, '\n')
+	if nl < 0 {
 		// A log without even a complete header line is corrupt outright.
 		return nil, 0, fmt.Errorf("%w: wal header: truncated", ErrCorrupt)
 	}
 	var h walHeader
-	if err := json.Unmarshal(header, &h); err != nil {
+	if err := json.Unmarshal(raw[:nl], &h); err != nil {
 		return nil, 0, fmt.Errorf("%w: wal header: %v", ErrCorrupt, err)
 	}
 	if err := h.check(kind, version); err != nil {
@@ -148,63 +159,54 @@ func replayWAL(path, kind string, version int) (*WALReplay, int64, error) {
 		return nil, 0, ErrChecksum
 	}
 	replay := &WALReplay{Meta: h.Payload}
-	good := int64(len(header))
-
-	for {
-		line, err := r.ReadBytes('\n')
-		if len(line) == 0 && err == io.EOF {
-			return replay, good, nil
+	rest := raw[nl+1:]
+	for len(rest) > 0 {
+		n, w := uvarint(rest)
+		// The declared length is held against the bytes that remain
+		// before it is used for anything.
+		if w <= 0 || n > uint64(len(rest)-w) || uint64(len(rest)-w)-n < sha256.Size {
+			break
 		}
-		// err != nil here means EOF with a partial (unterminated) line.
-		if err != nil || !intactRecord(line, replay) {
-			tail := int64(len(line)) + remaining(r)
-			replay.TruncatedBytes = tail
-			return replay, good, nil
+		sum, payload := rest[w:w+sha256.Size], rest[w+sha256.Size:w+sha256.Size+int(n)]
+		if got := sha256.Sum256(payload); !bytes.Equal(got[:], sum) {
+			break
 		}
-		good += int64(len(line))
+		replay.Records = append(replay.Records, payload)
+		rest = rest[w+sha256.Size+int(n):]
 	}
+	replay.TruncatedBytes = int64(len(rest))
+	return replay, int64(len(raw) - len(rest)), nil
 }
 
-// intactRecord decodes and checksum-verifies one record line, appending
-// its payload to the replay on success.
-func intactRecord(line []byte, replay *WALReplay) bool {
-	var rec walRecord
-	if err := json.Unmarshal(line, &rec); err != nil {
-		return false
-	}
-	if len(rec.Payload) == 0 || checksum(rec.Payload) != rec.Checksum {
-		return false
-	}
-	replay.Records = append(replay.Records, rec.Payload)
-	return true
-}
-
-// remaining counts the bytes left unread after a damaged record: they are
-// all part of the tail being dropped.
-func remaining(r *bufio.Reader) int64 {
-	n, _ := io.Copy(io.Discard, r)
-	return n
-}
-
-// Append marshals payload and appends one checksummed record, synced to
-// disk before returning — a record that Append acknowledged survives a
-// kill.
-func (w *WAL) Append(payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return fmt.Errorf("persist: marshal wal record: %w", err)
-	}
-	line, err := json.Marshal(walRecord{Checksum: checksum(raw), Payload: raw})
-	if err != nil {
-		return fmt.Errorf("persist: frame wal record: %w", err)
-	}
-	line = append(line, '\n')
+// Append appends payload as one checksummed record, synced to disk
+// before returning — a record that Append acknowledged survives a kill.
+// A failed write or sync may have left part of a record in the file, and
+// replay drops everything behind a damaged record, so nothing may be
+// acknowledged after it: the log is cut back to its last acknowledged
+// record where the file allows, and this and every later Append return
+// that first error.
+func (w *WAL) Append(payload []byte) error {
+	sum := sha256.Sum256(payload)
+	rec := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(sum)+len(payload)), uint64(len(payload)))
+	rec = append(append(rec, sum[:]...), payload...)
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("persist: append wal record: %w", err)
+	if w.err != nil {
+		return w.err
 	}
-	return w.f.Sync()
+	if _, err := w.f.Write(rec); err != nil {
+		w.err = fmt.Errorf("persist: append wal record: %w", err)
+	} else if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("persist: sync wal record: %w", err)
+	}
+	if w.err != nil {
+		// Best effort: if the cut fails too, replay still stops at the
+		// torn record, and no record is written behind it.
+		_ = w.f.Truncate(w.size)
+		return w.err
+	}
+	w.size += int64(len(rec))
+	return nil
 }
 
 // Close releases the underlying file.
@@ -213,6 +215,3 @@ func (w *WAL) Close() error {
 	defer w.mu.Unlock()
 	return w.f.Close()
 }
-
-// Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }

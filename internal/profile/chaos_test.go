@@ -51,14 +51,14 @@ func TestChaosDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("clean Collect: %v", err)
 	}
-	cleanBytes := testutil.DatasetJSON(t, cleanDS)
+	cleanBytes := testutil.DatasetBytes(t, cleanDS)
 
 	chaos, injector := chaosProfiler(4)
 	chaosDS, err := chaos.Collect(context.Background(), corpus, archs)
 	if err != nil {
 		t.Fatalf("Collect under injection: %v", err)
 	}
-	chaosBytes := testutil.DatasetJSON(t, chaosDS)
+	chaosBytes := testutil.DatasetBytes(t, chaosDS)
 	testutil.AssertSameBytes(t, "chaos vs clean dataset", cleanBytes, chaosBytes)
 
 	// The run must actually have been chaotic: every fault class fired,
@@ -86,7 +86,7 @@ func TestChaosDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial Collect under injection: %v", err)
 	}
-	testutil.AssertSameBytes(t, "serial vs parallel chaos dataset", cleanBytes, testutil.DatasetJSON(t, serialDS))
+	testutil.AssertSameBytes(t, "serial vs parallel chaos dataset", cleanBytes, testutil.DatasetBytes(t, serialDS))
 
 	// End-to-end: frameworks trained on the clean and chaos-collected
 	// datasets serve identical predictions. Both datasets are re-read from
@@ -98,7 +98,7 @@ func TestChaosDifferential(t *testing.T) {
 	probes := []stencil.Stencil{stencil.Star(2, 2), stencil.Box(3, 1)}
 	predict := func(raw []byte) []byte {
 		t.Helper()
-		ds, err := profile.ReadJSON(bytes.NewReader(raw))
+		ds, err := profile.Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatalf("re-read dataset: %v", err)
 		}

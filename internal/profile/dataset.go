@@ -1,7 +1,6 @@
 package profile
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -104,15 +103,6 @@ func (d *Dataset) Labels(archIdx int) []int {
 	return out
 }
 
-// InstancesByArch partitions the instance list by architecture name.
-func (d *Dataset) InstancesByArch() map[string][]Instance {
-	out := make(map[string][]Instance, len(d.Archs))
-	for _, in := range d.Instances {
-		out[in.Arch] = append(out[in.Arch], in)
-	}
-	return out
-}
-
 // Validate checks dataset structural invariants; used after
 // deserialization.
 func (d *Dataset) Validate() error {
@@ -179,16 +169,19 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Wire is the dataset's serialization schema, shared by WriteJSON/ReadJSON
-// and the framework checkpoint. A dataset file is the whole of it as
-// JSON, the instance list — the bulk of the bytes — as columns; a
-// checkpoint keeps the Corpus in its manifest and moves the numbers,
-// profiles and instances, into its binary section (AppendColumns).
-type Wire struct {
-	Corpus
-	Profiles  [][]Profile     `json:"profiles"`
-	Instances instanceColumns `json:"instances"`
-}
+// A measured record — a profile's per-OC results and label, an instance's
+// OC, time and params — is spelled one way, as persist.Columns, at two
+// granularities: a whole dataset (the dataset file, and the dataset
+// section of a framework checkpoint) and one journal cell. This file is
+// the only one that knows the spelling; DESIGN.md §7 tables the columns.
+// What is text stays JSON: the Corpus, as the manifest beside the columns.
+
+// DatasetKind and DatasetVersion frame a dataset file in the persist
+// envelope; the version bumps with any change to Corpus or the columns.
+const (
+	DatasetKind    = "stencilmart-dataset"
+	DatasetVersion = 1
+)
 
 // Corpus names what was profiled and where. Stencil points flatten into
 // triplets; architectures serialize by name and are rehydrated from the
@@ -204,23 +197,9 @@ type stencilJSON struct {
 	Points []int  `json:"points"` // dx,dy,dz triplets
 }
 
-// instanceColumns holds the instance list as parallel arrays: row i of
-// every column is instance i.
-type instanceColumns struct {
-	Stencil persist.Ints   `json:"stencil"`
-	OC      persist.Ints   `json:"oc"`
-	Arch    persist.Ints   `json:"arch"` // index into Wire.Archs
-	Time    persist.Floats `json:"time"`
-	Params  persist.Ints   `json:"params"` // paramCols per instance, opt.Params field order
-}
-
-const paramCols = 10
-
-// Wire renders the dataset in its serialization schema. An instance whose
-// arch is not in the dataset's list (Validate refuses it) is written with
-// index -1, which no reader accepts.
-func (d *Dataset) Wire() Wire {
-	out := Wire{Profiles: d.Profiles}
+// Corpus renders the dataset's stencils and architecture names.
+func (d *Dataset) Corpus() Corpus {
+	var out Corpus
 	for _, s := range d.Stencils {
 		sj := stencilJSON{Name: s.Name, Dims: s.Dims}
 		for _, p := range s.Points {
@@ -228,21 +207,41 @@ func (d *Dataset) Wire() Wire {
 		}
 		out.Stencils = append(out.Stencils, sj)
 	}
-	archIdx := make(map[string]int, len(d.Archs))
-	for i, a := range d.Archs {
+	for _, a := range d.Archs {
 		out.Archs = append(out.Archs, a.Name)
-		archIdx[a.Name] = i + 1 // so a missing name reads as 0
 	}
-	n := len(d.Instances)
-	c := instanceColumns{Stencil: make(persist.Ints, n), OC: make(persist.Ints, n), Arch: make(persist.Ints, n),
-		Time: make(persist.Floats, n), Params: make(persist.Ints, 0, n*paramCols)}
-	for i, in := range d.Instances {
-		c.Stencil[i], c.OC[i], c.Arch[i], c.Time[i] = in.StencilIdx, int(in.OC), archIdx[in.Arch]-1, in.Time
-		c.Params = appendParams(c.Params, in.Params)
-	}
-	out.Instances = c
 	return out
 }
+
+// rehydrate is Corpus' inverse: the stencils rebuilt and re-validated,
+// the architectures looked up in the catalog.
+func (c Corpus) rehydrate() (*Dataset, error) {
+	d := &Dataset{}
+	for _, sj := range c.Stencils {
+		if len(sj.Points)%3 != 0 {
+			return nil, fmt.Errorf("profile: stencil %q has %d point coords", sj.Name, len(sj.Points))
+		}
+		var pts []stencil.Point
+		for i := 0; i+2 < len(sj.Points); i += 3 {
+			pts = append(pts, stencil.Point{Dx: sj.Points[i], Dy: sj.Points[i+1], Dz: sj.Points[i+2]})
+		}
+		s, err := stencil.New(sj.Name, sj.Dims, pts)
+		if err != nil {
+			return nil, err
+		}
+		d.Stencils = append(d.Stencils, s)
+	}
+	for _, name := range c.Archs {
+		a, err := gpu.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		d.Archs = append(d.Archs, a)
+	}
+	return d, nil
+}
+
+const paramCols = 10
 
 // appendParams flattens p into paramCols integers, opt.Params field order.
 func appendParams(dst []int, p opt.Params) []int {
@@ -260,18 +259,19 @@ func paramsOf(p []int) (_ opt.Params, ok bool) {
 		Unroll: p[6], UseSmem: p[7] == 1, TBDepth: p[8], PrefetchDepth: p[9]}, p[7] == 0 || p[7] == 1
 }
 
-// AppendColumns appends everything of the wire form but its Corpus: the
-// profiles, flattened arch-major into one row per (arch, stencil, OC)
-// result — OC, crashed flag, time (0 where crashed: a column holds no
-// NaN), paramCols params — then each profile's best OC and time, then the
-// five instance columns. A profile's stencil index and arch are its
-// position and are not stored.
-func (w *Wire) AppendColumns(c *persist.Columns) {
-	n := len(w.Archs) * len(w.Stencils) * opt.NumCombinations
+// appendProfiles appends a run of profiles as six columns: one row per
+// (profile, OC) result — OC, crashed flag, time (0 where crashed: a column
+// holds no NaN), paramCols params — then each profile's best OC and time.
+// A profile's stencil index and arch are its position and are not stored.
+func appendProfiles(c *persist.Columns, rows ...[]Profile) {
+	n := 0
+	for _, row := range rows {
+		n += len(row) * opt.NumCombinations
+	}
 	ocs, crashed, times, params := make([]opt.Opt, 0, n), make([]uint8, 0, n), make([]float64, 0, n), make([]int, 0, n*paramCols)
 	var bestOC []opt.Opt
 	var bestTime []float64
-	for _, row := range w.Profiles {
+	for _, row := range rows {
 		for _, p := range row {
 			for _, r := range p.Results {
 				flag, t := uint8(0), r.Time
@@ -289,89 +289,126 @@ func (w *Wire) AppendColumns(c *persist.Columns) {
 	persist.AppendInts(c, params)
 	persist.AppendInts(c, bestOC)
 	c.AppendFloats(bestTime)
-	persist.AppendInts(c, w.Instances.Stencil)
-	persist.AppendInts(c, w.Instances.OC)
-	persist.AppendInts(c, w.Instances.Arch)
-	c.AppendFloats(w.Instances.Time)
-	persist.AppendInts(c, w.Instances.Params)
 }
 
-// ReadColumns is AppendColumns' inverse: it fills Profiles, shaped by the
-// Corpus already in w, and Instances from the next eleven columns of c.
-func (w *Wire) ReadColumns(c *persist.Columns) error {
+// readProfiles is appendProfiles' inverse for a run of n profiles of
+// opt.NumCombinations results each; the caller places them.
+func readProfiles(c *persist.Columns, n int) ([]Profile, error) {
 	ocs, crashed, times, params := persist.ReadInts[opt.Opt](c), persist.ReadInts[uint8](c), c.ReadFloats(), persist.ReadInts[int](c)
 	bestOC, bestTime := persist.ReadInts[opt.Opt](c), c.ReadFloats()
-	w.Instances = instanceColumns{Stencil: persist.ReadInts[int](c), OC: persist.ReadInts[int](c), Arch: persist.ReadInts[int](c),
-		Time: c.ReadFloats(), Params: persist.ReadInts[int](c)}
 	if err := c.Err(); err != nil {
-		return err
+		return nil, err
 	}
-	cells := len(w.Archs) * len(w.Stencils)
-	n := cells * opt.NumCombinations
-	if len(ocs) != n || len(crashed) != n || len(times) != n || len(params) != n*paramCols || len(bestOC) != cells || len(bestTime) != cells {
-		return fmt.Errorf("profile: ragged result columns for %d archs × %d stencils: %d oc, %d crashed, %d time, %d params (%d each), %d best oc, %d best time",
-			len(w.Archs), len(w.Stencils), len(ocs), len(crashed), len(times), len(params), paramCols, len(bestOC), len(bestTime))
+	rows := n * opt.NumCombinations
+	if len(ocs) != rows || len(crashed) != rows || len(times) != rows || len(params) != rows*paramCols || len(bestOC) != n || len(bestTime) != n {
+		return nil, fmt.Errorf("profile: ragged result columns for %d profiles of %d OCs: %d oc, %d crashed, %d time, %d params (%d each), %d best oc, %d best time",
+			n, opt.NumCombinations, len(ocs), len(crashed), len(times), len(params), paramCols, len(bestOC), len(bestTime))
 	}
-	results := make([]OCResult, n)
+	results := make([]OCResult, rows)
 	for i := range results {
 		p, ok := paramsOf(params[i*paramCols : (i+1)*paramCols])
 		if !ok || crashed[i] > 1 {
-			return fmt.Errorf("profile: result %d has crashed flag %d or useSmem %d out of range", i, crashed[i], params[i*paramCols+7])
+			return nil, fmt.Errorf("profile: result %d has crashed flag %d or useSmem %d out of range", i, crashed[i], params[i*paramCols+7])
 		}
 		results[i] = OCResult{OC: ocs[i], Time: times[i], Params: p}
 		if crashed[i] == 1 {
 			results[i].Crashed, results[i].Time = true, math.NaN()
 		}
 	}
-	w.Profiles = make([][]Profile, len(w.Archs))
-	for ai, arch := range w.Archs {
-		w.Profiles[ai] = make([]Profile, len(w.Stencils))
-		for si := range w.Profiles[ai] {
-			cell := ai*len(w.Stencils) + si
-			at := cell * opt.NumCombinations
-			w.Profiles[ai][si] = Profile{StencilIdx: si, Arch: arch, Results: results[at : at+opt.NumCombinations : at+opt.NumCombinations],
-				BestOC: bestOC[cell], BestTime: bestTime[cell]}
-		}
+	out := make([]Profile, n)
+	for i := range out {
+		at := i * opt.NumCombinations
+		out[i] = Profile{Results: results[at : at+opt.NumCombinations : at+opt.NumCombinations], BestOC: bestOC[i], BestTime: bestTime[i]}
 	}
-	return nil
+	return out, nil
 }
 
-// Dataset rehydrates and validates the dataset a Wire describes.
-func (w *Wire) Dataset() (*Dataset, error) {
-	d := &Dataset{Profiles: w.Profiles}
-	for _, sj := range w.Stencils {
-		if len(sj.Points)%3 != 0 {
-			return nil, fmt.Errorf("profile: stencil %q has %d point coords", sj.Name, len(sj.Points))
-		}
-		var pts []stencil.Point
-		for i := 0; i+2 < len(sj.Points); i += 3 {
-			pts = append(pts, stencil.Point{Dx: sj.Points[i], Dy: sj.Points[i+1], Dz: sj.Points[i+2]})
-		}
-		s, err := stencil.New(sj.Name, sj.Dims, pts)
-		if err != nil {
-			return nil, err
-		}
-		d.Stencils = append(d.Stencils, s)
+// instanceColumns spells a run of instances as three columns: OC, time
+// and paramCols params each. Where an instance was measured is spelled by
+// the caller — two more columns in a dataset, the cell index in a journal
+// record.
+func instanceColumns(ins []Instance) (ocs []opt.Opt, times []float64, params []int) {
+	ocs, times, params = make([]opt.Opt, len(ins)), make([]float64, len(ins)), make([]int, 0, len(ins)*paramCols)
+	for i, in := range ins {
+		ocs[i], times[i], params = in.OC, in.Time, appendParams(params, in.Params)
 	}
-	for _, name := range w.Archs {
-		a, err := gpu.ByName(name)
-		if err != nil {
-			return nil, err
+	return ocs, times, params
+}
+
+// instancesOf is instanceColumns' inverse, StencilIdx and Arch left for
+// the caller to fill; c is consulted for a failed read first.
+func instancesOf(c *persist.Columns, ocs []opt.Opt, times []float64, params []int) ([]Instance, error) {
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if len(times) != len(ocs) || len(params) != len(ocs)*paramCols {
+		return nil, fmt.Errorf("profile: ragged instance columns: %d oc, %d time, %d params (%d each)", len(ocs), len(times), len(params), paramCols)
+	}
+	out := make([]Instance, len(ocs))
+	for i := range out {
+		p, ok := paramsOf(params[i*paramCols : (i+1)*paramCols])
+		if !ok {
+			return nil, fmt.Errorf("profile: instance %d has useSmem %d out of range", i, params[i*paramCols+7])
 		}
-		d.Archs = append(d.Archs, a)
+		out[i] = Instance{OC: ocs[i], Time: times[i], Params: p}
 	}
-	c := w.Instances
-	n := len(c.Stencil)
-	if len(c.OC) != n || len(c.Arch) != n || len(c.Time) != n || len(c.Params) != n*paramCols {
-		return nil, fmt.Errorf("profile: ragged instance columns: %d stencil, %d oc, %d arch, %d time, %d params (%d each)", n, len(c.OC), len(c.Arch), len(c.Time), len(c.Params), paramCols)
+	return out, nil
+}
+
+// AppendColumns appends everything of the dataset but its Corpus, as
+// eleven columns: the profiles arch-major (appendProfiles), then the
+// instances' stencil index, OC, arch index, time and params. An instance
+// whose arch is not in the dataset's list (Validate refuses it) is written
+// with index -1, which no reader accepts.
+func (d *Dataset) AppendColumns(c *persist.Columns) {
+	appendProfiles(c, d.Profiles...)
+	archIdx := make(map[string]int, len(d.Archs))
+	for i, a := range d.Archs {
+		archIdx[a.Name] = i + 1 // so a missing name reads as 0
 	}
-	d.Instances = make([]Instance, n)
+	stencils, archs := make([]int, len(d.Instances)), make([]int, len(d.Instances))
+	for i, in := range d.Instances {
+		stencils[i], archs[i] = in.StencilIdx, archIdx[in.Arch]-1
+	}
+	ocs, times, params := instanceColumns(d.Instances)
+	persist.AppendInts(c, stencils)
+	persist.AppendInts(c, ocs)
+	persist.AppendInts(c, archs)
+	c.AppendFloats(times)
+	persist.AppendInts(c, params)
+}
+
+// ReadColumns is AppendColumns' inverse: it rehydrates the corpus, takes
+// the dataset's eleven columns off the front of c and validates the
+// result.
+func ReadColumns(corpus Corpus, c *persist.Columns) (*Dataset, error) {
+	d, err := corpus.rehydrate()
+	if err != nil {
+		return nil, err
+	}
+	profiles, err := readProfiles(c, len(d.Archs)*len(d.Stencils))
+	if err != nil {
+		return nil, err
+	}
+	d.Profiles = make([][]Profile, len(d.Archs))
+	for ai, a := range d.Archs {
+		d.Profiles[ai] = profiles[ai*len(d.Stencils) : (ai+1)*len(d.Stencils)]
+		for si := range d.Profiles[ai] {
+			d.Profiles[ai][si].StencilIdx, d.Profiles[ai][si].Arch = si, a.Name
+		}
+	}
+	stencils, ocs, archs := persist.ReadInts[int](c), persist.ReadInts[opt.Opt](c), persist.ReadInts[int](c)
+	if d.Instances, err = instancesOf(c, ocs, c.ReadFloats(), persist.ReadInts[int](c)); err != nil {
+		return nil, err
+	}
+	if len(stencils) != len(ocs) || len(archs) != len(ocs) {
+		return nil, fmt.Errorf("profile: ragged instance columns: %d stencil, %d arch for %d instances", len(stencils), len(archs), len(ocs))
+	}
 	for i := range d.Instances {
-		p, ok := paramsOf(c.Params[i*paramCols : (i+1)*paramCols])
-		if c.Arch[i] < 0 || c.Arch[i] >= len(d.Archs) || c.OC[i] < 0 || c.OC[i] > math.MaxUint8 || !ok {
-			return nil, fmt.Errorf("profile: instance %d has arch index %d, OC %d or useSmem %d out of range", i, c.Arch[i], c.OC[i], c.Params[i*paramCols+7])
+		if archs[i] < 0 || archs[i] >= len(d.Archs) {
+			return nil, fmt.Errorf("profile: instance %d has arch index %d out of range", i, archs[i])
 		}
-		d.Instances[i] = Instance{StencilIdx: c.Stencil[i], OC: opt.Opt(c.OC[i]), Arch: d.Archs[c.Arch[i]].Name, Time: c.Time[i], Params: p}
+		d.Instances[i].StencilIdx, d.Instances[i].Arch = stencils[i], d.Archs[archs[i]].Name
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -379,18 +416,74 @@ func (w *Wire) Dataset() (*Dataset, error) {
 	return d, nil
 }
 
-// WriteJSON serializes the dataset.
-func (d *Dataset) WriteJSON(w io.Writer) error {
-	return json.NewEncoder(w).Encode(d.Wire())
+// Write serializes the dataset as a persist frame: header line, the
+// Corpus as manifest, the columns, one checksum over both.
+func (d *Dataset) Write(w io.Writer) error {
+	var cols persist.Columns
+	d.AppendColumns(&cols)
+	return persist.Write(w, DatasetKind, DatasetVersion, d.Corpus(), &cols)
 }
 
-// ReadJSON deserializes and validates a dataset.
-func ReadJSON(r io.Reader) (*Dataset, error) {
-	var in Wire
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("profile: decode dataset: %w", err)
+// WriteFile writes the dataset file atomically (persist.WriteFile).
+func (d *Dataset) WriteFile(path string) error { return persist.WriteFile(path, d.Write) }
+
+// Read deserializes and validates a dataset file. Anything but a
+// version-1 dataset frame that ends with its last column — a checkpoint,
+// the JSON file an older build wrote, a flipped or appended byte — is
+// refused with the persist error class that names it.
+func Read(r io.Reader) (*Dataset, error) {
+	var corpus Corpus
+	cols, err := persist.Read(r, DatasetKind, DatasetVersion, &corpus)
+	if err != nil {
+		return nil, err
 	}
-	return in.Dataset()
+	d, err := ReadColumns(corpus, cols)
+	if err != nil {
+		return nil, err
+	}
+	return d, cols.End()
+}
+
+// encode spells one journal cell as a WAL record: its index, its profile
+// (appendProfiles, a run of one) and its instances' three columns. The
+// cell's stencil and arch are its index and are not stored. Integers are
+// shortest-form varints, so an honestly re-measured cell re-encodes to
+// the same bytes.
+func (cell *journalCell) encode() ([]byte, error) {
+	var c persist.Columns
+	persist.AppendInts(&c, []int{cell.Index})
+	appendProfiles(&c, []Profile{cell.Profile})
+	ocs, times, params := instanceColumns(cell.Instances)
+	persist.AppendInts(&c, ocs)
+	c.AppendFloats(times)
+	persist.AppendInts(&c, params)
+	return c.Bytes(), c.Err()
+}
+
+// decodeCell is encode's inverse for a collection of len(archs) × stencils
+// cells.
+func decodeCell(raw []byte, stencils int, archs []gpu.Arch) (*journalCell, error) {
+	c := persist.ColumnsOf(raw)
+	index := persist.ReadInts[int](c)
+	if err := c.Err(); err != nil {
+		return nil, err
+	}
+	if len(index) != 1 || index[0] < 0 || index[0] >= stencils*len(archs) {
+		return nil, fmt.Errorf("profile: journal record is of cells %d, want one in [0,%d)", index, stencils*len(archs))
+	}
+	profiles, err := readProfiles(c, 1)
+	if err != nil {
+		return nil, err
+	}
+	cell := &journalCell{Index: index[0], Profile: profiles[0]}
+	cell.Profile.StencilIdx, cell.Profile.Arch = cell.Index%stencils, archs[cell.Index/stencils].Name
+	if cell.Instances, err = instancesOf(c, persist.ReadInts[opt.Opt](c), c.ReadFloats(), persist.ReadInts[int](c)); err != nil {
+		return nil, err
+	}
+	for i := range cell.Instances {
+		cell.Instances[i].StencilIdx, cell.Instances[i].Arch = cell.Profile.StencilIdx, cell.Profile.Arch
+	}
+	return cell, c.End()
 }
 
 // Folds splits n items into k cross-validation folds of near-equal size

@@ -22,7 +22,7 @@ func collect(t testing.TB, corpus []stencil.Stencil, archs []gpu.Arch, workers i
 	if err != nil {
 		t.Fatalf("collect (workers=%d): %v", workers, err)
 	}
-	return testutil.DatasetJSON(t, d)
+	return testutil.DatasetBytes(t, d)
 }
 
 // TestCollectWorkerCountInvariance is the differential check of the
@@ -76,7 +76,7 @@ func TestCollectMatchesProfileOneLoop(t *testing.T) {
 			ref.Instances = append(ref.Instances, inst...)
 		}
 	}
-	want := testutil.DatasetJSON(t, ref)
+	want := testutil.DatasetBytes(t, ref)
 	testutil.AssertSameBytes(t, "Collect vs ProfileOne loop", want, collect(t, corpus, archs, 0))
 }
 

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"stencilmart/internal/gpu"
-	"stencilmart/internal/persist"
 	"stencilmart/internal/stencil"
 )
 
@@ -24,10 +23,11 @@ import (
 // dataset bitwise-identical to an uninterrupted run.
 const (
 	// JournalKind and JournalVersion frame the journal in the persist
-	// envelope; version bumps whenever journalCell or journalMeta change
-	// incompatibly.
+	// envelope; version bumps whenever a cell's record (journalCell.encode)
+	// or journalMeta change incompatibly. Version 1 spelled a cell as a
+	// JSON object; it is refused from the header, not migrated.
 	JournalKind    = "stencilmart-profile-journal"
-	JournalVersion = 1
+	JournalVersion = 2
 )
 
 // ErrJournalMismatch reports a journal written by a different collection
@@ -45,23 +45,26 @@ type journalMeta struct {
 	Cells        int    `json:"cells"`
 }
 
-// journalCell is one completed cell's record.
+// journalCell is one completed cell.
 type journalCell struct {
-	Index     int        `json:"index"`
-	Profile   Profile    `json:"profile"`
-	Instances []Instance `json:"instances"`
+	Index     int
+	Profile   Profile
+	Instances []Instance
 }
 
 // cellSet accumulates replayed cells across one or more journals,
 // keeping each cell's raw record bytes so duplicate indices can be
 // compared bitwise.
 type cellSet struct {
-	done []*journalCell
-	raw  []json.RawMessage
+	stencils int
+	archs    []gpu.Arch
+	done     []*journalCell
+	raw      [][]byte
 }
 
-func newCellSet(n int) *cellSet {
-	return &cellSet{done: make([]*journalCell, n), raw: make([]json.RawMessage, n)}
+func newCellSet(stencils int, archs []gpu.Arch) *cellSet {
+	n := stencils * len(archs)
+	return &cellSet{stencils: stencils, archs: archs, done: make([]*journalCell, n), raw: make([][]byte, n)}
 }
 
 // absorb decodes records into the set and returns how many previously
@@ -72,15 +75,11 @@ func newCellSet(n int) *cellSet {
 // bytes, so divergence is corruption or a foreign journal, and
 // last-write-wins would silently pick one of two conflicting
 // measurements.
-func (cs *cellSet) absorb(records []json.RawMessage, source string) (fresh int, err error) {
-	n := len(cs.done)
+func (cs *cellSet) absorb(records [][]byte, source string) (fresh int, err error) {
 	for _, raw := range records {
-		var c journalCell
-		if err := json.Unmarshal(raw, &c); err != nil {
+		c, err := decodeCell(raw, cs.stencils, cs.archs)
+		if err != nil {
 			return fresh, fmt.Errorf("%w: %s: journal record: %v", ErrJournalMismatch, source, err)
-		}
-		if c.Index < 0 || c.Index >= n {
-			return fresh, fmt.Errorf("%w: %s: journal cell index %d outside [0,%d)", ErrJournalMismatch, source, c.Index, n)
 		}
 		if prev := cs.raw[c.Index]; prev != nil {
 			if !bytes.Equal(prev, raw) {
@@ -88,9 +87,7 @@ func (cs *cellSet) absorb(records []json.RawMessage, source string) (fresh int, 
 			}
 			continue
 		}
-		cell := c
-		cs.done[c.Index] = &cell
-		cs.raw[c.Index] = raw
+		cs.done[c.Index], cs.raw[c.Index] = c, raw
 		fresh++
 	}
 	return fresh, nil
@@ -153,53 +150,16 @@ func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (jo
 // (cancellation, a cell exhausting its retries) the journal keeps every
 // completed cell; rerun with the same arguments to resume.
 func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, ResumeStats, error) {
-	if ctx == nil {
-		ctx = context.Background()
+	all := make([]int, len(stencils)*len(archs))
+	for i := range all {
+		all[i] = i
 	}
-	var stats ResumeStats
-	if len(stencils) == 0 || len(archs) == 0 {
-		return nil, stats, fmt.Errorf("profile: empty corpus (%d stencils, %d archs)", len(stencils), len(archs))
-	}
-	meta, err := p.journalMeta(stencils, archs)
+	cells, st, err := p.collectInto(ctx, path, stencils, archs, all, nil)
+	stats := ResumeStats{Cells: st.Assigned, Resumed: st.Resumed, Measured: st.Measured, RepairedBytes: st.RepairedBytes}
 	if err != nil {
 		return nil, stats, err
 	}
-	wal, replay, err := persist.OpenWAL(path, JournalKind, JournalVersion, meta)
-	if err != nil {
-		return nil, stats, err
-	}
-	defer wal.Close()
-
-	if err := matchMeta(replay.Meta, meta, path); err != nil {
-		return nil, stats, err
-	}
-
-	n := meta.Cells
-	stats.Cells = n
-	stats.RepairedBytes = replay.TruncatedBytes
-	cells := newCellSet(n)
-	fresh, err := cells.absorb(replay.Records, path)
-	if err != nil {
-		return nil, stats, err
-	}
-	stats.Resumed = fresh
-	done := cells.done
-
-	remaining := cells.missing()
-	stats.Measured = len(remaining)
-
-	err = p.measureCells(ctx, stencils, archs, remaining, func(c *journalCell) error {
-		if err := wal.Append(c); err != nil {
-			return err
-		}
-		done[c.Index] = c
-		return nil
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-
-	return assembleDataset(stencils, archs, done), stats, nil
+	return assembleDataset(stencils, archs, cells.done), stats, nil
 }
 
 // assembleDataset lays completed cells into a dataset in cell-index

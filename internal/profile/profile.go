@@ -8,7 +8,6 @@ package profile
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -38,41 +37,6 @@ type OCResult struct {
 	Time float64
 	// Params is the setting achieving Time.
 	Params opt.Params
-}
-
-// ocResultJSON mirrors OCResult with an omittable time, because JSON has
-// no NaN; crashed results serialize without a time.
-type ocResultJSON struct {
-	OC      opt.Opt    `json:"oc"`
-	Crashed bool       `json:"crashed,omitempty"`
-	Time    *float64   `json:"time,omitempty"`
-	Params  opt.Params `json:"params"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (r OCResult) MarshalJSON() ([]byte, error) {
-	out := ocResultJSON{OC: r.OC, Crashed: r.Crashed, Params: r.Params}
-	if !r.Crashed {
-		t := r.Time
-		out.Time = &t
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (r *OCResult) UnmarshalJSON(b []byte) error {
-	var in ocResultJSON
-	if err := json.Unmarshal(b, &in); err != nil {
-		return err
-	}
-	r.OC, r.Crashed, r.Params = in.OC, in.Crashed, in.Params
-	if in.Time != nil {
-		r.Time = *in.Time
-	} else {
-		r.Time = math.NaN()
-		r.Crashed = true
-	}
-	return nil
 }
 
 // Profile aggregates the per-OC results for one stencil on one GPU.
@@ -294,7 +258,7 @@ func (p *Profiler) Collect(ctx context.Context, stencils []stencil.Stencil, arch
 	if len(stencils) == 0 || len(archs) == 0 {
 		return nil, fmt.Errorf("profile: empty corpus (%d stencils, %d archs)", len(stencils), len(archs))
 	}
-	cells := newCellSet(len(archs) * len(stencils)) // nothing replayed: every cell is missing
+	cells := newCellSet(len(stencils), archs) // nothing replayed: every cell is missing
 	err := p.measureCells(ctx, stencils, archs, cells.missing(), func(c *journalCell) error {
 		cells.done[c.Index] = c
 		return nil

@@ -34,7 +34,7 @@ func referenceCollect(t testing.TB, workers int) []byte {
 	if err != nil {
 		t.Fatalf("reference Collect (workers=%d): %v", workers, err)
 	}
-	return testutil.DatasetJSON(t, d)
+	return testutil.DatasetBytes(t, d)
 }
 
 // compiledCollect collects the same corpus on the compiled Model path.
@@ -45,7 +45,7 @@ func compiledCollect(t testing.TB, m *sim.Model, workers int) []byte {
 	if err != nil {
 		t.Fatalf("compiled Collect (workers=%d): %v", workers, err)
 	}
-	return testutil.DatasetJSON(t, d)
+	return testutil.DatasetBytes(t, d)
 }
 
 // TestCollectMatchesReference: compiled vs pre-rewrite dataset bytes, at
@@ -85,7 +85,7 @@ func TestCollectJournalMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CollectJournal: %v", err)
 	}
-	testutil.AssertSameBytes(t, "journaled compiled vs reference", oracle, testutil.DatasetJSON(t, d))
+	testutil.AssertSameBytes(t, "journaled compiled vs reference", oracle, testutil.DatasetBytes(t, d))
 }
 
 // TestChaosMatchesReferenceChaos: fault injection composes identically
@@ -113,7 +113,7 @@ func TestChaosMatchesReferenceChaos(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chaos Collect: %v", err)
 		}
-		return testutil.DatasetJSON(t, d)
+		return testutil.DatasetBytes(t, d)
 	}
 	testutil.AssertSameBytes(t, "chaos over compiled vs chaos over reference",
 		collectOn(sim.NewReference()), collectOn(sim.New()))

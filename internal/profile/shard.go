@@ -46,38 +46,45 @@ type ShardStats struct {
 // cell is durably appended; it is called from the measuring goroutines
 // and must be safe for concurrent use.
 func (p *Profiler) CollectShard(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch, assigned []int, onCell func(index int)) (ShardStats, error) {
+	_, stats, err := p.collectInto(ctx, path, stencils, archs, assigned, onCell)
+	return stats, err
+}
+
+// collectInto is the one journaled collection: CollectShard, and
+// CollectJournal as the shard that is assigned every cell. It returns the
+// journal's cells, replayed and measured.
+func (p *Profiler) collectInto(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch, assigned []int, onCell func(index int)) (*cellSet, ShardStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	var stats ShardStats
 	if len(stencils) == 0 || len(archs) == 0 {
-		return stats, fmt.Errorf("profile: empty corpus (%d stencils, %d archs)", len(stencils), len(archs))
+		return nil, stats, fmt.Errorf("profile: empty corpus (%d stencils, %d archs)", len(stencils), len(archs))
 	}
 	meta, err := p.journalMeta(stencils, archs)
 	if err != nil {
-		return stats, err
+		return nil, stats, err
 	}
 	for _, i := range assigned {
 		if i < 0 || i >= meta.Cells {
-			return stats, fmt.Errorf("profile: assigned cell %d outside [0,%d)", i, meta.Cells)
+			return nil, stats, fmt.Errorf("profile: assigned cell %d outside [0,%d)", i, meta.Cells)
 		}
 	}
 
 	wal, replay, err := persist.OpenWAL(path, JournalKind, JournalVersion, meta)
 	if err != nil {
-		return stats, err
+		return nil, stats, err
 	}
 	defer wal.Close()
 	if err := matchMeta(replay.Meta, meta, path); err != nil {
-		return stats, err
+		return nil, stats, err
 	}
 	stats.RepairedBytes = replay.TruncatedBytes
 
-	cells := newCellSet(meta.Cells)
+	cells := newCellSet(len(stencils), archs)
 	if _, err := cells.absorb(replay.Records, path); err != nil {
-		return stats, err
+		return nil, stats, err
 	}
-
 	var remaining []int
 	seen := make(map[int]bool, len(assigned))
 	for _, i := range assigned {
@@ -95,18 +102,20 @@ func (p *Profiler) CollectShard(ctx context.Context, path string, stencils []ste
 	stats.Measured = len(remaining)
 
 	err = p.measureCells(ctx, stencils, archs, remaining, func(c *journalCell) error {
-		if err := wal.Append(c); err != nil {
+		raw, err := c.encode()
+		if err != nil {
 			return err
 		}
+		if err := wal.Append(raw); err != nil {
+			return err
+		}
+		cells.done[c.Index] = c
 		if onCell != nil {
 			onCell(c.Index)
 		}
 		return nil
 	})
-	if err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return cells, stats, err
 }
 
 // MergeStats reports what MergeJournals assembled.
@@ -170,7 +179,7 @@ func (p *Profiler) readJournals(paths []string, stencils []stencil.Stencil, arch
 		return nil, stats, err
 	}
 	stats.Cells = meta.Cells
-	cells := newCellSet(meta.Cells)
+	cells := newCellSet(len(stencils), archs)
 	for _, path := range paths {
 		replay, err := persist.ReadWAL(path, JournalKind, JournalVersion)
 		if err != nil {

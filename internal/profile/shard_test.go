@@ -57,7 +57,7 @@ func TestMergeShardsIdenticalToSerial(t *testing.T) {
 			if stats.Shards != 3 || stats.Cells != 8 || stats.Duplicates != 0 {
 				t.Fatalf("GOMAXPROCS %d: merge stats %+v", procs, stats)
 			}
-			testutil.AssertSameBytes(t, "merged dataset", want, testutil.DatasetJSON(t, ds))
+			testutil.AssertSameBytes(t, "merged dataset", want, testutil.DatasetBytes(t, ds))
 		})
 	}
 }
@@ -77,7 +77,7 @@ func TestMergeOverlappingShards(t *testing.T) {
 	if stats.Duplicates != 3 {
 		t.Fatalf("merge stats %+v, want 3 tolerated duplicates (cells 3, 6, 0)", stats)
 	}
-	testutil.AssertSameBytes(t, "overlap-merged dataset", want, testutil.DatasetJSON(t, ds))
+	testutil.AssertSameBytes(t, "overlap-merged dataset", want, testutil.DatasetBytes(t, ds))
 }
 
 // TestMergeKilledWorkerShard: a worker killed mid-shard leaves a partial
@@ -127,7 +127,7 @@ func TestMergeKilledWorkerShard(t *testing.T) {
 	if stats.Shards != 3 || stats.Duplicates == 0 {
 		t.Fatalf("merge stats %+v, want the dead worker's cells deduped", stats)
 	}
-	testutil.AssertSameBytes(t, "killed-worker merged dataset", want, testutil.DatasetJSON(t, ds))
+	testutil.AssertSameBytes(t, "killed-worker merged dataset", want, testutil.DatasetBytes(t, ds))
 }
 
 // TestCollectShardResume: re-running an interrupted shard against its

@@ -121,20 +121,3 @@ func TestQuantiles(t *testing.T) {
 		t.Error("empty sample accepted")
 	}
 }
-
-func TestTopKAndArg(t *testing.T) {
-	xs := []float64{3, 9, 1, 7}
-	top := TopK(xs, 2)
-	if len(top) != 2 || top[0] != 1 || top[1] != 3 {
-		t.Errorf("TopK = %v", top)
-	}
-	if got := TopK(xs, 99); len(got) != 4 {
-		t.Errorf("TopK clamp failed: %v", got)
-	}
-	if ArgMin(xs) != 2 || ArgMax(xs) != 1 {
-		t.Errorf("ArgMin/ArgMax = %d/%d", ArgMin(xs), ArgMax(xs))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Error("empty Arg* != -1")
-	}
-}

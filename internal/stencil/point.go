@@ -30,11 +30,6 @@ func (p Point) Order() int {
 	return max3(abs(p.Dx), abs(p.Dy), abs(p.Dz))
 }
 
-// Manhattan returns the L1 distance of the point from the center.
-func (p Point) Manhattan() int {
-	return abs(p.Dx) + abs(p.Dy) + abs(p.Dz)
-}
-
 // Euclidean returns the L2 distance of the point from the center.
 func (p Point) Euclidean() float64 {
 	return math.Sqrt(float64(p.Dx*p.Dx + p.Dy*p.Dy + p.Dz*p.Dz))

@@ -175,17 +175,6 @@ func (s Stencil) Classify() Shape {
 	return ShapeFree
 }
 
-// FLOPsPerPoint returns the floating-point operations performed per output
-// point: one multiply per accessed offset (coefficient scaling) plus the
-// additions accumulating them.
-func (s Stencil) FLOPsPerPoint() int {
-	n := len(s.Points)
-	if n == 0 {
-		return 0
-	}
-	return 2*n - 1
-}
-
 // String renders a compact description such as
 // "star2d1r (2D, order 1, 5 points, star)".
 func (s Stencil) String() string {

@@ -28,9 +28,6 @@ func TestPointOrder(t *testing.T) {
 
 func TestPointDistances(t *testing.T) {
 	p := Point{3, -4, 0}
-	if got := p.Manhattan(); got != 7 {
-		t.Errorf("Manhattan = %d, want 7", got)
-	}
 	if got := p.Euclidean(); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Euclidean = %g, want 5", got)
 	}
@@ -151,12 +148,6 @@ func TestRepresentativeSuite(t *testing.T) {
 			t.Errorf("duplicate stencil %s", s.Name)
 		}
 		seen[s.Name] = true
-	}
-}
-
-func TestFLOPsPerPoint(t *testing.T) {
-	if got := Star(2, 1).FLOPsPerPoint(); got != 9 {
-		t.Errorf("star2d1r FLOPs = %d, want 9", got)
 	}
 }
 

@@ -41,12 +41,12 @@ func AllArchs(t testing.TB) []gpu.Arch {
 	return archs
 }
 
-// DatasetJSON serializes a dataset to its canonical JSON bytes. Two
-// datasets are considered identical exactly when these bytes match.
-func DatasetJSON(t testing.TB, d *profile.Dataset) []byte {
+// DatasetBytes serializes a dataset to its file's bytes. Two datasets are
+// considered identical exactly when these bytes match.
+func DatasetBytes(t testing.TB, d *profile.Dataset) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
+	if err := d.Write(&buf); err != nil {
 		t.Fatalf("testutil: dataset serialization: %v", err)
 	}
 	return buf.Bytes()
@@ -59,32 +59,12 @@ func AssertSameBytes(t testing.TB, label string, want, got []byte) {
 	if bytes.Equal(want, got) {
 		return
 	}
-	n := len(want)
-	if len(got) < n {
-		n = len(got)
+	at := 0
+	for at < min(len(want), len(got)) && want[at] == got[at] {
+		at++
 	}
-	at := n
-	for i := 0; i < n; i++ {
-		if want[i] != got[i] {
-			at = i
-			break
-		}
-	}
-	lo := at - 40
-	if lo < 0 {
-		lo = 0
-	}
-	snip := func(b []byte) string {
-		hi := at + 40
-		if hi > len(b) {
-			hi = len(b)
-		}
-		if lo >= len(b) {
-			return ""
-		}
-		return string(b[lo:hi])
-	}
-	t.Fatalf("%s: outputs differ at byte %d (want %d bytes, got %d)\nwant ...%s...\ngot  ...%s...",
+	snip := func(b []byte) []byte { return b[min(max(at-40, 0), len(b)):min(at+40, len(b))] }
+	t.Fatalf("%s: outputs differ at byte %d (want %d bytes, got %d)\nwant ...%q...\ngot  ...%q...",
 		label, at, len(want), len(got), snip(want), snip(got))
 }
 

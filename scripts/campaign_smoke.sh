@@ -22,14 +22,14 @@ trap cleanup EXIT INT TERM
 go build -o "$tmp/stencilmart" ./cmd/stencilmart
 
 echo "-- profile (serial reference) --"
-"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/serial.json" \
+"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/serial.bin" \
     -journal off >"$tmp/serial.log" 2>&1 || {
     cat "$tmp/serial.log"; echo "campaign smoke: serial profile failed" >&2; exit 1
 }
 
 echo "-- campaign (coordinator + 3 workers, one killed mid-shard) --"
 "$tmp/stencilmart" campaign coordinate -preset smoke -seed 7 \
-    -out "$tmp/merged.json" -dir "$tmp/camp" -shards 6 \
+    -out "$tmp/merged.bin" -dir "$tmp/camp" -shards 6 \
     -listen 127.0.0.1:0 -lease 2s >"$tmp/coord.log" 2>&1 &
 coord=$!
 
@@ -78,7 +78,7 @@ grep '^merged' "$tmp/coord.log" | grep -qv ' 0 duplicate' || {
 # The merged campaign dataset must match the serial run byte for byte —
 # across worker death, lease re-dispatch, and duplicate cell records.
 echo "-- compare --"
-cmp "$tmp/serial.json" "$tmp/merged.json" || {
+cmp "$tmp/serial.bin" "$tmp/merged.bin" || {
     cat "$tmp/coord.log"
     echo "campaign smoke: merged dataset differs from the serial dataset" >&2; exit 1
 }

@@ -16,13 +16,13 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 go build -o "$tmp/stencilmart" ./cmd/stencilmart
 
 echo "-- profile (clean) --"
-"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/clean.json" \
+"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/clean.bin" \
     -journal off >"$tmp/clean.log" 2>&1 || {
     cat "$tmp/clean.log"; echo "chaos smoke: clean profile failed" >&2; exit 1
 }
 
 echo "-- profile (chaos) --"
-"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/chaos.json" \
+"$tmp/stencilmart" profile -preset smoke -seed 7 -out "$tmp/chaos.bin" \
     -journal off -chaos >"$tmp/chaos.log" 2>&1 || {
     cat "$tmp/chaos.log"; echo "chaos smoke: chaos profile failed" >&2; exit 1
 }
@@ -37,7 +37,7 @@ grep '^chaos: absorbed' "$tmp/chaos.log" | grep -qv 'absorbed 0 ' || {
 
 # ...and the datasets must still be byte-identical.
 echo "-- compare --"
-cmp "$tmp/clean.json" "$tmp/chaos.json" || {
+cmp "$tmp/clean.bin" "$tmp/chaos.bin" || {
     echo "chaos smoke: chaos dataset differs from the fault-free dataset" >&2; exit 1
 }
 

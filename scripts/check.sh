@@ -54,16 +54,16 @@ echo "== bench smoke (race) =="
 # cleanly, without paying for a full benchmark run; lazyrand rides along
 # so its library-vs-lazy benchmark cannot rot, and the checkpoint codec's
 # (`make bench-ckpt`: persist's column loops, internal/core's save/load
-# pair) for the same reason.
+# pair and dataset-file pair) for the same reason.
 go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/
-go test -race -run='^$' -bench=Checkpoint -benchtime=1x ./internal/core/
+go test -race -run='^$' -bench='Checkpoint|DatasetFile' -benchtime=1x ./internal/core/
 
 echo "== coalescer Do x Close (race, repeated) =="
 # Every call submitted while the coalescer closes is answered exactly once
 # and promptly; the interleaving that used to strand one is rare per run.
 go test -race -count=20 -run 'Close' ./internal/serve/batch/
 
-echo "== fuzz smoke (checkpoint envelope + loader) =="
+echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records) =="
 # Five seconds each: the seeds plus whatever the mutator reaches. The
 # envelope's: valid, truncated header and payload, flipped manifest byte,
 # lying payload length, trailing bytes, wrong version and magic; lying
@@ -73,13 +73,21 @@ echo "== fuzz smoke (checkpoint envelope + loader) =="
 # columns, arch index out of range, params not ten per instance, child
 # index 1<<40, feature 1<<32 and past the row width, 0x7ff8... in a time
 # and in a threshold, a float column where an int column is due, a scaler
-# on a tree regressor, an edited label, a count past the end. Typed
-# error or success, never a panic, allocation bounded by the input. (Same
-# two commands as `make fuzz-smoke`; minimising a megabyte-sized
-# interesting input would eat the loader's whole budget, hence
-# -fuzzminimizetime 1x.)
+# on a tree regressor, an edited label, a count past the end. The dataset
+# file's, framed the same way: valid; a corpus and no numbers and the
+# reverse, ragged and mistyped columns, arch index and OC out of range,
+# NaN, +Inf and negative times, an edited label, a twelfth column. The
+# WAL's, as the bytes behind a valid header: valid records, a cut, a
+# flipped byte, a length no file holds, a padded and a cut-short length, a
+# zero-filled tail, every record twice. Typed error or success (for the
+# WAL: a clean replay and a tail to drop), never a panic, allocation
+# bounded by the input. (Same four commands as `make fuzz-smoke`;
+# minimising a megabyte-sized interesting input would eat the loader's
+# whole budget, hence -fuzzminimizetime 1x.)
 go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
 go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
+go test ./internal/profile/ -run='^$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
+go test ./internal/persist/ -run='^$' -fuzz FuzzReadWAL -fuzztime 5s
 
 echo "== bench smoke (collect_mem, serve_hot, serve_distinct_nn, train_ckpt) =="
 # One second each of the four workloads BENCHMARK.json gates: collection,
@@ -129,6 +137,13 @@ echo "== campaign smoke =="
 sh scripts/campaign_smoke.sh
 
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
-# (19.6k -> under 16.7k) stays visible in every log.
-echo "non-test Go lines (excluding bench/): $(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+# (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
+# lowers it to its own count; one that ends above it fails here.
+max_lines=18793
+lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
+if [ "$lines" -gt "$max_lines" ]; then
+    echo "line ratchet: $lines non-test lines, the recorded maximum is $max_lines" >&2
+    exit 1
+fi
 echo "all checks passed"
