@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt fuzz fuzz-smoke
+.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,15 @@ bench-lanes:
 # of decoded elements).
 bench-ckpt:
 	$(GO) test -run='^$$' -bench='Checkpoint|Columns|DatasetFile' -benchmem ./internal/persist/ ./internal/core/
+
+# Alternating parent/change pairs of `go run ./bench` at 20 s, judged by
+# -compare (the change is the working tree):
+#   make bench-pairs PARENT=HEAD~1 WORKLOADS=train_ckpt PAIRS=10
+PARENT ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?=
+bench-pairs:
+	sh scripts/bench_pairs.sh -n $(PAIRS) $(PARENT) $(WORKLOADS)
 
 fuzz:
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 30s -fuzzminimizetime 1x

@@ -39,15 +39,26 @@ func (c *BoostConfig) setDefaults() {
 	c.Tree.setDefaults()
 }
 
-// sampleRows draws a subsample of row indices without replacement.
-func sampleRows(n int, frac float64, rng *rand.Rand) []int {
+// check refuses a normalized config no fit can honour: a Subsample above
+// 1 would keep more rows than there are, and a negative or NaN one would
+// silently keep them all.
+func (c *BoostConfig) check() error {
+	if !(c.Subsample > 0 && c.Subsample <= 1) {
+		return fmt.Errorf("tree: Subsample %v outside (0, 1]", c.Subsample)
+	}
+	return nil
+}
+
+// sampleRows splits one permutation of the rows into the round's
+// subsample, drawn without replacement, and the rows it leaves out. A
+// fraction that would keep fewer than two rows keeps them all.
+func sampleRows(n int, frac float64, rng *rand.Rand) (idx, oob []int) {
 	k := int(frac * float64(n))
 	if k < 2 {
 		k = n
 	}
 	perm := rng.Perm(n)
-	idx := perm[:k]
-	return idx
+	return perm[:k], perm[k:]
 }
 
 // ensembleHistIndex builds the shared histogram index for an ensemble
@@ -76,10 +87,14 @@ func NewGBRegressor(cfg BoostConfig) *GBRegressor {
 }
 
 // FitRegressor implements ml.Regressor. Inputs containing NaN or ±Inf
-// are rejected with an error wrapping ErrNonFinite.
+// are rejected with an error wrapping ErrNonFinite, a Subsample outside
+// (0, 1] with a plain error.
 func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("tree: GBRegressor fit with %d rows, %d targets", len(x), len(y))
+	}
+	if err := g.cfg.check(); err != nil {
+		return err
 	}
 	if err := checkFeatures(x); err != nil {
 		return err
@@ -103,13 +118,12 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 		for i := range y {
 			resid[i] = y[i] - pred[i]
 		}
-		idx := sampleRows(len(y), g.cfg.Subsample, rng)
-		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hb)
+		idx, oob := sampleRows(len(y), g.cfg.Subsample, rng)
+		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hb, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate})
 		if err != nil {
 			return err
 		}
 		g.ens.trees = append(g.ens.trees, t)
-		t.addTo(x, pred, 1, g.cfg.LearningRate)
 	}
 	return nil
 }
@@ -143,7 +157,8 @@ func NewGBDT(cfg BoostConfig) *GBDT {
 }
 
 // FitClassifier implements ml.Classifier. Feature matrices containing
-// NaN or ±Inf are rejected with an error wrapping ErrNonFinite.
+// NaN or ±Inf are rejected with an error wrapping ErrNonFinite, a
+// Subsample outside (0, 1] with a plain error.
 func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("tree: GBDT fit with %d rows, %d labels", len(x), len(y))
@@ -155,6 +170,9 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 		if l < 0 || l >= numClasses {
 			return fmt.Errorf("tree: label %d at row %d outside [0,%d)", l, i, numClasses)
 		}
+	}
+	if err := g.cfg.check(); err != nil {
+		return err
 	}
 	if err := checkFeatures(x); err != nil {
 		return err
@@ -193,11 +211,11 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 		for i := 0; i < len(scores); i += numClasses {
 			ml.Softmax(probs[i:i+numClasses], scores[i:i+numClasses])
 		}
-		idx := sampleRows(n, g.cfg.Subsample, rng)
+		idx, oob := sampleRows(n, g.cfg.Subsample, rng)
 		// Per-class trees fit in parallel: grad/hess derive from the
 		// round-start probs snapshot, each class owns its buffers and its
-		// roundTrees slot, and the score update touches only column k, so
-		// the fitted ensemble is identical to the serial class loop.
+		// roundTrees slot, and its tree credits only column k of scores,
+		// so the fitted ensemble is identical to the serial class loop.
 		if err := par.ForEach(context.Background(), numClasses, 0, func(k int) error {
 			grad, hess := grads[k*n:(k+1)*n], hesses[k*n:(k+1)*n]
 			for i := range x {
@@ -209,12 +227,11 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 				grad[i] = (yk - p) * kf
 				hess[i] = p * (1 - p) * kf
 			}
-			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hbs[k])
+			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hbs[k], credit{oob: oob, score: scores[k:], stride: numClasses, lr: g.cfg.LearningRate})
 			if err != nil {
 				return err
 			}
 			roundTrees[k] = t
-			t.addTo(x, scores[k:], numClasses, g.cfg.LearningRate)
 			return nil
 		}); err != nil {
 			var errs par.Errors

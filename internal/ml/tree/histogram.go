@@ -139,16 +139,18 @@ func (nh nodeHist) subtract(o nodeHist) {
 // histBuilder grows trees on a prebuilt histIndex, one at a time; an
 // ensemble fit keeps one for all its rounds (one per class slot in GBDT),
 // so a tree allocates nothing beyond the columns fit returns. The
-// node's row set lives in rows, partitioned in place per node with
-// scratch staging the right-going rows — the same reusable-segment scheme
-// as exactBuilder. Released histograms stack up in free for later nodes,
-// so a fit allocates only as many as its deepest parent-plus-sibling
-// chain.
+// node's row set lives in rows and the credit's left-out rows in oob,
+// each partitioned in place per node with scratch staging the
+// right-going rows — the same reusable-segment scheme as exactBuilder.
+// Released histograms stack up in free for later nodes, so a fit
+// allocates only as many as its deepest parent-plus-sibling chain.
 type histBuilder struct {
 	hi      *histIndex
 	cfg     TreeConfig
 	y, h    []float64
+	cr      credit
 	rows    []int32
+	oob     []int32
 	scratch []int32
 	free    []nodeHist
 	out     nodes[float64]
@@ -163,24 +165,30 @@ func newHistBuilder(hi *histIndex, cfg TreeConfig) *histBuilder {
 	return &histBuilder{hi: hi, cfg: cfg}
 }
 
-// fit grows a tree over the idx rows using histogram splits. The tree is
-// built in the builder's own columns and returned as an exact-size copy.
-func (hb *histBuilder) fit(y, h []float64, idx []int) nodes[float64] {
-	hb.y, hb.h = y, h
-	hb.rows = hb.rows[:0]
-	for _, v := range idx {
-		hb.rows = append(hb.rows, int32(v))
-	}
-	if cap(hb.scratch) < len(idx) {
-		hb.scratch = make([]int32, len(idx))
+// fit grows a tree over the idx rows using histogram splits, crediting
+// c as it pushes leaves. The tree is built in the builder's own columns
+// and returned as an exact-size copy.
+func (hb *histBuilder) fit(y, h []float64, idx []int, c credit) nodes[float64] {
+	hb.y, hb.h, hb.cr = y, h, c
+	hb.rows, hb.oob = appendInt32(hb.rows[:0], idx), appendInt32(hb.oob[:0], c.oob)
+	if n := max(len(idx), len(c.oob)); cap(hb.scratch) < n {
+		hb.scratch = make([]int32, n)
 	}
 	o := &hb.out
 	o.feature, o.left, o.right, o.thr, o.value, o.gain = o.feature[:0], o.left[:0], o.right[:0], o.thr[:0], o.value[:0], o.gain[:0]
-	hb.build(0, len(idx), 0, nil)
+	hb.build(0, len(idx), 0, len(c.oob), 0, nil)
 	return nodes[float64]{
 		feature: slices.Clone(o.feature), left: slices.Clone(o.left), right: slices.Clone(o.right),
 		thr: slices.Clone(o.thr), value: slices.Clone(o.value), gain: slices.Clone(o.gain),
 	}
+}
+
+func appendInt32(dst []int32, idx []int) []int32 {
+	dst = slices.Grow(dst, len(idx))
+	for _, v := range idx {
+		dst = append(dst, int32(v))
+	}
+	return dst
 }
 
 func (hb *histBuilder) alloc() nodeHist {
@@ -210,6 +218,12 @@ func (hb *histBuilder) leafValue(seg []int32) float64 {
 		}
 	}
 	return sg / (sh + 1e-9)
+}
+
+func (hb *histBuilder) leaf(seg, oob []int32) int32 {
+	v := hb.leafValue(seg)
+	creditLeaf(&hb.cr, v, seg, oob)
+	return hb.out.push(-1, 0, v, 0)
 }
 
 // accumulate adds seg's rows into nh, one row at a time: the row's
@@ -291,15 +305,19 @@ func (hb *histBuilder) bestSplit(nh nodeHist, nRows int) (feat, bin int, thr, ga
 	return feat, bin, thr, gain, ok
 }
 
-// partition stably splits rows[lo:hi] around the bin boundary: rows with
-// codes <= bin compact to the front in place, the rest stage through
-// scratch. Stability keeps child row order equal to parent row order,
-// which is what makes every downstream accumulation order-deterministic.
-// Which side a row takes is close to a coin flip, so the loop stores the
-// row on both sides and advances one of them rather than branch on it.
-func (hb *histBuilder) partition(lo, hi, feat, bin int) int {
+// partition stably splits seg around the bin boundary and returns how
+// many rows go left: rows with codes <= bin compact to the front in
+// place, the rest stage through scratch. Stability keeps child row order
+// equal to parent row order, which is what makes every downstream
+// accumulation order-deterministic. Which side a row takes is close to a
+// coin flip, so the loop stores the row on both sides and advances one
+// of them rather than branch on it.
+//
+// The index bins every row of x, so for each of them code <= bin exactly
+// when the value is <= the split's threshold (midpoint): a row routed
+// here reaches the leaf that descending the finished tree would.
+func (hb *histBuilder) partition(seg []int32, feat, bin int) int {
 	nf := hb.hi.nf
-	seg := hb.rows[lo:hi]
 	rest := hb.scratch[:len(seg)]
 	nl, nr := 0, 0
 	for _, i := range seg {
@@ -312,16 +330,17 @@ func (hb *histBuilder) partition(lo, hi, feat, bin int) int {
 		nr += right
 	}
 	copy(seg[nl:], rest[:nr])
-	return lo + nl
+	return nl
 }
 
 // build appends the subtree over rows[lo:hi] in preorder and returns its
-// root's index.
-func (hb *histBuilder) build(lo, hi, depth int, nh nodeHist) int32 {
-	seg := hb.rows[lo:hi]
+// root's index; oob[olo:ohi] are the left-out rows that reach it, routed
+// but never counted.
+func (hb *histBuilder) build(lo, hi, olo, ohi, depth int, nh nodeHist) int32 {
+	seg, oob := hb.rows[lo:hi], hb.oob[olo:ohi]
 	if depth >= hb.cfg.MaxDepth || len(seg) < 2*hb.cfg.MinLeaf {
 		hb.release(nh)
-		return hb.out.push(-1, 0, hb.leafValue(seg), 0)
+		return hb.leaf(seg, oob)
 	}
 	if nh == nil {
 		nh = hb.alloc()
@@ -330,9 +349,10 @@ func (hb *histBuilder) build(lo, hi, depth int, nh nodeHist) int32 {
 	feat, bin, thr, gain, ok := hb.bestSplit(nh, len(seg))
 	if !ok {
 		hb.release(nh)
-		return hb.out.push(-1, 0, hb.leafValue(seg), 0)
+		return hb.leaf(seg, oob)
 	}
-	mid := hb.partition(lo, hi, feat, bin)
+	mid := lo + hb.partition(seg, feat, bin)
+	omid := olo + hb.partition(oob, feat, bin)
 	needL := depth+1 < hb.cfg.MaxDepth && mid-lo >= 2*hb.cfg.MinLeaf
 	needR := depth+1 < hb.cfg.MaxDepth && hi-mid >= 2*hb.cfg.MinLeaf
 	var lh, rh nodeHist
@@ -363,8 +383,8 @@ func (hb *histBuilder) build(lo, hi, depth int, nh nodeHist) int32 {
 		hb.release(nh)
 	}
 	at := hb.out.push(feat, thr, 0, gain)
-	l := hb.build(lo, mid, depth+1, lh)
-	r := hb.build(mid, hi, depth+1, rh)
+	l := hb.build(lo, mid, olo, omid, depth+1, lh)
+	r := hb.build(mid, hi, omid, ohi, depth+1, rh)
 	hb.out.left[at], hb.out.right[at] = l, r
 	return at
 }

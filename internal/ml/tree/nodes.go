@@ -32,8 +32,9 @@ func (n *nodes[T]) push(feature int, thr, value T, gain float64) int32 {
 }
 
 // leaf descends one row from the root to its leaf and returns the leaf
-// value: a feature `<=` its threshold goes left. It is the only
-// traversal; float32 trees differ from their float64 source only where a
+// value: a feature `<=` its threshold goes left. It is the only descent
+// (a fit never descends: its builder routes rows as it splits them, see
+// credit); float32 trees differ from their float64 source only where a
 // feature lands within half a float32 ULP of a threshold (the tie band
 // the serving-lane differential suite bounds).
 func (n *nodes[T]) leaf(row []T) T {
@@ -52,8 +53,9 @@ func (n *nodes[T]) leaf(row []T) T {
 }
 
 // addTo adds lr × the tree's prediction for rows[i] to out[i*stride] —
-// the boosting accumulation step. Running every row through one tree
-// before the next keeps its columns cache-resident.
+// scoreInto's step, the same expression a fit's credit applies. Running
+// every row through one tree before the next keeps its columns
+// cache-resident.
 func (n *nodes[T]) addTo(rows [][]T, out []T, stride int, lr T) {
 	for i, row := range rows {
 		out[i*stride] += lr * n.leaf(row)

@@ -135,19 +135,44 @@ func FitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig) (*Tree, e
 		return nil, err
 	}
 	cfg.setDefaults()
-	n, err := fitTree(x, y, h, idx, cfg, nil)
+	n, err := fitTree(x, y, h, idx, cfg, nil, credit{})
 	if err != nil {
 		return nil, err
 	}
 	return &Tree{n}, nil
 }
 
+// credit is where a boosting round's tree adds what it learned: as a
+// builder pushes a leaf, it adds lr × the leaf's value to score[i*stride]
+// for every row i the leaf holds — the sampled rows the tree was grown on
+// and the rows oob the round left out, which the builder routes down the
+// same splits without counting them. So a fit never descends its own
+// tree. The zero value credits nothing.
+type credit struct {
+	oob    []int
+	score  []float64
+	stride int
+	lr     float64
+}
+
+// creditLeaf credits a leaf of value v to its sampled and left-out rows.
+func creditLeaf[I int | int32](c *credit, v float64, seg, oob []I) {
+	if c.score == nil {
+		return
+	}
+	for _, rows := range [2][]I{seg, oob} {
+		for _, i := range rows {
+			c.score[int(i)*c.stride] += c.lr * v
+		}
+	}
+}
+
 // fitTree is the unvalidated core of FitTree: cfg must be normalized and
 // x/y/h finite. The ensembles validate once up front and pass the
 // histogram builder they keep for the whole fit, so the per-feature
 // binning sort and the builder's buffers are paid once per ensemble fit
-// instead of once per tree.
-func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hb *histBuilder) (nodes[float64], error) {
+// instead of once per tree, with the credit their training scores take.
+func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hb *histBuilder, c credit) (nodes[float64], error) {
 	if len(x) == 0 || len(y) != len(x) {
 		return nodes[float64]{}, fmt.Errorf("tree: %d rows, %d targets", len(x), len(y))
 	}
@@ -161,22 +186,25 @@ func fitTree(x [][]float64, y, h []float64, idx []int, cfg TreeConfig, hb *histB
 		if hb == nil {
 			hb = newHistBuilder(buildHistIndex(x, cfg.MaxBins), cfg)
 		}
-		return hb.fit(y, h, idx), nil
+		return hb.fit(y, h, idx, c), nil
 	}
-	b := &exactBuilder{x: x, y: y, h: h, cfg: cfg}
+	b := &exactBuilder{x: x, y: y, h: h, cfg: cfg, cr: c}
 	return b.fit(idx), nil
 }
 
 // exactBuilder grows a tree with exact-greedy splits: every node
 // re-sorts its rows per feature and considers every distinct-value
 // boundary. The row index set lives in one array partitioned in place
-// per node (rows), with ord as per-node sort scratch and tmp as
-// partition scratch — no per-node append-grown slices.
+// per node (rows), the credit's left-out rows in another (oob), with ord
+// as per-node sort scratch and tmp as partition scratch — no per-node
+// append-grown slices.
 type exactBuilder struct {
 	x    [][]float64
 	y, h []float64
 	cfg  TreeConfig
+	cr   credit
 	rows []int
+	oob  []int
 	ord  []int
 	tmp  []int
 	out  nodes[float64]
@@ -184,9 +212,10 @@ type exactBuilder struct {
 
 func (b *exactBuilder) fit(idx []int) nodes[float64] {
 	b.rows = append([]int(nil), idx...)
+	b.oob = append([]int(nil), b.cr.oob...)
 	b.ord = make([]int, len(idx))
-	b.tmp = make([]int, 0, len(idx))
-	b.build(0, len(idx), 0)
+	b.tmp = make([]int, 0, max(len(idx), len(b.oob)))
+	b.build(0, len(idx), 0, len(b.oob), 0)
 	return b.out
 }
 
@@ -220,30 +249,38 @@ func midpoint(lo, next float64) float64 {
 }
 
 // build appends the subtree over rows[lo:hi] in preorder and returns its
-// root's index.
-func (b *exactBuilder) build(lo, hi, depth int) int32 {
-	seg := b.rows[lo:hi]
+// root's index; oob[olo:ohi] are the left-out rows that reach it.
+func (b *exactBuilder) build(lo, hi, olo, ohi, depth int) int32 {
+	seg, oob := b.rows[lo:hi], b.oob[olo:ohi]
 	if depth >= b.cfg.MaxDepth || len(seg) < 2*b.cfg.MinLeaf {
-		return b.out.push(-1, 0, b.leafValue(seg), 0)
+		return b.leaf(seg, oob)
 	}
 	feat, thr, gain, ok := b.bestSplit(seg)
 	if !ok {
-		return b.out.push(-1, 0, b.leafValue(seg), 0)
+		return b.leaf(seg, oob)
 	}
-	mid := b.partition(lo, hi, feat, thr)
+	mid := lo + b.partition(seg, feat, thr)
+	omid := olo + b.partition(oob, feat, thr)
 	at := b.out.push(feat, thr, 0, gain)
-	l := b.build(lo, mid, depth+1)
-	r := b.build(mid, hi, depth+1)
+	l := b.build(lo, mid, olo, omid, depth+1)
+	r := b.build(mid, hi, omid, ohi, depth+1)
 	b.out.left[at], b.out.right[at] = l, r
 	return at
 }
 
-// partition stably splits rows[lo:hi] around the threshold: rows going
-// left compact to the front in place, the rest stage through tmp.
-func (b *exactBuilder) partition(lo, hi, feat int, thr float64) int {
-	left := b.rows[lo:lo]
+func (b *exactBuilder) leaf(seg, oob []int) int32 {
+	v := b.leafValue(seg)
+	creditLeaf(&b.cr, v, seg, oob)
+	return b.out.push(-1, 0, v, 0)
+}
+
+// partition stably splits rows around the threshold — the test leaf
+// applies — and returns how many go left: they compact to the front in
+// place, the rest stage through tmp.
+func (b *exactBuilder) partition(rows []int, feat int, thr float64) int {
+	left := rows[:0]
 	rest := b.tmp[:0]
-	for _, i := range b.rows[lo:hi] {
+	for _, i := range rows {
 		if b.x[i][feat] <= thr {
 			left = append(left, i)
 		} else {
@@ -251,8 +288,8 @@ func (b *exactBuilder) partition(lo, hi, feat int, thr float64) int {
 		}
 	}
 	b.tmp = rest
-	copy(b.rows[lo+len(left):hi], rest)
-	return lo + len(left)
+	copy(rows[len(left):], rest)
+	return len(left)
 }
 
 // bestSplit scans every feature for the split maximizing gain.
