@@ -100,9 +100,9 @@ func BenchmarkReferenceRun(b *testing.B) {
 var compiledSink *CellEvaluator
 
 // BenchmarkCompileCell is what a cell's first lookup pays before its
-// first sample: geometry and 31 projections, each embedding the stencil
-// again and hashing eight Gaussians (the key statistics are warm, as they
-// are for all but the first few cells of a process).
+// first sample: geometry, one embedding of the stencil and 31 dot
+// products with cached directions (warm, as they are for all but the
+// first cell of a process per architecture).
 func BenchmarkCompileCell(b *testing.B) {
 	w, arch := benchCell()
 	m := New()

@@ -334,17 +334,17 @@ func TestRunKeyDistinguishesParams(t *testing.T) {
 	// perturbs noise, while a cache collision would corrupt results).
 	a := opt.Params{BlockX: 256, BlockY: 4, Merge: 1, Unroll: 1}
 	b := opt.Params{BlockX: 512, BlockY: 2, Merge: 1, Unroll: 1}
-	if runKey(w, 0, a, arch) == runKey(w, 0, b, arch) {
+	if RunKey(w, 0, a, arch) == RunKey(w, 0, b, arch) {
 		t.Fatal("runKey collision between distinct params")
 	}
 	w2 := w
 	w2.GridX++
-	if runKey(w, 0, a, arch) == runKey(w2, 0, a, arch) {
+	if RunKey(w, 0, a, arch) == RunKey(w2, 0, a, arch) {
 		t.Fatal("runKey ignores workload extents")
 	}
 	arch2 := arch
 	arch2.MemBWGBs *= 2
-	if runKey(w, 0, a, arch) == runKey(w, 0, a, arch2) {
+	if RunKey(w, 0, a, arch) == RunKey(w, 0, a, arch2) {
 		t.Fatal("runKey ignores architecture constants")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/binary"
 	"math"
 	"sync/atomic"
 
@@ -41,17 +40,11 @@ type CellEvaluator struct {
 	dims int
 	g    geom
 
-	// Noise precomputation. The pre-rewrite factor is
-	//
-	//   exp(Measurement*gauss(patternKey, oc, paramsKey, archName)
-	//       + StencilArch*projection(s, "arch:"+archName)
-	//       + StencilOC*projection(s, "oc:"+oc)
-	//       + OCArch*gauss("", oc, "", archName))
-	//
-	// Only the first term varies with the sampled params; the rest are
-	// per-(cell, OC) constants. The terms are stored (not pre-summed) and
-	// added back in the original left-to-right order so the float result
-	// is bit-identical. measPrefix is the running FNV-1a state after
+	// Noise precomputation. Of NoiseConfig.factor's four terms only the
+	// measurement gauss varies with the sampled params; the other three
+	// are per-(cell, OC) constants, stored (not pre-summed) and added back
+	// in factor's left-to-right order so the float result is
+	// bit-identical. measPrefix is the running FNV-1a state after
 	// (patternKey, 0, oc, 0) — the per-sample hash resumes from it.
 	meas       float64
 	archTerm   float64
@@ -154,24 +147,21 @@ func (m *Model) CellFn(w Workload, arch gpu.Arch) EvalFn {
 // evaluator, and with it one memo.
 func compileKey(w Workload, arch gpu.Arch) string {
 	ak := archKey(arch)
-	b := make([]byte, 0, 1+3*len(w.S.Points)+4*4+len(ak))
-	b = append(b, patternKey(w.S)...)
-	var u [4]byte
-	for _, v := range [...]int{w.GridX, w.GridY, w.GridZ, w.TimeSteps} {
-		binary.LittleEndian.PutUint32(u[:], uint32(v))
-		b = append(b, u[:]...)
-	}
-	b = append(b, ak...)
-	return string(b)
+	b := appendCell(make([]byte, 0, 1+3*len(w.S.Points)+4*4+len(ak)), w)
+	return string(append(b, ak...))
 }
 
 // compile precomputes the cell's invariants. It runs once per cell per
-// model; all constants reuse the exact functions the reference path
-// evaluates per run (projection, gauss), so the stored values carry the
-// same bits the uncompiled path would recompute.
+// model and embeds the stencil once; the directions and per-arch gauss
+// terms it projects onto are built once per process. Every constant is
+// the expression the reference path evaluates per run (projection,
+// gauss) with the same operations in the same order, so the stored values
+// carry the same bits.
 func (m *Model) compile(w Workload, arch gpu.Arch) *CellEvaluator {
 	s := w.S
 	n := m.noise
+	f := phi(s)
+	an := archNoiseOf(arch.Name)
 	e := &CellEvaluator{
 		m:        m,
 		w:        w,
@@ -179,15 +169,15 @@ func (m *Model) compile(w Workload, arch gpu.Arch) *CellEvaluator {
 		dims:     s.Dims,
 		g:        stencilGeom(s),
 		meas:     n.Measurement,
-		archTerm: n.StencilArch * projection(s, "arch:"+arch.Name),
+		archTerm: n.StencilArch * an.arch.project(&f),
 	}
 	pk := patternKey(s)
 	base := fnv1aByte(fnv1aString(uint64(fnvOffset64), pk), 0)
 	for _, oc := range opt.Combinations() {
 		ocb := byte(oc)
 		e.measPrefix[oc] = fnv1aByte(fnv1aByte(base, ocb), 0)
-		e.ocTerm[oc] = n.StencilOC * projection(s, "oc:"+string(ocb))
-		e.ocArchTerm[oc] = n.OCArch * gauss("", ocb, "", arch.Name)
+		e.ocTerm[oc] = n.StencilOC * an.oc[oc].project(&f)
+		e.ocArchTerm[oc] = n.OCArch * an.ocArch[oc]
 	}
 	return e
 }
@@ -233,17 +223,28 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	return ent.res, ent.err
 }
 
-// price is the pricing body: resources, occupancy, time terms, noise.
+// price is the pricing body: the noiseless terms, then the cell's noise.
 func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
-	res := resourceUsage(e.w, oc, p, e.arch, e.g.order)
-	if err := res.check(e.arch, e.w, oc); err != nil {
+	r, err := priceNoiseless(&e.w, oc, p, &e.arch, e.g)
+	if err != nil {
 		return Result{}, err
 	}
+	r.Time *= e.noiseFactor(oc, p)
+	return r, nil
+}
 
-	occ := occupancy(res, p, e.arch)
-	t := timeBreakdown(e.w, oc, p, e.arch, res, occ, e.g)
-
-	r := Result{
+// priceNoiseless is the arithmetic the compiled and reference paths
+// share: resources, hard limits, occupancy and time terms, with Time the
+// noiseless sum the caller scales by its noise factor.
+func priceNoiseless(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, g geom) (Result, error) {
+	res := resourceUsage(w, oc, p, arch, g.order)
+	if err := res.check(arch, w, oc); err != nil {
+		return Result{}, err
+	}
+	occ := occupancy(res, p, arch)
+	t := timeBreakdown(w, oc, p, arch, res, occ, g)
+	return Result{
+		Time:           t.compute + t.memory + t.sync + t.launch,
 		Compute:        t.compute,
 		Memory:         t.memory,
 		Sync:           t.sync,
@@ -252,10 +253,7 @@ func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
 		RegsPerThread:  res.regs,
 		SmemPerBlockKB: res.smemBytes / 1024,
 		SpillBytes:     res.spillBytes,
-	}
-	base := t.compute + t.memory + t.sync + t.launch
-	r.Time = base * e.noiseFactor(oc, p)
-	return r, nil
+	}, nil
 }
 
 // noiseFactor is NoiseConfig.factor with every cell-invariant piece
@@ -265,21 +263,7 @@ func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
 // the reference order, so the factor is bit-identical.
 func (e *CellEvaluator) noiseFactor(oc opt.Opt, p opt.Params) float64 {
 	h := e.measPrefix[oc]
-	// paramsKey(p), inlined into a stack buffer: same 10 bytes, no alloc.
-	var pk [10]byte
-	pk[0] = byte(p.BlockX)
-	pk[1] = byte(p.BlockY)
-	pk[2] = byte(p.Merge)
-	pk[3] = byte(p.MergeDim)
-	pk[4] = byte(p.StreamTile)
-	pk[5] = byte(p.StreamDim)
-	pk[6] = byte(p.Unroll)
-	pk[7] = byte(p.TBDepth)
-	pk[8] = byte(p.PrefetchDepth)
-	if p.UseSmem {
-		pk[9] = 1
-	}
-	for _, b := range pk {
+	for _, b := range paramsBytes(p) { // paramsKey's bytes, on the stack
 		h = fnv1aByte(h, b)
 	}
 	h = fnv1aByte(h, 0)

@@ -282,6 +282,22 @@ func TestAllocGateEvaluator(t *testing.T) {
 	}
 }
 
+// TestAllocGateCompile bounds a fresh compile, enforced by check.sh: the
+// stencil is embedded once against directions and per-arch terms built
+// once per process, so a cell costs its evaluator, its pattern key and
+// the OC list — not the 316 allocations of one embedding per projection.
+func TestAllocGateCompile(t *testing.T) {
+	arch, err := gpu.ByName("V100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := DefaultWorkload(stencil.Star(3, 2))
+	m := New()
+	if got := testing.AllocsPerRun(100, func() { m.compile(w, arch) }); got > 20 {
+		t.Errorf("compile allocates %v, want at most 20", got)
+	}
+}
+
 // TestLimitErrorsPinned pins the two hard-limit rejections to the text
 // fmt.Errorf("%w: ...") produced before they became typed errors that
 // format on demand: byte-equal messages, ErrInvalidConfig / ErrCrash

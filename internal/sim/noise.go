@@ -67,15 +67,23 @@ func (n NoiseConfig) factor(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gp
 // centered and scaled by its population spread over random generator
 // corpora (constants measured once over 600 mixed stencils), so the
 // components have roughly zero mean and unit variance.
-func phi(s stencil.Stencil) []float64 {
+func phi(s stencil.Stencil) [8]float64 {
 	n := float64(s.NumPoints())
-	r := float64(s.Order())
-	var sumD, maxD float64
+	order := s.Order()
+	r := float64(order)
+	var sumD, maxD, first, shell float64
 	for _, p := range s.Points {
 		d := p.Euclidean()
 		sumD += d
 		if d > maxD {
 			maxD = d
+		}
+		o := p.Order()
+		if o == 1 {
+			first++
+		}
+		if o == order {
+			shell++
 		}
 	}
 	dims3 := -1.0
@@ -83,79 +91,121 @@ func phi(s stencil.Stencil) []float64 {
 		dims3 = 1
 	}
 	lines := float64(stencil.LineCount(s))
-	shell := float64(len(s.PointsAtOrder(int(r)))) / n
-	first := float64(len(s.PointsAtOrder(1))) / n
-	return []float64{
+	return [8]float64{
 		(r - 2.5) / 1.1,
 		(math.Cbrt(n) - 2.6) / 1.0,
 		(sumD/n - 2.0) / 0.9,
 		(maxD - 3.3) / 1.5,
 		dims3,
 		(math.Log2(lines) - 2.5) / 1.5,
-		(first - 0.45) / 0.25,
-		(shell - 0.30) / 0.20,
+		(first/n - 0.45) / 0.25,
+		(shell/n - 0.30) / 0.20,
 	}
 }
 
-// rawProjection is w_key . phi(s) with w_key a deterministic
-// pseudo-random unit direction per key.
-func rawProjection(s stencil.Stencil, key string) float64 {
-	f := phi(s)
-	var z, norm float64
+// direction is one projection key's pseudo-random direction w_key (eight
+// deterministic Gaussians, with the square root of their squared norm)
+// and the mean and spread of the unit projection w_key·phi/|w_key| over
+// the reference corpus. phi components are correlated, so the spread of
+// a raw projection depends on its direction; dividing by the reference
+// spread makes every key's affinity term comparable.
+type direction struct {
+	w                   [8]float64
+	sqrtNorm, mean, std float64
+}
+
+// project standardizes the unit projection of the embedding f.
+func (d *direction) project(f *[8]float64) float64 {
+	return (d.raw(f) - d.mean) / d.std
+}
+
+func (d *direction) raw(f *[8]float64) float64 {
+	var z float64
 	for i := range f {
-		w := gauss(key, byte(i), "", "")
-		z += w * f[i]
-		norm += w * w
+		z += d.w[i] * f[i]
 	}
-	return z / math.Sqrt(norm)
+	return z / d.sqrtNorm
 }
 
-// refCorpus is a fixed mixed stencil population used to standardize each
-// projection key: phi components are correlated, so the spread of a raw
-// projection depends on its direction; dividing by the reference spread
-// makes every key's affinity term comparable.
-var (
-	refOnce   sync.Once
-	refPhi    []stencil.Stencil
-	keyStats  sync.Map // key -> [2]float64{mean, std}
-	refSeed   = int64(20220530)
-	refCount2 = 200
-	refCount3 = 200
-)
+// The reference corpus is a fixed mixed stencil population, kept only as
+// its embeddings.
+const refCount2, refCount3, refSeed = 200, 200, 20220530
 
-func referenceCorpus() []stencil.Stencil {
-	refOnce.Do(func() {
+var (
+	refEmbeddings = sync.OnceValue(func() [][8]float64 {
 		corpus, err := gen.MixedCorpus(refCount2, refCount3, stencil.MaxOrder, refSeed)
 		if err != nil {
 			panic("sim: reference corpus generation failed: " + err.Error())
 		}
-		refPhi = corpus
+		f := make([][8]float64, len(corpus))
+		for i, s := range corpus {
+			f[i] = phi(s)
+		}
+		return f
 	})
-	return refPhi
+	directions sync.Map // key -> *direction, built once per key
+)
+
+// directionOf returns the key's direction, building it on first use.
+// Racing first uses build identical directions and keep one.
+func directionOf(key string) *direction {
+	if v, ok := directions.Load(key); ok {
+		return v.(*direction)
+	}
+	d := &direction{}
+	var norm float64
+	for i := range d.w {
+		d.w[i] = gauss(key, byte(i), "", "")
+		norm += d.w[i] * d.w[i]
+	}
+	d.sqrtNorm = math.Sqrt(norm)
+	ref := refEmbeddings()
+	var m, m2 float64
+	for i := range ref {
+		z := d.raw(&ref[i])
+		m += z
+		m2 += z * z
+	}
+	n := float64(len(ref))
+	d.mean = m / n
+	d.std = math.Sqrt(m2/n - d.mean*d.mean)
+	if d.std < 1e-9 {
+		d.std = 1
+	}
+	v, _ := directions.LoadOrStore(key, d)
+	return v.(*direction)
 }
 
 // projection returns an approximately standard-normal smooth function of
 // the stencil, standardized per key against the reference corpus.
 func projection(s stencil.Stencil, key string) float64 {
-	if v, ok := keyStats.Load(key); ok {
-		st := v.([2]float64)
-		return (rawProjection(s, key) - st[0]) / st[1]
+	f := phi(s)
+	return directionOf(key).project(&f)
+}
+
+// archNoise is everything a cell's noise constants need besides the
+// stencil's embedding, resolved once per architecture name: the
+// "arch:"+name direction, each OC's "oc:"+oc direction, and
+// gauss("", oc, "", name) per OC.
+type archNoise struct {
+	arch   *direction
+	oc     [64]*direction
+	ocArch [64]float64
+}
+
+var archNoises sync.Map // arch name -> *archNoise
+
+func archNoiseOf(name string) *archNoise {
+	if v, ok := archNoises.Load(name); ok {
+		return v.(*archNoise)
 	}
-	corpus := referenceCorpus()
-	var m, m2 float64
-	for _, rs := range corpus {
-		z := rawProjection(rs, key)
-		m += z
-		m2 += z * z
+	a := &archNoise{arch: directionOf("arch:" + name)}
+	for _, oc := range opt.Combinations() {
+		a.oc[oc] = directionOf("oc:" + string(byte(oc)))
+		a.ocArch[oc] = gauss("", byte(oc), "", name)
 	}
-	n := float64(len(corpus))
-	mean := m / n
-	std := math.Sqrt(m2/n - mean*mean)
-	if std < 1e-9 {
-		std = 1
-	}
-	keyStats.Store(key, [2]float64{mean, std})
-	return (rawProjection(s, key) - mean) / std
+	v, _ := archNoises.LoadOrStore(name, a)
+	return v.(*archNoise)
 }
 
 // patternKey canonicalizes the access pattern so renamed but identical
@@ -170,16 +220,19 @@ func patternKey(s stencil.Stencil) string {
 }
 
 func paramsKey(p opt.Params) string {
-	var b [10]byte
-	vals := [...]int{p.BlockX, p.BlockY, p.Merge, p.MergeDim, p.StreamTile,
-		p.StreamDim, p.Unroll, p.TBDepth, p.PrefetchDepth}
-	for i, v := range vals {
-		b[i] = byte(v)
-	}
+	b := paramsBytes(p)
+	return string(b[:])
+}
+
+// paramsBytes is the params' noise-key bytes: each field truncated to a
+// byte, then UseSmem.
+func paramsBytes(p opt.Params) [10]byte {
+	b := [10]byte{byte(p.BlockX), byte(p.BlockY), byte(p.Merge), byte(p.MergeDim), byte(p.StreamTile),
+		byte(p.StreamDim), byte(p.Unroll), byte(p.TBDepth), byte(p.PrefetchDepth)}
 	if p.UseSmem {
 		b[9] = 1
 	}
-	return string(b[:])
+	return b
 }
 
 // FNV-1a 64-bit constants, inlined so the compiled evaluation path can

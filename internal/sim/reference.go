@@ -10,11 +10,13 @@ import (
 )
 
 // Reference is the oracle the compiled path is proven against: the
-// pricing body with nothing precomputed and nothing remembered — full
-// per-call validation, footprint geometry and every noise projection
-// recomputed per run. The differential suite asserts Model and Reference
-// produce bitwise-identical Results, datasets and serve outputs, and the
-// collection-throughput benchmarks use it as the uncompiled baseline.
+// pricing body with nothing precomputed per cell — full per-call
+// validation, footprint geometry, and each affinity term's embedding and
+// projection (onto the per-key directions noise_test.go proves against
+// the per-call code) redone per run. The differential suite asserts
+// Model and Reference produce bitwise-identical Results, datasets and
+// serve outputs, and the collection-throughput benchmarks use it as the
+// uncompiled baseline.
 type Reference struct {
 	noise NoiseConfig
 }
@@ -37,27 +39,11 @@ func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Re
 		return Result{}, err
 	}
 
-	g := stencilGeom(w.S)
-	res := resourceUsage(w, oc, p, arch, g.order)
-	if err := res.check(arch, w, oc); err != nil {
+	r, err := priceNoiseless(&w, oc, p, &arch, stencilGeom(w.S))
+	if err != nil {
 		return Result{}, err
 	}
-
-	occ := occupancy(res, p, arch)
-	t := timeBreakdown(w, oc, p, arch, res, occ, g)
-
-	r := Result{
-		Compute:        t.compute,
-		Memory:         t.memory,
-		Sync:           t.sync,
-		Launch:         t.launch,
-		Occupancy:      occ,
-		RegsPerThread:  res.regs,
-		SmemPerBlockKB: res.smemBytes / 1024,
-		SpillBytes:     res.spillBytes,
-	}
-	base := t.compute + t.memory + t.sync + t.launch
-	r.Time = base * m.noise.factor(w.S, oc, p, arch)
+	r.Time *= m.noise.factor(w.S, oc, p, arch)
 	return r, nil
 }
 
@@ -82,30 +68,23 @@ func archKey(a gpu.Arch) string {
 		float64(a.RegsPerSM), float64(a.SmemPerSMKB), float64(a.MaxThreadsPerSM),
 		float64(a.MaxRegsPerThread), a.L2MB, a.ClockGHz,
 	} {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-		b = append(b, buf[:]...)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
 	}
 	k := string(b)
 	archKeys.Store(a, k)
 	return k
 }
 
-// runKey canonicalizes one evaluation cell. Unlike the noise paramsKey
-// (whose byte truncation only perturbs noise), every field here is
-// encoded collision-free: a key collision would return a wrong result.
-// It is the canonical per-site identity for wrappers that need stable
-// string keys (the deterministic fault injector via RunKey); the sample
+// RunKey canonicalizes one measurement site to a collision-free byte
+// string. Unlike the noise paramsKey (whose byte truncation only perturbs
+// noise), every field is encoded collision-free: a key collision would
+// return a wrong result. Wrappers that need stable per-site identities
+// across runs and worker schedules (the deterministic fault injector)
+// hash this key rather than inventing their own encoding; the sample
 // memo keys on packSample within a cell.
-func runKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
+func RunKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
 	ak := archKey(arch)
-	b := make([]byte, 0, 1+3*len(w.S.Points)+4*4+1+2*10+1+len(ak))
-	b = append(b, patternKey(w.S)...)
-	var u [4]byte
-	for _, v := range [...]int{w.GridX, w.GridY, w.GridZ, w.TimeSteps} {
-		binary.LittleEndian.PutUint32(u[:], uint32(v))
-		b = append(b, u[:]...)
-	}
+	b := appendCell(make([]byte, 0, 1+3*len(w.S.Points)+4*4+1+2*10+1+len(ak)), w)
 	b = append(b, byte(oc))
 	for _, v := range [...]int{p.BlockX, p.BlockY, p.Merge, p.MergeDim,
 		p.StreamTile, p.StreamDim, p.Unroll, p.TBDepth, p.PrefetchDepth} {
@@ -116,6 +95,15 @@ func runKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
 	} else {
 		b = append(b, 0)
 	}
-	b = append(b, ak...)
-	return string(b)
+	return string(append(b, ak...))
+}
+
+// appendCell appends the workload's access pattern, grid extents and
+// time steps: the part of a key naming the cell.
+func appendCell(b []byte, w Workload) []byte {
+	b = append(b, patternKey(w.S)...)
+	for _, v := range [...]int{w.GridX, w.GridY, w.GridZ, w.TimeSteps} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }

@@ -41,7 +41,7 @@ const (
 
 // resourceUsage models register and shared-memory demand. r is the
 // stencil's order, a cell invariant the caller holds (geom.order).
-func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, r float64) resources {
+func resourceUsage(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, r float64) resources {
 	s := w.S
 	n := math.Min(float64(s.NumPoints()), livePointCap)
 
@@ -100,7 +100,7 @@ func resourceUsage(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, r float6
 }
 
 // smemDemand models the per-block shared memory footprint in bytes.
-func smemDemand(w Workload, oc opt.Opt, p opt.Params, r float64) float64 {
+func smemDemand(w *Workload, oc opt.Opt, p opt.Params, r float64) float64 {
 	s := w.S
 	const elem = 8.0 // double precision
 
@@ -109,7 +109,7 @@ func smemDemand(w Workload, oc opt.Opt, p opt.Params, r float64) float64 {
 		// 2.5-D blocking stages one (or, with TB, tbDepth+1) plane tiles
 		// with halos in shared memory.
 		tileX := float64(p.BlockX) + 2*r
-		tileY := float64(p.BlockY)*float64(maxInt(p.Merge, 1)) + 2*r
+		tileY := float64(p.BlockY)*float64(max(p.Merge, 1)) + 2*r
 		planes := 1.0
 		if oc.Has(opt.TB) {
 			planes = float64(p.TBDepth) + 1
@@ -161,7 +161,7 @@ func (e *limitError) Unwrap() error { return e.kind }
 // check enforces hard resource limits: shared-memory overflow invalidates
 // the setting, and register demand far beyond the spill ceiling crashes
 // the kernel (the paper's "OC crashes under certain stencils" cases).
-func (res resources) check(arch gpu.Arch, w Workload, oc opt.Opt) error {
+func (res resources) check(arch *gpu.Arch, w *Workload, oc opt.Opt) error {
 	if res.smemBytes > float64(arch.SmemPerSMKB)*1024 {
 		return &limitError{kind: ErrInvalidConfig, oc: oc, demand: res.smemBytes / 1024,
 			arch: arch.Name, smemKB: arch.SmemPerSMKB}
@@ -175,7 +175,7 @@ func (res resources) check(arch gpu.Arch, w Workload, oc opt.Opt) error {
 
 // occupancy returns the achieved thread occupancy per SM in (0, 1],
 // jointly limited by the thread, register and shared-memory budgets.
-func occupancy(res resources, p opt.Params, arch gpu.Arch) float64 {
+func occupancy(res resources, p opt.Params, arch *gpu.Arch) float64 {
 	tpb := res.threadsPerBlock
 	byThreads := arch.MaxThreadsPerSM / tpb
 
@@ -187,24 +187,10 @@ func occupancy(res resources, p opt.Params, arch gpu.Arch) float64 {
 		bySmem = int(float64(arch.SmemPerSMKB) * 1024 / res.smemBytes)
 	}
 
-	blocks := minInt(byThreads, minInt(byRegs, bySmem))
+	blocks := min(byThreads, byRegs, bySmem)
 	if blocks < 1 {
 		blocks = 1
 	}
 	occ := float64(blocks*tpb) / float64(arch.MaxThreadsPerSM)
 	return math.Min(occ, 1)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -16,11 +16,3 @@ type Runner interface {
 
 // *Model implements Runner.
 var _ Runner = (*Model)(nil)
-
-// RunKey canonicalizes one measurement site to a collision-free byte
-// string (see runKey). Wrappers that need stable per-site identities
-// across runs and worker schedules (the deterministic fault injector)
-// hash this key rather than inventing their own encoding.
-func RunKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
-	return runKey(w, oc, p, arch)
-}

@@ -172,8 +172,9 @@ func TestRetimingRelievesRegisterPressure(t *testing.T) {
 	p := stParams()
 	p.StreamDim = 3
 	r := float64(w.S.Order())
-	without := resourceUsage(w, opt.ST, p, v100(t), r)
-	with := resourceUsage(w, opt.ST|opt.RT, p, v100(t), r)
+	arch := v100(t)
+	without := resourceUsage(&w, opt.ST, p, &arch, r)
+	with := resourceUsage(&w, opt.ST|opt.RT, p, &arch, r)
 	if with.regs >= without.regs {
 		t.Errorf("RT regs %.1f >= plain ST regs %.1f", with.regs, without.regs)
 	}
@@ -227,19 +228,19 @@ func TestBestOfPicksMinimum(t *testing.T) {
 }
 
 func TestLineCounts(t *testing.T) {
-	if got := lineCount(stencil.Star(2, 1)); got != 3 {
+	if got := stencil.LineCount(stencil.Star(2, 1)); got != 3 {
 		t.Errorf("lineCount(star2d1r) = %d, want 3", got)
 	}
-	if got := lineCount(stencil.Box(2, 4)); got != 9 {
+	if got := stencil.LineCount(stencil.Box(2, 4)); got != 9 {
 		t.Errorf("lineCount(box2d4r) = %d, want 9", got)
 	}
-	if got := lineCount(stencil.Box(3, 4)); got != 81 {
+	if got := stencil.LineCount(stencil.Box(3, 4)); got != 81 {
 		t.Errorf("lineCount(box3d4r) = %d, want 81", got)
 	}
-	if got := planeLineCount(stencil.Box(3, 4), 3); got != 9 {
+	if got := stencil.PlaneLineCount(stencil.Box(3, 4), 3); got != 9 {
 		t.Errorf("planeLineCount(box3d4r, z) = %d, want 9", got)
 	}
-	if got := planeLineCount(stencil.Star(3, 2), 3); got != 5 {
+	if got := stencil.PlaneLineCount(stencil.Star(3, 2), 3); got != 5 {
 		t.Errorf("planeLineCount(star3d2r, z) = %d, want 5", got)
 	}
 }

@@ -57,7 +57,7 @@ const (
 // it winning ~20% of 3-D instances (Fig. 14); its stencil kernels
 // evidently sustain far more than the fp64-peak model predicts, so Turing
 // gets an effective-throughput boost (see DESIGN.md substitutions).
-func archCompBoost(arch gpu.Arch) float64 {
+func archCompBoost(arch *gpu.Arch) float64 {
 	if arch.Name == "2080Ti" {
 		return 4.5
 	}
@@ -70,7 +70,7 @@ func archCompBoost(arch gpu.Arch) float64 {
 // paper's observation that stencil performance is not proportional to
 // paper specs (Sec. III-D). A switch, not a map literal: this sits on the
 // per-run hot path and must not allocate.
-func archMemEff(arch gpu.Arch, dims int) float64 {
+func archMemEff(arch *gpu.Arch, dims int) float64 {
 	switch arch.Name {
 	case "P100":
 		if dims == 2 {
@@ -108,19 +108,11 @@ func smallLineThreshold(dims int) int {
 }
 
 // archCacheBoost is the small-footprint bandwidth boost per architecture.
-func archCacheBoost(arch gpu.Arch) float64 {
+func archCacheBoost(arch *gpu.Arch) float64 {
 	if arch.Name == "2080Ti" {
 		return 1.30
 	}
 	return 1.0
-}
-
-// lineCount and planeLineCount alias the stencil-package footprint
-// measures; the model and the regression features share one definition.
-func lineCount(s stencil.Stencil) int { return stencil.LineCount(s) }
-
-func planeLineCount(s stencil.Stencil, streamDim int) int {
-	return stencil.PlaneLineCount(s, streamDim)
 }
 
 // geom is the stencil's footprint geometry, precomputed once per cell by
@@ -135,9 +127,9 @@ type geom struct {
 }
 
 func stencilGeom(s stencil.Stencil) geom {
-	g := geom{line: lineCount(s), order: float64(s.Order())}
+	g := geom{line: stencil.LineCount(s), order: float64(s.Order())}
 	for d := 1; d <= 3; d++ {
-		g.plane[d] = planeLineCount(s, d)
+		g.plane[d] = stencil.PlaneLineCount(s, d)
 	}
 	return g
 }
@@ -146,7 +138,7 @@ func stencilGeom(s stencil.Stencil) geom {
 // supplies the stencil geometry so compiled evaluators can amortize it
 // across samples; both paths share this one arithmetic body, which is
 // what makes the compiled results bitwise-identical by construction.
-func timeBreakdown(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, res resources, occ float64, g geom) breakdown {
+func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res resources, occ float64, g geom) breakdown {
 	s := w.S
 	points := w.Points()
 	r := g.order
@@ -155,7 +147,7 @@ func timeBreakdown(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, res reso
 	if oc.Has(opt.TB) {
 		tb = float64(p.TBDepth)
 	}
-	mergeSpanY := float64(p.BlockY * maxInt(p.Merge, 1))
+	mergeSpanY := float64(p.BlockY * max(p.Merge, 1))
 
 	// --- Memory traffic per sweep (bytes). ---
 	alpha := alphaBase2D
@@ -256,7 +248,7 @@ func timeBreakdown(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, res reso
 	clockScale := 1.5 / arch.ClockGHz
 	var syncPerSweep float64
 	if oc.Has(opt.ST) {
-		barriers := float64(p.StreamTile) / float64(maxInt(p.Unroll, 1))
+		barriers := float64(p.StreamTile) / float64(max(p.Unroll, 1))
 		if oc.Has(opt.TB) {
 			barriers *= 2 // producer/consumer barriers per fused step
 		}
@@ -284,8 +276,8 @@ func timeBreakdown(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, res reso
 // totalThreads returns the number of threads the kernel launches: one per
 // output point, divided by the per-thread coverage from merging, unrolling
 // and streaming.
-func totalThreads(w Workload, oc opt.Opt, p opt.Params) float64 {
-	cover := float64(maxInt(p.Merge, 1)) * float64(maxInt(p.Unroll, 1))
+func totalThreads(w *Workload, oc opt.Opt, p opt.Params) float64 {
+	cover := float64(max(p.Merge, 1)) * float64(max(p.Unroll, 1))
 	if oc.Has(opt.ST) {
 		cover *= float64(p.StreamTile)
 	}
@@ -297,14 +289,14 @@ func totalThreads(w Workload, oc opt.Opt, p opt.Params) float64 {
 // cost, Sec. II-B1). The square root models latency hiding partially
 // compensating for low thread counts, and the floor reflects that even a
 // sparse launch keeps a good fraction of DRAM channels busy.
-func parallelUtilization(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) float64 {
+func parallelUtilization(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch) float64 {
 	threads := totalThreads(w, oc, p)
 	needed := float64(arch.SMs*arch.MaxThreadsPerSM) * 1.5
 	return clamp(math.Sqrt(threads/needed), 0.4, 1)
 }
 
 // kernelWaves returns how many waves of thread blocks a sweep issues.
-func kernelWaves(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch, occ float64) float64 {
+func kernelWaves(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, occ float64) float64 {
 	tpb := float64(p.BlockX * p.BlockY)
 	blocks := totalThreads(w, oc, p) / tpb
 	concurrent := float64(arch.SMs) * float64(arch.MaxThreadsPerSM) * occ / tpb

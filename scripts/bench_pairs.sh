@@ -14,7 +14,9 @@
 # ones, for bench's own run length (the benchmark's 20 s). The first run
 # whose result line is not "correct":true with "failed":0 stops
 # the series: its flags (pool_exhausted, say) and failures are printed
-# and the script exits 1. Otherwise each side's rows are merged into
+# and the script exits 1. Every run prints its end-to-end metrics and
+# attempted operations, and serve_distinct_nn runs their share of the
+# request pool. Otherwise each side's rows are merged into
 # bench/out/pairs/{parent,change}.json, op_ms is tabled pair by pair, and
 # `go run ./bench -compare` gives the verdicts (its exit status is the
 # script's). WORKLOAD defaults to the four BENCHMARK.json gates.
@@ -57,6 +59,25 @@ value() {
     echo "$2" | sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
 }
 
+# attempted LINE prints a result line's count of timed operations.
+attempted() {
+    echo "$1" | sed -n 's/.*"attempted":\([0-9]*\).*/\1/p'
+}
+
+# serve_distinct_nn draws from a fixed pool of never-repeated requests,
+# 4 x poolRate 500 x (2 s warm-up + 20 s) = 44,000 (bench/serve.go); a
+# run that reaches its end fails as pool_exhausted. Each run's share of
+# it is printed so a series shows how close every run came, not only
+# whether one ran dry. attempted counts the timed requests; the warm-up
+# draws from the same pool on top of them.
+nn_pool=44000
+
+# headroom WORKLOAD ATTEMPTED prints the pool share for serve_distinct_nn.
+headroom() {
+    [ "$1" = serve_distinct_nn ] || return 0
+    awk -v n="$2" -v p="$nn_pool" 'BEGIN { printf "  pool %.3f of %d", n / p, p }'
+}
+
 # run SIDE WORKLOAD SEED runs one side once; a run that does not verify
 # ends the series.
 run() {
@@ -67,14 +88,15 @@ run() {
     case "$line" in
         '{"correct":true,'*'"failed":0,'*) ;;
         *)
-            echo "$1 $2 seed $3 did not verify: $(echo "$line" | cut -c1-80)" >&2
+            echo "$1 $2 seed $3 did not verify: $(echo "$line" | cut -c1-80)$(headroom "$2" "$(attempted "$line")")" >&2
             sed -n '/"flags": \[/,/\]/p;/"failures": \[/,/\]/p' "$out/results-$2.json" >&2 || true
             exit 1
             ;;
     esac
     echo "$(value op_ms "$line")" > "$out/op_ms"
-    printf '%-6s %-18s seed %-3s op_ms %-12s ops_per_s %-12s setup_s %s\n' "$1" "$2" "$3" \
-        "$(value op_ms "$line")" "$(value ops_per_s "$line")" "$(value setup_s "$line")"
+    n="$(attempted "$line")"
+    printf '%-6s %-18s seed %-3s op_ms %-12s ops_per_s %-12s setup_s %-12s attempted %s%s\n' "$1" "$2" "$3" \
+        "$(value op_ms "$line")" "$(value ops_per_s "$line")" "$(value setup_s "$line")" "$n" "$(headroom "$2" "$n")"
 }
 
 i=$first

@@ -28,15 +28,17 @@ go test -shuffle=on ./...
 echo "== go test -race =="
 go test -race ./...
 
-echo "== alloc gate (f32 lane + sim evaluator + collection sample loop) =="
+echo "== alloc gate (f32 lane + sim evaluator and compile + collection sample loop) =="
 # The zero-allocation contracts: compiled tree/network scoring and the
 # arena-backed serving encode path (f32 lane), and the simulator's
 # compiled per-sample evaluation path on both of its branches — pricing
 # a sample on a cell's first lookup (what collection runs) and answering
 # one from a revisited cell's memo (what a repeated request runs), both
-# in TestAllocGateEvaluator. TestAllocGateProfileOne bounds collection:
+# in TestAllocGateEvaluator. TestAllocGateCompile bounds a fresh cell
+# compile at 20 allocations (the stencil is embedded once, against
+# directions cached per key). TestAllocGateProfileOne bounds collection:
 # a sample a hard limit rejects allocates its typed error and nothing
-# else, and a whole cell on a fresh simulator stays under 450
+# else, and a whole cell on a fresh simulator stays under 150
 # allocations. AllocsPerRun is meaningless under
 # -race, so this is a separate plain run. It runs at one proc and at
 # four: the f32 network lane shares its forward pass with the f64 side,
@@ -139,7 +141,7 @@ sh scripts/campaign_smoke.sh
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=18742
+max_lines=18737
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
