@@ -166,7 +166,7 @@ func DefaultWorkload(s Stencil) Workload { return sim.DefaultWorkload(s) }
 
 // Simulate runs one kernel configuration on the simulated architecture.
 func Simulate(w Workload, oc Opt, p Params, arch Arch) (SimResult, error) {
-	return sim.New().Run(w, oc, p, arch)
+	return sim.New().CellFn(w, arch)(oc, p)
 }
 
 // DefaultConfig returns the seconds-scale pipeline configuration.

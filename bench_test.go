@@ -126,7 +126,7 @@ func BenchmarkAblationNoiseSweep(b *testing.B) {
 				p := opt.Sample(oc, s.Dims, rng)
 				bestName, bestT := "", 0.0
 				for _, a := range stencilmart.GPUCatalog() {
-					r, err := m.Run(w, oc, p, a)
+					r, err := m.CellFn(w, a)(oc, p)
 					if err != nil {
 						continue
 					}
@@ -178,7 +178,7 @@ func BenchmarkSimulatorRun(b *testing.B) {
 		StreamTile: 64, StreamDim: 3, UseSmem: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(w, opt.ST, p, arch); err != nil {
+		if _, err := m.CellFn(w, arch)(opt.ST, p); err != nil {
 			b.Fatal(err)
 		}
 	}

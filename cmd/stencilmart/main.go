@@ -206,7 +206,7 @@ func cmdProfile(args []string) error {
 	var injector *fault.Injector
 	if *chaos {
 		injector = fault.Wrap(p.Model, fault.DefaultConfig(*chaosSeed))
-		p.Runner = injector
+		p.Model = injector
 		p.Trials = 3
 		p.Retry = profile.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
 	}
@@ -505,6 +505,9 @@ func cmdSimulate(args []string) error {
 	seed := fs.Int64("seed", 1, "sampling seed")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *samples < 1 {
+		return fmt.Errorf("simulate: -samples must be positive, got %d", *samples)
 	}
 	s, err := stencil.ByName(*name)
 	if err != nil {

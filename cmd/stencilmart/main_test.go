@@ -58,3 +58,14 @@ func TestLoadFrameworkRefusesAJSONDataset(t *testing.T) {
 		t.Fatalf("got %v, want persist.ErrCorrupt and a pointer to `stencilmart profile`", err)
 	}
 }
+
+// TestSimulateRejectsNoSamples: a non-positive -samples is refused before
+// anything is sampled, not reported as an OC that crashed on every setting.
+func TestSimulateRejectsNoSamples(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		err := cmdSimulate([]string{"-samples", n})
+		if err == nil || !strings.Contains(err.Error(), "-samples must be positive") {
+			t.Errorf("-samples %s: got %v, want the count refused", n, err)
+		}
+	}
+}

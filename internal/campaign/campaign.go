@@ -89,7 +89,7 @@ func (s Spec) NewProfiler(workers int) *profile.Profiler {
 		Workers:      workers,
 	}
 	if s.Chaos != nil {
-		p.Runner = fault.Wrap(p.Model, *s.Chaos)
+		p.Model = fault.Wrap(p.Model, *s.Chaos)
 		p.Retry = profile.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
 	}
 	return p

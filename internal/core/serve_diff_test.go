@@ -29,9 +29,9 @@ func TestServePredictMatchesReferenceSubstrate(t *testing.T) {
 	archs := gpu.Catalog()[:2]
 
 	model := sim.New()
-	collect := func(runner sim.Runner) *profile.Dataset {
+	collect := func(cells sim.Cells) *profile.Dataset {
 		t.Helper()
-		p := &profile.Profiler{Model: model, Runner: runner, SamplesPerOC: 3, Seed: 21, Workers: 0}
+		p := &profile.Profiler{Model: cells, SamplesPerOC: 3, Seed: 21, Workers: 0}
 		d, err := p.Collect(context.Background(), corpus, archs)
 		if err != nil {
 			t.Fatalf("Collect: %v", err)
@@ -82,7 +82,7 @@ func TestServePredictMatchesReferenceSubstrate(t *testing.T) {
 	for _, procs := range []int{1, 4, 1} {
 		testutil.WithGOMAXPROCS(t, procs, func() {
 			testutil.AssertSameBytes(t, "ServePredict compiled vs reference substrate",
-				oracle, serve(collect(nil)))
+				oracle, serve(collect(model)))
 		})
 	}
 }

@@ -1,15 +1,16 @@
 // Package fault is the chaos source of the reproduction: a deterministic,
-// seeded injector that wraps the sim measurement path and corrupts it the
-// way real profiling campaigns get corrupted — transient driver errors,
-// latency spikes, non-finite samples, and outright crashes (panics).
+// seeded injector that wraps each measured cell's sim.EvalFn and
+// corrupts its samples the way real profiling campaigns get corrupted —
+// transient driver errors, latency spikes, non-finite samples, and
+// outright crashes (panics).
 //
 // Determinism is the design constraint: whether a given measurement
 // attempt faults is a pure function of (injector seed, measurement site,
-// attempt number), where a site is the canonical sim.RunKey of the cell.
-// Worker scheduling therefore cannot change which attempts fault, and a
-// profiling run under injection that retries faulted attempts produces a
-// dataset bitwise-identical to a fault-free run — the property the
-// differential chaos suite enforces.
+// attempt number), where a site is the canonical sim.RunKey of the
+// sample. Worker scheduling therefore cannot change which attempts
+// fault, and a profiling run under injection that retries faulted
+// attempts produces a dataset bitwise-identical to a fault-free run —
+// the property the differential chaos suite enforces.
 //
 // A per-site fault budget (Config.MaxFaultsPerSite) bounds how many
 // attempts at one site may fault, so bounded retries and median-of-k
@@ -162,13 +163,13 @@ func (s Stats) Total() uint64 {
 	return s.Transients + s.Panics + s.NaNs + s.Infs + s.Spikes
 }
 
-// Injector wraps a sim.Runner with deterministic fault injection. It is
-// safe for concurrent use; per-site attempt sequences stay deterministic
-// because one site is only ever measured sequentially (retries and trials
-// of a cell run on the cell's own worker).
+// Injector wraps the cells of a sim.Cells with deterministic fault
+// injection. It is safe for concurrent use; per-site attempt sequences
+// stay deterministic because one site is only ever measured sequentially
+// (retries and trials of a cell run on the cell's own worker).
 type Injector struct {
 	cfg  Config
-	next sim.Runner
+	next sim.Cells
 	led  *ledger
 
 	attempts, transients, panics, nans, infs, spikes atomic.Uint64
@@ -177,12 +178,12 @@ type Injector struct {
 // Wrap returns an injector around next. It panics on an invalid config —
 // the injector only exists in tests and chaos smoke runs, where a bad
 // configuration is a programming error.
-func Wrap(next sim.Runner, cfg Config) *Injector {
+func Wrap(next sim.Cells, cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if next == nil {
-		panic("fault: nil runner")
+		panic("fault: nil cells")
 	}
 	return &Injector{cfg: cfg, next: next, led: newLedger(cfg.Seed, cfg.budget(),
 		cfg.PanicRate, cfg.TransientRate, cfg.NaNRate, cfg.InfRate, cfg.SpikeRate)}
@@ -211,52 +212,56 @@ const (
 	injectSpike
 )
 
-// siteID hashes the canonical run key of one measurement cell.
+// siteID hashes the canonical run key of one measurement site.
 func siteID(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(sim.RunKey(w, oc, p, arch)))
 	return h.Sum64()
 }
 
-// Run implements sim.Runner: it may fault instead of (or on top of) the
+// CellFn implements sim.Cells: it resolves the wrapped cell once and
+// returns an EvalFn that may fault instead of (or on top of) each
 // wrapped measurement. Permanent simulator errors (crashes, invalid
 // settings) pass through untouched — they are real profiling outcomes,
 // not faults.
-func (in *Injector) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
-	in.attempts.Add(1)
-	site := siteID(w, oc, p, arch)
-	attempt, out := in.led.begin(site)
+func (in *Injector) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn {
+	eval := in.next.CellFn(w, arch)
+	return func(oc opt.Opt, p opt.Params) (sim.Result, error) {
+		in.attempts.Add(1)
+		site := siteID(w, oc, p, arch)
+		attempt, out := in.led.begin(site)
 
-	switch out {
-	case injectPanic:
-		in.led.spend(site)
-		in.panics.Add(1)
-		panic(InjectedPanic{Site: site, Attempt: attempt})
-	case injectTransient:
-		in.led.spend(site)
-		in.transients.Add(1)
-		return sim.Result{}, &TransientError{Site: site, Attempt: attempt}
-	}
+		switch out {
+		case injectPanic:
+			in.led.spend(site)
+			in.panics.Add(1)
+			panic(InjectedPanic{Site: site, Attempt: attempt})
+		case injectTransient:
+			in.led.spend(site)
+			in.transients.Add(1)
+			return sim.Result{}, &TransientError{Site: site, Attempt: attempt}
+		}
 
-	r, err := in.next.Run(w, oc, p, arch)
-	if err != nil {
-		return r, err
+		r, err := eval(oc, p)
+		if err != nil {
+			return r, err
+		}
+		switch out {
+		case injectNaN:
+			in.led.spend(site)
+			in.nans.Add(1)
+			r.Time = math.NaN()
+		case injectInf:
+			in.led.spend(site)
+			in.infs.Add(1)
+			r.Time = math.Inf(1)
+		case injectSpike:
+			in.led.spend(site)
+			in.spikes.Add(1)
+			r.Time *= in.cfg.spikeFactor()
+		}
+		return r, nil
 	}
-	switch out {
-	case injectNaN:
-		in.led.spend(site)
-		in.nans.Add(1)
-		r.Time = math.NaN()
-	case injectInf:
-		in.led.spend(site)
-		in.infs.Add(1)
-		r.Time = math.Inf(1)
-	case injectSpike:
-		in.led.spend(site)
-		in.spikes.Add(1)
-		r.Time *= in.cfg.spikeFactor()
-	}
-	return r, nil
 }
 
-var _ sim.Runner = (*Injector)(nil)
+var _ sim.Cells = (*Injector)(nil)

@@ -12,15 +12,17 @@ import (
 	"stencilmart/internal/stencil"
 )
 
-// stub is a Runner double returning a fixed clean time.
+// stub is a sim.Cells double whose cells return a fixed clean time.
 type stub struct {
 	time  float64
 	calls int
 }
 
-func (s *stub) Run(sim.Workload, opt.Opt, opt.Params, gpu.Arch) (sim.Result, error) {
-	s.calls++
-	return sim.Result{Time: s.time}, nil
+func (s *stub) CellFn(sim.Workload, gpu.Arch) sim.EvalFn {
+	return func(opt.Opt, opt.Params) (sim.Result, error) {
+		s.calls++
+		return sim.Result{Time: s.time}, nil
+	}
 }
 
 func testCell(t *testing.T, i int) (sim.Workload, opt.Opt, opt.Params, gpu.Arch) {
@@ -43,7 +45,7 @@ func attempt(in *Injector, w sim.Workload, oc opt.Opt, p opt.Params, a gpu.Arch)
 			err = fmt.Errorf("panic: %v", v)
 		}
 	}()
-	return in.Run(w, oc, p, a)
+	return in.CellFn(w, a)(oc, p)
 }
 
 // TestDeterministicSequence is the injector's core contract: the fault
@@ -131,11 +133,11 @@ func TestFaultClasses(t *testing.T) {
 }
 
 // TestPermanentErrorsPassThrough keeps real simulator outcomes out of the
-// chaos: crash errors from the wrapped runner are returned untouched.
+// chaos: crash errors from the wrapped cell are returned untouched.
 func TestPermanentErrorsPassThrough(t *testing.T) {
-	in := Wrap(failRunner{}, Config{Seed: 1})
+	in := Wrap(failCells{}, Config{Seed: 1})
 	w, oc, p, a := testCell(t, 0)
-	_, err := in.Run(w, oc, p, a)
+	_, err := in.CellFn(w, a)(oc, p)
 	if !errors.Is(err, sim.ErrCrash) {
 		t.Fatalf("got %v, want ErrCrash", err)
 	}
@@ -144,10 +146,10 @@ func TestPermanentErrorsPassThrough(t *testing.T) {
 	}
 }
 
-type failRunner struct{}
+type failCells struct{}
 
-func (failRunner) Run(sim.Workload, opt.Opt, opt.Params, gpu.Arch) (sim.Result, error) {
-	return sim.Result{}, sim.ErrCrash
+func (failCells) CellFn(sim.Workload, gpu.Arch) sim.EvalFn {
+	return func(opt.Opt, opt.Params) (sim.Result, error) { return sim.Result{}, sim.ErrCrash }
 }
 
 // TestIsTransientUnwraps classifies wrapped transient errors.

@@ -34,7 +34,7 @@ func BenchmarkProfileCell(b *testing.B) {
 func BenchmarkProfileCellReference(b *testing.B) {
 	corpus := testutil.SmallCorpus(b)
 	archs := testutil.AllArchs(b)
-	p := &profile.Profiler{Runner: sim.NewReference(), SamplesPerOC: 12, Seed: testutil.CorpusSeed + 1}
+	p := &profile.Profiler{Model: sim.NewReference(), SamplesPerOC: 12, Seed: testutil.CorpusSeed + 1}
 	s, arch := corpus[0], archs[0]
 	if _, _, err := p.ProfileOne(context.Background(), 0, s, arch); err != nil {
 		b.Fatal(err)

@@ -19,11 +19,11 @@ import (
 // chaosProfiler builds the fault-tolerant collection stack the chaos
 // smoke run uses: the default injector config (15% transient errors plus
 // panics, NaN/Inf samples, and timing spikes) wrapped by retries and
-// median-of-3 trials.
-func chaosProfiler(workers int) (*profile.Profiler, *fault.Injector) {
-	injector := fault.Wrap(sim.New(), fault.DefaultConfig(99))
+// median-of-3 trials, over model m.
+func chaosProfiler(m *sim.Model, workers int) (*profile.Profiler, *fault.Injector) {
+	injector := fault.Wrap(m, fault.DefaultConfig(99))
 	p := &profile.Profiler{
-		Runner:       injector,
+		Model:        injector,
 		SamplesPerOC: 3,
 		Seed:         21,
 		Workers:      workers,
@@ -53,7 +53,7 @@ func TestChaosDifferential(t *testing.T) {
 	}
 	cleanBytes := testutil.DatasetBytes(t, cleanDS)
 
-	chaos, injector := chaosProfiler(4)
+	chaos, injector := chaosProfiler(sim.New(), 4)
 	chaosDS, err := chaos.Collect(context.Background(), corpus, archs)
 	if err != nil {
 		t.Fatalf("Collect under injection: %v", err)
@@ -81,12 +81,22 @@ func TestChaosDifferential(t *testing.T) {
 
 	// Worker scheduling must not interact with injection: a serial chaos
 	// run (fresh injector, same seed) produces the same bytes.
-	serialChaos, _ := chaosProfiler(1)
+	serialChaos, serialInjector := chaosProfiler(sim.New(), 1)
 	serialDS, err := serialChaos.Collect(context.Background(), corpus, archs)
 	if err != nil {
 		t.Fatalf("serial Collect under injection: %v", err)
 	}
 	testutil.AssertSameBytes(t, "serial vs parallel chaos dataset", cleanBytes, testutil.DatasetBytes(t, serialDS))
+
+	// Which attempts fault is a function of (seed, site, attempt) alone, so
+	// both runs inject the same faults, pinned here: a change to the site
+	// key, the attempt order or the fault-class draw moves these counts.
+	want := fault.Stats{Attempts: 6752, Sites: 2150, Transients: 616, Panics: 72, NaNs: 177, Infs: 81, Spikes: 205}
+	for name, got := range map[string]fault.Stats{"parallel": st, "serial": serialInjector.Stats()} {
+		if got != want {
+			t.Errorf("%s chaos run injected %+v, want %+v", name, got, want)
+		}
+	}
 
 	// End-to-end: frameworks trained on the clean and chaos-collected
 	// datasets serve identical predictions. Both datasets are re-read from
@@ -125,4 +135,32 @@ func TestChaosDifferential(t *testing.T) {
 		return out.Bytes()
 	}
 	testutil.AssertSameBytes(t, "chaos vs clean predictions", predict(cleanBytes), predict(chaosBytes))
+}
+
+// TestChaosPricesThroughCompiledCells: the injector wraps a cell, not a
+// sample, so a chaos collection resolves each (stencil, GPU) cell once,
+// as a clean one does. Every cell is then priced at its first lookup and
+// no sample memo is ever switched on; a seam that resolved the cell per
+// sample would fill the model's memo from each cell's second sample.
+func TestChaosPricesThroughCompiledCells(t *testing.T) {
+	corpus, archs := testutil.SmallCorpus(t), testutil.AllArchs(t)
+
+	m := sim.New()
+	chaos, _ := chaosProfiler(m, 4)
+	if _, err := chaos.Collect(context.Background(), corpus, archs); err != nil {
+		t.Fatalf("Collect under injection: %v", err)
+	}
+	if st := m.CacheStats(); st != (sim.CacheStats{}) {
+		t.Errorf("chaos collection touched the sample memo: %+v", st)
+	}
+
+	clean := sim.New()
+	p, _ := chaosProfiler(clean, 4)
+	p.Model = clean // the same settings, without the injector
+	if _, err := p.Collect(context.Background(), corpus, archs); err != nil {
+		t.Fatalf("clean Collect: %v", err)
+	}
+	if st := clean.CacheStats(); st != (sim.CacheStats{}) {
+		t.Errorf("clean collection touched the sample memo: %+v", st)
+	}
 }

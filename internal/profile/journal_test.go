@@ -34,8 +34,8 @@ func journalProfiler() *profile.Profiler {
 	return &profile.Profiler{Model: sim.New(), SamplesPerOC: 2, Seed: 11, Workers: 1}
 }
 
-// countingRunner counts Run calls through to the clean model.
-type countingRunner struct {
+// countingCells counts sample evaluations through to the clean model.
+type countingCells struct {
 	model *sim.Model
 	calls atomic.Int64
 	// cancelAfter, when > 0, cancels the attached context once that many
@@ -44,12 +44,15 @@ type countingRunner struct {
 	cancel      context.CancelFunc
 }
 
-func (c *countingRunner) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
-	n := c.calls.Add(1)
-	if c.cancelAfter > 0 && n == c.cancelAfter && c.cancel != nil {
-		c.cancel()
+func (c *countingCells) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn {
+	eval := c.model.CellFn(w, arch)
+	return func(oc opt.Opt, p opt.Params) (sim.Result, error) {
+		n := c.calls.Add(1)
+		if c.cancelAfter > 0 && n == c.cancelAfter && c.cancel != nil {
+			c.cancel()
+		}
+		return eval(oc, p)
 	}
-	return c.model.Run(w, oc, p, arch)
 }
 
 // baselineBytes is the uninterrupted Collect reference the resumed runs
@@ -90,14 +93,14 @@ func TestJournalResumeAfterCellFailure(t *testing.T) {
 
 	// Run 1: arch[1] measurements always fault transiently.
 	model := sim.New()
-	failing := runnerFunc(func(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
+	failing := cellsFunc(func(w sim.Workload, arch gpu.Arch) sim.EvalFn {
 		if arch.Name == archs[1].Name {
-			return sim.Result{}, &fault.TransientError{}
+			return func(opt.Opt, opt.Params) (sim.Result, error) { return sim.Result{}, &fault.TransientError{} }
 		}
-		return model.Run(w, oc, p, arch)
+		return model.CellFn(w, arch)
 	})
 	p1 := journalProfiler()
-	p1.Runner = failing
+	p1.Model = failing
 	p1.Retry = profile.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}
 	_, _, err := p1.CollectJournal(context.Background(), path, stencils, archs)
 	var give *profile.GiveUpError
@@ -106,9 +109,9 @@ func TestJournalResumeAfterCellFailure(t *testing.T) {
 	}
 
 	// Run 2: clean substrate, same collection identity.
-	counting := &countingRunner{model: sim.New()}
+	counting := &countingCells{model: sim.New()}
 	p2 := journalProfiler()
-	p2.Runner = counting
+	p2.Model = counting
 	ds, stats, err := p2.CollectJournal(context.Background(), path, stencils, archs)
 	if err != nil {
 		t.Fatalf("resume: %v", err)
@@ -135,17 +138,17 @@ func TestJournalResumeAfterCancel(t *testing.T) {
 	defer cancel()
 	// Cancel 10 samples into the second cell: cell 0 is journaled, cell 1
 	// is in-flight and lost.
-	interrupting := &countingRunner{model: sim.New(), cancelAfter: int64(opt.NumCombinations*2 + 10), cancel: cancel}
+	interrupting := &countingCells{model: sim.New(), cancelAfter: int64(opt.NumCombinations*2 + 10), cancel: cancel}
 	p1 := journalProfiler()
-	p1.Runner = interrupting
+	p1.Model = interrupting
 	_, _, err := p1.CollectJournal(ctx, path, stencils, archs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
 	}
 
-	counting := &countingRunner{model: sim.New()}
+	counting := &countingCells{model: sim.New()}
 	p2 := journalProfiler()
-	p2.Runner = counting
+	p2.Model = counting
 	ds, stats, err := p2.CollectJournal(context.Background(), path, stencils, archs)
 	if err != nil {
 		t.Fatalf("resume after cancel: %v", err)
@@ -186,9 +189,9 @@ func TestJournalTruncatedTail(t *testing.T) {
 		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		counting := &countingRunner{model: sim.New()}
+		counting := &countingCells{model: sim.New()}
 		p := journalProfiler()
-		p.Runner = counting
+		p.Model = counting
 		ds, stats, err := p.CollectJournal(context.Background(), path, stencils, archs)
 		if err != nil {
 			t.Fatalf("resume over tail cut at %d: %v", cut, err)
@@ -501,9 +504,9 @@ func TestResumeStatsDamagedTailWithDuplicates(t *testing.T) {
 	out = append(out, tail)
 	writeJournalParts(t, path, out)
 
-	counting := &countingRunner{model: sim.New()}
+	counting := &countingCells{model: sim.New()}
 	p := journalProfiler()
-	p.Runner = counting
+	p.Model = counting
 	ds, stats, err := p.CollectJournal(context.Background(), path, stencils, archs)
 	if err != nil {
 		t.Fatalf("resume over duplicate + damaged tail: %v", err)

@@ -69,12 +69,10 @@ type Instance struct {
 // samples are rejected at the source, and repeated trials vote out
 // timing outliers by median.
 type Profiler struct {
-	// Model is the GPU substrate; nil uses sim.New().
-	Model *sim.Model
-	// Runner overrides the measurement path; nil measures on Model.
-	// The fault injector and test doubles hook in here — Model stays
-	// the clean substrate prediction-time consumers share.
-	Runner sim.Runner
+	// Model is the measurement substrate, resolved once per cell; nil
+	// uses sim.New(). The fault injector, the Reference oracle and test
+	// doubles hook in here by wrapping a cell.
+	Model sim.Cells
 	// SamplesPerOC is the number of random parameter settings searched
 	// per OC (the paper's random search budget).
 	SamplesPerOC int
@@ -114,26 +112,13 @@ func NewProfiler(samplesPerOC int, seed int64) *Profiler {
 	return &Profiler{Model: sim.New(), SamplesPerOC: samplesPerOC, Seed: seed}
 }
 
-func (p *Profiler) model() *sim.Model {
+func (p *Profiler) model() sim.Cells {
 	p.modelMu.Lock()
 	defer p.modelMu.Unlock()
 	if p.Model == nil {
 		p.Model = sim.New()
 	}
 	return p.Model
-}
-
-// cellFn resolves the measurement path for one (workload, arch) cell: a
-// generic closure over an installed Runner (fault injectors, test
-// doubles), or the model's compiled evaluator — resolved once per cell so
-// the sample loop skips per-call cell lookup and workload validation.
-func (p *Profiler) cellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn {
-	if run := p.Runner; run != nil {
-		return func(oc opt.Opt, pp opt.Params) (sim.Result, error) {
-			return run.Run(w, oc, pp, arch)
-		}
-	}
-	return p.model().CellFn(w, arch)
 }
 
 // ProfileOne profiles a single stencil on a single architecture.
@@ -148,7 +133,7 @@ func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Ste
 		return Profile{}, nil, fmt.Errorf("profile: samples per OC %d < 1", p.SamplesPerOC)
 	}
 	w := sim.DefaultWorkload(s)
-	eval := p.cellFn(w, arch)
+	eval := p.model().CellFn(w, arch)
 	combos := opt.Combinations()
 	prof := Profile{
 		StencilIdx: stencilIdx,

@@ -376,7 +376,7 @@ func TestAllocGateProfileOne(t *testing.T) {
 	}
 	for _, c := range rejected {
 		p := NewProfiler(12, 1)
-		eval := p.cellFn(sim.DefaultWorkload(c.s), v100)
+		eval := p.model().CellFn(sim.DefaultWorkload(c.s), v100)
 		var got error
 		var fatal bool
 		allocs := testing.AllocsPerRun(200, func() {

@@ -17,10 +17,10 @@ import (
 	"stencilmart/internal/stencil"
 )
 
-// scriptedRunner is a measurement double: per site (canonical run key)
+// scriptedCells is a measurement double: per site (canonical run key)
 // it fails the first failsPerSite attempts the scripted way, then
 // returns a clean fixed time. It also counts attempts per site.
-type scriptedRunner struct {
+type scriptedCells struct {
 	failsPerSite int
 	mode         string // "transient", "crash", "nan", "panic"
 	time         float64
@@ -29,32 +29,34 @@ type scriptedRunner struct {
 	attempts map[string]int
 }
 
-func (r *scriptedRunner) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
-	key := sim.RunKey(w, oc, p, arch)
-	r.mu.Lock()
-	if r.attempts == nil {
-		r.attempts = make(map[string]int)
-	}
-	n := r.attempts[key]
-	r.attempts[key] = n + 1
-	r.mu.Unlock()
-	if n < r.failsPerSite {
-		switch r.mode {
-		case "transient":
-			return sim.Result{}, &fault.TransientError{Site: 1, Attempt: n}
-		case "crash":
-			return sim.Result{}, sim.ErrCrash
-		case "nan":
-			return sim.Result{Time: math.NaN()}, nil
-		case "panic":
-			panic("scripted measurement panic")
+func (r *scriptedCells) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn {
+	return func(oc opt.Opt, p opt.Params) (sim.Result, error) {
+		key := sim.RunKey(w, oc, p, arch)
+		r.mu.Lock()
+		if r.attempts == nil {
+			r.attempts = make(map[string]int)
 		}
+		n := r.attempts[key]
+		r.attempts[key] = n + 1
+		r.mu.Unlock()
+		if n < r.failsPerSite {
+			switch r.mode {
+			case "transient":
+				return sim.Result{}, &fault.TransientError{Site: 1, Attempt: n}
+			case "crash":
+				return sim.Result{}, sim.ErrCrash
+			case "nan":
+				return sim.Result{Time: math.NaN()}, nil
+			case "panic":
+				panic("scripted measurement panic")
+			}
+		}
+		return sim.Result{Time: r.time}, nil
 	}
-	return sim.Result{Time: r.time}, nil
 }
 
 // attemptCounts snapshots per-site attempt counts.
-func (r *scriptedRunner) attemptCounts() []int {
+func (r *scriptedCells) attemptCounts() []int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]int, 0, len(r.attempts))
@@ -64,12 +66,12 @@ func (r *scriptedRunner) attemptCounts() []int {
 	return out
 }
 
-// retryProfiler builds a single-sample profiler over the given runner
+// retryProfiler builds a single-sample profiler over the given cells
 // with a fake clock that records backoff delays.
-func retryProfiler(runner sim.Runner, maxAttempts int, slept *[]time.Duration) *profile.Profiler {
+func retryProfiler(cells sim.Cells, maxAttempts int, slept *[]time.Duration) *profile.Profiler {
 	var mu sync.Mutex
 	return &profile.Profiler{
-		Runner:       runner,
+		Model:        cells,
 		SamplesPerOC: 1,
 		Seed:         7,
 		Retry: profile.RetryPolicy{
@@ -89,7 +91,7 @@ func retryProfiler(runner sim.Runner, maxAttempts int, slept *[]time.Duration) *
 // faults back off, retry, and the clean measurement lands in the
 // profile with the exact attempt count and backoff schedule.
 func TestRetryRecoversTransients(t *testing.T) {
-	runner := &scriptedRunner{failsPerSite: 3, mode: "transient", time: 2.5}
+	runner := &scriptedCells{failsPerSite: 3, mode: "transient", time: 2.5}
 	var slept []time.Duration
 	p := retryProfiler(runner, 5, &slept)
 	arch := gpu.Catalog()[0]
@@ -120,7 +122,7 @@ func TestRetryRecoversTransients(t *testing.T) {
 // TestRetryGiveUpClassification exhausts the attempt budget and checks
 // the error class: a *GiveUpError carrying the final transient fault.
 func TestRetryGiveUpClassification(t *testing.T) {
-	runner := &scriptedRunner{failsPerSite: 1 << 30, mode: "transient"}
+	runner := &scriptedCells{failsPerSite: 1 << 30, mode: "transient"}
 	var slept []time.Duration
 	p := retryProfiler(runner, 3, &slept)
 	_, _, err := p.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
@@ -149,7 +151,7 @@ func TestRetryGiveUpClassification(t *testing.T) {
 // the retry loop: a deterministic kernel crash is measured once and
 // never slept on.
 func TestPermanentOutcomesNotRetried(t *testing.T) {
-	runner := &scriptedRunner{failsPerSite: 1 << 30, mode: "crash"}
+	runner := &scriptedCells{failsPerSite: 1 << 30, mode: "crash"}
 	var slept []time.Duration
 	p := retryProfiler(runner, 5, &slept)
 	_, _, err := p.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
@@ -166,7 +168,7 @@ func TestPermanentOutcomesNotRetried(t *testing.T) {
 // TestNonFiniteRejectedAtSource: a NaN sample never reaches the
 // dataset — it retries and the recovered finite value is recorded.
 func TestNonFiniteRejectedAtSource(t *testing.T) {
-	runner := &scriptedRunner{failsPerSite: 1, mode: "nan", time: 1.25}
+	runner := &scriptedCells{failsPerSite: 1, mode: "nan", time: 1.25}
 	var slept []time.Duration
 	p := retryProfiler(runner, 4, &slept)
 	prof, inst, err := p.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
@@ -184,7 +186,7 @@ func TestNonFiniteRejectedAtSource(t *testing.T) {
 
 	// And when NaN persists past the budget, the give-up wraps the
 	// non-finite rejection.
-	always := &scriptedRunner{failsPerSite: 1 << 30, mode: "nan"}
+	always := &scriptedCells{failsPerSite: 1 << 30, mode: "nan"}
 	p2 := retryProfiler(always, 2, &slept)
 	_, _, err = p2.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
 	var nf *profile.NonFiniteError
@@ -197,7 +199,7 @@ func TestNonFiniteRejectedAtSource(t *testing.T) {
 // inside the measurement (not just the worker pool) and retried like a
 // transient fault.
 func TestMeasurementPanicRetried(t *testing.T) {
-	runner := &scriptedRunner{failsPerSite: 2, mode: "panic", time: 3.0}
+	runner := &scriptedCells{failsPerSite: 2, mode: "panic", time: 3.0}
 	var slept []time.Duration
 	p := retryProfiler(runner, 4, &slept)
 	prof, _, err := p.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
@@ -210,7 +212,7 @@ func TestMeasurementPanicRetried(t *testing.T) {
 
 	// A panic that persists past the budget surfaces as a give-up whose
 	// cause is the recovered panic.
-	always := &scriptedRunner{failsPerSite: 1 << 30, mode: "panic"}
+	always := &scriptedCells{failsPerSite: 1 << 30, mode: "panic"}
 	p2 := retryProfiler(always, 2, &slept)
 	_, _, err = p2.ProfileOne(context.Background(), 0, stencil.Star(2, 1), gpu.Catalog()[0])
 	var pe *par.PanicError
@@ -265,14 +267,16 @@ func TestBackoffOverflow(t *testing.T) {
 	}
 }
 
-// TestCellTimeout bounds one cell's wall-clock: a runner that stalls
+// TestCellTimeout bounds one cell's wall-clock: a cell that stalls
 // trips the per-cell deadline instead of hanging Collect.
 func TestCellTimeout(t *testing.T) {
-	stall := runnerFunc(func(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
-		time.Sleep(5 * time.Millisecond)
-		return sim.Result{Time: 1}, nil
+	stall := cellsFunc(func(sim.Workload, gpu.Arch) sim.EvalFn {
+		return func(opt.Opt, opt.Params) (sim.Result, error) {
+			time.Sleep(5 * time.Millisecond)
+			return sim.Result{Time: 1}, nil
+		}
 	})
-	p := &profile.Profiler{Runner: stall, SamplesPerOC: 2, Seed: 1, CellTimeout: time.Millisecond, Workers: 1}
+	p := &profile.Profiler{Model: stall, SamplesPerOC: 2, Seed: 1, CellTimeout: time.Millisecond, Workers: 1}
 	corpus := []stencil.Stencil{stencil.Star(2, 1)}
 	_, err := p.Collect(context.Background(), corpus, gpu.Catalog()[:1])
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -280,9 +284,7 @@ func TestCellTimeout(t *testing.T) {
 	}
 }
 
-// runnerFunc adapts a function to sim.Runner.
-type runnerFunc func(sim.Workload, opt.Opt, opt.Params, gpu.Arch) (sim.Result, error)
+// cellsFunc adapts a function to sim.Cells.
+type cellsFunc func(sim.Workload, gpu.Arch) sim.EvalFn
 
-func (f runnerFunc) Run(w sim.Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (sim.Result, error) {
-	return f(w, oc, p, arch)
-}
+func (f cellsFunc) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn { return f(w, arch) }

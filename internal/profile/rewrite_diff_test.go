@@ -25,7 +25,7 @@ import (
 func referenceCollect(t testing.TB, workers int) []byte {
 	t.Helper()
 	p := &profile.Profiler{
-		Runner:       sim.NewReference(),
+		Model:        sim.NewReference(),
 		SamplesPerOC: 4,
 		Seed:         testutil.CorpusSeed + 1,
 		Workers:      workers,
@@ -96,10 +96,10 @@ func TestCollectJournalMatchesReference(t *testing.T) {
 func TestChaosMatchesReferenceChaos(t *testing.T) {
 	corpus := testutil.SmallCorpus(t)
 	archs := gpu.Catalog()[:2]
-	collectOn := func(sub sim.Runner) []byte {
+	collectOn := func(sub sim.Cells) []byte {
 		t.Helper()
 		p := &profile.Profiler{
-			Runner:       fault.Wrap(sub, fault.DefaultConfig(99)),
+			Model:        fault.Wrap(sub, fault.DefaultConfig(99)),
 			SamplesPerOC: 3,
 			Seed:         21,
 			Workers:      4,

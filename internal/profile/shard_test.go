@@ -101,7 +101,7 @@ func TestMergeKilledWorkerShard(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	p1 := journalProfiler()
-	p1.Runner = &countingRunner{model: sim.New()}
+	p1.Model = &countingCells{model: sim.New()}
 	var completed int
 	_, err := p1.CollectShard(ctx, deadPath, stencils, archs, parts[1], func(int) {
 		completed++

@@ -27,24 +27,24 @@ func benchCell() (Workload, gpu.Arch) {
 	return DefaultWorkload(stencil.Star(3, 2)), archs[1%len(archs)]
 }
 
-// BenchmarkModelRunWarm re-prices a fixed sample mix through the
-// compatibility wrapper: every Run looks the cell up again, so after the
+// BenchmarkModelLookupWarm re-prices a fixed sample mix through a fresh
+// CellFn per sample: every call looks the cell up again, so after the
 // first it is the cell lookup plus a memo hit — the steady state of a
 // repeated request.
-func BenchmarkModelRunWarm(b *testing.B) {
+func BenchmarkModelLookupWarm(b *testing.B) {
 	w, arch := benchCell()
 	m := New()
 	samples := benchSamples(w.S)
 	for range 2 { // first lookup, then the pass that fills the memo
 		for _, sm := range samples {
-			m.Run(w, sm.oc, sm.p, arch)
+			m.CellFn(w, arch)(sm.oc, sm.p)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sm := samples[i%len(samples)]
-		m.Run(w, sm.oc, sm.p, arch)
+		m.CellFn(w, arch)(sm.oc, sm.p)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkReferenceRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sm := samples[i%len(samples)]
-		ref.Run(w, sm.oc, sm.p, arch)
+		ref.CellFn(w, arch)(sm.oc, sm.p)
 	}
 }
 

@@ -130,7 +130,7 @@ func TestCacheMatchesUncachedModel(t *testing.T) {
 	for _, oc := range opt.Combinations() {
 		for k := 0; k < 4; k++ {
 			p := opt.Sample(oc, s.Dims, rng)
-			rc, errC := cached.Run(w, oc, p, arch)
+			rc, errC := cached.CellFn(w, arch)(oc, p)
 			ru, errU := evPlain.Eval(oc, p)
 			if (errC == nil) != (errU == nil) {
 				t.Fatalf("%s %+v: error disagreement: %v vs %v", oc, p, errC, errU)
@@ -280,7 +280,7 @@ func TestCacheConcurrentAcrossReset(t *testing.T) {
 	want := make([]Result, len(samples))
 	wantErr := make([]error, len(samples))
 	for i, sm := range samples {
-		want[i], wantErr[i] = ref.Run(w, sm.oc, sm.p, arch)
+		want[i], wantErr[i] = ref.CellFn(w, arch)(sm.oc, sm.p)
 	}
 
 	stop := make(chan struct{})

@@ -21,7 +21,7 @@ import (
 // in check.sh).
 //
 // Evaluators are obtained from Model.Evaluator (or implicitly through
-// Model.Run / Model.CellFn) and are safe for concurrent use; results are
+// Model.CellFn) and are safe for concurrent use; results are
 // bitwise-identical to the Reference oracle, a property the differential
 // suite asserts per run and per collected dataset, whether or not the
 // cell is memoizing.
@@ -132,7 +132,7 @@ func (m *Model) Evaluator(w Workload, arch gpu.Arch) (*CellEvaluator, error) {
 
 // CellFn resolves the cell to its compiled evaluator's Eval. A workload
 // that fails validation yields a function returning that error on every
-// call — the per-call error contract of the pre-rewrite Run.
+// call, as the Reference oracle's does.
 func (m *Model) CellFn(w Workload, arch gpu.Arch) EvalFn {
 	ev, err := m.Evaluator(w, arch)
 	if err != nil {

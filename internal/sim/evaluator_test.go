@@ -39,16 +39,16 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 				t.Fatalf("%s on %s: compile: %v", s.Name, arch.Name, err)
 			}
 			before := m.CacheStats()
-			// First lookup; then through the compatibility wrapper, whose
+			// First lookup; then through a fresh CellFn per sample, whose
 			// lookups find the cell again and fill its memo; then hits.
 			for _, eval := range []EvalFn{
 				ev.Eval,
-				func(oc opt.Opt, p opt.Params) (Result, error) { return m.Run(w, oc, p, arch) },
+				func(oc opt.Opt, p opt.Params) (Result, error) { return m.CellFn(w, arch)(oc, p) },
 				ev.Eval,
 			} {
 				for _, sm := range samples {
 					got, gotErr := eval(sm.oc, sm.p)
-					want, wantErr := ref.Run(w, sm.oc, sm.p, arch)
+					want, wantErr := ref.CellFn(w, arch)(sm.oc, sm.p)
 					assertSameOutcome(t, s.Name, arch.Name, sm.oc, got, gotErr, want, wantErr)
 				}
 			}
@@ -105,8 +105,8 @@ func TestEvaluatorMatchesReferenceOffDefaultWorkloads(t *testing.T) {
 		for _, oc := range []opt.Opt{0, opt.ST, opt.ST | opt.TB, opt.BM, opt.ST | opt.RT | opt.PR} {
 			for k := 0; k < 4; k++ {
 				p := opt.Sample(oc, s.Dims, rng)
-				got, gotErr := m.Run(w, oc, p, arch)
-				want, wantErr := ref.Run(w, oc, p, arch)
+				got, gotErr := m.CellFn(w, arch)(oc, p)
+				want, wantErr := ref.CellFn(w, arch)(oc, p)
 				assertSameOutcome(t, s.Name, arch.Name, oc, got, gotErr, want, wantErr)
 			}
 		}
@@ -114,7 +114,7 @@ func TestEvaluatorMatchesReferenceOffDefaultWorkloads(t *testing.T) {
 }
 
 // TestEvaluatorValidationErrors: the compiled path must preserve the
-// validation contract and ordering of the pre-rewrite Run — workload
+// validation contract and ordering of the Reference oracle — workload
 // first, then OC, then params.
 func TestEvaluatorValidationErrors(t *testing.T) {
 	m := New()
@@ -141,8 +141,8 @@ func TestEvaluatorValidationErrors(t *testing.T) {
 		{"bad workload and oc", badW, opt.BM | opt.CM, okP},
 	}
 	for _, c := range cases {
-		_, gotErr := m.Run(c.w, c.oc, c.p, arch)
-		_, wantErr := ref.Run(c.w, c.oc, c.p, arch)
+		_, gotErr := m.CellFn(c.w, arch)(c.oc, c.p)
+		_, wantErr := ref.CellFn(c.w, arch)(c.oc, c.p)
 		if gotErr == nil || wantErr == nil {
 			t.Fatalf("%s: expected errors, got evaluator=%v reference=%v", c.name, gotErr, wantErr)
 		}
@@ -224,7 +224,7 @@ func TestInlineGaussMatchesReference(t *testing.T) {
 		for k := 0; k < 8; k++ {
 			p := opt.Sample(oc, s.Dims, rng)
 			got, gotErr := ev.Eval(oc, p)
-			want, wantErr := ref.Run(w, oc, p, arch)
+			want, wantErr := ref.CellFn(w, arch)(oc, p)
 			assertSameOutcome(t, s.Name, arch.Name, oc, got, gotErr, want, wantErr)
 		}
 	}
@@ -325,7 +325,7 @@ func TestLimitErrorsPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		w := DefaultWorkload(c.s)
-		_, refErr := NewReference().Run(w, c.oc, c.p, arch)
+		_, refErr := NewReference().CellFn(w, arch)(c.oc, c.p)
 		m := New()
 		_, firstErr := mustEvaluator(t, m, w, arch).Eval(c.oc, c.p)
 		ev := mustEvaluator(t, m, w, arch) // second lookup: memoizing

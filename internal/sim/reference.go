@@ -26,28 +26,29 @@ func NewReference() *Reference {
 	return &Reference{noise: DefaultNoise()}
 }
 
-// Run validates everything, prices the cell and layers noise computed
-// from scratch. *Reference implements Runner.
-func (m *Reference) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Result, error) {
-	if err := w.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := oc.ValidationError(); err != nil {
-		return Result{}, err
-	}
-	if err := p.Validate(oc, w.S.Dims); err != nil {
-		return Result{}, err
-	}
+// CellFn returns the cell's EvalFn. It precomputes nothing: every call
+// validates everything, prices the sample and layers noise computed from
+// scratch.
+func (m *Reference) CellFn(w Workload, arch gpu.Arch) EvalFn {
+	return func(oc opt.Opt, p opt.Params) (Result, error) {
+		if err := w.Validate(); err != nil {
+			return Result{}, err
+		}
+		if err := oc.ValidationError(); err != nil {
+			return Result{}, err
+		}
+		if err := p.Validate(oc, w.S.Dims); err != nil {
+			return Result{}, err
+		}
 
-	r, err := priceNoiseless(&w, oc, p, &arch, stencilGeom(w.S))
-	if err != nil {
-		return Result{}, err
+		r, err := priceNoiseless(&w, oc, p, &arch, stencilGeom(w.S))
+		if err != nil {
+			return Result{}, err
+		}
+		r.Time *= m.noise.factor(w.S, oc, p, arch)
+		return r, nil
 	}
-	r.Time *= m.noise.factor(w.S, oc, p, arch)
-	return r, nil
 }
-
-var _ Runner = (*Reference)(nil)
 
 // archKeys caches the per-architecture key segment: gpu.Arch is a
 // comparable value struct, so identical specs share one digest and a

@@ -111,8 +111,7 @@ type Result struct {
 //
 // Evaluation compiles: the first touch of a (workload, stencil, arch)
 // cell builds a CellEvaluator holding every sample-invariant precompute,
-// and Run dispatches through it. Hot consumers skip even that dispatch by
-// holding the evaluator (Model.Evaluator / Model.CellFn) across their
+// and consumers hold it (Model.Evaluator / Model.CellFn) across their
 // sample loops. The evaluator table is the model's one bounded structure:
 // a cell that is looked up again memoizes its samples (cache.go), and the
 // table, memos included, resets wholesale when it is full.
@@ -149,24 +148,6 @@ func (m *Model) CacheStats() CacheStats {
 		Evictions: evictions,
 		Entries:   int(entries),
 	}
-}
-
-// Run simulates the workload under the OC and parameter setting on the
-// architecture. It returns ErrCrash or ErrInvalidConfig (wrapped) when the
-// kernel cannot run.
-//
-// Run is the compatibility entry point: it compiles (and registers) the
-// cell's evaluator on first touch and dispatches the sample through it.
-// Results are bitwise-identical to the Reference oracle (see the
-// differential suite). Sample loops over a fixed cell should
-// hold Model.Evaluator / Model.CellFn instead and skip the per-call cell
-// resolution entirely.
-func (m *Model) Run(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) (Result, error) {
-	ev, err := m.Evaluator(w, arch)
-	if err != nil {
-		return Result{}, err
-	}
-	return ev.Eval(oc, p)
 }
 
 // BestOf runs every setting and returns the shortest time, skipping

@@ -47,11 +47,11 @@ func TestDefaultWorkloadSizes(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	m := New()
 	w := DefaultWorkload(stencil.Box(2, 2))
-	a, err := m.Run(w, opt.ST, stParams(), v100(t))
+	a, err := m.CellFn(w, v100(t))(opt.ST, stParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.Run(w, opt.ST, stParams(), v100(t))
+	b, err := m.CellFn(w, v100(t))(opt.ST, stParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestNoiseKeyedByPatternNotName(t *testing.T) {
 	m := New()
 	s1 := stencil.Star(2, 1)
 	s2 := stencil.MustNew("renamed", 2, s1.Points)
-	r1, err := m.Run(DefaultWorkload(s1), 0, baseParams(), v100(t))
+	r1, err := m.CellFn(DefaultWorkload(s1), v100(t))(0, baseParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := m.Run(DefaultWorkload(s2), 0, baseParams(), v100(t))
+	r2, err := m.CellFn(DefaultWorkload(s2), v100(t))(0, baseParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +82,9 @@ func TestNoiseKeyedByPatternNotName(t *testing.T) {
 
 func TestBreakdownPositive(t *testing.T) {
 	m := New()
-	r, err := m.Run(DefaultWorkload(stencil.Star(3, 2)), opt.ST|opt.PR,
+	r, err := m.CellFn(DefaultWorkload(stencil.Star(3, 2)), v100(t))(opt.ST|opt.PR,
 		opt.Params{BlockX: 64, BlockY: 4, Merge: 1, Unroll: 1, StreamTile: 64,
-			StreamDim: 3, UseSmem: true, PrefetchDepth: 2}, v100(t))
+			StreamDim: 3, UseSmem: true, PrefetchDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,12 +105,12 @@ func TestBreakdownPositive(t *testing.T) {
 func TestStreamingBeatsNaiveHighOrder3D(t *testing.T) {
 	m := New()
 	w := DefaultWorkload(stencil.Box(3, 3))
-	naive, err := m.Run(w, 0, baseParams(), v100(t))
+	naive, err := m.CellFn(w, v100(t))(0, baseParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Run(w, opt.ST, opt.Params{BlockX: 64, BlockY: 4, Merge: 1,
-		Unroll: 1, StreamTile: 64, StreamDim: 3, UseSmem: true}, v100(t))
+	st, err := m.CellFn(w, v100(t))(opt.ST, opt.Params{BlockX: 64, BlockY: 4, Merge: 1,
+		Unroll: 1, StreamTile: 64, StreamDim: 3, UseSmem: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +154,11 @@ func TestBlockMergingXBreaksCoalescing(t *testing.T) {
 	w := DefaultWorkload(stencil.Star(2, 1))
 	px := opt.Params{BlockX: 64, BlockY: 4, Merge: 4, MergeDim: 1, Unroll: 1}
 	py := opt.Params{BlockX: 64, BlockY: 4, Merge: 4, MergeDim: 2, Unroll: 1}
-	rx, err := m.Run(w, opt.BM, px, v100(t))
+	rx, err := m.CellFn(w, v100(t))(opt.BM, px)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ry, err := m.Run(w, opt.BM, py, v100(t))
+	ry, err := m.CellFn(w, v100(t))(opt.BM, py)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,20 +183,20 @@ func TestRetimingRelievesRegisterPressure(t *testing.T) {
 func TestInvalidInputsRejected(t *testing.T) {
 	m := New()
 	w := DefaultWorkload(stencil.Star(2, 1))
-	if _, err := m.Run(w, opt.RT, baseParams(), v100(t)); err == nil {
+	if _, err := m.CellFn(w, v100(t))(opt.RT, baseParams()); err == nil {
 		t.Error("invalid OC accepted")
 	}
-	if _, err := m.Run(w, opt.ST, baseParams(), v100(t)); err == nil {
+	if _, err := m.CellFn(w, v100(t))(opt.ST, baseParams()); err == nil {
 		t.Error("params inconsistent with OC accepted")
 	}
 	bad := w
 	bad.TimeSteps = 0
-	if _, err := m.Run(bad, 0, baseParams(), v100(t)); err == nil {
+	if _, err := m.CellFn(bad, v100(t))(0, baseParams()); err == nil {
 		t.Error("zero time steps accepted")
 	}
 	bad2 := w
 	bad2.GridZ = 4
-	if _, err := m.Run(bad2, 0, baseParams(), v100(t)); err == nil {
+	if _, err := m.CellFn(bad2, v100(t))(0, baseParams()); err == nil {
 		t.Error("2-D stencil with 3-D grid accepted")
 	}
 }
@@ -214,7 +214,7 @@ func TestBestOfPicksMinimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range settings {
-		r, err := m.Run(w, opt.ST, p, v100(t))
+		r, err := m.CellFn(w, v100(t))(opt.ST, p)
 		if err != nil {
 			continue
 		}
@@ -254,7 +254,7 @@ func TestGapGrowsWithOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	gap := func(s stencil.Stencil) float64 {
 		w := DefaultWorkload(s)
-		naive, err := m.Run(w, 0, baseParams(), v100(t))
+		naive, err := m.CellFn(w, v100(t))(0, baseParams())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
@@ -291,7 +291,7 @@ func TestQuickRunSane(t *testing.T) {
 		oc := combos[int(oi)%len(combos)]
 		arch := archs[int(ai)%len(archs)]
 		p := opt.Sample(oc, s.Dims, rng)
-		r, err := m.Run(DefaultWorkload(s), oc, p, arch)
+		r, err := m.CellFn(DefaultWorkload(s), arch)(oc, p)
 		if err != nil {
 			return errors.Is(err, ErrCrash) || errors.Is(err, ErrInvalidConfig)
 		}

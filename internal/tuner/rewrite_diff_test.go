@@ -18,9 +18,10 @@ import (
 func referenceRandomTune(ref *sim.Reference, w sim.Workload, oc opt.Opt, arch gpu.Arch, budget int, seed int64) (Result, bool) {
 	rng := rand.New(rand.NewSource(seed))
 	best := Result{Time: math.Inf(1)}
+	eval := ref.CellFn(w, arch)
 	for i := 0; i < budget; i++ {
 		p := opt.Sample(oc, w.S.Dims, rng)
-		r, err := ref.Run(w, oc, p, arch)
+		r, err := eval(oc, p)
 		best.Evaluations++
 		if err != nil {
 			continue
