@@ -55,6 +55,7 @@ func FuzzLoadFramework(f *testing.F) {
 	add(func(p *ckptParts) { p.cols[colResultCrashed] = column{float: true, floats: make([]float64, 8)} })
 	add(func(p *ckptParts) { p.m.Regressors[0].XScale = []float64{7} })
 	add(func(p *ckptParts) { p.cols[colBestTime].floats[0] *= 2 })
+	add(func(p *ckptParts) { p.m.Regressors[0].Model.Ensemble.Config.LearningRate = 0 })
 	// A column count past the end of the section: the last tree's right
 	// column is a tag and a count of 2^28, and nothing else.
 	add(func(p *ckptParts) { p.cols = p.cols[:len(p.cols)-1] }, 'i', 0x80, 0x80, 0x80, 0x80, 0x01)

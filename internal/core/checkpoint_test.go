@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -545,6 +546,24 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 			mutate: func(p *ckptParts) { p.m.Regressors[1].YMean, p.m.Regressors[1].YStd = -3, 2 },
 			want:   "the mechanism does not scale",
 		},
+		{
+			// Loaded cleanly, and ServePredict answered 0.0285 s on all
+			// four GPUs: every regressor tree counted for nothing.
+			name:   "gbreg learning rate zero",
+			mutate: func(p *ckptParts) { p.m.Regressors[0].Model.Ensemble.Config.LearningRate = 0 },
+			want:   "LearningRate 0 ",
+		},
+		{
+			// Loaded cleanly and answered wrong times.
+			name:   "gbreg learning rate negative",
+			mutate: func(p *ckptParts) { p.m.Regressors[1].Model.Ensemble.Config.LearningRate = -0.1 },
+			want:   "LearningRate -0.1 ",
+		},
+		{
+			name:   "gbdt learning rate zero",
+			mutate: func(p *ckptParts) { p.m.Classifiers[0].Model.Ensemble.Config.LearningRate = 0 },
+			want:   "LearningRate 0 ",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -557,6 +576,52 @@ func TestLoadRejectsTamperedCheckpoints(t *testing.T) {
 				t.Fatalf("error %q does not mention %q, or ErrCorrupt is not %v", err, tc.want, tc.corrupt)
 			}
 		})
+	}
+}
+
+// TestCheckpointModeIsFormatOnly: every manifest spells its tree configs
+// with "Mode":0, which this build reads and writes back byte for byte. A
+// manifest naming mode 1 — the exact-greedy builder older builds could
+// be told to use — is refused as corrupt, since no fit here grows trees
+// that way.
+func TestCheckpointModeIsFormatOnly(t *testing.T) {
+	fw := ckptFramework(t)
+	if err := fw.TrainAll(context.Background(), ClassGBDT, RegGB); err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := fw.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	lf, err := LoadFramework(bytes.NewReader(saved.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := lf.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Fatal("a loaded checkpoint saves to different bytes")
+	}
+
+	p := splitCheckpoint(t, saved.Bytes())
+	manifest, err := json.Marshal(p.m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := []byte(`"Mode":0`)
+	if n := bytes.Count(manifest, zero); n < 1+len(p.m.Classifiers)+len(p.m.Regressors) {
+		t.Fatalf("manifest spells \"Mode\":0 %d times, want the pipeline's and every ensemble's", n)
+	}
+	at := bytes.LastIndex(manifest, zero) // the last regressor's ensemble
+	edited := append(append(append([]byte(nil), manifest[:at]...), `"Mode":1`...), manifest[at+len(zero):]...)
+	var framed bytes.Buffer
+	if err := persist.Write(&framed, CheckpointKind, CheckpointVersion, json.RawMessage(edited), persist.ColumnsOf(encodeColumns(p.cols))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFramework(&framed); !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "split mode 1") {
+		t.Fatalf("a manifest naming mode 1 gave %v, want a corrupt-manifest refusal", err)
 	}
 }
 

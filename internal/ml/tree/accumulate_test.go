@@ -138,7 +138,7 @@ func TestAccumulateMatchesColumnwise(t *testing.T) {
 		seg  []int32
 	}{{"all", all}, {"subsampled", subsampled}, {"shuffled", shuffled}} {
 		for _, h := range [][]float64{nil, hess} {
-			hb := newHistBuilder(hi, TreeConfig{})
+			hb := &histBuilder{hi: hi}
 			hb.y, hb.h = y, h
 			got := hb.alloc()
 			hb.accumulate(got, c.seg)

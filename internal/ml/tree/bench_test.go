@@ -37,8 +37,8 @@ func BenchmarkGBDTTrain(b *testing.B) {
 	benchModes(b, func(b *testing.B, mode SplitMode) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g := NewGBDT(BoostConfig{Rounds: 15, Seed: 7, Tree: TreeConfig{MaxDepth: 6, Mode: mode}})
-			if err := g.FitClassifier(x, yc, 5); err != nil {
+			g := NewGBDT(BoostConfig{Rounds: 15, Seed: 7, Tree: TreeConfig{MaxDepth: 6}})
+			if err := g.fit(x, yc, 5, mode.growers()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -50,8 +50,8 @@ func BenchmarkGBRegressorTrain(b *testing.B) {
 	benchModes(b, func(b *testing.B, mode SplitMode) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			g := NewGBRegressor(BoostConfig{Rounds: 40, Seed: 7, Tree: TreeConfig{MaxDepth: 6, MinLeaf: 3, Mode: mode}})
-			if err := g.FitRegressor(x, yv); err != nil {
+			g := NewGBRegressor(BoostConfig{Rounds: 40, Seed: 7, Tree: TreeConfig{MaxDepth: 6, MinLeaf: 3}})
+			if err := g.fit(x, yv, mode.growers()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -79,7 +79,7 @@ func BenchmarkGBRegressorTrain(b *testing.B) {
 // child's few rows, where the pass is mostly cache misses on codes.
 func BenchmarkHistAccumulate(b *testing.B) {
 	x, yv, _ := binnedData(42, 6000, pipelineBins, 2)
-	hb := newHistBuilder(buildHistIndex(x, maxHistBins), TreeConfig{})
+	hb := &histBuilder{hi: buildHistIndex(x, maxHistBins)}
 	hb.y = yv
 	perm := rand.New(rand.NewSource(1)).Perm(len(x))
 	for _, c := range []struct {

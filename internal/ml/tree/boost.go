@@ -39,11 +39,20 @@ func (c *BoostConfig) setDefaults() {
 	c.Tree.setDefaults()
 }
 
-// check refuses a normalized config no fit can honour: a Subsample above
-// 1 would keep more rows than there are, and a negative or NaN one would
-// silently keep them all.
+// check refuses a normalized config no fit can honour, whether it came
+// from a caller or a checkpoint: a learning rate that is not a finite
+// positive number turns every prediction into NaN, the prior or its
+// mirror image; a negative round count, depth or leaf floor fits the
+// prior alone or nothing sensible; a Subsample above 1 would keep more
+// rows than there are, and a negative or NaN one would silently keep
+// them all.
 func (c *BoostConfig) check() error {
-	if !(c.Subsample > 0 && c.Subsample <= 1) {
+	switch {
+	case !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1):
+		return fmt.Errorf("tree: LearningRate %v is not a finite number above 0", c.LearningRate)
+	case c.Rounds < 0 || c.Tree.MaxDepth < 0 || c.Tree.MinLeaf < 0:
+		return fmt.Errorf("tree: negative Rounds %d, MaxDepth %d or MinLeaf %d", c.Rounds, c.Tree.MaxDepth, c.Tree.MinLeaf)
+	case !(c.Subsample > 0 && c.Subsample <= 1):
 		return fmt.Errorf("tree: Subsample %v outside (0, 1]", c.Subsample)
 	}
 	return nil
@@ -61,16 +70,30 @@ func sampleRows(n int, frac float64, rng *rand.Rand) (idx, oob []int) {
 	return perm[:k], perm[k:]
 }
 
-// ensembleHistIndex builds the shared histogram index for an ensemble
-// fit, or nil in exact mode. Bins depend only on x — not on gradients or
-// the per-round subsample — so one index serves every round and class.
-// A tree fit itself is serial: an ensemble's parallelism is this binning
-// and, in GBDT, a round's independent class trees.
-func ensembleHistIndex(x [][]float64, cfg TreeConfig) *histIndex {
-	if cfg.Mode != SplitHistogram {
-		return nil
+// grower grows the trees of one ensemble fit, one at a time: fit grows a
+// tree on the idx rows of the fit's matrix against targets y (hessians h,
+// nil meaning unit weights), crediting c as it pushes leaves.
+type grower interface {
+	fit(y, h []float64, idx []int, c credit) nodes[float64]
+}
+
+// growers makes an ensemble fit's n growers over x, one per GBDT class
+// slot. Product fits use histGrowers; the package's tests pass the
+// exact-greedy oracle's instead.
+type growers func(x [][]float64, cfg TreeConfig, n int) []grower
+
+// histGrowers returns n histogram builders over one shared bin index.
+// Bins depend only on x — not on gradients or the per-round subsample —
+// so one index serves every round and class. A tree fit itself is
+// serial: an ensemble's parallelism is this binning and, in GBDT, a
+// round's independent class trees.
+func histGrowers(x [][]float64, cfg TreeConfig, n int) []grower {
+	hi := buildHistIndex(x, cfg.MaxBins)
+	gs := make([]grower, n)
+	for k := range gs {
+		gs[k] = &histBuilder{hi: hi, cfg: cfg}
 	}
-	return buildHistIndex(x, cfg.MaxBins)
+	return gs
 }
 
 // GBRegressor is a gradient-boosted regression ensemble with squared
@@ -87,9 +110,14 @@ func NewGBRegressor(cfg BoostConfig) *GBRegressor {
 }
 
 // FitRegressor implements ml.Regressor. Inputs containing NaN or ±Inf
-// are rejected with an error wrapping ErrNonFinite, a Subsample outside
-// (0, 1] with a plain error.
+// are rejected with an error wrapping ErrNonFinite, a config check
+// refuses with a plain error.
 func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
+	return g.fit(x, y, histGrowers)
+}
+
+// fit is FitRegressor with the fit's trees grown by grow's growers.
+func (g *GBRegressor) fit(x [][]float64, y []float64, grow growers) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("tree: GBRegressor fit with %d rows, %d targets", len(x), len(y))
 	}
@@ -110,7 +138,7 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 	base /= float64(len(y))
 	g.ens = ensemble[float64]{init: []float64{base}, lr: g.cfg.LearningRate}
 
-	hb := newHistBuilder(ensembleHistIndex(x, g.cfg.Tree), g.cfg.Tree)
+	gr := grow(x, g.cfg.Tree, 1)[0]
 	pred := make([]float64, len(y))
 	g.ens.scoreInto(x, pred)
 	resid := make([]float64, len(y))
@@ -119,11 +147,7 @@ func (g *GBRegressor) FitRegressor(x [][]float64, y []float64) error {
 			resid[i] = y[i] - pred[i]
 		}
 		idx, oob := sampleRows(len(y), g.cfg.Subsample, rng)
-		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hb, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate})
-		if err != nil {
-			return err
-		}
-		g.ens.trees = append(g.ens.trees, t)
+		g.ens.trees = append(g.ens.trees, gr.fit(resid, nil, idx, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate}))
 	}
 	return nil
 }
@@ -157,9 +181,14 @@ func NewGBDT(cfg BoostConfig) *GBDT {
 }
 
 // FitClassifier implements ml.Classifier. Feature matrices containing
-// NaN or ±Inf are rejected with an error wrapping ErrNonFinite, a
-// Subsample outside (0, 1] with a plain error.
+// NaN or ±Inf are rejected with an error wrapping ErrNonFinite, a config
+// check refuses with a plain error.
 func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
+	return g.fit(x, y, numClasses, histGrowers)
+}
+
+// fit is FitClassifier with the fit's trees grown by grow's growers.
+func (g *GBDT) fit(x [][]float64, y []int, numClasses int, grow growers) error {
 	if len(x) == 0 || len(x) != len(y) {
 		return fmt.Errorf("tree: GBDT fit with %d rows, %d labels", len(x), len(y))
 	}
@@ -190,14 +219,10 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 	}
 	g.ens = ensemble[float64]{init: prior, lr: g.cfg.LearningRate}
 
-	hi := ensembleHistIndex(x, g.cfg.Tree)
 	n := len(x)
-	// Each class slot keeps its builder and gradient buffers for the
+	// Each class slot keeps its grower and gradient buffers for the
 	// whole fit.
-	hbs := make([]*histBuilder, numClasses)
-	for k := range hbs {
-		hbs[k] = newHistBuilder(hi, g.cfg.Tree)
-	}
+	grs := grow(x, g.cfg.Tree, numClasses)
 	grads, hesses := make([]float64, n*numClasses), make([]float64, n*numClasses)
 	// scores and probs are flat row-major n x numClasses, like every
 	// batch the ensemble scores.
@@ -227,11 +252,7 @@ func (g *GBDT) FitClassifier(x [][]float64, y []int, numClasses int) error {
 				grad[i] = (yk - p) * kf
 				hess[i] = p * (1 - p) * kf
 			}
-			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hbs[k], credit{oob: oob, score: scores[k:], stride: numClasses, lr: g.cfg.LearningRate})
-			if err != nil {
-				return err
-			}
-			roundTrees[k] = t
+			roundTrees[k] = grs[k].fit(grad, hess, idx, credit{oob: oob, score: scores[k:], stride: numClasses, lr: g.cfg.LearningRate})
 			return nil
 		}); err != nil {
 			var errs par.Errors

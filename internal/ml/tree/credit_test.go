@@ -15,10 +15,10 @@ import (
 
 // descentRegressor is GBRegressor's round loop from before a fit
 // credited its rows as it built, kept verbatim as the oracle (only the
-// signatures follow: sampleRows also returns the rows left out and
-// fitTree takes a credit, the zero one here): each round fits a tree on
-// its subsample, then walks every row of x down that tree.
-func descentRegressor(g *GBRegressor, x [][]float64, y []float64) error {
+// signatures follow: sampleRows also returns the rows left out, and the
+// trees come from grow's grower with the zero credit): each round fits a
+// tree on its subsample, then walks every row of x down that tree.
+func descentRegressor(g *GBRegressor, x [][]float64, y []float64, grow growers) error {
 	rng := rand.New(rand.NewSource(g.cfg.Seed + 1))
 	base := 0.0
 	for _, v := range y {
@@ -27,7 +27,7 @@ func descentRegressor(g *GBRegressor, x [][]float64, y []float64) error {
 	base /= float64(len(y))
 	g.ens = ensemble[float64]{init: []float64{base}, lr: g.cfg.LearningRate}
 
-	hb := newHistBuilder(ensembleHistIndex(x, g.cfg.Tree), g.cfg.Tree)
+	gr := grow(x, g.cfg.Tree, 1)[0]
 	pred := make([]float64, len(y))
 	g.ens.scoreInto(x, pred)
 	resid := make([]float64, len(y))
@@ -36,10 +36,7 @@ func descentRegressor(g *GBRegressor, x [][]float64, y []float64) error {
 			resid[i] = y[i] - pred[i]
 		}
 		idx, _ := sampleRows(len(y), g.cfg.Subsample, rng)
-		t, err := fitTree(x, resid, nil, idx, g.cfg.Tree, hb, credit{})
-		if err != nil {
-			return err
-		}
+		t := gr.fit(resid, nil, idx, credit{})
 		g.ens.trees = append(g.ens.trees, t)
 		t.addTo(x, pred, 1, g.cfg.LearningRate)
 	}
@@ -47,7 +44,7 @@ func descentRegressor(g *GBRegressor, x [][]float64, y []float64) error {
 }
 
 // descentGBDT is GBDT's round loop from the same commit, the same way.
-func descentGBDT(g *GBDT, x [][]float64, y []int, numClasses int) error {
+func descentGBDT(g *GBDT, x [][]float64, y []int, numClasses int, grow growers) error {
 	rng := rand.New(rand.NewSource(g.cfg.Seed + 2))
 
 	// Log-prior initialization.
@@ -61,12 +58,8 @@ func descentGBDT(g *GBDT, x [][]float64, y []int, numClasses int) error {
 	}
 	g.ens = ensemble[float64]{init: prior, lr: g.cfg.LearningRate}
 
-	hi := ensembleHistIndex(x, g.cfg.Tree)
 	n := len(x)
-	hbs := make([]*histBuilder, numClasses)
-	for k := range hbs {
-		hbs[k] = newHistBuilder(hi, g.cfg.Tree)
-	}
+	grs := grow(x, g.cfg.Tree, numClasses)
 	grads, hesses := make([]float64, n*numClasses), make([]float64, n*numClasses)
 	scores := make([]float64, n*numClasses)
 	g.ens.scoreInto(x, scores)
@@ -90,10 +83,7 @@ func descentGBDT(g *GBDT, x [][]float64, y []int, numClasses int) error {
 				grad[i] = (yk - p) * kf
 				hess[i] = p * (1 - p) * kf
 			}
-			t, err := fitTree(x, grad, hess, idx, g.cfg.Tree, hbs[k], credit{})
-			if err != nil {
-				return err
-			}
+			t := grs[k].fit(grad, hess, idx, credit{})
 			roundTrees[k] = t
 			t.addTo(x, scores[k:], numClasses, g.cfg.LearningRate)
 			return nil
@@ -123,14 +113,14 @@ func TestCreditMatchesDescentOracle(t *testing.T) {
 				for _, minLeaf := range []int{1, 3} {
 					for _, depth := range []int{1, 3, 7} {
 						cfg := BoostConfig{Rounds: 6, Subsample: sub, Seed: 11,
-							Tree: TreeConfig{MaxDepth: depth, MinLeaf: minLeaf, Mode: mode}}
+							Tree: TreeConfig{MaxDepth: depth, MinLeaf: minLeaf}}
 						name := fmt.Sprintf("%s/sub%v/minleaf%d/depth%d", mode, sub, minLeaf, depth)
 
 						got, want := NewGBRegressor(cfg), NewGBRegressor(cfg)
-						if err := got.FitRegressor(x, yv); err != nil {
+						if err := got.fit(x, yv, mode.growers()); err != nil {
 							t.Fatal(err)
 						}
-						if err := descentRegressor(want, x, yv); err != nil {
+						if err := descentRegressor(want, x, yv, mode.growers()); err != nil {
 							t.Fatal(err)
 						}
 						if g, w := stateDigest(t, got.State()), stateDigest(t, want.State()); g != w {
@@ -138,10 +128,10 @@ func TestCreditMatchesDescentOracle(t *testing.T) {
 						}
 
 						gc, wc := NewGBDT(cfg), NewGBDT(cfg)
-						if err := gc.FitClassifier(x, yc, 3); err != nil {
+						if err := gc.fit(x, yc, 3, mode.growers()); err != nil {
 							t.Fatal(err)
 						}
-						if err := descentGBDT(wc, x, yc, 3); err != nil {
+						if err := descentGBDT(wc, x, yc, 3, mode.growers()); err != nil {
 							t.Fatal(err)
 						}
 						if g, w := stateDigest(t, gc.State()), stateDigest(t, wc.State()); g != w {
@@ -176,13 +166,9 @@ func TestCreditIsTheLeaf(t *testing.T) {
 	for _, mode := range []SplitMode{SplitHistogram, SplitExact} {
 		closed := map[string]bool{}
 		for _, tc := range []TreeConfig{{MaxDepth: 3, MinLeaf: 1}, {MaxDepth: 12, MinLeaf: 9}} {
-			tc.Mode = mode
 			tc.setDefaults()
 			score := make([]float64, 2*rows)
-			n, err := fitTree(x, y, nil, idx, tc, nil, credit{oob: oob, score: score, stride: 2, lr: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
+			n := mode.growers()(x, tc, 1)[0].fit(y, nil, idx, credit{oob: oob, score: score, stride: 2, lr: 1})
 			for i, row := range x {
 				if want := n.leaf(row); math.Float64bits(score[2*i]) != math.Float64bits(want) || score[2*i+1] != 0 {
 					t.Fatalf("%s %+v row %d: credited %v (next slot %v), its leaf holds %v", mode, tc, i, score[2*i], score[2*i+1], want)

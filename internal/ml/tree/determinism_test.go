@@ -111,16 +111,16 @@ func TestHistogramFitDeterministicUnderGOMAXPROCS(t *testing.T) {
 }
 
 // TestEnsembleDeterministicPerMode re-runs the ensemble invariance check
-// under each split backbone explicitly, so neither mode regresses when
-// the default flips.
+// under each builder explicitly — the product's histogram builder and
+// the exact oracle the differential tests compare it with.
 func TestEnsembleDeterministicPerMode(t *testing.T) {
 	const classes = 4
 	x, y := synthClassData(300, 5, classes)
 	for _, mode := range []SplitMode{SplitHistogram, SplitExact} {
 		t.Run(mode.String(), func(t *testing.T) {
 			fit := func() [][]float64 {
-				g := NewGBDT(BoostConfig{Rounds: 8, Seed: 4, Tree: TreeConfig{MaxDepth: 3, Mode: mode}})
-				if err := g.FitClassifier(x, y, classes); err != nil {
+				g := NewGBDT(BoostConfig{Rounds: 8, Seed: 4, Tree: TreeConfig{MaxDepth: 3}})
+				if err := g.fit(x, y, classes, mode.growers()); err != nil {
 					t.Fatal(err)
 				}
 				return g.PredictProbaBatch(x)

@@ -136,14 +136,14 @@ func (nh nodeHist) subtract(o nodeHist) {
 	}
 }
 
-// histBuilder grows trees on a prebuilt histIndex, one at a time; an
-// ensemble fit keeps one for all its rounds (one per class slot in GBDT),
-// so a tree allocates nothing beyond the columns fit returns. The
-// node's row set lives in rows and the credit's left-out rows in oob,
-// each partitioned in place per node with scratch staging the
-// right-going rows — the same reusable-segment scheme as exactBuilder.
-// Released histograms stack up in free for later nodes, so a fit
-// allocates only as many as its deepest parent-plus-sibling chain.
+// histBuilder is the grower product fits use: it grows trees on a
+// prebuilt histIndex, one at a time; an ensemble fit keeps one for all
+// its rounds (one per class slot in GBDT), so a tree allocates nothing
+// beyond the columns fit returns. The node's row set lives in rows and
+// the credit's left-out rows in oob, each partitioned in place per node
+// with scratch staging the right-going rows. Released histograms stack
+// up in free for later nodes, so a fit allocates only as many as its
+// deepest parent-plus-sibling chain.
 type histBuilder struct {
 	hi      *histIndex
 	cfg     TreeConfig
@@ -154,15 +154,6 @@ type histBuilder struct {
 	scratch []int32
 	free    []nodeHist
 	out     nodes[float64]
-}
-
-// newHistBuilder returns a builder over hi, or nil for a nil index (an
-// exact-mode ensemble has neither).
-func newHistBuilder(hi *histIndex, cfg TreeConfig) *histBuilder {
-	if hi == nil {
-		return nil
-	}
-	return &histBuilder{hi: hi, cfg: cfg}
 }
 
 // fit grows a tree over the idx rows using histogram splits, crediting

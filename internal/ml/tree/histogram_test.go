@@ -17,15 +17,6 @@ var (
 	_ ml.RegressorF32  = (*CompiledEnsemble)(nil)
 )
 
-func TestSplitModeString(t *testing.T) {
-	if SplitHistogram.String() != "histogram" || SplitExact.String() != "exact" {
-		t.Errorf("mode names: %q, %q", SplitHistogram, SplitExact)
-	}
-	if s := SplitMode(9).String(); s != "SplitMode(9)" {
-		t.Errorf("unknown mode = %q", s)
-	}
-}
-
 // quantizedData builds features with few distinct values per column, so
 // every feature fits in the bin budget and the histogram considers
 // exactly the split boundaries exact greedy does.
@@ -55,13 +46,11 @@ func TestHistogramMatchesExactOnQuantizedData(t *testing.T) {
 	x, y := quantizedData(31, 500, 4, 12)
 	idx := allIdx(len(x))
 	cfg := TreeConfig{MaxDepth: 5, MinLeaf: 2}
-	cfgE := cfg
-	cfgE.Mode = SplitExact
 	th, err := FitTree(x, y, nil, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	te, err := FitTree(x, y, nil, idx, cfgE)
+	te, err := SplitExact.FitTree(x, y, nil, idx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +125,7 @@ func TestSplitBetweenAdjacentDoubles(t *testing.T) {
 		x, y = append(x, []float64{a}, []float64{b}), append(y, 0, 10)
 	}
 	for _, mode := range []SplitMode{SplitHistogram, SplitExact} {
-		tr, err := FitTree(x, y, nil, allIdx(len(x)), TreeConfig{MaxDepth: 3, Mode: mode})
+		tr, err := mode.FitTree(x, y, nil, allIdx(len(x)), TreeConfig{MaxDepth: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,8 +197,8 @@ func cvAccuracy(t *testing.T, x [][]float64, y []int, classes int, mode SplitMod
 		if fold == 1 {
 			trX, trY, teX, teY = teX, teY, trX, trY
 		}
-		g := NewGBDT(BoostConfig{Rounds: 20, Seed: 13, Tree: TreeConfig{MaxDepth: 4, Mode: mode}})
-		if err := g.FitClassifier(trX, trY, classes); err != nil {
+		g := NewGBDT(BoostConfig{Rounds: 20, Seed: 13, Tree: TreeConfig{MaxDepth: 4}})
+		if err := g.fit(trX, trY, classes, mode.growers()); err != nil {
 			t.Fatal(err)
 		}
 		probs := g.PredictProbaBatch(teX)
@@ -235,8 +224,8 @@ func cvMAPE(t *testing.T, x [][]float64, y []float64, mode SplitMode) float64 {
 		if fold == 1 {
 			trX, trY, teX, teY = teX, teY, trX, trY
 		}
-		g := NewGBRegressor(BoostConfig{Rounds: 40, Seed: 13, Tree: TreeConfig{MaxDepth: 5, MinLeaf: 3, Mode: mode}})
-		if err := g.FitRegressor(trX, trY); err != nil {
+		g := NewGBRegressor(BoostConfig{Rounds: 40, Seed: 13, Tree: TreeConfig{MaxDepth: 5, MinLeaf: 3}})
+		if err := g.fit(trX, trY, mode.growers()); err != nil {
 			t.Fatal(err)
 		}
 		preds := g.PredictValueBatch(teX)
@@ -311,8 +300,8 @@ func TestFeatureImportanceOrdering(t *testing.T) {
 			for i := range y {
 				y[i] = 10*x[i][0] + 2*x[i][1] + 0.01*x[i][2]
 			}
-			g := NewGBRegressor(BoostConfig{Rounds: 30, Seed: 8, Tree: TreeConfig{MaxDepth: 4, Mode: mode}})
-			if err := g.FitRegressor(x, y); err != nil {
+			g := NewGBRegressor(BoostConfig{Rounds: 30, Seed: 8, Tree: TreeConfig{MaxDepth: 4}})
+			if err := g.fit(x, y, mode.growers()); err != nil {
 				t.Fatal(err)
 			}
 			imp := g.FeatureImportance()

@@ -62,21 +62,6 @@ func (n *nodes[T]) addTo(rows [][]T, out []T, stride int, lr T) {
 	}
 }
 
-// PredictBatch evaluates the tree on every row, returning one value per
-// row. out is reused when it has capacity, following the same contract
-// as the nn batch predictors.
-func (t *Tree) PredictBatch(rows [][]float64, out []float64) []float64 {
-	if cap(out) >= len(rows) {
-		out = out[:len(rows)]
-	} else {
-		out = make([]float64, len(rows))
-	}
-	for i, row := range rows {
-		out[i] = t.leaf(row)
-	}
-	return out
-}
-
 // ensemble is a boosted sum of trees in either numeric format. A row's
 // score vector starts at init — the class log-priors, or the single
 // regression base — and tree t adds lr × its prediction to slot

@@ -25,9 +25,6 @@ type FlatTree struct {
 
 const maxFlatDepth = 256
 
-// Flatten exposes the tree's node columns.
-func (t *Tree) Flatten() FlatTree { return flatten(&t.nodes) }
-
 func flatten(n *nodes[float64]) FlatTree {
 	return FlatTree{Feature: n.feature, Threshold: n.thr, Value: n.value, Gain: n.gain, Left: n.left, Right: n.right}
 }
@@ -141,6 +138,9 @@ func GBRegressorFromSnapshot(st EnsembleState, c *persist.Columns, width int) (*
 	if len(st.Init) != 1 {
 		return nil, fmt.Errorf("tree: GBRegressor state has %d base values", len(st.Init))
 	}
+	if err := st.Config.check(); err != nil {
+		return nil, err
+	}
 	ens, err := restore(st, c, width)
 	if err != nil {
 		return nil, fmt.Errorf("tree: GBRegressor %w", err)
@@ -158,6 +158,9 @@ func (g *GBDT) Snapshot(c *persist.Columns) EnsembleState { return snapshot(g.cf
 func GBDTFromSnapshot(st EnsembleState, c *persist.Columns, width int) (*GBDT, error) {
 	if k := len(st.Init); k < 2 || st.Trees%k != 0 {
 		return nil, fmt.Errorf("tree: GBDT state has %d trees for %d classes", st.Trees, k)
+	}
+	if err := st.Config.check(); err != nil {
+		return nil, err
 	}
 	ens, err := restore(st, c, width)
 	if err != nil {

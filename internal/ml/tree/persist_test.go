@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"stencilmart/internal/persist"
@@ -85,6 +86,27 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	}
 }
 
+// TestTreeConfigModeIsFormatOnly: Mode is the manifest's "Mode":0 and
+// nothing more. A config spelled with it reads and writes back byte for
+// byte; a manifest naming another mode — 1 was the exact-greedy builder
+// — is refused, since no fit here grows trees that way.
+func TestTreeConfigModeIsFormatOnly(t *testing.T) {
+	const spelled = `{"MaxDepth":7,"MinLeaf":3,"Mode":0,"MaxBins":0}`
+	var cfg TreeConfig
+	if err := json.Unmarshal([]byte(spelled), &cfg); err != nil {
+		t.Fatal(err)
+	}
+	if blob, err := json.Marshal(cfg); err != nil || string(blob) != spelled {
+		t.Fatalf("read back as %s (%v), want %s", blob, err, spelled)
+	}
+	for _, mode := range []string{"1", "-1", `"0"`, "null", "0.0"} {
+		blob := strings.Replace(spelled, `"Mode":0`, `"Mode":`+mode, 1)
+		if err := json.Unmarshal([]byte(blob), &cfg); err == nil || !strings.Contains(err.Error(), "split mode") {
+			t.Errorf("%s: err %v, want a split mode refusal", blob, err)
+		}
+	}
+}
+
 // throughJSON sends an ensemble's manifest half through the encoding the
 // checkpoint manifest uses.
 func throughJSON(t *testing.T, st EnsembleState) EnsembleState {
@@ -123,11 +145,18 @@ func chain(depth int) nodes[float64] {
 	return n
 }
 
+// fitted is cfg with its defaults filled in, as a fit leaves it and a
+// checkpoint holds it.
+func fitted(cfg BoostConfig) BoostConfig {
+	cfg.setDefaults()
+	return cfg
+}
+
 // asRegressor reads the trees back as a one-base regressor scoring rows
 // two wide: the path a checkpoint's columns take.
 func asRegressor(trees ...nodes[float64]) (*GBRegressor, error) {
 	var cols persist.Columns
-	st := snapshot(BoostConfig{LearningRate: 1}, &ensemble[float64]{trees: trees, init: []float64{0}}, &cols)
+	st := snapshot(fitted(BoostConfig{LearningRate: 1}), &ensemble[float64]{trees: trees, init: []float64{0}}, &cols)
 	g, err := GBRegressorFromSnapshot(st, &cols, 2)
 	if err == nil {
 		err = cols.End()
@@ -201,7 +230,7 @@ func TestTreeFromFlatColumns(t *testing.T) {
 		"leaf marker past int32": wide([]int64{0, -1 << 40, -1}, []int64{1, -1, -1}),
 		"child past int32":       wide([]int64{0, -1, -1}, []int64{1 << 40, -1, -1}),
 	} {
-		_, err := GBRegressorFromSnapshot(EnsembleState{Init: []float64{0}, Trees: 1}, cols, 2)
+		_, err := GBRegressorFromSnapshot(EnsembleState{Config: fitted(BoostConfig{}), Init: []float64{0}, Trees: 1}, cols, 2)
 		if (name == "as written") != (err == nil) || err != nil && !errors.Is(err, persist.ErrCorrupt) {
 			t.Errorf("%s gave %v; want persist.ErrCorrupt unless as written", name, err)
 		}
@@ -209,7 +238,7 @@ func TestTreeFromFlatColumns(t *testing.T) {
 
 	// An ensemble's shape is checked against its manifest half.
 	var cols persist.Columns
-	three := snapshot(BoostConfig{}, &ensemble[float64]{trees: []nodes[float64]{stump(), stump(), stump()}, init: []float64{0, 0}}, &cols)
+	three := snapshot(fitted(BoostConfig{}), &ensemble[float64]{trees: []nodes[float64]{stump(), stump(), stump()}, init: []float64{0, 0}}, &cols)
 	if _, err := GBDTFromSnapshot(three, &cols, 2); err == nil {
 		t.Error("three trees for two classes rebuilt a classifier")
 	}

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"stencilmart/internal/ml"
+	"stencilmart/internal/persist"
 	"stencilmart/internal/testutil"
 )
 
@@ -167,6 +169,47 @@ func TestGBRegressorFitsSmoothFunction(t *testing.T) {
 	r2 := 1 - sse/sst
 	if r2 < 0.95 {
 		t.Errorf("training R^2 = %.3f, want >= 0.95", r2)
+	}
+}
+
+// TestBoostRefusesConfigsNoFitHonours: a learning rate that is not a
+// finite number above 0 fitted ensembles that predict NaN, the prior or
+// its mirror image (-0.1 answered 100.09 for a target of 3), and a
+// negative round count, depth or leaf floor fitted the prior alone or
+// nothing sensible. Both ensembles now refuse them from the fit, and a
+// checkpointed ensemble carrying one from its load.
+func TestBoostRefusesConfigsNoFitHonours(t *testing.T) {
+	x, yv, yc := binnedData(3, 200, []int{4, 0, 9}, 2)
+	for _, tc := range []struct {
+		name string
+		cfg  BoostConfig
+		want string
+	}{
+		{"learning rate NaN", BoostConfig{LearningRate: math.NaN()}, "LearningRate"},
+		{"learning rate +Inf", BoostConfig{LearningRate: math.Inf(1)}, "LearningRate"},
+		{"learning rate -Inf", BoostConfig{LearningRate: math.Inf(-1)}, "LearningRate"},
+		{"learning rate negative", BoostConfig{LearningRate: -0.1}, "LearningRate"},
+		{"negative rounds", BoostConfig{Rounds: -3}, "Rounds -3"},
+		{"negative depth", BoostConfig{Tree: TreeConfig{MaxDepth: -1}}, "MaxDepth -1"},
+		{"negative leaf floor", BoostConfig{Tree: TreeConfig{MinLeaf: -2}}, "MinLeaf -2"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := NewGBRegressor(tc.cfg).FitRegressor(x, yv); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("GBRegressor fit: err %v, want one naming %s", err, tc.want)
+			}
+			if err := NewGBDT(tc.cfg).FitClassifier(x, yc, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("GBDT fit: err %v, want one naming %s", err, tc.want)
+			}
+			var cols persist.Columns
+			st := snapshot(fitted(tc.cfg), &ensemble[float64]{trees: []nodes[float64]{stump(), stump()}, init: []float64{0, 0}}, &cols)
+			if _, err := GBDTFromSnapshot(st, &cols, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("GBDT load: err %v, want one naming %s", err, tc.want)
+			}
+			st.Init, st.Trees = st.Init[:1], 1
+			if _, err := GBRegressorFromSnapshot(st, persist.ColumnsOf(cols.Bytes()), 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("GBRegressor load: err %v, want one naming %s", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -353,7 +396,7 @@ func TestTreePredictBatchMatchesPredict(t *testing.T) {
 			for i := range y {
 				y[i] = x[i][0]*2 - x[i][1]*x[i][2]
 			}
-			tr, err := FitTree(x, y, nil, allIdx(len(x)), TreeConfig{MaxDepth: 6, MinLeaf: 1, Mode: mode})
+			tr, err := mode.FitTree(x, y, nil, allIdx(len(x)), TreeConfig{MaxDepth: 6, MinLeaf: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,7 +48,7 @@ type ScoreFunc[Q, R any] func(reqs []Q) []Outcome[R]
 type Options[Q any] struct {
 	// Window is ignored: the lane never waits for batchmates. The field
 	// stays only so bench/layers_serve.go, which a PR claiming a gain may
-	// not edit, keeps compiling; ROADMAP item 2 lists its removal.
+	// not edit, keeps compiling; ROADMAP item 1(ii) lists its removal.
 	Window time.Duration
 	// MaxBatch caps a batch. Values < 1 mean 1 (no coalescing; requests
 	// score one at a time through the same serialized lane).
@@ -67,8 +67,7 @@ type Stats struct {
 	// SizeFlushes counts the batches that filled to MaxBatch;
 	// WindowFlushes counts every batch that took less — what was queued
 	// when the lane went idle. (No window exists; the name is the one
-	// bench/layers_serve.go reads, kept until ROADMAP item 2's benchmark
-	// follow-up renames it.)
+	// bench/layers_serve.go reads; ROADMAP item 1(ii) lists its removal.)
 	SizeFlushes   uint64 `json:"size_flushes"`
 	WindowFlushes uint64 `json:"window_flushes"`
 	// Dropped counts requests failed without scoring.

@@ -43,7 +43,7 @@ const DefaultMaxInFlight = 64
 // DefaultBatchWindow is vestigial: the coalescer has no window (the lane
 // scores what is queued the moment it goes idle). The name stays, at
 // zero, only because bench/layers_serve.go reads it and a PR claiming a
-// gain may not edit bench/; ROADMAP item 2 lists its removal.
+// gain may not edit bench/; ROADMAP item 1(ii) lists its removal.
 const DefaultBatchWindow time.Duration = 0
 
 // DefaultBatchSize caps a coalesced batch.

@@ -75,7 +75,8 @@ echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records) ==
 # columns, arch index out of range, params not ten per instance, child
 # index 1<<40, feature 1<<32 and past the row width, 0x7ff8... in a time
 # and in a threshold, a float column where an int column is due, a scaler
-# on a tree regressor, an edited label, a count past the end. The dataset
+# on a tree regressor, an edited label, a count past the end, an ensemble
+# learning rate of 0. The dataset
 # file's, framed the same way: valid; a corpus and no numbers and the
 # reverse, ragged and mistyped columns, arch index and OC out of range,
 # NaN, +Inf and negative times, an edited label, a twelfth column. The
@@ -141,7 +142,7 @@ sh scripts/campaign_smoke.sh
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=18712
+max_lines=18506
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
