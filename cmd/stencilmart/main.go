@@ -411,14 +411,8 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	m := sim.New()
 	w := sim.DefaultWorkload(s)
-	rng := rand.New(rand.NewSource(7))
-	var settings []opt.Params
-	for i := 0; i < 32; i++ {
-		settings = append(settings, opt.Sample(oc, s.Dims, rng))
-	}
-	best, bestP, err := m.BestOf(w, oc, settings, arch)
+	best, bestP, err := tuneAndPrice(sim.New(), w, oc, arch, 32, 7)
 	if err != nil {
 		return err
 	}
@@ -524,14 +518,8 @@ func cmdSimulate(args []string) error {
 	if err := oc.ValidationError(); err != nil {
 		return err
 	}
-	m := sim.New()
 	w := sim.DefaultWorkload(s)
-	rng := rand.New(rand.NewSource(*seed))
-	var settings []opt.Params
-	for i := 0; i < *samples; i++ {
-		settings = append(settings, opt.Sample(oc, s.Dims, rng))
-	}
-	best, bestP, err := m.BestOf(w, oc, settings, arch)
+	best, bestP, err := tuneAndPrice(sim.New(), w, oc, arch, *samples, *seed)
 	if err != nil {
 		return fmt.Errorf("every sampled setting failed (OC crashes for this stencil): %w", err)
 	}
@@ -544,6 +532,18 @@ func cmdSimulate(args []string) error {
 		best.Occupancy*100, best.RegsPerThread, best.SmemPerBlockKB)
 	fmt.Printf("  winning params: %+v\n", bestP)
 	return nil
+}
+
+// tuneAndPrice runs the random search and prices its winner once more on
+// the same model: the evaluator is pure per (cell, OC, params), so this
+// is the winning run's full breakdown.
+func tuneAndPrice(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, budget int, seed int64) (sim.Result, opt.Params, error) {
+	res, err := tuner.Random{}.Tune(m, w, oc, arch, budget, seed)
+	if err != nil {
+		return sim.Result{}, opt.Params{}, err
+	}
+	best, err := m.CellFn(w, arch)(oc, res.Params)
+	return best, res.Params, err
 }
 
 func cmdCodegen(args []string) error {

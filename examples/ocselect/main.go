@@ -13,7 +13,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"stencilmart"
 )
@@ -46,7 +45,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		predT, bestT, worstT := groundTruth(s, oc, v100)
+		predT, bestT, worstT := groundTruth(fw, s, oc, v100)
 		quality := worstT / predT // how much of the tuning headroom we kept
 		headroom := worstT / bestT
 		fmt.Printf("%-10s %-14s %10.3f %10.3f %10.3f  %.1fx of %.1fx headroom\n",
@@ -55,68 +54,25 @@ func main() {
 	fmt.Println("\nquality = worst/predicted; a perfect prediction matches the headroom column")
 }
 
-// groundTruth searches every OC with a fixed budget and returns the
-// predicted OC's best time plus the global best and worst.
-func groundTruth(s stencilmart.Stencil, predicted stencilmart.Opt, arch stencilmart.Arch) (pred, best, worst float64) {
+// groundTruth random-searches every OC (16 settings each) and returns
+// the predicted OC's best time plus the global best and worst.
+func groundTruth(fw *stencilmart.Framework, s stencilmart.Stencil, predicted stencilmart.Opt, arch stencilmart.Arch) (pred, best, worst float64) {
 	w := stencilmart.DefaultWorkload(s)
-	rng := rand.New(rand.NewSource(11))
 	best, worst = -1, -1
 	for _, oc := range stencilmart.Combinations() {
-		t := searchOC(w, oc, arch, rng)
-		if t < 0 {
+		res, err := stencilmart.RandomTuner.Tune(fw.Model, w, oc, arch, 16, 11)
+		if err != nil {
 			continue // OC crashes for this stencil
 		}
-		if best < 0 || t < best {
-			best = t
+		if best < 0 || res.Time < best {
+			best = res.Time
 		}
-		if t > worst {
-			worst = t
+		if res.Time > worst {
+			worst = res.Time
 		}
 		if oc == predicted {
-			pred = t
+			pred = res.Time
 		}
 	}
 	return pred, best, worst
-}
-
-// searchOC random-searches one OC's parameter space (16 settings) and
-// returns the best time, or -1 if nothing runs.
-func searchOC(w stencilmart.Workload, oc stencilmart.Opt, arch stencilmart.Arch, rng *rand.Rand) float64 {
-	best := -1.0
-	for i := 0; i < 16; i++ {
-		p := randomParams(oc, w.S.Dims, rng)
-		r, err := stencilmart.Simulate(w, oc, p, arch)
-		if err != nil {
-			continue
-		}
-		if best < 0 || r.Time < best {
-			best = r.Time
-		}
-	}
-	return best
-}
-
-func randomParams(oc stencilmart.Opt, dims int, rng *rand.Rand) stencilmart.Params {
-	pick := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
-	p := stencilmart.Params{BlockX: pick(16, 32, 64, 128), BlockY: pick(2, 4, 8), Merge: 1, Unroll: 1}
-	if oc.Has(stencilmart.BM) || oc.Has(stencilmart.CM) {
-		p.Merge = pick(2, 4, 8)
-		p.MergeDim = 1 + rng.Intn(dims)
-	}
-	if oc.Has(stencilmart.ST) {
-		p.StreamTile = pick(16, 32, 64, 128, 256)
-		p.StreamDim = 2
-		if dims == 3 {
-			p.StreamDim = 1 + rng.Intn(3)
-		}
-		p.Unroll = pick(1, 2, 4)
-		p.UseSmem = rng.Intn(2) == 1
-	}
-	if oc.Has(stencilmart.TB) {
-		p.TBDepth = pick(2, 4)
-	}
-	if oc.Has(stencilmart.PR) {
-		p.PrefetchDepth = 1 + rng.Intn(2)
-	}
-	return p
 }

@@ -1,9 +1,10 @@
 // Quickstart: the three-minute tour of the StencilMART library.
 //
 // It builds a stencil, runs it on the reference CPU executor, rasterizes
-// it into the paper's binary-tensor representation, simulates it under a
-// few optimization combinations on a V100, and finally asks a small
-// trained framework which optimization combination to use.
+// it into the paper's binary-tensor representation, builds a small
+// framework, random-searches a few optimization combinations on a V100
+// through the framework's simulator, and finally asks the framework
+// which optimization combination to use.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -11,7 +12,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"stencilmart"
 )
@@ -40,34 +40,8 @@ func main() {
 		len(bin.Data), bin.NNZ(), bin.Sparsity())
 	fmt.Printf("feature vector: %v\n", stencilmart.Features(s))
 
-	// 4. Simulate a few optimization combinations on the V100 substrate.
-	v100, err := stencilmart.GPUByName("V100")
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := stencilmart.DefaultWorkload(s)
-	rng := rand.New(rand.NewSource(1))
-	fmt.Printf("\nsimulated times on %s (%d sweeps of %dx%d):\n", v100, w.TimeSteps, w.GridX, w.GridY)
-	for _, name := range []string{"BASE", "ST", "ST_RT_PR", "ST_TB"} {
-		oc, err := stencilmart.ParseOC(name)
-		if err != nil {
-			log.Fatal(err)
-		}
-		best := -1.0
-		for i := 0; i < 16; i++ {
-			p := sampleParams(oc, s.Dims, rng)
-			r, err := stencilmart.Simulate(w, oc, p, v100)
-			if err != nil {
-				continue
-			}
-			if best < 0 || r.Time < best {
-				best = r.Time
-			}
-		}
-		fmt.Printf("  %-9s best of 16 settings: %8.3f ms\n", name, best*1e3)
-	}
-
-	// 5. Train a small framework and ask it for the best OC.
+	// 4. Build a small framework: it profiles a random corpus on every
+	// GPU of the catalog through its simulator.
 	cfg := stencilmart.DefaultConfig()
 	cfg.Corpus2D, cfg.Corpus3D = 30, 10 // keep the demo quick
 	fmt.Println("\nbuilding a small StencilMART framework (profiling a random corpus)...")
@@ -75,39 +49,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+
+	// 5. Random-search a few optimization combinations on the V100.
+	v100, err := stencilmart.GPUByName("V100")
+	if err != nil {
+		log.Fatal(err)
+	}
+	w := stencilmart.DefaultWorkload(s)
+	fmt.Printf("\nsimulated times on %s (%d sweeps of %dx%d):\n", v100, w.TimeSteps, w.GridX, w.GridY)
+	for _, name := range []string{"BASE", "ST", "ST_RT_PR", "ST_TB"} {
+		oc, err := stencilmart.ParseOC(name)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := stencilmart.RandomTuner.Tune(fw.Model, w, oc, v100, 16, 1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("  %-9s best of 16 settings: %8.3f ms\n", name, res.Time*1e3)
+	}
+
+	// 6. Ask the framework for the best OC.
 	oc, err := fw.PredictBestOCForStencil(stencilmart.ClassGBDT, "V100", s)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("StencilMART predicts the best optimization combination: %s\n", oc)
-}
-
-// sampleParams draws a random valid parameter setting via the public
-// Combinations/Params surface (the internal sampler is not exported, so
-// the example rolls a small one).
-func sampleParams(oc stencilmart.Opt, dims int, rng *rand.Rand) stencilmart.Params {
-	pow2 := func(vals ...int) int { return vals[rng.Intn(len(vals))] }
-	p := stencilmart.Params{
-		BlockX: pow2(32, 64, 128), BlockY: pow2(2, 4, 8), Merge: 1, Unroll: 1,
-	}
-	if oc.Has(stencilmart.BM) || oc.Has(stencilmart.CM) {
-		p.Merge = pow2(2, 4)
-		p.MergeDim = 1 + rng.Intn(dims)
-	}
-	if oc.Has(stencilmart.ST) {
-		p.StreamTile = pow2(32, 64, 128)
-		p.StreamDim = 2
-		if dims == 3 {
-			p.StreamDim = 3
-		}
-		p.Unroll = pow2(1, 2)
-		p.UseSmem = rng.Intn(2) == 1
-	}
-	if oc.Has(stencilmart.TB) {
-		p.TBDepth = pow2(2, 4)
-	}
-	if oc.Has(stencilmart.PR) {
-		p.PrefetchDepth = 1 + rng.Intn(2)
-	}
-	return p
 }

@@ -1,8 +1,8 @@
 // Package baseline emulates the two state-of-the-art stencil frameworks
 // the paper compares against (Sec. V-B2). The evaluation uses them as
-// fixed optimization strategies driving an equal-budget parameter search,
-// which is exactly what these emulations implement against the simulation
-// substrate:
+// fixed optimization strategies driving an equal-budget parameter search
+// (tuner.Search), which is exactly what these emulations implement
+// against the simulation substrate:
 //
 //   - AN5D (Matsumura et al., CGO'20) generates streaming code with
 //     high-degree temporal blocking: OC = ST_TB, falling back to plain ST
@@ -21,18 +21,16 @@ import (
 	"stencilmart/internal/lazyrand"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/sim"
+	"stencilmart/internal/tuner"
 )
 
-// Result is a baseline tuning outcome.
+// Result is a baseline tuning outcome: the winning search's time and
+// setting, the combination it searched, and the evaluations the whole
+// strategy spent.
 type Result struct {
-	// Time is the best execution time found, in seconds.
-	Time float64
-	// OC is the combination that achieved it.
+	tuner.Result
+	// OC is the combination that achieved Time.
 	OC opt.Opt
-	// Params is the winning setting.
-	Params opt.Params
-	// Evaluations is the number of simulator runs spent.
-	Evaluations int
 }
 
 // Strategy is a fixed-policy stencil tuner.
@@ -40,31 +38,9 @@ type Strategy interface {
 	// Name returns the framework name used in reports.
 	Name() string
 	// Tune searches for the stencil's best configuration on arch within
-	// the given evaluation budget.
+	// the given evaluation budget, except that AN5D's fallback search
+	// spends a second budget (see AN5D.Tune).
 	Tune(m *sim.Model, w sim.Workload, arch gpu.Arch, budget int, seed int64) (Result, error)
-}
-
-// searchOC draws up to budget samples for one OC and returns the best.
-// The cell's compiled evaluator is resolved once per search; a stencil's
-// later searches find the cell again, so they run on its sample memo.
-func searchOC(m *sim.Model, w sim.Workload, arch gpu.Arch, oc opt.Opt, budget int, rng *rand.Rand) (Result, bool) {
-	res := Result{OC: oc}
-	eval := m.CellFn(w, arch)
-	found := false
-	for i := 0; i < budget; i++ {
-		p := opt.Sample(oc, w.S.Dims, rng)
-		r, err := eval(oc, p)
-		res.Evaluations++
-		if err != nil {
-			continue
-		}
-		if !found || r.Time < res.Time {
-			res.Time = r.Time
-			res.Params = p
-			found = true
-		}
-	}
-	return res, found
 }
 
 // AN5D is the ST_TB (high-degree temporal blocking) code generator.
@@ -73,25 +49,27 @@ type AN5D struct{}
 // Name implements Strategy.
 func (AN5D) Name() string { return "AN5D" }
 
-// Tune implements Strategy.
+// Tune implements Strategy. When no ST_TB setting runs it searches ST
+// with a second budget, so it may spend up to 2*budget evaluations.
 func (AN5D) Tune(m *sim.Model, w sim.Workload, arch gpu.Arch, budget int, seed int64) (Result, error) {
 	if budget < 1 {
 		return Result{}, fmt.Errorf("baseline: AN5D budget %d < 1", budget)
 	}
 	rng := rand.New(lazyrand.NewSource(seed))
-	res, ok := searchOC(m, w, arch, opt.ST|opt.TB, budget, rng)
-	if ok {
-		return res, nil
+	res, err := tuner.Search(m.CellFn(w, arch), opt.ST|opt.TB, w.S.Dims, budget, rng)
+	if err == nil {
+		return Result{res, opt.ST | opt.TB}, nil
 	}
 	// Temporal blocking unusable for this stencil: fall back to the plain
-	// streaming generator.
+	// streaming generator. The second search finds the cell again, so it
+	// runs on the cell's sample memo.
 	spent := res.Evaluations
-	res, ok = searchOC(m, w, arch, opt.ST, budget, rng)
+	res, err = tuner.Search(m.CellFn(w, arch), opt.ST, w.S.Dims, budget, rng)
 	res.Evaluations += spent
-	if !ok {
-		return Result{}, fmt.Errorf("baseline: AN5D found no runnable setting for %s on %s", w.S.Name, arch.Name)
+	if err != nil {
+		return Result{}, fmt.Errorf("baseline: AN5D found no runnable setting for %s on %s: %w", w.S.Name, arch.Name, err)
 	}
-	return res, nil
+	return Result{res, opt.ST}, nil
 }
 
 // Artemis is the high-impact-first greedy tuner.
@@ -110,45 +88,44 @@ var artemisCandidates = []opt.Opt{
 	opt.ST | opt.CM | opt.PR,
 }
 
-// Tune implements Strategy.
+// Tune implements Strategy. Its searches together spend at most budget
+// evaluations.
 func (Artemis) Tune(m *sim.Model, w sim.Workload, arch gpu.Arch, budget int, seed int64) (Result, error) {
 	if budget < 1 {
 		return Result{}, fmt.Errorf("baseline: Artemis budget %d < 1", budget)
 	}
 	rng := rand.New(lazyrand.NewSource(seed))
-	spent := 0
+	var (
+		best    Result
+		found   bool
+		spent   int
+		lastErr error
+	)
+	// Each search resolves the cell, so every search after the first
+	// runs on the cell's sample memo.
+	search := func(oc opt.Opt, b int) {
+		res, err := tuner.Search(m.CellFn(w, arch), oc, w.S.Dims, b, rng)
+		spent += res.Evaluations
+		if err != nil {
+			lastErr = err
+		} else if !found || res.Time < best.Time {
+			best, found = Result{res, oc}, true
+		}
+	}
 
 	// Phase 1: tune the high-impact base optimization (streaming).
-	half := budget / 2
-	if half < 1 {
-		half = 1
-	}
-	best, found := searchOC(m, w, arch, opt.ST, half, rng)
-	spent += best.Evaluations
+	search(opt.ST, max(budget/2, 1))
 
 	// Phase 2: spread the remaining budget over the candidate extensions.
-	remaining := budget - spent
-	per := remaining / len(artemisCandidates)
-	if per < 1 {
-		per = 1
-	}
+	per := max((budget-spent)/len(artemisCandidates), 1)
 	for _, oc := range artemisCandidates {
 		if spent >= budget {
 			break
 		}
-		b := per
-		if b > budget-spent {
-			b = budget - spent
-		}
-		res, ok := searchOC(m, w, arch, oc, b, rng)
-		spent += res.Evaluations
-		if ok && (!found || res.Time < best.Time) {
-			best = res
-			found = true
-		}
+		search(oc, min(per, budget-spent))
 	}
 	if !found {
-		return Result{}, fmt.Errorf("baseline: Artemis found no runnable setting for %s on %s", w.S.Name, arch.Name)
+		return Result{}, fmt.Errorf("baseline: Artemis found no runnable setting for %s on %s: %w", w.S.Name, arch.Name, lastErr)
 	}
 	best.Evaluations = spent
 	return best, nil

@@ -36,20 +36,21 @@ func TestAN5DUsesTemporalBlocking(t *testing.T) {
 	}
 }
 
+// TestAN5DFallsBackWhenTBCrashes: box3d1r's one ST_TB draw on P100 does
+// not run (seed 1, budget 1), so AN5D searches plain ST on a second
+// budget and reports both searches' evaluations.
 func TestAN5DFallsBackWhenTBCrashes(t *testing.T) {
 	m := sim.New()
-	// 3-D order-4 without streaming-smem fits nowhere on V100; ST_TB may
-	// still run. Use a workload where ST_TB itself is fine, so instead
-	// verify the fallback path via a tiny budget oversampling crash-prone
-	// settings: use star3d4r whose ST_TB works — fallback not taken. For
-	// a guaranteed fallback we directly search a crashing OC.
-	w := sim.DefaultWorkload(stencil.Star(3, 4))
-	res, err := AN5D{}.Tune(m, w, arch(t, "V100"), 16, 2)
+	w := sim.DefaultWorkload(stencil.Box(3, 1))
+	res, err := AN5D{}.Tune(m, w, arch(t, "P100"), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.OC != opt.ST|opt.TB && res.OC != opt.ST {
-		t.Errorf("AN5D chose %s", res.OC)
+	if res.OC != opt.ST {
+		t.Errorf("AN5D chose %s, want the ST fallback", res.OC)
+	}
+	if res.Evaluations != 2 {
+		t.Errorf("AN5D spent %d evaluations, want 2 (one per search)", res.Evaluations)
 	}
 }
 
@@ -61,7 +62,7 @@ func TestArtemisStaysInBudgetAndStreams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Evaluations > budget+len(artemisCandidates) {
+	if res.Evaluations > budget {
 		t.Errorf("Artemis spent %d evaluations for budget %d", res.Evaluations, budget)
 	}
 	if !res.OC.Has(opt.ST) {

@@ -18,6 +18,7 @@ import (
 	"stencilmart/internal/sim"
 	"stencilmart/internal/stats"
 	"stencilmart/internal/stencil"
+	"stencilmart/internal/tuner"
 )
 
 // trainTestSplit partitions fold index sets into the train and test
@@ -262,15 +263,8 @@ func (f *Framework) searchPredicted(proba []float64, archIdx, si int, arch gpu.A
 			continue
 		}
 		rng.Seed(f.Cfg.Seed + int64(si)*131 + int64(archIdx)*7 + int64(rank))
-		for i := 0; i < splits[rank]; i++ {
-			p := opt.Sample(oc, w.S.Dims, rng)
-			r, err := eval(oc, p)
-			if err != nil {
-				continue
-			}
-			if r.Time < best {
-				best = r.Time
-			}
+		if res, err := tuner.Search(eval, oc, w.S.Dims, splits[rank], rng); err == nil && res.Time < best {
+			best = res.Time
 		}
 	}
 	return best

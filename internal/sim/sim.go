@@ -25,8 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"stencilmart/internal/gpu"
-	"stencilmart/internal/opt"
 	"stencilmart/internal/stencil"
 )
 
@@ -148,34 +146,4 @@ func (m *Model) CacheStats() CacheStats {
 		Evictions: evictions,
 		Entries:   int(entries),
 	}
-}
-
-// BestOf runs every setting and returns the shortest time, skipping
-// invalid settings; it returns an error only if every setting fails —
-// which profilers interpret as "this OC crashes for this stencil".
-func (m *Model) BestOf(w Workload, oc opt.Opt, settings []opt.Params, arch gpu.Arch) (Result, opt.Params, error) {
-	var (
-		best    Result
-		bestP   opt.Params
-		found   bool
-		lastErr error
-	)
-	eval := m.CellFn(w, arch)
-	for _, p := range settings {
-		r, err := eval(oc, p)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if !found || r.Time < best.Time {
-			best, bestP, found = r, p, true
-		}
-	}
-	if !found {
-		if lastErr == nil {
-			lastErr = fmt.Errorf("sim: no settings supplied for %s", oc)
-		}
-		return Result{}, opt.Params{}, lastErr
-	}
-	return best, bestP, nil
 }

@@ -1,6 +1,7 @@
 // Package tuner implements parameter-setting search strategies for a
 // fixed optimization combination: the random search the paper's pipeline
-// uses, and a genetic algorithm in the spirit of csTuner (Sun et al.,
+// uses (Search, which the baselines and the prediction-time search also
+// run), and a genetic algorithm in the spirit of csTuner (Sun et al.,
 // CLUSTER'21 — the paper's reference [25]), with tournament selection,
 // field-wise crossover, mutation by resampling, and elitism, all under a
 // hard evaluation budget so strategies are comparable.
@@ -47,23 +48,42 @@ func (Random) Tune(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, budg
 	if budget < 1 {
 		return Result{}, fmt.Errorf("tuner: random budget %d < 1", budget)
 	}
-	rng := rand.New(lazyrand.NewSource(seed))
-	eval := m.CellFn(w, arch)
-	best := Result{Time: math.Inf(1)}
+	res, err := Search(m.CellFn(w, arch), oc, w.S.Dims, budget, rand.New(lazyrand.NewSource(seed)))
+	if err != nil {
+		return Result{}, fmt.Errorf("tuner: no runnable setting for %s on %s: %w", oc, arch.Name, err)
+	}
+	return res, nil
+}
+
+// Search is the paper's best-of-N parameter search; Random, the
+// baselines and the prediction-time search all run it. It draws budget
+// settings of oc from rng, prices each through eval, skips the ones that
+// fail, and keeps the first strictly fastest. Evaluations counts every
+// draw. When no setting runs, the error is the last evaluation's and the
+// result carries only Evaluations.
+func Search(eval sim.EvalFn, oc opt.Opt, dims, budget int, rng *rand.Rand) (Result, error) {
+	var (
+		best    Result
+		found   bool
+		lastErr error
+	)
 	for i := 0; i < budget; i++ {
-		p := opt.Sample(oc, w.S.Dims, rng)
+		p := opt.Sample(oc, dims, rng)
 		r, err := eval(oc, p)
 		best.Evaluations++
 		if err != nil {
+			lastErr = err
 			continue
 		}
-		if r.Time < best.Time {
-			best.Time = r.Time
-			best.Params = p
+		if !found || r.Time < best.Time {
+			best.Time, best.Params, found = r.Time, p, true
 		}
 	}
-	if math.IsInf(best.Time, 1) {
-		return Result{}, fmt.Errorf("tuner: no runnable setting for %s on %s", oc, arch.Name)
+	if !found {
+		if lastErr == nil {
+			lastErr = fmt.Errorf("tuner: search budget %d < 1", budget)
+		}
+		return Result{Evaluations: best.Evaluations}, lastErr
 	}
 	return best, nil
 }
@@ -122,11 +142,13 @@ func (g Genetic) Tune(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, b
 	rng := rand.New(lazyrand.NewSource(seed))
 
 	evals := 0
+	var lastErr error
 	eval := m.CellFn(w, arch)
 	evaluate := func(p opt.Params) individual {
 		r, err := eval(oc, p)
 		evals++
 		if err != nil {
+			lastErr = err
 			return individual{p: p, time: math.Inf(1)}
 		}
 		return individual{p: p, time: r.Time}
@@ -160,7 +182,7 @@ func (g Genetic) Tune(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, b
 
 	sortPop(cur)
 	if len(cur) == 0 || math.IsInf(cur[0].time, 1) {
-		return Result{}, fmt.Errorf("tuner: no runnable setting for %s on %s", oc, arch.Name)
+		return Result{}, fmt.Errorf("tuner: no runnable setting for %s on %s: %w", oc, arch.Name, lastErr)
 	}
 	return Result{Time: cur[0].time, Params: cur[0].p, Evaluations: evals}, nil
 }

@@ -1,7 +1,9 @@
 package tuner
 
 import (
+	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -84,12 +86,60 @@ func TestTunerErrors(t *testing.T) {
 	}
 	// An OC that crashes for this stencil must return an error: TB
 	// without ST on a 3-D order-4 stencil.
+	// The error wraps the last failure, so it names the cause.
 	w4 := sim.DefaultWorkload(stencil.Star(3, 4))
-	if _, err := (Random{}).Tune(m, w4, opt.TB, arch, 16, 1); err == nil {
-		t.Error("crashing OC produced a result (random)")
+	for _, tu := range []Tuner{Random{}, Genetic{}} {
+		_, err := tu.Tune(m, w4, opt.TB, arch, 16, 1)
+		if err == nil {
+			t.Errorf("crashing OC produced a result (%s)", tu.Name())
+		} else if !errors.Is(err, sim.ErrInvalidConfig) && !errors.Is(err, sim.ErrCrash) {
+			t.Errorf("%s: error does not wrap the simulator's failure: %v", tu.Name(), err)
+		}
 	}
-	if _, err := (Genetic{}).Tune(m, w4, opt.TB, arch, 16, 1); err == nil {
-		t.Error("crashing OC produced a result (genetic)")
+}
+
+// TestSearchPicksMinimum: Search returns the first strictly fastest of
+// the settings it drew, counts every draw, and returns the last failure
+// when nothing runs.
+func TestSearchPicksMinimum(t *testing.T) {
+	m, w, arch := setup(t)
+	cell := m.CellFn(w, arch)
+	type drawn struct {
+		p   opt.Params
+		r   sim.Result
+		err error
+	}
+	var draws []drawn
+	eval := func(oc opt.Opt, p opt.Params) (sim.Result, error) {
+		r, err := cell(oc, p)
+		draws = append(draws, drawn{p, r, err})
+		return r, err
+	}
+	res, err := Search(eval, opt.ST|opt.TB, w.S.Dims, 40, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Evaluations != len(draws) || len(draws) != 40 {
+		t.Fatalf("evaluations %d, draws %d, want 40", res.Evaluations, len(draws))
+	}
+	var first *drawn
+	for i := range draws {
+		d := &draws[i]
+		if d.err == nil && (first == nil || d.r.Time < first.r.Time) {
+			first = d
+		}
+	}
+	if first == nil || res.Time != first.r.Time || res.Params != first.p {
+		t.Fatalf("Search kept %+v, the first fastest draw is %+v", res, first)
+	}
+
+	failing := func(opt.Opt, opt.Params) (sim.Result, error) { return sim.Result{}, sim.ErrCrash }
+	res, err = Search(failing, opt.ST, w.S.Dims, 3, rand.New(rand.NewSource(7)))
+	if !errors.Is(err, sim.ErrCrash) || res.Evaluations != 3 {
+		t.Fatalf("all-failing search: %+v, %v", res, err)
+	}
+	if _, err := Search(failing, opt.ST, w.S.Dims, 0, rand.New(rand.NewSource(7))); err == nil {
+		t.Fatal("zero-budget search returned no error")
 	}
 }
 
