@@ -70,7 +70,8 @@ fuzz:
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 30s -fuzzminimizetime 1x
 
 # Five-second runs of the four hostile-input fuzz targets: the frame, the
-# checkpoint loader, the dataset file, WAL records (check.sh runs these).
+# checkpoint loader, the dataset file, WAL records; and of the lazy seeded
+# source against math/rand (check.sh runs these).
 # Minimising a megabyte-sized interesting input would eat the whole
 # budget, hence -fuzzminimizetime 1x.
 fuzz-smoke:
@@ -78,3 +79,4 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -run='^$$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzReadWAL -fuzztime 5s
+	$(GO) test ./internal/lazyrand/ -run='^$$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s

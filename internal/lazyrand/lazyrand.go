@@ -6,8 +6,8 @@
 // draw ~100 numbers spends most of its time in that walk. Source yields
 // the same stream, bit for bit, but builds a register word when a draw
 // first reads it: word i comes from chain positions 21+3i..23+3i, and
-// position k is A^k * x0 mod (2^31-1), so a table of A^(21+3i) makes a
-// word three multiply-mods that depend on nothing drawn before.
+// position k is A^k * x0 mod (2^31-1), so a table of A^k makes a word
+// three independent multiply-mods that depend on nothing drawn before.
 //
 // Draw j since Seed reads feed word (333-j) mod 607 and tap word
 // (606-j) mod 607 and writes their sum over the feed word. The feed word
@@ -25,19 +25,20 @@ const (
 )
 
 var (
-	// jump[i] is A^(21+3i) mod M: the chain runs 20 steps before word 0
-	// and three per word, the first of a triple being the word's top bits.
-	jump [regLen]uint64
+	// jump[3i+k] is A^(21+3i+k) mod M, chain position 21+3i+k: the chain
+	// runs 20 steps before word 0 and three per word, the first of a
+	// triple being the word's top bits.
+	jump [3 * regLen]uint64
 	// cooked is the library's additive constant per register word.
 	cooked [regLen]int64
 )
 
 func init() {
 	a := uint64(1)
-	for k := 1; k <= 21+3*(regLen-1); k++ {
+	for k := 1; k < 21+len(jump); k++ {
 		a = a * lehmerA % lehmerM
-		if k >= 21 && (k-21)%3 == 0 {
-			jump[(k-21)/3] = a
+		if k >= 21 {
+			jump[k-21] = a
 		}
 	}
 	// The library gives its own seed register back: output j is
@@ -71,12 +72,21 @@ func normalize(seed int64) uint64 {
 }
 
 // lehmerWord is register word i before the additive constant: three
-// consecutive chain values at bit offsets 40, 20 and 0.
+// consecutive chain values at bit offsets 40, 20 and 0, each its own
+// multiply-mod from x0 so the three run side by side.
 func lehmerWord(x0 uint64, i int) int64 {
-	a := jump[i] * x0 % lehmerM
-	b := a * lehmerA % lehmerM
-	c := b * lehmerA % lehmerM
-	return int64(a)<<40 ^ int64(b)<<20 ^ int64(c)
+	j := jump[3*i : 3*i+3 : 3*i+3]
+	return int64(mulmod(j[0], x0))<<40 ^ int64(mulmod(j[1], x0))<<20 ^ int64(mulmod(j[2], x0))
+}
+
+// mulmod is a*b mod M for a, b in [1, M-1] by the Mersenne fold
+// x&M + x>>31, which keeps x's residue mod M: the first fold leaves
+// x < 2^32, the second x <= M. M is prime and neither factor is 0 mod M,
+// so x is not M either: it is the residue.
+func mulmod(a, b uint64) uint64 {
+	x := a * b
+	x = x&lehmerM + x>>31
+	return x&lehmerM + x>>31
 }
 
 // Source is a rand.Source64 whose stream equals rand.NewSource's for

@@ -94,6 +94,21 @@ func TestRandMethodsMatchLibrary(t *testing.T) {
 	}
 }
 
+// TestMulmodMatchesRemainder checks the Mersenne fold against % for every
+// jump-table entry times the chain starts at the edges of [1, M-1], the
+// library's zero replacement and the normalised extreme seeds.
+func TestMulmodMatchesRemainder(t *testing.T) {
+	starts := []uint64{1, 2, lehmerA, 89482311, lehmerM - 2, lehmerM - 1,
+		normalize(math.MinInt64), normalize(math.MaxInt64)}
+	for k, a := range jump {
+		for _, x0 := range starts {
+			if got, want := mulmod(a, x0), a*x0%lehmerM; got != want {
+				t.Fatalf("jump[%d]=%d x0=%d: mulmod %d, %% gives %d", k, a, x0, got, want)
+			}
+		}
+	}
+}
+
 func FuzzSourceMatchesLibrary(f *testing.F) {
 	for _, seed := range diffSeeds {
 		f.Add(seed, uint16(700))

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"stencilmart/internal/gen"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/sim"
@@ -80,18 +81,26 @@ func TestCollectMatchesProfileOneLoop(t *testing.T) {
 	testutil.AssertSameBytes(t, "Collect vs ProfileOne loop", want, collect(t, corpus, archs, 0))
 }
 
-// benchCollect measures full-corpus collection with a fresh profiler and
-// model (cold cache) per iteration, so parallel and serial runs price the
-// same amount of real work.
+// benchCollect times what the collect_mem workload times: one Collect
+// pass over the default corpus (core.DefaultConfig's 40 + 30 stencils up
+// to order 4, corpus seed 1, 12 samples per OC, spelled out because this
+// package cannot import core) with a fresh profiler and model per
+// iteration, under a cancelable context like the signal context the
+// benchmark harness passes, so a lock on the polling path shows.
 func benchCollect(b *testing.B, workers int) {
-	corpus := testutil.SmallCorpus(b)
+	corpus, err := gen.MixedCorpus(40, 30, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
 	archs := testutil.AllArchs(b)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := profile.NewProfiler(4, testutil.CorpusSeed+1)
+		p := profile.NewProfiler(12, 1001)
 		p.Model = sim.New()
 		p.Workers = workers
-		if _, err := p.Collect(context.Background(), corpus, archs); err != nil {
+		if _, err := p.Collect(ctx, corpus, archs); err != nil {
 			b.Fatal(err)
 		}
 	}

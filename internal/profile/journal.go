@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"stencilmart/internal/gpu"
+	"stencilmart/internal/par"
 	"stencilmart/internal/stencil"
 )
 
@@ -150,38 +151,38 @@ func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (jo
 // (cancellation, a cell exhausting its retries) the journal keeps every
 // completed cell; rerun with the same arguments to resume.
 func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, ResumeStats, error) {
-	all := make([]int, len(stencils)*len(archs))
-	for i := range all {
-		all[i] = i
-	}
+	all := newCellSet(len(stencils), archs).missing() // every cell
 	cells, st, err := p.collectInto(ctx, path, stencils, archs, all, nil)
 	stats := ResumeStats{Cells: st.Assigned, Resumed: st.Resumed, Measured: st.Measured, RepairedBytes: st.RepairedBytes}
 	if err != nil {
 		return nil, stats, err
 	}
-	return assembleDataset(stencils, archs, cells.done), stats, nil
+	return assembleDataset(stencils, archs, cells.done, p.Workers), stats, nil
 }
 
 // assembleDataset lays completed cells into a dataset in cell-index
 // order, whichever way they were collected, so in-memory, resumed and
 // merged datasets are byte-identical to an uninterrupted serial run.
-// Every entry of done must be non-nil.
-func assembleDataset(stencils []stencil.Stencil, archs []gpu.Arch, done []*journalCell) *Dataset {
+// Every entry of done must be non-nil. The instances are allocated once
+// and the cells copy theirs in on the par pool, not in a serial tail.
+func assembleDataset(stencils []stencil.Stencil, archs []gpu.Arch, done []*journalCell, workers int) *Dataset {
 	d := &Dataset{Stencils: stencils}
 	d.Archs = append(d.Archs, archs...)
 	d.Profiles = make([][]Profile, len(archs))
 	nS := len(stencils)
+	rows := make([]Profile, len(done)) // one allocation for every arch's row
 	for ai := range archs {
-		d.Profiles[ai] = make([]Profile, nS)
+		d.Profiles[ai] = rows[ai*nS : (ai+1)*nS : (ai+1)*nS]
 	}
-	total := 0
-	for _, c := range done {
-		total += len(c.Instances)
-	}
-	d.Instances = make([]Instance, 0, total)
+	off := make([]int, len(done)+1) // cell i's instances start at off[i]
 	for i, c := range done {
 		d.Profiles[i/nS][i%nS] = c.Profile
-		d.Instances = append(d.Instances, c.Instances...)
+		off[i+1] = off[i] + len(c.Instances)
 	}
+	d.Instances = make([]Instance, off[len(done)])
+	_ = par.ForEach(context.Background(), len(done), workers, func(i int) error {
+		copy(d.Instances[off[i]:], done[i].Instances)
+		return nil
+	})
 	return d
 }

@@ -251,7 +251,7 @@ func (p *Profiler) Collect(ctx context.Context, stencils []stencil.Stencil, arch
 	if err != nil {
 		return nil, err
 	}
-	return assembleDataset(stencils, archs, cells.done), nil
+	return assembleDataset(stencils, archs, cells.done, p.Workers), nil
 }
 
 // cellSeed derives a deterministic seed for one (stencil, arch, OC) cell.

@@ -35,16 +35,9 @@ type RetryPolicy struct {
 	// BaseDelay is the backoff before the first retry; it doubles per
 	// retry up to MaxDelay. <= 0 selects the defaults.
 	BaseDelay, MaxDelay time.Duration
-	// Sleep is the injectable clock; nil means time.Sleep. Tests install
-	// a fake to count and inspect backoff without waiting.
+	// Sleep is the injectable clock; nil waits on a timer cancellation
+	// cuts short. Tests install a fake to count backoff without waiting.
 	Sleep func(time.Duration)
-}
-
-func (rp RetryPolicy) maxAttempts() int {
-	if rp.MaxAttempts > 0 {
-		return rp.MaxAttempts
-	}
-	return DefaultMaxAttempts
 }
 
 // Backoff returns the capped exponential delay before retry number
@@ -67,18 +60,21 @@ func (rp RetryPolicy) Backoff(retry int) time.Duration {
 		}
 		d *= 2
 	}
-	if d > lim {
-		return lim
-	}
-	return d
+	return min(d, lim)
 }
 
-func (rp RetryPolicy) sleep(d time.Duration) {
+// sleep waits out a backoff; false means done closed first.
+func (rp RetryPolicy) sleep(done <-chan struct{}, d time.Duration) bool {
 	if rp.Sleep != nil {
 		rp.Sleep(d)
-		return
+		return true
 	}
-	time.Sleep(d)
+	select {
+	case <-time.After(d):
+		return true
+	case <-done:
+		return false
+	}
 }
 
 // NonFiniteError rejects a NaN or Inf sample at the source: a non-finite
@@ -127,20 +123,28 @@ func runRecover(eval sim.EvalFn, oc opt.Opt, p opt.Params) (res sim.Result, err 
 
 // measureAttempts is the retry loop around one (setting, trial)
 // measurement: transient faults back off and retry up to the policy's
-// attempt budget; permanent outcomes return immediately.
+// attempt budget; permanent outcomes return immediately. ctx's Done is
+// polled before every attempt and cuts a backoff short; Err, which takes
+// the context's lock, is read only once Done has closed.
 func (p *Profiler) measureAttempts(ctx context.Context, eval sim.EvalFn, oc opt.Opt, params opt.Params) (sim.Result, error) {
 	pol := p.Retry
-	attempts := pol.maxAttempts()
+	attempts := pol.MaxAttempts
+	if attempts <= 0 {
+		attempts = DefaultMaxAttempts
+	}
+	done := ctx.Done()
 	var last error
 	for a := 0; a < attempts; a++ {
-		if err := ctx.Err(); err != nil {
-			return sim.Result{}, err
+		select {
+		case <-done:
+			return sim.Result{}, ctx.Err()
+		default:
 		}
-		if a > 0 {
-			pol.sleep(pol.Backoff(a))
+		if a > 0 && !pol.sleep(done, pol.Backoff(a)) {
+			return sim.Result{}, ctx.Err()
 		}
 		r, err := runRecover(eval, oc, params)
-		if err == nil && !finite(r.Time) {
+		if err == nil && (math.IsNaN(r.Time) || math.IsInf(r.Time, 0)) {
 			err = &NonFiniteError{Time: r.Time}
 		}
 		if err == nil {
@@ -163,26 +167,25 @@ func (p *Profiler) measureAttempts(ctx context.Context, eval sim.EvalFn, oc opt.
 // skips the trial buffer entirely, keeping the per-sample path
 // allocation-free on the compiled substrate.
 func (p *Profiler) measure(ctx context.Context, eval sim.EvalFn, oc opt.Opt, params opt.Params) (sim.Result, error) {
-	k := p.Trials
-	if k < 1 {
-		k = 1
+	rep, err := p.measureAttempts(ctx, eval, oc, params)
+	if err != nil || p.Trials <= 1 {
+		return rep, err
 	}
-	if k == 1 {
-		return p.measureAttempts(ctx, eval, oc, params)
-	}
-	var rep sim.Result
-	times := make([]float64, k)
-	for t := 0; t < k; t++ {
+	times := make([]float64, p.Trials)
+	times[0] = rep.Time
+	for t := 1; t < len(times); t++ {
 		r, err := p.measureAttempts(ctx, eval, oc, params)
 		if err != nil {
 			return sim.Result{}, err
 		}
-		if t == 0 {
-			rep = r
-		}
 		times[t] = r.Time
 	}
-	rep.Time = medianTimes(times)
+	sort.Float64s(times)
+	mid := len(times) / 2
+	rep.Time = times[mid]
+	if len(times)%2 == 0 {
+		rep.Time = (times[mid-1] + times[mid]) / 2
+	}
 	return rep, nil
 }
 
@@ -199,22 +202,4 @@ func cellFailure(err error) bool {
 		}
 	}
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
-}
-
-// medianTimes returns the median of the measured trial times.
-func medianTimes(ts []float64) float64 {
-	if len(ts) == 1 {
-		return ts[0]
-	}
-	s := append([]float64(nil), ts...)
-	sort.Float64s(s)
-	mid := len(s) / 2
-	if len(s)%2 == 1 {
-		return s[mid]
-	}
-	return (s[mid-1] + s[mid]) / 2
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -288,3 +289,62 @@ func TestCellTimeout(t *testing.T) {
 type cellsFunc func(sim.Workload, gpu.Arch) sim.EvalFn
 
 func (f cellsFunc) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn { return f(w, arch) }
+
+// TestBackoffCutShortByCancellation: with no injected clock a backoff
+// waits on a timer that the context's deadline cuts short, so a cell
+// deadline shorter than the backoff ends the cell at the deadline, not
+// after the whole backoff.
+func TestBackoffCutShortByCancellation(t *testing.T) {
+	runner := &scriptedCells{failsPerSite: math.MaxInt, mode: "transient"}
+	p := &profile.Profiler{
+		Model: runner, SamplesPerOC: 1, Seed: 1, Workers: 1,
+		CellTimeout: 10 * time.Millisecond,
+		Retry:       profile.RetryPolicy{MaxAttempts: 3, BaseDelay: 400 * time.Millisecond, MaxDelay: 400 * time.Millisecond},
+	}
+	start := time.Now()
+	_, err := p.Collect(context.Background(), []stencil.Stencil{stencil.Star(2, 1)}, gpu.Catalog()[:1])
+	took := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want the cell deadline to fire", err)
+	}
+	if took >= 100*time.Millisecond {
+		t.Fatalf("Collect returned after %v: the 400ms backoff slept through the 10ms deadline", took)
+	}
+}
+
+// errCountingCtx counts calls to Err, which takes a cancelable context's
+// lock.
+type errCountingCtx struct {
+	context.Context
+	errs atomic.Int64
+}
+
+func (c *errCountingCtx) Err() error {
+	c.errs.Add(1)
+	return c.Context.Err()
+}
+
+// TestCancellationPolledWithoutErr pins the polling contract: a cell
+// reads its context's Done channel per sample and calls Err only once
+// Done has closed, so workers sharing one context share no lock per
+// sample.
+func TestCancellationPolledWithoutErr(t *testing.T) {
+	parent, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctx := &errCountingCtx{Context: parent}
+	p := profile.NewProfiler(4, 3)
+	arch := gpu.Catalog()[0]
+	if _, inst, err := p.ProfileOne(ctx, 0, stencil.Star(2, 1), arch); err != nil || len(inst) == 0 {
+		t.Fatalf("ProfileOne: %d instances, err %v", len(inst), err)
+	}
+	if n := ctx.errs.Load(); n != 0 {
+		t.Fatalf("a live context's Err was called %d times in one cell, want 0", n)
+	}
+	cancel()
+	if _, _, err := p.ProfileOne(ctx, 0, stencil.Star(2, 1), arch); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ProfileOne: got %v, want context.Canceled", err)
+	}
+	if n := ctx.errs.Load(); n != 1 {
+		t.Fatalf("a cancelled cell called Err %d times, want once", n)
+	}
+}

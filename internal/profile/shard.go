@@ -148,7 +148,7 @@ func (p *Profiler) MergeJournals(paths []string, stencils []stencil.Stencil, arc
 		return nil, stats, fmt.Errorf("%w: %d of %d cells missing (first: %d)",
 			ErrJournalIncomplete, len(missing), stats.Cells, missing[0])
 	}
-	return assembleDataset(stencils, archs, cells.done), stats, nil
+	return assembleDataset(stencils, archs, cells.done, p.Workers), stats, nil
 }
 
 // JournalCoverage reports which cells of the collection the given

@@ -167,7 +167,7 @@ func (m *Model) compile(w Workload, arch gpu.Arch) *CellEvaluator {
 		w:        w,
 		arch:     arch,
 		dims:     s.Dims,
-		g:        stencilGeom(s),
+		g:        cellGeom(s, &arch),
 		meas:     n.Measurement,
 		archTerm: n.StencilArch * an.arch.project(&f),
 	}
@@ -195,13 +195,13 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	}
 	memo := e.memo.Load()
 	if memo == nil {
-		return e.price(oc, p)
+		return e.price(oc, &p)
 	}
 	sample, packable := packSample(oc, p)
 	if !packable {
 		// Outside the canonical packing (degenerate-but-valid values such
 		// as a negative Merge without BM/CM): compute directly.
-		return e.price(oc, p)
+		return e.price(oc, &p)
 	}
 	memo.mu.Lock()
 	ent, hit := memo.m[sample]
@@ -213,7 +213,7 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 	e.m.misses.Add(1)
 	// Crashes are deterministic per cell and re-sampled by every repeat
 	// of a search, so the error is memoized like a result.
-	ent.res, ent.err = e.price(oc, p)
+	ent.res, ent.err = e.price(oc, &p)
 	memo.mu.Lock()
 	if _, raced := memo.m[sample]; !raced {
 		memo.m[sample] = ent
@@ -224,8 +224,8 @@ func (e *CellEvaluator) Eval(oc opt.Opt, p opt.Params) (Result, error) {
 }
 
 // price is the pricing body: the noiseless terms, then the cell's noise.
-func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
-	r, err := priceNoiseless(&e.w, oc, p, &e.arch, e.g)
+func (e *CellEvaluator) price(oc opt.Opt, p *opt.Params) (Result, error) {
+	r, err := priceNoiseless(&e.w, oc, p, &e.arch, &e.g)
 	if err != nil {
 		return Result{}, err
 	}
@@ -236,7 +236,7 @@ func (e *CellEvaluator) price(oc opt.Opt, p opt.Params) (Result, error) {
 // priceNoiseless is the arithmetic the compiled and reference paths
 // share: resources, hard limits, occupancy and time terms, with Time the
 // noiseless sum the caller scales by its noise factor.
-func priceNoiseless(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, g geom) (Result, error) {
+func priceNoiseless(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch, g *geom) (Result, error) {
 	res := resourceUsage(w, oc, p, arch, g.order)
 	if err := res.check(arch, w, oc); err != nil {
 		return Result{}, err
@@ -261,9 +261,9 @@ func priceNoiseless(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, g geo
 // and hashes only the 10 params bytes and the arch name inline; the three
 // affinity terms come from the compile-time tables. The additions run in
 // the reference order, so the factor is bit-identical.
-func (e *CellEvaluator) noiseFactor(oc opt.Opt, p opt.Params) float64 {
+func (e *CellEvaluator) noiseFactor(oc opt.Opt, p *opt.Params) float64 {
 	h := e.measPrefix[oc]
-	for _, b := range paramsBytes(p) { // paramsKey's bytes, on the stack
+	for _, b := range paramsBytes(*p) { // paramsKey's bytes, on the stack
 		h = fnv1aByte(h, b)
 	}
 	h = fnv1aByte(h, 0)

@@ -41,7 +41,8 @@ func (m *Reference) CellFn(w Workload, arch gpu.Arch) EvalFn {
 			return Result{}, err
 		}
 
-		r, err := priceNoiseless(&w, oc, p, &arch, stencilGeom(w.S))
+		g := cellGeom(w.S, &arch)
+		r, err := priceNoiseless(&w, oc, &p, &arch, &g)
 		if err != nil {
 			return Result{}, err
 		}

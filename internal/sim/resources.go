@@ -41,7 +41,7 @@ const (
 
 // resourceUsage models register and shared-memory demand. r is the
 // stencil's order, a cell invariant the caller holds (geom.order).
-func resourceUsage(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, r float64) resources {
+func resourceUsage(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch, r float64) resources {
 	s := w.S
 	n := math.Min(float64(s.NumPoints()), livePointCap)
 
@@ -100,7 +100,7 @@ func resourceUsage(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, r floa
 }
 
 // smemDemand models the per-block shared memory footprint in bytes.
-func smemDemand(w *Workload, oc opt.Opt, p opt.Params, r float64) float64 {
+func smemDemand(w *Workload, oc opt.Opt, p *opt.Params, r float64) float64 {
 	s := w.S
 	const elem = 8.0 // double precision
 
@@ -175,7 +175,7 @@ func (res resources) check(arch *gpu.Arch, w *Workload, oc opt.Opt) error {
 
 // occupancy returns the achieved thread occupancy per SM in (0, 1],
 // jointly limited by the thread, register and shared-memory budgets.
-func occupancy(res resources, p opt.Params, arch *gpu.Arch) float64 {
+func occupancy(res resources, p *opt.Params, arch *gpu.Arch) float64 {
 	tpb := res.threadsPerBlock
 	byThreads := arch.MaxThreadsPerSM / tpb
 

@@ -64,7 +64,7 @@ func DefaultWorkload(s stencil.Stencil) Workload {
 }
 
 // Points returns the number of grid points per sweep.
-func (w Workload) Points() float64 {
+func (w *Workload) Points() float64 {
 	return float64(w.GridX) * float64(w.GridY) * float64(w.GridZ)
 }
 

@@ -199,8 +199,8 @@ func TestRetimingRelievesRegisterPressure(t *testing.T) {
 	p.StreamDim = 3
 	r := float64(w.S.Order())
 	arch := v100(t)
-	without := resourceUsage(&w, opt.ST, p, &arch, r)
-	with := resourceUsage(&w, opt.ST|opt.RT, p, &arch, r)
+	without := resourceUsage(&w, opt.ST, &p, &arch, r)
+	with := resourceUsage(&w, opt.ST|opt.RT, &p, &arch, r)
 	if with.regs >= without.regs {
 		t.Errorf("RT regs %.1f >= plain ST regs %.1f", with.regs, without.regs)
 	}

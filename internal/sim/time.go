@@ -115,30 +115,40 @@ func archCacheBoost(arch *gpu.Arch) float64 {
 	return 1.0
 }
 
-// geom is the stencil's footprint geometry, precomputed once per cell by
+// geom is the cell's footprint geometry, precomputed once per cell by
 // the compiled evaluator (and on the fly by the reference path) so the
 // pricing body never rescans the point set per sample. plane is indexed
 // by the 1-based streaming dimension; index 0 is unused. order is the
-// stencil's order as the float the arithmetic uses.
+// stencil's order as the float the arithmetic uses; alpha is the cell's
+// cache-miss fraction per grid line.
 type geom struct {
 	line  int
 	plane [4]int
 	order float64
+	alpha float64
 }
 
-func stencilGeom(s stencil.Stencil) geom {
+func cellGeom(s stencil.Stencil, arch *gpu.Arch) geom {
 	g := geom{line: stencil.LineCount(s), order: float64(s.Order())}
 	for d := 1; d <= 3; d++ {
 		g.plane[d] = stencil.PlaneLineCount(s, d)
 	}
+	g.alpha = alphaBase2D
+	if s.Dims == 3 {
+		g.alpha = alphaBase3D
+	}
+	g.alpha *= 1 + alphaOrderGrowth*(g.order-1)
+	// Bigger L2 caches retain more of the reuse window.
+	g.alpha *= clamp(math.Pow(6.0/arch.L2MB, 0.25), 0.6, 1.3)
+	g.alpha = clamp(g.alpha, 0.05, 0.9)
 	return g
 }
 
 // timeBreakdown computes the noiseless execution-time terms. The caller
-// supplies the stencil geometry so compiled evaluators can amortize it
+// supplies the cell geometry so compiled evaluators can amortize it
 // across samples; both paths share this one arithmetic body, which is
 // what makes the compiled results bitwise-identical by construction.
-func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res resources, occ float64, g geom) breakdown {
+func timeBreakdown(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch, res resources, occ float64, g *geom) breakdown {
 	s := w.S
 	points := w.Points()
 	r := g.order
@@ -150,15 +160,6 @@ func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res re
 	mergeSpanY := float64(p.BlockY * max(p.Merge, 1))
 
 	// --- Memory traffic per sweep (bytes). ---
-	alpha := alphaBase2D
-	if s.Dims == 3 {
-		alpha = alphaBase3D
-	}
-	alpha *= 1 + alphaOrderGrowth*(r-1)
-	// Bigger L2 caches retain more of the reuse window.
-	alpha *= clamp(math.Pow(6.0/arch.L2MB, 0.25), 0.6, 1.3)
-	alpha = clamp(alpha, 0.05, 0.9)
-
 	var readFactor float64
 	switch {
 	case oc.Has(opt.ST) && p.UseSmem:
@@ -170,7 +171,7 @@ func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res re
 		// reused; neighbor lines are re-fetched each plane at half the
 		// naive miss cost (L1 catches the rest).
 		pl := float64(g.plane[p.StreamDim])
-		readFactor = 1 + 0.5*alpha*(pl-1)
+		readFactor = 1 + 0.5*g.alpha*(pl-1)
 	default:
 		l := float64(g.line)
 		if m := float64(p.Merge); m > 1 {
@@ -180,7 +181,7 @@ func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res re
 			}
 			l = 1 + (l-1)/(1+share*(m-1))
 		}
-		readFactor = 1 + alpha*(l-1)
+		readFactor = 1 + g.alpha*(l-1)
 	}
 
 	writeFactor := 1.0
@@ -276,7 +277,7 @@ func timeBreakdown(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, res re
 // totalThreads returns the number of threads the kernel launches: one per
 // output point, divided by the per-thread coverage from merging, unrolling
 // and streaming.
-func totalThreads(w *Workload, oc opt.Opt, p opt.Params) float64 {
+func totalThreads(w *Workload, oc opt.Opt, p *opt.Params) float64 {
 	cover := float64(max(p.Merge, 1)) * float64(max(p.Unroll, 1))
 	if oc.Has(opt.ST) {
 		cover *= float64(p.StreamTile)
@@ -289,14 +290,14 @@ func totalThreads(w *Workload, oc opt.Opt, p opt.Params) float64 {
 // cost, Sec. II-B1). The square root models latency hiding partially
 // compensating for low thread counts, and the floor reflects that even a
 // sparse launch keeps a good fraction of DRAM channels busy.
-func parallelUtilization(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch) float64 {
+func parallelUtilization(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch) float64 {
 	threads := totalThreads(w, oc, p)
 	needed := float64(arch.SMs*arch.MaxThreadsPerSM) * 1.5
 	return clamp(math.Sqrt(threads/needed), 0.4, 1)
 }
 
 // kernelWaves returns how many waves of thread blocks a sweep issues.
-func kernelWaves(w *Workload, oc opt.Opt, p opt.Params, arch *gpu.Arch, occ float64) float64 {
+func kernelWaves(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch, occ float64) float64 {
 	tpb := float64(p.BlockX * p.BlockY)
 	blocks := totalThreads(w, oc, p) / tpb
 	concurrent := float64(arch.SMs) * float64(arch.MaxThreadsPerSM) * occ / tpb

@@ -54,10 +54,12 @@ echo "== bench smoke (race) =="
 # detector: proves the GEMM backbone, the nn layers, the histogram
 # tree trainer, and the request coalescer execute their parallel paths
 # cleanly, without paying for a full benchmark run; lazyrand rides along
-# so its library-vs-lazy benchmark cannot rot, and the checkpoint codec's
+# so its library-vs-lazy benchmark cannot rot, the checkpoint codec's
 # (`make bench-ckpt`: persist's column loops, internal/core's save/load
-# pair and dataset-file pair) for the same reason.
-go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/
+# pair and dataset-file pair) for the same reason, and so do collection's
+# (the default-corpus Collect pass under a cancelable context, one cell)
+# and the simulator's evaluator benchmarks.
+go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/ ./internal/profile/ ./internal/sim/
 go test -race -run='^$' -bench='Checkpoint|DatasetFile' -benchtime=1x ./internal/core/
 
 echo "== coalescer Do x Close (race, repeated) =="
@@ -65,7 +67,7 @@ echo "== coalescer Do x Close (race, repeated) =="
 # and promptly; the interleaving that used to strand one is rare per run.
 go test -race -count=20 -run 'Close' ./internal/serve/batch/
 
-echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records) =="
+echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records, lazyrand) =="
 # Five seconds each: the seeds plus whatever the mutator reaches. The
 # envelope's: valid, truncated header and payload, flipped manifest byte,
 # lying payload length, trailing bytes, wrong version and magic; lying
@@ -84,13 +86,16 @@ echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records) ==
 # flipped byte, a length no file holds, a padded and a cut-short length, a
 # zero-filled tail, every record twice. Typed error or success (for the
 # WAL: a clean replay and a tail to drop), never a panic, allocation
-# bounded by the input. (Same four commands as `make fuzz-smoke`;
+# bounded by the input. The lazy seeded source's stream, from a dirty
+# register, equals math/rand's for every fuzzed seed and draw count.
+# (Same five commands as `make fuzz-smoke`;
 # minimising a megabyte-sized interesting input would eat the loader's
 # whole budget, hence -fuzzminimizetime 1x.)
 go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
 go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/profile/ -run='^$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/persist/ -run='^$' -fuzz FuzzReadWAL -fuzztime 5s
+go test ./internal/lazyrand/ -run='^$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s
 
 echo "== bench smoke (collect_mem, serve_hot, serve_distinct_nn, train_ckpt) =="
 # One second each of the four workloads BENCHMARK.json gates: collection,
@@ -150,7 +155,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=18388
+max_lines=18386
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
