@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"stencilmart/internal/baseline"
-	"stencilmart/internal/codegen"
 	"stencilmart/internal/core"
-	"stencilmart/internal/cpukernel"
 	"stencilmart/internal/gen"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
@@ -231,46 +229,8 @@ var (
 	AN5D Strategy = baseline.AN5D{}
 )
 
-// Kernel is generated CUDA source for one configuration.
-type Kernel = codegen.Kernel
-
-// GenerateKernel emits CUDA C source for a stencil under an OC and
-// parameter setting, making predictions actionable as code.
-func GenerateKernel(s Stencil, oc Opt, p Params) (Kernel, error) {
-	return codegen.Generate(s, oc, p)
-}
-
-// KernelVariant is a CPU-executable optimization scheme.
-type KernelVariant = cpukernel.Variant
-
-// KernelOptions tunes the transformed CPU loops.
-type KernelOptions = cpukernel.Options
-
-// CPU-executable optimization variants; each computes results identical
-// to the naive executor (verified by the cpukernel tests).
-const (
-	VariantNaive        = cpukernel.VariantNaive
-	VariantTiled        = cpukernel.VariantTiled
-	VariantBlockMerged  = cpukernel.VariantBlockMerged
-	VariantCyclicMerged = cpukernel.VariantCyclicMerged
-	VariantStreaming    = cpukernel.VariantStreaming
-	VariantTemporal     = cpukernel.VariantTemporal
-)
-
-// RunVariant executes sweeps of the stencil with the chosen CPU variant.
-func RunVariant(v KernelVariant, s Stencil, coeffs Coefficients, in *Grid, steps int, opts KernelOptions) (*Grid, error) {
-	return cpukernel.Run(v, s, coeffs, in, steps, opts)
-}
-
-// Tuner searches one OC's parameter space under an evaluation budget.
-type Tuner = tuner.Tuner
-
 // TuneResult is a parameter-search outcome.
 type TuneResult = tuner.Result
 
-// Parameter-search strategies: the paper pipeline's random search and a
-// csTuner-style genetic algorithm (paper reference [25]).
-var (
-	RandomTuner  Tuner = tuner.Random{}
-	GeneticTuner Tuner = tuner.Genetic{}
-)
+// RandomTuner is the paper pipeline's random parameter search.
+var RandomTuner = tuner.Random{}

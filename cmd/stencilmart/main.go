@@ -24,13 +24,11 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"stencilmart/internal/codegen"
 	"stencilmart/internal/core"
 	"stencilmart/internal/experiments"
 	"stencilmart/internal/fault"
@@ -70,10 +68,6 @@ func main() {
 		err = cmdRent(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
-	case "codegen":
-		err = cmdCodegen(os.Args[2:])
-	case "tune":
-		err = cmdTune(os.Args[2:])
 	case "experiment":
 		err = cmdExperiment(os.Args[2:])
 	case "help", "-h", "--help":
@@ -102,8 +96,6 @@ commands:
   loadgen     drive a running server with concurrent clients and report latency quantiles
   rent        run the cloud-rental advisor (pure performance or cost)
   simulate    run one kernel configuration on the simulated GPU
-  codegen     emit the CUDA kernel source for a stencil under an OC
-  tune        search an OC's parameter space (random or genetic)
   experiment  regenerate a paper table/figure (table1-3, fig1-4, fig9-15, scale, all)
 
 run 'stencilmart <command> -h' for command flags`)
@@ -184,7 +176,7 @@ func signalContext() (context.Context, context.CancelFunc) {
 func cmdProfile(args []string) error {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	out := fs.String("out", "dataset.bin", "output dataset path")
-	preset := fs.String("preset", "default", "pipeline preset (default, paper)")
+	preset := fs.String("preset", "default", "pipeline preset (default, paper, smoke)")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
 	journal := fs.String("journal", "", "collection journal path for crash/interrupt resume (default <out>.journal, \"off\" disables)")
 	chaos := fs.Bool("chaos", false, "inject deterministic measurement faults (transient errors, panics, outliers); the fault-tolerant pipeline must still produce the fault-free dataset")
@@ -288,7 +280,7 @@ func cmdTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	ck, err := parseClassifier(*mech)
+	ck, err := core.ParseClassifierKind(*mech)
 	if err != nil {
 		return err
 	}
@@ -365,7 +357,7 @@ func cmdServe(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := signalContext()
 	defer stop()
 	logf := func(format string, a ...any) { fmt.Printf(format+"\n", a...) }
 	return srv.Run(ctx, *addr, logf)
@@ -390,13 +382,19 @@ func cmdPredict(args []string) error {
 	if *model != "" {
 		return predictFromCheckpoint(*model, *gpuName, s)
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	fw, err := loadFramework(ctx, *dataset, *preset, *seed)
+	// Refuse bad flags before loadFramework, which may profile a whole
+	// corpus.
+	kind, err := core.ParseClassifierKind(*mech)
 	if err != nil {
 		return err
 	}
-	kind, err := parseClassifier(*mech)
+	arch, err := gpu.ByName(*gpuName)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signalContext()
+	defer stop()
+	fw, err := loadFramework(ctx, *dataset, *preset, *seed)
 	if err != nil {
 		return err
 	}
@@ -407,10 +405,6 @@ func cmdPredict(args []string) error {
 	fmt.Printf("predicted best OC for %s on %s: %s\n", s, *gpuName, oc)
 
 	// Show what the prediction achieves against the simulator.
-	arch, err := gpu.ByName(*gpuName)
-	if err != nil {
-		return err
-	}
 	w := sim.DefaultWorkload(s)
 	best, bestP, err := tuneAndPrice(sim.New(), w, oc, arch, 32, 7)
 	if err != nil {
@@ -452,20 +446,22 @@ func predictFromCheckpoint(path, gpuName string, s stencil.Stencil) error {
 	return nil
 }
 
-func parseClassifier(name string) (core.ClassifierKind, error) {
-	return core.ParseClassifierKind(name)
-}
-
 func cmdRent(args []string) error {
 	fs := flag.NewFlagSet("rent", flag.ExitOnError)
 	dataset := fs.String("dataset", "", "profiled dataset; empty = build fresh")
-	dims := fs.Int("dims", 2, "stencil dimensionality")
+	dims := fs.Int("dims", 2, "stencil dimensionality (2 or 3)")
 	cost := fs.Bool("cost", false, "optimize cost efficiency instead of pure performance")
 	preset := fs.String("preset", "default", "pipeline preset")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
 	evals := fs.Int("evals", 12, "evaluation instances per held-out stencil")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *dims != 2 && *dims != 3 {
+		return fmt.Errorf("rent: -dims must be 2 or 3, got %d", *dims)
+	}
+	if *evals < 1 {
+		return fmt.Errorf("rent: -evals must be positive, got %d", *evals)
 	}
 	ctx, stop := signalContext()
 	defer stop()
@@ -544,78 +540,6 @@ func tuneAndPrice(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, budge
 	}
 	best, err := m.CellFn(w, arch)(oc, res.Params)
 	return best, res.Params, err
-}
-
-func cmdCodegen(args []string) error {
-	fs := flag.NewFlagSet("codegen", flag.ExitOnError)
-	name := fs.String("stencil", "star2d1r", "classic stencil name")
-	ocName := fs.String("oc", "ST", "optimization combination")
-	seed := fs.Int64("seed", 1, "parameter sampling seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	s, err := stencil.ByName(*name)
-	if err != nil {
-		return err
-	}
-	oc, err := opt.Parse(*ocName)
-	if err != nil {
-		return err
-	}
-	if err := oc.ValidationError(); err != nil {
-		return err
-	}
-	p := opt.Sample(oc, s.Dims, rand.New(rand.NewSource(*seed)))
-	k, err := codegen.Generate(s, oc, p)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("// launch: block (%d, %d), dynamic shared memory %d bytes\n",
-		k.LaunchBounds[0], k.LaunchBounds[1], k.SmemBytes)
-	fmt.Print(k.Source)
-	return nil
-}
-
-func cmdTune(args []string) error {
-	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	name := fs.String("stencil", "box3d2r", "classic stencil name")
-	gpuName := fs.String("gpu", "V100", "target GPU")
-	ocName := fs.String("oc", "ST_TB", "optimization combination")
-	budget := fs.Int("budget", 48, "evaluation budget")
-	strategy := fs.String("strategy", "genetic", "search strategy (random, genetic)")
-	seed := fs.Int64("seed", 1, "search seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	s, err := stencil.ByName(*name)
-	if err != nil {
-		return err
-	}
-	arch, err := gpu.ByName(*gpuName)
-	if err != nil {
-		return err
-	}
-	oc, err := opt.Parse(*ocName)
-	if err != nil {
-		return err
-	}
-	var tn tuner.Tuner
-	switch *strategy {
-	case "random":
-		tn = tuner.Random{}
-	case "genetic":
-		tn = tuner.Genetic{}
-	default:
-		return fmt.Errorf("unknown strategy %q (random, genetic)", *strategy)
-	}
-	res, err := tn.Tune(sim.New(), sim.DefaultWorkload(s), oc, arch, *budget, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s tuner: %s under %s on %s\n", tn.Name(), s.Name, oc, arch.Name)
-	fmt.Printf("  best time %.3f ms in %d evaluations\n", res.Time*1e3, res.Evaluations)
-	fmt.Printf("  params: %+v\n", res.Params)
-	return nil
 }
 
 func cmdExperiment(args []string) error {

@@ -3,6 +3,8 @@ package main
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -39,12 +41,12 @@ func TestParseClassifier(t *testing.T) {
 		"GBDT": core.ClassGBDT, "ConvNet": core.ClassConvNet, "FcNet": core.ClassFcNet,
 	}
 	for name, want := range cases {
-		got, err := parseClassifier(name)
+		got, err := core.ParseClassifierKind(name)
 		if err != nil || got != want {
-			t.Errorf("parseClassifier(%q) = %v, %v", name, got, err)
+			t.Errorf("ParseClassifierKind(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := parseClassifier("SVM"); err == nil {
+	if _, err := core.ParseClassifierKind("SVM"); err == nil {
 		t.Error("unknown classifier accepted")
 	}
 }
@@ -66,6 +68,30 @@ func TestSimulateRejectsNoSamples(t *testing.T) {
 		err := cmdSimulate([]string{"-samples", n})
 		if err == nil || !strings.Contains(err.Error(), "-samples must be positive") {
 			t.Errorf("-samples %s: got %v, want the count refused", n, err)
+		}
+	}
+}
+
+// TestBadFlagsRefusedBeforeLoading: predict and rent refuse a bad flag
+// before they open -dataset (or, without one, profile a whole corpus).
+// The dataset named here does not exist, so a flag checked only after
+// loading would surface as the file-open error instead.
+func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.bin")
+	cases := []struct {
+		cmd  func([]string) error
+		args []string
+		want string
+	}{
+		{cmdPredict, []string{"-mechanism", "bogus"}, "unknown classifier"},
+		{cmdPredict, []string{"-gpu", "H100"}, "unknown architecture"},
+		{cmdRent, []string{"-evals", "0"}, "-evals must be positive"},
+		{cmdRent, []string{"-dims", "4"}, "-dims must be 2 or 3"},
+	}
+	for _, c := range cases {
+		err := c.cmd(append([]string{"-dataset", missing}, c.args...))
+		if err == nil || errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want %q before the dataset is opened", c.args, err, c.want)
 		}
 	}
 }
