@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve campaign-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
+.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,6 @@ chaos-smoke:
 # into degraded fallback, bounded errors, half-open recovery.
 chaos-serve:
 	sh scripts/serve_chaos_smoke.sh
-
-campaign-smoke:
-	sh scripts/campaign_smoke.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

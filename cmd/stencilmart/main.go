@@ -7,13 +7,11 @@
 //
 //	stencilmart gen        -dims 2 -n 10 -seed 1
 //	stencilmart profile    -out dataset.bin [-preset paper]
-//	stencilmart campaign   coordinate -out dataset.bin -shards 8 [-listen 127.0.0.1:8090]
-//	stencilmart campaign   work -join http://127.0.0.1:8090 [-id w1]
 //	stencilmart train      -dataset dataset.bin -out model.ckpt
 //	stencilmart predict    -dataset dataset.bin -stencil star2d2r -gpu V100
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
 //	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
-//	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 32 -n 50 [-distinct -lane f32]
+//	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 8 -n 50 [-fail-on-error]
 //	stencilmart rent       -dataset dataset.bin -dims 2 [-cost]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
 //	stencilmart experiment -id fig9 [-preset paper]
@@ -26,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -54,8 +53,6 @@ func main() {
 		err = cmdGen(os.Args[2:])
 	case "profile":
 		err = cmdProfile(os.Args[2:])
-	case "campaign":
-		err = cmdCampaign(os.Args[2:])
 	case "train":
 		err = cmdTrain(os.Args[2:])
 	case "predict":
@@ -89,11 +86,10 @@ func usage() {
 commands:
   gen         generate random neighbor-chained stencils (Algorithm 1)
   profile     profile a random corpus on every GPU and write the dataset
-  campaign    distribute one profiling run across worker processes (coordinate, work)
   train       train every serving model and write a checkpoint
   predict     predict the best optimization combination for a stencil
   serve       serve predictions over HTTP from a trained checkpoint
-  loadgen     drive a running server with concurrent clients and report latency quantiles
+  loadgen     drive a running server with concurrent clients and count failed requests
   rent        run the cloud-rental advisor (pure performance or cost)
   simulate    run one kernel configuration on the simulated GPU
   experiment  regenerate a paper table/figure (table1-3, fig1-4, fig9-15, scale, all)
@@ -129,6 +125,9 @@ func cmdGen(args []string) error {
 	showTensor := fs.Bool("tensor", false, "print the assigned binary tensor")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *n < 1 {
+		return fmt.Errorf("gen: -n must be positive, got %d", *n)
 	}
 	g, err := gen.New(gen.Options{Dims: *dims, MaxOrder: *maxOrder}, *seed)
 	if err != nil {
@@ -380,6 +379,18 @@ func cmdPredict(args []string) error {
 		return err
 	}
 	if *model != "" {
+		// The checkpoint fixes the corpus, the classifier and the seed:
+		// these flags only steer the retrain path.
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "dataset", "mechanism", "preset", "seed":
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			return fmt.Errorf("predict: -model cannot be combined with %s (they only steer retraining)", strings.Join(ignored, ", "))
+		}
 		return predictFromCheckpoint(*model, *gpuName, s)
 	}
 	// Refuse bad flags before loadFramework, which may profile a whole

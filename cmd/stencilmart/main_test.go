@@ -72,12 +72,26 @@ func TestSimulateRejectsNoSamples(t *testing.T) {
 	}
 }
 
+// TestGenRejectsNoStencils: a non-positive -n is refused before the
+// generator sizes its corpus, not passed on as a slice capacity.
+func TestGenRejectsNoStencils(t *testing.T) {
+	for _, n := range []string{"0", "-3"} {
+		err := cmdGen([]string{"-n", n})
+		if err == nil || !strings.Contains(err.Error(), "-n must be positive") {
+			t.Errorf("-n %s: got %v, want the count refused", n, err)
+		}
+	}
+}
+
 // TestBadFlagsRefusedBeforeLoading: predict and rent refuse a bad flag
-// before they open -dataset (or, without one, profile a whole corpus).
-// The dataset named here does not exist, so a flag checked only after
-// loading would surface as the file-open error instead.
+// before they open -dataset (or, without one, profile a whole corpus),
+// and predict refuses the retrain-only flags next to -model before it
+// opens the checkpoint. The files named here do not exist, so a flag
+// checked only after loading — or silently ignored — would surface as
+// the file-open error instead.
 func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.bin")
+	model := filepath.Join(t.TempDir(), "missing.ckpt")
 	cases := []struct {
 		cmd  func([]string) error
 		args []string
@@ -85,6 +99,10 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 	}{
 		{cmdPredict, []string{"-mechanism", "bogus"}, "unknown classifier"},
 		{cmdPredict, []string{"-gpu", "H100"}, "unknown architecture"},
+		{cmdPredict, []string{"-model", model}, "-model cannot be combined with -dataset"},
+		{cmdPredict, []string{"-model", model, "-mechanism", "bogus"}, "-model cannot be combined with -dataset, -mechanism"},
+		{cmdPredict, []string{"-model", model, "-preset", "nope"}, "-model cannot be combined with -dataset, -preset"},
+		{cmdPredict, []string{"-model", model, "-seed", "3"}, "-model cannot be combined with -dataset, -seed"},
 		{cmdRent, []string{"-evals", "0"}, "-evals must be positive"},
 		{cmdRent, []string{"-dims", "4"}, "-dims must be 2 or 3"},
 	}

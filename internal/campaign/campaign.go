@@ -17,13 +17,17 @@
 // are pure functions of the collection seed, shard journals carry the
 // full collection identity, and divergent duplicate cells fail the
 // merge instead of silently last-winning.
+//
+// Nothing in the command-line tool reaches this package: one-process
+// collection (profile.Profiler.CollectJournal) is the product path. The
+// benchmark's in-process campaign probe (bench/layers_collect.go) is its
+// only caller, and the package goes when that probe does.
 package campaign
 
 import (
 	"fmt"
 	"time"
 
-	"stencilmart/internal/fault"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/sim"
@@ -42,19 +46,14 @@ const DefaultPoll = 250 * time.Millisecond
 
 // Spec is the collection identity a coordinator publishes and every
 // worker profiles under. It carries exactly the inputs that determine
-// the dataset bytes: the corpus, the architecture specs, and the
-// profiler knobs that enter the journal identity.
+// the dataset bytes: the corpus, the architecture specs, the search
+// budget and the seed. Workers measure fault-free, one trial per
+// setting.
 type Spec struct {
 	Stencils     []stencil.Stencil `json:"stencils"`
 	Archs        []gpu.Arch        `json:"archs"`
 	SamplesPerOC int               `json:"samples_per_oc"`
 	Seed         int64             `json:"seed"`
-	Trials       int               `json:"trials"`
-	// Chaos, when set, has every worker wrap its substrate in the
-	// deterministic fault injector — the campaign-wide chaos drill. The
-	// fault-tolerant measurement path must still produce the clean
-	// dataset.
-	Chaos *fault.Config `json:"chaos,omitempty"`
 }
 
 // Cells is the size of the campaign's cell-index space.
@@ -68,31 +67,18 @@ func (s Spec) Validate() error {
 	if s.SamplesPerOC < 1 {
 		return fmt.Errorf("campaign: samples per OC %d < 1", s.SamplesPerOC)
 	}
-	if s.Chaos != nil {
-		if err := s.Chaos.Validate(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// NewProfiler builds the profiler this spec's measurements run on,
-// wiring in the chaos injector (and the retry budget that absorbs it)
-// when the spec asks for one. Workers is the local measurement
-// parallelism; 0 uses GOMAXPROCS.
+// NewProfiler builds the profiler this spec's measurements run on.
+// Workers is the local measurement parallelism; 0 uses GOMAXPROCS.
 func (s Spec) NewProfiler(workers int) *profile.Profiler {
-	p := &profile.Profiler{
+	return &profile.Profiler{
 		Model:        sim.New(),
 		SamplesPerOC: s.SamplesPerOC,
 		Seed:         s.Seed,
-		Trials:       s.Trials,
 		Workers:      workers,
 	}
-	if s.Chaos != nil {
-		p.Model = fault.Wrap(p.Model, *s.Chaos)
-		p.Retry = profile.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
-	}
-	return p
 }
 
 // Wire types of the coordinator protocol. Every body is small JSON;
@@ -131,8 +117,6 @@ type heartbeatRequest struct {
 	// CellsDone is the cumulative count of cells this attempt has made
 	// durable.
 	CellsDone int `json:"cells_done"`
-	// Faults is the worker's cumulative absorbed-fault counter.
-	Faults uint64 `json:"faults"`
 }
 
 // heartbeatResponse tells a straggler whose lease was re-dispatched to
@@ -146,5 +130,4 @@ type completeRequest struct {
 	Worker  string `json:"worker"`
 	Shard   int    `json:"shard"`
 	Attempt int    `json:"attempt"`
-	Faults  uint64 `json:"faults"`
 }

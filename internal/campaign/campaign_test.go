@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"stencilmart/internal/campaign"
-	"stencilmart/internal/fault"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/testutil"
@@ -33,13 +32,11 @@ func campaignSpec(t *testing.T) campaign.Spec {
 }
 
 // serialBytes is the serial CollectJournal-equivalent reference every
-// campaign merge must match bitwise: a plain fault-free Collect under
-// the spec's identity.
+// campaign merge must match bitwise: a plain Collect under the spec's
+// identity.
 func serialBytes(t *testing.T, spec campaign.Spec) []byte {
 	t.Helper()
-	clean := spec
-	clean.Chaos = nil
-	ds, err := clean.NewProfiler(1).Collect(context.Background(), spec.Stencils, spec.Archs)
+	ds, err := spec.NewProfiler(1).Collect(context.Background(), spec.Stencils, spec.Archs)
 	if err != nil {
 		t.Fatalf("serial reference Collect: %v", err)
 	}
@@ -115,8 +112,8 @@ func TestCampaignMergedIdenticalToSerial(t *testing.T) {
 	}
 }
 
-// TestCampaignStatsz: /statsz exposes per-worker progress and fault
-// counters plus shard states.
+// TestCampaignStatsz: /statsz exposes per-worker progress counters plus
+// shard states.
 func TestCampaignStatsz(t *testing.T) {
 	spec := campaignSpec(t)
 	_, srv := newCampaign(t, spec, t.TempDir(), 2, 0)
@@ -167,15 +164,11 @@ func (k *killAfter) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, err
 }
 
-// TestCampaignKilledWorkerDifferential is the chaos acceptance test: a
-// campaign run under deterministic fault injection, with one worker
-// killed mid-shard and its expired lease re-dispatched to rescuers,
-// still merges to the exact bytes of a clean serial run.
+// TestCampaignKilledWorkerDifferential: a campaign with one worker
+// killed mid-shard and its expired lease re-dispatched to rescuers
+// still merges to the exact bytes of a serial run.
 func TestCampaignKilledWorkerDifferential(t *testing.T) {
 	spec := campaignSpec(t)
-	spec.Trials = 3
-	chaos := fault.DefaultConfig(99)
-	spec.Chaos = &chaos
 	want := serialBytes(t, spec)
 
 	dir := t.TempDir()
@@ -277,36 +270,6 @@ func TestCampaignResume(t *testing.T) {
 		t.Fatalf("merge of finished campaign: %v", err)
 	}
 	testutil.AssertSameBytes(t, "born-complete campaign dataset", want, testutil.DatasetBytes(t, ds3))
-}
-
-// TestCoordinatorServe: the Serve convenience (real TCP listener, merge
-// on completion) returns the serial bytes end to end.
-func TestCoordinatorServe(t *testing.T) {
-	spec := campaignSpec(t)
-	want := serialBytes(t, spec)
-	addrCh := make(chan string, 1)
-	c, err := campaign.NewCoordinator(spec, campaign.Options{
-		Shards: 2, Dir: t.TempDir(), OnListen: func(addr string) { addrCh <- addr },
-	})
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	type result struct {
-		ds  *profile.Dataset
-		err error
-	}
-	resCh := make(chan result, 1)
-	go func() {
-		ds, _, err := c.Serve(context.Background(), "127.0.0.1:0", nil)
-		resCh <- result{ds, err}
-	}()
-	addr := <-addrCh
-	runWorkers(t, "http://"+addr, "w", 2)
-	res := <-resCh
-	if res.err != nil {
-		t.Fatalf("Serve: %v", res.err)
-	}
-	testutil.AssertSameBytes(t, "served campaign dataset", want, testutil.DatasetBytes(t, res.ds))
 }
 
 // TestCampaignRejectsForeignDirectory: a coordinator must refuse a

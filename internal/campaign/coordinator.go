@@ -1,12 +1,9 @@
 package campaign
 
 import (
-	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"path/filepath"
 	"sort"
@@ -35,9 +32,6 @@ type Options struct {
 	// coordinator scans it at startup, so a restarted campaign resumes
 	// from whatever previous workers made durable.
 	Dir string
-	// OnListen, when set, receives the bound address once Serve is
-	// accepting requests (used to publish the join URL).
-	OnListen func(addr string)
 	// Token, when non-empty, gates the mutating endpoints (/lease,
 	// /heartbeat, /complete): workers must send it in the TokenHeader
 	// header or get 401. The read-only endpoints (/spec, /statsz) stay
@@ -78,12 +72,11 @@ type shardInfo struct {
 	paths   []string
 }
 
-// workerInfo aggregates per-worker progress and fault counters.
+// workerInfo aggregates per-worker progress counters.
 type workerInfo struct {
 	leases    int
 	completes int
 	cellsDone int
-	faults    uint64
 	lastSeen  time.Time
 }
 
@@ -101,15 +94,13 @@ type Coordinator struct {
 	preCovered   int // cells already durable when the campaign started
 	redispatches int
 	unauthorized atomic.Uint64
-	doneOnce     sync.Once
-	doneCh       chan struct{}
 }
 
 // NewCoordinator scans opts.Dir for shard journals left by earlier
 // campaign runs, validates them against the spec identity, and
 // partitions the uncovered cells into shards. A campaign whose cells
-// are all covered already is born complete — Wait returns immediately
-// and Merge assembles the dataset.
+// are all covered already is born complete — Done reports true and
+// Merge assembles the dataset.
 func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -125,7 +116,6 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 		opts:    opts,
 		prof:    spec.NewProfiler(1),
 		workers: make(map[string]*workerInfo),
-		doneCh:  make(chan struct{}),
 	}
 
 	paths, err := c.shardFiles()
@@ -165,9 +155,6 @@ func NewCoordinator(spec Spec, opts Options) (*Coordinator, error) {
 		lo, hi := s*len(missing)/nShards, (s+1)*len(missing)/nShards
 		c.shards = append(c.shards, &shardInfo{id: s, cells: missing[lo:hi]})
 	}
-	if len(c.shards) == 0 {
-		c.doneOnce.Do(func() { close(c.doneCh) })
-	}
 	return c, nil
 }
 
@@ -184,22 +171,9 @@ func (c *Coordinator) shardFiles() ([]string, error) {
 
 // Done reports whether every shard has completed.
 func (c *Coordinator) Done() bool {
-	select {
-	case <-c.doneCh:
-		return true
-	default:
-		return false
-	}
-}
-
-// Wait blocks until the campaign completes or ctx is cancelled.
-func (c *Coordinator) Wait(ctx context.Context) error {
-	select {
-	case <-c.doneCh:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.allDoneLocked()
 }
 
 // Merge assembles every shard journal in the campaign directory into
@@ -221,7 +195,7 @@ func (c *Coordinator) Merge() (*profile.Dataset, profile.MergeStats, error) {
 //	POST /lease     acquire (or re-acquire an expired) shard
 //	POST /heartbeat renew a lease with per-cell progress
 //	POST /complete  report a fully measured shard
-//	GET  /statsz    shard/worker progress and fault counters
+//	GET  /statsz    shard and worker progress
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/spec", c.handleSpec)
@@ -332,7 +306,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wi := c.touch(req.Worker)
-	wi.faults = req.Faults
 	sh := c.shard(req.Shard)
 	if sh == nil || sh.state != shardLeased || sh.worker != req.Worker || sh.attempt != req.Attempt {
 		// The lease moved on (expiry re-dispatch) or the shard finished
@@ -356,7 +329,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	wi := c.touch(req.Worker)
-	wi.faults = req.Faults
 	sh := c.shard(req.Shard)
 	if sh == nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown shard %d", req.Shard)})
@@ -369,9 +341,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		sh.state = shardDone
 		sh.done = len(sh.cells)
 		wi.completes++
-	}
-	if c.allDoneLocked() {
-		c.doneOnce.Do(func() { close(c.doneCh) })
 	}
 	writeJSON(w, http.StatusOK, struct{}{})
 }
@@ -404,11 +373,10 @@ type ShardSnapshot struct {
 
 // WorkerSnapshot is one worker's counters on /statsz.
 type WorkerSnapshot struct {
-	Leases        int    `json:"leases"`
-	Completes     int    `json:"completes"`
-	CellsDone     int    `json:"cells_done"`
-	Faults        uint64 `json:"faults"`
-	LastSeenMilli int64  `json:"last_seen_millis"`
+	Leases        int   `json:"leases"`
+	Completes     int   `json:"completes"`
+	CellsDone     int   `json:"cells_done"`
+	LastSeenMilli int64 `json:"last_seen_millis"`
 }
 
 // StatsSnapshot is the /statsz body.
@@ -431,7 +399,7 @@ func (c *Coordinator) Stats() StatsSnapshot {
 		Covered:      c.preCovered,
 		Redispatches: c.redispatches,
 		Unauthorized: c.unauthorized.Load(),
-		Done:         c.Done(),
+		Done:         c.allDoneLocked(),
 		Workers:      make(map[string]WorkerSnapshot, len(c.workers)),
 	}
 	for _, sh := range c.shards {
@@ -444,7 +412,7 @@ func (c *Coordinator) Stats() StatsSnapshot {
 	for name, wi := range c.workers {
 		out.Workers[name] = WorkerSnapshot{
 			Leases: wi.leases, Completes: wi.completes, CellsDone: wi.cellsDone,
-			Faults: wi.faults, LastSeenMilli: now.Sub(wi.lastSeen).Milliseconds(),
+			LastSeenMilli: now.Sub(wi.lastSeen).Milliseconds(),
 		}
 	}
 	return out
@@ -452,42 +420,6 @@ func (c *Coordinator) Stats() StatsSnapshot {
 
 func (c *Coordinator) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Stats())
-}
-
-// Serve runs the coordinator HTTP API on addr until the campaign
-// completes (or ctx is cancelled), then merges the shard journals and
-// returns the assembled dataset. Pass ":0" to bind a random port;
-// opts.OnListen receives the bound address.
-func (c *Coordinator) Serve(ctx context.Context, addr string, logf func(format string, args ...any)) (*profile.Dataset, profile.MergeStats, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, profile.MergeStats{}, err
-	}
-	srv := &http.Server{Handler: c.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	logf("campaign: coordinating %d cells in %d shards on http://%s", c.spec.Cells()-c.preCovered, len(c.shards), ln.Addr())
-	if c.opts.OnListen != nil {
-		c.opts.OnListen(ln.Addr().String())
-	}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	waitErr := c.Wait(ctx)
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		return nil, profile.MergeStats{}, err
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return nil, profile.MergeStats{}, err
-	}
-	if waitErr != nil {
-		return nil, profile.MergeStats{}, fmt.Errorf("campaign interrupted: %w (shard journals stay in %s; rerun to resume)", waitErr, c.opts.Dir)
-	}
-	logf("campaign: all shards complete, merging")
-	return c.Merge()
 }
 
 // writeJSON writes a JSON response with the given status.

@@ -28,12 +28,6 @@ type WorkerOptions struct {
 	Poll time.Duration
 	// Client is the HTTP client; nil uses a default with sane timeouts.
 	Client *http.Client
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
-	// StallAfterCells is a straggler drill: after this many durable
-	// cells the worker logs, stops heartbeating, and hangs until killed
-	// from outside — the lease must expire and re-dispatch. 0 disables.
-	StallAfterCells int
 	// Token is sent in the TokenHeader header on every request; it must
 	// match the coordinator's token when one is set.
 	Token string
@@ -49,8 +43,6 @@ type WorkStats struct {
 	// Abandoned counts leases the coordinator revoked mid-shard
 	// (expiry re-dispatch won the race).
 	Abandoned int
-	// Faults is the final absorbed-transient-fault count.
-	Faults uint64
 }
 
 // Work joins the campaign at coordURL and measures leased shards until
@@ -69,10 +61,6 @@ func Work(ctx context.Context, coordURL string, opts WorkerOptions) (WorkStats, 
 	if opts.Client == nil {
 		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
-	logf := opts.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	coordURL = strings.TrimSuffix(coordURL, "/")
 
 	var spec Spec
@@ -83,9 +71,7 @@ func Work(ctx context.Context, coordURL string, opts WorkerOptions) (WorkStats, 
 		return stats, err
 	}
 	prof := spec.NewProfiler(opts.Workers)
-	logf("campaign: worker %s joined %s: %d stencils x %d archs", opts.ID, coordURL, len(spec.Stencils), len(spec.Archs))
 
-	var totalCells atomic.Int64
 	for {
 		if err := ctx.Err(); err != nil {
 			return stats, err
@@ -96,16 +82,12 @@ func Work(ctx context.Context, coordURL string, opts WorkerOptions) (WorkStats, 
 			if stats.Shards > 0 && isConnectionError(err) {
 				// The coordinator merged and exited while we polled; the
 				// campaign is over and our shards are durable.
-				logf("campaign: worker %s: coordinator gone after %d shards, exiting", opts.ID, stats.Shards)
 				return stats, nil
 			}
 			return stats, fmt.Errorf("campaign: lease: %w", err)
 		}
 		switch {
 		case lease.Done:
-			stats.Faults = prof.FaultsAbsorbed()
-			logf("campaign: worker %s done: %d shards, %d cells measured, %d resumed, %d faults absorbed",
-				opts.ID, stats.Shards, stats.Measured, stats.Resumed, stats.Faults)
 			return stats, nil
 		case lease.Wait:
 			select {
@@ -116,42 +98,34 @@ func Work(ctx context.Context, coordURL string, opts WorkerOptions) (WorkStats, 
 			continue
 		}
 
-		revoked, st, err := workShard(ctx, opts, prof, spec, coordURL, lease, &totalCells, logf)
+		revoked, st, err := workShard(ctx, opts, prof, spec, coordURL, lease)
 		stats.Measured += st.Measured
 		stats.Resumed += st.Resumed
-		stats.Faults = prof.FaultsAbsorbed()
 		switch {
 		case revoked:
 			stats.Abandoned++
-			logf("campaign: worker %s: shard %d lease revoked, abandoning", opts.ID, lease.Shard)
 			continue
 		case err != nil:
 			return stats, err
 		}
 		stats.Shards++
-		logf("campaign: worker %s: shard %d complete (%d measured, %d resumed)",
-			opts.ID, lease.Shard, st.Measured, st.Resumed)
 	}
 }
 
 // workShard measures one leased shard, heartbeating per durable cell,
 // and reports completion. revoked is true when the coordinator
 // re-dispatched the lease out from under us.
-func workShard(ctx context.Context, opts WorkerOptions, prof *profile.Profiler, spec Spec, coordURL string, lease LeaseResponse, totalCells *atomic.Int64, logf func(string, ...any)) (revoked bool, st shardWork, err error) {
+func workShard(ctx context.Context, opts WorkerOptions, prof *profile.Profiler, spec Spec, coordURL string, lease LeaseResponse) (revoked bool, st shardWork, err error) {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var cellsDone atomic.Int64
 	var cancelled atomic.Bool
 	onCell := func(int) {
-		if opts.StallAfterCells > 0 && totalCells.Add(1) == int64(opts.StallAfterCells) {
-			logf("campaign: worker %s stalling after %d cells (straggler drill)", opts.ID, opts.StallAfterCells)
-			select {} // hang without heartbeating until killed from outside
-		}
 		n := int(cellsDone.Add(1))
 		var hb heartbeatResponse
 		hbErr := postJSON(ctx, opts.Client, coordURL+"/heartbeat", opts.Token, heartbeatRequest{
 			Worker: opts.ID, Shard: lease.Shard, Attempt: lease.Attempt,
-			CellsDone: n, Faults: prof.FaultsAbsorbed(),
+			CellsDone: n,
 		}, &hb)
 		// Treat an unreachable coordinator like a revocation: stop
 		// spending effort on a lease nobody is tracking. The durable
@@ -172,7 +146,6 @@ func workShard(ctx context.Context, opts WorkerOptions, prof *profile.Profiler, 
 	}
 	if err := postJSON(ctx, opts.Client, coordURL+"/complete", opts.Token, completeRequest{
 		Worker: opts.ID, Shard: lease.Shard, Attempt: lease.Attempt,
-		Faults: prof.FaultsAbsorbed(),
 	}, &struct{}{}); err != nil {
 		return false, st, fmt.Errorf("campaign: reporting shard %d complete: %w", lease.Shard, err)
 	}

@@ -163,23 +163,6 @@ func encodeAll(enc func(int) []float64, indices []int) [][]float64 {
 	return rows
 }
 
-// predictedTime returns the execution time StencilMART achieves for a
-// test stencil: the profiled best time of the representative OC of the
-// class predicted by proba (the same SamplesPerOC search budget as the
-// baselines). If that OC crashed for the stencil, lower-probability
-// classes are tried in order; math.Inf(1) is returned only if every
-// class crashes.
-func (f *Framework) predictedTime(proba []float64, archIdx, si int) float64 {
-	for _, class := range classOrder(proba) {
-		ocIdx := f.Grouping.Reps[class]
-		res := f.Dataset.Profiles[archIdx][si].Results[ocIdx]
-		if !res.Crashed {
-			return res.Time
-		}
-	}
-	return math.Inf(1)
-}
-
 // classOrder ranks classes by descending predicted probability.
 func classOrder(proba []float64) []int {
 	order := make([]int, len(proba))

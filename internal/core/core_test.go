@@ -224,30 +224,6 @@ func TestMLPSweepShape(t *testing.T) {
 	}
 }
 
-func TestPredictedTimeFallsBackOnCrashes(t *testing.T) {
-	fw := testFramework(t)
-	// For every stencil and arch, predictedTime must return a finite time
-	// whenever at least one class representative did not crash.
-	archIdx := 0
-	trainIdx := fw.StencilIndices(3)
-	cls, enc, err := fw.TrainClassifier(ClassGBDT, archIdx, 3, trainIdx, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, si := range trainIdx {
-		tm := fw.predictedTime(probaOne(cls, enc(si)), archIdx, si)
-		anyAlive := false
-		for c := 0; c < fw.Grouping.NumClasses(); c++ {
-			if !fw.Dataset.Profiles[archIdx][si].Results[fw.Grouping.Reps[c]].Crashed {
-				anyAlive = true
-			}
-		}
-		if anyAlive && math.IsInf(tm, 1) {
-			t.Fatalf("stencil %d: predictedTime Inf with live representatives", si)
-		}
-	}
-}
-
 func TestFeatureRowWidths(t *testing.T) {
 	s := stencil.Box(3, 2)
 	oc := opt.ST | opt.PR

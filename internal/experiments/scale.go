@@ -10,10 +10,9 @@ import (
 // scaleFractions are the corpus-size steps of the scale study.
 var scaleFractions = []float64{0.5, 0.75, 1.0}
 
-// Scale records how prediction quality grows with profiled corpus size
-// — the question the distributed campaign subsystem exists to answer:
-// profiling is the expensive step, so the curve says what another wall
-// of campaign workers buys. Each step re-profiles a scaled corpus from
+// Scale records how prediction quality grows with profiled corpus size:
+// profiling is the expensive step, so the curve says what a larger
+// corpus buys. Each step re-profiles a scaled corpus from
 // the same seed and reports GBDT OC-selection accuracy (averaged over
 // the catalog) and GBRegressor performance-prediction MAPE. Unlike the
 // figure experiments, it is excluded from "all": it profiles several
@@ -53,7 +52,6 @@ func (r *Runner) Scale() error {
 		}
 		fmt.Fprintln(r.Out)
 	}
-	fmt.Fprintln(r.Out, "larger profiled corpora are what `stencilmart campaign` parallelizes")
 	fmt.Fprintln(r.Out)
 	return nil
 }

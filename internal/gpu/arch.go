@@ -54,16 +54,9 @@ func (a Arch) String() string { return a.Name }
 // count, and peak FLOPS.
 var FeatureNames = []string{"memGB", "memBWGBs", "sms", "tflops"}
 
-// Features returns the hardware characteristics attached to regression
-// inputs (Sec. IV-E): memory capacity and bandwidth, SM count, peak FLOPS.
-func (a Arch) Features() []float64 {
-	out := make([]float64, len(FeatureNames))
-	a.FeaturesInto(out)
-	return out
-}
-
-// FeaturesInto writes Features into dst (len(FeatureNames)) without
-// allocating, for callers encoding into arena scratch.
+// FeaturesInto writes the hardware characteristics attached to
+// regression inputs (Sec. IV-E) — memory capacity and bandwidth, SM
+// count, peak FLOPS — into dst (len(FeatureNames)) without allocating.
 func (a Arch) FeaturesInto(dst []float64) {
 	if len(dst) != len(FeatureNames) {
 		panic(fmt.Sprintf("gpu: features dst %d, want %d", len(dst), len(FeatureNames)))

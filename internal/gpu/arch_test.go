@@ -41,10 +41,16 @@ func TestByName(t *testing.T) {
 
 func TestFeaturesLayout(t *testing.T) {
 	a, _ := ByName("V100")
-	f := a.Features()
-	if len(f) != len(FeatureNames) {
-		t.Fatalf("feature length %d != names %d", len(f), len(FeatureNames))
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("FeaturesInto accepted a dst of width %d, want only %d", len(FeatureNames)+1, len(FeatureNames))
+			}
+		}()
+		a.FeaturesInto(make([]float64, len(FeatureNames)+1))
+	}()
+	f := make([]float64, len(FeatureNames))
+	a.FeaturesInto(f)
 	if f[0] != 32 || f[1] != 900 || f[2] != 80 || f[3] != 7.8 {
 		t.Errorf("V100 features = %v", f)
 	}

@@ -14,8 +14,8 @@ type nodes[T float32 | float64] struct {
 	left, right []int32 // child rows; -1 for leaves
 	thr         []T     // split threshold (0 at leaves)
 	value       []T     // leaf prediction (0 at internal nodes)
-	// gain is the split gain at internal nodes, which feeds
-	// FeatureImportance; quantized trees drop it.
+	// gain is the split gain at internal nodes, carried by the
+	// checkpoint format; quantized trees drop it.
 	gain []float64
 }
 

@@ -16,7 +16,8 @@ type FlatTree struct {
 	Threshold []float64 `json:"t"`
 	// Value is the leaf prediction (unused for internal nodes).
 	Value []float64 `json:"v"`
-	// Gain is the split gain at internal nodes (feeds FeatureImportance).
+	// Gain is the split gain at internal nodes. Nothing scores with it;
+	// it is kept because it is part of the checkpoint format.
 	Gain []float64 `json:"g"`
 	// Left and Right index the node columns; -1 for leaves.
 	Left  []int32 `json:"l"`

@@ -40,15 +40,6 @@ func TestGBDTStateRoundTripBatch(t *testing.T) {
 			}
 		}
 	}
-	impW, impG := g.FeatureImportance(), g2.FeatureImportance()
-	if len(impW) != len(impG) {
-		t.Fatalf("importance length %d != %d after round trip", len(impW), len(impG))
-	}
-	for f := range impW {
-		if math.Float64bits(impW[f]) != math.Float64bits(impG[f]) {
-			t.Fatalf("feature %d importance %v != %v after round trip", f, impW[f], impG[f])
-		}
-	}
 }
 
 // TestGBRegressorStateRoundTripBatch is the regression analogue.
@@ -76,12 +67,6 @@ func TestGBRegressorStateRoundTripBatch(t *testing.T) {
 	for i := range want {
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("row %d: %v != %v after round trip", i, want[i], got[i])
-		}
-	}
-	impW, impG := g.FeatureImportance(), g2.FeatureImportance()
-	for f := range impW {
-		if math.Float64bits(impW[f]) != math.Float64bits(impG[f]) {
-			t.Fatalf("feature %d importance %v != %v after round trip", f, impW[f], impG[f])
 		}
 	}
 }

@@ -141,16 +141,9 @@ func Index(o Opt) int {
 	return idx
 }
 
-// FlagVector encodes the OC as six 0/1 features in All order, used as
-// model input alongside the parameter setting.
-func (o Opt) FlagVector() []float64 {
-	v := make([]float64, len(All))
-	o.FlagVectorInto(v)
-	return v
-}
-
-// FlagVectorInto writes FlagVector's features into dst (len(All)) without
-// allocating, for callers encoding into arena scratch.
+// FlagVectorInto encodes the OC as six 0/1 features in All order into
+// dst (len(All)) without allocating — model input alongside the
+// parameter setting.
 func (o Opt) FlagVectorInto(dst []float64) {
 	if len(dst) != len(All) {
 		panic(fmt.Sprintf("opt: flag dst %d, want %d", len(dst), len(All)))
@@ -164,5 +157,5 @@ func (o Opt) FlagVectorInto(dst []float64) {
 	}
 }
 
-// FlagNames lists the OC flag feature names in FlagVector order.
+// FlagNames lists the OC flag feature names in FlagVectorInto order.
 var FlagNames = []string{"st", "tb", "bm", "cm", "rt", "pr"}

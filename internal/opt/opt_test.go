@@ -93,11 +93,12 @@ func TestParseRoundTripAll(t *testing.T) {
 }
 
 func TestFlagVector(t *testing.T) {
-	v := (ST | PR).FlagVector()
+	v := []float64{9, 9, 9, 9, 9, 9} // stale scratch: every slot is written
+	(ST | PR).FlagVectorInto(v)
 	want := []float64{1, 0, 0, 0, 0, 1}
 	for i := range want {
 		if v[i] != want[i] {
-			t.Fatalf("FlagVector = %v, want %v", v, want)
+			t.Fatalf("FlagVectorInto = %v, want %v", v, want)
 		}
 	}
 	if len(FlagNames) != len(v) {
@@ -145,32 +146,24 @@ func TestValidateRejects(t *testing.T) {
 func TestEncodeWidthAndLog2(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p := Sample(ST|BM|TB|PR, 3, rng)
-	v := p.Encode()
-	if len(v) != len(ParamFeatureNames) {
-		t.Fatalf("encoded width %d, want %d", len(v), len(ParamFeatureNames))
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("EncodeInto accepted a dst of width %d, want only %d", len(ParamFeatureNames)-1, len(ParamFeatureNames))
+			}
+		}()
+		p.EncodeInto(make([]float64, len(ParamFeatureNames)-1))
+	}()
+	v := make([]float64, len(ParamFeatureNames))
+	p.EncodeInto(v)
 	if v[0] != log2f(p.BlockX) || v[2] != log2f(p.Merge) {
 		t.Error("log2 encoding mismatch")
 	}
 	base := Params{BlockX: 32, BlockY: 4, Merge: 1, Unroll: 1}
-	e := base.Encode()
+	e := make([]float64, len(ParamFeatureNames))
+	base.EncodeInto(e)
 	if e[2] != 0 || e[4] != 0 || e[8] != 0 {
 		t.Errorf("neutral values must encode to 0: %v", e)
-	}
-}
-
-func TestSpaceContents(t *testing.T) {
-	sp := Space(ST|BM|TB|PR, 3)
-	for _, key := range []string{"blockX", "blockY", "merge", "mergeDim", "streamTile", "streamDim", "unroll", "useSmem", "tbDepth", "prefetchDepth"} {
-		if len(sp[key]) == 0 {
-			t.Errorf("space missing %q", key)
-		}
-	}
-	if _, ok := Space(0, 2)["streamTile"]; ok {
-		t.Error("BASE space includes streaming parameters")
-	}
-	if _, ok := Space(ST, 2)["streamDim"]; ok {
-		t.Error("2-D space includes streamDim enum")
 	}
 }
 
@@ -200,10 +193,8 @@ func TestQuickEncodeFixedWidth(t *testing.T) {
 			dims = 3
 		}
 		p := Sample(oc, dims, rng)
-		v := p.Encode()
-		if len(v) != len(ParamFeatureNames) {
-			return false
-		}
+		v := make([]float64, len(ParamFeatureNames))
+		p.EncodeInto(v)
 		for _, x := range v {
 			if x < 0 || x > 12 {
 				return false

@@ -49,44 +49,6 @@ var (
 	prefetchVals = []int{1, 2}
 )
 
-// Space enumerates candidate values per tunable for the OC in a stencil of
-// the given dimensionality, as (name, values) pairs in encoding order. It
-// exists for documentation and exhaustive-search tooling; random sampling
-// uses Sample.
-func Space(oc Opt, dims int) map[string][]int {
-	sp := map[string][]int{
-		"blockX": blockXVals,
-		"blockY": blockYVals,
-	}
-	if oc.Has(BM) || oc.Has(CM) {
-		sp["merge"] = mergeVals
-		sp["mergeDim"] = enumRange(dims)
-	}
-	if oc.Has(ST) {
-		sp["streamTile"] = streamVals
-		if dims == 3 {
-			sp["streamDim"] = enumRange(3)
-		}
-		sp["unroll"] = unrollVals
-		sp["useSmem"] = []int{0, 1}
-	}
-	if oc.Has(TB) {
-		sp["tbDepth"] = tbDepthVals
-	}
-	if oc.Has(PR) {
-		sp["prefetchDepth"] = prefetchVals
-	}
-	return sp
-}
-
-func enumRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // Sample draws one random valid parameter setting for the OC.
 func Sample(oc Opt, dims int, rng *rand.Rand) Params {
 	var p Params
@@ -185,14 +147,7 @@ var ParamFeatureNames = []string{
 	"log2TBDepth", "prefetchDepth",
 }
 
-// Encode converts the setting into the fixed-width feature vector.
-func (p Params) Encode() []float64 {
-	out := make([]float64, len(ParamFeatureNames))
-	p.EncodeInto(out)
-	return out
-}
-
-// EncodeInto writes Encode's feature vector into dst
+// EncodeInto writes the setting's fixed-width feature vector into dst
 // (len(ParamFeatureNames)) without allocating, for callers encoding into
 // arena scratch on the serving hot path.
 func (p Params) EncodeInto(dst []float64) {

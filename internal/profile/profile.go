@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"stencilmart/internal/gpu"
@@ -97,15 +96,7 @@ type Profiler struct {
 	// called concurrently from Collect's worker pool (or by users), and
 	// an unguarded nil-check-then-assign on Model is a data race.
 	modelMu sync.Mutex
-
-	// faults counts transient measurement faults absorbed by retries.
-	faults atomic.Uint64
 }
-
-// FaultsAbsorbed reports how many transient measurement faults the
-// retry layer has absorbed so far — campaign workers surface it in
-// their heartbeats so a coordinator can see a flaky substrate.
-func (p *Profiler) FaultsAbsorbed() uint64 { return p.faults.Load() }
 
 // NewProfiler returns a profiler with the given search budget and seed.
 func NewProfiler(samplesPerOC int, seed int64) *Profiler {

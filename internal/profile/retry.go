@@ -153,7 +153,6 @@ func (p *Profiler) measureAttempts(ctx context.Context, eval sim.EvalFn, oc opt.
 		if !fault.IsTransient(err) {
 			return sim.Result{}, err
 		}
-		p.faults.Add(1)
 		last = err
 	}
 	return sim.Result{}, &GiveUpError{Attempts: attempts, Last: last}

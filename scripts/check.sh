@@ -140,12 +140,6 @@ echo "== chaos smoke =="
 # injection; the two dataset files must be byte-identical.
 sh scripts/chaos_smoke.sh
 
-echo "== campaign smoke =="
-# Distribute the smoke collection across a coordinator and three worker
-# processes, SIGKILL one mid-shard, and require the merged dataset to be
-# byte-identical to the serial run.
-sh scripts/campaign_smoke.sh
-
 echo "== examples smoke =="
 # go vet only compiles examples/; run each one so a runtime failure (a
 # log.Fatal on an error) fails here. Each takes about a second.
@@ -157,7 +151,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=17469
+max_lines=16932
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
