@@ -25,12 +25,6 @@ type Stencil = stencil.Stencil
 // Point is a relative grid offset.
 type Point = stencil.Point
 
-// Grid is a dense CPU grid for the reference executor.
-type Grid = stencil.Grid
-
-// Coefficients weight the stencil offsets in the reference executor.
-type Coefficients = stencil.Coefficients
-
 // Shape classifies classic stencil geometries.
 type Shape = stencil.Shape
 
@@ -114,20 +108,6 @@ var (
 	StencilByName = stencil.ByName
 	// NewStencil builds a canonicalized stencil from raw offsets.
 	NewStencil = stencil.New
-)
-
-// Reference CPU execution of stencils on dense grids.
-var (
-	// NewGrid allocates a zeroed dense grid (nz == 1 for 2-D).
-	NewGrid = stencil.NewGrid
-	// Apply runs one serial stencil sweep.
-	Apply = stencil.Apply
-	// ApplyParallel runs one sweep split across CPU cores.
-	ApplyParallel = stencil.ApplyParallel
-	// ApplySteps runs multiple sweeps, ping-ponging buffers.
-	ApplySteps = stencil.ApplySteps
-	// UniformCoefficients returns the 1/n smoothing kernel.
-	UniformCoefficients = stencil.UniformCoefficients
 )
 
 // GPUCatalog returns the four GPUs of Table III.

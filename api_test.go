@@ -2,7 +2,7 @@ package stencilmart_test
 
 import (
 	"bytes"
-	"math"
+	"context"
 	"testing"
 
 	"stencilmart"
@@ -76,19 +76,6 @@ func TestPublicGenerateAndTensor(t *testing.T) {
 	}
 }
 
-func TestPublicReferenceExecution(t *testing.T) {
-	s := stencilmart.Box(2, 1)
-	in := stencilmart.NewGrid(16, 16, 1)
-	in.Fill(func(x, y, z int) float64 { return 1 })
-	out, err := stencilmart.ApplySteps(s, stencilmart.UniformCoefficients(s), in, 2, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(out.At(8, 8, 0)-1) > 1e-12 {
-		t.Errorf("uniform field drifted: %g", out.At(8, 8, 0))
-	}
-}
-
 func TestPublicEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end build is slow")
@@ -103,12 +90,15 @@ func TestPublicEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc, err := fw.PredictBestOCForStencil(stencilmart.ClassGBDT, "V100", stencilmart.Star(2, 2))
+	if err := fw.TrainAll(context.Background(), stencilmart.ClassGBDT, stencilmart.RegGB); err != nil {
+		t.Fatal(err)
+	}
+	pred, err := fw.ServePredict("V100", stencilmart.Star(2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oc.Valid() {
-		t.Errorf("invalid OC %v", oc)
+	if oc, err := stencilmart.ParseOC(pred.OC); err != nil || !oc.Valid() {
+		t.Errorf("invalid OC %q: %v", pred.OC, err)
 	}
 	// Round-trip the dataset through the public serialization surface.
 	var buf bytes.Buffer

@@ -211,20 +211,6 @@ func BenchmarkFeatureExtraction(b *testing.B) {
 	}
 }
 
-func BenchmarkReferenceApplyParallel(b *testing.B) {
-	s := stencil.Star(3, 2)
-	in := stencil.NewGrid(96, 96, 96)
-	out := stencil.NewGrid(96, 96, 96)
-	coeffs := stencil.UniformCoefficients(s)
-	b.SetBytes(int64(in.Len() * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := stencil.ApplyParallel(s, coeffs, in, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkProfileOneStencil(b *testing.B) {
 	// One stencil x one GPU x all 30 OCs x 12 settings: the unit of the
 	// paper's data-collection cost.

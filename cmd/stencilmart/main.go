@@ -1,14 +1,13 @@
 // Command stencilmart is the command-line interface to the StencilMART
 // reproduction: random stencil generation, corpus profiling on the
-// simulated GPUs, best-OC prediction, the cloud-rental advisor, and the
-// paper's experiment suite.
+// simulated GPUs, training a checkpoint, best-OC prediction and serving
+// from it, the cloud-rental advisor, and the paper's experiment suite.
 //
 // Usage:
 //
 //	stencilmart gen        -dims 2 -n 10 -seed 1
 //	stencilmart profile    -out dataset.bin [-preset paper]
 //	stencilmart train      -dataset dataset.bin -out model.ckpt
-//	stencilmart predict    -dataset dataset.bin -stencil star2d2r -gpu V100
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
 //	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
 //	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 8 -n 50 [-fail-on-error]
@@ -24,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -87,7 +85,7 @@ commands:
   gen         generate random neighbor-chained stencils (Algorithm 1)
   profile     profile a random corpus on every GPU and write the dataset
   train       train every serving model and write a checkpoint
-  predict     predict the best optimization combination for a stencil
+  predict     predict the best optimization combination from a trained checkpoint
   serve       serve predictions over HTTP from a trained checkpoint
   loadgen     drive a running server with concurrent clients and count failed requests
   rent        run the cloud-rental advisor (pure performance or cost)
@@ -362,85 +360,35 @@ func cmdServe(args []string) error {
 	return srv.Run(ctx, *addr, logf)
 }
 
+// cmdPredict loads a trained checkpoint and runs the serving path for one
+// stencil: class, tuned parameters, cross-GPU times, rent advice.
 func cmdPredict(args []string) error {
 	fs := flag.NewFlagSet("predict", flag.ExitOnError)
-	dataset := fs.String("dataset", "", "profiled dataset (from 'profile'); empty = build fresh")
-	model := fs.String("model", "", "trained checkpoint (from 'train'); skips retraining")
+	model := fs.String("model", "model.ckpt", "trained checkpoint (from 'train')")
 	name := fs.String("stencil", "star2d1r", "classic stencil name (e.g. box3d2r)")
 	gpuName := fs.String("gpu", "V100", "target GPU")
-	mech := fs.String("mechanism", "GBDT", "classifier (GBDT, ConvNet, FcNet)")
-	preset := fs.String("preset", "default", "pipeline preset")
-	seed := fs.Int64("seed", 0, "override pipeline seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Refuse bad flags before reading the checkpoint.
 	s, err := stencil.ByName(*name)
 	if err != nil {
 		return err
 	}
-	if *model != "" {
-		// The checkpoint fixes the corpus, the classifier and the seed:
-		// these flags only steer the retrain path.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dataset", "mechanism", "preset", "seed":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("predict: -model cannot be combined with %s (they only steer retraining)", strings.Join(ignored, ", "))
-		}
-		return predictFromCheckpoint(*model, *gpuName, s)
+	if _, err := gpu.ByName(*gpuName); err != nil {
+		return err
 	}
-	// Refuse bad flags before loadFramework, which may profile a whole
-	// corpus.
-	kind, err := core.ParseClassifierKind(*mech)
+	fw, err := core.LoadFrameworkFile(*model)
 	if err != nil {
 		return err
 	}
-	arch, err := gpu.ByName(*gpuName)
+	pred, err := fw.ServePredict(*gpuName, s)
 	if err != nil {
 		return err
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	fw, err := loadFramework(ctx, *dataset, *preset, *seed)
-	if err != nil {
-		return err
-	}
-	oc, err := fw.PredictBestOCForStencil(kind, *gpuName, s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("predicted best OC for %s on %s: %s\n", s, *gpuName, oc)
-
-	// Show what the prediction achieves against the simulator.
-	w := sim.DefaultWorkload(s)
-	best, bestP, err := tuneAndPrice(sim.New(), w, oc, arch, 32, 7)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("best sampled setting: %+v\n", bestP)
-	fmt.Printf("simulated time for %d sweeps: %.3f ms (occupancy %.0f%%)\n",
-		w.TimeSteps, best.Time*1e3, best.Occupancy*100)
-	return nil
-}
-
-// predictFromCheckpoint runs the full serving path against a trained
-// checkpoint: class, tuned parameters, cross-GPU times, rent advice.
-func predictFromCheckpoint(path, gpuName string, s stencil.Stencil) error {
-	fw, err := core.LoadFrameworkFile(path)
-	if err != nil {
-		return err
-	}
-	pred, err := fw.ServePredict(gpuName, s)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("predicted best OC for %s on %s: %s (class %d)\n", s, gpuName, pred.OC, pred.Class)
+	fmt.Printf("predicted best OC for %s on %s: %s (class %d)\n", s, *gpuName, pred.OC, pred.Class)
 	fmt.Printf("tuned params: %+v\n", pred.Params)
-	fmt.Printf("simulated time on %s: %.3f ms\n", gpuName, pred.TunedSeconds*1e3)
+	fmt.Printf("simulated time on %s: %.3f ms\n", *gpuName, pred.TunedSeconds*1e3)
 	fmt.Println("predicted times across the catalog:")
 	for i, name := range pred.ArchNames {
 		fmt.Printf("  %-7s %.3f ms\n", name, pred.PredictedSeconds[i]*1e3)
@@ -526,9 +474,16 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 	w := sim.DefaultWorkload(s)
-	best, bestP, err := tuneAndPrice(sim.New(), w, oc, arch, *samples, *seed)
+	m := sim.New()
+	res, err := tuner.Random{}.Tune(m, w, oc, arch, *samples, *seed)
 	if err != nil {
 		return fmt.Errorf("every sampled setting failed (OC crashes for this stencil): %w", err)
+	}
+	// The evaluator is pure per (cell, OC, params), so pricing the winner
+	// once more yields the winning run's full breakdown.
+	best, err := m.CellFn(w, arch)(oc, res.Params)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("%s under %s on %s (%d sweeps of %dx%dx%d):\n",
 		s, oc, arch.Name, w.TimeSteps, w.GridX, w.GridY, w.GridZ)
@@ -537,20 +492,8 @@ func cmdSimulate(args []string) error {
 		best.Compute*1e3, best.Memory*1e3, best.Sync*1e3, best.Launch*1e3)
 	fmt.Printf("  occupancy=%.0f%% regs/thread=%.0f smem/block=%.1fKiB\n",
 		best.Occupancy*100, best.RegsPerThread, best.SmemPerBlockKB)
-	fmt.Printf("  winning params: %+v\n", bestP)
+	fmt.Printf("  winning params: %+v\n", res.Params)
 	return nil
-}
-
-// tuneAndPrice runs the random search and prices its winner once more on
-// the same model: the evaluator is pure per (cell, OC, params), so this
-// is the winning run's full breakdown.
-func tuneAndPrice(m *sim.Model, w sim.Workload, oc opt.Opt, arch gpu.Arch, budget int, seed int64) (sim.Result, opt.Params, error) {
-	res, err := tuner.Random{}.Tune(m, w, oc, arch, budget, seed)
-	if err != nil {
-		return sim.Result{}, opt.Params{}, err
-	}
-	best, err := m.CellFn(w, arch)(oc, res.Params)
-	return best, res.Params, err
 }
 
 func cmdExperiment(args []string) error {

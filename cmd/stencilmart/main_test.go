@@ -83,12 +83,12 @@ func TestGenRejectsNoStencils(t *testing.T) {
 	}
 }
 
-// TestBadFlagsRefusedBeforeLoading: predict and rent refuse a bad flag
-// before they open -dataset (or, without one, profile a whole corpus),
-// and predict refuses the retrain-only flags next to -model before it
-// opens the checkpoint. The files named here do not exist, so a flag
-// checked only after loading — or silently ignored — would surface as
-// the file-open error instead.
+// TestBadFlagsRefusedBeforeLoading: predict refuses a bad flag before it
+// opens -model, and rent before it opens -dataset (or, without one,
+// profiles a whole corpus). The files named here do not exist, so a flag
+// checked only after loading would surface as the file-open error
+// instead. Each case carries all its own args: predict has no -dataset
+// flag, and an undefined flag exits the process under flag.ExitOnError.
 func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.bin")
 	model := filepath.Join(t.TempDir(), "missing.ckpt")
@@ -97,19 +97,15 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 		args []string
 		want string
 	}{
-		{cmdPredict, []string{"-mechanism", "bogus"}, "unknown classifier"},
-		{cmdPredict, []string{"-gpu", "H100"}, "unknown architecture"},
-		{cmdPredict, []string{"-model", model}, "-model cannot be combined with -dataset"},
-		{cmdPredict, []string{"-model", model, "-mechanism", "bogus"}, "-model cannot be combined with -dataset, -mechanism"},
-		{cmdPredict, []string{"-model", model, "-preset", "nope"}, "-model cannot be combined with -dataset, -preset"},
-		{cmdPredict, []string{"-model", model, "-seed", "3"}, "-model cannot be combined with -dataset, -seed"},
-		{cmdRent, []string{"-evals", "0"}, "-evals must be positive"},
-		{cmdRent, []string{"-dims", "4"}, "-dims must be 2 or 3"},
+		{cmdPredict, []string{"-model", model, "-gpu", "H100"}, "unknown architecture"},
+		{cmdPredict, []string{"-model", model, "-stencil", "blob2d1r"}, "unknown shape prefix"},
+		{cmdRent, []string{"-dataset", missing, "-evals", "0"}, "-evals must be positive"},
+		{cmdRent, []string{"-dataset", missing, "-dims", "4"}, "-dims must be 2 or 3"},
 	}
 	for _, c := range cases {
-		err := c.cmd(append([]string{"-dataset", missing}, c.args...))
+		err := c.cmd(c.args)
 		if err == nil || errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v: got %v, want %q before the dataset is opened", c.args, err, c.want)
+			t.Errorf("%v: got %v, want %q before the file is opened", c.args, err, c.want)
 		}
 	}
 }

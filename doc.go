@@ -20,15 +20,16 @@
 // (internal/sim) with the same structural behaviors real stencil kernels
 // exhibit; see DESIGN.md for the substitution argument.
 //
-// Quick start:
+// Quick start — collect, train once, then ask the trained models:
 //
-//	cfg := stencilmart.DefaultConfig()
-//	fw, err := stencilmart.Build(cfg)           // generate + profile + merge
+//	fw, err := stencilmart.Build(stencilmart.DefaultConfig()) // generate + profile + merge
 //	if err != nil { ... }
-//	acc, err := fw.ClassifierAccuracy(stencilmart.ClassGBDT, "V100", 2)
+//	err = fw.TrainAll(ctx, stencilmart.ClassGBDT, stencilmart.RegGB)
+//	pred, err := fw.ServePredict("V100", stencilmart.Star(2, 2)) // pred.OC, pred.Params, pred.Advice
 //
 // The examples/ directory contains runnable programs for OC selection,
-// cross-architecture prediction and the rent advisor; cmd/stencilmart is
-// the command-line interface; EXPERIMENTS.md records the paper-vs-
+// cross-architecture prediction, the rent advisor and serving;
+// cmd/stencilmart is the command-line interface (train a checkpoint, then
+// predict or serve from it); EXPERIMENTS.md records the paper-vs-
 // reproduction comparison for every table and figure.
 package stencilmart

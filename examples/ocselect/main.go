@@ -3,14 +3,16 @@
 // application for box stencils).
 //
 // The example profiles the classic box/star/cross suite exhaustively on
-// one GPU (ground truth), trains the GBDT and ConvNet classifiers on a
-// random corpus, and reports where the predicted optimization
-// combinations land relative to the true best and worst.
+// one GPU (ground truth), trains the serving models (GBDT classifiers,
+// GB regressors) on a random corpus once, and reports where the
+// predicted optimization combinations land relative to the true best and
+// worst.
 //
 // Run with: go run ./examples/ocselect
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,6 +29,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if err := fw.TrainAll(context.Background(), stencilmart.ClassGBDT, stencilmart.RegGB); err != nil {
+		log.Fatal(err)
+	}
 	v100, err := stencilmart.GPUByName(gpuName)
 	if err != nil {
 		log.Fatal(err)
@@ -41,7 +46,11 @@ func main() {
 	fmt.Printf("\n%-10s %-14s %10s %10s %10s  %s\n",
 		"stencil", "predicted OC", "pred(ms)", "best(ms)", "worst(ms)", "quality")
 	for _, s := range suite {
-		oc, err := fw.PredictBestOCForStencil(stencilmart.ClassGBDT, gpuName, s)
+		pred, err := fw.ServePredict(gpuName, s)
+		if err != nil {
+			log.Fatal(err)
+		}
+		oc, err := stencilmart.ParseOC(pred.OC)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,24 +15,11 @@ import (
 	"stencilmart/internal/ml/tree"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/par"
+	"stencilmart/internal/profile"
 	"stencilmart/internal/sim"
 	"stencilmart/internal/stats"
-	"stencilmart/internal/stencil"
 	"stencilmart/internal/tuner"
 )
-
-// trainTestSplit partitions fold index sets into the train and test
-// corpus indices for one held-out fold.
-func trainTestSplit(folds [][]int, fi int) (trainIdx, testIdx []int) {
-	for fj, fold := range folds {
-		if fj == fi {
-			testIdx = append(testIdx, fold...)
-		} else {
-			trainIdx = append(trainIdx, fold...)
-		}
-	}
-	return trainIdx, testIdx
-}
 
 // ClassifierKind selects one of the paper's OC-selection mechanisms.
 type ClassifierKind int
@@ -129,7 +116,7 @@ func (f *Framework) ClassifierAccuracy(kind ClassifierKind, archName string, dim
 	// collect in fold order, keeping the mean bit-identical to a serial
 	// loop under any GOMAXPROCS.
 	accs, err := par.Map(context.Background(), len(folds), 0, func(fi int) (float64, error) {
-		trainIdx, testIdx := trainTestSplit(folds, fi)
+		trainIdx, testIdx := profile.TrainTest(folds, fi)
 		cls, enc, err := f.TrainClassifier(kind, archIdx, dims, trainIdx, f.Cfg.Seed+int64(fi))
 		if err != nil {
 			return 0, err
@@ -271,7 +258,7 @@ func (f *Framework) SpeedupVsBaseline(kind ClassifierKind, archName string, dims
 	// cells price identically whether memoized or recomputed, so ratios
 	// match the serial loop exactly; fold order is restored on merge.
 	perFold, err := par.Map(context.Background(), len(folds), 0, func(fi int) ([]float64, error) {
-		trainIdx, testIdx := trainTestSplit(folds, fi)
+		trainIdx, testIdx := profile.TrainTest(folds, fi)
 		cls, enc, err := f.TrainClassifier(kind, archIdx, dims, trainIdx, f.Cfg.Seed+int64(fi))
 		if err != nil {
 			return nil, err
@@ -305,27 +292,4 @@ func (f *Framework) SpeedupVsBaseline(kind ClassifierKind, archName string, dims
 		return 0, fmt.Errorf("core: no comparable stencils for %s vs %s", kind, strat.Name())
 	}
 	return stats.GeoMean(ratios)
-}
-
-// PredictBestOCForStencil trains on the whole corpus of the stencil's
-// dimensionality and predicts the best OC for an arbitrary (possibly
-// unseen) stencil on the named GPU — the end-user entry point.
-func (f *Framework) PredictBestOCForStencil(kind ClassifierKind, archName string, s stencil.Stencil) (opt.Opt, error) {
-	if err := s.Validate(); err != nil {
-		return 0, err
-	}
-	archIdx, _, err := f.ArchByName(archName)
-	if err != nil {
-		return 0, err
-	}
-	trainIdx := f.StencilIndices(s.Dims)
-	if len(trainIdx) == 0 {
-		return 0, fmt.Errorf("core: corpus has no %d-D stencils to train on", s.Dims)
-	}
-	cls, _, err := f.TrainClassifier(kind, archIdx, s.Dims, trainIdx, f.Cfg.Seed)
-	if err != nil {
-		return 0, err
-	}
-	class := ml.ArgMax(probaOne(cls, classEncode(kind, s)))
-	return f.Grouping.RepOC(class), nil
 }

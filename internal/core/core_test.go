@@ -146,31 +146,6 @@ func TestTrainedRegressorPredictsPositive(t *testing.T) {
 	}
 }
 
-func TestPredictBestOCForStencil(t *testing.T) {
-	fw := testFramework(t)
-	oc, err := fw.PredictBestOCForStencil(ClassGBDT, "A100", stencil.Star(2, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !oc.Valid() {
-		t.Errorf("predicted invalid OC %s", oc)
-	}
-	// The representative OC of any class must be one of the grouping reps.
-	found := false
-	for c := 0; c < fw.Grouping.NumClasses(); c++ {
-		if fw.Grouping.RepOC(c) == oc {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("predicted OC %s is not a class representative", oc)
-	}
-	bad := stencil.Stencil{Dims: 5}
-	if _, err := fw.PredictBestOCForStencil(ClassGBDT, "A100", bad); err == nil {
-		t.Error("invalid stencil accepted")
-	}
-}
-
 func TestRentStudyBothMetrics(t *testing.T) {
 	fw := testFramework(t)
 	for _, cost := range []bool{false, true} {

@@ -18,6 +18,7 @@ import (
 	"stencilmart/internal/profile"
 	"stencilmart/internal/stats"
 	"stencilmart/internal/stencil"
+	"stencilmart/internal/tensor"
 )
 
 // Runner executes paper experiments against a built framework. Building
@@ -131,8 +132,8 @@ func (r *Runner) Table1() error {
 func (r *Runner) Table2() error {
 	fmt.Fprintln(r.Out, "== Table II: candidate feature set (example: star2d2r) ==")
 	s := stencil.Star(2, 2)
-	f := Features(s)
-	for i, name := range FeatureNames() {
+	f := tensor.Features(s)
+	for i, name := range tensor.FeatureNames {
 		fmt.Fprintf(r.Out, "%-18s %.4f\n", name, f[i])
 	}
 	fmt.Fprintln(r.Out)
@@ -189,13 +190,6 @@ func topCounts(counts []int, k int) string {
 	}
 	return out
 }
-
-// Features and FeatureNames re-export the Table II extraction for the
-// runner's printout without importing tensor everywhere.
-func Features(s stencil.Stencil) []float64 { return featuresImpl(s) }
-
-// FeatureNames lists the Table II feature names.
-func FeatureNames() []string { return featureNamesImpl() }
 
 // quartileLine renders the Fig. 3 value distribution summary.
 func quartileLine(vals []float64) (string, error) {

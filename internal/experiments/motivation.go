@@ -11,11 +11,7 @@ import (
 	"stencilmart/internal/profile"
 	"stencilmart/internal/stats"
 	"stencilmart/internal/stencil"
-	"stencilmart/internal/tensor"
 )
-
-func featuresImpl(s stencil.Stencil) []float64 { return tensor.Features(s) }
-func featureNamesImpl() []string               { return tensor.FeatureNames }
 
 // representativeDataset profiles the classic motivation-study stencils
 // (star/box/cross, orders 1-4, 2-D and 3-D) on every GPU.

@@ -193,8 +193,10 @@ func TestPredictConcurrent(t *testing.T) {
 func TestStatszCountsRequests(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
-	// At least one predict to move the counters (earlier tests may have
-	// run already; we only assert monotonic, well-formed output).
+	// Two predicts to move the counters: a sim cell memoizes from its
+	// second lookup, and under -shuffle no earlier test may have looked
+	// this one up yet (we only assert monotonic, well-formed output).
+	postPredict(t, h, `{"stencil":"star2d1r","gpu":"V100"}`)
 	postPredict(t, h, `{"stencil":"star2d1r","gpu":"V100"}`)
 
 	rec := httptest.NewRecorder()

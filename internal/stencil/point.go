@@ -1,7 +1,7 @@
 // Package stencil defines stencil access patterns — the sets of neighbor
 // offsets a stencil computation reads to update each grid point — together
-// with classic shape constructors (star, box, cross), reference CPU
-// execution on dense grids, and validation helpers.
+// with classic shape constructors (star, box, cross) and validation
+// helpers.
 //
 // Throughout the package a stencil's order is the Chebyshev radius of its
 // access pattern: the maximum of |dx|, |dy|, |dz| over all accessed offsets.

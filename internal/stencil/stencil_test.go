@@ -151,99 +151,6 @@ func TestRepresentativeSuite(t *testing.T) {
 	}
 }
 
-// TestApplyLaplacianStar checks the executor against a hand-computed
-// 5-point average on a small grid.
-func TestApplyLaplacianStar(t *testing.T) {
-	s := Star(2, 1)
-	in := NewGrid(5, 5, 1)
-	in.Set(2, 2, 0, 5)
-	out := NewGrid(5, 5, 1)
-	if err := Apply(s, UniformCoefficients(s), in, out); err != nil {
-		t.Fatal(err)
-	}
-	if got := out.At(2, 2, 0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("center = %g, want 1", got)
-	}
-	if got := out.At(2, 1, 0); math.Abs(got-1) > 1e-12 {
-		t.Errorf("neighbor = %g, want 1", got)
-	}
-	if got := out.At(1, 1, 0); got != 0 {
-		t.Errorf("diagonal = %g, want 0", got)
-	}
-	// Boundary copied unchanged.
-	if got := out.At(0, 0, 0); got != 0 {
-		t.Errorf("boundary = %g, want 0", got)
-	}
-}
-
-func TestApplyParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, s := range []Stencil{Star(2, 2), Box(2, 1), Cross(3, 1), Star(3, 4), Box(3, 2)} {
-		nx, ny, nz := 20, 18, 1
-		if s.Dims == 3 {
-			nz = 16
-		}
-		in := NewGrid(nx, ny, nz)
-		for i := range in.Data {
-			in.Data[i] = rng.Float64()
-		}
-		coeffs := make(Coefficients, s.NumPoints())
-		for i := range coeffs {
-			coeffs[i] = rng.Float64() - 0.5
-		}
-		a := NewGrid(nx, ny, nz)
-		b := NewGrid(nx, ny, nz)
-		if err := Apply(s, coeffs, in, a); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		if err := ApplyParallel(s, coeffs, in, b); err != nil {
-			t.Fatalf("%s: %v", s.Name, err)
-		}
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				t.Fatalf("%s: serial/parallel mismatch at %d: %g vs %g",
-					s.Name, i, a.Data[i], b.Data[i])
-			}
-		}
-	}
-}
-
-func TestApplyStepsConservesUniformField(t *testing.T) {
-	// A uniform field is a fixed point of any averaging stencil.
-	s := Box(2, 2)
-	in := NewGrid(12, 12, 1)
-	in.Fill(func(x, y, z int) float64 { return 3.5 })
-	out, err := ApplySteps(s, UniformCoefficients(s), in, 4, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out.Data {
-		if math.Abs(v-3.5) > 1e-9 {
-			t.Fatalf("point %d drifted to %g", i, v)
-		}
-	}
-}
-
-func TestApplyErrors(t *testing.T) {
-	s := Star(2, 1)
-	in := NewGrid(5, 5, 1)
-	out := NewGrid(6, 5, 1)
-	if err := Apply(s, UniformCoefficients(s), in, out); err == nil {
-		t.Error("dims mismatch accepted")
-	}
-	if err := Apply(s, Coefficients{1}, in, in.Clone()); err == nil {
-		t.Error("coefficient count mismatch accepted")
-	}
-	tiny := NewGrid(2, 2, 1)
-	if err := Apply(s, UniformCoefficients(s), tiny, tiny.Clone()); err == nil {
-		t.Error("too-small grid accepted")
-	}
-	g3 := NewGrid(5, 5, 5)
-	if err := Apply(s, UniformCoefficients(s), g3, g3.Clone()); err == nil {
-		t.Error("2-D stencil on 3-D grid accepted")
-	}
-}
-
 // Property: canonicalization is idempotent and always yields a valid
 // stencil containing the center, for arbitrary in-range offsets.
 func TestQuickCanonicalValid(t *testing.T) {

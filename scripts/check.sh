@@ -58,10 +58,8 @@ echo "== bench smoke (race) =="
 # (`make bench-ckpt`: persist's column loops, internal/core's save/load
 # pair and dataset-file pair) for the same reason, and so do collection's
 # (the default-corpus Collect pass under a cancelable context, one cell)
-# and the simulator's evaluator benchmarks. cpukernel is test-only code
-# (the OC semantics oracle); its variant benchmark runs here so the
-# oracle's loops cannot rot either.
-go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/ ./internal/profile/ ./internal/sim/ ./internal/cpukernel/
+# and the simulator's evaluator benchmarks.
+go test -race -run='^$' -bench=. -benchtime=1x ./internal/linalg/ ./internal/ml/nn/ ./internal/ml/tree/ ./internal/serve/batch/ ./internal/lazyrand/ ./internal/persist/ ./internal/profile/ ./internal/sim/
 go test -race -run='^$' -bench='Checkpoint|DatasetFile' -benchtime=1x ./internal/core/
 
 echo "== coalescer Do x Close (race, repeated) =="
@@ -151,7 +149,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=16932
+max_lines=16648
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then

@@ -2,7 +2,8 @@
 # serve_smoke.sh — end-to-end smoke test of the train/serve pipeline:
 # build the CLI, train a tiny checkpoint, start the HTTP service on a
 # random port, hit /healthz and /predict, assert well-formed 200
-# responses, and shut the server down. Run from the repository root.
+# responses, check that `stencilmart predict` on the same checkpoint names
+# the same OC, and shut the server down. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -79,6 +80,19 @@ for field in '"oc"' '"params"' '"predicted_seconds"' '"advice"'; do
         cat "$tmp/predict.json"; echo "serve smoke: /predict body missing $field" >&2; exit 1
     }
 done
+
+echo "-- predict (CLI) --"
+# The CLI asks the same checkpoint through the same serving path, so it
+# must name the OC /predict answered.
+"$tmp/stencilmart" predict -model "$tmp/model.ckpt" -stencil star2d2r -gpu V100 >"$tmp/cli.txt" 2>&1 || {
+    cat "$tmp/cli.txt"; echo "serve smoke: predict failed" >&2; exit 1
+}
+cli_oc="$(sed -n 's/^predicted best OC for .* on V100: \([A-Z_]*\) (class [0-9]*)$/\1/p' "$tmp/cli.txt")"
+http_oc="$(sed -n 's/.*"oc":"\([^"]*\)".*/\1/p' "$tmp/predict.json")"
+if [ -z "$cli_oc" ] || [ "$cli_oc" != "$http_oc" ]; then
+    cat "$tmp/cli.txt" "$tmp/predict.json"
+    echo "serve smoke: predict printed OC '$cli_oc', /predict answered '$http_oc'" >&2; exit 1
+fi
 
 echo "-- /modelz --"
 code="$(fetch /modelz "$tmp/modelz.json")"
