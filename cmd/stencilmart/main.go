@@ -1,7 +1,8 @@
 // Command stencilmart is the command-line interface to the StencilMART
 // reproduction: random stencil generation, corpus profiling on the
-// simulated GPUs, training a checkpoint, best-OC prediction and serving
-// from it, the cloud-rental advisor, and the paper's experiment suite.
+// simulated GPUs, training a checkpoint from the profiled dataset,
+// best-OC prediction and serving from it, and the paper's experiment
+// suite.
 //
 // Usage:
 //
@@ -11,7 +12,6 @@
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
 //	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
 //	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 8 -n 50 [-fail-on-error]
-//	stencilmart rent       -dataset dataset.bin -dims 2 [-cost]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
 //	stencilmart experiment -id fig9 [-preset paper]
 //	stencilmart experiment -id all
@@ -59,8 +59,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "loadgen":
 		err = cmdLoadgen(os.Args[2:])
-	case "rent":
-		err = cmdRent(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
 	case "experiment":
@@ -84,11 +82,10 @@ func usage() {
 commands:
   gen         generate random neighbor-chained stencils (Algorithm 1)
   profile     profile a random corpus on every GPU and write the dataset
-  train       train every serving model and write a checkpoint
+  train       train every serving model on a profiled dataset and write a checkpoint
   predict     predict the best optimization combination from a trained checkpoint
   serve       serve predictions over HTTP from a trained checkpoint
   loadgen     drive a running server with concurrent clients and count failed requests
-  rent        run the cloud-rental advisor (pure performance or cost)
   simulate    run one kernel configuration on the simulated GPU
   experiment  regenerate a paper table/figure (table1-3, fig1-4, fig9-15, scale, all)
 
@@ -126,6 +123,11 @@ func cmdGen(args []string) error {
 	}
 	if *n < 1 {
 		return fmt.Errorf("gen: -n must be positive, got %d", *n)
+	}
+	// The library reads a zero order as "use the default"; on the
+	// command line it is a mistake.
+	if *maxOrder < 1 || *maxOrder > stencil.MaxOrder {
+		return fmt.Errorf("gen: -order must be in [1,%d], got %d", stencil.MaxOrder, *maxOrder)
 	}
 	g, err := gen.New(gen.Options{Dims: *dims, MaxOrder: *maxOrder}, *seed)
 	if err != nil {
@@ -185,13 +187,12 @@ func cmdProfile(args []string) error {
 	if err != nil {
 		return err
 	}
-	corpus, err := gen.MixedCorpus(cfg.Corpus2D, cfg.Corpus3D, cfg.MaxOrder, cfg.Seed)
+	corpus, p, err := core.Collection(cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("profiling %d stencils x %d GPUs x %d OCs x %d settings...\n",
 		len(corpus), len(gpu.Catalog()), opt.NumCombinations, cfg.SamplesPerOC)
-	p := profile.NewProfiler(cfg.SamplesPerOC, cfg.Seed+1000)
 	var injector *fault.Injector
 	if *chaos {
 		injector = fault.Wrap(p.Model, fault.DefaultConfig(*chaosSeed))
@@ -242,19 +243,15 @@ func cmdProfile(args []string) error {
 	return nil
 }
 
-// loadFramework builds a framework from -dataset (or from scratch).
-func loadFramework(ctx context.Context, path, preset string, seed int64) (*core.Framework, error) {
+// loadFramework builds a framework from the dataset file `profile` wrote.
+func loadFramework(path, preset string, seed int64) (*core.Framework, error) {
 	cfg, err := configFromPreset(preset, seed)
 	if err != nil {
 		return nil, err
 	}
-	if path == "" {
-		fmt.Println("no -dataset given; building a fresh corpus (this profiles everything)...")
-		return core.Build(ctx, cfg)
-	}
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("dataset: %w (write one with `stencilmart profile`)", err)
 	}
 	defer f.Close()
 	ds, err := profile.Read(f)
@@ -268,7 +265,7 @@ func loadFramework(ctx context.Context, path, preset string, seed int64) (*core.
 // the checkpoint a later predict/serve rehydrates without re-profiling.
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
-	dataset := fs.String("dataset", "", "profiled dataset (from 'profile'); empty = build fresh")
+	dataset := fs.String("dataset", "dataset.bin", "profiled dataset (from 'profile')")
 	out := fs.String("out", "model.ckpt", "checkpoint output path")
 	mech := fs.String("classifier", "GBDT", "classifier (GBDT, ConvNet, FcNet)")
 	regMech := fs.String("regressor", "GBRegressor", "regressor (GBRegressor, MLP, ConvMLP)")
@@ -285,17 +282,17 @@ func cmdTrain(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signalContext()
-	defer stop()
-	fw, err := loadFramework(ctx, *dataset, *preset, *seed)
+	fw, err := loadFramework(*dataset, *preset, *seed)
 	if err != nil {
 		return err
 	}
+	ctx, stop := signalContext()
+	defer stop()
 	fmt.Printf("training %s classifiers and %s regressors on %d stencils...\n",
 		ck, rk, len(fw.Dataset.Stencils))
 	if err := fw.TrainAll(ctx, ck, rk); err != nil {
 		if ctx.Err() != nil {
-			return fmt.Errorf("training interrupted: %w (rerun to train again; profiling is the expensive step, pass -dataset to reuse it)", err)
+			return fmt.Errorf("training interrupted: %w (rerun to train again)", err)
 		}
 		return err
 	}
@@ -402,46 +399,6 @@ func cmdPredict(args []string) error {
 	if adv.BestCostArch != "" {
 		fmt.Printf("most cost-efficient rentable GPU: %s\n", adv.BestCostArch)
 	}
-	return nil
-}
-
-func cmdRent(args []string) error {
-	fs := flag.NewFlagSet("rent", flag.ExitOnError)
-	dataset := fs.String("dataset", "", "profiled dataset; empty = build fresh")
-	dims := fs.Int("dims", 2, "stencil dimensionality (2 or 3)")
-	cost := fs.Bool("cost", false, "optimize cost efficiency instead of pure performance")
-	preset := fs.String("preset", "default", "pipeline preset")
-	seed := fs.Int64("seed", 0, "override pipeline seed")
-	evals := fs.Int("evals", 12, "evaluation instances per held-out stencil")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dims != 2 && *dims != 3 {
-		return fmt.Errorf("rent: -dims must be 2 or 3, got %d", *dims)
-	}
-	if *evals < 1 {
-		return fmt.Errorf("rent: -evals must be positive, got %d", *evals)
-	}
-	ctx, stop := signalContext()
-	defer stop()
-	fw, err := loadFramework(ctx, *dataset, *preset, *seed)
-	if err != nil {
-		return err
-	}
-	rep, err := fw.RentStudy(core.RegGB, *dims, *cost, *evals)
-	if err != nil {
-		return err
-	}
-	metric := "pure performance"
-	if *cost {
-		metric = "cost efficiency"
-	}
-	fmt.Printf("rental advisor (%d-D stencils, %s, %d instances):\n", *dims, metric, rep.Instances)
-	for i, name := range rep.ArchNames {
-		fmt.Printf("  %-7s wins %5.1f%% of instances (prediction accuracy %.0f%%)\n",
-			name, rep.Share[i]*100, rep.Accuracy[i]*100)
-	}
-	fmt.Printf("overall winner-prediction accuracy: %.1f%%\n", rep.Overall*100)
 	return nil
 }
 

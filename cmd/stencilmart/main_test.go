@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -53,11 +55,49 @@ func TestParseClassifier(t *testing.T) {
 
 // TestLoadFrameworkRefusesAJSONDataset: the JSON file an older build's
 // `profile` wrote is refused by the frame, not read and not migrated, and
-// the error (main prints it and exits 1) says what to run instead.
+// a missing file is refused too; each error (main prints it and exits 1)
+// says what to run instead.
 func TestLoadFrameworkRefusesAJSONDataset(t *testing.T) {
-	_, err := loadFramework(context.Background(), "../../internal/profile/testdata/dataset_parent_8a94af0.json", "smoke", 7)
+	_, err := loadFramework("../../internal/profile/testdata/dataset_parent_8a94af0.json", "smoke", 7)
 	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "`stencilmart profile`") {
 		t.Fatalf("got %v, want persist.ErrCorrupt and a pointer to `stencilmart profile`", err)
+	}
+	_, err = loadFramework(filepath.Join(t.TempDir(), "dataset.bin"), "smoke", 7)
+	if !errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), "`stencilmart profile`") {
+		t.Fatalf("missing file: got %v, want fs.ErrNotExist and a pointer to `stencilmart profile`", err)
+	}
+}
+
+// TestProfileThenTrainMatchesBuild: the CLI's two-step path — profile to a
+// dataset file, then train on it — writes the checkpoint that building
+// the same preset in memory and training it writes, byte for byte.
+func TestProfileThenTrainMatchesBuild(t *testing.T) {
+	dir := t.TempDir()
+	dataset := filepath.Join(dir, "dataset.bin")
+	ckpt := filepath.Join(dir, "model.ckpt")
+	if err := cmdProfile([]string{"-preset", "smoke", "-journal", "off", "-out", dataset}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdTrain([]string{"-preset", "smoke", "-dataset", dataset, "-out", ckpt}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := core.Build(context.Background(), core.SmokeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.TrainAll(context.Background(), core.ClassGBDT, core.RegGB); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := fw.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("profile + train checkpoint (%d bytes) differs from Build + TrainAll + Save (%d bytes)", len(got), want.Len())
 	}
 }
 
@@ -73,22 +113,32 @@ func TestSimulateRejectsNoSamples(t *testing.T) {
 }
 
 // TestGenRejectsNoStencils: a non-positive -n is refused before the
-// generator sizes its corpus, not passed on as a slice capacity.
+// generator sizes its corpus, not passed on as a slice capacity, and an
+// -order outside [1, 4] before the generator reads 0 as its default.
 func TestGenRejectsNoStencils(t *testing.T) {
-	for _, n := range []string{"0", "-3"} {
-		err := cmdGen([]string{"-n", n})
-		if err == nil || !strings.Contains(err.Error(), "-n must be positive") {
-			t.Errorf("-n %s: got %v, want the count refused", n, err)
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "-n must be positive"},
+		{[]string{"-n", "-3"}, "-n must be positive"},
+		{[]string{"-order", "0"}, "-order must be in [1,4]"},
+		{[]string{"-order", "5"}, "-order must be in [1,4]"},
+	}
+	for _, c := range cases {
+		err := cmdGen(c.args)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: got %v, want %q", c.args, err, c.want)
 		}
 	}
 }
 
 // TestBadFlagsRefusedBeforeLoading: predict refuses a bad flag before it
-// opens -model, and rent before it opens -dataset (or, without one,
-// profiles a whole corpus). The files named here do not exist, so a flag
-// checked only after loading would surface as the file-open error
-// instead. Each case carries all its own args: predict has no -dataset
-// flag, and an undefined flag exits the process under flag.ExitOnError.
+// opens -model, and train before it opens -dataset. The files named here
+// do not exist, so a flag checked only after loading would surface as the
+// file-open error instead. Each case carries all its own args: predict
+// has no -dataset flag, and an undefined flag exits the process under
+// flag.ExitOnError.
 func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 	missing := filepath.Join(t.TempDir(), "missing.bin")
 	model := filepath.Join(t.TempDir(), "missing.ckpt")
@@ -99,8 +149,8 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 	}{
 		{cmdPredict, []string{"-model", model, "-gpu", "H100"}, "unknown architecture"},
 		{cmdPredict, []string{"-model", model, "-stencil", "blob2d1r"}, "unknown shape prefix"},
-		{cmdRent, []string{"-dataset", missing, "-evals", "0"}, "-evals must be positive"},
-		{cmdRent, []string{"-dataset", missing, "-dims", "4"}, "-dims must be 2 or 3"},
+		{cmdTrain, []string{"-dataset", missing, "-classifier", "SVM"}, "unknown classifier"},
+		{cmdTrain, []string{"-dataset", missing, "-regressor", "SVR"}, "unknown regressor"},
 	}
 	for _, c := range cases {
 		err := c.cmd(c.args)

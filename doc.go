@@ -29,7 +29,7 @@
 //
 // The examples/ directory contains runnable programs for OC selection,
 // cross-architecture prediction, the rent advisor and serving;
-// cmd/stencilmart is the command-line interface (train a checkpoint, then
-// predict or serve from it); EXPERIMENTS.md records the paper-vs-
-// reproduction comparison for every table and figure.
+// cmd/stencilmart is the command-line interface (profile → train →
+// predict/serve); EXPERIMENTS.md records the paper-vs-reproduction
+// comparison for every table and figure.
 package stencilmart

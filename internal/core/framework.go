@@ -10,6 +10,7 @@ import (
 	"stencilmart/internal/merge"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/sim"
+	"stencilmart/internal/stencil"
 )
 
 // Framework is a built StencilMART instance: a profiled corpus plus the
@@ -31,6 +32,21 @@ type Framework struct {
 	compiledFor *Trained
 }
 
+// Collection is the one corpus recipe: it validates cfg, generates the
+// random corpus and returns the profiler seeded to measure it. Build and
+// the CLI's profile command both collect through it, so a dataset written
+// to disk and one built in memory are the same dataset.
+func Collection(cfg Config) ([]stencil.Stencil, *profile.Profiler, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	corpus, err := gen.MixedCorpus(cfg.Corpus2D, cfg.Corpus3D, cfg.MaxOrder, cfg.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return corpus, profile.NewProfiler(cfg.SamplesPerOC, cfg.Seed+1000), nil
+}
+
 // Build runs the data-collection half of the pipeline: generate the
 // random corpus, profile it on every catalog GPU, and merge the OCs into
 // prediction classes. Cancelling ctx (e.g. on SIGINT) stops profiling
@@ -39,15 +55,11 @@ func Build(ctx context.Context, cfg Config) (*Framework, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	corpus, err := gen.MixedCorpus(cfg.Corpus2D, cfg.Corpus3D, cfg.MaxOrder, cfg.Seed)
+	corpus, prof, err := Collection(cfg)
 	if err != nil {
 		return nil, err
 	}
 	model := sim.New()
-	prof := profile.NewProfiler(cfg.SamplesPerOC, cfg.Seed+1000)
 	prof.Model = model
 	ds, err := prof.Collect(ctx, corpus, gpu.Catalog())
 	if err != nil {

@@ -28,11 +28,8 @@ type Runner struct {
 	Cfg core.Config
 	Out io.Writer
 
-	fw *Framework
+	fw *core.Framework
 }
-
-// Framework aliases core.Framework for the runner's lazy cache.
-type Framework = core.Framework
 
 // New returns a runner writing to out.
 func New(cfg core.Config, out io.Writer) *Runner {
@@ -40,7 +37,7 @@ func New(cfg core.Config, out io.Writer) *Runner {
 }
 
 // framework builds (once) the profiled corpus + grouping.
-func (r *Runner) framework() (*Framework, error) {
+func (r *Runner) framework() (*core.Framework, error) {
 	if r.fw == nil {
 		fw, err := core.Build(context.Background(), r.Cfg)
 		if err != nil {

@@ -21,10 +21,11 @@ type Options struct {
 	// target order uniformly from [1, MaxOrder]. Defaults to
 	// stencil.MaxOrder when zero.
 	MaxOrder int
-	// KeepProb is the probability of keeping each candidate neighbor at
-	// every order (at least one is always kept). Defaults to 0.35.
-	KeepProb float64
 }
+
+// keepProb is the probability of keeping each candidate neighbor at every
+// order (at least one is always kept).
+const keepProb = 0.35
 
 func (o *Options) setDefaults() error {
 	if o.Dims != 2 && o.Dims != 3 {
@@ -35,12 +36,6 @@ func (o *Options) setDefaults() error {
 	}
 	if o.MaxOrder < 1 || o.MaxOrder > stencil.MaxOrder {
 		return fmt.Errorf("gen: max order must be in [1,%d], got %d", stencil.MaxOrder, o.MaxOrder)
-	}
-	if o.KeepProb == 0 {
-		o.KeepProb = 0.35
-	}
-	if o.KeepProb < 0 || o.KeepProb > 1 {
-		return fmt.Errorf("gen: keep probability %g outside [0,1]", o.KeepProb)
 	}
 	return nil
 }
@@ -114,7 +109,7 @@ func (g *Generator) orderCandidates(selected []stencil.Point, o int) []stencil.P
 	return out
 }
 
-// sample keeps each candidate with probability KeepProb and guarantees a
+// sample keeps each candidate with probability keepProb and guarantees a
 // nonempty result so the growth chain never stalls below the target order.
 func (g *Generator) sample(candidates []stencil.Point) []stencil.Point {
 	if len(candidates) == 0 {
@@ -122,7 +117,7 @@ func (g *Generator) sample(candidates []stencil.Point) []stencil.Point {
 	}
 	var out []stencil.Point
 	for _, p := range candidates {
-		if g.rng.Float64() < g.opts.KeepProb {
+		if g.rng.Float64() < keepProb {
 			out = append(out, p)
 		}
 	}
@@ -155,7 +150,7 @@ func (g *Generator) Corpus(n int) []stencil.Stencil {
 }
 
 // MixedCorpus generates n2d 2-D and n3d 3-D stencils with the same
-// MaxOrder and KeepProb, seeding the two sub-generators from seed.
+// MaxOrder, seeding the two sub-generators from seed.
 func MixedCorpus(n2d, n3d int, maxOrder int, seed int64) ([]stencil.Stencil, error) {
 	g2, err := New(Options{Dims: 2, MaxOrder: maxOrder}, seed)
 	if err != nil {

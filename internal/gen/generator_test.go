@@ -23,9 +23,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := New(Options{Dims: 2, MaxOrder: 9}, 1); err == nil {
 		t.Error("max order 9 accepted")
 	}
-	if _, err := New(Options{Dims: 2, KeepProb: 1.5}, 1); err == nil {
-		t.Error("keep prob 1.5 accepted")
-	}
 }
 
 func TestNextWithOrderExact(t *testing.T) {
@@ -148,15 +145,14 @@ func TestMixedCorpus(t *testing.T) {
 }
 
 // Property: generated stencils are always valid and within MaxOrder,
-// whatever the seed and keep probability.
+// whatever the seed and dimensionality.
 func TestQuickGeneratedValid(t *testing.T) {
-	f := func(seed int64, probByte uint8, threeD bool) bool {
+	f := func(seed int64, threeD bool) bool {
 		dims := 2
 		if threeD {
 			dims = 3
 		}
-		prob := 0.05 + float64(probByte)/255*0.9
-		g, err := New(Options{Dims: dims, KeepProb: prob}, seed)
+		g, err := New(Options{Dims: dims}, seed)
 		if err != nil {
 			return false
 		}

@@ -13,7 +13,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"time"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/lazyrand"
@@ -88,9 +87,6 @@ type Profiler struct {
 	// the median of an odd trial set is an observed value, bitwise, so
 	// determinism survives outlier rejection.
 	Trials int
-	// CellTimeout bounds one (stencil, arch) cell's wall-clock time;
-	// 0 means no per-cell deadline.
-	CellTimeout time.Duration
 
 	// modelMu guards the lazy Model initialization: ProfileOne may be
 	// called concurrently from Collect's worker pool (or by users), and
@@ -185,18 +181,6 @@ func bestResult(results []OCResult) (oc opt.Opt, best float64, ok bool) {
 	return oc, best, ok
 }
 
-// profileCell measures one (stencil, architecture) cell, applying the
-// profiler's per-cell deadline if one is configured.
-func (p *Profiler) profileCell(ctx context.Context, i int, stencils []stencil.Stencil, archs []gpu.Arch) (Profile, []Instance, error) {
-	nS := len(stencils)
-	if p.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.CellTimeout)
-		defer cancel()
-	}
-	return p.ProfileOne(ctx, i%nS, stencils[i%nS], archs[i/nS])
-}
-
 // measureCells is the one collection loop: it profiles the listed cells
 // in parallel on the shared par worker pool and hands each finished cell
 // to sink on the goroutine that measured it, so sink must be safe for
@@ -205,8 +189,8 @@ func (p *Profiler) profileCell(ctx context.Context, i int, stencils []stencil.St
 func (p *Profiler) measureCells(ctx context.Context, stencils []stencil.Stencil, archs []gpu.Arch, indices []int, sink func(*journalCell) error) error {
 	p.model() // resolve the lazy model before workers race to do it
 	err := par.ForEach(ctx, len(indices), p.Workers, func(j int) error {
-		i := indices[j]
-		prof, inst, err := p.profileCell(ctx, i, stencils, archs)
+		i, nS := indices[j], len(stencils)
+		prof, inst, err := p.ProfileOne(ctx, i%nS, stencils[i%nS], archs[i/nS])
 		if err != nil {
 			return err
 		}

@@ -268,41 +268,25 @@ func TestBackoffOverflow(t *testing.T) {
 	}
 }
 
-// TestCellTimeout bounds one cell's wall-clock: a cell that stalls
-// trips the per-cell deadline instead of hanging Collect.
-func TestCellTimeout(t *testing.T) {
-	stall := cellsFunc(func(sim.Workload, gpu.Arch) sim.EvalFn {
-		return func(opt.Opt, opt.Params) (sim.Result, error) {
-			time.Sleep(5 * time.Millisecond)
-			return sim.Result{Time: 1}, nil
-		}
-	})
-	p := &profile.Profiler{Model: stall, SamplesPerOC: 2, Seed: 1, CellTimeout: time.Millisecond, Workers: 1}
-	corpus := []stencil.Stencil{stencil.Star(2, 1)}
-	_, err := p.Collect(context.Background(), corpus, gpu.Catalog()[:1])
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("got %v, want the cell deadline to fire", err)
-	}
-}
-
 // cellsFunc adapts a function to sim.Cells.
 type cellsFunc func(sim.Workload, gpu.Arch) sim.EvalFn
 
 func (f cellsFunc) CellFn(w sim.Workload, arch gpu.Arch) sim.EvalFn { return f(w, arch) }
 
 // TestBackoffCutShortByCancellation: with no injected clock a backoff
-// waits on a timer that the context's deadline cuts short, so a cell
-// deadline shorter than the backoff ends the cell at the deadline, not
-// after the whole backoff.
+// waits on a timer that the context's deadline cuts short, so a deadline
+// shorter than the backoff ends the collection at the deadline, not after
+// the whole backoff.
 func TestBackoffCutShortByCancellation(t *testing.T) {
 	runner := &scriptedCells{failsPerSite: math.MaxInt, mode: "transient"}
 	p := &profile.Profiler{
 		Model: runner, SamplesPerOC: 1, Seed: 1, Workers: 1,
-		CellTimeout: 10 * time.Millisecond,
-		Retry:       profile.RetryPolicy{MaxAttempts: 3, BaseDelay: 400 * time.Millisecond, MaxDelay: 400 * time.Millisecond},
+		Retry: profile.RetryPolicy{MaxAttempts: 3, BaseDelay: 400 * time.Millisecond, MaxDelay: 400 * time.Millisecond},
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	_, err := p.Collect(context.Background(), []stencil.Stencil{stencil.Star(2, 1)}, gpu.Catalog()[:1])
+	_, err := p.Collect(ctx, []stencil.Stencil{stencil.Star(2, 1)}, gpu.Catalog()[:1])
 	took := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want the cell deadline to fire", err)

@@ -257,19 +257,6 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 	if _, err := reg.Publish(fw); err != nil {
 		return nil, fmt.Errorf("serve: framework has no trained models (train or load a checkpoint first)")
 	}
-	return NewWithRegistry(reg, opts)
-}
-
-// NewWithRegistry serves an externally managed registry, which must
-// already hold a current version.
-func NewWithRegistry(reg *registry.Registry, opts Options) (*Server, error) {
-	h, err := reg.Acquire("")
-	if err != nil {
-		return nil, fmt.Errorf("serve: registry has no current model: %w", err)
-	}
-	fw := h.Framework()
-	h.Release()
-
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}

@@ -1,9 +1,10 @@
 #!/bin/sh
 # serve_chaos_smoke.sh — the serving-tier resilience drill over real
-# HTTP: train a tiny checkpoint, serve it on the f32 lane with the chaos
-# injector armed (latency spikes, connection resets, truncated bodies,
-# and a deterministic scoring-panic burst), then drive loadgen bursts
-# through it and assert the resilience contract on /statsz:
+# HTTP: profile a tiny corpus, train a checkpoint on the dataset file,
+# serve it on the f32 lane with the chaos injector armed (latency
+# spikes, connection resets, truncated bodies, and a deterministic
+# scoring-panic burst), then drive loadgen bursts through it and assert
+# the resilience contract on /statsz:
 #
 #   - the scoring burst trips the (v1, f32) breaker, and every affected
 #     request is served degraded by the f64 fallback (degraded > 0,
@@ -33,8 +34,11 @@ trap cleanup EXIT INT TERM
 
 go build -o "$tmp/stencilmart" ./cmd/stencilmart
 
-echo "-- train (smoke preset) --"
-"$tmp/stencilmart" train -preset smoke -out "$tmp/model.ckpt" >"$tmp/train.log" 2>&1 || {
+echo "-- profile, then train (smoke preset) --"
+"$tmp/stencilmart" profile -preset smoke -out "$tmp/dataset.bin" >"$tmp/profile.log" 2>&1 || {
+    cat "$tmp/profile.log"; echo "serve chaos: profile failed" >&2; exit 1
+}
+"$tmp/stencilmart" train -preset smoke -dataset "$tmp/dataset.bin" -out "$tmp/model.ckpt" >"$tmp/train.log" 2>&1 || {
     cat "$tmp/train.log"; echo "serve chaos: train failed" >&2; exit 1
 }
 

@@ -1,9 +1,10 @@
 #!/bin/sh
-# serve_smoke.sh — end-to-end smoke test of the train/serve pipeline:
-# build the CLI, train a tiny checkpoint, start the HTTP service on a
-# random port, hit /healthz and /predict, assert well-formed 200
-# responses, check that `stencilmart predict` on the same checkpoint names
-# the same OC, and shut the server down. Run from the repository root.
+# serve_smoke.sh — end-to-end smoke test of the profile/train/serve
+# pipeline: build the CLI, profile a tiny corpus, train a checkpoint on
+# the dataset file, start the HTTP service on a random port, hit /healthz
+# and /predict, assert well-formed 200 responses, check that `stencilmart
+# predict` on the same checkpoint names the same OC, and shut the server
+# down. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -21,8 +22,11 @@ trap cleanup EXIT INT TERM
 
 go build -o "$tmp/stencilmart" ./cmd/stencilmart
 
-echo "-- train (smoke preset) --"
-"$tmp/stencilmart" train -preset smoke -out "$tmp/model.ckpt" >"$tmp/train.log" 2>&1 || {
+echo "-- profile, then train (smoke preset) --"
+"$tmp/stencilmart" profile -preset smoke -out "$tmp/dataset.bin" >"$tmp/profile.log" 2>&1 || {
+    cat "$tmp/profile.log"; echo "serve smoke: profile failed" >&2; exit 1
+}
+"$tmp/stencilmart" train -preset smoke -dataset "$tmp/dataset.bin" -out "$tmp/model.ckpt" >"$tmp/train.log" 2>&1 || {
     cat "$tmp/train.log"; echo "serve smoke: train failed" >&2; exit 1
 }
 
