@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke chaos-serve bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
+.PHONY: build test vet race check serve-smoke chaos-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -25,11 +25,6 @@ serve-smoke:
 
 chaos-smoke:
 	sh scripts/chaos_smoke.sh
-
-# Serving-tier resilience drill: chaos-armed HTTP server, breaker trip
-# into degraded fallback, bounded errors, half-open recovery.
-chaos-serve:
-	sh scripts/serve_chaos_smoke.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

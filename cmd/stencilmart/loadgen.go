@@ -67,9 +67,8 @@ func cmdLoadgen(args []string) error {
 				resp, err := client.Post(predictURL, "application/json", strings.NewReader(body))
 				if err == nil {
 					// Read the body in full and require parseable JSON: a
-					// connection reset or truncated response mid-body (the
-					// chaos drill injects both) must count as a failure, not
-					// a silently discarded success.
+					// connection reset or truncated response mid-body must
+					// count as a failure, not a silently discarded success.
 					data, rerr := io.ReadAll(resp.Body)
 					resp.Body.Close()
 					switch {

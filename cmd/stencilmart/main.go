@@ -317,10 +317,6 @@ func cmdServe(args []string) error {
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /predict requests admitted before shedding with 503")
 	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max requests coalesced into one model call (1 = serial baseline)")
 	laneName := fs.String("lane", "f64", "default inference lane (f32, f64); requests override with ?lane=")
-	breakerThreshold := fs.Int("breaker-threshold", serve.DefaultBreakerThreshold, "consecutive scoring failures that trip a (version, lane) circuit breaker")
-	breakerCooldown := fs.Duration("breaker-cooldown", serve.DefaultBreakerCooldown, "how long a tripped breaker stays open before a half-open probe")
-	chaos := fs.Bool("chaos", false, "inject deterministic HTTP and scoring faults (latency spikes, connection resets, truncated bodies, scoring panics) — a resilience drill, never for production")
-	chaosSeed := fs.Int64("chaos-seed", 7, "chaos fault-injection seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -332,21 +328,12 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := serve.Options{
-		Timeout:          *timeout,
-		MaxInFlight:      *maxInFlight,
-		BatchSize:        *batchSize,
-		Lane:             lane,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
-	}
-	if *chaos {
-		inj := fault.NewHTTPInjector(fault.DefaultHTTPConfig(*chaosSeed))
-		opts.ScoreFaults = inj
-		opts.Middleware = inj.Middleware
-		fmt.Printf("chaos drill armed: seed %d (latency spikes, resets, truncation, scoring panics)\n", *chaosSeed)
-	}
-	srv, err := serve.NewWithOptions(fw, opts)
+	srv, err := serve.NewWithOptions(fw, serve.Options{
+		Timeout:     *timeout,
+		MaxInFlight: *maxInFlight,
+		BatchSize:   *batchSize,
+		Lane:        lane,
+	})
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// ledger is the deterministic fault draw both injectors share: a seed,
-// the fault classes' rates in partition order, and per-site attempt and
-// budget bookkeeping. Whether attempt k at a site faults, and with which
+// ledger is the Injector's deterministic fault draw: a seed, the fault
+// classes' rates in partition order, and per-site attempt and budget
+// bookkeeping. Whether attempt k at a site faults, and with which
 // class, is a pure function of (seed, site, k).
 type ledger struct {
 	seed   int64

@@ -5,13 +5,13 @@ import (
 	"time"
 )
 
-// DefaultBreakerThreshold is how many consecutive scoring failures trip a
+// breakerThreshold is how many consecutive scoring failures trip a
 // lane's breaker.
-const DefaultBreakerThreshold = 3
+const breakerThreshold = 3
 
-// DefaultBreakerCooldown is how long a tripped breaker stays open before
-// a half-open probe tests the lane again.
-const DefaultBreakerCooldown = 2 * time.Second
+// breakerCooldown is how long a tripped breaker stays open before a
+// half-open probe tests the lane again.
+const breakerCooldown = 2 * time.Second
 
 // BreakerState is one breaker's position in the classic three-state
 // machine: closed (healthy, traffic flows), open (tripped, traffic
@@ -63,31 +63,15 @@ type breaker struct {
 // for keys that never carried traffic report closed without creating
 // state.
 type breakerSet struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	mu       sync.Mutex
+	cooldown time.Duration // breakerCooldown; tests shorten it
 
 	m     map[breakerKey]*breaker
 	order []breakerKey // first-seen order, for stable snapshots
 }
 
-func newBreakerSet(threshold int, cooldown time.Duration, now func() time.Time) *breakerSet {
-	if threshold <= 0 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &breakerSet{
-		threshold: threshold,
-		cooldown:  cooldown,
-		now:       now,
-		m:         make(map[breakerKey]*breaker),
-	}
+func newBreakerSet() *breakerSet {
+	return &breakerSet{cooldown: breakerCooldown, m: make(map[breakerKey]*breaker)}
 }
 
 // get returns the key's breaker, creating it closed. Callers hold b.mu.
@@ -114,7 +98,7 @@ func (b *breakerSet) route(k breakerKey) (allow, probe bool) {
 	case BreakerClosed:
 		return true, false
 	case BreakerOpen:
-		if b.now().Sub(br.openedAt) >= b.cooldown {
+		if time.Since(br.openedAt) >= b.cooldown {
 			br.state = BreakerHalfOpen
 			br.probing = true
 			br.probes++
@@ -143,15 +127,15 @@ func (b *breakerSet) result(k breakerKey, probe, failed bool) {
 		if probe || br.state == BreakerHalfOpen {
 			// Probe failed: straight back to open, restart the cooldown.
 			br.state = BreakerOpen
-			br.openedAt = b.now()
+			br.openedAt = time.Now()
 			br.probing = false
 			br.trips++
 			return
 		}
 		br.consecutive++
-		if br.state == BreakerClosed && br.consecutive >= b.threshold {
+		if br.state == BreakerClosed && br.consecutive >= breakerThreshold {
 			br.state = BreakerOpen
-			br.openedAt = b.now()
+			br.openedAt = time.Now()
 			br.trips++
 		}
 		return

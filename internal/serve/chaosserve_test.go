@@ -5,17 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"stencilmart/internal/core"
-	"stencilmart/internal/fault"
 	"stencilmart/internal/stencil"
 	"stencilmart/internal/testutil"
 )
@@ -25,7 +24,7 @@ import (
 // newline).
 func serialWant(t *testing.T, bodies []string) map[string][]byte {
 	t.Helper()
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	want := make(map[string][]byte, len(bodies))
 	for _, body := range bodies {
 		var req PredictRequest
@@ -49,46 +48,45 @@ func serialWant(t *testing.T, bodies []string) map[string][]byte {
 	return want
 }
 
-// TestChaosServeDifferential is the serving tier's chaos acceptance: a
-// real HTTP server under ≥10% injected faults — latency spikes,
-// connection resets, mid-body truncation, and a scoring-panic burst —
-// where every client retries until it completes, every completed
-// response must be bitwise-identical to the fault-free run, and the
-// failure count stays bounded by what was injected. The scoring burst is
-// sized below the breaker threshold, so this run also proves breakers
-// don't trip on sub-threshold fault stretches.
+// panicBurst returns a scorePanic hook that panics the scoring calls
+// at site numbered after through after+burst-1 (0-based, counting only
+// that site's calls) and no others.
+func panicBurst(after, burst int, site string) func(string) bool {
+	var calls atomic.Int64
+	return func(s string) bool {
+		if s != site {
+			return false
+		}
+		n := int(calls.Add(1) - 1)
+		return n >= after && n < after+burst
+	}
+}
+
+// TestChaosServeDifferential drives concurrent clients through a server
+// whose scoring path takes a burst of injected panics. Every client
+// retries until it completes, and every completed response must be
+// bitwise-identical to the fault-free run. A panicking batch fails at
+// most its own requests. The burst is sized below the breaker threshold,
+// so this run also proves breakers don't trip on sub-threshold fault
+// stretches.
 func TestChaosServeDifferential(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	bodies := diffBodies(t)
 	want := serialWant(t, bodies)
 	const batchSize = 8
+	const burst = 2 // below breakerThreshold: no trip
 	const maxAttempts = 10
 
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS%d", procs), func(t *testing.T) {
 			testutil.WithGOMAXPROCS(t, procs, func() {
-				inj := fault.NewHTTPInjector(fault.HTTPConfig{
-					Seed:            11,
-					LatencyRate:     0.06,
-					ResetRate:       0.05,
-					TruncateRate:    0.05,
-					LatencySpike:    time.Millisecond,
-					ScorePanicAfter: 2,
-					ScorePanicBurst: 2, // below DefaultBreakerThreshold: no trip
-					ScorePanicSite:  "f64/v1",
-				})
-				s, err := NewWithOptions(fw, Options{
-					BatchSize:   batchSize,
-					MaxInFlight: 4 * len(bodies),
-					ScoreFaults: inj,
-					Middleware:  inj.Middleware,
-				})
+				s, err := NewWithOptions(fw, Options{BatchSize: batchSize, MaxInFlight: 4 * len(bodies)})
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				srv := httptest.NewServer(s.Handler())
-				defer srv.Close()
+				s.scorePanic = panicBurst(2, burst, "f64/v1")
+				h := s.Handler()
 
 				type report struct {
 					body string
@@ -104,22 +102,17 @@ func TestChaosServeDifferential(t *testing.T) {
 						rep := report{body: body}
 						defer func() { reports <- rep }()
 						for attempt := 0; attempt < maxAttempts; attempt++ {
-							resp, err := srv.Client().Post(srv.URL+"/predict", "application/json", strings.NewReader(body))
-							if err != nil {
-								rep.bad++
-								continue
-							}
-							data, rerr := io.ReadAll(resp.Body)
-							resp.Body.Close()
-							if rerr != nil || resp.StatusCode != http.StatusOK {
+							rec := httptest.NewRecorder()
+							h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+							if rec.Code != http.StatusOK {
 								rep.bad++
 								continue
 							}
 							// A completed response must be bitwise-identical
-							// to the fault-free run — chaos may fail
+							// to the fault-free run — faults may fail
 							// requests, never corrupt them.
-							if !bytes.Equal(data, want[body]) {
-								rep.err = fmt.Errorf("completed response diverges from fault-free run:\nwant %q\ngot  %q", want[body], data)
+							if got := rec.Body.Bytes(); !bytes.Equal(got, want[body]) {
+								rep.err = fmt.Errorf("completed response diverges from fault-free run:\nwant %q\ngot  %q", want[body], got)
 							}
 							return
 						}
@@ -137,24 +130,13 @@ func TestChaosServeDifferential(t *testing.T) {
 					totalBad += rep.bad
 				}
 
-				st := inj.Stats()
-				if st.Total() == 0 {
-					t.Fatal("chaos run injected no faults")
+				if p := s.panics.Load(); p != burst {
+					t.Fatalf("recovered panics %d, want the full burst of %d", p, burst)
 				}
-				// ≥10% of attempts faulted — the suite actually ran under
-				// chaos, not around it.
-				if st.Total()*10 < st.Requests {
-					t.Fatalf("injected %d faults over %d requests, below the 10%% floor", st.Total(), st.Requests)
-				}
-				if st.ScorePanics != 2 {
-					t.Fatalf("score panics %d, want the full burst of 2", st.ScorePanics)
-				}
-				// Error budget: every failed attempt traces to an injected
-				// fault — a reset, a truncation, or a scoring panic that
-				// failed at most one whole batch.
-				bound := int(st.Resets+st.Truncates) + int(st.ScorePanics)*batchSize
-				if totalBad > bound {
-					t.Fatalf("%d failed attempts exceed the injected-fault bound %d (stats %+v)", totalBad, bound, st)
+				// Error budget: every failed attempt traces to a scoring
+				// panic that failed at most one whole batch.
+				if bound := burst * batchSize; totalBad > bound {
+					t.Fatalf("%d failed attempts exceed the injected-fault bound %d", totalBad, bound)
 				}
 				// Sub-threshold faults must not trip breakers or degrade
 				// anything.
@@ -173,28 +155,21 @@ func TestChaosServeDifferential(t *testing.T) {
 
 // TestBreakerTripFallbackRecovery is the f32 breaker drill: a
 // deterministic burst of scoring panics on (v1, f32) trips the breaker
-// after exactly DefaultBreakerThreshold consecutive failures, every
+// after exactly breakerThreshold consecutive failures, every
 // affected request is served by the same version's f64 lane with zero
 // failures (bodies bitwise-identical to the fault-free f64 run, degraded
 // headers set), the open breaker short-circuits, and after the cooldown
 // a half-open probe restores the f32 lane.
 func TestBreakerTripFallbackRecovery(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	const cooldown = 100 * time.Millisecond
-	inj := fault.NewHTTPInjector(fault.HTTPConfig{
-		Seed:            5,
-		ScorePanicAfter: 1,
-		ScorePanicBurst: 3,
-		ScorePanicSite:  "f32/v1",
-	})
-	s, err := NewWithOptions(fw, Options{
-		BreakerCooldown: cooldown,
-		ScoreFaults:     inj,
-	})
+	s, err := NewWithOptions(fw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.breakers.cooldown = cooldown
+	s.scorePanic = panicBurst(1, 3, "f32/v1")
 	h := s.Handler()
 
 	const body = `{"stencil":"star2d1r","gpu":"V100"}`
@@ -291,18 +266,19 @@ func breakerByKey(t *testing.T, s *Server, version string, lane Lane) BreakerSna
 // nothing — requests fail bounded (503, never a torn read of a retired
 // framework) — and after the cooldown a half-open probe restores v2.
 func TestBreakerVersionFallbackAndRetire(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := fw.SaveFile(ckpt); err != nil {
 		t.Fatal(err)
 	}
 
 	const cooldown = 100 * time.Millisecond
-	s, err := NewWithOptions(fw, Options{BreakerCooldown: cooldown})
+	s, err := NewWithOptions(fw, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.breakers.cooldown = cooldown
 	// v2 is a distinct framework loaded from the checkpoint; requests
 	// follow the current pointer to it.
 	if _, err := s.Registry().PublishFile(ckpt); err != nil {
@@ -405,9 +381,16 @@ func TestDeadlineExpiredRejectedAtAdmission(t *testing.T) {
 		t.Fatalf("deadline_expired = %d, want 2", got)
 	}
 
-	// A generous budget serves normally.
-	if rec := post("30000"); rec.Code != http.StatusOK {
-		t.Fatalf("live deadline gave %d: %s", rec.Code, rec.Body.String())
+	// A generous budget serves normally, and so does one whose Duration
+	// would overflow (~317 years): a budget beyond the server's own
+	// timeout narrows nothing and expires nothing.
+	for _, live := range []string{"30000", "10000000000000"} {
+		if rec := post(live); rec.Code != http.StatusOK {
+			t.Fatalf("X-Deadline-Millis=%s gave %d: %s", live, rec.Code, rec.Body.String())
+		}
+	}
+	if got := statsOf(t, h).Endpoints["predict"].DeadlineExpired; got != 2 {
+		t.Fatalf("deadline_expired = %d after live budgets, want still 2", got)
 	}
 }
 
@@ -417,6 +400,7 @@ func TestDeadlineExpiredRejectedAtAdmission(t *testing.T) {
 // path never sees its GPU.
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	s := hardenedServer(t, Options{Timeout: 10 * time.Second})
+	fw := testFramework(t)
 	var mu sync.Mutex
 	seen := map[string]bool{}
 	release := make(chan struct{})
@@ -426,7 +410,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 		seen[arch] = true
 		mu.Unlock()
 		once.Do(func() { <-release })
-		return s.fw.ServePredict(arch, st)
+		return fw.ServePredict(arch, st)
 	}))
 	h := s.Handler()
 

@@ -50,7 +50,7 @@ func holdLane(t *testing.T, s *Server, h http.Handler, body string) (release fun
 // default one.
 func diffBodies(t *testing.T) []string {
 	t.Helper()
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	shapes := []string{"star2d1r", "star2d2r", "star2d3r", "box2d1r", "box2d2r", "star3d1r", "star3d2r", "box3d1r"}
 	var bodies []string
 	for _, sh := range shapes {
@@ -91,7 +91,7 @@ func postAll(h http.Handler, bodies []string, ready func()) ([]int, [][]byte) {
 // coalesce into M/batchSize full batches — this is not the serial lane in
 // disguise.
 func TestCoalescedDifferential(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	bodies := diffBodies(t)
 	const batchSize = 8
 	if len(bodies)%batchSize != 0 {
@@ -140,7 +140,7 @@ func TestCoalescedDifferential(t *testing.T) {
 // (arrivals queue behind the busy lane), where MaxBatch 1 scores them in
 // 32 calls — and both must answer every request with the serial bytes.
 func TestBatchesFormUnderLoad(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	bodies := diffBodies(t)
 	want := serialWant(t, bodies)
 	for _, batchSize := range []int{1, DefaultBatchSize} {
@@ -178,7 +178,7 @@ func TestBatchesFormUnderLoad(t *testing.T) {
 // model lease, so retiring the version afterwards does not hang — a job
 // admitted as the lane exited used to keep its lease for good.
 func TestCloseAnswersAndReleasesEveryRequest(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	bodies := diffBodies(t)[:8]
 	for iter := 0; iter < 40; iter++ {
 		s, err := NewWithOptions(fw, Options{BatchSize: 4})
@@ -211,7 +211,7 @@ func TestCloseAnswersAndReleasesEveryRequest(t *testing.T) {
 // versions 404, and /modelz lists what is live.
 func TestModelVersionPinning(t *testing.T) {
 	s := hardenedServer(t, Options{})
-	if _, err := s.Registry().Publish(s.fw); err != nil { // v2, same models
+	if _, err := s.Registry().Publish(testFramework(t)); err != nil { // v2, same models
 		t.Fatal(err)
 	}
 	h := s.Handler()
@@ -255,7 +255,7 @@ func TestModelVersionPinning(t *testing.T) {
 // one request may fail. Pinned v1 requests work before the swap and 404
 // after v1 is drained away.
 func TestModelSwapUnderLoad(t *testing.T) {
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
 	if err := fw.SaveFile(ckpt); err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"stencilmart/internal/core"
-	"stencilmart/internal/fault"
 	"stencilmart/internal/stencil"
 )
 
@@ -18,7 +17,7 @@ import (
 // fault counters and prediction stubs never leak between tests.
 func hardenedServer(t *testing.T, opts Options) *Server {
 	t.Helper()
-	fw := testServer(t).fw
+	fw := testFramework(t)
 	s, err := NewWithOptions(fw, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -124,12 +123,13 @@ func TestPredictStatusIgnoresErrorText(t *testing.T) {
 // shed is counted.
 func TestPredictLoadShed(t *testing.T) {
 	s := hardenedServer(t, Options{MaxInFlight: 1})
+	fw := testFramework(t)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	s.setPredict(serialStub(func(arch string, st stencil.Stencil) (*core.ServePrediction, error) {
 		entered <- struct{}{}
 		<-release
-		return s.fw.ServePredict(arch, st)
+		return fw.ServePredict(arch, st)
 	}))
 	h := s.Handler()
 
@@ -160,31 +160,21 @@ func TestPredictLoadShed(t *testing.T) {
 }
 
 // TestPredictOversizeBody: a body past MaxRequestBytes gets 413 with a
-// JSON error, counted, without disturbing the other fault counters —
-// also behind the chaos middleware, which reads the first MiB of every
-// body to name its site and must hand the handler all of it (it once
-// passed on only what it had read, and the body arrived exactly at the
-// limit: 400, uncounted).
+// JSON error, counted, without disturbing the other fault counters.
 func TestPredictOversizeBody(t *testing.T) {
-	chaos := fault.NewHTTPInjector(fault.HTTPConfig{Seed: 1}) // no fault ever fires
-	for name, opts := range map[string]Options{
-		"bare":             {},
-		"chaos middleware": {Middleware: chaos.Middleware},
-	} {
-		h := hardenedServer(t, opts).Handler()
-		body := `{"stencil":"` + strings.Repeat("x", MaxRequestBytes) + `","gpu":"V100"}`
-		rec, out := postPredict(t, h, body)
-		if rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("%s: oversize body gave %d (%v), want 413", name, rec.Code, out)
-		}
-		msg, _ := out["error"].(string)
-		if !strings.Contains(msg, "bytes") {
-			t.Fatalf("%s: 413 body %v does not state the limit", name, out)
-		}
-		st := statsOf(t, h)
-		if st.Faults != (FaultSnapshot{OversizeRequests: 1}) {
-			t.Fatalf("%s: faults %+v, want only one oversize request", name, st.Faults)
-		}
+	h := hardenedServer(t, Options{}).Handler()
+	body := `{"stencil":"` + strings.Repeat("x", MaxRequestBytes) + `","gpu":"V100"}`
+	rec, out := postPredict(t, h, body)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body gave %d (%v), want 413", rec.Code, out)
+	}
+	msg, _ := out["error"].(string)
+	if !strings.Contains(msg, "bytes") {
+		t.Fatalf("413 body %v does not state the limit", out)
+	}
+	st := statsOf(t, h)
+	if st.Faults != (FaultSnapshot{OversizeRequests: 1}) {
+		t.Fatalf("faults %+v, want only one oversize request", st.Faults)
 	}
 }
 

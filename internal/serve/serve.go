@@ -92,29 +92,6 @@ type Options struct {
 	// Lane is the default inference lane for requests that don't pin one
 	// with ?lane= (LaneF64 if empty).
 	Lane Lane
-	// BreakerThreshold is how many consecutive scoring failures trip a
-	// (version, lane) breaker (DefaultBreakerThreshold if 0).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before a
-	// half-open probe (DefaultBreakerCooldown if 0).
-	BreakerCooldown time.Duration
-	// ScoreFaults, when non-nil, is consulted before every primary
-	// scoring call; a true answer panics the call. The chaos harness
-	// (fault.HTTPInjector) plugs in here to drill breakers
-	// deterministically.
-	ScoreFaults ScorePanicker
-	// Middleware, when non-nil, wraps the fully assembled handler as the
-	// outermost layer — outside panic recovery, so connection-level chaos
-	// (http.ErrAbortHandler) reaches net/http instead of being converted
-	// to a 500.
-	Middleware func(http.Handler) http.Handler
-}
-
-// ScorePanicker injects scoring-path faults: site names a (lane, version)
-// scoring call, and a true return makes that call panic. Implemented by
-// fault.HTTPInjector; nil means no injection.
-type ScorePanicker interface {
-	ScorePanic(site string) bool
 }
 
 // endpointStats aggregates per-endpoint counters with atomics so the
@@ -200,19 +177,17 @@ type predictBatchFn func(fw *core.Framework, ctx context.Context, reqs []core.Se
 // Server serves predictions from a versioned registry of trained
 // frameworks through a request-coalescing lane.
 type Server struct {
-	fw      *core.Framework // the initially published framework (stats fallback)
 	reg     *registry.Registry
 	co      *batch.Coalescer[predictJob, predictResult]
 	timeout time.Duration
 	started time.Time
 	lane    Lane // default lane for requests without ?lane=
 
-	// breakers guards every (version, lane) scoring path; scoreFaults is
-	// the chaos harness's scoring-panic hook (nil in production);
-	// middleware is the optional outermost handler wrapper.
-	breakers    *breakerSet
-	scoreFaults ScorePanicker
-	middleware  func(http.Handler) http.Handler
+	// breakers guards every (version, lane) scoring path; scorePanic,
+	// when set (only by tests), makes the scoring call at site
+	// "lane/version" panic when it answers true.
+	breakers   *breakerSet
+	scorePanic func(site string) bool
 
 	// arena is the f32 lane's per-batch scratch. The coalescer scores
 	// batches through a single serialized lane, so one server-owned
@@ -271,16 +246,13 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	s := &Server{
-		fw:          fw,
-		reg:         reg,
-		timeout:     opts.Timeout,
-		started:     time.Now(),
-		lane:        lane,
-		arena:       core.NewServeArena(),
-		inflight:    make(chan struct{}, opts.MaxInFlight),
-		breakers:    newBreakerSet(opts.BreakerThreshold, opts.BreakerCooldown, nil),
-		scoreFaults: opts.ScoreFaults,
-		middleware:  opts.Middleware,
+		reg:      reg,
+		timeout:  opts.Timeout,
+		started:  time.Now(),
+		lane:     lane,
+		arena:    core.NewServeArena(),
+		inflight: make(chan struct{}, opts.MaxInFlight),
+		breakers: newBreakerSet(),
 	}
 	s.setPredict(nil)
 	s.co = batch.New(batch.Options[predictJob]{
@@ -442,9 +414,9 @@ func (s *Server) scoreGroup(ctx context.Context, key breakerKey, idxs []int, job
 // panic or mis-shaped result into an error the caller feeds the breaker.
 // The f32 lane scores through the compiled models over the server's
 // arena; the f64 lane goes through predictFn (which tests substitute —
-// test doubles only ever intercept the reference lane). The chaos
-// harness's ScoreFaults hook fires inside the recovery scope, so
-// injected scoring panics travel the exact path real ones do.
+// test doubles only ever intercept the reference lane). The scorePanic
+// hook fires inside the recovery scope, so injected scoring panics
+// travel the exact path real ones do.
 func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, version string, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -452,7 +424,7 @@ func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, ve
 			res, err = nil, fmt.Errorf("internal error: predict panicked: %v", v)
 		}
 	}()
-	if s.scoreFaults != nil && s.scoreFaults.ScorePanic(string(lane)+"/"+version) {
+	if s.scorePanic != nil && s.scorePanic(string(lane)+"/"+version) {
 		panic("injected scoring fault")
 	}
 	if lane == LaneF32 {
@@ -510,9 +482,7 @@ func (s *Server) fallbackFor(fw *core.Framework, key breakerKey) (*core.Framewor
 }
 
 // Handler returns the service's HTTP handler: panic recovery around
-// everything, request timeouts on the prediction endpoint, and the
-// optional chaos middleware outermost (outside recovery, so injected
-// connection aborts behave like real ones).
+// everything and request timeouts on the prediction endpoint.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -528,11 +498,7 @@ func (s *Server) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		timeout.ServeHTTP(w, r)
 	}))
-	h := s.recoverPanics(mux)
-	if s.middleware != nil {
-		h = s.middleware(h)
-	}
-	return h
+	return s.recoverPanics(mux)
 }
 
 // recoverPanics converts a panicking handler into a 500 JSON error and a
@@ -668,17 +634,6 @@ type SimCacheSnapshot struct {
 	HitRate   float64 `json:"hit_rate"`
 }
 
-// statsFramework picks the framework whose sim-cache counters /statsz
-// reports: the current registry version, falling back to the framework
-// the server was built with.
-func (s *Server) statsFramework() *core.Framework {
-	if h, err := s.reg.Acquire(""); err == nil {
-		defer h.Release()
-		return h.Framework()
-	}
-	return s.fw
-}
-
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { s.statsz.observe(time.Since(start), false) }()
@@ -686,7 +641,15 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "GET only"})
 		return
 	}
-	cs := s.statsFramework().Model.CacheStats()
+	// The current version always leases: NewWithOptions published v1 and
+	// Retire refuses the current version.
+	h, err := s.reg.Acquire("")
+	if err != nil {
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		return
+	}
+	cs := h.Framework().Model.CacheStats()
+	h.Release()
 	writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
 		SimCache: SimCacheSnapshot{
@@ -859,7 +822,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// semaphore, a batch slot, or a model lease. The resulting context
 	// travels with the job into batch scoring. The server's own timeout
 	// (the TimeoutHandler wrapping this handler) already put its deadline
-	// on r.Context(), so a tighter client budget only narrows it.
+	// on r.Context(), so only a tighter client budget narrows it; a budget
+	// at or beyond the server timeout is left alone (converting one of
+	// more than ~292 years to a Duration would overflow negative).
 	ctx := r.Context()
 	if hdr := r.Header.Get("X-Deadline-Millis"); hdr != "" {
 		ms, err := strconv.ParseInt(hdr, 10, 64)
@@ -872,9 +837,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "deadline already expired"})
 			return
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
-		defer cancel()
+		if ms < s.timeout.Milliseconds() {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
+			defer cancel()
+		}
 	}
 
 	// Admission control: shed load beyond the in-flight cap instead of

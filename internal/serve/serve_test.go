@@ -19,6 +19,7 @@ import (
 // all tests read-only (the server serializes predict internally).
 var (
 	srvOnce sync.Once
+	srvFw   *core.Framework
 	srvInst *Server
 	srvErr  error
 )
@@ -35,12 +36,20 @@ func testServer(t *testing.T) *Server {
 			srvErr = err
 			return
 		}
+		srvFw = fw
 		srvInst, srvErr = New(fw, 0)
 	})
 	if srvErr != nil {
 		t.Fatal(srvErr)
 	}
 	return srvInst
+}
+
+// testFramework is the trained framework behind testServer.
+func testFramework(t *testing.T) *core.Framework {
+	t.Helper()
+	testServer(t)
+	return srvFw
 }
 
 func TestNewRequiresTrainedFramework(t *testing.T) {

@@ -123,15 +123,10 @@ done
 
 echo "== serve smoke =="
 # Train a tiny checkpoint, serve it on a random port, and exercise
-# /healthz and /predict over real HTTP — the deploy path end to end.
+# /healthz, /predict (including a 504 for an already-spent
+# X-Deadline-Millis) and /statsz over real HTTP — the deploy path end to
+# end.
 sh scripts/serve_smoke.sh
-
-echo "== serve chaos smoke =="
-# Serve a checkpoint with the HTTP chaos injector armed: the scoring
-# burst must trip the f32 breaker into degraded f64 fallbacks (zero
-# failed requests from scoring), connection faults stay bounded, and a
-# half-open probe recovers the lane after the cooldown.
-sh scripts/serve_chaos_smoke.sh
 
 echo "== chaos smoke =="
 # Profile the smoke corpus cleanly and under deterministic fault
@@ -149,7 +144,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=16580
+max_lines=16207
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then

@@ -3,8 +3,9 @@
 # pipeline: build the CLI, profile a tiny corpus, train a checkpoint on
 # the dataset file, start the HTTP service on a random port, hit /healthz
 # and /predict, assert well-formed 200 responses, check that `stencilmart
-# predict` on the same checkpoint names the same OC, and shut the server
-# down. Run from the repository root.
+# predict` on the same checkpoint names the same OC, check that a request
+# whose deadline is already spent gets 504 and is counted, and shut the
+# server down. Run from the repository root.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -51,20 +52,24 @@ if [ -z "$base" ]; then
 fi
 
 fetch() {
-    # fetch <url-path> <output-file> [curl/wget POST body]
-    path="$1"; out="$2"; body="${3:-}"
+    # fetch <url-path> <output-file> [POST body] [extra header]
+    path="$1"; out="$2"; body="${3:-}"; hdr="${4:-}"
     if command -v curl >/dev/null 2>&1; then
+        set -- -sS -o "$out" -w '%{http_code}'
+        [ -n "$hdr" ] && set -- "$@" -H "$hdr"
         if [ -n "$body" ]; then
-            curl -sS -o "$out" -w '%{http_code}' -H 'Content-Type: application/json' -d "$body" "$base$path"
+            curl "$@" -H 'Content-Type: application/json' -d "$body" "$base$path"
         else
-            curl -sS -o "$out" -w '%{http_code}' "$base$path"
+            curl "$@" "$base$path"
         fi
     else
+        set -- -q -O "$out" --server-response
+        [ -n "$hdr" ] && set -- "$@" --header="$hdr"
         if [ -n "$body" ]; then
-            wget -q -O "$out" --server-response --header='Content-Type: application/json' \
-                --post-data="$body" "$base$path" 2>&1 | sed -n 's/^  HTTP\/[0-9.]* \([0-9]*\).*/\1/p' | tail -n1
+            wget "$@" --header='Content-Type: application/json' --post-data="$body" "$base$path" 2>&1 |
+                sed -n 's/^  HTTP\/[0-9.]* \([0-9]*\).*/\1/p' | tail -n1
         else
-            wget -q -O "$out" --server-response "$base$path" 2>&1 | sed -n 's/^  HTTP\/[0-9.]* \([0-9]*\).*/\1/p' | tail -n1
+            wget "$@" "$base$path" 2>&1 | sed -n 's/^  HTTP\/[0-9.]* \([0-9]*\).*/\1/p' | tail -n1
         fi
     fi
 }
@@ -98,6 +103,12 @@ if [ -z "$cli_oc" ] || [ "$cli_oc" != "$http_oc" ]; then
     echo "serve smoke: predict printed OC '$cli_oc', /predict answered '$http_oc'" >&2; exit 1
 fi
 
+echo "-- expired deadline rejected at admission --"
+code="$(fetch /predict "$tmp/expired.json" '{"stencil":"star2d1r","gpu":"V100"}' 'X-Deadline-Millis: 0')"
+[ "$code" = "504" ] || {
+    cat "$tmp/expired.json"; echo "serve smoke: expired deadline gave HTTP $code, want 504" >&2; exit 1
+}
+
 echo "-- /modelz --"
 code="$(fetch /modelz "$tmp/modelz.json")"
 [ "$code" = "200" ] || { cat "$tmp/modelz.json"; echo "serve smoke: /modelz gave HTTP $code" >&2; exit 1; }
@@ -120,6 +131,9 @@ for field in '"p50_millis"' '"p99_millis"' '"p999_millis"' '"batches"'; do
         cat "$tmp/statsz.json"; echo "serve smoke: /statsz missing $field" >&2; exit 1
     }
 done
+grep -q '"deadline_expired":[1-9]' "$tmp/statsz.json" || {
+    cat "$tmp/statsz.json"; echo "serve smoke: expired-deadline 504 not counted" >&2; exit 1
+}
 
 echo "-- shutdown --"
 kill -TERM "$server_pid"
