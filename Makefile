@@ -38,9 +38,10 @@ bench-trees:
 	$(GO) test -run='^$$' -bench=. -benchmem -cpu 1,2 ./internal/ml/tree/
 
 # f64 reference vs compiled f32 lane, side by side: GEMM, tree
-# ensembles, and network forward passes on serving-sized batches.
+# ensembles (also at the serving shapes, BenchmarkEnsembleServe), and
+# network forward passes on serving-sized batches.
 bench-lanes:
-	$(GO) test -run='^$$' -bench='BenchmarkLane' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
+	$(GO) test -run='^$$' -bench='BenchmarkLane|BenchmarkEnsembleServe' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
 
 # Checkpoint save and load of the default preset's tree framework and
 # write and read of its dataset file (time, MB/s of file, bytes and
@@ -61,14 +62,16 @@ bench-pairs:
 fuzz:
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 30s -fuzzminimizetime 1x
 
-# Five-second runs of the four hostile-input fuzz targets: the frame, the
-# checkpoint loader, the dataset file, WAL records; and of the lazy seeded
-# source against math/rand (check.sh runs these).
-# Minimising a megabyte-sized interesting input would eat the whole
-# budget, hence -fuzzminimizetime 1x.
+# Five-second runs of the five hostile-input fuzz targets: the frame, the
+# checkpoint loader, a tree ensemble's node columns, the dataset file, WAL
+# records; and of the lazy seeded source against math/rand (check.sh runs
+# these).
+# Minimising a megabyte-sized interesting input (or, for the tree columns,
+# a 500-node chain) would eat the whole budget, hence -fuzzminimizetime 1x.
 fuzz-smoke:
 	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzPersistRead -fuzztime 5s
 	$(GO) test ./internal/core/ -run='^$$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
+	$(GO) test ./internal/ml/tree/ -run='^$$' -fuzz FuzzEnsembleColumns -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzReadWAL -fuzztime 5s
 	$(GO) test ./internal/lazyrand/ -run='^$$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s

@@ -148,3 +148,62 @@ func BenchmarkTreePredictBatch(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEnsembleServe scores the ensembles the way a /predict does, in
+// both numeric lanes: the cross-GPU GBRegressor at the default preset's
+// shape (150 rounds at depth 7, MinLeaf 3, on the 6,000 x 44 regression
+// matrix) on 4-row batches, and a 40-round, 5-class GBDT at depth 4 on
+// one row. Each iteration scores one batch; the batches cycle through
+// the matrix so rows do not stay cache-hot.
+func BenchmarkEnsembleServe(b *testing.B) {
+	x, yv, _ := binnedData(42, 6000, pipelineBins, 2)
+	g := NewGBRegressor(BoostConfig{Rounds: 150, Subsample: 0.8, Seed: 7, Tree: TreeConfig{MaxDepth: 7, MinLeaf: 3}})
+	if err := g.FitRegressor(x, yv); err != nil {
+		b.Fatal(err)
+	}
+	cx, _, yc := binnedData(43, 6000, pipelineBins, 5)
+	d := NewGBDT(BoostConfig{Rounds: 40, Seed: 7, Tree: TreeConfig{MaxDepth: 4}})
+	if err := d.FitClassifier(cx, yc, 5); err != nil {
+		b.Fatal(err)
+	}
+	ce, err := g.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cd, err := d.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	x32, cx32 := rowsToF32(x), rowsToF32(cx)
+	const batch = 4
+	b.Run("gbreg-b4/f64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i * batch % (len(x) - batch)
+			_ = g.PredictValueBatch(x[j : j+batch])
+		}
+	})
+	b.Run("gbreg-b4/f32", func(b *testing.B) {
+		b.ReportAllocs()
+		out := make([]float32, batch)
+		for i := 0; i < b.N; i++ {
+			j := i * batch % (len(x32) - batch)
+			ce.PredictValueBatchF32(x32[j:j+batch], out)
+		}
+	})
+	b.Run("gbdt-b1/f64", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			j := i % len(cx)
+			_ = d.PredictProbaBatch(cx[j : j+1])
+		}
+	})
+	b.Run("gbdt-b1/f32", func(b *testing.B) {
+		b.ReportAllocs()
+		out := make([]float32, 5)
+		for i := 0; i < b.N; i++ {
+			j := i % len(cx32)
+			cd.PredictProbaBatchF32(cx32[j:j+1], out)
+		}
+	})
+}

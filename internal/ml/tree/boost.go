@@ -149,11 +149,10 @@ func (g *GBRegressor) fit(x [][]float64, y []float64, grow growers) error {
 		idx, oob := sampleRows(len(y), g.cfg.Subsample, rng)
 		g.ens.trees = append(g.ens.trees, gr.fit(resid, nil, idx, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate}))
 	}
-	return nil
+	return g.ens.finish(len(x[0]))
 }
 
-// PredictValueBatch implements ml.Regressor: one pass per tree over the
-// whole batch.
+// PredictValueBatch implements ml.Regressor, scoring the batch at once.
 func (g *GBRegressor) PredictValueBatch(rows [][]float64) []float64 {
 	if len(rows) == 0 {
 		return nil
@@ -162,9 +161,6 @@ func (g *GBRegressor) PredictValueBatch(rows [][]float64) []float64 {
 	g.ens.scoreInto(rows, out)
 	return out
 }
-
-// NumTrees returns the fitted ensemble size.
-func (g *GBRegressor) NumTrees() int { return len(g.ens.trees) }
 
 // GBDT is a gradient-boosted multiclass classifier with softmax loss —
 // the stand-in for the paper's XGBoost GBDT. Each round fits one tree per
@@ -263,12 +259,11 @@ func (g *GBDT) fit(x [][]float64, y []int, numClasses int, grow growers) error {
 		}
 		g.ens.trees = append(g.ens.trees, roundTrees...)
 	}
-	return nil
+	return g.ens.finish(len(x[0]))
 }
 
-// PredictProbaBatch implements ml.Classifier: one pass per (round,
-// class) tree over the whole batch, then a softmax per row. The rows of
-// the result share one backing array.
+// PredictProbaBatch implements ml.Classifier: the batch's scores, then a
+// softmax per row. The rows of the result share one backing array.
 func (g *GBDT) PredictProbaBatch(rows [][]float64) [][]float64 {
 	if len(rows) == 0 {
 		return nil

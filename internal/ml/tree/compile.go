@@ -2,14 +2,13 @@ package tree
 
 import "fmt"
 
-// This file is the float32 inference lane of the tree ensembles: fitted
-// GBDT/GBRegressor models compile once (at checkpoint load / registry
-// publish time) into the same ensemble form in float32 and score batches
-// into caller-provided buffers with zero heap allocations. Quantization
-// happens exactly once, at compile time: every threshold and leaf value
-// (plus the prior and learning rate) is rounded to the nearest float32.
-// Descent, accumulation order and softmax are the float64 lane's own
-// code instantiated at float32.
+// This file is the float32 inference lane of the tree ensembles: a fitted
+// GBDT/GBRegressor compiles once (at checkpoint load / registry publish
+// time) into the same ensemble form in float32, every threshold and leaf
+// value (and the prior and learning rate) rounded to the nearest float32,
+// and scores batches into caller-provided buffers with zero heap
+// allocations. Descent, accumulation order and softmax are the float64
+// lane's own code instantiated at float32.
 
 // toF32 rounds one float64 column to a fresh float32 column.
 func toF32(col []float64) []float32 {
@@ -20,13 +19,16 @@ func toF32(col []float64) []float32 {
 	return out
 }
 
-// quantize rounds the ensemble's numeric columns to float32. The index
-// columns are shared with the source, which never writes them again.
+// quantize rounds the finished ensemble's thresholds and leaf values to
+// float32 once, layout-wide; each tree's are views into the result. The
+// index columns are shared with the source, which never writes them again.
 func quantize(e *ensemble[float64]) ensemble[float32] {
-	q := ensemble[float32]{trees: make([]nodes[float32], len(e.trees)), init: toF32(e.init), lr: float32(e.lr)}
-	for i := range e.trees {
-		t := &e.trees[i]
-		q.trees[i] = nodes[float32]{feature: t.feature, left: t.left, right: t.right, thr: toF32(t.thr), value: toF32(t.value)}
+	l := e.lay
+	q := ensemble[float32]{trees: make([]nodes[float32], 0, len(e.trees)), init: toF32(e.init), lr: float32(e.lr),
+		lay: layout[float32]{feature: l.feature, kids: l.kids, roots: l.roots, steps: l.steps, thr: toF32(l.thr), value: toF32(l.value)}}
+	for i, t := range e.trees {
+		lo, hi := l.roots[i], l.roots[i]+int32(len(t.feature))
+		q.trees = append(q.trees, nodes[float32]{feature: t.feature, left: t.left, right: t.right, thr: q.lay.thr[lo:hi:hi], value: q.lay.value[lo:hi:hi]})
 	}
 	return q
 }
@@ -44,9 +46,6 @@ func (g *GBRegressor) Compile() (*CompiledEnsemble, error) {
 	}
 	return &CompiledEnsemble{quantize(&g.ens)}, nil
 }
-
-// NumTrees returns the compiled ensemble size.
-func (c *CompiledEnsemble) NumTrees() int { return len(c.ens.trees) }
 
 // PredictValueBatchF32 implements ml.RegressorF32. It allocates nothing.
 func (c *CompiledEnsemble) PredictValueBatchF32(rows [][]float32, out []float32) {

@@ -34,8 +34,8 @@ func TestCompiledEnsembleMatchesF64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.NumTrees() != g.NumTrees() {
-		t.Fatalf("compiled %d trees, fitted %d", c.NumTrees(), g.NumTrees())
+	if len(c.ens.trees) != len(g.ens.trees) {
+		t.Fatalf("compiled %d trees, fitted %d", len(c.ens.trees), len(g.ens.trees))
 	}
 	want := g.PredictValueBatch(x)
 	rows := rowsToF32(x)

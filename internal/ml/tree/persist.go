@@ -24,61 +24,8 @@ type FlatTree struct {
 	Right []int32 `json:"r"`
 }
 
-const maxFlatDepth = 256
-
 func flatten(n *nodes[float64]) FlatTree {
 	return FlatTree{Feature: n.feature, Threshold: n.thr, Value: n.value, Gain: n.gain, Left: n.left, Right: n.right}
-}
-
-// validate checks node columns read from a checkpoint, for rows of the
-// given width, before any prediction runs: the columns must be equally
-// long, every split feature must index a row (< width), child indices
-// must stay in bounds, every node must be referenced exactly once (no
-// sharing, no cycles, no orphans), internal nodes need both children and
-// leaves none, no deeper than maxFlatDepth (fitted trees stop at
-// TreeConfig.MaxDepth; the bound keeps a hostile chain of nodes from
-// exhausting the stack). A corrupt tree fails here rather than
-// mispredicting or indexing past a row. used is scratch, one flag a node.
-func (n *nodes[T]) validate(width int, used []bool) error {
-	if len(n.feature) == 0 {
-		return fmt.Errorf("tree: empty node array")
-	}
-	if c := len(n.feature); len(n.thr) != c || len(n.value) != c || len(n.gain) != c || len(n.left) != c || len(n.right) != c {
-		return fmt.Errorf("tree: ragged node columns: %d f, %d t, %d v, %d g, %d l, %d r", c, len(n.thr), len(n.value), len(n.gain), len(n.left), len(n.right))
-	}
-	if err := n.visit(0, 0, width, used); err != nil {
-		return err
-	}
-	for i, u := range used {
-		if !u {
-			return fmt.Errorf("tree: node %d unreachable from root", i)
-		}
-	}
-	return nil
-}
-
-func (n *nodes[T]) visit(i int32, depth, width int, used []bool) error {
-	if i < 0 || int(i) >= len(used) || depth > maxFlatDepth {
-		return fmt.Errorf("tree: node index %d outside [0,%d) or deeper than %d", i, len(used), maxFlatDepth)
-	}
-	if used[i] {
-		return fmt.Errorf("tree: node %d referenced twice", i)
-	}
-	used[i] = true
-	f := n.feature[i]
-	if int(f) >= width {
-		return fmt.Errorf("tree: node %d has feature %d, rows have %d", i, f, width)
-	}
-	if f < 0 {
-		if n.left[i] != -1 || n.right[i] != -1 {
-			return fmt.Errorf("tree: leaf %d has children", i)
-		}
-		return nil
-	}
-	if err := n.visit(n.left[i], depth+1, width, used); err != nil {
-		return err
-	}
-	return n.visit(n.right[i], depth+1, width, used)
 }
 
 // EnsembleState is the part of a fitted ensemble a checkpoint keeps in its
@@ -107,26 +54,24 @@ func snapshot(cfg BoostConfig, e *ensemble[float64], c *persist.Columns) Ensembl
 	return EnsembleState{Config: cfg, Init: e.init, Trees: len(e.trees)}
 }
 
-// restore reads st.Trees trees off the front of c, each straight into the
-// columns it predicts from, and validates every one for rows of the given
-// width. The stored config is used verbatim (it was normalized at fit
-// time), so predictions are bitwise identical to the snapshotted model's.
+// restore checks st's config, reads st.Trees trees off the front of c
+// straight into their node columns and finishes them for rows of the given
+// width. The config is used verbatim (it was normalized at fit time), so
+// predictions are bitwise identical to the snapshotted model's.
 func restore(st EnsembleState, c *persist.Columns, width int) (ensemble[float64], error) {
 	e := ensemble[float64]{init: st.Init, lr: st.Config.LearningRate}
-	var used []bool
+	if err := st.Config.check(); err != nil {
+		return e, err
+	}
 	for i := 0; i < st.Trees; i++ {
 		n := nodes[float64]{feature: persist.ReadInts[int32](c), thr: c.ReadFloats(), value: c.ReadFloats(), gain: c.ReadFloats(),
 			left: persist.ReadInts[int32](c), right: persist.ReadInts[int32](c)}
 		if err := c.Err(); err != nil {
 			return e, fmt.Errorf("tree %d of %d: %w", i, st.Trees, err)
 		}
-		used = append(used[:0], make([]bool, len(n.feature))...)
-		if err := n.validate(width, used); err != nil {
-			return e, fmt.Errorf("tree %d of %d: %w", i, st.Trees, err)
-		}
 		e.trees = append(e.trees, n)
 	}
-	return e, nil
+	return e, e.finish(width)
 }
 
 // Snapshot appends the fitted regressor's trees to c and returns the
@@ -138,9 +83,6 @@ func (g *GBRegressor) Snapshot(c *persist.Columns) EnsembleState { return snapsh
 func GBRegressorFromSnapshot(st EnsembleState, c *persist.Columns, width int) (*GBRegressor, error) {
 	if len(st.Init) != 1 {
 		return nil, fmt.Errorf("tree: GBRegressor state has %d base values", len(st.Init))
-	}
-	if err := st.Config.check(); err != nil {
-		return nil, err
 	}
 	ens, err := restore(st, c, width)
 	if err != nil {
@@ -159,9 +101,6 @@ func (g *GBDT) Snapshot(c *persist.Columns) EnsembleState { return snapshot(g.cf
 func GBDTFromSnapshot(st EnsembleState, c *persist.Columns, width int) (*GBDT, error) {
 	if k := len(st.Init); k < 2 || st.Trees%k != 0 {
 		return nil, fmt.Errorf("tree: GBDT state has %d trees for %d classes", st.Trees, k)
-	}
-	if err := st.Config.check(); err != nil {
-		return nil, err
 	}
 	ens, err := restore(st, c, width)
 	if err != nil {

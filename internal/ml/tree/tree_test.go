@@ -153,8 +153,8 @@ func TestGBRegressorFitsSmoothFunction(t *testing.T) {
 	if err := g.FitRegressor(x, y); err != nil {
 		t.Fatal(err)
 	}
-	if g.NumTrees() != 80 {
-		t.Errorf("ensemble size %d, want 80", g.NumTrees())
+	if len(g.ens.trees) != 80 {
+		t.Errorf("ensemble size %d, want 80", len(g.ens.trees))
 	}
 	var sse, sst, mean float64
 	for _, v := range y {
@@ -408,7 +408,11 @@ func TestTreePredictBatchMatchesPredict(t *testing.T) {
 				q = append(q, edge)
 			}
 			q32 := rowsToF32(q)
-			lane32 := quantize(&ensemble[float64]{trees: []nodes[float64]{tr.nodes}, init: []float64{0}, lr: 1}).trees[0]
+			e := ensemble[float64]{trees: []nodes[float64]{tr.nodes}, init: []float64{0}, lr: 1}
+			if err := e.finish(len(q[0])); err != nil {
+				t.Fatal(err)
+			}
+			lane32 := quantize(&e).trees[0]
 
 			got := tr.PredictBatch(q, nil)
 			offBand := 0

@@ -67,7 +67,7 @@ echo "== coalescer Do x Close (race, repeated) =="
 # and promptly; the interleaving that used to strand one is rare per run.
 go test -race -count=20 -run 'Close' ./internal/serve/batch/
 
-echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records, lazyrand) =="
+echo "== fuzz smoke (checkpoint envelope + loader, tree columns, dataset file, WAL records, lazyrand) =="
 # Five seconds each: the seeds plus whatever the mutator reaches. The
 # envelope's: valid, truncated header and payload, flipped manifest byte,
 # lying payload length, trailing bytes, wrong version and magic; lying
@@ -78,7 +78,11 @@ echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records, la
 # index 1<<40, feature 1<<32 and past the row width, 0x7ff8... in a time
 # and in a threshold, a float column where an int column is due, a scaler
 # on a tree regressor, an edited label, a count past the end, an ensemble
-# learning rate of 0. The dataset
+# learning rate of 0. The tree columns', as one tree's six node columns
+# (copied up to six times) through the ensemble loader: a stump, chains at
+# and past the depth bound, and each corruption TestTreeFromFlatColumns
+# refuses; an accepted ensemble must also score exactly like the per-row
+# descent, in both numeric formats. The dataset
 # file's, framed the same way: valid; a corpus and no numbers and the
 # reverse, ragged and mistyped columns, arch index and OC out of range,
 # NaN, +Inf and negative times, an edited label, a twelfth column. The
@@ -88,11 +92,13 @@ echo "== fuzz smoke (checkpoint envelope + loader, dataset file, WAL records, la
 # WAL: a clean replay and a tail to drop), never a panic, allocation
 # bounded by the input. The lazy seeded source's stream, from a dirty
 # register, equals math/rand's for every fuzzed seed and draw count.
-# (Same five commands as `make fuzz-smoke`;
-# minimising a megabyte-sized interesting input would eat the loader's
-# whole budget, hence -fuzzminimizetime 1x.)
+# (Same six commands as `make fuzz-smoke`;
+# minimising an interesting input — megabyte-sized for the loader, a
+# 500-node chain for the tree columns — would eat the whole budget, hence
+# -fuzzminimizetime 1x.)
 go test ./internal/persist/ -run='^$' -fuzz FuzzPersistRead -fuzztime 5s
 go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzminimizetime 1x
+go test ./internal/ml/tree/ -run='^$' -fuzz FuzzEnsembleColumns -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/profile/ -run='^$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/persist/ -run='^$' -fuzz FuzzReadWAL -fuzztime 5s
 go test ./internal/lazyrand/ -run='^$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s
@@ -144,7 +150,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=16207
+max_lines=16206
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
