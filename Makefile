@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race check serve-smoke chaos-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
+.PHONY: build test vet race check serve-smoke bench bench-kernels bench-trees bench-lanes bench-ckpt bench-pairs fuzz fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -22,9 +22,6 @@ check:
 
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-chaos-smoke:
-	sh scripts/chaos_smoke.sh
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -24,11 +24,9 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"stencilmart/internal/core"
 	"stencilmart/internal/experiments"
-	"stencilmart/internal/fault"
 	"stencilmart/internal/gen"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
@@ -178,8 +176,6 @@ func cmdProfile(args []string) error {
 	preset := fs.String("preset", "default", "pipeline preset (default, paper, smoke)")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
 	journal := fs.String("journal", "", "collection journal path for crash/interrupt resume (default <out>.journal, \"off\" disables)")
-	chaos := fs.Bool("chaos", false, "inject deterministic measurement faults (transient errors, panics, outliers); the fault-tolerant pipeline must still produce the fault-free dataset")
-	chaosSeed := fs.Int64("chaos-seed", 99, "fault-injection seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -193,13 +189,6 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Printf("profiling %d stencils x %d GPUs x %d OCs x %d settings...\n",
 		len(corpus), len(gpu.Catalog()), opt.NumCombinations, cfg.SamplesPerOC)
-	var injector *fault.Injector
-	if *chaos {
-		injector = fault.Wrap(p.Model, fault.DefaultConfig(*chaosSeed))
-		p.Model = injector
-		p.Trials = 3
-		p.Retry = profile.RetryPolicy{MaxAttempts: 6, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
-	}
 
 	jpath := *journal
 	if jpath == "" {
@@ -226,11 +215,6 @@ func cmdProfile(args []string) error {
 	}
 	if err != nil {
 		return err
-	}
-	if injector != nil {
-		st := injector.Stats()
-		fmt.Printf("chaos: absorbed %d injected faults over %d attempts (%d transient, %d panics, %d non-finite, %d spikes)\n",
-			st.Total(), st.Attempts, st.Transients, st.Panics, st.NaNs+st.Infs, st.Spikes)
 	}
 	if err := ds.WriteFile(*out); err != nil {
 		return err

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -137,11 +140,18 @@ func TestGenRejectsNoStencils(t *testing.T) {
 // opens -model, and train before it opens -dataset. The files named here
 // do not exist, so a flag checked only after loading would surface as the
 // file-open error instead. Each case carries all its own args: predict
-// has no -dataset flag, and an undefined flag exits the process under
-// flag.ExitOnError.
+// has no -dataset flag. An undefined flag exits the process with status 2
+// under flag.ExitOnError, so those cases (want exitUndefined) run in a
+// child copy of the test binary, which names its files in the parent's
+// temporary directory.
 func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.bin")
-	model := filepath.Join(t.TempDir(), "missing.ckpt")
+	const exitUndefined, caseEnv, dirEnv = "exit 2", "STENCILMART_BAD_FLAG_CASE", "STENCILMART_BAD_FLAG_DIR"
+	dir := os.Getenv(dirEnv)
+	if dir == "" {
+		dir = t.TempDir()
+	}
+	missing := filepath.Join(dir, "missing.bin")
+	model := filepath.Join(dir, "missing.ckpt")
 	cases := []struct {
 		cmd  func([]string) error
 		args []string
@@ -151,8 +161,25 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 		{cmdPredict, []string{"-model", model, "-stencil", "blob2d1r"}, "unknown shape prefix"},
 		{cmdTrain, []string{"-dataset", missing, "-classifier", "SVM"}, "unknown classifier"},
 		{cmdTrain, []string{"-dataset", missing, "-regressor", "SVR"}, "unknown regressor"},
+		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos"}, exitUndefined},
+		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos-seed", "1"}, exitUndefined},
 	}
-	for _, c := range cases {
+	if i, err := strconv.Atoi(os.Getenv(caseEnv)); err == nil {
+		// The child: a case that returns instead of exiting exits 0.
+		cases[i].cmd(cases[i].args)
+		os.Exit(0)
+	}
+	for i, c := range cases {
+		if c.want == exitUndefined {
+			child := exec.Command(os.Args[0], "-test.run=^TestBadFlagsRefusedBeforeLoading$")
+			child.Env = append(os.Environ(), fmt.Sprintf("%s=%d", caseEnv, i), dirEnv+"="+dir)
+			out, err := child.CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined")) {
+				t.Errorf("%v: got %v, output %q; want exit 2 for an undefined flag", c.args, err, out)
+			}
+			continue
+		}
 		err := c.cmd(c.args)
 		if err == nil || errors.Is(err, fs.ErrNotExist) || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: got %v, want %q before the file is opened", c.args, err, c.want)

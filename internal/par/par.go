@@ -49,11 +49,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// Transient marks recovered panics as retryable to retry layers that
-// classify with a Transient() method: a panicking measurement is a fault
-// to re-attempt, not a verdict about the cell.
-func (e *PanicError) Transient() bool { return true }
-
 // safeCall invokes fn(i), converting a panic into a *PanicError.
 func safeCall(fn func(i int) error, i int) (err error) {
 	defer func() {

@@ -238,7 +238,4 @@ func assertPanicErr(t *testing.T, err error, index int, want string) {
 	if len(pe.Stack) == 0 {
 		t.Fatal("no stack captured at recovery")
 	}
-	if !pe.Transient() {
-		t.Fatal("recovered panic must classify as transient")
-	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // The collection journal is an append-only WAL of completed (stencil,
-// architecture) cells. A killed or faulted Collect loses at most its
+// architecture) cells. A killed or failed Collect loses at most its
 // in-flight cells: rerunning against the same journal replays the
 // completed ones and re-measures only what is missing. The WAL layer
 // (internal/persist) detects corrupt or truncated tails and drops them,
@@ -32,9 +32,9 @@ const (
 )
 
 // ErrJournalMismatch reports a journal written by a different collection
-// — another corpus, seed, search budget, or trial count. Resuming it
-// would splice incompatible measurements into one dataset, so the caller
-// must delete the journal (or restore the matching configuration).
+// — another corpus, seed or search budget. Resuming it would splice
+// incompatible measurements into one dataset, so the caller must delete
+// the journal (or restore the matching configuration).
 var ErrJournalMismatch = errors.New("profile: journal does not match this collection")
 
 // journalMeta pins the collection identity a journal belongs to.
@@ -123,10 +123,6 @@ type ResumeStats struct {
 // different times, and resuming across them would silently splice
 // incompatible measurements into one dataset.
 func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (journalMeta, error) {
-	trials := p.Trials
-	if trials < 1 {
-		trials = 1
-	}
 	raw, err := json.Marshal(struct {
 		Stencils []stencil.Stencil `json:"stencils"`
 		Archs    []gpu.Arch        `json:"archs"`
@@ -138,7 +134,7 @@ func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (jo
 	return journalMeta{
 		Seed:         p.Seed,
 		SamplesPerOC: p.SamplesPerOC,
-		Trials:       trials,
+		Trials:       1, // always 1; the field stays so journals from earlier builds still resume
 		Corpus:       hex.EncodeToString(sum[:]),
 		Cells:        len(stencils) * len(archs),
 	}, nil
@@ -148,7 +144,7 @@ func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (jo
 // appended to the journal at path as they finish, and an existing
 // journal's cells are replayed instead of re-measured. The assembled
 // dataset is bitwise-identical to an uninterrupted Collect. On failure
-// (cancellation, a cell exhausting its retries) the journal keeps every
+// (cancellation, a non-finite time, a panic) the journal keeps every
 // completed cell; rerun with the same arguments to resume.
 func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, ResumeStats, error) {
 	all := newCellSet(len(stencils), archs).missing() // every cell

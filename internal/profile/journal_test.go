@@ -6,14 +6,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"stencilmart/internal/fault"
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/persist"
@@ -83,29 +82,27 @@ func TestCollectJournalFreshMatchesCollect(t *testing.T) {
 }
 
 // TestJournalResumeAfterCellFailure: a run in which every cell of one
-// architecture exhausts its retries keeps the completed cells in the
-// journal; the rerun re-measures only the failed cells and assembles the
-// exact uninterrupted dataset.
+// architecture fails (its substrate answers NaN) keeps the completed
+// cells in the journal; the rerun re-measures only the failed cells and
+// assembles the exact uninterrupted dataset.
 func TestJournalResumeAfterCellFailure(t *testing.T) {
 	stencils, archs := journalFixture(t)
 	want := baselineBytes(t, stencils, archs)
 	path := filepath.Join(t.TempDir(), "collect.journal")
 
-	// Run 1: arch[1] measurements always fault transiently.
+	// Run 1: arch[1] measurements always answer NaN.
 	model := sim.New()
 	failing := cellsFunc(func(w sim.Workload, arch gpu.Arch) sim.EvalFn {
 		if arch.Name == archs[1].Name {
-			return func(opt.Opt, opt.Params) (sim.Result, error) { return sim.Result{}, &fault.TransientError{} }
+			return func(opt.Opt, opt.Params) (sim.Result, error) { return sim.Result{Time: math.NaN()}, nil }
 		}
 		return model.CellFn(w, arch)
 	})
 	p1 := journalProfiler()
 	p1.Model = failing
-	p1.Retry = profile.RetryPolicy{MaxAttempts: 2, Sleep: func(time.Duration) {}}
 	_, _, err := p1.CollectJournal(context.Background(), path, stencils, archs)
-	var give *profile.GiveUpError
-	if !errors.As(err, &give) {
-		t.Fatalf("faulted run returned %v, want a give-up", err)
+	if err == nil || !strings.Contains(err.Error(), "non-finite") {
+		t.Fatalf("failing run returned %v, want a non-finite error", err)
 	}
 
 	// Run 2: clean substrate, same collection identity.

@@ -61,15 +61,14 @@ type Instance struct {
 	Time       float64
 }
 
-// Profiler drives data collection against the simulation substrate,
-// absorbing the measurement faults real profiling campaigns hit:
-// transient errors and panics retry with capped backoff, non-finite
-// samples are rejected at the source, and repeated trials vote out
-// timing outliers by median.
+// Profiler drives data collection against the simulation substrate.
+// Each sampled setting is measured once: the simulator's noise is a pure
+// function of its key and its crashes and invalid settings come back as
+// results, so a second measurement could only repeat the first.
 type Profiler struct {
 	// Model is the measurement substrate, resolved once per cell; nil
-	// uses sim.New(). The fault injector, the Reference oracle and test
-	// doubles hook in here by wrapping a cell.
+	// uses sim.New(). The Reference oracle and test doubles hook in here
+	// by wrapping a cell.
 	Model sim.Cells
 	// SamplesPerOC is the number of random parameter settings searched
 	// per OC (the paper's random search budget).
@@ -80,13 +79,6 @@ type Profiler struct {
 	Seed int64
 	// Workers bounds the profiling goroutines; 0 uses GOMAXPROCS.
 	Workers int
-	// Retry governs transient-fault retries per measurement.
-	Retry RetryPolicy
-	// Trials is the number of repeated measurements per sampled setting;
-	// the median time is recorded. <= 1 measures once. Use an odd count:
-	// the median of an odd trial set is an observed value, bitwise, so
-	// determinism survives outlier rejection.
-	Trials int
 
 	// modelMu guards the lazy Model initialization: ProfileOne may be
 	// called concurrently from Collect's worker pool (or by users), and
@@ -108,10 +100,14 @@ func (p *Profiler) model() sim.Cells {
 	return p.Model
 }
 
-// ProfileOne profiles a single stencil on a single architecture.
-// Transient measurement faults are retried per the profiler's policy; a
-// measurement that exhausts its retries, or a cancelled/expired ctx,
-// fails the cell.
+// ProfileOne profiles a single stencil on a single architecture,
+// measuring each sampled setting once. A setting that crashes or is
+// invalid is skipped; a non-finite time (a simulator bug, never a
+// profiling result) or a cancelled/expired ctx fails the cell. ctx's
+// Done is polled before every sample; Err, which takes the context's
+// lock, is read only once Done has closed. A panic in the substrate is
+// not recovered here: Collect's worker pool turns it into a
+// *par.PanicError that fails the collection.
 func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Stencil, arch gpu.Arch) (Profile, []Instance, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -135,19 +131,25 @@ func (p *Profiler) ProfileOne(ctx context.Context, stencilIdx int, s stencil.Ste
 	// those bits — but the source builds register words as an OC's ~100
 	// draws first read them, so a re-seed costs nothing.
 	rng := rand.New(lazyrand.NewSource(0))
+	done := ctx.Done()
 	for ci, oc := range combos {
 		rng.Seed(cellSeed(p.Seed, stencilIdx, arch.Name, ci))
 		res := OCResult{OC: oc, Time: math.NaN(), Crashed: true}
 		for k := 0; k < p.SamplesPerOC; k++ {
+			select {
+			case <-done:
+				return Profile{}, nil, fmt.Errorf("profile: stencil %q %s on %s: %w", s.Name, oc, arch.Name, ctx.Err())
+			default:
+			}
 			params := opt.Sample(oc, s.Dims, rng)
-			r, err := p.measure(ctx, eval, oc, params)
+			r, err := eval(oc, params)
 			if err != nil {
-				if cellFailure(err) {
-					return Profile{}, nil, fmt.Errorf("profile: stencil %q %s on %s: %w", s.Name, oc, arch.Name, err)
-				}
-				// Permanent outcome (crash, invalid setting): the paper's
-				// "OC crashes under certain stencils" case — skip the sample.
+				// A crash or invalid setting: the paper's "OC crashes under
+				// certain stencils" case — skip the sample.
 				continue
+			}
+			if math.IsNaN(r.Time) || math.IsInf(r.Time, 0) {
+				return Profile{}, nil, fmt.Errorf("profile: stencil %q %s on %s: non-finite measured time %v", s.Name, oc, arch.Name, r.Time)
 			}
 			instances = append(instances, Instance{
 				StencilIdx: stencilIdx, OC: oc, Params: params,

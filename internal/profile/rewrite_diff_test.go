@@ -4,10 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
-	"time"
 
-	"stencilmart/internal/fault"
-	"stencilmart/internal/gpu"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/sim"
 	"stencilmart/internal/testutil"
@@ -18,8 +15,8 @@ import (
 // sim.NewReference() — per-call validation, nothing precomputed, nothing
 // memoized, noise from scratch — is the oracle; collections on the
 // default compiled Model must reproduce its bytes exactly, serial and
-// parallel, journaled and not, chaos-injected and clean, and whether the
-// model meets the cells for the first time or answers from their memos.
+// parallel, journaled and not, and whether the model meets the cells for
+// the first time or answers from their memos.
 
 // referenceCollect collects the suite corpus on the pre-rewrite path.
 func referenceCollect(t testing.TB, workers int) []byte {
@@ -86,35 +83,4 @@ func TestCollectJournalMatchesReference(t *testing.T) {
 		t.Fatalf("CollectJournal: %v", err)
 	}
 	testutil.AssertSameBytes(t, "journaled compiled vs reference", oracle, testutil.DatasetBytes(t, d))
-}
-
-// TestChaosMatchesReferenceChaos: fault injection composes identically
-// over both substrates. The injector keys its deterministic fault plan on
-// the run-site string identity (sim.RunKey), which the rewrite preserved,
-// so chaos over the compiled model and chaos over the reference path must
-// absorb the same faults and emit the same bytes.
-func TestChaosMatchesReferenceChaos(t *testing.T) {
-	corpus := testutil.SmallCorpus(t)
-	archs := gpu.Catalog()[:2]
-	collectOn := func(sub sim.Cells) []byte {
-		t.Helper()
-		p := &profile.Profiler{
-			Model:        fault.Wrap(sub, fault.DefaultConfig(99)),
-			SamplesPerOC: 3,
-			Seed:         21,
-			Workers:      4,
-			Trials:       3,
-			Retry: profile.RetryPolicy{
-				MaxAttempts: 6,
-				Sleep:       func(time.Duration) {},
-			},
-		}
-		d, err := p.Collect(context.Background(), corpus, archs)
-		if err != nil {
-			t.Fatalf("chaos Collect: %v", err)
-		}
-		return testutil.DatasetBytes(t, d)
-	}
-	testutil.AssertSameBytes(t, "chaos over compiled vs chaos over reference",
-		collectOn(sim.NewReference()), collectOn(sim.New()))
 }

@@ -324,27 +324,3 @@ func TestCacheConcurrentAcrossReset(t *testing.T) {
 		t.Fatalf("%d entries reachable, the one memoizing cell has %d samples", st.Entries, len(samples))
 	}
 }
-
-func TestRunKeyDistinguishesParams(t *testing.T) {
-	arch := cacheArch(t)
-	s := stencil.Star(2, 1)
-	w := DefaultWorkload(s)
-	// BlockX 256 and 512 truncate to the same byte; the cache key must
-	// keep them distinct (the noise paramsKey may not — that only
-	// perturbs noise, while a cache collision would corrupt results).
-	a := opt.Params{BlockX: 256, BlockY: 4, Merge: 1, Unroll: 1}
-	b := opt.Params{BlockX: 512, BlockY: 2, Merge: 1, Unroll: 1}
-	if RunKey(w, 0, a, arch) == RunKey(w, 0, b, arch) {
-		t.Fatal("runKey collision between distinct params")
-	}
-	w2 := w
-	w2.GridX++
-	if RunKey(w, 0, a, arch) == RunKey(w2, 0, a, arch) {
-		t.Fatal("runKey ignores workload extents")
-	}
-	arch2 := arch
-	arch2.MemBWGBs *= 2
-	if RunKey(w, 0, a, arch) == RunKey(w, 0, a, arch2) {
-		t.Fatal("runKey ignores architecture constants")
-	}
-}

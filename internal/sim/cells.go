@@ -5,9 +5,9 @@ import "stencilmart/internal/gpu"
 // Cells is the one measurement seam the profiling pipeline consumes: it
 // resolves a (workload, architecture) cell to the EvalFn that prices the
 // cell's (OC, parameter setting) samples. *Model is the canonical
-// implementation and compiles the cell once; the Reference oracle, the
-// fault injector and test doubles wrap a cell the same way, so every
-// collection prices through the path a clean one takes.
+// implementation and compiles the cell once; the Reference oracle and
+// test doubles wrap a cell the same way, so every collection prices
+// through the path a plain one takes.
 type Cells interface {
 	CellFn(w Workload, arch gpu.Arch) EvalFn
 }

@@ -77,29 +77,6 @@ func archKey(a gpu.Arch) string {
 	return k
 }
 
-// RunKey canonicalizes one measurement site to a collision-free byte
-// string. Unlike the noise paramsKey (whose byte truncation only perturbs
-// noise), every field is encoded collision-free: a key collision would
-// return a wrong result. Wrappers that need stable per-site identities
-// across runs and worker schedules (the deterministic fault injector)
-// hash this key rather than inventing their own encoding; the sample
-// memo keys on packSample within a cell.
-func RunKey(w Workload, oc opt.Opt, p opt.Params, arch gpu.Arch) string {
-	ak := archKey(arch)
-	b := appendCell(make([]byte, 0, 1+3*len(w.S.Points)+4*4+1+2*10+1+len(ak)), w)
-	b = append(b, byte(oc))
-	for _, v := range [...]int{p.BlockX, p.BlockY, p.Merge, p.MergeDim,
-		p.StreamTile, p.StreamDim, p.Unroll, p.TBDepth, p.PrefetchDepth} {
-		b = append(b, byte(v), byte(v>>8))
-	}
-	if p.UseSmem {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return string(append(b, ak...))
-}
-
 // appendCell appends the workload's access pattern, grid extents and
 // time steps: the part of a key naming the cell.
 func appendCell(b []byte, w Workload) []byte {

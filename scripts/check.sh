@@ -134,11 +134,6 @@ echo "== serve smoke =="
 # end.
 sh scripts/serve_smoke.sh
 
-echo "== chaos smoke =="
-# Profile the smoke corpus cleanly and under deterministic fault
-# injection; the two dataset files must be byte-identical.
-sh scripts/chaos_smoke.sh
-
 echo "== examples smoke =="
 # go vet only compiles examples/; run each one so a runtime failure (a
 # log.Fatal on an error) fails here. Each takes about a second.
@@ -150,7 +145,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=16206
+max_lines=15603
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
