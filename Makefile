@@ -59,10 +59,10 @@ bench-pairs:
 fuzz:
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 30s -fuzzminimizetime 1x
 
-# Five-second runs of the five hostile-input fuzz targets: the frame, the
+# Five-second runs of the six hostile-input fuzz targets: the frame, the
 # checkpoint loader, a tree ensemble's node columns, the dataset file, WAL
-# records; and of the lazy seeded source against math/rand (check.sh runs
-# these).
+# records, a /predict body's stencil; and of the lazy seeded source
+# against math/rand (check.sh runs these).
 # Minimising a megabyte-sized interesting input (or, for the tree columns,
 # a 500-node chain) would eat the whole budget, hence -fuzzminimizetime 1x.
 fuzz-smoke:
@@ -71,4 +71,5 @@ fuzz-smoke:
 	$(GO) test ./internal/ml/tree/ -run='^$$' -fuzz FuzzEnsembleColumns -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/profile/ -run='^$$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 	$(GO) test ./internal/persist/ -run='^$$' -fuzz FuzzReadWAL -fuzztime 5s
+	$(GO) test ./internal/serve/ -run='^$$' -fuzz FuzzStencilFromRequest -fuzztime 5s
 	$(GO) test ./internal/lazyrand/ -run='^$$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s

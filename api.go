@@ -196,7 +196,8 @@ func LoadFrameworkFile(path string) (*Framework, error) { return core.LoadFramew
 type PredictionServer = serve.Server
 
 // NewPredictionServer wraps a trained framework in an HTTP prediction
-// service; timeout <= 0 selects the default per-request budget.
+// service; timeout 0 selects the default per-request budget and a
+// negative one is refused.
 func NewPredictionServer(fw *Framework, timeout time.Duration) (*PredictionServer, error) {
 	return serve.New(fw, timeout)
 }

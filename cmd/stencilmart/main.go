@@ -308,16 +308,19 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
+	opts := serve.Options{Timeout: *timeout, MaxInFlight: *maxInFlight, BatchSize: *batchSize, Lane: lane}
+	// Zero selects a default; a negative number is a malformed flag, and
+	// exits 2 before the checkpoint is read, as the flag package does.
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(fs.Output(), err)
+		fs.Usage()
+		os.Exit(2)
+	}
 	fw, err := core.LoadFrameworkFile(*model)
 	if err != nil {
 		return err
 	}
-	srv, err := serve.NewWithOptions(fw, serve.Options{
-		Timeout:     *timeout,
-		MaxInFlight: *maxInFlight,
-		BatchSize:   *batchSize,
-		Lane:        lane,
-	})
+	srv, err := serve.NewWithOptions(fw, opts)
 	if err != nil {
 		return err
 	}

@@ -136,16 +136,18 @@ func TestGenRejectsNoStencils(t *testing.T) {
 	}
 }
 
-// TestBadFlagsRefusedBeforeLoading: predict refuses a bad flag before it
-// opens -model, and train before it opens -dataset. The files named here
-// do not exist, so a flag checked only after loading would surface as the
-// file-open error instead. Each case carries all its own args: predict
-// has no -dataset flag. An undefined flag exits the process with status 2
-// under flag.ExitOnError, so those cases (want exitUndefined) run in a
-// child copy of the test binary, which names its files in the parent's
-// temporary directory.
+// TestBadFlagsRefusedBeforeLoading: predict and serve refuse a bad flag
+// before they open -model, and train before it opens -dataset. The files
+// named here do not exist, so a flag checked only after loading would
+// surface as the file-open error instead. Each case carries all its own
+// args: predict has no -dataset flag. An undefined flag exits the process
+// with status 2 under flag.ExitOnError, and so does a negative numeric
+// serve flag (zero selects its default), so those cases (want
+// exitUndefined or exitNegative) run in a child copy of the test binary,
+// which names its files in the parent's temporary directory.
 func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
-	const exitUndefined, caseEnv, dirEnv = "exit 2", "STENCILMART_BAD_FLAG_CASE", "STENCILMART_BAD_FLAG_DIR"
+	const exitUndefined, exitNegative = "flag provided but not defined", "serve: negative"
+	const caseEnv, dirEnv = "STENCILMART_BAD_FLAG_CASE", "STENCILMART_BAD_FLAG_DIR"
 	dir := os.Getenv(dirEnv)
 	if dir == "" {
 		dir = t.TempDir()
@@ -163,6 +165,9 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 		{cmdTrain, []string{"-dataset", missing, "-regressor", "SVR"}, "unknown regressor"},
 		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos"}, exitUndefined},
 		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos-seed", "1"}, exitUndefined},
+		{cmdServe, []string{"-model", model, "-batch-size", "-3"}, exitNegative},
+		{cmdServe, []string{"-model", model, "-max-inflight", "-1"}, exitNegative},
+		{cmdServe, []string{"-model", model, "-timeout", "-1s"}, exitNegative},
 	}
 	if i, err := strconv.Atoi(os.Getenv(caseEnv)); err == nil {
 		// The child: a case that returns instead of exiting exits 0.
@@ -170,13 +175,13 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 		os.Exit(0)
 	}
 	for i, c := range cases {
-		if c.want == exitUndefined {
+		if c.want == exitUndefined || c.want == exitNegative {
 			child := exec.Command(os.Args[0], "-test.run=^TestBadFlagsRefusedBeforeLoading$")
 			child.Env = append(os.Environ(), fmt.Sprintf("%s=%d", caseEnv, i), dirEnv+"="+dir)
 			out, err := child.CombinedOutput()
 			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte("flag provided but not defined")) {
-				t.Errorf("%v: got %v, output %q; want exit 2 for an undefined flag", c.args, err, out)
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !bytes.Contains(out, []byte(c.want)) {
+				t.Errorf("%v: got %v, output %q; want exit 2 saying %q", c.args, err, out, c.want)
 			}
 			continue
 		}

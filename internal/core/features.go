@@ -57,9 +57,9 @@ func classEncode(kind ClassifierKind, s stencil.Stencil) []float64 {
 // setting, the GPU hardware characteristics (Sec. IV-E), and a block of
 // engineered interaction features. The interactions mirror the
 // first-order structure of stencil kernels — per-thread coverage, tile
-// halo ratios, coalescing breakers, per-line footprint — and are the kind
-// of feature engineering the paper cites as standard practice for
-// regression tasks (Sec. IV-C, [28]).
+// halo ratios, x-merging and x-streaming (which break coalescing),
+// per-line footprint — and are the kind of feature engineering the
+// paper cites as standard practice for regression tasks (Sec. IV-C, [28]).
 func regTailRowInto(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, dst []float64) {
 	nf := len(opt.FlagNames)
 	np := len(opt.ParamFeatureNames)

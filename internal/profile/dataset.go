@@ -312,6 +312,11 @@ func readProfiles(c *persist.Columns, n int) ([]Profile, error) {
 		}
 		results[i] = OCResult{OC: ocs[i], Time: times[i], Params: p}
 		if crashed[i] == 1 {
+			// appendProfiles writes +0 here; anything else would read
+			// back as the same dataset but a different file.
+			if math.Float64bits(times[i]) != 0 {
+				return nil, fmt.Errorf("profile: crashed result %d has time %v, want 0", i, times[i])
+			}
 			results[i].Crashed, results[i].Time = true, math.NaN()
 		}
 	}

@@ -185,6 +185,9 @@ func TestDatasetFileRefusals(t *testing.T) {
 		{name: "params not ten per instance", file: tamper(func(p *fileParts) { p.cols[colInstParams].ints = p.cols[colInstParams].ints[:25] }), says: "ragged instance columns"},
 		{name: "useSmem 2", file: tamper(func(p *fileParts) { p.cols[colInstParams].ints[7] = 2 }), says: "useSmem 2 out of range"},
 		{name: "crashed flag 2", file: tamper(func(p *fileParts) { p.cols[colResultCrashed].ints[0] = 2 }), says: "crashed flag 2"},
+		{name: "a crashed result with a time", file: tamper(func(p *fileParts) {
+			p.cols[colResultCrashed].ints[0], p.cols[colResultTime].floats[0] = 1, math.Float64frombits(0xf3ffffff)
+		}), says: "crashed result 0 has time"},
 		{name: "an invalid instance OC", file: tamper(func(p *fileParts) { p.cols[colInstOC].ints[0] = 63 }), says: "invalid OC"},
 		{name: "a stencil index past the corpus", file: tamper(func(p *fileParts) { p.cols[colInstStencil].ints[0] = 3 }), says: "references stencil 3"},
 		{name: "a zero instance time", file: tamper(func(p *fileParts) { p.cols[colInstTime].floats[0] = 0 }), says: "non-positive time"},

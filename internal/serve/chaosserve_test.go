@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,17 +47,16 @@ func serialWant(t *testing.T, bodies []string) map[string][]byte {
 	return want
 }
 
-// panicBurst returns a scorePanic hook that panics the scoring calls
-// at site numbered after through after+burst-1 (0-based, counting only
-// that site's calls) and no others.
-func panicBurst(after, burst int, site string) func(string) bool {
+// panicBurst wraps the real f64 batch pipeline in a double that panics
+// on calls after through after+burst-1 (0-based) and scores every other
+// call for real.
+func panicBurst(after, burst int) predictBatchFn {
 	var calls atomic.Int64
-	return func(s string) bool {
-		if s != site {
-			return false
+	return func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome {
+		if n := int(calls.Add(1) - 1); n >= after && n < after+burst {
+			panic("injected scoring fault")
 		}
-		n := int(calls.Add(1) - 1)
-		return n >= after && n < after+burst
+		return fw.ServePredictBatch(ctx, reqs)
 	}
 }
 
@@ -66,15 +64,13 @@ func panicBurst(after, burst int, site string) func(string) bool {
 // whose scoring path takes a burst of injected panics. Every client
 // retries until it completes, and every completed response must be
 // bitwise-identical to the fault-free run. A panicking batch fails at
-// most its own requests. The burst is sized below the breaker threshold,
-// so this run also proves breakers don't trip on sub-threshold fault
-// stretches.
+// most its own requests, and the server keeps serving.
 func TestChaosServeDifferential(t *testing.T) {
 	fw := testFramework(t)
 	bodies := diffBodies(t)
 	want := serialWant(t, bodies)
 	const batchSize = 8
-	const burst = 2 // below breakerThreshold: no trip
+	const burst = 2
 	const maxAttempts = 10
 
 	for _, procs := range []int{1, 4} {
@@ -85,7 +81,7 @@ func TestChaosServeDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer s.Close()
-				s.scorePanic = panicBurst(2, burst, "f64/v1")
+				s.setPredict(panicBurst(2, burst))
 				h := s.Handler()
 
 				type report struct {
@@ -138,209 +134,8 @@ func TestChaosServeDifferential(t *testing.T) {
 				if bound := burst * batchSize; totalBad > bound {
 					t.Fatalf("%d failed attempts exceed the injected-fault bound %d", totalBad, bound)
 				}
-				// Sub-threshold faults must not trip breakers or degrade
-				// anything.
-				for _, b := range s.breakers.snapshot() {
-					if b.State != "closed" || b.Trips != 0 {
-						t.Fatalf("breaker %s/%s = %+v, want closed and untripped", b.Version, b.Lane, b)
-					}
-				}
-				if d := s.degraded.Load(); d != 0 {
-					t.Fatalf("%d degraded responses in a sub-threshold run", d)
-				}
 			})
 		})
-	}
-}
-
-// TestBreakerTripFallbackRecovery is the f32 breaker drill: a
-// deterministic burst of scoring panics on (v1, f32) trips the breaker
-// after exactly breakerThreshold consecutive failures, every
-// affected request is served by the same version's f64 lane with zero
-// failures (bodies bitwise-identical to the fault-free f64 run, degraded
-// headers set), the open breaker short-circuits, and after the cooldown
-// a half-open probe restores the f32 lane.
-func TestBreakerTripFallbackRecovery(t *testing.T) {
-	fw := testFramework(t)
-	const cooldown = 100 * time.Millisecond
-	s, err := NewWithOptions(fw, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.breakers.cooldown = cooldown
-	s.scorePanic = panicBurst(1, 3, "f32/v1")
-	h := s.Handler()
-
-	const body = `{"stencil":"star2d1r","gpu":"V100"}`
-	post := func(lane string) (*httptest.ResponseRecorder, []byte) {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/predict?lane="+lane, strings.NewReader(body))
-		h.ServeHTTP(rec, req)
-		return rec, rec.Body.Bytes()
-	}
-
-	// Fault-free baselines: f64 first (site f64/v1 is never targeted),
-	// then the f32 burst site's call 0, which is clean by construction.
-	recF64, wantF64 := post("f64")
-	if recF64.Code != http.StatusOK {
-		t.Fatalf("f64 baseline gave %d: %s", recF64.Code, wantF64)
-	}
-	recF32, wantF32 := post("f32")
-	if recF32.Code != http.StatusOK {
-		t.Fatalf("f32 baseline gave %d: %s", recF32.Code, wantF32)
-	}
-	if got := recF32.Header().Get("X-Serve-Lane"); got != "f32" {
-		t.Fatalf("f32 baseline served by lane %q", got)
-	}
-
-	// The burst: three consecutive f32 scoring panics. Every request must
-	// still succeed — served degraded by the f64 fallback, bitwise equal
-	// to the fault-free f64 run.
-	for i := 0; i < 3; i++ {
-		rec, got := post("f32")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("burst request %d failed with %d: %s — breaker fallback must keep requests whole", i, rec.Code, got)
-		}
-		if rec.Header().Get("X-Serve-Degraded") != "true" || rec.Header().Get("X-Serve-Lane") != "f64" {
-			t.Fatalf("burst request %d headers lane=%q degraded=%q, want f64 degraded",
-				i, rec.Header().Get("X-Serve-Lane"), rec.Header().Get("X-Serve-Degraded"))
-		}
-		testutil.AssertSameBytes(t, fmt.Sprintf("degraded body %d", i), wantF64, got)
-	}
-
-	// The third failure tripped the breaker: now open, short-circuiting
-	// straight to the fallback without consulting the f32 lane.
-	rec, got := post("f32")
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Serve-Degraded") != "true" {
-		t.Fatalf("short-circuit request gave %d degraded=%q", rec.Code, rec.Header().Get("X-Serve-Degraded"))
-	}
-	testutil.AssertSameBytes(t, "short-circuit body", wantF64, got)
-
-	br := breakerByKey(t, s, "v1", LaneF32)
-	if br.State != "open" || br.Trips != 1 || br.ShortCircuits != 1 || br.FallbackServed != 4 {
-		t.Fatalf("post-trip breaker %+v, want open with 1 trip, 1 short-circuit, 4 fallback-served", br)
-	}
-	if d := s.degraded.Load(); d != 4 {
-		t.Fatalf("degraded counter %d, want 4", d)
-	}
-
-	// Cooldown elapses; the next request is the half-open probe. The
-	// burst is exhausted, so the probe succeeds and closes the breaker —
-	// the f32 lane is back, bitwise where it left off.
-	time.Sleep(cooldown + 20*time.Millisecond)
-	rec, got = post("f32")
-	if rec.Code != http.StatusOK {
-		t.Fatalf("probe request gave %d: %s", rec.Code, got)
-	}
-	if rec.Header().Get("X-Serve-Lane") != "f32" || rec.Header().Get("X-Serve-Degraded") != "" {
-		t.Fatalf("recovered request headers lane=%q degraded=%q, want clean f32",
-			rec.Header().Get("X-Serve-Lane"), rec.Header().Get("X-Serve-Degraded"))
-	}
-	testutil.AssertSameBytes(t, "recovered body", wantF32, got)
-
-	br = breakerByKey(t, s, "v1", LaneF32)
-	if br.State != "closed" || br.Probes != 1 {
-		t.Fatalf("post-recovery breaker %+v, want closed after 1 probe", br)
-	}
-	if st := statsOf(t, h); st.Faults.DegradedRequests != 4 || st.Faults.PanicsRecovered != 3 {
-		t.Fatalf("faults %+v, want 4 degraded and 3 recovered panics", st.Faults)
-	}
-}
-
-// breakerByKey finds one breaker's snapshot on the server.
-func breakerByKey(t *testing.T, s *Server, version string, lane Lane) BreakerSnapshot {
-	t.Helper()
-	for _, b := range s.breakers.snapshot() {
-		if b.Version == version && b.Lane == lane {
-			return b
-		}
-	}
-	t.Fatalf("no breaker for (%s, %s) in %+v", version, lane, s.breakers.snapshot())
-	return BreakerSnapshot{}
-}
-
-// TestBreakerVersionFallbackAndRetire drills the cross-version fallback:
-// with v2 current and its f64 lane poisoned, requests degrade to v1 with
-// zero failures; once v1 retires mid-degradation the fallback walk finds
-// nothing — requests fail bounded (503, never a torn read of a retired
-// framework) — and after the cooldown a half-open probe restores v2.
-func TestBreakerVersionFallbackAndRetire(t *testing.T) {
-	fw := testFramework(t)
-	ckpt := filepath.Join(t.TempDir(), "model.ckpt")
-	if err := fw.SaveFile(ckpt); err != nil {
-		t.Fatal(err)
-	}
-
-	const cooldown = 100 * time.Millisecond
-	s, err := NewWithOptions(fw, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.breakers.cooldown = cooldown
-	// v2 is a distinct framework loaded from the checkpoint; requests
-	// follow the current pointer to it.
-	if _, err := s.Registry().PublishFile(ckpt); err != nil {
-		t.Fatal(err)
-	}
-	h := s.Handler()
-
-	// Poison v2's scoring only: v1 (the server's own framework) scores
-	// for real, so the version-fallback path stays healthy.
-	s.setPredict(func(target *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome {
-		if target != fw {
-			panic("poisoned v2 checkpoint")
-		}
-		return target.ServePredictBatch(ctx, reqs)
-	})
-
-	const body = `{"stencil":"star2d1r","gpu":"V100"}`
-	post := func() *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body))
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-
-	// Three consecutive v2 failures: each request degrades to v1, the
-	// breaker trips on the third.
-	for i := 0; i < 3; i++ {
-		rec := post()
-		if rec.Code != http.StatusOK {
-			t.Fatalf("request %d during v2 poisoning gave %d: %s", i, rec.Code, rec.Body.String())
-		}
-		if rec.Header().Get("X-Serve-Model") != "v1" || rec.Header().Get("X-Serve-Degraded") != "true" {
-			t.Fatalf("request %d served by %q degraded=%q, want degraded v1",
-				i, rec.Header().Get("X-Serve-Model"), rec.Header().Get("X-Serve-Degraded"))
-		}
-	}
-	if br := breakerByKey(t, s, "v2", LaneF64); br.State != "open" {
-		t.Fatalf("v2 breaker %+v, want open", br)
-	}
-
-	// Retire v1 while the breaker is redirecting to it (no refs are held
-	// between requests, so Retire completes). The fallback walk must not
-	// resurrect it: with no healthy fallback left, requests fail bounded.
-	if err := s.Registry().Retire("v1"); err != nil {
-		t.Fatal(err)
-	}
-	rec := post()
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("request with retired fallback gave %d: %s, want 503", rec.Code, rec.Body.String())
-	}
-
-	// Cooldown elapses; un-poison v2 and let the half-open probe restore
-	// it.
-	s.setPredict(nil)
-	time.Sleep(cooldown + 20*time.Millisecond)
-	rec = post()
-	if rec.Code != http.StatusOK || rec.Header().Get("X-Serve-Model") != "v2" || rec.Header().Get("X-Serve-Degraded") != "" {
-		t.Fatalf("post-recovery request gave %d model=%q degraded=%q, want clean v2",
-			rec.Code, rec.Header().Get("X-Serve-Model"), rec.Header().Get("X-Serve-Degraded"))
-	}
-	if br := breakerByKey(t, s, "v2", LaneF64); br.State != "closed" {
-		t.Fatalf("v2 breaker after recovery %+v, want closed", br)
 	}
 }
 
@@ -456,6 +251,62 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	mu.Unlock()
 	if sawP100 {
 		t.Fatal("expired request was scored anyway — it must be rejected before the model call")
+	}
+	if got := statsOf(t, h).Endpoints["predict"].DeadlineExpired; got != 1 {
+		t.Fatalf("deadline_expired = %d, want 1", got)
+	}
+}
+
+// TestExpiredBatchKeepsEachError: a batch whose deadline expires while
+// it scores hands each request its own outcome. A batchmate the
+// pipeline refused at admission (an unknown GPU) is still a 400; the
+// live request gets the context error, answered 504 and counted in
+// deadline_expired.
+func TestExpiredBatchKeepsEachError(t *testing.T) {
+	s := hardenedServer(t, Options{})
+	release := make(chan struct{})
+	var calls atomic.Int64
+	var batchSize atomic.Int64
+	s.setPredict(func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome {
+		if calls.Add(1) == 1 {
+			<-release // hold the lane so the next two requests share a batch
+			return fw.ServePredictBatch(ctx, reqs)
+		}
+		// The batch's deadline runs out during scoring.
+		batchSize.Store(int64(len(reqs)))
+		expired, cancel := context.WithDeadline(ctx, time.Unix(0, 0))
+		defer cancel()
+		return fw.ServePredictBatch(expired, reqs)
+	})
+	h := s.Handler()
+
+	post := func(body string, done chan<- *httptest.ResponseRecorder) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(body)))
+		done <- rec
+	}
+	blocker := make(chan *httptest.ResponseRecorder, 1)
+	go post(`{"stencil":"star2d1r","gpu":"V100"}`, blocker)
+	waitFor(t, func() bool { return calls.Load() == 1 })
+
+	unknown := make(chan *httptest.ResponseRecorder, 1)
+	liveReq := make(chan *httptest.ResponseRecorder, 1)
+	go post(`{"stencil":"star2d1r","gpu":"H100"}`, unknown)
+	go post(`{"stencil":"star2d1r","gpu":"P100"}`, liveReq)
+	waitFor(t, func() bool { return s.co.Stats().Queued == 2 })
+	close(release)
+
+	if rec := <-blocker; rec.Code != http.StatusOK {
+		t.Fatalf("blocking request gave %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := <-unknown; rec.Code != http.StatusBadRequest {
+		t.Fatalf("unknown GPU in an expired batch gave %d: %s, want 400", rec.Code, rec.Body.String())
+	}
+	if rec := <-liveReq; rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("live request in an expired batch gave %d: %s, want 504", rec.Code, rec.Body.String())
+	}
+	if n := batchSize.Load(); n != 2 {
+		t.Fatalf("expired batch held %d requests, want both", n)
 	}
 	if got := statsOf(t, h).Endpoints["predict"].DeadlineExpired; got != 1 {
 		t.Fatalf("deadline_expired = %d, want 1", got)

@@ -275,12 +275,12 @@ func TestSwapUnderLoadStress(t *testing.T) {
 	}
 }
 
-// TestRetireRacesPinnedAcquire: the breaker fallback walk pins explicit
-// versions while rollouts retire them. Hammering Acquire("v1") against a
-// concurrent Retire("v1") must never hand out a retired framework: every
-// successful acquire strictly precedes Retire's return (the held ref
-// blocks the drain), and once Retire returns the version is gone for
-// good.
+// TestRetireRacesPinnedAcquire: a /predict?model=vN request pins an
+// explicit version while a rollout may be retiring it. Hammering
+// Acquire("v1") against a concurrent Retire("v1") must never hand out a
+// retired framework: every successful acquire strictly precedes Retire's
+// return (the held ref blocks the drain), and once Retire returns the
+// version is gone for good.
 func TestRetireRacesPinnedAcquire(t *testing.T) {
 	r := New()
 	if _, err := r.Publish(trainedStub()); err != nil {

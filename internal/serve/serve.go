@@ -11,6 +11,14 @@
 // a versioned registry (internal/serve/registry) whose refcounted handles
 // let checkpoints hot-swap under load — publish a new version, drain the
 // old one, zero failed requests.
+//
+// Hardening is bounded and per request: a deadline (the server's
+// timeout, narrowed by X-Deadline-Millis) travels with each request into
+// batch scoring, excess load is shed with 503 at an in-flight cap, and a
+// scoring panic fails only the batch that raised it, as a 500. Every
+// model call inside core's pipeline already turns a panic into an error
+// for its one item, so that recover is only a backstop. Nothing
+// reroutes a request to another lane or version.
 package serve
 
 import (
@@ -78,7 +86,8 @@ func ParseLane(s string) (Lane, error) {
 	}
 }
 
-// Options tunes the hardened server; zero values select the defaults.
+// Options tunes the hardened server; zero values select the defaults
+// and negative numbers are refused (Validate).
 type Options struct {
 	// Timeout bounds one request's prediction work (DefaultTimeout if 0).
 	Timeout time.Duration
@@ -92,6 +101,21 @@ type Options struct {
 	// Lane is the default inference lane for requests that don't pin one
 	// with ?lane= (LaneF64 if empty).
 	Lane Lane
+}
+
+// Validate refuses negative knobs: zero selects a default, but a
+// negative timeout, in-flight cap or batch size has no meaning, and
+// replacing it silently would hide the caller's mistake.
+func (o Options) Validate() error {
+	switch {
+	case o.Timeout < 0:
+		return fmt.Errorf("serve: negative timeout %v", o.Timeout)
+	case o.MaxInFlight < 0:
+		return fmt.Errorf("serve: negative in-flight cap %d", o.MaxInFlight)
+	case o.BatchSize < 0:
+		return fmt.Errorf("serve: negative batch size %d", o.BatchSize)
+	}
+	return nil
 }
 
 // endpointStats aggregates per-endpoint counters with atomics so the
@@ -157,15 +181,12 @@ type predictJob struct {
 }
 
 // predictResult is what a scored job hands back to its waiting handler:
-// the prediction plus where it actually came from — under breaker
-// degradation the serving lane/version differ from what the request
-// asked for, and the handler surfaces that in response headers without
-// touching the body.
+// the prediction plus the lane and model version that scored it, which
+// the handler surfaces in response headers without touching the body.
 type predictResult struct {
-	pred     *core.ServePrediction
-	lane     Lane
-	version  string
-	degraded bool
+	pred    *core.ServePrediction
+	lane    Lane
+	version string
 }
 
 // predictBatchFn scores one batch of requests against one framework.
@@ -182,12 +203,6 @@ type Server struct {
 	timeout time.Duration
 	started time.Time
 	lane    Lane // default lane for requests without ?lane=
-
-	// breakers guards every (version, lane) scoring path; scorePanic,
-	// when set (only by tests), makes the scoring call at site
-	// "lane/version" panic when it answers true.
-	breakers   *breakerSet
-	scorePanic func(site string) bool
 
 	// arena is the f32 lane's per-batch scratch. The coalescer scores
 	// batches through a single serialized lane, so one server-owned
@@ -209,9 +224,6 @@ type Server struct {
 	panics   atomic.Uint64
 	shed     atomic.Uint64
 	oversize atomic.Uint64
-	// degraded counts requests answered through a breaker fallback
-	// (different lane or version than requested).
-	degraded atomic.Uint64
 
 	// predictFn is the batch prediction step, swapped atomically because
 	// the scorer goroutine reads it while tests replace it.
@@ -228,14 +240,17 @@ func New(fw *core.Framework, timeout time.Duration) (*Server, error) {
 // NewWithOptions is New with explicit hardening knobs: the framework is
 // published as v1 of a fresh registry.
 func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	reg := registry.New()
 	if _, err := reg.Publish(fw); err != nil {
 		return nil, fmt.Errorf("serve: framework has no trained models (train or load a checkpoint first)")
 	}
-	if opts.Timeout <= 0 {
+	if opts.Timeout == 0 {
 		opts.Timeout = DefaultTimeout
 	}
-	if opts.MaxInFlight <= 0 {
+	if opts.MaxInFlight == 0 {
 		opts.MaxInFlight = DefaultMaxInFlight
 	}
 	if opts.BatchSize == 0 {
@@ -252,7 +267,6 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 		lane:     lane,
 		arena:    core.NewServeArena(),
 		inflight: make(chan struct{}, opts.MaxInFlight),
-		breakers: newBreakerSet(),
 	}
 	s.setPredict(nil)
 	s.co = batch.New(batch.Options[predictJob]{
@@ -281,9 +295,12 @@ func (s *Server) Registry() *registry.Registry { return s.reg }
 // everything; use it at process shutdown.
 func (s *Server) Close() { s.co.Close() }
 
-// errBreakerOpen is the terminal failure when a breaker reroutes a group
-// but no healthy fallback exists.
-var errBreakerOpen = errors.New("service degraded: scoring lane unavailable and no healthy fallback")
+// group is one (leased version, lane) slice of a batch: the requests
+// that score together through one pipeline call.
+type group struct {
+	version string
+	lane    Lane
+}
 
 // scoreBatch is the coalescer's score function. Jobs whose context
 // already expired while queueing are rejected with the context error —
@@ -296,8 +313,8 @@ var errBreakerOpen = errors.New("service degraded: scoring lane unavailable and 
 // panics included.
 func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 	outs := make([]batch.Outcome[predictResult], len(jobs))
-	byGroup := make(map[breakerKey][]int)
-	var order []breakerKey
+	byGroup := make(map[group][]int)
+	var order []group
 	var earliest time.Time
 	haveDeadline := false
 	for i, j := range jobs {
@@ -309,11 +326,11 @@ func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 		if d, ok := j.ctx.Deadline(); ok && (!haveDeadline || d.Before(earliest)) {
 			earliest, haveDeadline = d, true
 		}
-		key := breakerKey{version: j.h.Version(), lane: j.lane}
-		if _, seen := byGroup[key]; !seen {
-			order = append(order, key)
+		g := group{version: j.h.Version(), lane: j.lane}
+		if _, seen := byGroup[g]; !seen {
+			order = append(order, g)
 		}
-		byGroup[key] = append(byGroup[key], i)
+		byGroup[g] = append(byGroup[g], i)
 	}
 	ctx := context.Background()
 	if haveDeadline {
@@ -321,112 +338,53 @@ func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 		ctx, cancel = context.WithDeadline(ctx, earliest)
 		defer cancel()
 	}
-	for _, key := range order {
-		s.scoreGroup(ctx, key, byGroup[key], jobs, outs)
+	for _, g := range order {
+		s.scoreGroup(ctx, g, byGroup[g], jobs, outs)
 	}
 	return outs
 }
 
-// scoreGroup scores one same-(version, lane) slice of a batch, routed
-// through the group's circuit breaker. The healthy path scores via
-// scoreVia; a scoring fault (panic or mis-shaped result) feeds the
-// breaker and the group rescores through a fallback — f32 falls back to
-// the same version's f64 reference lane, f64 to the newest previous
-// healthy version — so a sick lane degrades service instead of failing
-// it. Once open, the breaker short-circuits straight to the fallback
-// until a cooldown elapses and a half-open probe retries the primary.
-// Context errors never feed the breaker: a slow batch is not a sick
-// lane. The deferred releases keep the registry drainable.
-func (s *Server) scoreGroup(ctx context.Context, key breakerKey, idxs []int, jobs []predictJob, outs []batch.Outcome[predictResult]) {
+// scoreGroup scores one same-(version, lane) slice of a batch. Each
+// request keeps its own outcome — in a batch whose deadline expires
+// mid-pipeline, a request the pipeline refused at admission still gets
+// its 400 while the live ones get the context error — and only a
+// scoring panic or a mis-shaped result fails the whole group. The
+// deferred releases keep the registry drainable.
+func (s *Server) scoreGroup(ctx context.Context, g group, idxs []int, jobs []predictJob, outs []batch.Outcome[predictResult]) {
 	defer func() {
 		for _, i := range idxs {
 			jobs[i].h.Release()
 		}
 	}()
-	fw := jobs[idxs[0]].h.Framework()
 	reqs := make([]core.ServeRequest, len(idxs))
 	for k, i := range idxs {
 		reqs[k] = jobs[i].req
 	}
-
-	fill := func(res []core.ServeOutcome, lane Lane, version string, degraded bool) {
-		for k, i := range idxs {
-			outs[i] = batch.Outcome[predictResult]{
-				Value: predictResult{pred: res[k].Prediction, lane: lane, version: version, degraded: degraded},
-				Err:   res[k].Err,
-			}
-		}
-	}
-	failAll := func(err error) {
-		for _, i := range idxs {
+	res, err := s.scoreVia(ctx, jobs[idxs[0]].h.Framework(), g.lane, reqs)
+	for k, i := range idxs {
+		if err != nil {
 			outs[i] = batch.Outcome[predictResult]{Err: err}
+			continue
+		}
+		outs[i] = batch.Outcome[predictResult]{
+			Value: predictResult{pred: res[k].Prediction, lane: g.lane, version: g.version},
+			Err:   res[k].Err,
 		}
 	}
-
-	allow, probe := s.breakers.route(key)
-	var primaryErr error
-	if allow {
-		res, err := s.scoreVia(ctx, fw, key.lane, key.version, reqs)
-		if err == nil {
-			s.breakers.result(key, probe, false)
-			fill(res, key.lane, key.version, false)
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			// The batch ran out of time; the lane is fine.
-			failAll(err)
-			return
-		}
-		s.breakers.result(key, probe, true)
-		primaryErr = err
-	}
-
-	fbFw, fbHandle, fbKey, ok := s.fallbackFor(fw, key)
-	if !ok {
-		if primaryErr != nil {
-			failAll(primaryErr)
-		} else {
-			failAll(errBreakerOpen)
-		}
-		return
-	}
-	if fbHandle != nil {
-		defer fbHandle.Release()
-	}
-	res, err := s.scoreVia(ctx, fbFw, fbKey.lane, fbKey.version, reqs)
-	if err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			s.breakers.result(fbKey, false, true)
-			if primaryErr != nil {
-				err = primaryErr
-			}
-		}
-		failAll(err)
-		return
-	}
-	s.breakers.result(fbKey, false, false)
-	s.breakers.markFallback(key, len(idxs))
-	s.degraded.Add(uint64(len(idxs)))
-	fill(res, fbKey.lane, fbKey.version, true)
 }
 
 // scoreVia runs one batched scoring call on (fw, lane), converting a
-// panic or mis-shaped result into an error the caller feeds the breaker.
-// The f32 lane scores through the compiled models over the server's
-// arena; the f64 lane goes through predictFn (which tests substitute —
-// test doubles only ever intercept the reference lane). The scorePanic
-// hook fires inside the recovery scope, so injected scoring panics
-// travel the exact path real ones do.
-func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, version string, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
+// panic or mis-shaped result into an error for the whole group. The f32
+// lane scores through the compiled models over the server's arena; the
+// f64 lane goes through predictFn (which tests substitute — test doubles
+// only ever intercept the reference lane).
+func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)
 			res, err = nil, fmt.Errorf("internal error: predict panicked: %v", v)
 		}
 	}()
-	if s.scorePanic != nil && s.scorePanic(string(lane)+"/"+version) {
-		panic("injected scoring fault")
-	}
 	if lane == LaneF32 {
 		s.laneF32.Add(uint64(len(reqs)))
 		res = fw.ServePredictBatchF32(ctx, reqs, s.arena)
@@ -437,48 +395,7 @@ func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, ve
 	if len(res) != len(reqs) {
 		return nil, fmt.Errorf("internal error: predict returned %d outcomes for %d requests", len(res), len(reqs))
 	}
-	// A batch that dies on its deadline reports context errors on its
-	// live items; surface that as one group error so the caller can tell
-	// "out of time" from "sick lane".
-	for _, o := range res {
-		if e := o.Err; e != nil && (errors.Is(e, context.DeadlineExceeded) || errors.Is(e, context.Canceled)) {
-			return nil, e
-		}
-	}
 	return res, nil
-}
-
-// fallbackFor picks the degraded path for a rerouted (version, lane)
-// group: the same version's f64 reference lane when the f32 lane is
-// sick, otherwise the newest other version whose f64 breaker is closed.
-// Fallback versions are leased from the registry for the duration of the
-// scoring call (the returned handle, when non-nil, must be released);
-// versions mid-retire simply fail to lease and the walk continues — a
-// fallback can never resurrect a retired framework.
-func (s *Server) fallbackFor(fw *core.Framework, key breakerKey) (*core.Framework, *registry.Handle, breakerKey, bool) {
-	if key.lane == LaneF32 {
-		fb := breakerKey{version: key.version, lane: LaneF64}
-		if s.breakers.healthy(fb) {
-			return fw, nil, fb, true
-		}
-	}
-	vs := s.reg.Versions()
-	for i := len(vs) - 1; i >= 0; i-- {
-		v := vs[i].Version
-		if v == key.version {
-			continue
-		}
-		fb := breakerKey{version: v, lane: LaneF64}
-		if !s.breakers.healthy(fb) {
-			continue
-		}
-		h, err := s.reg.Acquire(v)
-		if err != nil {
-			continue
-		}
-		return h.Framework(), h, fb, true
-	}
-	return nil, nil, breakerKey{}, false
 }
 
 // Handler returns the service's HTTP handler: panic recovery around
@@ -592,9 +509,6 @@ type StatsResponse struct {
 	Batch         batch.Stats                 `json:"batch"`
 	Lanes         LaneSnapshot                `json:"lanes"`
 	Models        []registry.VersionInfo      `json:"models"`
-	// Breakers lists every (version, lane) circuit breaker that has
-	// carried traffic.
-	Breakers []BreakerSnapshot `json:"breakers"`
 }
 
 // LaneSnapshot reports how /predict traffic split across the inference
@@ -617,8 +531,11 @@ type FaultSnapshot struct {
 	LoadShed uint64 `json:"load_shed"`
 	// OversizeRequests counts bodies refused with 413.
 	OversizeRequests uint64 `json:"oversize_requests"`
-	// DegradedRequests counts requests answered through a breaker
-	// fallback lane or version.
+	// DegradedRequests is vestigial and always 0: nothing reroutes a
+	// request to another lane or version. The field stays only because
+	// bench/serve.go and bench/layers_serve.go read it, and bench/
+	// changes only together with a re-recorded baseline; ROADMAP item
+	// 1(c) lists its removal.
 	DegradedRequests uint64 `json:"degraded_requests"`
 }
 
@@ -666,7 +583,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			PanicsRecovered:  s.panics.Load(),
 			LoadShed:         s.shed.Load(),
 			OversizeRequests: s.oversize.Load(),
-			DegradedRequests: s.degraded.Load(),
 		},
 		Batch: s.co.Stats(),
 		Lanes: LaneSnapshot{
@@ -674,8 +590,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			F32Requests: s.laneF32.Load(),
 			F64Requests: s.laneF64.Load(),
 		},
-		Models:   s.reg.Versions(),
-		Breakers: s.breakers.snapshot(),
+		Models: s.reg.Versions(),
 	})
 }
 
@@ -700,7 +615,6 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{
 			"current":  s.reg.CurrentVersion(),
 			"versions": s.reg.Versions(),
-			"breakers": s.breakers.snapshot(),
 		})
 	case http.MethodPost:
 		var req ModelzRequest
@@ -794,8 +708,6 @@ func predictStatus(err error) int {
 		// accounting only; a client-propagated deadline gets the 504.
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, errBreakerOpen):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrBadRequest):
 		// Decided by the pipeline's admission marker, never by error
@@ -927,13 +839,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	failed = false
-	// Surface where the prediction actually came from; under breaker
-	// degradation these differ from what the request asked for. The body
-	// is untouched — degraded responses stay bitwise-comparable.
+	// Name the lane and model version that scored the request; the body
+	// stays the pipeline's.
 	w.Header().Set("X-Serve-Lane", string(res.lane))
 	w.Header().Set("X-Serve-Model", res.version)
-	if res.degraded {
-		w.Header().Set("X-Serve-Degraded", "true")
-	}
 	writeJSON(w, http.StatusOK, res.pred)
 }

@@ -62,6 +62,18 @@ func TestNewRequiresTrainedFramework(t *testing.T) {
 	}
 }
 
+// TestNewRefusesNegativeOptions: zero selects each default, a negative
+// number is refused instead of silently replaced.
+func TestNewRefusesNegativeOptions(t *testing.T) {
+	fw := testFramework(t)
+	for _, opts := range []Options{{Timeout: -time.Second}, {MaxInFlight: -1}, {BatchSize: -3}} {
+		if s, err := NewWithOptions(fw, opts); err == nil {
+			s.Close()
+			t.Errorf("%+v accepted", opts)
+		}
+	}
+}
+
 func TestHealthz(t *testing.T) {
 	h := testServer(t).Handler()
 	rec := httptest.NewRecorder()
@@ -146,6 +158,10 @@ func TestPredictBadRequests(t *testing.T) {
 		{"both forms", `{"stencil":"star2d1r","points":[[0,0,0]],"dims":2,"gpu":"V100"}`},
 		{"bad point arity", `{"points":[[0,0]],"dims":2,"gpu":"V100"}`},
 		{"bad dims", `{"points":[[0,0,0]],"dims":5,"gpu":"V100"}`},
+		// |math.MinInt| does not fit in an int: as dx this offset was
+		// served, as dy it overran the classifier encoding (500).
+		{"min-int dx", `{"name":"m","dims":2,"points":[[-9223372036854775808,0,0]],"gpu":"V100"}`},
+		{"min-int dy", `{"name":"m","dims":2,"points":[[0,-9223372036854775808,0]],"gpu":"V100"}`},
 		{"unknown field", `{"stencil":"star2d1r","gpu":"V100","oops":1}`},
 		{"not json", `star2d1r please`},
 	}

@@ -83,7 +83,12 @@ func (p Point) Neighbors(dims int) []Point {
 	return out
 }
 
+// abs saturates: -math.MinInt overflows back to itself, so MinInt maps
+// to math.MaxInt and an order check still reads it as out of range.
 func abs(x int) int {
+	if x == math.MinInt {
+		return math.MaxInt
+	}
 	if x < 0 {
 		return -x
 	}

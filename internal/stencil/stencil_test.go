@@ -18,6 +18,8 @@ func TestPointOrder(t *testing.T) {
 		{Point{2, 1, 0}, 2},
 		{Point{-3, 3, -2}, 3},
 		{Point{0, 0, 4}, 4},
+		{Point{math.MinInt, 0, 0}, math.MaxInt},
+		{Point{0, math.MinInt, 1}, math.MaxInt},
 	}
 	for _, c := range cases {
 		if got := c.p.Order(); got != c.want {
@@ -115,6 +117,18 @@ func TestNewRejectsInvalid(t *testing.T) {
 	}
 	if _, err := New("bad", 2, []Point{{5, 0, 0}}); err == nil {
 		t.Error("order-5 point accepted")
+	}
+	// |math.MinInt| does not fit in an int; every coordinate must still
+	// lie in [-MaxOrder, MaxOrder], for New and for Validate.
+	for _, p := range []Point{{math.MinInt, 0, 0}, {0, math.MinInt, 0}, {1, 0, math.MinInt}} {
+		if _, err := New("bad", 3, []Point{p}); err == nil {
+			t.Errorf("New accepted offset %v", p)
+		}
+		s := Stencil{Name: "bad", Dims: 3, Points: []Point{p}}
+		s.canonicalize()
+		if err := s.Validate(); err == nil {
+			t.Errorf("Validate accepted offset %v", p)
+		}
 	}
 }
 

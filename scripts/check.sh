@@ -67,7 +67,7 @@ echo "== coalescer Do x Close (race, repeated) =="
 # and promptly; the interleaving that used to strand one is rare per run.
 go test -race -count=20 -run 'Close' ./internal/serve/batch/
 
-echo "== fuzz smoke (checkpoint envelope + loader, tree columns, dataset file, WAL records, lazyrand) =="
+echo "== fuzz smoke (checkpoint envelope + loader, tree columns, dataset file, WAL records, /predict stencils, lazyrand) =="
 # Five seconds each: the seeds plus whatever the mutator reaches. The
 # envelope's: valid, truncated header and payload, flipped manifest byte,
 # lying payload length, trailing bytes, wrong version and magic; lying
@@ -90,9 +90,13 @@ echo "== fuzz smoke (checkpoint envelope + loader, tree columns, dataset file, W
 # flipped byte, a length no file holds, a padded and a cut-short length, a
 # zero-filled tail, every record twice. Typed error or success (for the
 # WAL: a clean replay and a tail to drop), never a panic, allocation
-# bounded by the input. The lazy seeded source's stream, from a dirty
-# register, equals math/rand's for every fuzzed seed and draw count.
-# (Same six commands as `make fuzz-smoke`;
+# bounded by the input. The /predict body's stencil, decoded as the
+# handler decodes it: MinInt and MaxInt offsets, order 5, duplicate
+# points, dims/dz disagreement, 2- and 4-element points, both stencil
+# forms and neither; an error or a stencil that passes Validate with
+# every offset within MaxOrder, never a panic. The lazy seeded source's
+# stream, from a dirty register, equals math/rand's for every fuzzed
+# seed and draw count. (Same seven commands as `make fuzz-smoke`;
 # minimising an interesting input — megabyte-sized for the loader, a
 # 500-node chain for the tree columns — would eat the whole budget, hence
 # -fuzzminimizetime 1x.)
@@ -101,6 +105,7 @@ go test ./internal/core/ -run='^$' -fuzz FuzzLoadFramework -fuzztime 5s -fuzzmin
 go test ./internal/ml/tree/ -run='^$' -fuzz FuzzEnsembleColumns -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/profile/ -run='^$' -fuzz FuzzDatasetRoundTrip -fuzztime 5s -fuzzminimizetime 1x
 go test ./internal/persist/ -run='^$' -fuzz FuzzReadWAL -fuzztime 5s
+go test ./internal/serve/ -run='^$' -fuzz FuzzStencilFromRequest -fuzztime 5s
 go test ./internal/lazyrand/ -run='^$' -fuzz FuzzSourceMatchesLibrary -fuzztime 5s
 
 echo "== bench smoke (collect_mem, serve_hot, serve_distinct_nn, train_ckpt) =="
@@ -145,7 +150,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=15603
+max_lines=15317
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
