@@ -1,16 +1,11 @@
 package core
 
-// ServeArena is grow-only per-batch scratch for the f32 serving lane:
-// the serving tier owns one arena per scoring lane, calls Reset at the
-// start of every coalesced flush, and every row/output buffer the batch
-// needs is carved from three reusable slabs. Slabs only ever grow — a
-// request for more than the remaining capacity allocates a larger
-// replacement slab (outstanding slices keep the old one alive until the
-// batch ends) — so once the slabs have warmed to the steady-state batch
-// shape, a flush performs zero heap allocations in the scoring path.
-// Hand-outs are zeroed, keeping batch results independent of what the
-// previous flush wrote. An arena is not safe for concurrent use; the
-// serving layer's single scoring lane serializes access.
+// ServeArena is grow-only per-call scratch for the f32 serving lane:
+// each ServePredictBatchF32 call resets the arena it is given and carves
+// every row/output buffer from three slabs. A slab that runs short is
+// replaced by a larger one, so once warm a call allocates nothing in the
+// scoring path. Hand-outs are zeroed. An arena is not safe for concurrent
+// use: the serving layer gives each scoring call its own.
 type ServeArena struct {
 	f64  []float64
 	f32  []float32

@@ -12,13 +12,10 @@ import (
 )
 
 // This file builds the float32 inference lane's models over a trained
-// framework: every checkpointed model compiles once — tree ensembles
-// round their threshold and leaf columns to float32, networks snapshot
-// into f32 forward passes. Features are computed in float64 by the one
-// set of row encoders (features.go, including input scaling), then
-// converted once per element, so the only f64→f32 rounding in the whole
-// pipeline happens at compile time (weights) and at the row boundary
-// (inputs) — never twice.
+// framework, each compiled once. Features encode in float64 by the one
+// set of row encoders (features.go, input scaling included) and convert
+// once per element, so f64→f32 rounding happens only at compile time
+// (weights) and at the row boundary (inputs).
 
 // CompiledRegressorF32 couples a compiled f32 regressor with the input
 // scaling and target inversion of its float64 source.
@@ -137,8 +134,8 @@ func compileTrained(tr *Trained) (*CompiledTrained, error) {
 // CompiledF32 returns the framework's f32 inference lane, compiling the
 // trained set on first use and caching the result until TrainAll swaps
 // in a new set. The registry compiles at publish time so serving never
-// pays the build; compiled models are not safe for concurrent use — the
-// serving layer's single scoring lane serializes, like the f64 models.
+// pays the build. Compiled models share ServeConcurrent's contract with
+// the f64 ones.
 func (f *Framework) CompiledF32() (*CompiledTrained, error) {
 	tr, err := f.requireTrained()
 	if err != nil {

@@ -7,17 +7,22 @@ import (
 	"stencilmart/internal/ml"
 )
 
-// serveLane is the one thing that differs between the float64 and
-// float32 serving paths: the numeric format models score in. A lane
-// resolves model handles, encodes and scores one model group per call,
-// and owns whatever scratch that takes; servePipeline never learns which
-// lane it holds. C and R are the lane's classifier and regressor handle
-// types.
-//
-// classify and regress score a whole group through one batched model
-// call, writing class/proba or times into the items; the *One forms score
-// a single item and are what the pipeline retries with when the batched
-// call fails. All four convert a model panic into an error.
+// ServeConcurrent reports whether ServePredictBatch and
+// ServePredictBatchF32 are safe for concurrent use on f: iff its trained
+// set is GBDT + GBRegressor. Tree ensembles are immutable once fitted and
+// score into caller buffers in both formats; nn forwards own scratch.
+func (f *Framework) ServeConcurrent() bool {
+	tr := f.Trained
+	return tr != nil && tr.ClassifierKind == ClassGBDT && tr.RegressorKind == RegGB
+}
+
+// serveLane is what differs between the float64 and float32 serving
+// paths: the numeric format models score in. A lane resolves model
+// handles (C and R, classifier and regressor) and scores one model group
+// per call through one batched model call, owning whatever scratch that
+// takes; the *One forms score a single item, which the pipeline retries
+// with when a batched call fails. All four convert a model panic into an
+// error.
 type serveLane[C, R comparable] interface {
 	// open binds the lane to the framework's trained set for one batch.
 	open(f *Framework, tr *Trained) error

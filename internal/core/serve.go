@@ -99,43 +99,30 @@ func (requestError) Is(target error) bool { return target == ErrBadRequest }
 
 // ServePredictBatch runs the classify -> tune -> regress -> rent pipeline
 // over many requests at once on the float64 lane, returning one outcome
-// per request, index-aligned. Coalescing pays off twice. First, identical
-// requests inside a batch collapse to one pipeline pass — the whole
-// serving path is a deterministic function of (GPU, stencil), so
-// duplicates (concurrent clients asking about the same hot stencil, the
-// common case the serving tier batches for) share a single classify +
-// tune + regress and receive the same prediction. Second, the surviving
-// distinct requests group their model calls: classification batches per
-// (GPU, dims) classifier and cross-GPU regression batches per dims, so
-// per-call model overhead is paid once per group, while tuning
-// (simulator-bound, concurrency-safe) runs across items in parallel.
-// Because every batched model path scores rows independently and
-// duplicates are exact, a batch of N is bitwise N independent answers.
+// per request, index-aligned. Identical requests collapse to one pipeline
+// pass (serving is a deterministic function of (GPU, stencil)); distinct
+// ones group their model calls — classification per (GPU, dims)
+// classifier, regression per dims — and tune in parallel. Every batched
+// model path scores rows independently, so a batch of N is bitwise N
+// independent answers.
 //
-// The context carries the batch's deadline (the earliest deadline among
-// the coalesced requests): it is checked before classification and again
-// before regression, and tuning — the simulator-bound stage — stops
-// dispatching when it expires, so an expired batch fails its remaining
-// items with the context error instead of burning simulator time nobody
-// will wait for. A nil or never-expiring context reproduces the unbounded
-// behavior exactly.
+// The context carries the batch's deadline: it is checked before
+// classification and before regression, and tuning stops dispatching
+// when it expires, so an expired batch fails its remaining items with the
+// context error. A nil context never expires.
 //
-// The method is not safe for concurrent use on one framework (nn models
-// reuse forward scratch); the serving layer serializes batch calls
-// through a single lane.
+// The method is safe for concurrent use exactly when f.ServeConcurrent
+// holds; nn models reuse forward scratch, so their calls are serialized.
 func (f *Framework) ServePredictBatch(ctx context.Context, reqs []ServeRequest) []ServeOutcome {
 	return servePipeline[ml.Classifier, *TrainedRegressor](ctx, f, reqs, &laneF64{})
 }
 
 // ServePredictBatchF32 is ServePredictBatch on the float32 inference
-// lane: classification and regression score through the compiled f32
-// models with every row and output buffer carved from the caller's arena
-// (reset on entry). Encoding and scoring perform zero heap allocations
-// once the arena and compiled-layer scratch are warm; the per-item
-// probability and time vectors are deliberate heap copies because
-// outcomes outlive the arena's next Reset. A nil arena gets a private
-// one, trading the reuse away for convenience. One arena serves one
-// caller at a time.
+// lane: the compiled f32 models score over the caller's arena (reset on
+// entry; nil gets a private one), allocating nothing once it is warm but
+// the per-item probability and time vectors, which outlive it.
+// Concurrent calls are safe exactly when f.ServeConcurrent holds, each
+// with its own arena.
 func (f *Framework) ServePredictBatchF32(ctx context.Context, reqs []ServeRequest, arena *ServeArena) []ServeOutcome {
 	return servePipeline[ml.ClassifierF32, *CompiledRegressorF32](ctx, f, reqs, &laneF32{arena: arena})
 }

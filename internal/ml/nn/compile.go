@@ -8,19 +8,16 @@ import (
 )
 
 // This file is the float32 inference lane of the neural networks: a
-// trained Classifier/Regressor compiles once (at checkpoint load /
-// registry publish time) into the same layer stack at float32.
-// Quantization happens exactly once, here: every weight and bias rounds
-// to the nearest float32; rows arrive already converted by the caller.
-// The forward pass is forward.go's, instantiated at float32. Compiled
-// models share nothing with their float64 source and, like it, are not
-// safe for concurrent use on one instance.
+// trained Classifier/Regressor compiles once into the same layer stack at
+// float32, every weight and bias rounded to the nearest float32; the
+// forward pass is forward.go's. Compiled models share nothing with their
+// float64 source and, like it, are not safe for concurrent use.
 
-// laneWorkers is the workers argument of every f32 forward: the serving
-// tier's one lane goroutine scores a few rows at a time, kernel calls
-// tens of microseconds long, so a forward pass stays on that goroutine —
-// nothing is handed to the pool (linalg's forRanges says why) and a warm
-// pass allocates nothing.
+// laneWorkers is the workers argument of every f32 forward: a serving
+// call scores a few rows at a time, kernel calls tens of microseconds
+// long, so a forward pass stays on the calling goroutine — nothing is
+// handed to the pool (linalg's forRanges says why) and a warm pass
+// allocates nothing.
 const laneWorkers = 1
 
 // quantize converts one float64 weight block to a fresh float32 slice.

@@ -147,7 +147,7 @@ func (g *GBRegressor) fit(x [][]float64, y []float64, grow growers) error {
 			resid[i] = y[i] - pred[i]
 		}
 		idx, oob := sampleRows(len(y), g.cfg.Subsample, rng)
-		g.ens.trees = append(g.ens.trees, gr.fit(resid, nil, idx, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate}))
+		g.ens.add(gr.fit(resid, nil, idx, credit{oob: oob, score: pred, stride: 1, lr: g.cfg.LearningRate}), g.cfg.Rounds)
 	}
 	return g.ens.finish(len(x[0]))
 }
@@ -257,7 +257,9 @@ func (g *GBDT) fit(x [][]float64, y []int, numClasses int, grow growers) error {
 			}
 			return err
 		}
-		g.ens.trees = append(g.ens.trees, roundTrees...)
+		for _, t := range roundTrees {
+			g.ens.add(t, g.cfg.Rounds*numClasses)
+		}
 	}
 	return g.ens.finish(len(x[0]))
 }

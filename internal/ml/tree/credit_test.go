@@ -37,8 +37,8 @@ func descentRegressor(g *GBRegressor, x [][]float64, y []float64, grow growers) 
 		}
 		idx, _ := sampleRows(len(y), g.cfg.Subsample, rng)
 		t := gr.fit(resid, nil, idx, credit{})
-		g.ens.trees = append(g.ens.trees, t)
 		t.addTo(x, pred, 1, g.cfg.LearningRate)
+		g.ens.add(t, g.cfg.Rounds)
 	}
 	return nil
 }
@@ -94,7 +94,9 @@ func descentGBDT(g *GBDT, x [][]float64, y []int, numClasses int, grow growers) 
 			}
 			return err
 		}
-		g.ens.trees = append(g.ens.trees, roundTrees...)
+		for _, t := range roundTrees {
+			g.ens.add(t, g.cfg.Rounds*numClasses)
+		}
 	}
 	return nil
 }

@@ -111,7 +111,10 @@ func TestDescentMatchesOracle(t *testing.T) {
 		"leaves among deep": {leafTree(0.5), deep[0], leafTree(-1), leafTree(2), deep[1], deep[2]},
 		"stumps":            {stump(), stump(), stump(), stump(), stump()},
 	} {
-		e := &ensemble[float64]{trees: append([]nodes[float64](nil), trees...), init: []float64{0.125}, lr: 0.3}
+		e := &ensemble[float64]{init: []float64{0.125}, lr: 0.3}
+		for _, tr := range trees {
+			e.add(tr, len(trees))
+		}
 		if err := e.finish(len(bins)); err != nil {
 			t.Fatal(err)
 		}

@@ -158,7 +158,9 @@ type histBuilder struct {
 
 // fit grows a tree over the idx rows using histogram splits, crediting
 // c as it pushes leaves. The tree is built in the builder's own columns
-// and returned as an exact-size copy.
+// and returned as an exact-size copy, except thr and value: those stay
+// the builder's until its next fit, for ensemble.add to move into the
+// layout.
 func (hb *histBuilder) fit(y, h []float64, idx []int, c credit) nodes[float64] {
 	hb.y, hb.h, hb.cr = y, h, c
 	hb.rows, hb.oob = appendInt32(hb.rows[:0], idx), appendInt32(hb.oob[:0], c.oob)
@@ -170,7 +172,7 @@ func (hb *histBuilder) fit(y, h []float64, idx []int, c credit) nodes[float64] {
 	hb.build(0, len(idx), 0, len(c.oob), 0, nil)
 	return nodes[float64]{
 		feature: slices.Clone(o.feature), left: slices.Clone(o.left), right: slices.Clone(o.right),
-		thr: slices.Clone(o.thr), value: slices.Clone(o.value), gain: slices.Clone(o.gain),
+		thr: o.thr, value: o.value, gain: slices.Clone(o.gain),
 	}
 }
 

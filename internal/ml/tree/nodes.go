@@ -51,7 +51,8 @@ type ensemble[T float32 | float64] struct {
 // kids[2p] and kids[2p+1]; a leaf is its own two children (feature 0), so
 // a descent that reaches one early stays put. steps[g] is the deepest
 // path of trees 4g..4g+3; roots is padded to a multiple of four with
-// tree 0's. thr and value are the trees' own columns.
+// tree 0's. thr and value are the trees' own columns: a fit (add) and a
+// load (restore) write them there, tree after tree, before finish.
 type layout[T float32 | float64] struct {
 	feature, kids, roots, steps []int32
 	thr, value                  []T
@@ -60,23 +61,42 @@ type layout[T float32 | float64] struct {
 // maxFlatDepth bounds a loaded tree's paths, as MaxDepth bounds a fit's.
 const maxFlatDepth = 256
 
+// add appends a fitted tree, copying its thr and value (a builder's
+// scratch, which its next fit overwrites) onto the ends of the layout's.
+// want is the fit's tree count: a column that runs out of room grows to
+// hold want trees of the mean size so far, with an eighth to spare, so a
+// fit of like-sized trees allocates each once.
+func (e *ensemble[T]) add(n nodes[T], want int) {
+	l := &e.lay
+	if need := len(l.thr) + len(n.thr); need > cap(l.thr) {
+		size := max(need, need*want/(len(e.trees)+1)) * 9 / 8
+		l.thr, l.value = append(make([]T, 0, size), l.thr...), append(make([]T, 0, size), l.value...)
+	}
+	at := len(l.thr)
+	l.thr, l.value = append(l.thr, n.thr...), append(l.value, n.value...)
+	n.thr, n.value = l.thr[at:len(l.thr):len(l.thr)], l.value[at:len(l.value):len(l.value)]
+	e.trees = append(e.trees, n)
+}
+
 // finish builds the scoring layout once the trees are final (after a fit,
-// on checkpoint load) and makes each tree's thr and value views into it.
-// Its one pass over each tree refuses one that cannot score rows of the
-// given width: columns empty or ragged; a child that does not come after
-// its parent, lies outside the tree or is shared; a node other than the
-// root that nothing reaches; a leaf with children; a split feature at or
-// past the width; a path deeper than maxFlatDepth.
+// on checkpoint load) and makes each tree's thr and value views into the
+// layout's, where add or restore wrote them. Its one pass over each tree
+// refuses one that cannot score rows of the given width: columns empty or
+// ragged; a child that does not come after its parent, lies outside the
+// tree or is shared; a node other than the root that nothing reaches; a
+// leaf with children; a split feature at or past the width; a path
+// deeper than maxFlatDepth.
 func (e *ensemble[T]) finish(width int) error {
 	total := 0
 	for _, n := range e.trees {
 		total += len(n.feature)
 	}
 	l := layout[T]{feature: make([]int32, total), kids: make([]int32, 2*total), roots: make([]int32, (len(e.trees)+3)&^3),
-		steps: make([]int32, (len(e.trees)+3)/4), thr: make([]T, 0, total), value: make([]T, 0, total)}
+		steps: make([]int32, (len(e.trees)+3)/4), thr: e.lay.thr, value: e.lay.value}
 	depth := make([]int32, total) // a node's depth + 1 once its parent is seen
+	base := int32(0)
 	for t := range e.trees {
-		n, base, c := &e.trees[t], int32(len(l.thr)), len(e.trees[t].feature)
+		n, c := &e.trees[t], len(e.trees[t].feature)
 		if c == 0 || len(n.thr) != c || len(n.value) != c || len(n.gain) != c || len(n.left) != c || len(n.right) != c {
 			return fmt.Errorf("tree %d: empty or ragged node columns: %d f, %d t, %d v, %d g, %d l, %d r", t, c, len(n.thr), len(n.value), len(n.gain), len(n.left), len(n.right))
 		}
@@ -107,8 +127,9 @@ func (e *ensemble[T]) finish(width int) error {
 			}
 		}
 		l.roots[t] = base
-		l.thr, l.value = append(l.thr, n.thr...), append(l.value, n.value...)
-		n.thr, n.value = l.thr[base:len(l.thr):len(l.thr)], l.value[base:len(l.value):len(l.value)]
+		end := base + int32(c)
+		n.thr, n.value = l.thr[base:end:end], l.value[base:end:end]
+		base = end
 	}
 	e.lay = l
 	return nil

@@ -55,7 +55,8 @@ func snapshot(cfg BoostConfig, e *ensemble[float64], c *persist.Columns) Ensembl
 }
 
 // restore checks st's config, reads st.Trees trees off the front of c
-// straight into their node columns and finishes them for rows of the given
+// straight into their node columns — thr and value into the layout's,
+// sized once every tree is read — and finishes them for rows of the given
 // width. The config is used verbatim (it was normalized at fit time), so
 // predictions are bitwise identical to the snapshotted model's.
 func restore(st EnsembleState, c *persist.Columns, width int) (ensemble[float64], error) {
@@ -63,14 +64,29 @@ func restore(st EnsembleState, c *persist.Columns, width int) (ensemble[float64]
 	if err := st.Config.check(); err != nil {
 		return e, err
 	}
+	var raw []persist.RawFloats // each tree's thr, then its value
+	total := [2]int{}
 	for i := 0; i < st.Trees; i++ {
-		n := nodes[float64]{feature: persist.ReadInts[int32](c), thr: c.ReadFloats(), value: c.ReadFloats(), gain: c.ReadFloats(),
-			left: persist.ReadInts[int32](c), right: persist.ReadInts[int32](c)}
+		feature := persist.ReadInts[int32](c)
+		thr, value := c.TakeFloats(), c.TakeFloats()
+		n := nodes[float64]{feature: feature, gain: c.ReadFloats(), left: persist.ReadInts[int32](c), right: persist.ReadInts[int32](c)}
 		if err := c.Err(); err != nil {
 			return e, fmt.Errorf("tree %d of %d: %w", i, st.Trees, err)
 		}
 		e.trees = append(e.trees, n)
+		raw = append(raw, thr, value)
+		total[0], total[1] = total[0]+len(thr)/8, total[1]+len(value)/8
 	}
+	cols := [2][]float64{make([]float64, total[0]), make([]float64, total[1])}
+	at := [2]int{}
+	for i := range e.trees {
+		for k, dst := range [2]*[]float64{&e.trees[i].thr, &e.trees[i].value} {
+			r, end := raw[2*i+k], at[k]+len(raw[2*i+k])/8
+			r.Decode(cols[k][at[k]:end])
+			*dst, at[k] = cols[k][at[k]:end:end], end
+		}
+	}
+	e.lay.thr, e.lay.value = cols[0], cols[1]
 	return e, e.finish(width)
 }
 

@@ -408,7 +408,8 @@ func TestTreePredictBatchMatchesPredict(t *testing.T) {
 				q = append(q, edge)
 			}
 			q32 := rowsToF32(q)
-			e := ensemble[float64]{trees: []nodes[float64]{tr.nodes}, init: []float64{0}, lr: 1}
+			e := ensemble[float64]{init: []float64{0}, lr: 1}
+			e.add(tr.nodes, 1)
 			if err := e.finish(len(q[0])); err != nil {
 				t.Fatal(err)
 			}

@@ -161,21 +161,43 @@ func (c *Columns) open(tag byte, size int) (n int, ok bool) {
 // ReadFloats reads the next column, which must be a float column of
 // finite values.
 func (c *Columns) ReadFloats() []float64 {
+	raw := c.TakeFloats()
+	if raw == nil {
+		return nil
+	}
+	out := make([]float64, len(raw)/8)
+	raw.Decode(out)
+	return out
+}
+
+// RawFloats is a float column taken off a reader and checked, not yet
+// decoded: its little-endian bits, 8 bytes an element.
+type RawFloats []byte
+
+// TakeFloats is ReadFloats without the decoding, for a caller that knows
+// where the values go only once later columns are read. It returns nil
+// after an error.
+func (c *Columns) TakeFloats() RawFloats {
 	n, ok := c.open(tagFloats, 8)
 	if !ok {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		bits := binary.LittleEndian.Uint64(c.b[8*i:])
-		if bits&expBits == expBits {
+	raw := RawFloats(c.b[: 8*n : 8*n])
+	for i := 0; i < n; i++ {
+		if bits := binary.LittleEndian.Uint64(raw[8*i:]); bits&expBits == expBits {
 			c.err = fmt.Errorf("%w: float column element %d is not finite (%#x)", ErrCorrupt, i, bits)
 			return nil
 		}
-		out[i] = math.Float64frombits(bits)
 	}
 	c.b = c.b[8*n:]
-	return out
+	return raw
+}
+
+// Decode writes the column's len(r)/8 values to dst.
+func (r RawFloats) Decode(dst []float64) {
+	for i := range dst[:len(r)/8] {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(r[8*i:]))
+	}
 }
 
 // ReadInts reads the next column, which must be an integer column whose

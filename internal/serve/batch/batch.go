@@ -1,17 +1,11 @@
-// Package batch implements the request-coalescing front of the serving
-// tier: concurrent callers queue their requests on a Coalescer, whose one
-// lane goroutine pulls — sleep until a call is queued, take whatever is
-// queued at that moment up to MaxBatch, score the lot through one model
-// call, fan the results back out, repeat. A lone request on an idle lane
-// is scored at once; while the lane is busy arrivals pile up in the
-// admission queue and become the next batch by themselves, so batches
-// grow exactly when load makes batching pay. The structure follows the
-// per-GPU command-queue + dispatcher idiom — one admission front feeding
-// one serialized execution lane, the queue draining at the lane's pace —
-// so models whose inference path reuses scratch buffers (the nn forwards)
-// stay correct without a global lock, while the batched entry points
-// (PredictProbaBatch / PredictValueBatch) amortize per-call overhead
-// across every waiter in the batch.
+// Package batch implements the serving tier's request-coalescing lane,
+// for models whose inference reuses scratch buffers (the nn forwards) and
+// so must score one call at a time. Concurrent callers queue requests on
+// a Coalescer, whose one lane goroutine takes whatever is queued (up to
+// MaxBatch) whenever it goes idle, scores the lot through one model call
+// and fans the results back out: a lone request scores at once, and
+// batches grow exactly when load keeps the lane busy. Tree models score
+// on their callers' goroutines and never reach it (internal/serve).
 //
 // Nothing in the package waits on time, so tests shape batches by holding
 // a score function shut and watching Stats.Queued. The queue itself is
@@ -36,26 +30,22 @@ type Outcome[R any] struct {
 	Err   error
 }
 
-// ScoreFunc scores one batch. It must return exactly one outcome per
-// request, index-aligned. Once called, the score function owns the
-// requests — OnDrop is not invoked for them, so any per-request resources
-// (e.g. registry handles) must be released by the score function itself,
-// even on panic. A panicking score function fails its whole batch with an
-// error but does not kill the coalescer.
+// ScoreFunc scores one batch, returning one outcome per request,
+// index-aligned. It owns the requests it is called with (OnDrop is not
+// invoked for them), so it releases their resources itself, even on
+// panic. A panic fails its batch, not the coalescer.
 type ScoreFunc[Q, R any] func(reqs []Q) []Outcome[R]
 
 // Options tunes a Coalescer.
 type Options[Q any] struct {
-	// Window is ignored: the lane never waits for batchmates. The field
-	// stays only so bench/layers_serve.go, which a PR claiming a gain may
-	// not edit, keeps compiling; ROADMAP item 1(ii) lists its removal.
+	// Window is ignored: the lane never waits for batchmates. It stays
+	// only for bench/layers_serve.go, ROADMAP item 1(ii).
 	Window time.Duration
 	// MaxBatch caps a batch. Values < 1 mean 1 (no coalescing; requests
 	// score one at a time through the same serialized lane).
 	MaxBatch int
-	// OnDrop is called for every request the coalescer fails without
-	// scoring (rejected at admission, or still queued at Close). Callers
-	// use it to release per-request resources. May be nil.
+	// OnDrop, if set, is called for every request failed unscored
+	// (rejected at admission, or still queued at Close).
 	OnDrop func(req Q)
 }
 
@@ -65,9 +55,8 @@ type Stats struct {
 	Batches  uint64 `json:"batches"`
 	Requests uint64 `json:"requests"`
 	// SizeFlushes counts the batches that filled to MaxBatch;
-	// WindowFlushes counts every batch that took less — what was queued
-	// when the lane went idle. (No window exists; the name is the one
-	// bench/layers_serve.go reads; ROADMAP item 1(ii) lists its removal.)
+	// WindowFlushes every batch that took less (no window exists; the
+	// name is bench/layers_serve.go's, ROADMAP item 1(ii)).
 	SizeFlushes   uint64 `json:"size_flushes"`
 	WindowFlushes uint64 `json:"window_flushes"`
 	// Dropped counts requests failed without scoring.
@@ -86,8 +75,7 @@ type call[Q, R any] struct {
 	done chan Outcome[R] // buffered(1): neither the lane nor Close blocks on an abandoned waiter
 }
 
-// Coalescer is the admission queue plus the one serialized scoring lane
-// that drains it.
+// Coalescer is an admission queue and the one lane that drains it.
 type Coalescer[Q, R any] struct {
 	opts  Options[Q]
 	score ScoreFunc[Q, R]
@@ -108,9 +96,7 @@ type Coalescer[Q, R any] struct {
 	maxBatch          atomic.Int64
 }
 
-// New starts a coalescer: one lane goroutine that forms batches from
-// what is queued and runs them through score, one at a time. Close it
-// when done.
+// New starts a coalescer's lane goroutine. Close it when done.
 func New[Q, R any](opts Options[Q], score ScoreFunc[Q, R]) *Coalescer[Q, R] {
 	if opts.MaxBatch < 1 {
 		opts.MaxBatch = 1
@@ -122,14 +108,11 @@ func New[Q, R any](opts Options[Q], score ScoreFunc[Q, R]) *Coalescer[Q, R] {
 }
 
 // Do submits one request and blocks until its batch is scored, ctx is
-// done, or the coalescer closes. A ctx cancellation after submission
-// abandons the wait but not the work: the batch still scores (the result
-// is discarded), so batchmates are unaffected.
+// done, or the coalescer closes. A request whose ctx is already done is
+// refused; one cancelled after submission abandons the wait, not the
+// work, so batchmates are unaffected.
 func (c *Coalescer[Q, R]) Do(ctx context.Context, req Q) (R, error) {
 	var zero R
-	// Admission check: a request whose context is already cancelled or past
-	// its deadline must not consume a batch slot and score work nobody
-	// will read.
 	if err := ctx.Err(); err != nil {
 		c.drop(req)
 		return zero, err
@@ -189,11 +172,9 @@ func (c *Coalescer[Q, R]) Stats() Stats {
 	return s
 }
 
-// lane is the execution lane: sleep until something is queued, take what
-// is queued now up to MaxBatch, score it, fan the results back to the
-// waiters, repeat. It never waits for a batch to grow — an idle lane's
-// expected wait is zero — and a busy one finds the next batch already
-// queued behind it.
+// lane sleeps until something is queued, takes what is queued now up
+// to MaxBatch, scores it, fans the results back to the waiters, and
+// repeats. It never waits for a batch to grow.
 func (c *Coalescer[Q, R]) lane() {
 	defer close(c.exited)
 	for {
@@ -230,8 +211,7 @@ func (c *Coalescer[Q, R]) lane() {
 }
 
 // safeScore invokes the score function, converting a panic or a
-// mis-shaped result into per-request errors so one bad batch cannot kill
-// the lane.
+// mis-shaped result into per-request errors.
 func (c *Coalescer[Q, R]) safeScore(batch []*call[Q, R]) (outs []Outcome[R]) {
 	reqs := make([]Q, len(batch))
 	for i, cl := range batch {

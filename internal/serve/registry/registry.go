@@ -1,12 +1,9 @@
 // Package registry holds the serving tier's versioned model set: every
-// published framework checkpoint gets a version name (v1, v2, ...), one
-// version is "current", and requests acquire refcounted handles instead
-// of taking a global model lock. Rollout is load-new/drain-old: publish a
-// new version (instantly current for unpinned traffic), then retire the
-// old one — Retire blocks until every in-flight batch holding a handle
-// has released it, so no request ever observes a torn or freed model.
-// Requests pinned to an explicit version (?model=vN) keep resolving that
-// version across swaps until it is retired.
+// published framework gets a version name (v1, v2, ...), one is
+// "current", and requests lease refcounted handles. Rollout is
+// load-new/drain-old: publish a version (current at once for unpinned
+// traffic), then retire the old one, which blocks until every handle on
+// it is released. A version pinned with ?model=vN resolves until retired.
 package registry
 
 import (
@@ -42,9 +39,8 @@ type entry struct {
 	compileMillis float64
 }
 
-// Registry is safe for concurrent use. Acquire/Release critical sections
-// are a few pointer operations — contention is negligible next to the
-// model work they used to serialize.
+// Registry is safe for concurrent use; Acquire and Release hold its
+// lock for a few pointer operations.
 type Registry struct {
 	mu       sync.Mutex
 	drained  *sync.Cond // signalled when any entry's refcount hits zero
@@ -62,11 +58,9 @@ func New() *Registry {
 }
 
 // Publish adds a trained framework as the next version and makes it
-// current for unpinned traffic. Existing versions stay acquirable by pin
-// until retired. The f32 inference lane compiles here — at publish, off
-// the serving path — so the first f32 request never pays the model
-// build; a model set with no f32 form publishes anyway (f32 requests
-// against it fail at scoring time) and records a zero compile time.
+// current. The f32 lane compiles here, off the serving path; a model set
+// with no f32 form publishes anyway with a zero compile time (its f32
+// requests fail at scoring).
 func (r *Registry) Publish(fw *core.Framework) (string, error) {
 	if fw == nil || fw.Trained == nil {
 		return "", ErrUntrained

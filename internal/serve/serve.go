@@ -1,24 +1,20 @@
 // Package serve exposes a trained StencilMART framework as an HTTP
 // prediction service: POST a stencil and a target GPU, get back the
 // predicted optimization class, a tuned parameter setting, predicted
-// times on every catalog GPU, and the rent-advisor verdict. The server
-// is the deploy-side half of the train-once/predict-cheaply contract —
-// it never trains or profiles; it serves checkpoints.
+// times on every catalog GPU, and the rent-advisor verdict. It never
+// trains or profiles; it serves checkpoints.
 //
-// Two mechanisms replace the global model mutex of earlier revisions:
-// concurrent /predict requests coalesce into batches scored through one
-// core.ServePredictBatch call (internal/serve/batch), and models live in
-// a versioned registry (internal/serve/registry) whose refcounted handles
-// let checkpoints hot-swap under load — publish a new version, drain the
-// old one, zero failed requests.
+// A tree-model request (core.Framework.ServeConcurrent) scores on its
+// own goroutine; nn requests, whose forwards own layer scratch, coalesce
+// into batches on one serialized lane (internal/serve/batch). Models live
+// in a versioned registry (internal/serve/registry) whose refcounted
+// handles let checkpoints hot-swap under load.
 //
-// Hardening is bounded and per request: a deadline (the server's
-// timeout, narrowed by X-Deadline-Millis) travels with each request into
-// batch scoring, excess load is shed with 503 at an in-flight cap, and a
-// scoring panic fails only the batch that raised it, as a 500. Every
-// model call inside core's pipeline already turns a panic into an error
-// for its one item, so that recover is only a backstop. Nothing
-// reroutes a request to another lane or version.
+// Hardening is per request: a deadline (the server's timeout, narrowed by
+// X-Deadline-Millis) travels into scoring, excess load is shed with 503
+// at an in-flight cap, and a scoring panic fails only its batch, as a
+// 500 (core's pipeline already turns a model panic into its item's
+// error, so that recover is a backstop).
 package serve
 
 import (
@@ -29,6 +25,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,17 +38,13 @@ import (
 // DefaultTimeout bounds one request's prediction work.
 const DefaultTimeout = 30 * time.Second
 
-// DefaultMaxInFlight bounds concurrently admitted /predict requests;
-// excess load is shed with 503 instead of queueing without bound.
-// Admitted requests queue behind the scoring lane and become its next
-// batches; this cap is what bounds that queue (the coalescer's own is
-// unbounded), so it sits above one full batch.
+// DefaultMaxInFlight bounds admitted /predict requests — tree requests
+// scoring on their own goroutines and nn requests queued for the lane
+// alike; excess load is shed with 503.
 const DefaultMaxInFlight = 64
 
-// DefaultBatchWindow is vestigial: the coalescer has no window (the lane
-// scores what is queued the moment it goes idle). The name stays, at
-// zero, only because bench/layers_serve.go reads it and a PR claiming a
-// gain may not edit bench/; ROADMAP item 1(ii) lists its removal.
+// DefaultBatchWindow is vestigial (the coalescer has no window); it
+// stays only for bench/layers_serve.go, ROADMAP item 1(ii).
 const DefaultBatchWindow time.Duration = 0
 
 // DefaultBatchSize caps a coalesced batch.
@@ -61,10 +54,8 @@ const DefaultBatchSize = 32
 const MaxRequestBytes = 1 << 20
 
 // Lane selects which numeric inference path scores a request: the
-// float64 reference pipeline or the compiled float32 hot path (quantized
-// tree columns / f32 GEMM over arena scratch). Decisions agree
-// away from documented ties; see DESIGN.md §12 for the tolerance
-// contract.
+// float64 reference pipeline or the compiled float32 one. Decisions agree
+// away from documented ties (DESIGN.md §12).
 type Lane string
 
 const (
@@ -94,18 +85,14 @@ type Options struct {
 	// MaxInFlight bounds admitted /predict requests (DefaultMaxInFlight
 	// if 0); requests beyond it are shed with 503 + Retry-After.
 	MaxInFlight int
-	// BatchSize caps a coalesced batch (DefaultBatchSize if 0); 1 scores
-	// requests one at a time through the same serialized lane — the
-	// baseline the bench harness compares against.
+	// BatchSize caps a coalesced batch (DefaultBatchSize if 0).
 	BatchSize int
 	// Lane is the default inference lane for requests that don't pin one
 	// with ?lane= (LaneF64 if empty).
 	Lane Lane
 }
 
-// Validate refuses negative knobs: zero selects a default, but a
-// negative timeout, in-flight cap or batch size has no meaning, and
-// replacing it silently would hide the caller's mistake.
+// Validate refuses negative knobs, which replacing silently would hide.
 func (o Options) Validate() error {
 	switch {
 	case o.Timeout < 0:
@@ -125,9 +112,8 @@ type endpointStats struct {
 	errors   atomic.Uint64
 	totalNS  atomic.Int64
 	hist     latencyHist
-	// deadlineExpired counts requests answered 504 because their deadline
-	// (client-propagated or server timeout) expired before or during
-	// scoring.
+	// deadlineExpired counts requests answered 504 for an expired
+	// deadline.
 	deadlineExpired atomic.Uint64
 }
 
@@ -140,9 +126,8 @@ func (s *endpointStats) observe(d time.Duration, failed bool) {
 	}
 }
 
-// EndpointSnapshot is one endpoint's counters in /statsz. The latency
-// quantiles come from a fixed-bucket exponential histogram, so tail
-// behavior (a p999 hiding behind a healthy mean) is visible.
+// EndpointSnapshot is one endpoint's counters in /statsz; the latency
+// quantiles come from a fixed-bucket exponential histogram.
 type EndpointSnapshot struct {
 	Requests  uint64  `json:"requests"`
 	Errors    uint64  `json:"errors"`
@@ -168,11 +153,9 @@ func (s *endpointStats) snapshot() EndpointSnapshot {
 	return out
 }
 
-// predictJob is one /predict request inside the coalescer: the model
-// lease it acquired at admission, the request itself, and the request's
-// context (carrying the propagated deadline into batch scoring). The
-// lease is released exactly once — by scoreBatch after scoring, or by
-// the coalescer's drop hook if the job never reaches a batch.
+// predictJob is one admitted /predict request: its model lease, the
+// request, and its context (carrying the deadline into scoring). The
+// lease is released once — by scoreBatch, or where the job is refused.
 type predictJob struct {
 	h    *registry.Handle
 	req  core.ServeRequest
@@ -180,34 +163,35 @@ type predictJob struct {
 	ctx  context.Context
 }
 
-// predictResult is what a scored job hands back to its waiting handler:
-// the prediction plus the lane and model version that scored it, which
-// the handler surfaces in response headers without touching the body.
+// predictResult is a scored job's prediction plus the lane and model
+// version that scored it, which the handler puts in response headers.
 type predictResult struct {
 	pred    *core.ServePrediction
 	lane    Lane
 	version string
 }
 
-// predictBatchFn scores one batch of requests against one framework.
-// Tests substitute doubles that block or panic; the default is the
-// method expression for core.(*Framework).ServePredictBatch, hence the
-// receiver-first shape.
+// predictBatchFn scores one batch of requests against one framework;
+// tests substitute doubles that block or panic.
 type predictBatchFn func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome
 
+// servePredictBatch is the real f64 scoring step. Its address marks the
+// server's predictFn as the default, the only one scored off the lane.
+var servePredictBatch predictBatchFn = (*core.Framework).ServePredictBatch
+
 // Server serves predictions from a versioned registry of trained
-// frameworks through a request-coalescing lane.
+// frameworks.
 type Server struct {
 	reg     *registry.Registry
 	co      *batch.Coalescer[predictJob, predictResult]
+	closed  atomic.Bool // set by Close; refuses direct scoring
 	timeout time.Duration
 	started time.Time
 	lane    Lane // default lane for requests without ?lane=
 
-	// arena is the f32 lane's per-batch scratch. The coalescer scores
-	// batches through a single serialized lane, so one server-owned
-	// arena is reused across every flush without synchronization.
-	arena *core.ServeArena
+	// arenas holds the f32 lane's per-call scratch: each scoring call
+	// takes its own, since direct calls run concurrently.
+	arenas sync.Pool
 
 	// laneF64/laneF32 count /predict requests scored per lane.
 	laneF64 atomic.Uint64
@@ -226,13 +210,11 @@ type Server struct {
 	oversize atomic.Uint64
 
 	// predictFn is the batch prediction step, swapped atomically because
-	// the scorer goroutine reads it while tests replace it.
+	// scoring goroutines read it while tests replace it.
 	predictFn atomic.Pointer[predictBatchFn]
 }
 
-// New wraps a trained framework in a server with default hardening. The
-// framework must already hold trained models (TrainAll or a loaded
-// checkpoint).
+// New wraps a trained framework in a server with default hardening.
 func New(fw *core.Framework, timeout time.Duration) (*Server, error) {
 	return NewWithOptions(fw, Options{Timeout: timeout})
 }
@@ -265,7 +247,7 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 		timeout:  opts.Timeout,
 		started:  time.Now(),
 		lane:     lane,
-		arena:    core.NewServeArena(),
+		arenas:   sync.Pool{New: func() any { return core.NewServeArena() }},
 		inflight: make(chan struct{}, opts.MaxInFlight),
 	}
 	s.setPredict(nil)
@@ -281,19 +263,30 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 // model path.
 func (s *Server) setPredict(fn predictBatchFn) {
 	if fn == nil {
-		fn = (*core.Framework).ServePredictBatch
+		s.predictFn.Store(&servePredictBatch)
+		return
 	}
 	s.predictFn.Store(&fn)
 }
 
-// Registry exposes the server's model registry for out-of-band rollout
-// (tests, admin tooling).
+// Registry exposes the server's model registry for out-of-band rollout.
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
-// Close drains the coalescing lane: queued requests fail with 503 and
-// the lane goroutine exits. The HTTP handler stays mounted but sheds
-// everything; use it at process shutdown.
-func (s *Server) Close() { s.co.Close() }
+// Close stops scoring: requests not yet scoring — queued for the lane or
+// about to score on their own goroutine — fail with 503, and the lane
+// goroutine exits. The HTTP handler stays mounted but sheds everything;
+// use it at process shutdown.
+func (s *Server) Close() {
+	s.closed.Store(true)
+	s.co.Close()
+}
+
+// direct reports whether a request leased on h scores on its own
+// goroutine: with the real predict function (a test double may block or
+// panic) on a framework whose models allow concurrent use.
+func (s *Server) direct(h *registry.Handle) bool {
+	return s.predictFn.Load() == &servePredictBatch && h.Framework().ServeConcurrent()
+}
 
 // group is one (leased version, lane) slice of a batch: the requests
 // that score together through one pipeline call.
@@ -302,14 +295,11 @@ type group struct {
 	lane    Lane
 }
 
-// scoreBatch is the coalescer's score function. Jobs whose context
-// already expired while queueing are rejected with the context error —
-// their handlers answer 504 without a scoring call. The survivors group
-// by leased (version, lane) pair (a batch spanning a hot-swap scores
-// each version's requests against its own models; mixed-lane batches
-// score each lane through its own pipeline), every group scores through
-// one batched model call under a context carrying the earliest deadline
-// among the batch's requests, and all leases release on the way out —
+// scoreBatch is the coalescer's score function, and a direct request's
+// with a batch of one. Jobs whose context already expired are rejected with the
+// context error (504, no scoring call). The survivors group by leased
+// (version, lane) pair, each group scores through one batched call under
+// the batch's earliest deadline, and all leases release on the way out —
 // panics included.
 func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 	outs := make([]batch.Outcome[predictResult], len(jobs))
@@ -345,11 +335,8 @@ func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 }
 
 // scoreGroup scores one same-(version, lane) slice of a batch. Each
-// request keeps its own outcome — in a batch whose deadline expires
-// mid-pipeline, a request the pipeline refused at admission still gets
-// its 400 while the live ones get the context error — and only a
-// scoring panic or a mis-shaped result fails the whole group. The
-// deferred releases keep the registry drainable.
+// request keeps its own outcome (a 400 stays a 400 in an expired batch);
+// only a scoring panic or a mis-shaped result fails the whole group.
 func (s *Server) scoreGroup(ctx context.Context, g group, idxs []int, jobs []predictJob, outs []batch.Outcome[predictResult]) {
 	defer func() {
 		for _, i := range idxs {
@@ -375,9 +362,8 @@ func (s *Server) scoreGroup(ctx context.Context, g group, idxs []int, jobs []pre
 
 // scoreVia runs one batched scoring call on (fw, lane), converting a
 // panic or mis-shaped result into an error for the whole group. The f32
-// lane scores through the compiled models over the server's arena; the
-// f64 lane goes through predictFn (which tests substitute — test doubles
-// only ever intercept the reference lane).
+// lane scores over an arena of its own; the f64 lane goes through
+// predictFn, which tests substitute.
 func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -387,7 +373,9 @@ func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, re
 	}()
 	if lane == LaneF32 {
 		s.laneF32.Add(uint64(len(reqs)))
-		res = fw.ServePredictBatchF32(ctx, reqs, s.arena)
+		arena := s.arenas.Get().(*core.ServeArena)
+		defer s.arenas.Put(arena)
+		res = fw.ServePredictBatchF32(ctx, reqs, arena)
 	} else {
 		s.laneF64.Add(uint64(len(reqs)))
 		res = (*s.predictFn.Load())(fw, ctx, reqs)
@@ -406,11 +394,9 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/modelz", s.handleModelz)
 	timeout := http.TimeoutHandler(http.HandlerFunc(s.handlePredict), s.timeout, `{"error":"prediction timed out"}`)
-	// TimeoutHandler writes its timeout body without a Content-Type, so
-	// Go's sniffer would serve the JSON error as text/plain. It preserves
-	// headers already set on the real writer, so pre-setting the type
-	// covers the timeout path; the non-timeout path overwrites headers
-	// wholesale and is unaffected.
+	// TimeoutHandler writes its timeout body without a Content-Type but
+	// keeps headers already set, so pre-setting the type keeps the JSON
+	// error from being sniffed as text/plain.
 	mux.Handle("/predict", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		timeout.ServeHTTP(w, r)
@@ -419,10 +405,9 @@ func (s *Server) Handler() http.Handler {
 }
 
 // recoverPanics converts a panicking handler into a 500 JSON error and a
-// counted fault instead of a closed connection — one poisoned request
-// must not look like a server crash to every other client.
-// http.TimeoutHandler re-raises handler panics on the serving goroutine,
-// so panics under the timeout wrapper land here too.
+// counted fault instead of a closed connection. http.TimeoutHandler
+// re-raises handler panics on the serving goroutine, so those land here
+// too.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -435,10 +420,9 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	})
 }
 
-// Run serves on addr until ctx is cancelled, then shuts down gracefully
-// (in-flight requests drain). Pass an ":0" addr to bind a random port;
-// the bound address is printed as "serving on http://ADDR" so callers
-// (and the smoke script) can discover it.
+// Run serves on addr until ctx is cancelled, then shuts down gracefully.
+// The bound address (":0" picks a port) is logged as "serving on
+// http://ADDR".
 func (s *Server) Run(ctx context.Context, addr string, logf func(format string, args ...any)) error {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -498,21 +482,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// StatsResponse is the /statsz body: the sim sample-memo counters,
-// per-endpoint latency aggregates, coalescing behavior, and the model
-// registry's live versions.
+// StatsResponse is the /statsz body: sim memo counters, per-endpoint
+// latencies, coalescing behavior and the registry's live versions.
 type StatsResponse struct {
 	UptimeSeconds float64                     `json:"uptime_seconds"`
 	SimCache      SimCacheSnapshot            `json:"sim_cache"`
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 	Faults        FaultSnapshot               `json:"faults"`
-	Batch         batch.Stats                 `json:"batch"`
-	Lanes         LaneSnapshot                `json:"lanes"`
-	Models        []registry.VersionInfo      `json:"models"`
+	// Batch counts coalesced requests only: nn models' (and test
+	// doubles'); tree requests score off the lane.
+	Batch  batch.Stats            `json:"batch"`
+	Lanes  LaneSnapshot           `json:"lanes"`
+	Models []registry.VersionInfo `json:"models"`
 }
 
-// LaneSnapshot reports how /predict traffic split across the inference
-// lanes (the per-version f32 compile times live in the Models listing).
+// LaneSnapshot reports how /predict traffic split across the lanes.
 type LaneSnapshot struct {
 	// DefaultLane is the lane requests without ?lane= ride.
 	DefaultLane Lane `json:"default_lane"`
@@ -522,8 +506,7 @@ type LaneSnapshot struct {
 	F64Requests uint64 `json:"f64_requests"`
 }
 
-// FaultSnapshot reports the hardening counters: every time the server
-// absorbed a fault instead of failing.
+// FaultSnapshot reports the hardening counters.
 type FaultSnapshot struct {
 	// PanicsRecovered counts handler panics converted to 500 responses.
 	PanicsRecovered uint64 `json:"panics_recovered"`
@@ -531,18 +514,14 @@ type FaultSnapshot struct {
 	LoadShed uint64 `json:"load_shed"`
 	// OversizeRequests counts bodies refused with 413.
 	OversizeRequests uint64 `json:"oversize_requests"`
-	// DegradedRequests is vestigial and always 0: nothing reroutes a
-	// request to another lane or version. The field stays only because
-	// bench/serve.go and bench/layers_serve.go read it, and bench/
-	// changes only together with a re-recorded baseline; ROADMAP item
-	// 1(c) lists its removal.
+	// DegradedRequests is always 0: nothing reroutes a request. It stays
+	// only for bench/, ROADMAP item 1(c).
 	DegradedRequests uint64 `json:"degraded_requests"`
 }
 
-// SimCacheSnapshot reports the simulator's sample-memo counters: lookups
-// made on cells the server has been asked about before (a cell's first
-// request is priced memo-free and counts as neither hit nor miss), the
-// samples those cells hold, and the samples dropped by table resets.
+// SimCacheSnapshot reports the simulator's sample-memo counters (a
+// cell's first request is priced memo-free and counts as neither hit nor
+// miss).
 type SimCacheSnapshot struct {
 	Hits      uint64  `json:"hits"`
 	Misses    uint64  `json:"misses"`
@@ -595,16 +574,14 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // ModelzRequest is the POST /modelz body: publish the checkpoint at Path
-// as the next version; with RetireOld the previous current version is
-// drained and removed once its in-flight batches finish.
+// as the next version, and with RetireOld drain and remove the previous.
 type ModelzRequest struct {
 	Path      string `json:"path"`
 	RetireOld bool   `json:"retire_old,omitempty"`
 }
 
 // handleModelz lists model versions (GET) and rolls out checkpoints
-// (POST). A publish failure leaves the serving set untouched, so a bad
-// checkpoint on disk can never take down a healthy server.
+// (POST); a failed publish leaves the serving set untouched.
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	failed := true
@@ -702,16 +679,13 @@ func predictStatus(err error) int {
 	case errors.Is(err, batch.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		// The request's propagated deadline expired before scoring
-		// finished. When the server's own timeout middleware caused the
-		// expiry it has already answered 503 and this status is for
-		// accounting only; a client-propagated deadline gets the 504.
+		// A client deadline gets the 504; on the server's own timeout the
+		// middleware has already answered 503 and this only counts.
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, core.ErrBadRequest):
-		// Decided by the pipeline's admission marker, never by error
-		// text: server-side failures embed the client-chosen stencil name.
+		// The pipeline's admission marker, never error text.
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError
@@ -728,15 +702,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Deadline propagation: X-Deadline-Millis declares how much of the
-	// client's time budget remains. A request that arrives with its
-	// budget already spent is rejected 504 here — before the admission
-	// semaphore, a batch slot, or a model lease. The resulting context
-	// travels with the job into batch scoring. The server's own timeout
-	// (the TimeoutHandler wrapping this handler) already put its deadline
-	// on r.Context(), so only a tighter client budget narrows it; a budget
-	// at or beyond the server timeout is left alone (converting one of
-	// more than ~292 years to a Duration would overflow negative).
+	// Deadline propagation: X-Deadline-Millis is the client's remaining
+	// budget. A spent one is rejected 504 here, before admission or a
+	// model lease. The TimeoutHandler already put the server's deadline
+	// on r.Context(), so only a tighter budget narrows it (one beyond it
+	// is left alone: ~292 years would overflow a Duration).
 	ctx := r.Context()
 	if hdr := r.Header.Get("X-Deadline-Millis"); hdr != "" {
 		ms, err := strconv.ParseInt(hdr, 10, 64)
@@ -757,7 +727,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Admission control: shed load beyond the in-flight cap instead of
-	// queueing unboundedly behind the scoring lane.
+	// scoring or queueing without bound.
 	select {
 	case s.inflight <- struct{}{}:
 		defer func() { <-s.inflight }()
@@ -805,9 +775,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// Lease a model version: ?model=vN pins one, otherwise the request
 	// follows the registry's current pointer. The lease travels with the
-	// job through the coalescer and is released after scoring, so a
-	// hot-swap can never free a version out from under an in-flight
-	// batch.
+	// job and is released after scoring, so a hot-swap can never free a
+	// version out from under an in-flight request.
 	h, err := s.reg.Acquire(query.Get("model"))
 	if err != nil {
 		status := http.StatusServiceUnavailable
@@ -819,8 +788,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// An expired context here (budget spent during decode) must not
-	// consume a batch slot; the coalescer would reject it anyway, but
-	// checking first keeps the 504 ahead of the admission path.
+	// reach scoring; scoreBatch would reject it anyway, but checking
+	// first keeps the 504 ahead of the admission path.
 	if err := ctx.Err(); err != nil {
 		h.Release()
 		s.predict.deadlineExpired.Add(1)
@@ -829,7 +798,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	job := predictJob{h: h, req: core.ServeRequest{GPU: req.GPU, Stencil: st}, lane: lane, ctx: ctx}
-	res, err := s.co.Do(ctx, job)
+	// A direct request scores here as a batch of one, through the path
+	// the lane runs; after Close it is refused like a queued one.
+	var res predictResult
+	switch {
+	case !s.direct(h):
+		res, err = s.co.Do(ctx, job)
+	case s.closed.Load():
+		h.Release()
+		err = batch.ErrClosed
+	default:
+		out := s.scoreBatch([]predictJob{job})[0]
+		res, err = out.Value, out.Err
+	}
 	if err != nil {
 		status := predictStatus(err)
 		if status == http.StatusGatewayTimeout {
