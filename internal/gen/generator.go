@@ -8,7 +8,6 @@ package gen
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"stencilmart/internal/stencil"
 )
@@ -90,22 +89,30 @@ func (g *Generator) NextWithOrder(order int) stencil.Stencil {
 	return s
 }
 
-// orderCandidates collects the deduplicated neighbors of the previous
-// selection that lie exactly at Chebyshev distance o from the center.
+// orderCandidates collects the distinct neighbors of the previous
+// selection at Chebyshev distance o from the center, in canonical (dz, dy,
+// dx) order: marked on a 9^3 occupancy grid read out in index order.
 func (g *Generator) orderCandidates(selected []stencil.Point, o int) []stencil.Point {
-	seen := make(map[stencil.Point]bool)
+	const r, side = stencil.MaxOrder, 2*stencil.MaxOrder + 1
+	var marked [side * side * side]bool
+	zr := g.opts.Dims - 2 // the dz reach of a neighbor: 0 in 2-D, 1 in 3-D
 	for _, p := range selected {
-		for _, n := range p.Neighbors(g.opts.Dims) {
-			if n.Order() == o {
-				seen[n] = true
+		for dz := p.Dz - zr; dz <= p.Dz+zr; dz++ {
+			for dy := p.Dy - 1; dy <= p.Dy+1; dy++ {
+				for dx := p.Dx - 1; dx <= p.Dx+1; dx++ {
+					if (stencil.Point{Dx: dx, Dy: dy, Dz: dz}).Order() == o {
+						marked[((dz+r)*side+dy+r)*side+dx+r] = true
+					}
+				}
 			}
 		}
 	}
-	out := make([]stencil.Point, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
+	var out []stencil.Point
+	for i, m := range marked {
+		if m {
+			out = append(out, stencil.Point{Dx: i%side - r, Dy: i/side%side - r, Dz: i/(side*side) - r})
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -56,11 +59,9 @@ func TestNeighborChaining(t *testing.T) {
 			prev := s.PointsAtOrder(o - 1)
 			for _, p := range s.PointsAtOrder(o) {
 				adjacent := false
-				for _, n := range p.Neighbors(s.Dims) {
-					for _, q := range prev {
-						if n == q {
-							adjacent = true
-						}
+				for _, q := range prev {
+					if (stencil.Point{Dx: p.Dx - q.Dx, Dy: p.Dy - q.Dy, Dz: p.Dz - q.Dz}).Order() == 1 {
+						adjacent = true
 					}
 				}
 				if !adjacent {
@@ -166,5 +167,49 @@ func TestQuickGeneratedValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// generatedDigest is the sha256 of generatorStream's output, recorded from
+// the map-and-sort.Slice generator that the occupancy-grid one replaced.
+const generatedDigest = "80eb4a090bded4800e5c865b496383b5e79d3398372bb4fb40a544fb38340c86"
+
+// generatorStream writes 5,000 Next() stencils for each of seeds 0-3 in
+// both dims, then MixedCorpus(500, 500, 4, 7): every name, dims and point
+// in order.
+func generatorStream(t *testing.T) []byte {
+	t.Helper()
+	h := sha256.New()
+	write := func(s stencil.Stencil) {
+		fmt.Fprintf(h, "%s %d", s.Name, s.Dims)
+		for _, p := range s.Points {
+			fmt.Fprintf(h, " %d,%d,%d", p.Dx, p.Dy, p.Dz)
+		}
+		h.Write([]byte{'\n'})
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		for _, dims := range []int{2, 3} {
+			g := mustGen(t, Options{Dims: dims}, seed)
+			for i := 0; i < 5000; i++ {
+				write(g.Next())
+			}
+		}
+	}
+	corpus, err := MixedCorpus(500, 500, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range corpus {
+		write(s)
+	}
+	return h.Sum(nil)
+}
+
+// TestGeneratedStencilsPinned: the generator's output is part of every
+// dataset digest and every serve_distinct_nn request, so a faster
+// candidate enumeration must emit exactly the same stencils.
+func TestGeneratedStencilsPinned(t *testing.T) {
+	if got := hex.EncodeToString(generatorStream(t)); got != generatedDigest {
+		t.Fatalf("generated stencil digest %s, want %s", got, generatedDigest)
 	}
 }

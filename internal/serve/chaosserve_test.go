@@ -326,9 +326,9 @@ func waitFor(t *testing.T, cond func() bool) {
 }
 
 // TestTimeoutBodyContentType: the /predict timeout response must carry
-// the JSON error with an application/json Content-Type — TimeoutHandler
-// writes the body without one, and Go's sniffer would otherwise serve it
-// as text/plain.
+// the JSON error with an application/json Content-Type — the timeout
+// body is written raw, not through writeJSON, and Go's sniffer would
+// otherwise serve it as text/plain.
 func TestTimeoutBodyContentType(t *testing.T) {
 	s := hardenedServer(t, Options{Timeout: 30 * time.Millisecond})
 	release := make(chan struct{})

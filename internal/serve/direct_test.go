@@ -100,7 +100,7 @@ func hammer(h http.Handler, target string, bodies []string, workers, rounds int)
 }
 
 // TestDirectScoringDifferential: a tree framework's requests score on
-// their own goroutines, concurrently, and every body is still the serial
+// their connections' goroutines, concurrently, and every body is still the serial
 // answer's bytes on both lanes at any GOMAXPROCS; the lane counters see
 // every request and the coalescer none. An nn framework's requests still
 // go through the coalescer.

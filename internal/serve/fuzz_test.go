@@ -13,7 +13,7 @@ import (
 // (testdata/fuzz) holds the MinInt and MaxInt offsets, order 5 and the
 // order-4 corners, duplicate points, dims/dz disagreement, a missing
 // dims, 2- and 4-element points, both stencil forms and neither, and
-// named stencils. Whatever the body, the result is an error (the handler
+// named stencils, one spelled loosely ("star+2d01r", refused). Whatever the body, the result is an error (the handler
 // answers 400) with no stencil, or a stencil that passes Validate with
 // every coordinate in [-MaxOrder, MaxOrder]; never a panic.
 func FuzzStencilFromRequest(f *testing.F) {

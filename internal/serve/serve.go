@@ -5,16 +5,16 @@
 // trains or profiles; it serves checkpoints.
 //
 // A tree-model request (core.Framework.ServeConcurrent) scores on its
-// own goroutine; nn requests, whose forwards own layer scratch, coalesce
-// into batches on one serialized lane (internal/serve/batch). Models live
-// in a versioned registry (internal/serve/registry) whose refcounted
-// handles let checkpoints hot-swap under load.
+// connection's goroutine; nn requests, whose forwards own layer scratch,
+// coalesce into batches on one serialized lane (internal/serve/batch).
+// Models live in a versioned registry (internal/serve/registry) whose
+// refcounted handles let checkpoints hot-swap under load.
 //
 // Hardening is per request: a deadline (the server's timeout, narrowed by
-// X-Deadline-Millis) travels into scoring, excess load is shed with 503
-// at an in-flight cap, and a scoring panic fails only its batch, as a
-// 500 (core's pipeline already turns a model panic into its item's
-// error, so that recover is a backstop).
+// X-Deadline-Millis) bounds the body read and travels into scoring,
+// excess load is shed with 503 at an in-flight cap, and a scoring panic
+// fails only its batch, as a 500 (core's pipeline already turns a model
+// panic into its item's error, so that recover is a backstop).
 package serve
 
 import (
@@ -22,8 +22,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -39,8 +41,8 @@ import (
 const DefaultTimeout = 30 * time.Second
 
 // DefaultMaxInFlight bounds admitted /predict requests — tree requests
-// scoring on their own goroutines and nn requests queued for the lane
-// alike; excess load is shed with 503.
+// scoring on their connections' goroutines and nn requests queued for the
+// lane alike; excess load is shed with 503.
 const DefaultMaxInFlight = 64
 
 // DefaultBatchWindow is vestigial (the coalescer has no window); it
@@ -273,7 +275,7 @@ func (s *Server) setPredict(fn predictBatchFn) {
 func (s *Server) Registry() *registry.Registry { return s.reg }
 
 // Close stops scoring: requests not yet scoring — queued for the lane or
-// about to score on their own goroutine — fail with 503, and the lane
+// about to score on their connection's goroutine — fail with 503, and the lane
 // goroutine exits. The HTTP handler stays mounted but sheds everything;
 // use it at process shutdown.
 func (s *Server) Close() {
@@ -281,7 +283,7 @@ func (s *Server) Close() {
 	s.co.Close()
 }
 
-// direct reports whether a request leased on h scores on its own
+// direct reports whether a request leased on h scores on its connection's
 // goroutine: with the real predict function (a test double may block or
 // panic) on a framework whose models allow concurrent use.
 func (s *Server) direct(h *registry.Handle) bool {
@@ -386,28 +388,19 @@ func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, re
 	return res, nil
 }
 
-// Handler returns the service's HTTP handler: panic recovery around
-// everything and request timeouts on the prediction endpoint.
+// Handler returns the service's HTTP handler, with panic recovery around
+// everything.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/statsz", s.handleStatsz)
 	mux.HandleFunc("/modelz", s.handleModelz)
-	timeout := http.TimeoutHandler(http.HandlerFunc(s.handlePredict), s.timeout, `{"error":"prediction timed out"}`)
-	// TimeoutHandler writes its timeout body without a Content-Type but
-	// keeps headers already set, so pre-setting the type keeps the JSON
-	// error from being sniffed as text/plain.
-	mux.Handle("/predict", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		timeout.ServeHTTP(w, r)
-	}))
+	mux.HandleFunc("/predict", s.handlePredict)
 	return s.recoverPanics(mux)
 }
 
 // recoverPanics converts a panicking handler into a 500 JSON error and a
-// counted fault instead of a closed connection. http.TimeoutHandler
-// re-raises handler panics on the serving goroutine, so those land here
-// too.
+// counted fault instead of a closed connection.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -679,8 +672,7 @@ func predictStatus(err error) int {
 	case errors.Is(err, batch.ErrClosed):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.DeadlineExceeded):
-		// A client deadline gets the 504; on the server's own timeout the
-		// middleware has already answered 503 and this only counts.
+		// writeExpired answers 503 instead past the server's own timeout.
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
 		return http.StatusServiceUnavailable
@@ -692,6 +684,27 @@ func predictStatus(err error) int {
 	}
 }
 
+// timeoutBody answers a request past the server's own timeout, written
+// raw: clients have always received exactly these bytes, with no newline.
+const timeoutBody = `{"error":"prediction timed out"}`
+
+// writeExpired answers and counts a request whose deadline passed: 503
+// with timeoutBody past the server's own deadline, else 504 with msg (the
+// client's budget or a batchmate's fired). The clock decides, not
+// context.Cause, which a batch's context or a read deadline can outrun.
+func (s *Server) writeExpired(w http.ResponseWriter, serverDeadline time.Time, msg string) {
+	s.predict.deadlineExpired.Add(1)
+	if time.Now().Before(serverDeadline) {
+		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: msg})
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	io.WriteString(w, timeoutBody)
+}
+
+// handlePredict answers /predict on the connection's goroutine, under a
+// context deadline that bounds the body read and travels into scoring.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	failed := true
@@ -704,10 +717,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 	// Deadline propagation: X-Deadline-Millis is the client's remaining
 	// budget. A spent one is rejected 504 here, before admission or a
-	// model lease. The TimeoutHandler already put the server's deadline
-	// on r.Context(), so only a tighter budget narrows it (one beyond it
-	// is left alone: ~292 years would overflow a Duration).
-	ctx := r.Context()
+	// model lease. Only a budget tighter than the server's timeout narrows
+	// the deadline (one beyond it is left alone: ~292 years would overflow
+	// a Duration).
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout)
+	defer cancel()
+	serverDeadline, _ := ctx.Deadline()
 	if hdr := r.Header.Get("X-Deadline-Millis"); hdr != "" {
 		ms, err := strconv.ParseInt(hdr, 10, 64)
 		if err != nil {
@@ -715,12 +730,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ms <= 0 {
-			s.predict.deadlineExpired.Add(1)
-			writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "deadline already expired"})
+			s.writeExpired(w, serverDeadline, "deadline already expired")
 			return
 		}
 		if ms < s.timeout.Milliseconds() {
-			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(ms)*time.Millisecond)
 			defer cancel()
 		}
@@ -738,20 +751,31 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A client that trickles its body cannot hold an in-flight slot past
+	// the deadline. (A test recorder has no connection to set it on.)
+	rc := http.NewResponseController(w)
+	deadline, _ := ctx.Deadline()
+	rc.SetReadDeadline(deadline)
 	var req PredictRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The deadline stays set: net/http's drain of the unread body
+			// fails at once and the connection closes after this answer.
+			s.writeExpired(w, serverDeadline, "deadline expired reading the request body")
+		case errors.As(err, &tooBig):
 			s.oversize.Add(1)
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit)})
-			return
+		default:
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
+	rc.SetReadDeadline(time.Time{})
 	if req.GPU == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing gpu"})
 		return
@@ -792,8 +816,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// first keeps the 504 ahead of the admission path.
 	if err := ctx.Err(); err != nil {
 		h.Release()
-		s.predict.deadlineExpired.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, errorBody{Error: "deadline already expired"})
+		s.writeExpired(w, serverDeadline, "deadline already expired")
 		return
 	}
 
@@ -812,11 +835,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		res, err = out.Value, out.Err
 	}
 	if err != nil {
-		status := predictStatus(err)
-		if status == http.StatusGatewayTimeout {
-			s.predict.deadlineExpired.Add(1)
+		if status := predictStatus(err); status == http.StatusGatewayTimeout {
+			s.writeExpired(w, serverDeadline, err.Error())
+		} else {
+			writeJSON(w, status, errorBody{Error: err.Error()})
 		}
-		writeJSON(w, status, errorBody{Error: err.Error()})
 		return
 	}
 	failed = false

@@ -184,6 +184,23 @@ func TestPredictBadRequests(t *testing.T) {
 	}
 }
 
+// TestPredictRefusesNameAliases: a named stencil is looked up by its
+// exact identifier. These spellings once parsed as the canonical stencil
+// (a scanf-style parse skipped spaces, signs and leading zeros and
+// ignored trailing text) and were served 200; each is a 400 now.
+func TestPredictRefusesNameAliases(t *testing.T) {
+	h := testServer(t).Handler()
+	for _, name := range []string{"star2d1rjunk", "star+2d01r", "box 3d2r", "cross3d 4r", "star2d1r\n"} {
+		body, err := json.Marshal(PredictRequest{Stencil: name, GPU: "V100"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec, out := postPredict(t, h, string(body)); rec.Code != http.StatusBadRequest {
+			t.Errorf("stencil %q gave %d (%v), want 400", name, rec.Code, out)
+		}
+	}
+}
+
 // TestPredictConcurrent hammers the handler from many goroutines: the
 // internal mutex must keep the non-goroutine-safe models correct, and
 // identical requests must return identical bodies.

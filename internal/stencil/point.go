@@ -61,28 +61,6 @@ func (p Point) String() string {
 	return fmt.Sprintf("(%d,%d,%d)", p.Dx, p.Dy, p.Dz)
 }
 
-// Neighbors returns the Chebyshev-adjacent offsets of p in the given
-// dimensionality: 8 neighbors for dims == 2, 26 for dims == 3. The result
-// excludes p itself. Points are emitted in canonical (Dz, Dy, Dx) order.
-func (p Point) Neighbors(dims int) []Point {
-	zr := 0
-	if dims == 3 {
-		zr = 1
-	}
-	out := make([]Point, 0, 26)
-	for dz := -zr; dz <= zr; dz++ {
-		for dy := -1; dy <= 1; dy++ {
-			for dx := -1; dx <= 1; dx++ {
-				if dx == 0 && dy == 0 && dz == 0 {
-					continue
-				}
-				out = append(out, Point{p.Dx + dx, p.Dy + dy, p.Dz + dz})
-			}
-		}
-	}
-	return out
-}
-
 // abs saturates: -math.MinInt overflows back to itself, so MinInt maps
 // to math.MaxInt and an order check still reads it as out of range.
 func abs(x int) int {

@@ -1,6 +1,10 @@
 package stencil
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // Star returns the classic star stencil: the center plus the 2·dims·order
 // axis-aligned offsets, e.g. the 5-point Laplacian for dims=2, order=1.
@@ -22,41 +26,31 @@ func Cross(dims, order int) Stencil {
 	return MustNew(shapeName(ShapeCross, dims, order), dims, classicPoints(ShapeCross, dims, order))
 }
 
-// ByName constructs a classic stencil from identifiers of the form
-// "<shape><dims>d<order>r", e.g. "star2d1r", "box3d4r", "cross2d2r".
+// ByName returns the classic stencil with the given identifier, of the
+// form "<shape><dims>d<order>r" (e.g. "star2d1r", "box3d4r", "cross2d2r"),
+// with points of its own. Only the exact identifiers of
+// RepresentativeAll are accepted.
 func ByName(name string) (Stencil, error) {
-	var shapeStr string
-	var dims, order int
+	if s, ok := classics[name]; ok {
+		s.Points = slices.Clone(s.Points)
+		return s, nil
+	}
 	for _, sh := range []Shape{ShapeStar, ShapeBox, ShapeCross} {
-		prefix := sh.String()
-		if len(name) > len(prefix) && name[:len(prefix)] == prefix {
-			shapeStr = prefix
-			if _, err := fmt.Sscanf(name[len(prefix):], "%dd%dr", &dims, &order); err != nil {
-				return Stencil{}, fmt.Errorf("stencil name %q: %w", name, err)
-			}
-			switch sh {
-			case ShapeStar:
-				return checkedClassic(Star, name, dims, order)
-			case ShapeBox:
-				return checkedClassic(Box, name, dims, order)
-			case ShapeCross:
-				return checkedClassic(Cross, name, dims, order)
-			}
+		if strings.HasPrefix(name, sh.String()) {
+			return Stencil{}, fmt.Errorf("stencil name %q: want %s<2|3>d<1-%d>r", name, sh, MaxOrder)
 		}
 	}
-	_ = shapeStr
 	return Stencil{}, fmt.Errorf("stencil name %q: unknown shape prefix", name)
 }
 
-func checkedClassic(f func(int, int) Stencil, name string, dims, order int) (Stencil, error) {
-	if dims != 2 && dims != 3 {
-		return Stencil{}, fmt.Errorf("stencil name %q: dims must be 2 or 3", name)
+// classics indexes RepresentativeAll by name for ByName.
+var classics = func() map[string]Stencil {
+	m := make(map[string]Stencil)
+	for _, s := range RepresentativeAll() {
+		m[s.Name] = s
 	}
-	if order < 1 || order > MaxOrder {
-		return Stencil{}, fmt.Errorf("stencil name %q: order must be in [1,%d]", name, MaxOrder)
-	}
-	return f(dims, order), nil
-}
+	return m
+}()
 
 // Representative returns the benchmark suite used throughout the paper's
 // motivation study: star, box and cross shapes, orders 1-4, in the given

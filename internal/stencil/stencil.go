@@ -1,8 +1,10 @@
 package stencil
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -79,18 +81,13 @@ func MustNew(name string, dims int, points []Point) Stencil {
 }
 
 // canonicalize sorts points, removes duplicates and inserts the center.
+// It orders any offsets, in range or not: Validate judges the result.
 func (s *Stencil) canonicalize() {
-	pts := s.Points
-	pts = append(pts, Point{}) // ensure center
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Less(pts[j]) })
-	out := pts[:0]
-	for i, p := range pts {
-		if i > 0 && p == pts[i-1] {
-			continue
-		}
-		out = append(out, p)
-	}
-	s.Points = out
+	pts := append(s.Points, Point{}) // ensure center
+	slices.SortFunc(pts, func(p, q Point) int {
+		return cmp.Or(cmp.Compare(p.Dz, q.Dz), cmp.Compare(p.Dy, q.Dy), cmp.Compare(p.Dx, q.Dx))
+	})
+	s.Points = slices.Compact(pts)
 }
 
 // Order returns the stencil order: the maximum Chebyshev distance over all

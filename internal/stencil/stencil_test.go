@@ -35,20 +35,6 @@ func TestPointDistances(t *testing.T) {
 	}
 }
 
-func TestPointNeighborsCount(t *testing.T) {
-	if got := len(Point{}.Neighbors(2)); got != 8 {
-		t.Errorf("2-D neighbors = %d, want 8", got)
-	}
-	if got := len(Point{}.Neighbors(3)); got != 26 {
-		t.Errorf("3-D neighbors = %d, want 26", got)
-	}
-	for _, n := range (Point{1, 1, 0}).Neighbors(2) {
-		if n.Dz != 0 {
-			t.Errorf("2-D neighbor %v has nonzero dz", n)
-		}
-	}
-}
-
 func TestClassicShapeSizes(t *testing.T) {
 	cases := []struct {
 		s    Stencil
