@@ -34,9 +34,10 @@ bench-kernels:
 bench-trees:
 	$(GO) test -run='^$$' -bench=. -benchmem -cpu 1,2 ./internal/ml/tree/
 
-# f64 reference vs compiled f32 lane, side by side: GEMM, tree
-# ensembles (also at the serving shapes, BenchmarkEnsembleServe), and
-# network forward passes on serving-sized batches.
+# The models' float64 form (training, CV, experiments) vs their compiled
+# f32 form (what serving scores on), side by side: GEMM, tree ensembles
+# (also at the serving shapes, BenchmarkEnsembleServe), and network
+# forward passes on serving-sized batches.
 bench-lanes:
 	$(GO) test -run='^$$' -bench='BenchmarkLane|BenchmarkEnsembleServe' -benchmem ./internal/linalg/ ./internal/ml/tree/ ./internal/ml/nn/
 

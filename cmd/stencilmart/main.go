@@ -10,7 +10,7 @@
 //	stencilmart profile    -out dataset.bin [-preset paper]
 //	stencilmart train      -dataset dataset.bin -out model.ckpt
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
-//	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32 -lane f32]
+//	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32]
 //	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 8 -n 50 [-fail-on-error]
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
 //	stencilmart experiment -id fig9 [-preset paper]
@@ -300,15 +300,10 @@ func cmdServe(args []string) error {
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "per-request prediction timeout")
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /predict requests admitted before shedding with 503")
 	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max requests coalesced into one model call (1 = serial baseline)")
-	laneName := fs.String("lane", "f64", "default inference lane (f32, f64); requests override with ?lane=")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lane, err := serve.ParseLane(*laneName)
-	if err != nil {
-		return err
-	}
-	opts := serve.Options{Timeout: *timeout, MaxInFlight: *maxInFlight, BatchSize: *batchSize, Lane: lane}
+	opts := serve.Options{Timeout: *timeout, MaxInFlight: *maxInFlight, BatchSize: *batchSize}
 	// Zero selects a default; a negative number is a malformed flag, and
 	// exits 2 before the checkpoint is read, as the flag package does.
 	if err := opts.Validate(); err != nil {

@@ -1,6 +1,6 @@
 package core
 
-// ServeArena is grow-only per-call scratch for the f32 serving lane:
+// ServeArena is grow-only per-call scratch for the serving pipeline:
 // each ServePredictBatchF32 call resets the arena it is given and carves
 // every row/output buffer from three slabs. A slab that runs short is
 // replaced by a larger one, so once warm a call allocates nothing in the

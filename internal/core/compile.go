@@ -11,8 +11,8 @@ import (
 	"stencilmart/internal/stencil"
 )
 
-// This file builds the float32 inference lane's models over a trained
-// framework, each compiled once. Features encode in float64 by the one
+// This file builds the float32 models every request scores on over a
+// trained framework, each compiled once. Features encode in float64 by the one
 // set of row encoders (features.go, input scaling included) and convert
 // once per element, so f64→f32 rounding happens only at compile time
 // (weights) and at the row boundary (inputs).
@@ -27,7 +27,7 @@ type CompiledRegressorF32 struct {
 }
 
 // encodeRowF32 builds one scaled f32 input row: features encode in f64
-// scratch by the reference lane's encoder, scaling divides in f64, and the
+// scratch by the training encoder, scaling divides in f64, and the
 // result converts element-wise — one rounding, at the boundary.
 func (r *CompiledRegressorF32) encodeRowF32(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, scratch []float64, dst []float32) {
 	regRowInto(r.kind, s, oc, p, arch, scratch)
@@ -56,7 +56,7 @@ func (r *CompiledRegressorF32) invertSecondsF32(vals []float32) []float64 {
 	return out
 }
 
-// CompiledTrained is the f32 inference lane of a Trained set: the same
+// CompiledTrained is the f32 serving form of a Trained set: the same
 // (GPU, dims) classifier and dims regressor coverage, every model in its
 // compiled form.
 type CompiledTrained struct {
@@ -74,7 +74,7 @@ func compileClassifierF32(cls ml.Classifier) (ml.ClassifierF32, error) {
 	case *nn.Classifier:
 		return m.CompileF32()
 	default:
-		return nil, fmt.Errorf("core: classifier %T has no f32 lane", cls)
+		return nil, fmt.Errorf("core: classifier %T has no f32 form", cls)
 	}
 }
 
@@ -95,7 +95,7 @@ func compileRegressorF32(reg *TrainedRegressor) (*CompiledRegressorF32, error) {
 		}
 		out.model = c
 	default:
-		return nil, fmt.Errorf("core: regressor %T has no f32 lane", reg.model)
+		return nil, fmt.Errorf("core: regressor %T has no f32 form", reg.model)
 	}
 	return out, nil
 }
@@ -131,11 +131,10 @@ func compileTrained(tr *Trained) (*CompiledTrained, error) {
 	return ct, nil
 }
 
-// CompiledF32 returns the framework's f32 inference lane, compiling the
+// CompiledF32 returns the framework's f32 serving models, compiling the
 // trained set on first use and caching the result until TrainAll swaps
 // in a new set. The registry compiles at publish time so serving never
-// pays the build. Compiled models share ServeConcurrent's contract with
-// the f64 ones.
+// pays the build. Compiled models keep ServeConcurrent's contract.
 func (f *Framework) CompiledF32() (*CompiledTrained, error) {
 	tr, err := f.requireTrained()
 	if err != nil {

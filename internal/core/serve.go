@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"strconv"
+	"sync"
 
 	"stencilmart/internal/gpu"
 	"stencilmart/internal/ml"
@@ -19,10 +20,11 @@ import (
 
 // This file is the serving pipeline — the predict-cheaply half of the
 // paper's contract. It exists once: servePipeline admits, dedups,
-// classifies, tunes, regresses and assembles a batch, and the numeric
-// format of model scoring is a plug-in lane (lane.go). ServePredictBatch,
+// classifies, tunes, regresses and assembles a batch, scoring on the
+// compiled float32 models (score.go). ServePredictBatch,
 // ServePredictBatchF32 and ServePredict are entry points onto that one
-// body.
+// body. The float64 models stay for training, cross-validation and the
+// experiments.
 
 // ServeRequest is one item of a batched serving call.
 type ServeRequest struct {
@@ -98,13 +100,14 @@ func (e requestError) Unwrap() error      { return e.error }
 func (requestError) Is(target error) bool { return target == ErrBadRequest }
 
 // ServePredictBatch runs the classify -> tune -> regress -> rent pipeline
-// over many requests at once on the float64 lane, returning one outcome
-// per request, index-aligned. Identical requests collapse to one pipeline
-// pass (serving is a deterministic function of (GPU, stencil)); distinct
-// ones group their model calls — classification per (GPU, dims)
-// classifier, regression per dims — and tune in parallel. Every batched
-// model path scores rows independently, so a batch of N is bitwise N
-// independent answers.
+// over many requests at once, returning one outcome per request,
+// index-aligned. The compiled f32 models score over an arena from a
+// package pool. Identical requests collapse to one pipeline pass (serving
+// is a deterministic function of (GPU, stencil)); distinct ones group
+// their model calls — classification per (GPU, dims) classifier,
+// regression per dims — and tune in parallel. Every batched model path
+// scores rows independently, so a batch of N is bitwise N independent
+// answers.
 //
 // The context carries the batch's deadline: it is checked before
 // classification and before regression, and tuning stops dispatching
@@ -114,24 +117,32 @@ func (requestError) Is(target error) bool { return target == ErrBadRequest }
 // The method is safe for concurrent use exactly when f.ServeConcurrent
 // holds; nn models reuse forward scratch, so their calls are serialized.
 func (f *Framework) ServePredictBatch(ctx context.Context, reqs []ServeRequest) []ServeOutcome {
-	return servePipeline[ml.Classifier, *TrainedRegressor](ctx, f, reqs, &laneF64{})
+	arena := arenas.Get().(*ServeArena)
+	defer arenas.Put(arena)
+	return servePipeline(ctx, f, reqs, arena)
 }
 
-// ServePredictBatchF32 is ServePredictBatch on the float32 inference
-// lane: the compiled f32 models score over the caller's arena (reset on
-// entry; nil gets a private one), allocating nothing once it is warm but
-// the per-item probability and time vectors, which outlive it.
-// Concurrent calls are safe exactly when f.ServeConcurrent holds, each
-// with its own arena.
+// arenas holds ServePredictBatch's scoring scratch: each call takes its
+// own, since tree-model calls run concurrently.
+var arenas = sync.Pool{New: func() any { return NewServeArena() }}
+
+// ServePredictBatchF32 is ServePredictBatch over the caller's arena
+// (reset on entry; nil gets a private one), allocating nothing in model
+// scoring once it is warm but the per-item probability and time vectors,
+// which outlive it. Concurrent calls are safe exactly when
+// f.ServeConcurrent holds, each with its own arena.
 func (f *Framework) ServePredictBatchF32(ctx context.Context, reqs []ServeRequest, arena *ServeArena) []ServeOutcome {
-	return servePipeline[ml.ClassifierF32, *CompiledRegressorF32](ctx, f, reqs, &laneF32{arena: arena})
+	if arena == nil {
+		arena = NewServeArena()
+	}
+	return servePipeline(ctx, f, reqs, arena)
 }
 
-// ServePredict is a batch of one on the float64 lane: classify the
-// stencil, tune the predicted class's representative OC on the target
-// GPU (falling back through lower-probability classes if every setting of
-// a representative crashes), predict the tuned kernel's time on every
-// catalog GPU in one regressor pass, and derive the rent-or-not verdict.
+// ServePredict is a batch of one: classify the stencil, tune the
+// predicted class's representative OC on the target GPU (falling back
+// through lower-probability classes if every setting of a representative
+// crashes), predict the tuned kernel's time on every catalog GPU in one
+// regressor pass, and derive the rent-or-not verdict.
 func (f *Framework) ServePredict(archName string, s stencil.Stencil) (*ServePrediction, error) {
 	out := f.ServePredictBatch(context.Background(), []ServeRequest{{GPU: archName, Stencil: s}})[0]
 	return out.Prediction, out.Err
@@ -178,14 +189,13 @@ func live(items []*serveItem) []*serveItem {
 	return out
 }
 
-// servePipeline is the one body every serving entry point runs. Error
-// precedence is fixed by its order: untrained framework, lane open, then
-// per request unknown GPU, invalid stencil, uncovered classifier (all
-// ErrBadRequest), a classifier panic, uncovered regressor
-// (ErrBadRequest), tuning failure, the context error, a regressor panic.
-// C and R are the lane's classifier and regressor handle types; the body
-// only groups by them and hands them back.
-func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []ServeRequest, lane serveLane[C, R]) []ServeOutcome {
+// servePipeline is the one body every serving entry point runs, over
+// arena (reset here). Error precedence is fixed by its order: untrained
+// framework, f32 compile, then per request unknown GPU, invalid stencil,
+// uncovered classifier (all ErrBadRequest), a classifier panic,
+// uncovered regressor (ErrBadRequest), tuning failure, the context
+// error, a regressor panic.
+func servePipeline(ctx context.Context, f *Framework, reqs []ServeRequest, arena *ServeArena) []ServeOutcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -193,24 +203,23 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 	if len(reqs) == 0 {
 		return outs
 	}
-	tr, err := f.requireTrained()
-	if err == nil {
-		err = lane.open(f, tr)
-	}
+	ct, err := f.CompiledF32()
 	if err != nil {
 		for i := range outs {
 			outs[i].Err = err
 		}
 		return outs
 	}
+	arena.Reset()
+	sc := &scorer{ct: ct, arena: arena, archs: f.Dataset.Archs}
 
 	// Admit, then collapse duplicates: the first item with a given (GPU,
 	// stencil) identity is the primary that rides the pipeline; the rest
 	// copy its outcome at the end. Items that fail admission keep their
 	// own (identical) errors.
 	items := make([]serveItem, len(reqs))
-	cls := make([]C, len(reqs))
-	regs := make([]R, len(reqs))
+	cls := make([]ml.ClassifierF32, len(reqs))
+	regs := make([]*CompiledRegressorF32, len(reqs))
 	seen := make(map[string]*serveItem, len(reqs))
 	var primaries, dups []*serveItem
 	var key []byte // one buffer for every request's identity bytes
@@ -222,7 +231,7 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 			err = req.Stencil.Validate()
 		}
 		if err == nil {
-			cls[i], err = lane.classifier(req.GPU, req.Stencil.Dims)
+			cls[i], err = classifierIn(ct.classifiers, req.GPU, req.Stencil.Dims)
 		}
 		if err != nil {
 			it.fail(requestError{err})
@@ -242,9 +251,9 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 	if err := ctx.Err(); err != nil {
 		failLive(primaries, err)
 	} else {
-		scoreGroups(primaries, cls, lane.classify, lane.classifyOne)
+		scoreGroups(primaries, cls, sc.classify, sc.classifyOne)
 		for _, it := range live(primaries) {
-			reg, ok := lane.regressor(it.req.Stencil.Dims)
+			reg, ok := ct.regressors[it.req.Stencil.Dims]
 			if !ok {
 				it.fail(requestError{fmt.Errorf("core: no trained %d-D regressor", it.req.Stencil.Dims)})
 				continue
@@ -255,7 +264,7 @@ func servePipeline[C, R comparable](ctx context.Context, f *Framework, reqs []Se
 		if err := ctx.Err(); err != nil {
 			failLive(primaries, err)
 		} else {
-			scoreGroups(primaries, regs, lane.regress, lane.regressOne)
+			scoreGroups(primaries, regs, sc.regress, sc.regressOne)
 		}
 	}
 

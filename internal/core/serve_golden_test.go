@@ -14,8 +14,9 @@ import (
 
 // serveGoldenPath holds SHA-256 digests of every response the serving
 // pipeline produced for goldenRequests at commit cac47ef — the last
-// commit with three separate pipeline bodies — on both lanes and for a
-// tree and a network mechanism pair. The file was written by running
+// commit with three separate pipeline bodies — on the f32 lane, for a
+// tree and a network mechanism pair. (That commit also served a float64
+// lane; its cells were dropped with the lane.) The file was written by running
 // serveGoldenDigests against that tree; it is not regenerated from this
 // one, which is what makes it a cross-commit proof that response bodies
 // and error texts are bitwise what they were.
@@ -66,10 +67,11 @@ func outcomeDigest(t testing.TB, o ServeOutcome) string {
 }
 
 // serveGoldenDigests trains each mechanism pair on the shared smoke
-// framework and digests goldenRequests through both lanes of the
-// framework serving returns for it (the trained one itself, or its
-// checkpoint read back).
-func serveGoldenDigests(t testing.TB, trained *Framework, serving func(*Framework) *Framework) map[string][]string {
+// framework and digests goldenRequests through both serving entry points
+// of the framework serving returns for it (the trained one itself, or its
+// checkpoint read back). The result maps entry point to golden cell to
+// digests.
+func serveGoldenDigests(t testing.TB, trained *Framework, serving func(*Framework) *Framework) map[string]map[string][]string {
 	t.Helper()
 	pairs := []struct {
 		ck ClassifierKind
@@ -78,23 +80,23 @@ func serveGoldenDigests(t testing.TB, trained *Framework, serving func(*Framewor
 		{ClassGBDT, RegGB},
 		{ClassConvNet, RegConvMLP},
 	}
-	out := make(map[string][]string)
+	out := map[string]map[string][]string{"ServePredictBatch": {}, "ServePredictBatchF32": {}}
 	for _, pair := range pairs {
 		if err := trained.TrainAll(context.Background(), pair.ck, pair.rk); err != nil {
 			t.Fatal(err)
 		}
 		fw := serving(trained)
 		reqs := goldenRequests(t, fw)
-		name := pair.ck.String() + "_" + pair.rk.String()
-		for lane, outs := range map[string][]ServeOutcome{
-			"f64": fw.ServePredictBatch(context.Background(), reqs),
-			"f32": fw.ServePredictBatchF32(context.Background(), reqs, NewServeArena()),
+		cell := pair.ck.String() + "_" + pair.rk.String() + "/f32"
+		for entry, outs := range map[string][]ServeOutcome{
+			"ServePredictBatch":    fw.ServePredictBatch(context.Background(), reqs),
+			"ServePredictBatchF32": fw.ServePredictBatchF32(context.Background(), reqs, NewServeArena()),
 		} {
 			if len(outs) != len(reqs) {
-				t.Fatalf("%s/%s: %d outcomes for %d requests", name, lane, len(outs), len(reqs))
+				t.Fatalf("%s %s: %d outcomes for %d requests", entry, cell, len(outs), len(reqs))
 			}
 			for _, o := range outs {
-				out[name+"/"+lane] = append(out[name+"/"+lane], outcomeDigest(t, o))
+				out[entry][cell] = append(out[entry][cell], outcomeDigest(t, o))
 			}
 		}
 	}
@@ -102,8 +104,9 @@ func serveGoldenDigests(t testing.TB, trained *Framework, serving func(*Framewor
 }
 
 // TestServeGoldenCrossCommit asserts that every response body and error
-// text the pipeline produces today hashes to what the pre-unification
-// pipeline produced — from the framework as trained, and from the same
+// text both serving entry points produce today hashes to what the
+// pre-unification f32 pipeline produced — from the framework as trained,
+// and from the same
 // framework after Save → LoadFramework, so "loaded predicts bitwise what
 // trained predicts" is pinned against the recorded digests and not only
 // against itself.
@@ -125,18 +128,19 @@ func TestServeGoldenCrossCommit(t *testing.T) {
 		"trained":  func(f *Framework) *Framework { return f },
 		"reloaded": func(f *Framework) *Framework { return reloaded(t, f) },
 	} {
-		got := serveGoldenDigests(t, fw, serving)
-		if len(got) != len(golden.Digests) {
-			t.Fatalf("%s: golden covers %d framework/lane cells, this run %d", name, len(golden.Digests), len(got))
-		}
-		for cell, want := range golden.Digests {
-			if len(got[cell]) != len(want) {
-				t.Fatalf("%s %s: golden has %d digests, this run %d", name, cell, len(want), len(got[cell]))
+		for entry, got := range serveGoldenDigests(t, fw, serving) {
+			if len(got) != len(golden.Digests) {
+				t.Fatalf("%s %s: golden covers %d framework cells, this run %d", name, entry, len(golden.Digests), len(got))
 			}
-			for i := range want {
-				if got[cell][i] != want[i] {
-					t.Errorf("%s %s: request %d (%s on %s) digest %s, recorded %s",
-						name, cell, i, reqs[i].Stencil.Name, reqs[i].GPU, got[cell][i], want[i])
+			for cell, want := range golden.Digests {
+				if len(got[cell]) != len(want) {
+					t.Fatalf("%s %s %s: golden has %d digests, this run %d", name, entry, cell, len(want), len(got[cell]))
+				}
+				for i := range want {
+					if got[cell][i] != want[i] {
+						t.Errorf("%s %s %s: request %d (%s on %s) digest %s, recorded %s",
+							name, entry, cell, i, reqs[i].Stencil.Name, reqs[i].GPU, got[cell][i], want[i])
+					}
 				}
 			}
 		}

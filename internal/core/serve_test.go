@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -108,13 +109,12 @@ func TestServeIdentitySeedMatchesOracle(t *testing.T) {
 
 // --- the lane table ---------------------------------------------------------
 
-// serveLaneCase is one row of the table every pipeline test runs over.
+// serveLaneCase is one row of the table every pipeline test runs over:
+// an entry point with the fault doubles for its models. The compiled f32
+// models are the only serving lane, so the table has one row.
 type serveLaneCase struct {
 	name string
 	run  func(fw *Framework, ctx context.Context, reqs []ServeRequest) []ServeOutcome
-	// agrees asserts an outcome against the float64 oracle's: bitwise on
-	// the f64 lane, under the documented lane contract on f32.
-	agrees func(t *testing.T, label string, oracle, got ServeOutcome)
 	// poisonClassifier makes the lane's (gpu, dims) classifier panic on
 	// any batch containing the poisoned stencil's row.
 	poisonClassifier func(t *testing.T, fw *Framework, gpuName string, dims int, poisoned stencil.Stencil) (restore func())
@@ -125,32 +125,10 @@ type serveLaneCase struct {
 
 var serveLanes = []serveLaneCase{
 	{
-		name: "f64",
+		name: "f32",
 		run: func(fw *Framework, ctx context.Context, reqs []ServeRequest) []ServeOutcome {
 			return fw.ServePredictBatch(ctx, reqs)
 		},
-		agrees: assertSameOutcome,
-		poisonClassifier: func(t *testing.T, fw *Framework, gpuName string, dims int, poisoned stencil.Stencil) func() {
-			real := fw.Trained.Classifiers[gpuName][dims]
-			fw.Trained.Classifiers[gpuName][dims] = &panickyClassifier{
-				inner:  real,
-				poison: classEncode(fw.Trained.ClassifierKind, poisoned),
-			}
-			return func() { fw.Trained.Classifiers[gpuName][dims] = real }
-		},
-		capRegressor: func(t *testing.T, fw *Framework, dims, rowsCap int) func() {
-			reg := fw.Trained.Regressors[dims]
-			real := reg.model
-			reg.model = &panickyRegressor{inner: real, rowsCap: rowsCap}
-			return func() { reg.model = real }
-		},
-	},
-	{
-		name: "f32",
-		run: func(fw *Framework, ctx context.Context, reqs []ServeRequest) []ServeOutcome {
-			return fw.ServePredictBatchF32(ctx, reqs, nil)
-		},
-		agrees: assertLaneOutcome,
 		poisonClassifier: func(t *testing.T, fw *Framework, gpuName string, dims int, poisoned stencil.Stencil) func() {
 			ct := compiledF32(t, fw)
 			real := ct.classifiers[gpuName][dims]
@@ -248,17 +226,18 @@ func assertSameOutcome(t *testing.T, label string, want, got ServeOutcome) {
 }
 
 // laneTieEps is the documented tie-epsilon of the f32 lane's decision
-// contract: wherever the float64 lane's top-2 probability gap is at
+// contract: wherever the float64 oracle's top-2 probability gap is at
 // least this wide, the f32 lane must pick the same class; inside the
-// band either decision is acceptable (the reference lane itself is one
-// rounding away from flipping).
+// band either decision is acceptable (the oracle itself is one rounding
+// away from flipping).
 const laneTieEps = 1e-6
 
 // laneRelTol is the documented relative tolerance on predicted seconds
-// when both lanes agree on the class (and therefore tuned the same OC).
+// when the lane and the oracle agree on the class (and therefore tuned
+// the same OC).
 const laneRelTol = 5e-3
 
-// laneProbaTol bounds per-class probability drift between the lanes.
+// laneProbaTol bounds per-class probability drift from the oracle.
 const laneProbaTol = 2e-3
 
 // top2Gap returns the difference between the largest and second-largest
@@ -292,8 +271,8 @@ func sameClassOrder(a, b []float64) bool {
 	return true
 }
 
-// assertLaneOutcome checks one f32 outcome against its f64 twin under
-// the lane contract: identical errors, identical decisions away from
+// assertLaneOutcome checks one f32 outcome against the float64 oracle's
+// under the lane contract: identical errors, identical decisions away from
 // ties, close probabilities, and — when the tuned OC is forced to agree
 // — bitwise-equal tuning and predicted seconds within laneRelTol.
 func assertLaneOutcome(t *testing.T, label string, ref, got ServeOutcome) {
@@ -350,42 +329,10 @@ func reqLabel(req ServeRequest) string { return req.Stencil.Name + " on " + req.
 
 // --- fault doubles ----------------------------------------------------------
 
-// panickyClassifier wraps a real classifier and panics on one poisoned
-// row: in the batched path whenever the batch contains it, in the
-// row-at-a-time path only for the row itself. It models a model bug one
-// request triggers, to prove the pipeline retries per item and
-// quarantines the failure.
-type panickyClassifier struct {
-	inner  ml.Classifier
-	poison []float64
-}
-
-func rowsEqual[T float32 | float64](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *panickyClassifier) FitClassifier(x [][]float64, y []int, k int) error {
-	return p.inner.FitClassifier(x, y, k)
-}
-func (p *panickyClassifier) PredictProbaBatch(rows [][]float64) [][]float64 {
-	for _, r := range rows {
-		if rowsEqual(r, p.poison) {
-			panic("poisoned batch")
-		}
-	}
-	return p.inner.PredictProbaBatch(rows)
-}
-
-// panickyClassifierF32 is panickyClassifier for a compiled model, whose
-// only entry point is the batched one.
+// panickyClassifierF32 wraps a compiled classifier and panics on any
+// batch containing one poisoned row. It models a model bug one request
+// triggers, to prove the pipeline retries per item and quarantines the
+// failure.
 type panickyClassifierF32 struct {
 	inner  ml.ClassifierF32
 	poison []float32
@@ -394,31 +341,16 @@ type panickyClassifierF32 struct {
 func (p *panickyClassifierF32) Classes() int { return p.inner.Classes() }
 func (p *panickyClassifierF32) PredictProbaBatchF32(rows [][]float32, out []float32) {
 	for _, r := range rows {
-		if rowsEqual(r, p.poison) {
+		if slices.Equal(r, p.poison) {
 			panic("poisoned batch")
 		}
 	}
 	p.inner.PredictProbaBatchF32(rows, out)
 }
 
-// panickyRegressor fails every multi-item batched call but serves
+// panickyRegressorF32 fails every multi-item batched call but serves
 // per-item row counts, forcing the pipeline onto its per-item regression
 // fallback — whose results must still match independent answers bitwise.
-type panickyRegressor struct {
-	inner   ml.Regressor
-	rowsCap int
-}
-
-func (p *panickyRegressor) FitRegressor(x [][]float64, y []float64) error {
-	return p.inner.FitRegressor(x, y)
-}
-func (p *panickyRegressor) PredictValueBatch(rows [][]float64) []float64 {
-	if len(rows) > p.rowsCap {
-		panic("batch too large")
-	}
-	return p.inner.PredictValueBatch(rows)
-}
-
 type panickyRegressorF32 struct {
 	inner   ml.RegressorF32
 	rowsCap int
@@ -431,15 +363,14 @@ func (p *panickyRegressorF32) PredictValueBatchF32(rows [][]float32, out []float
 	p.inner.PredictValueBatchF32(rows, out)
 }
 
-// --- the differential suite, once per lane ----------------------------------
+// --- the differential suite -------------------------------------------------
 
 // TestServePredictBatchMatchesSerial is the core determinism contract of
-// the coalescing tier, on every lane: a batch must be indistinguishable
-// from independent answers — bitwise equal to one batch-of-one call per
-// request on the same lane, and in agreement with the straight-line
-// float64 oracle (bitwise on f64, under the lane contract on f32) —
-// same JSON bytes, same errors, regardless of scheduler parallelism
-// during the tuning fan-out.
+// the coalescing tier: a batch must be indistinguishable from independent
+// answers — bitwise equal to one batch-of-one call per request, and in
+// agreement with the straight-line float64 oracle under the lane
+// contract — same JSON bytes, same errors, regardless of scheduler
+// parallelism during the tuning fan-out.
 func TestServePredictBatchMatchesSerial(t *testing.T) {
 	pairs := []struct {
 		ck ClassifierKind
@@ -462,7 +393,7 @@ func TestServePredictBatchMatchesSerial(t *testing.T) {
 							}
 							singles := lane.singles(fw, reqs)
 							for i, req := range reqs {
-								lane.agrees(t, reqLabel(req)+" vs oracle", serveOracle(fw, req), outs[i])
+								assertLaneOutcome(t, reqLabel(req)+" vs oracle", serveOracle(fw, req), outs[i])
 								assertSameOutcome(t, reqLabel(req)+" vs batch of one", singles[i], outs[i])
 							}
 						})
@@ -576,7 +507,7 @@ func TestServePredictBatchErrorPrecedence(t *testing.T) {
 
 	// A trained set with holes: no classifier at all for noCls, no 3-D
 	// classifier for no3D, no 3-D regressor for anyone. A fresh Trained
-	// pointer also makes the f32 lane recompile from it.
+	// pointer also makes the compiled models rebuild from it.
 	holed := &Trained{
 		ClassifierKind: full.ClassifierKind,
 		RegressorKind:  full.RegressorKind,
@@ -613,7 +544,7 @@ func TestServePredictBatchErrorPrecedence(t *testing.T) {
 	forEachLane(t, func(t *testing.T, lane serveLaneCase) {
 		outs := lane.run(fw, context.Background(), reqs)
 		for i, c := range cases {
-			lane.agrees(t, reqLabel(c.req), serveOracle(fw, c.req), outs[i])
+			assertLaneOutcome(t, reqLabel(c.req), serveOracle(fw, c.req), outs[i])
 			if c.want == "" {
 				if outs[i].Err != nil {
 					t.Errorf("%s: covered request failed: %v", reqLabel(c.req), outs[i].Err)
@@ -696,12 +627,12 @@ func TestServePredictBatchContext(t *testing.T) {
 	})
 }
 
-// --- f32-only contracts -----------------------------------------------------
+// --- f32 contracts ----------------------------------------------------------
 
 // TestServeLaneDifferential is the end-to-end differential contract of
 // the f32 serving lane across every compilable mechanism pair: on the
 // full probe-x-GPU corpus (plus duplicate and failing requests), class
-// decisions match the reference lane away from documented ties, errors
+// decisions match the float64 oracle away from documented ties, errors
 // are identical, and predicted seconds agree within laneRelTol.
 func TestServeLaneDifferential(t *testing.T) {
 	pairs := []struct {
@@ -716,13 +647,12 @@ func TestServeLaneDifferential(t *testing.T) {
 		t.Run(pair.ck.String()+"_"+pair.rk.String(), func(t *testing.T) {
 			fw := trainServe(t, pair.ck, pair.rk)
 			reqs := batchRequests(fw)
-			refs := fw.ServePredictBatch(context.Background(), reqs)
 			outs := fw.ServePredictBatchF32(context.Background(), reqs, NewServeArena())
 			if len(outs) != len(reqs) {
 				t.Fatalf("%d outcomes for %d requests", len(outs), len(reqs))
 			}
 			for i, req := range reqs {
-				assertLaneOutcome(t, reqLabel(req), refs[i], outs[i])
+				assertLaneOutcome(t, reqLabel(req), serveOracle(fw, req), outs[i])
 			}
 		})
 	}
@@ -785,15 +715,13 @@ func TestAllocGateCoreScoringF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lane := &laneF32{arena: NewServeArena()}
-	if err := lane.open(fw, fw.Trained); err != nil {
-		t.Fatal(err)
-	}
-	cls, err := lane.classifier(name, probe.Dims)
+	ct := compiledF32(t, fw)
+	sc := &scorer{ct: ct, arena: NewServeArena(), archs: fw.Dataset.Archs}
+	cls, err := classifierIn(ct.classifiers, name, probe.Dims)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, ok := lane.regressor(probe.Dims)
+	reg, ok := ct.regressors[probe.Dims]
 	if !ok {
 		t.Fatal("no compiled 2-D regressor")
 	}
@@ -805,9 +733,9 @@ func TestAllocGateCoreScoringF32(t *testing.T) {
 	}
 	items := []*serveItem{it}
 	scoring := func() {
-		lane.arena.Reset()
-		lane.scoreClassify(cls, items)
-		lane.scoreRegress(reg, items)
+		sc.arena.Reset()
+		sc.scoreClassify(cls, items)
+		sc.scoreRegress(reg, items)
 	}
 	scoring() // warm the arena slabs and any compiled-layer scratch
 	if n := testing.AllocsPerRun(20, scoring); n != 0 {
@@ -815,8 +743,9 @@ func TestAllocGateCoreScoringF32(t *testing.T) {
 	}
 }
 
-// FuzzLaneDifferential feeds arbitrary stencils through both lanes and
-// holds the differential contract on whatever survives admission: the
+// FuzzLaneDifferential feeds arbitrary stencils through the f32 lane and
+// the float64 oracle and holds the differential contract on whatever
+// survives admission: the
 // checked-in seed corpus covers both dimensionalities and every catalog
 // GPU index class.
 func FuzzLaneDifferential(f *testing.F) {
@@ -848,10 +777,10 @@ func FuzzLaneDifferential(f *testing.F) {
 		}
 		s, err := stencil.New("fuzz", dims, pts)
 		if err != nil {
-			t.Skip() // not an admissible stencil; both lanes reject at Validate
+			t.Skip() // not an admissible stencil; the lane rejects it at Validate
 		}
 		req := ServeRequest{GPU: name, Stencil: s}
-		ref := fw.ServePredictBatch(context.Background(), []ServeRequest{req})[0]
+		ref := serveOracle(fw, req)
 		got := fw.ServePredictBatchF32(context.Background(), []ServeRequest{req}, arena)[0]
 		assertLaneOutcome(t, s.String(), ref, got)
 	})

@@ -89,19 +89,28 @@ func (g *Generator) NextWithOrder(order int) stencil.Stencil {
 	return s
 }
 
+// side is the width of the offset box every generated point lies in.
+const side = 2*stencil.MaxOrder + 1
+
+// cell is p's index in the side^3 box, in canonical (dz, dy, dx) order.
+func cell(p stencil.Point) int {
+	const r = stencil.MaxOrder
+	return ((p.Dz+r)*side+p.Dy+r)*side + p.Dx + r
+}
+
 // orderCandidates collects the distinct neighbors of the previous
 // selection at Chebyshev distance o from the center, in canonical (dz, dy,
-// dx) order: marked on a 9^3 occupancy grid read out in index order.
+// dx) order: marked on the box's occupancy grid read out in index order.
 func (g *Generator) orderCandidates(selected []stencil.Point, o int) []stencil.Point {
-	const r, side = stencil.MaxOrder, 2*stencil.MaxOrder + 1
+	const r = stencil.MaxOrder
 	var marked [side * side * side]bool
 	zr := g.opts.Dims - 2 // the dz reach of a neighbor: 0 in 2-D, 1 in 3-D
 	for _, p := range selected {
 		for dz := p.Dz - zr; dz <= p.Dz+zr; dz++ {
 			for dy := p.Dy - 1; dy <= p.Dy+1; dy++ {
 				for dx := p.Dx - 1; dx <= p.Dx+1; dx++ {
-					if (stencil.Point{Dx: dx, Dy: dy, Dz: dz}).Order() == o {
-						marked[((dz+r)*side+dy+r)*side+dx+r] = true
+					if q := (stencil.Point{Dx: dx, Dy: dy, Dz: dz}); q.Order() == o {
+						marked[cell(q)] = true
 					}
 				}
 			}
@@ -138,7 +147,7 @@ func (g *Generator) sample(candidates []stencil.Point) []stencil.Point {
 // are regenerated (bounded retries) so the training corpus does not
 // contain repeated patterns under different names.
 func (g *Generator) Corpus(n int) []stencil.Stencil {
-	seen := make(map[string]bool, n)
+	seen := make(map[pattern]bool, n)
 	out := make([]stencil.Stencil, 0, n)
 	const maxRetries = 64
 	for len(out) < n {
@@ -171,10 +180,20 @@ func MixedCorpus(n2d, n3d int, maxOrder int, seed int64) ([]stencil.Stencil, err
 	return append(out, g3.Corpus(n3d)...), nil
 }
 
-func patternKey(s stencil.Stencil) string {
-	key := fmt.Sprintf("%dd:", s.Dims)
+// pattern is a stencil's dedup key: its dims and an occupancy bitmap of
+// the side^3 offset box, one bit per point. A canonical stencil is a
+// point set, so two generated stencils share a pattern iff they have the
+// same dims and points.
+type pattern struct {
+	dims int
+	bits [(side*side*side + 63) / 64]uint64
+}
+
+func patternKey(s stencil.Stencil) pattern {
+	k := pattern{dims: s.Dims}
 	for _, p := range s.Points {
-		key += p.String()
+		i := cell(p)
+		k.bits[i/64] |= 1 << (i % 64)
 	}
-	return key
+	return k
 }

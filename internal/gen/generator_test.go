@@ -107,7 +107,7 @@ func TestCorpusDistinctPatterns(t *testing.T) {
 	if len(corpus) != 60 {
 		t.Fatalf("corpus size %d, want 60", len(corpus))
 	}
-	seen := map[string]int{}
+	seen := map[pattern]int{}
 	for _, s := range corpus {
 		seen[patternKey(s)]++
 	}

@@ -114,7 +114,7 @@ func TestTrickledBodyCutAtTimeout(t *testing.T) {
 
 // TestAllocGatePredictHandler bounds the allocations of one /predict
 // through Handler() — decode, stencil, lease, direct tree scoring on the
-// f64 lane, encode — for a named and a raw-points body, warm. A
+// compiled f32 models, encode — for a named and a raw-points body, warm. A
 // per-request goroutine or a buffered copy of the response would show
 // here. sync.Pool drops items at random under the race detector, so the
 // gate runs only without it (check.sh runs it plainly).
@@ -127,8 +127,8 @@ func TestAllocGatePredictHandler(t *testing.T) {
 		name, body string
 		max        float64
 	}{
-		{"named", `{"stencil":"box3d2r","gpu":"V100"}`, 104},
-		{"raw", `{"name":"probe","dims":2,"points":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,-1,0]],"gpu":"A100"}`, 127},
+		{"named", `{"stencil":"box3d2r","gpu":"V100"}`, 86},
+		{"raw", `{"name":"probe","dims":2,"points":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,-1,0]],"gpu":"A100"}`, 109},
 	} {
 		predict := func() {
 			rec := httptest.NewRecorder()

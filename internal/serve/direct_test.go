@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -41,34 +39,6 @@ func nnFramework(t *testing.T) *core.Framework {
 	return nnFw
 }
 
-// serialF32Want is serialWant on the f32 lane: each body scored alone
-// through ServePredictBatchF32 with a private arena.
-func serialF32Want(t *testing.T, fw *core.Framework, bodies []string) map[string][]byte {
-	t.Helper()
-	arena := core.NewServeArena()
-	want := make(map[string][]byte, len(bodies))
-	for _, body := range bodies {
-		var req PredictRequest
-		if err := json.Unmarshal([]byte(body), &req); err != nil {
-			t.Fatal(err)
-		}
-		st, err := stencilFromRequest(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := fw.ServePredictBatchF32(context.Background(), []core.ServeRequest{{GPU: req.GPU, Stencil: st}}, arena)[0]
-		if out.Err != nil {
-			t.Fatal(out.Err)
-		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(out.Prediction); err != nil {
-			t.Fatal(err)
-		}
-		want[body] = buf.Bytes()
-	}
-	return want
-}
-
 // hammer sends every body rounds times from workers concurrent clients
 // and returns each response, grouped by body.
 func hammer(h http.Handler, target string, bodies []string, workers, rounds int) map[string][]*httptest.ResponseRecorder {
@@ -100,51 +70,36 @@ func hammer(h http.Handler, target string, bodies []string, workers, rounds int)
 }
 
 // TestDirectScoringDifferential: a tree framework's requests score on
-// their connections' goroutines, concurrently, and every body is still the serial
-// answer's bytes on both lanes at any GOMAXPROCS; the lane counters see
-// every request and the coalescer none. An nn framework's requests still
-// go through the coalescer.
+// their connections' goroutines, concurrently, and every body is still the
+// serial answer's bytes at any GOMAXPROCS; the coalescer sees none of
+// them. (Subtests are named for the f32 models every request scores on.)
+// An nn framework's requests still go through the coalescer.
 func TestDirectScoringDifferential(t *testing.T) {
-	fw := testFramework(t)
 	bodies := diffBodies(t) // every catalog GPU, 2-D and 3-D shapes
+	want := serialWant(t, bodies)
 	const workers, rounds = 8, 3
-	for _, lane := range []Lane{LaneF64, LaneF32} {
-		var want map[string][]byte
-		if lane == LaneF32 {
-			want = serialF32Want(t, fw, bodies)
-		} else {
-			want = serialWant(t, bodies)
-		}
-		for _, procs := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/GOMAXPROCS%d", lane, procs), func(t *testing.T) {
-				testutil.WithGOMAXPROCS(t, procs, func() {
-					s := hardenedServer(t, Options{MaxInFlight: workers + 1})
-					h := s.Handler()
-					got := hammer(h, "/predict?lane="+string(lane), bodies, workers, rounds)
-					for _, body := range bodies {
-						if len(got[body]) != rounds {
-							t.Fatalf("%s: %d answers, want %d", body, len(got[body]), rounds)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("f32/GOMAXPROCS%d", procs), func(t *testing.T) {
+			testutil.WithGOMAXPROCS(t, procs, func() {
+				s := hardenedServer(t, Options{MaxInFlight: workers + 1})
+				h := s.Handler()
+				got := hammer(h, "/predict", bodies, workers, rounds)
+				for _, body := range bodies {
+					if len(got[body]) != rounds {
+						t.Fatalf("%s: %d answers, want %d", body, len(got[body]), rounds)
+					}
+					for _, rec := range got[body] {
+						if rec.Code != http.StatusOK {
+							t.Fatalf("%s gave %d: %s", body, rec.Code, rec.Body.String())
 						}
-						for _, rec := range got[body] {
-							if rec.Code != http.StatusOK {
-								t.Fatalf("%s gave %d: %s", body, rec.Code, rec.Body.String())
-							}
-							if l := rec.Header().Get("X-Serve-Lane"); l != string(lane) {
-								t.Fatalf("%s scored on lane %q, want %q", body, l, lane)
-							}
-							testutil.AssertSameBytes(t, body, want[body], rec.Body.Bytes())
-						}
+						testutil.AssertSameBytes(t, body, want[body], rec.Body.Bytes())
 					}
-					st := statsOf(t, h)
-					if sent := uint64(len(bodies) * rounds); st.Lanes.F64Requests+st.Lanes.F32Requests != sent {
-						t.Fatalf("lane counters %+v, want %d requests", st.Lanes, sent)
-					}
-					if st.Batch.Requests != 0 || st.Batch.Batches != 0 {
-						t.Fatalf("batch stats %+v: tree requests reached the coalescer", st.Batch)
-					}
-				})
+				}
+				if st := statsOf(t, h); st.Batch.Requests != 0 || st.Batch.Batches != 0 {
+					t.Fatalf("batch stats %+v: tree requests reached the coalescer", st.Batch)
+				}
 			})
-		}
+		})
 	}
 
 	t.Run("nn", func(t *testing.T) {
@@ -155,7 +110,7 @@ func TestDirectScoringDifferential(t *testing.T) {
 		defer s.Close()
 		h := s.Handler()
 		nnBodies := bodies[:8]
-		got := hammer(h, "/predict?lane=f32", nnBodies, workers, 1)
+		got := hammer(h, "/predict", nnBodies, workers, 1)
 		for _, body := range nnBodies {
 			if rec := got[body][0]; rec.Code != http.StatusOK {
 				t.Fatalf("%s gave %d: %s", body, rec.Code, rec.Body.String())

@@ -95,9 +95,8 @@ func TestPredictPanicRecovered(t *testing.T) {
 // TestPredictStatusIgnoresErrorText: the 400 class is decided by the
 // pipeline's ErrBadRequest marker, not by words in the error text. A
 // server-side failure on a stencil the client named "unknown7pt" embeds
-// that name in its message and must still be a 500, on the f64 lane (a
-// stubbed tuning failure) as on any other; a real admission failure on
-// the same stencil stays a 400.
+// that name in its message and must still be a 500 (a stubbed tuning
+// failure); a real admission failure on the same stencil stays a 400.
 func TestPredictStatusIgnoresErrorText(t *testing.T) {
 	s := hardenedServer(t, Options{})
 	h := s.Handler()

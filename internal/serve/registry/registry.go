@@ -34,8 +34,8 @@ type entry struct {
 	fw       *core.Framework
 	refs     int
 	retiring bool
-	// compileMillis is how long the f32 lane took to compile at publish
-	// time; 0 when the model set has no f32 form.
+	// compileMillis is how long the f32 models took to compile at
+	// publish time.
 	compileMillis float64
 }
 
@@ -58,9 +58,9 @@ func New() *Registry {
 }
 
 // Publish adds a trained framework as the next version and makes it
-// current. The f32 lane compiles here, off the serving path; a model set
-// with no f32 form publishes anyway with a zero compile time (its f32
-// requests fail at scoring).
+// current. The f32 models every request scores on compile here, off the
+// serving path; a model set with no f32 form is refused and the current
+// version stays.
 func (r *Registry) Publish(fw *core.Framework) (string, error) {
 	if fw == nil || fw.Trained == nil {
 		return "", ErrUntrained
@@ -68,10 +68,10 @@ func (r *Registry) Publish(fw *core.Framework) (string, error) {
 	// Compile before taking the lock: serving traffic on other versions
 	// must not stall behind a model build.
 	start := time.Now()
-	var compileMillis float64
-	if _, err := fw.CompiledF32(); err == nil {
-		compileMillis = float64(time.Since(start).Nanoseconds()) / 1e6
+	if _, err := fw.CompiledF32(); err != nil {
+		return "", err
 	}
+	compileMillis := float64(time.Since(start).Nanoseconds()) / 1e6
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.nextID++
@@ -192,8 +192,8 @@ type VersionInfo struct {
 	Refs int `json:"refs"`
 	// Retiring marks a version draining toward removal.
 	Retiring bool `json:"retiring,omitempty"`
-	// CompileMillis is the publish-time f32 lane build duration in
-	// milliseconds (0 when the version has no f32 form).
+	// CompileMillis is the publish-time f32 model build duration in
+	// milliseconds.
 	CompileMillis float64 `json:"compile_millis"`
 }
 

@@ -5,12 +5,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"stencilmart/internal/core"
+	"stencilmart/internal/ml"
 )
 
 // trainedStub returns a framework that passes the registry's trained
@@ -49,6 +51,33 @@ func TestPublishRejectsUntrained(t *testing.T) {
 	}
 	if _, err := r.Acquire(""); !errors.Is(err, ErrNoModel) {
 		t.Fatalf("acquire on empty registry gave %v", err)
+	}
+}
+
+// noF32Classifier is a classifier with no compiled f32 form.
+type noF32Classifier struct{}
+
+func (noF32Classifier) FitClassifier([][]float64, []int, int) error { return nil }
+func (noF32Classifier) PredictProbaBatch(rows [][]float64) [][]float64 {
+	return make([][]float64, len(rows))
+}
+
+// TestPublishRefusesModelsWithoutF32Form: every request scores on the
+// compiled f32 models, so a model set that cannot compile is refused and
+// the current version keeps serving.
+func TestPublishRefusesModelsWithoutF32Form(t *testing.T) {
+	r := New()
+	if _, err := r.Publish(trainedStub()); err != nil {
+		t.Fatal(err)
+	}
+	fw := &core.Framework{Trained: &core.Trained{
+		Classifiers: map[string]map[int]ml.Classifier{"V100": {2: noF32Classifier{}}},
+	}}
+	if v, err := r.Publish(fw); err == nil || !strings.Contains(err.Error(), "has no f32 form") {
+		t.Fatalf("publish of a model set with no f32 form gave %q, %v", v, err)
+	}
+	if cur, n := r.CurrentVersion(), len(r.Versions()); cur != "v1" || n != 1 {
+		t.Fatalf("after the refused publish: current %q, %d versions; want v1 alone", cur, n)
 	}
 }
 

@@ -4,9 +4,11 @@
 // times on every catalog GPU, and the rent-advisor verdict. It never
 // trains or profiles; it serves checkpoints.
 //
-// A tree-model request (core.Framework.ServeConcurrent) scores on its
-// connection's goroutine; nn requests, whose forwards own layer scratch,
-// coalesce into batches on one serialized lane (internal/serve/batch).
+// Every request scores on the framework's compiled float32 models
+// (core.Framework.ServePredictBatch). A tree-model request
+// (core.Framework.ServeConcurrent) scores on its connection's goroutine;
+// nn requests, whose forwards own layer scratch, coalesce into batches on
+// one serialized lane (internal/serve/batch).
 // Models live in a versioned registry (internal/serve/registry) whose
 // refcounted handles let checkpoints hot-swap under load.
 //
@@ -27,7 +29,6 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,29 +56,17 @@ const DefaultBatchSize = 32
 // MaxRequestBytes bounds a /predict body; larger requests get 413.
 const MaxRequestBytes = 1 << 20
 
-// Lane selects which numeric inference path scores a request: the
-// float64 reference pipeline or the compiled float32 one. Decisions agree
-// away from documented ties (DESIGN.md §12).
+// Lane and its constants are vestigial: every request scores on the
+// compiled f32 models, and /predict ignores ?lane= like any unknown query
+// parameter. They stay only for bench/ (bench/serve.go:18,
+// bench/fixture.go:207-216, bench/layers_serve.go:236), ROADMAP item 1(c).
 type Lane string
 
+// The two names bench/ passes around.
 const (
-	// LaneF64 is the float64 reference pipeline — the default.
 	LaneF64 Lane = "f64"
-	// LaneF32 is the compiled float32 inference lane.
 	LaneF32 Lane = "f32"
 )
-
-// ParseLane validates a lane name ("" selects the default f64 lane).
-func ParseLane(s string) (Lane, error) {
-	switch Lane(s) {
-	case "":
-		return LaneF64, nil
-	case LaneF64, LaneF32:
-		return Lane(s), nil
-	default:
-		return "", fmt.Errorf("unknown lane %q (f32, f64)", s)
-	}
-}
 
 // Options tunes the hardened server; zero values select the defaults
 // and negative numbers are refused (Validate).
@@ -89,9 +78,6 @@ type Options struct {
 	MaxInFlight int
 	// BatchSize caps a coalesced batch (DefaultBatchSize if 0).
 	BatchSize int
-	// Lane is the default inference lane for requests that don't pin one
-	// with ?lane= (LaneF64 if empty).
-	Lane Lane
 }
 
 // Validate refuses negative knobs, which replacing silently would hide.
@@ -157,19 +143,18 @@ func (s *endpointStats) snapshot() EndpointSnapshot {
 
 // predictJob is one admitted /predict request: its model lease, the
 // request, and its context (carrying the deadline into scoring). The
-// lease is released once — by scoreBatch, or where the job is refused.
+// lease is released once — by scoreBatch or scoreDirect, or where the
+// job is refused.
 type predictJob struct {
-	h    *registry.Handle
-	req  core.ServeRequest
-	lane Lane
-	ctx  context.Context
+	h   *registry.Handle
+	req core.ServeRequest
+	ctx context.Context
 }
 
-// predictResult is a scored job's prediction plus the lane and model
-// version that scored it, which the handler puts in response headers.
+// predictResult is a scored job's prediction plus the model version that
+// scored it, which the handler puts in a response header.
 type predictResult struct {
 	pred    *core.ServePrediction
-	lane    Lane
 	version string
 }
 
@@ -177,7 +162,7 @@ type predictResult struct {
 // tests substitute doubles that block or panic.
 type predictBatchFn func(fw *core.Framework, ctx context.Context, reqs []core.ServeRequest) []core.ServeOutcome
 
-// servePredictBatch is the real f64 scoring step. Its address marks the
+// servePredictBatch is the real scoring step. Its address marks the
 // server's predictFn as the default, the only one scored off the lane.
 var servePredictBatch predictBatchFn = (*core.Framework).ServePredictBatch
 
@@ -189,15 +174,6 @@ type Server struct {
 	closed  atomic.Bool // set by Close; refuses direct scoring
 	timeout time.Duration
 	started time.Time
-	lane    Lane // default lane for requests without ?lane=
-
-	// arenas holds the f32 lane's per-call scratch: each scoring call
-	// takes its own, since direct calls run concurrently.
-	arenas sync.Pool
-
-	// laneF64/laneF32 count /predict requests scored per lane.
-	laneF64 atomic.Uint64
-	laneF32 atomic.Uint64
 
 	healthz endpointStats
 	statsz  endpointStats
@@ -211,8 +187,9 @@ type Server struct {
 	shed     atomic.Uint64
 	oversize atomic.Uint64
 
-	// predictFn is the batch prediction step, swapped atomically because
-	// scoring goroutines read it while tests replace it.
+	// predictFn is the batch prediction step for every request, swapped
+	// atomically because scoring goroutines read it while tests replace
+	// it.
 	predictFn atomic.Pointer[predictBatchFn]
 }
 
@@ -229,7 +206,10 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 	}
 	reg := registry.New()
 	if _, err := reg.Publish(fw); err != nil {
-		return nil, fmt.Errorf("serve: framework has no trained models (train or load a checkpoint first)")
+		if errors.Is(err, registry.ErrUntrained) {
+			return nil, fmt.Errorf("serve: framework has no trained models (train or load a checkpoint first)")
+		}
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if opts.Timeout == 0 {
 		opts.Timeout = DefaultTimeout
@@ -240,16 +220,10 @@ func NewWithOptions(fw *core.Framework, opts Options) (*Server, error) {
 	if opts.BatchSize == 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
-	lane, err := ParseLane(string(opts.Lane))
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
 	s := &Server{
 		reg:      reg,
 		timeout:  opts.Timeout,
 		started:  time.Now(),
-		lane:     lane,
-		arenas:   sync.Pool{New: func() any { return core.NewServeArena() }},
 		inflight: make(chan struct{}, opts.MaxInFlight),
 	}
 	s.setPredict(nil)
@@ -290,23 +264,34 @@ func (s *Server) direct(h *registry.Handle) bool {
 	return s.predictFn.Load() == &servePredictBatch && h.Framework().ServeConcurrent()
 }
 
-// group is one (leased version, lane) slice of a batch: the requests
-// that score together through one pipeline call.
-type group struct {
-	version string
-	lane    Lane
+// scoreDirect scores a direct request on its connection's goroutine,
+// under the request's own context: refused after Close like a queued
+// one, rejected with the context error once expired (504, no scoring
+// call), and its lease released on every path.
+func (s *Server) scoreDirect(j predictJob) (predictResult, error) {
+	defer j.h.Release()
+	if s.closed.Load() {
+		return predictResult{}, batch.ErrClosed
+	}
+	if err := j.ctx.Err(); err != nil {
+		return predictResult{}, err
+	}
+	res, err := s.scoreVia(j.ctx, j.h.Framework(), []core.ServeRequest{j.req})
+	if err != nil {
+		return predictResult{}, err
+	}
+	return predictResult{pred: res[0].Prediction, version: j.h.Version()}, res[0].Err
 }
 
-// scoreBatch is the coalescer's score function, and a direct request's
-// with a batch of one. Jobs whose context already expired are rejected with the
-// context error (504, no scoring call). The survivors group by leased
-// (version, lane) pair, each group scores through one batched call under
-// the batch's earliest deadline, and all leases release on the way out —
-// panics included.
+// scoreBatch is the coalescer's score function. Jobs whose context
+// already expired are rejected with the context error (504, no scoring
+// call). The survivors group by leased version, each group scores
+// through one batched call under the batch's earliest deadline, and all
+// leases release on the way out — panics included.
 func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 	outs := make([]batch.Outcome[predictResult], len(jobs))
-	byGroup := make(map[group][]int)
-	var order []group
+	byVersion := make(map[string][]int)
+	var order []string
 	var earliest time.Time
 	haveDeadline := false
 	for i, j := range jobs {
@@ -318,11 +303,11 @@ func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 		if d, ok := j.ctx.Deadline(); ok && (!haveDeadline || d.Before(earliest)) {
 			earliest, haveDeadline = d, true
 		}
-		g := group{version: j.h.Version(), lane: j.lane}
-		if _, seen := byGroup[g]; !seen {
-			order = append(order, g)
+		v := j.h.Version()
+		if _, seen := byVersion[v]; !seen {
+			order = append(order, v)
 		}
-		byGroup[g] = append(byGroup[g], i)
+		byVersion[v] = append(byVersion[v], i)
 	}
 	ctx := context.Background()
 	if haveDeadline {
@@ -330,16 +315,16 @@ func (s *Server) scoreBatch(jobs []predictJob) []batch.Outcome[predictResult] {
 		ctx, cancel = context.WithDeadline(ctx, earliest)
 		defer cancel()
 	}
-	for _, g := range order {
-		s.scoreGroup(ctx, g, byGroup[g], jobs, outs)
+	for _, v := range order {
+		s.scoreGroup(ctx, v, byVersion[v], jobs, outs)
 	}
 	return outs
 }
 
-// scoreGroup scores one same-(version, lane) slice of a batch. Each
-// request keeps its own outcome (a 400 stays a 400 in an expired batch);
-// only a scoring panic or a mis-shaped result fails the whole group.
-func (s *Server) scoreGroup(ctx context.Context, g group, idxs []int, jobs []predictJob, outs []batch.Outcome[predictResult]) {
+// scoreGroup scores one same-version slice of a batch. Each request keeps
+// its own outcome (a 400 stays a 400 in an expired batch); only a scoring
+// panic or a mis-shaped result fails the whole group.
+func (s *Server) scoreGroup(ctx context.Context, version string, idxs []int, jobs []predictJob, outs []batch.Outcome[predictResult]) {
 	defer func() {
 		for _, i := range idxs {
 			jobs[i].h.Release()
@@ -349,39 +334,30 @@ func (s *Server) scoreGroup(ctx context.Context, g group, idxs []int, jobs []pre
 	for k, i := range idxs {
 		reqs[k] = jobs[i].req
 	}
-	res, err := s.scoreVia(ctx, jobs[idxs[0]].h.Framework(), g.lane, reqs)
+	res, err := s.scoreVia(ctx, jobs[idxs[0]].h.Framework(), reqs)
 	for k, i := range idxs {
 		if err != nil {
 			outs[i] = batch.Outcome[predictResult]{Err: err}
 			continue
 		}
 		outs[i] = batch.Outcome[predictResult]{
-			Value: predictResult{pred: res[k].Prediction, lane: g.lane, version: g.version},
+			Value: predictResult{pred: res[k].Prediction, version: version},
 			Err:   res[k].Err,
 		}
 	}
 }
 
-// scoreVia runs one batched scoring call on (fw, lane), converting a
-// panic or mis-shaped result into an error for the whole group. The f32
-// lane scores over an arena of its own; the f64 lane goes through
-// predictFn, which tests substitute.
-func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, lane Lane, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
+// scoreVia runs one batched scoring call on fw through predictFn, which
+// tests substitute, converting a panic or mis-shaped result into an error
+// for the whole group.
+func (s *Server) scoreVia(ctx context.Context, fw *core.Framework, reqs []core.ServeRequest) (res []core.ServeOutcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.panics.Add(1)
 			res, err = nil, fmt.Errorf("internal error: predict panicked: %v", v)
 		}
 	}()
-	if lane == LaneF32 {
-		s.laneF32.Add(uint64(len(reqs)))
-		arena := s.arenas.Get().(*core.ServeArena)
-		defer s.arenas.Put(arena)
-		res = fw.ServePredictBatchF32(ctx, reqs, arena)
-	} else {
-		s.laneF64.Add(uint64(len(reqs)))
-		res = (*s.predictFn.Load())(fw, ctx, reqs)
-	}
+	res = (*s.predictFn.Load())(fw, ctx, reqs)
 	if len(res) != len(reqs) {
 		return nil, fmt.Errorf("internal error: predict returned %d outcomes for %d requests", len(res), len(reqs))
 	}
@@ -485,18 +461,7 @@ type StatsResponse struct {
 	// Batch counts coalesced requests only: nn models' (and test
 	// doubles'); tree requests score off the lane.
 	Batch  batch.Stats            `json:"batch"`
-	Lanes  LaneSnapshot           `json:"lanes"`
 	Models []registry.VersionInfo `json:"models"`
-}
-
-// LaneSnapshot reports how /predict traffic split across the lanes.
-type LaneSnapshot struct {
-	// DefaultLane is the lane requests without ?lane= ride.
-	DefaultLane Lane `json:"default_lane"`
-	// F32Requests counts requests scored through the compiled f32 lane.
-	F32Requests uint64 `json:"f32_requests"`
-	// F64Requests counts requests scored through the f64 reference lane.
-	F64Requests uint64 `json:"f64_requests"`
 }
 
 // FaultSnapshot reports the hardening counters.
@@ -556,12 +521,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 			LoadShed:         s.shed.Load(),
 			OversizeRequests: s.oversize.Load(),
 		},
-		Batch: s.co.Stats(),
-		Lanes: LaneSnapshot{
-			DefaultLane: s.lane,
-			F32Requests: s.laneF32.Load(),
-			F64Requests: s.laneF64.Load(),
-		},
+		Batch:  s.co.Stats(),
 		Models: s.reg.Versions(),
 	})
 }
@@ -786,22 +746,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// ?lane=f32|f64 overrides the server's default inference lane.
-	query := r.URL.Query()
-	lane := s.lane
-	if q := query.Get("lane"); q != "" {
-		lane, err = ParseLane(q)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-			return
-		}
-	}
-
 	// Lease a model version: ?model=vN pins one, otherwise the request
 	// follows the registry's current pointer. The lease travels with the
 	// job and is released after scoring, so a hot-swap can never free a
-	// version out from under an in-flight request.
-	h, err := s.reg.Acquire(query.Get("model"))
+	// version out from under an in-flight request. Other query parameters
+	// (?lane= among them) are ignored.
+	h, err := s.reg.Acquire(r.URL.Query().Get("model"))
 	if err != nil {
 		status := http.StatusServiceUnavailable
 		if errors.Is(err, registry.ErrUnknownVersion) || errors.Is(err, registry.ErrRetiring) {
@@ -812,27 +762,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// An expired context here (budget spent during decode) must not
-	// reach scoring; scoreBatch would reject it anyway, but checking
-	// first keeps the 504 ahead of the admission path.
+	// reach scoring; scoreBatch and scoreDirect would reject it anyway,
+	// but checking first keeps the 504 ahead of the admission path.
 	if err := ctx.Err(); err != nil {
 		h.Release()
 		s.writeExpired(w, serverDeadline, "deadline already expired")
 		return
 	}
 
-	job := predictJob{h: h, req: core.ServeRequest{GPU: req.GPU, Stencil: st}, lane: lane, ctx: ctx}
-	// A direct request scores here as a batch of one, through the path
-	// the lane runs; after Close it is refused like a queued one.
+	job := predictJob{h: h, req: core.ServeRequest{GPU: req.GPU, Stencil: st}, ctx: ctx}
 	var res predictResult
-	switch {
-	case !s.direct(h):
+	if s.direct(h) {
+		res, err = s.scoreDirect(job)
+	} else {
 		res, err = s.co.Do(ctx, job)
-	case s.closed.Load():
-		h.Release()
-		err = batch.ErrClosed
-	default:
-		out := s.scoreBatch([]predictJob{job})[0]
-		res, err = out.Value, out.Err
 	}
 	if err != nil {
 		if status := predictStatus(err); status == http.StatusGatewayTimeout {
@@ -843,9 +786,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	failed = false
-	// Name the lane and model version that scored the request; the body
-	// stays the pipeline's.
-	w.Header().Set("X-Serve-Lane", string(res.lane))
+	// Name the model version that scored the request; the body stays the
+	// pipeline's.
 	w.Header().Set("X-Serve-Model", res.version)
 	writeJSON(w, http.StatusOK, res.pred)
 }

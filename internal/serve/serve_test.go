@@ -134,6 +134,27 @@ func TestPredictNamedStencil(t *testing.T) {
 	}
 }
 
+// TestPredictIgnoresLaneParam: every request scores on the compiled f32
+// models, so ?lane= is an ignored query parameter like any unknown one —
+// a lane name and a bogus one both answer 200 with the default body.
+func TestPredictIgnoresLaneParam(t *testing.T) {
+	h := testServer(t).Handler()
+	post := func(target string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, strings.NewReader(`{"stencil":"star2d2r","gpu":"A100"}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s gave %d: %s", target, rec.Code, rec.Body.String())
+		}
+		return rec
+	}
+	want := post("/predict").Body.Bytes()
+	for _, target := range []string{"/predict?lane=f32", "/predict?lane=bogus"} {
+		if got := post(target).Body.Bytes(); !bytes.Equal(got, want) {
+			t.Errorf("%s answered %s, want the default body %s", target, got, want)
+		}
+	}
+}
+
 func TestPredictRawOffsets(t *testing.T) {
 	h := testServer(t).Handler()
 	body := `{"name":"probe","dims":2,"points":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,-1,0]],"gpu":"A100"}`
