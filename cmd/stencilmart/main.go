@@ -10,8 +10,7 @@
 //	stencilmart profile    -out dataset.bin [-preset paper]
 //	stencilmart train      -dataset dataset.bin -out model.ckpt
 //	stencilmart predict    -model model.ckpt -stencil star2d2r -gpu V100
-//	stencilmart serve      -model model.ckpt -addr :8080 [-batch-size 32]
-//	stencilmart loadgen    -url http://127.0.0.1:8080 -clients 8 -n 50 [-fail-on-error]
+//	stencilmart serve      -model model.ckpt -addr :8080
 //	stencilmart simulate   -stencil box3d2r -gpu A100 -oc ST_RT_PR
 //	stencilmart experiment -id fig9 [-preset paper]
 //	stencilmart experiment -id all
@@ -55,8 +54,6 @@ func main() {
 		err = cmdPredict(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "simulate":
 		err = cmdSimulate(os.Args[2:])
 	case "experiment":
@@ -83,7 +80,6 @@ commands:
   train       train every serving model on a profiled dataset and write a checkpoint
   predict     predict the best optimization combination from a trained checkpoint
   serve       serve predictions over HTTP from a trained checkpoint
-  loadgen     drive a running server with concurrent clients and count failed requests
   simulate    run one kernel configuration on the simulated GPU
   experiment  regenerate a paper table/figure (table1-3, fig1-4, fig9-15, scale, all)
 
@@ -164,8 +160,8 @@ func printTensor(s stencil.Stencil) {
 }
 
 // signalContext returns a context cancelled on SIGINT/SIGTERM, so long
-// pipeline runs flush their journal and exit cleanly instead of dying
-// mid-write.
+// pipeline runs stop between units of work and exit without writing a
+// partial output file.
 func signalContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
@@ -175,7 +171,6 @@ func cmdProfile(args []string) error {
 	out := fs.String("out", "dataset.bin", "output dataset path")
 	preset := fs.String("preset", "default", "pipeline preset (default, paper, smoke)")
 	seed := fs.Int64("seed", 0, "override pipeline seed")
-	journal := fs.String("journal", "", "collection journal path for crash/interrupt resume (default <out>.journal, \"off\" disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -189,39 +184,16 @@ func cmdProfile(args []string) error {
 	}
 	fmt.Printf("profiling %d stencils x %d GPUs x %d OCs x %d settings...\n",
 		len(corpus), len(gpu.Catalog()), opt.NumCombinations, cfg.SamplesPerOC)
-
-	jpath := *journal
-	if jpath == "" {
-		jpath = *out + ".journal"
-	}
 	ctx, stop := signalContext()
 	defer stop()
-
-	var ds *profile.Dataset
-	if jpath == "off" {
-		ds, err = p.Collect(ctx, corpus, gpu.Catalog())
-	} else {
-		var st profile.ResumeStats
-		ds, st, err = p.CollectJournal(ctx, jpath, corpus, gpu.Catalog())
-		if st.Resumed > 0 {
-			fmt.Printf("resumed %d/%d cells from %s (re-measuring %d)\n", st.Resumed, st.Cells, jpath, st.Measured)
-		}
-		if st.RepairedBytes > 0 {
-			fmt.Printf("journal had a damaged tail; dropped %d bytes and re-measured the affected cells\n", st.RepairedBytes)
-		}
-		if err != nil {
-			return fmt.Errorf("%w\ncompleted cells are saved in %s — rerun the same command to resume", err, jpath)
-		}
-	}
+	// An interrupted run writes nothing (WriteFile is atomic and runs
+	// only on success); rerunning the command reproduces the bytes.
+	ds, err := p.Collect(ctx, corpus, gpu.Catalog())
 	if err != nil {
 		return err
 	}
 	if err := ds.WriteFile(*out); err != nil {
 		return err
-	}
-	if jpath != "off" {
-		// The dataset is durable; the journal has served its purpose.
-		os.Remove(jpath)
 	}
 	fmt.Printf("wrote %s: %d stencils, %d instances\n", *out, len(ds.Stencils), len(ds.Instances))
 	return nil
@@ -299,11 +271,10 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (use :0 for a random port)")
 	timeout := fs.Duration("timeout", serve.DefaultTimeout, "per-request prediction timeout")
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /predict requests admitted before shedding with 503")
-	batchSize := fs.Int("batch-size", serve.DefaultBatchSize, "max requests coalesced into one model call (1 = serial baseline)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	opts := serve.Options{Timeout: *timeout, MaxInFlight: *maxInFlight, BatchSize: *batchSize}
+	opts := serve.Options{Timeout: *timeout, MaxInFlight: *maxInFlight}
 	// Zero selects a default; a negative number is a malformed flag, and
 	// exits 2 before the checkpoint is read, as the flag package does.
 	if err := opts.Validate(); err != nil {

@@ -73,13 +73,17 @@ func TestLoadFrameworkRefusesAJSONDataset(t *testing.T) {
 
 // TestProfileThenTrainMatchesBuild: the CLI's two-step path — profile to a
 // dataset file, then train on it — writes the checkpoint that building
-// the same preset in memory and training it writes, byte for byte.
+// the same preset in memory and training it writes, byte for byte, and
+// profile leaves nothing beside the dataset file.
 func TestProfileThenTrainMatchesBuild(t *testing.T) {
 	dir := t.TempDir()
 	dataset := filepath.Join(dir, "dataset.bin")
 	ckpt := filepath.Join(dir, "model.ckpt")
-	if err := cmdProfile([]string{"-preset", "smoke", "-journal", "off", "-out", dataset}); err != nil {
+	if err := cmdProfile([]string{"-preset", "smoke", "-out", dataset}); err != nil {
 		t.Fatal(err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "*")); len(left) != 1 || left[0] != dataset {
+		t.Fatalf("profile left %q, want only %s", left, dataset)
 	}
 	if err := cmdTrain([]string{"-preset", "smoke", "-dataset", dataset, "-out", ckpt}); err != nil {
 		t.Fatal(err)
@@ -163,9 +167,10 @@ func TestBadFlagsRefusedBeforeLoading(t *testing.T) {
 		{cmdPredict, []string{"-model", model, "-stencil", "blob2d1r"}, "unknown shape prefix"},
 		{cmdTrain, []string{"-dataset", missing, "-classifier", "SVM"}, "unknown classifier"},
 		{cmdTrain, []string{"-dataset", missing, "-regressor", "SVR"}, "unknown regressor"},
-		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos"}, exitUndefined},
-		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off", "-chaos-seed", "1"}, exitUndefined},
-		{cmdServe, []string{"-model", model, "-batch-size", "-3"}, exitNegative},
+		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-chaos"}, exitUndefined},
+		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-chaos-seed", "1"}, exitUndefined},
+		{cmdProfile, []string{"-preset", "smoke", "-out", missing, "-journal", "off"}, exitUndefined},
+		{cmdServe, []string{"-model", model, "-batch-size", "8"}, exitUndefined},
 		{cmdServe, []string{"-model", model, "-max-inflight", "-1"}, exitNegative},
 		{cmdServe, []string{"-model", model, "-timeout", "-1s"}, exitNegative},
 	}

@@ -18,10 +18,10 @@
 // full collection identity, and divergent duplicate cells fail the
 // merge instead of silently last-winning.
 //
-// Nothing in the command-line tool reaches this package: one-process
-// collection (profile.Profiler.CollectJournal) is the product path. The
-// benchmark's in-process campaign probe (bench/layers_collect.go) is its
-// only caller, and the package goes when that probe does.
+// Nothing in the command-line tool reaches this package: one in-memory
+// pass (profile.Profiler.Collect) is the product path. The benchmark's
+// in-process campaign probe (bench/layers_collect.go) is its only
+// caller: the package stays only for bench/, ROADMAP item 22.
 package campaign
 
 import (

@@ -193,11 +193,13 @@ func (f *Framework) contextReps(archIdx int, trainIdx []int, perClass int) [][]o
 	return out
 }
 
-// searchPredicted tunes a test stencil the way a deployed StencilMART
-// would: the SamplesPerOC budget is split between the top two members of
+// searchPredicted is Figs. 10/11's hedged search, not what /predict
+// does: the SamplesPerOC budget is split between the top two members of
 // the most probable class (2:1) and the runner-up class's best member
 // (hedging against mispredictions exactly as Artemis hedges across its
 // candidate extensions). The total budget matches the baselines'.
+// /predict's tuneForClass instead spends the whole budget on the top
+// class's single representative and moves on only if it crashes.
 func (f *Framework) searchPredicted(proba []float64, archIdx, si int, arch gpu.Arch, reps [][]opt.Opt) float64 {
 	order := classOrder(proba)
 	budget := f.Cfg.SamplesPerOC

@@ -26,7 +26,8 @@ import (
 // the first damaged one, reporting the byte offset of the good prefix —
 // the caller truncates there and re-does only the damaged tail. A record
 // has no terminator to resynchronise on: everything behind a damaged
-// record is part of the tail.
+// record is part of the tail. The journal's only remaining user is
+// bench/, so this file stays only for bench/, ROADMAP item 22.
 
 // walHeader is the log's first line: the checkpoint identity with the
 // meta payload inline, so the whole header stays one line.

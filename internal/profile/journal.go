@@ -106,6 +106,7 @@ func (cs *cellSet) missing() []int {
 }
 
 // ResumeStats reports what CollectJournal recovered versus re-measured.
+// It stays only for bench/, ROADMAP item 22.
 type ResumeStats struct {
 	// Cells is the total cell count of the collection.
 	Cells int
@@ -145,7 +146,9 @@ func (p *Profiler) journalMeta(stencils []stencil.Stencil, archs []gpu.Arch) (jo
 // journal's cells are replayed instead of re-measured. The assembled
 // dataset is bitwise-identical to an uninterrupted Collect. On failure
 // (cancellation, a non-finite time, a panic) the journal keeps every
-// completed cell; rerun with the same arguments to resume.
+// completed cell; rerun with the same arguments to resume. No command
+// calls it: it stays only for bench/ (bench/collect.go,
+// bench/layers_collect.go), ROADMAP item 22.
 func (p *Profiler) CollectJournal(ctx context.Context, path string, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, ResumeStats, error) {
 	all := newCellSet(len(stencils), archs).missing() // every cell
 	cells, st, err := p.collectInto(ctx, path, stencils, archs, all, nil)

@@ -211,8 +211,8 @@ func (p *Profiler) measureCells(ctx context.Context, stencils []stencil.Stencil,
 // cell-index order, so the dataset is byte-identical for any worker
 // count (the serial reference is Workers == 1) — the property the
 // differential suite enforces. Cancelling ctx stops dispatch after
-// in-flight cells finish; for a collection that survives kills, see
-// CollectJournal.
+// in-flight cells finish and returns no dataset; rerunning the same
+// collection reproduces the bytes.
 func (p *Profiler) Collect(ctx context.Context, stencils []stencil.Stencil, archs []gpu.Arch) (*Dataset, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -17,7 +17,9 @@ import (
 // same kind, version, and identity meta; shard boundaries are not part
 // of the identity — so shards, serial journals, and re-sharded resumes
 // are interchangeable inputs to MergeJournals, and a merged campaign
-// assembles the same bytes a serial CollectJournal run would.
+// assembles the same bytes a serial CollectJournal run would. This file
+// stays only for bench/ (bench/layers_collect.go and, through
+// internal/campaign, its campaign probe), ROADMAP item 22.
 
 // ErrJournalIncomplete reports a merge over shards that do not cover
 // every cell of the collection — the campaign is not finished yet.

@@ -39,7 +39,7 @@ type ScoreFunc[Q, R any] func(reqs []Q) []Outcome[R]
 // Options tunes a Coalescer.
 type Options[Q any] struct {
 	// Window is ignored: the lane never waits for batchmates. It stays
-	// only for bench/layers_serve.go, ROADMAP item 1(ii).
+	// only for bench/layers_serve.go, ROADMAP item 22.
 	Window time.Duration
 	// MaxBatch caps a batch. Values < 1 mean 1 (no coalescing; requests
 	// score one at a time through the same serialized lane).
@@ -56,7 +56,7 @@ type Stats struct {
 	Requests uint64 `json:"requests"`
 	// SizeFlushes counts the batches that filled to MaxBatch;
 	// WindowFlushes every batch that took less (no window exists; the
-	// name is bench/layers_serve.go's, ROADMAP item 1(ii)).
+	// name is bench/layers_serve.go's, ROADMAP item 22).
 	SizeFlushes   uint64 `json:"size_flushes"`
 	WindowFlushes uint64 `json:"window_flushes"`
 	// Dropped counts requests failed without scoring.

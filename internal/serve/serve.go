@@ -47,7 +47,7 @@ const DefaultTimeout = 30 * time.Second
 const DefaultMaxInFlight = 64
 
 // DefaultBatchWindow is vestigial (the coalescer has no window); it
-// stays only for bench/layers_serve.go, ROADMAP item 1(ii).
+// stays only for bench/layers_serve.go, ROADMAP item 22.
 const DefaultBatchWindow time.Duration = 0
 
 // DefaultBatchSize caps a coalesced batch.
@@ -59,7 +59,7 @@ const MaxRequestBytes = 1 << 20
 // Lane and its constants are vestigial: every request scores on the
 // compiled f32 models, and /predict ignores ?lane= like any unknown query
 // parameter. They stay only for bench/ (bench/serve.go:18,
-// bench/fixture.go:207-216, bench/layers_serve.go:236), ROADMAP item 1(c).
+// bench/fixture.go:207-216, bench/layers_serve.go:236), ROADMAP item 22.
 type Lane string
 
 // The two names bench/ passes around.
@@ -473,7 +473,7 @@ type FaultSnapshot struct {
 	// OversizeRequests counts bodies refused with 413.
 	OversizeRequests uint64 `json:"oversize_requests"`
 	// DegradedRequests is always 0: nothing reroutes a request. It stays
-	// only for bench/, ROADMAP item 1(c).
+	// only for bench/, ROADMAP item 22.
 	DegradedRequests uint64 `json:"degraded_requests"`
 }
 

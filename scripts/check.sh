@@ -160,7 +160,7 @@ done
 # Non-test Go lines outside bench/: the ROADMAP's consolidation target
 # (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
 # lowers it to its own count; one that ends above it fails here.
-max_lines=15168
+max_lines=15036
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
 echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
 if [ "$lines" -gt "$max_lines" ]; then
