@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -217,5 +218,32 @@ func TestFeatureRowWidths(t *testing.T) {
 	trow := regRow(RegConvMLP, s, oc, p, arch)
 	if len(trow) != len(classEncode(ClassConvNet, s))+wantTail {
 		t.Errorf("tensor row width %d", len(trow))
+	}
+}
+
+// TestCancelledContextStopsBuildAndTrainAll: Build under a cancelled
+// context returns an error wrapping context.Canceled and no framework,
+// and TrainAll under one returns context.Canceled and drops any trained
+// set it would have replaced.
+func TestCancelledContextStopsBuildAndTrainAll(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	fw, err := Build(ctx, SmokeConfig())
+	if !errors.Is(err, context.Canceled) || fw != nil {
+		t.Fatalf("Build under a cancelled context: framework %p, err %v; want nil and context.Canceled", fw, err)
+	}
+
+	base := ckptFramework(t)
+	fresh, err := FromDataset(base.Cfg, base.Dataset, base.Model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Trained = &Trained{}
+	if err := fresh.TrainAll(ctx, ClassGBDT, RegGB); !errors.Is(err, context.Canceled) {
+		t.Fatalf("TrainAll under a cancelled context: err %v, want context.Canceled", err)
+	}
+	if fresh.Trained != nil {
+		t.Fatal("TrainAll under a cancelled context left a trained set")
 	}
 }

@@ -69,9 +69,9 @@ func regTailRowInto(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch, 
 	arch.FeaturesInto(dst[nf+np : nf+np+ng])
 
 	order := float64(s.Order())
-	cover := math.Log2(float64(maxi(p.Merge, 1)) * float64(maxi(p.Unroll, 1)) * float64(maxi(p.StreamTile, 1)))
+	cover := math.Log2(float64(max(p.Merge, 1)) * float64(max(p.Unroll, 1)) * float64(max(p.StreamTile, 1)))
 	haloX := order / float64(p.BlockX)
-	haloY := order / float64(p.BlockY*maxi(p.Merge, 1))
+	haloY := order / float64(p.BlockY*max(p.Merge, 1))
 	bmX := 0.0
 	if oc.Has(opt.BM) && p.MergeDim == 1 {
 		bmX = float64(p.Merge)
@@ -102,13 +102,6 @@ var regInteractionNames = []string{
 
 // regTailWidth is the width of regTailRowInto's output.
 var regTailWidth = len(opt.FlagNames) + len(opt.ParamFeatureNames) + len(gpu.FeatureNames) + len(regInteractionNames)
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
 
 // regWidthFor is the regressor input width for a mechanism and
 // dimensionality.

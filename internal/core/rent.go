@@ -85,11 +85,21 @@ func (f *Framework) RentStudy(kind RegressorKind, dims int, costBased bool, eval
 	hits := make([]int, len(archs))
 	combos := opt.Combinations()
 	rng := rand.New(rand.NewSource(f.Cfg.Seed + 29))
-	metric := func(a gpu.Arch, seconds float64) float64 {
+	// winner is the index into archs of the GPU /predict's advice picks
+	// from the candidates' index-aligned seconds: the fastest, or the
+	// cheapest when cost-based.
+	winner := func(cands []gpu.Arch, seconds []float64) int {
+		adv := rentAdvice("", cands, seconds)
+		name := adv.BestArch
 		if costBased {
-			return seconds * a.RentalPerHour
+			name = adv.BestCostArch
 		}
-		return seconds
+		for ai, a := range archs {
+			if a.Name == name {
+				return ai
+			}
+		}
+		return -1
 	}
 
 	// Iterate the held-out fold in its stored order (not map order) so the
@@ -106,43 +116,33 @@ func (f *Framework) RentStudy(kind RegressorKind, dims int, costBased bool, eval
 		for e := 0; e < evalPerStencil; e++ {
 			oc := combos[rng.Intn(len(combos))]
 			params := opt.Sample(oc, s.Dims, rng)
-			truthBest, predBest := -1, -1
-			truthVal, predVal := math.Inf(1), math.Inf(1)
 			// Measure ground truth on every GPU first; only the GPUs whose
-			// simulation succeeds compete, exactly as before.
-			alive := make([]int, 0, len(archs))
+			// simulation succeeds compete.
+			cands := make([]gpu.Arch, 0, len(archs))
 			times := make([]float64, 0, len(archs))
-			for ai := range archs {
+			for ai, a := range archs {
 				r, err := evals[ai](oc, params)
 				if err != nil {
 					continue
 				}
-				alive = append(alive, ai)
+				cands = append(cands, a)
 				times = append(times, r.Time)
 			}
 			// One batched forward ranks all surviving GPUs.
-			ins := make([]profile.Instance, len(alive))
-			for i, ai := range alive {
+			ins := make([]profile.Instance, len(cands))
+			for i, a := range cands {
 				ins[i] = profile.Instance{
-					StencilIdx: si, OC: oc, Params: params, Arch: archs[ai].Name,
+					StencilIdx: si, OC: oc, Params: params, Arch: a.Name,
 				}
 			}
 			preds, err := tr.PredictSecondsBatch(ins)
 			if err != nil {
 				return RentReport{}, err
 			}
-			for i, ai := range alive {
-				a := archs[ai]
-				if tv := metric(a, times[i]); tv < truthVal {
-					truthVal, truthBest = tv, ai
-				}
-				if pv := metric(a, preds[i]); pv < predVal {
-					predVal, predBest = pv, ai
-				}
-			}
-			if len(alive) < 2 {
+			if len(cands) < 2 {
 				continue // not a meaningful comparison
 			}
+			truthBest, predBest := winner(cands, times), winner(cands, preds)
 			report.Instances++
 			wins[truthBest]++
 			if predBest == truthBest {

@@ -13,7 +13,6 @@ import (
 
 	"stencilmart/internal/core"
 	"stencilmart/internal/gpu"
-	"stencilmart/internal/merge"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/profile"
 	"stencilmart/internal/stats"
@@ -205,5 +204,3 @@ func matrices(d *profile.Dataset) [][][]float64 {
 	}
 	return out
 }
-
-var _ = merge.TopPairs // used by figure files

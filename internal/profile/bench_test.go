@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"stencilmart/internal/profile"
-	"stencilmart/internal/sim"
 	"stencilmart/internal/testutil"
 )
 
@@ -16,25 +15,6 @@ func BenchmarkProfileCell(b *testing.B) {
 	corpus := testutil.SmallCorpus(b)
 	archs := testutil.AllArchs(b)
 	p := profile.NewProfiler(12, testutil.CorpusSeed+1)
-	s, arch := corpus[0], archs[0]
-	if _, _, err := p.ProfileOne(context.Background(), 0, s, arch); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.ProfileOne(context.Background(), 0, s, arch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkProfileCellReference is the same cell on the pre-rewrite
-// substrate (string-keyed cache, per-call validation) for comparison.
-func BenchmarkProfileCellReference(b *testing.B) {
-	corpus := testutil.SmallCorpus(b)
-	archs := testutil.AllArchs(b)
-	p := &profile.Profiler{Model: sim.NewReference(), SamplesPerOC: 12, Seed: testutil.CorpusSeed + 1}
 	s, arch := corpus[0], archs[0]
 	if _, _, err := p.ProfileOne(context.Background(), 0, s, arch); err != nil {
 		b.Fatal(err)

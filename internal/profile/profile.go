@@ -67,8 +67,8 @@ type Instance struct {
 // results, so a second measurement could only repeat the first.
 type Profiler struct {
 	// Model is the measurement substrate, resolved once per cell; nil
-	// uses sim.New(). The Reference oracle and test doubles hook in here
-	// by wrapping a cell.
+	// uses sim.New(). Tests hook the simulator's Reference oracle and
+	// their doubles in here by wrapping a cell.
 	Model sim.Cells
 	// SamplesPerOC is the number of random parameter settings searched
 	// per OC (the paper's random search budget).

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"stencilmart/internal/gpu"
@@ -22,9 +24,10 @@ import (
 //
 // Evaluators are obtained from Model.Evaluator (or implicitly through
 // Model.CellFn) and are safe for concurrent use; results are
-// bitwise-identical to the Reference oracle, a property the differential
-// suite asserts per run and per collected dataset, whether or not the
-// cell is memoizing.
+// bitwise-identical to the Reference oracle the package's tests keep
+// (reference_test.go), a property the differential suite asserts per
+// run, per collected dataset, per tuned search and per served answer,
+// whether or not the cell is memoizing.
 type CellEvaluator struct {
 	m *Model
 	// table is the evaluator table the cell is registered in: memoized
@@ -40,7 +43,7 @@ type CellEvaluator struct {
 	dims int
 	g    geom
 
-	// Noise precomputation. Of NoiseConfig.factor's four terms only the
+	// Noise precomputation. Of the noise factor's four terms only the
 	// measurement gauss varies with the sampled params; the other three
 	// are per-(cell, OC) constants, stored (not pre-summed) and added back
 	// in factor's left-to-right order so the float result is
@@ -130,9 +133,10 @@ func (m *Model) Evaluator(w Workload, arch gpu.Arch) (*CellEvaluator, error) {
 	return ev, nil
 }
 
-// CellFn resolves the cell to its compiled evaluator's Eval. A workload
-// that fails validation yields a function returning that error on every
-// call, as the Reference oracle's does.
+// CellFn resolves the cell to its compiled evaluator's Eval: the one
+// pricing path product code has. A workload that fails validation
+// yields a function returning that error on every call, as the tests'
+// Reference oracle does.
 func (m *Model) CellFn(w Workload, arch gpu.Arch) EvalFn {
 	ev, err := m.Evaluator(w, arch)
 	if err != nil {
@@ -149,6 +153,42 @@ func compileKey(w Workload, arch gpu.Arch) string {
 	ak := archKey(arch)
 	b := appendCell(make([]byte, 0, 1+3*len(w.S.Points)+4*4+len(ak)), w)
 	return string(append(b, ak...))
+}
+
+// archKeys caches the per-architecture key segment: gpu.Arch is a
+// comparable value struct, so identical specs share one digest and a
+// user-modified Arch (even one reusing a catalog name) keys separately.
+var archKeys sync.Map // gpu.Arch -> string
+
+func archKey(a gpu.Arch) string {
+	if v, ok := archKeys.Load(a); ok {
+		return v.(string)
+	}
+	b := make([]byte, 0, len(a.Name)+len(a.Generation)+2+11*8)
+	b = append(b, a.Name...)
+	b = append(b, 0)
+	b = append(b, a.Generation...)
+	b = append(b, 0)
+	for _, f := range []float64{
+		a.MemGB, a.MemBWGBs, float64(a.SMs), a.TFLOPS, a.RentalPerHour,
+		float64(a.RegsPerSM), float64(a.SmemPerSMKB), float64(a.MaxThreadsPerSM),
+		float64(a.MaxRegsPerThread), a.L2MB, a.ClockGHz,
+	} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	k := string(b)
+	archKeys.Store(a, k)
+	return k
+}
+
+// appendCell appends the workload's access pattern, grid extents and
+// time steps: the part of a key naming the cell.
+func appendCell(b []byte, w Workload) []byte {
+	b = append(b, patternKey(w.S)...)
+	for _, v := range [...]int{w.GridX, w.GridY, w.GridZ, w.TimeSteps} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+	}
+	return b
 }
 
 // compile precomputes the cell's invariants. It runs once per cell per
@@ -256,14 +296,15 @@ func priceNoiseless(w *Workload, oc opt.Opt, p *opt.Params, arch *gpu.Arch, g *g
 	}, nil
 }
 
-// noiseFactor is NoiseConfig.factor with every cell-invariant piece
+// noiseFactor is the oracle's per-run noise factor (noiseConfig.factor
+// in reference_test.go) with every cell-invariant piece
 // precomputed: the measurement gauss resumes from the per-OC FNV prefix
 // and hashes only the 10 params bytes and the arch name inline; the three
 // affinity terms come from the compile-time tables. The additions run in
 // the reference order, so the factor is bit-identical.
 func (e *CellEvaluator) noiseFactor(oc opt.Opt, p *opt.Params) float64 {
 	h := e.measPrefix[oc]
-	for _, b := range paramsBytes(*p) { // paramsKey's bytes, on the stack
+	for _, b := range paramsBytes(*p) { // the params' key bytes, on the stack
 		h = fnv1aByte(h, b)
 	}
 	h = fnv1aByte(h, 0)

@@ -5,15 +5,16 @@ import (
 	"sync"
 
 	"stencilmart/internal/gen"
-	"stencilmart/internal/gpu"
 	"stencilmart/internal/opt"
 	"stencilmart/internal/stencil"
 )
 
-// NoiseConfig sets the standard deviations of the lognormal terms the
+// noiseConfig sets the standard deviations of the lognormal terms the
 // model layers over the analytical time. Each term is deterministic in
 // its key, so repeated simulations of the same configuration agree
-// exactly (the substrate is a reproducible oracle).
+// exactly (the substrate is a reproducible oracle). The weights are
+// calibration constants: New builds the one calibrated model, and only
+// the simulator's tests build a model with other weights.
 //
 // The stencil-dependent terms (StencilArch, StencilOC) are smooth random
 // projections of the stencil's geometric features rather than hashes of
@@ -21,7 +22,7 @@ import (
 // functions of the access pattern, which is precisely what makes the
 // paper's regressors able to predict them (6% MAPE) while still making
 // "which GPU wins" stencil-dependent (Figs. 4, 14, 15).
-type NoiseConfig struct {
+type noiseConfig struct {
 	// Measurement varies with the full (stencil, OC, params, arch) key —
 	// run-to-run measurement jitter, unpredictable by construction.
 	Measurement float64
@@ -40,26 +41,15 @@ type NoiseConfig struct {
 	OCArch float64
 }
 
-// DefaultNoise returns the calibrated noise configuration; see DESIGN.md
+// defaultNoise returns the calibrated noise configuration; see DESIGN.md
 // section 5.
-func DefaultNoise() NoiseConfig {
-	return NoiseConfig{
+func defaultNoise() noiseConfig {
+	return noiseConfig{
 		Measurement: 0.03,
 		StencilArch: 0.18,
 		StencilOC:   0.06,
 		OCArch:      0.04,
 	}
-}
-
-// factor returns the multiplicative noise for one simulated run.
-func (n NoiseConfig) factor(s stencil.Stencil, oc opt.Opt, p opt.Params, arch gpu.Arch) float64 {
-	key := patternKey(s)
-	ocb := byte(oc)
-	e := n.Measurement*gauss(key, ocb, paramsKey(p), arch.Name) +
-		n.StencilArch*projection(s, "arch:"+arch.Name) +
-		n.StencilOC*projection(s, "oc:"+string(ocb)) +
-		n.OCArch*gauss("", ocb, "", arch.Name)
-	return math.Exp(e)
 }
 
 // phi embeds a stencil into a standardized geometric feature vector: the
@@ -176,13 +166,6 @@ func directionOf(key string) *direction {
 	return v.(*direction)
 }
 
-// projection returns an approximately standard-normal smooth function of
-// the stencil, standardized per key against the reference corpus.
-func projection(s stencil.Stencil, key string) float64 {
-	f := phi(s)
-	return directionOf(key).project(&f)
-}
-
 // archNoise is everything a cell's noise constants need besides the
 // stencil's embedding, resolved once per architecture name: the
 // "arch:"+name direction, each OC's "oc:"+oc direction, and
@@ -217,11 +200,6 @@ func patternKey(s stencil.Stencil) string {
 		b = append(b, byte(int8(p.Dx)), byte(int8(p.Dy)), byte(int8(p.Dz)))
 	}
 	return string(b)
-}
-
-func paramsKey(p opt.Params) string {
-	b := paramsBytes(p)
-	return string(b[:])
 }
 
 // paramsBytes is the params' noise-key bytes: each field truncated to a
@@ -269,20 +247,12 @@ func boxMullerFrom(x uint64) float64 {
 }
 
 // gauss maps a composite key to a standard-normal deviate via FNV-1a
-// hashing and the Box-Muller transform.
-func gauss(parts ...interface{}) float64 {
-	h := uint64(fnvOffset64)
-	for _, p := range parts {
-		switch v := p.(type) {
-		case string:
-			h = fnv1aString(h, v)
-			h = fnv1aByte(h, 0)
-		case byte:
-			h = fnv1aByte(h, v)
-			h = fnv1aByte(h, 0)
-		default:
-			panic("sim: unsupported gauss key type")
-		}
-	}
+// hashing and the Box-Muller transform: each part is hashed, then a zero
+// byte, in argument order.
+func gauss(a string, b byte, c, d string) float64 {
+	h := fnv1aByte(fnv1aString(uint64(fnvOffset64), a), 0)
+	h = fnv1aByte(fnv1aByte(h, b), 0)
+	h = fnv1aByte(fnv1aString(h, c), 0)
+	h = fnv1aByte(fnv1aString(h, d), 0)
 	return boxMullerFrom(h)
 }

@@ -72,7 +72,7 @@ func TestProjectionSmoothInFeatures(t *testing.T) {
 }
 
 func TestNoiseFactorDeterministic(t *testing.T) {
-	n := DefaultNoise()
+	n := defaultNoise()
 	s := stencil.Cross(2, 2)
 	arch, _ := gpu.ByName("P100")
 	p := opt.Params{BlockX: 32, BlockY: 4, Merge: 1, Unroll: 1}
@@ -89,7 +89,7 @@ func TestNoiseFactorDeterministic(t *testing.T) {
 // Property: the noise factor stays within lognormal plausibility for any
 // configuration (no blowups from the projection terms).
 func TestQuickNoiseFactorBounded(t *testing.T) {
-	n := DefaultNoise()
+	n := defaultNoise()
 	g, err := gen.New(gen.Options{Dims: 3}, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -230,7 +230,7 @@ func TestDirectionsMatchOracle(t *testing.T) {
 
 // assertOracleTerms checks a compiled cell's three noise constants
 // against the per-call formulas, bit for bit.
-func assertOracleTerms(t *testing.T, e *CellEvaluator, n NoiseConfig, s stencil.Stencil, arch gpu.Arch) {
+func assertOracleTerms(t *testing.T, e *CellEvaluator, n noiseConfig, s stencil.Stencil, arch gpu.Arch) {
 	t.Helper()
 	same := func(what string, got, want float64) {
 		t.Helper()
@@ -247,7 +247,7 @@ func assertOracleTerms(t *testing.T, e *CellEvaluator, n NoiseConfig, s stencil.
 }
 
 func TestCompiledNoiseTermsMatchOracle(t *testing.T) {
-	n := NoiseConfig{Measurement: 0.05, StencilArch: 0.3, StencilOC: 0.11, OCArch: 0.07}
+	n := noiseConfig{Measurement: 0.05, StencilArch: 0.3, StencilOC: 0.11, OCArch: 0.07}
 	for _, arch := range gpu.Catalog() {
 		for _, s := range stencil.RepresentativeAll() {
 			for _, m := range []*Model{New(), NewWithNoise(n)} {
@@ -300,6 +300,6 @@ func TestDirectionFirstUseRace(t *testing.T) {
 		if math.Float64bits(proj[i]) != math.Float64bits(want) {
 			t.Errorf("racer %d: projection %v, oracle %v", i, proj[i], want)
 		}
-		assertOracleTerms(t, cells[i], DefaultNoise(), w.S, arch)
+		assertOracleTerms(t, cells[i], defaultNoise(), w.S, arch)
 	}
 }

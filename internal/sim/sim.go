@@ -114,7 +114,7 @@ type Result struct {
 // a cell that is looked up again memoizes its samples (cache.go), and the
 // table, memos included, resets wholesale when it is full.
 type Model struct {
-	noise NoiseConfig
+	noise noiseConfig
 
 	// evalMu guards table: the pointer and the cells map behind it.
 	evalMu sync.Mutex
@@ -123,14 +123,8 @@ type Model struct {
 	hits, misses, evictions atomic.Uint64
 }
 
-// New returns a model with the default noise configuration.
-func New() *Model { return NewWithNoise(DefaultNoise()) }
-
-// NewWithNoise returns a model with a custom noise configuration; used by
-// the noise-ablation benchmarks.
-func NewWithNoise(n NoiseConfig) *Model {
-	return &Model{noise: n, table: newEvalTable()}
-}
+// New returns a model with the calibrated noise configuration.
+func New() *Model { return &Model{noise: defaultNoise(), table: newEvalTable()} }
 
 // CacheStats returns a snapshot of the sample-memo counters. It reads
 // four counters, so polling it from /statsz costs the same whatever the

@@ -116,8 +116,8 @@ func archCacheBoost(arch *gpu.Arch) float64 {
 }
 
 // geom is the cell's footprint geometry, precomputed once per cell by
-// the compiled evaluator (and on the fly by the reference path) so the
-// pricing body never rescans the point set per sample. plane is indexed
+// the compiled evaluator (and per call by the tests' Reference oracle)
+// so the pricing body never rescans the point set per sample. plane is indexed
 // by the 1-based streaming dimension; index 0 is unused. order is the
 // stencil's order as the float the arithmetic uses; alpha is the cell's
 // cache-miss fraction per grid line.

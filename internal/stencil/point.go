@@ -27,7 +27,7 @@ type Point struct {
 // Order returns the Chebyshev distance of the point from the center, i.e.
 // the neighbor order the point belongs to.
 func (p Point) Order() int {
-	return max3(abs(p.Dx), abs(p.Dy), abs(p.Dz))
+	return max(abs(p.Dx), abs(p.Dy), abs(p.Dz))
 }
 
 // Euclidean returns the L2 distance of the point from the center.
@@ -71,14 +71,4 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-func max3(a, b, c int) int {
-	if b > a {
-		a = b
-	}
-	if c > a {
-		a = c
-	}
-	return a
 }

@@ -157,12 +157,14 @@ for e in examples/*/; do
     go run "./$e" > /dev/null
 done
 
-# Non-test Go lines outside bench/: the ROADMAP's consolidation target
-# (19.6k -> under 16.7k) is a ratchet. A PR that ends below max_lines
-# lowers it to its own count; one that ends above it fails here.
-max_lines=15036
+# Non-test Go lines outside bench/ are a ratchet: a PR that ends below
+# max_lines lowers it to its own count; one that ends above it fails
+# here. The test-file count is printed beside it (not gated), so code
+# moved from the product into tests shows as a move, not a deletion.
+max_lines=14930
 lines="$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
-echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines)"
+test_lines="$(find . -name '*_test.go' ! -path './bench/*' -exec cat {} + | wc -l)"
+echo "non-test Go lines (excluding bench/): $lines (ratchet $max_lines); test Go lines: $test_lines"
 if [ "$lines" -gt "$max_lines" ]; then
     echo "line ratchet: $lines non-test lines, the recorded maximum is $max_lines" >&2
     exit 1
